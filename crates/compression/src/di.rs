@@ -14,7 +14,7 @@ use anoc_core::data::{CacheBlock, NodeId};
 use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
 use anoc_core::threshold::ErrorThreshold;
 
-use crate::dictionary::{DecoderPmt, EncoderPmt, DEFAULT_PMT_ENTRIES};
+use crate::dictionary::{index_bits, DecoderPmt, EncoderPmt, DEFAULT_PMT_ENTRIES};
 
 /// Configuration shared by the dictionary codecs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,10 +88,6 @@ impl DiEncoder {
     pub fn pmt(&self) -> &EncoderPmt {
         &self.pmt
     }
-}
-
-fn index_bits(entries: usize) -> u8 {
-    (usize::BITS - (entries.max(2) - 1).leading_zeros()) as u8
 }
 
 impl BlockEncoder for DiEncoder {
@@ -233,9 +229,8 @@ impl BlockDecoder for DiDecoder {
             match *code {
                 WordCode::Raw { word, .. } => {
                     // Learning happens on the uncompressed stream.
-                    let notes = self.pmt.observe_raw(word, src, encoded.dtype());
-                    self.activity.notifications += notes.len() as u64;
-                    notifications.extend(notes);
+                    self.pmt
+                        .observe_raw(word, src, encoded.dtype(), &mut notifications);
                     words.push(word);
                 }
                 WordCode::Dict { index, pattern, .. } => {
@@ -248,6 +243,7 @@ impl BlockDecoder for DiDecoder {
                 }
             }
         }
+        self.activity.notifications += notifications.len() as u64;
         DecodeResult {
             block: CacheBlock::new(words, encoded.dtype(), encoded.is_approximable()),
             notifications,

@@ -44,11 +44,81 @@ struct DecoderEntry {
     valid: Vec<bool>,
 }
 
+/// The decoder's pre-PMT candidate filter: fixed `(pattern, count)` rows,
+/// the first `len` live. Every search is a branch-free compare of all
+/// [`CANDIDATE_ENTRIES`] rows whose hit bitmask is peeled with
+/// `trailing_zeros`. Rows are appended at the end, dropped in place, and
+/// evicted by `swap_remove`; that order decides future evictions and the
+/// snapshot bytes.
+#[derive(Debug, Clone)]
+struct Candidates {
+    words: [u32; CANDIDATE_ENTRIES],
+    counts: [u32; CANDIDATE_ENTRIES],
+    len: usize,
+}
+
+impl Candidates {
+    fn new() -> Self {
+        Candidates {
+            words: [0; CANDIDATE_ENTRIES],
+            counts: [0; CANDIDATE_ENTRIES],
+            len: 0,
+        }
+    }
+
+    /// The first live row holding `word`.
+    fn find(&self, word: u32) -> Option<usize> {
+        let mut hits = 0u32;
+        for (row, &w) in self.words.iter().enumerate() {
+            hits |= u32::from(w == word) << row;
+        }
+        let live = hits & ((1 << self.len) - 1);
+        (live != 0).then(|| live.trailing_zeros() as usize)
+    }
+
+    /// Appends `word` with one sighting. A full filter first evicts its
+    /// coldest row (the first minimum) by moving the last row into it.
+    fn push(&mut self, word: u32) {
+        if self.len == CANDIDATE_ENTRIES {
+            let min = self.counts.iter().fold(u32::MAX, |m, &c| m.min(c));
+            let mut at_min = 0u32;
+            for (row, &c) in self.counts.iter().enumerate() {
+                at_min |= u32::from(c == min) << row;
+            }
+            let coldest = at_min.trailing_zeros() as usize;
+            self.len -= 1;
+            self.words[coldest] = self.words[self.len];
+            self.counts[coldest] = self.counts[self.len];
+        }
+        self.words[self.len] = word;
+        self.counts[self.len] = 1;
+        self.len += 1;
+    }
+
+    /// Keeps the live rows `keep` accepts, in order.
+    fn retain(&mut self, keep: impl Fn(u32, u32) -> bool) {
+        let mut kept = 0;
+        for row in 0..self.len {
+            let (w, c) = (self.words[row], self.counts[row]);
+            self.words[kept] = w;
+            self.counts[kept] = c;
+            kept += usize::from(keep(w, c));
+        }
+        self.len = kept;
+    }
+}
+
+/// Bits needed to express an encoded index into a PMT of `entries` slots
+/// (⌈log2 entries⌉, at least 1).
+pub(crate) fn index_bits(entries: usize) -> u8 {
+    (usize::BITS - (entries.max(2) - 1).leading_zeros()) as u8
+}
+
 /// The decoder-side pattern matching table.
 #[derive(Debug, Clone)]
 pub struct DecoderPmt {
     slots: Vec<Option<DecoderEntry>>,
-    candidates: Vec<(u32, u32)>,
+    candidates: Candidates,
     num_nodes: usize,
     /// Count of decode-time index lookups whose slot no longer held the
     /// pattern the packet was encoded against (an in-flight replacement
@@ -62,7 +132,7 @@ impl DecoderPmt {
     pub fn new(entries: usize, num_nodes: usize) -> Self {
         DecoderPmt {
             slots: vec![None; entries],
-            candidates: Vec::with_capacity(CANDIDATE_ENTRIES),
+            candidates: Candidates::new(),
             num_nodes,
             races: 0,
         }
@@ -75,9 +145,7 @@ impl DecoderPmt {
 
     /// Bits needed to express an encoded index.
     pub fn index_bits(&self) -> u8 {
-        usize::BITS
-            .saturating_sub(self.slots.len().leading_zeros() + 1)
-            .max(1) as u8
+        index_bits(self.slots.len())
     }
 
     /// The pattern currently stored at `index`, if any.
@@ -105,15 +173,15 @@ impl DecoderPmt {
     }
 
     /// Observes an uncompressed word arriving from `src`, learning frequent
-    /// patterns. Returns the notifications to send (install to `src`,
-    /// invalidations to displaced encoders).
+    /// patterns. Appends the notifications to send (install to `src`,
+    /// invalidations to displaced encoders) to `notes`, in send order.
     pub fn observe_raw(
         &mut self,
         word: u32,
         src: NodeId,
         dtype: DataType,
-    ) -> Vec<(NodeId, Notification)> {
-        let mut notes = Vec::new();
+        notes: &mut Vec<(NodeId, Notification)>,
+    ) {
         // Already tracked? Bump frequency; announce to this sender if new.
         if let Some((idx, entry)) = self
             .slots
@@ -134,40 +202,32 @@ impl DecoderPmt {
                     },
                 ));
             }
-            return notes;
+            return;
         }
         // Track as a candidate.
-        if let Some(c) = self.candidates.iter_mut().find(|c| c.0 == word) {
-            c.1 += 1;
-            if c.1 >= PROMOTE_THRESHOLD {
-                let word = c.0;
-                self.candidates.retain(|c| c.0 != word);
-                notes.extend(self.promote(word, src, dtype));
-            }
-        } else {
-            if self.candidates.len() == CANDIDATE_ENTRIES {
-                // Evict the coldest candidate (a full table has a minimum).
-                if let Some(coldest) = self
-                    .candidates
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, c)| c.1)
-                    .map(|(i, _)| i)
-                {
-                    self.candidates.swap_remove(coldest);
+        match self.candidates.find(word) {
+            Some(row) => {
+                self.candidates.counts[row] += 1;
+                if self.candidates.counts[row] >= PROMOTE_THRESHOLD {
+                    self.candidates.retain(|w, _| w != word);
+                    self.promote(word, src, dtype, notes);
                 }
             }
-            self.candidates.push((word, 1));
+            None => self.candidates.push(word),
         }
-        notes
     }
 
     /// Promotes `word` into the PMT, evicting the least-frequently-used
-    /// entry if the table is full.
-    fn promote(&mut self, word: u32, src: NodeId, dtype: DataType) -> Vec<(NodeId, Notification)> {
-        let mut notes = Vec::new();
-        let slot = match self.slots.iter().position(Option::is_none) {
-            Some(empty) => empty,
+    /// entry if the table is full, and appends the resulting notifications.
+    fn promote(
+        &mut self,
+        word: u32,
+        src: NodeId,
+        dtype: DataType,
+        notes: &mut Vec<(NodeId, Notification)>,
+    ) {
+        let (slot, mut valid) = match self.slots.iter().position(Option::is_none) {
+            Some(empty) => (empty, vec![false; self.num_nodes]),
             None => {
                 // A zero-slot PMT can store nothing; drop the promotion.
                 let Some(victim_idx) = self
@@ -177,27 +237,29 @@ impl DecoderPmt {
                     .min_by_key(|(_, s)| s.as_ref().map(|e| e.freq).unwrap_or(0))
                     .map(|(i, _)| i)
                 else {
-                    return notes;
+                    return;
                 };
                 // The full-table scan above guarantees the slot is occupied.
-                if let Some(victim) = self.slots[victim_idx].take() {
-                    for (node, valid) in victim.valid.iter().enumerate() {
-                        if *valid {
-                            notes.push((
-                                NodeId::from(node),
-                                Notification::Invalidate {
-                                    pattern: victim.pattern,
-                                },
-                            ));
-                        }
-                    }
-                } else {
+                let Some(victim) = self.slots[victim_idx].take() else {
                     debug_assert!(false, "victim slot in a full PMT is occupied");
+                    return;
+                };
+                for (node, valid) in victim.valid.iter().enumerate() {
+                    if *valid {
+                        notes.push((
+                            NodeId::from(node),
+                            Notification::Invalidate {
+                                pattern: victim.pattern,
+                            },
+                        ));
+                    }
                 }
-                victim_idx
+                // The victim's valid-bit vector is reused for the newcomer.
+                let mut valid = victim.valid;
+                valid.fill(false);
+                (victim_idx, valid)
             }
         };
-        let mut valid = vec![false; self.num_nodes];
         valid[src.index()] = true;
         self.slots[slot] = Some(DecoderEntry {
             pattern: word,
@@ -212,7 +274,6 @@ impl DecoderPmt {
                 dtype,
             },
         ));
-        notes
     }
 
     /// Ages all frequency counters (halving), so stale patterns lose
@@ -221,10 +282,9 @@ impl DecoderPmt {
         for entry in self.slots.iter_mut().flatten() {
             entry.freq /= 2;
         }
-        for c in &mut self.candidates {
-            c.1 /= 2;
-        }
-        self.candidates.retain(|c| c.1 > 0);
+        let c = &mut self.candidates;
+        c.counts.iter_mut().for_each(|n| *n /= 2);
+        c.retain(|_, n| n > 0);
     }
 
     /// Serializes the learned table (slots, candidate filter, race counter)
@@ -246,10 +306,11 @@ impl DecoderPmt {
                 None => w.bool(false),
             }
         }
-        w.usize(self.candidates.len());
-        for &(word, freq) in &self.candidates {
-            w.u32(word);
-            w.u32(freq);
+        let c = &self.candidates;
+        w.usize(c.len);
+        for row in 0..c.len {
+            w.u32(c.words[row]);
+            w.u32(c.counts[row]);
         }
         w.u64(self.races);
     }
@@ -286,12 +347,12 @@ impl DecoderPmt {
         if cands > CANDIDATE_ENTRIES {
             return Err(SnapError::Invalid("decoder candidate count"));
         }
-        self.candidates.clear();
-        for _ in 0..cands {
-            let word = r.u32()?;
-            let freq = r.u32()?;
-            self.candidates.push((word, freq));
+        let c = &mut self.candidates;
+        for row in 0..cands {
+            c.words[row] = r.u32()?;
+            c.counts[row] = r.u32()?;
         }
+        c.len = cands;
         self.races = r.u64()?;
         Ok(())
     }
@@ -613,12 +674,19 @@ mod tests {
         DecoderPmt::new(DEFAULT_PMT_ENTRIES, N)
     }
 
+    /// `observe_raw` into a fresh buffer: the notifications one word caused.
+    fn observe(d: &mut DecoderPmt, word: u32, src: NodeId) -> Vec<(NodeId, Notification)> {
+        let mut notes = Vec::new();
+        d.observe_raw(word, src, DataType::Int, &mut notes);
+        notes
+    }
+
     #[test]
     fn decoder_learns_after_promote_threshold() {
         let mut d = dec();
         let src = NodeId(1);
-        assert!(d.observe_raw(0xAB, src, DataType::Int).is_empty());
-        let notes = d.observe_raw(0xAB, src, DataType::Int);
+        assert!(observe(&mut d, 0xAB, src).is_empty());
+        let notes = observe(&mut d, 0xAB, src);
         assert_eq!(notes.len(), 1);
         match notes[0] {
             (to, Notification::Install { pattern, index, .. }) => {
@@ -633,13 +701,13 @@ mod tests {
     #[test]
     fn decoder_announces_to_each_new_sender() {
         let mut d = dec();
-        d.observe_raw(7, NodeId(0), DataType::Int);
-        d.observe_raw(7, NodeId(0), DataType::Int); // promoted, announced to 0
-        let notes = d.observe_raw(7, NodeId(2), DataType::Int);
+        observe(&mut d, 7, NodeId(0));
+        observe(&mut d, 7, NodeId(0)); // promoted, announced to 0
+        let notes = observe(&mut d, 7, NodeId(2));
         assert_eq!(notes.len(), 1);
         assert_eq!(notes[0].0, NodeId(2));
         // Sender 0 is not re-announced.
-        assert!(d.observe_raw(7, NodeId(0), DataType::Int).is_empty());
+        assert!(observe(&mut d, 7, NodeId(0)).is_empty());
     }
 
     #[test]
@@ -647,22 +715,22 @@ mod tests {
         let mut d = DecoderPmt::new(2, N);
         // Fill both slots, pattern 1 known to nodes 0 and 1.
         for s in [NodeId(0), NodeId(0), NodeId(1)] {
-            d.observe_raw(1, s, DataType::Int);
+            observe(&mut d, 1, s);
         }
         for _ in 0..2 {
-            d.observe_raw(2, NodeId(0), DataType::Int);
+            observe(&mut d, 2, NodeId(0));
         }
         // Give pattern 2 more hits so pattern 1 is the LFU victim... they
         // both sit at freq 2+; bump pattern 2.
-        d.observe_raw(2, NodeId(0), DataType::Int);
+        observe(&mut d, 2, NodeId(0));
         d.decay(); // 1: freq 3/2=1, 2: freq 3/2=1 — decay keeps relative order
         for _ in 0..3 {
-            d.observe_raw(2, NodeId(0), DataType::Int);
+            observe(&mut d, 2, NodeId(0));
         }
         // Promote a third pattern; victim must be pattern 1.
         let mut notes = Vec::new();
         for _ in 0..2 {
-            notes.extend(d.observe_raw(3, NodeId(3), DataType::Int));
+            d.observe_raw(3, NodeId(3), DataType::Int, &mut notes);
         }
         let invalidations: Vec<_> = notes
             .iter()
@@ -679,7 +747,7 @@ mod tests {
     fn decoder_race_counting() {
         let mut d = dec();
         for _ in 0..2 {
-            d.observe_raw(0xCAFE, NodeId(0), DataType::Int);
+            observe(&mut d, 0xCAFE, NodeId(0));
         }
         d.record_hit(0, 0xCAFE);
         assert_eq!(d.races(), 0);
@@ -694,6 +762,10 @@ mod tests {
         assert_eq!(DecoderPmt::new(8, N).index_bits(), 3);
         assert_eq!(DecoderPmt::new(16, N).index_bits(), 4);
         assert_eq!(DecoderPmt::new(2, N).index_bits(), 1);
+        // Non-power-of-two tables round up: index 2 of 3 needs two bits.
+        assert_eq!(DecoderPmt::new(3, N).index_bits(), 2);
+        assert_eq!(DecoderPmt::new(5, N).index_bits(), 3);
+        assert_eq!(DecoderPmt::new(12, N).index_bits(), 4);
     }
 
     #[test]
@@ -874,7 +946,7 @@ mod tests {
     fn decoder_candidate_table_bounded() {
         let mut d = dec();
         for w in 0..100u32 {
-            d.observe_raw(w, NodeId(0), DataType::Int);
+            observe(&mut d, w, NodeId(0));
         }
         // No pattern repeated, so nothing promoted.
         for i in 0..8 {
@@ -886,7 +958,7 @@ mod tests {
     fn decay_halves_frequencies() {
         let mut d = dec();
         for _ in 0..4 {
-            d.observe_raw(9, NodeId(0), DataType::Int);
+            observe(&mut d, 9, NodeId(0));
         }
         d.decay();
         // Still present after decay.

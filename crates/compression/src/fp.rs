@@ -150,10 +150,9 @@ impl BlockEncoder for FpEncoder {
         if self.window.is_none() {
             // Wide path: eight contiguous words per iteration. The AVCL masks
             // for the whole group come out of one `approx_pattern8` call and
-            // the pattern table is walked once per group by `best_match8`,
-            // which reduces its hit mask per variant row instead of
-            // re-dispatching per word. Lane results are bit-identical to the
-            // scalar path.
+            // `best_match8` compares each pattern row against all eight lanes
+            // into one hit mask, with no per-lane branch. Lane results are
+            // bit-identical to the scalar path.
             let avcl = if approx_on { self.avcl } else { None };
             for chunk in words.chunks(8) {
                 let mut lanes = [0u32; 8];

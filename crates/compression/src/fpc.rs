@@ -39,6 +39,25 @@ pub const MATCH_PRIORITY: [FpcClass; 6] = [
     FpcClass::TwoHalfSe,
 ];
 
+/// The pattern-matching rows of the CA logic (Figure 6), in
+/// [`MATCH_PRIORITY`] order: `(class, fixed_region_mask, fill)`. A word fits
+/// a class iff for some row of that class all fixed-region bits equal the
+/// fill; sign-extended classes have one row per sign.
+const ROWS: [(FpcClass, u32, u32); 12] = [
+    (FpcClass::Zero, 0xFFFF_FFFF, 0),
+    (FpcClass::Se4, 0xFFFF_FFF8, 0),
+    (FpcClass::Se4, 0xFFFF_FFF8, 0xFFFF_FFF8),
+    (FpcClass::Se8, 0xFFFF_FF80, 0),
+    (FpcClass::Se8, 0xFFFF_FF80, 0xFFFF_FF80),
+    (FpcClass::Se16, 0xFFFF_8000, 0),
+    (FpcClass::Se16, 0xFFFF_8000, 0xFFFF_8000),
+    (FpcClass::HalfPadded, 0x0000_FFFF, 0),
+    (FpcClass::TwoHalfSe, 0xFF80_FF80, 0),
+    (FpcClass::TwoHalfSe, 0xFF80_FF80, 0x0000_FF80),
+    (FpcClass::TwoHalfSe, 0xFF80_FF80, 0xFF80_0000),
+    (FpcClass::TwoHalfSe, 0xFF80_FF80, 0xFF80_FF80),
+];
+
 impl FpcClass {
     /// Converts a 3-bit encoded index back to a class.
     pub fn from_index(index: u8) -> Option<FpcClass> {
@@ -66,31 +85,6 @@ impl FpcClass {
         }
     }
 
-    /// The `(fixed_region_mask, fill)` variants of this class. A word fits
-    /// the class iff for some variant all fixed-region bits equal the fill.
-    fn variants(self) -> &'static [(u32, u32)] {
-        const ZERO: &[(u32, u32)] = &[(0xFFFF_FFFF, 0)];
-        const SE4: &[(u32, u32)] = &[(0xFFFF_FFF8, 0), (0xFFFF_FFF8, 0xFFFF_FFF8)];
-        const SE8: &[(u32, u32)] = &[(0xFFFF_FF80, 0), (0xFFFF_FF80, 0xFFFF_FF80)];
-        const SE16: &[(u32, u32)] = &[(0xFFFF_8000, 0), (0xFFFF_8000, 0xFFFF_8000)];
-        const HALF_PADDED: &[(u32, u32)] = &[(0x0000_FFFF, 0)];
-        const TWO_HALF_SE: &[(u32, u32)] = &[
-            (0xFF80_FF80, 0),
-            (0xFF80_FF80, 0x0000_FF80),
-            (0xFF80_FF80, 0xFF80_0000),
-            (0xFF80_FF80, 0xFF80_FF80),
-        ];
-        match self {
-            FpcClass::Zero => ZERO,
-            FpcClass::Se4 => SE4,
-            FpcClass::Se8 => SE8,
-            FpcClass::Se16 => SE16,
-            FpcClass::HalfPadded => HALF_PADDED,
-            FpcClass::TwoHalfSe => TWO_HALF_SE,
-            FpcClass::Uncompressed => &[],
-        }
-    }
-
     /// Projects `word` onto this class under a don't-care mask: finds the
     /// value `v` closest to `word` that (a) fits this pattern class and
     /// (b) agrees with `word` on every bit *not* in `dont_care`.
@@ -99,15 +93,13 @@ impl FpcClass {
     /// (returns `Some(word)` iff `word` fits the class).
     pub fn project(self, word: u32, dont_care: u32) -> Option<u32> {
         let must = !dont_care;
-        for &(fixed, fill) in self.variants() {
-            if word & must & fixed == fill & must {
-                // Free-region bits are taken from the original word so the
-                // approximation stays as close as possible (and equals the
-                // word exactly when the word already fits).
-                return Some(fill | (word & !fixed));
-            }
-        }
-        None
+        ROWS.iter()
+            .filter(|&&(class, ..)| class == self)
+            .find(|&&(_, fixed, fill)| word & must & fixed == fill & must)
+            // Free-region bits are taken from the original word so the
+            // approximation stays as close as possible (and equals the word
+            // exactly when the word already fits).
+            .map(|&(_, fixed, fill)| fill | (word & !fixed))
     }
 
     /// Extracts the adjunct data bits from a word known to fit this class.
@@ -173,33 +165,32 @@ pub fn best_match(word: u32, dont_care: u32) -> Option<(FpcClass, u32)> {
 }
 
 /// Wide variant of [`best_match`]: classifies eight contiguous words in one
-/// pass. The class/variant loop is hoisted outside the lane loop so each
-/// `(fixed, fill)` row is compared against all eight words at once (masked by
-/// the per-lane don't-care bits) and the hit mask is reduced per iteration —
-/// the fixed-width bulk-compare structure a hardware CA stage or a SIMD
-/// software decoder uses. Lane `i` of the result is bit-identical to
+/// pass, the way the CA logic of Figure 6 matches every pattern row at once.
+/// Each row is compared against all eight words (masked by the per-lane
+/// don't-care bits) with no per-lane branch, the eight lane results ORed
+/// into one hit mask. The lanes that row is first to match are peeled off the
+/// mask with `trailing_zeros`; the walk stops once every lane has matched.
+/// Lane `i` of the result is bit-identical to
 /// `best_match(words[i], dont_care[i])`.
 pub fn best_match8(words: &[u32; 8], dont_care: &[u32; 8]) -> [Option<(FpcClass, u32)>; 8] {
     let mut out: [Option<(FpcClass, u32)>; 8] = [None; 8];
-    // Lanes still unresolved, as a bitset reduced after every variant row.
-    let mut pending: u8 = 0xFF;
-    for class in MATCH_PRIORITY {
+    // Lanes no earlier row has matched.
+    let mut pending: u32 = 0xFF;
+    for &(class, fixed, fill) in &ROWS {
+        let mut hits = 0u32;
+        for lane in 0..8 {
+            let must = !dont_care[lane];
+            hits |= u32::from(words[lane] & must & fixed == fill & must) << lane;
+        }
+        let mut first = hits & pending;
+        pending &= !hits;
+        while first != 0 {
+            let lane = first.trailing_zeros() as usize;
+            first &= first - 1;
+            out[lane] = Some((class, fill | (words[lane] & !fixed)));
+        }
         if pending == 0 {
             break;
-        }
-        for &(fixed, fill) in class.variants() {
-            let mut hits: u8 = 0;
-            for lane in 0..8 {
-                let must = !dont_care[lane];
-                if pending & (1 << lane) != 0 && words[lane] & must & fixed == fill & must {
-                    hits |= 1 << lane;
-                    out[lane] = Some((class, fill | (words[lane] & !fixed)));
-                }
-            }
-            pending &= !hits;
-            if pending == 0 {
-                break;
-            }
         }
     }
     out
@@ -322,11 +313,12 @@ mod tests {
 
     #[test]
     fn best_match8_agrees_with_scalar() {
-        let mut rng = anoc_core::rng::Pcg32::seed_from_u64(0xF8C8);
-        for _ in 0..200 {
-            let words: [u32; 8] = core::array::from_fn(|_| rng.next_u32() >> rng.below(28));
-            let masks: [u32; 8] = core::array::from_fn(|_| (1u32 << rng.below(17)) - 1);
-            let batch = best_match8(&words, &masks);
+        use anoc_core::avcl::Avcl;
+        use anoc_core::data::DataType;
+        use anoc_core::threshold::ErrorThreshold;
+
+        let check = |words: &[u32; 8], masks: &[u32; 8]| {
+            let batch = best_match8(words, masks);
             for lane in 0..8 {
                 assert_eq!(
                     batch[lane],
@@ -335,6 +327,37 @@ mod tests {
                     words[lane],
                     masks[lane]
                 );
+            }
+        };
+        let mut rng = anoc_core::rng::Pcg32::seed_from_u64(0xF8C8);
+        for _ in 0..200 {
+            let words: [u32; 8] = core::array::from_fn(|_| rng.next_u32() >> rng.below(28));
+            let masks: [u32; 8] = core::array::from_fn(|_| (1u32 << rng.below(17)) - 1);
+            check(&words, &masks);
+        }
+        // The masks FP-VAXX actually feeds the wide path: the AVCL's own
+        // don't-care patterns, for integer words and for float bit patterns
+        // (specials included) at each paper threshold.
+        for pct in [5, 10, 20] {
+            let avcl = Avcl::new(ErrorThreshold::from_percent(pct).unwrap());
+            for _ in 0..200 {
+                let ints: [u32; 8] = core::array::from_fn(|_| {
+                    let w = rng.next_u32() >> rng.below(32);
+                    if rng.chance(0.5) {
+                        w.wrapping_neg()
+                    } else {
+                        w
+                    }
+                });
+                let floats: [u32; 8] = core::array::from_fn(|lane| match lane {
+                    0 => 0,
+                    1 => f32::INFINITY.to_bits(),
+                    _ => ((rng.f32() - 0.5) * 2f32.powi(rng.range(0, 40) as i32 - 20)).to_bits(),
+                });
+                for (words, dtype) in [(ints, DataType::Int), (floats, DataType::F32)] {
+                    let pats = avcl.approx_pattern8(&words, dtype);
+                    check(&words, &core::array::from_fn(|i| pats[i].mask()));
+                }
             }
         }
     }

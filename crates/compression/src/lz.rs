@@ -80,8 +80,9 @@ impl Default for LzConfig {
     }
 }
 
-/// The LZ-VAXX encoder. Per-block scratch (window, match finder, MTF list)
-/// is reset on every `encode`; only the seed dictionary persists.
+/// The LZ-VAXX encoder. Per-block scratch (window, match finder, MTF list,
+/// don't-care masks) is reset on every `encode`, so no encode allocates per
+/// word; only the seed dictionary persists.
 #[derive(Debug, Clone)]
 pub struct LzEncoder {
     config: LzConfig,
@@ -93,6 +94,9 @@ pub struct LzEncoder {
     recon: Vec<u32>,
     /// MTF recency ranking of match distances, rebuilt per block.
     mtf: Vec<u16>,
+    /// Each block word's AVCL don't-care mask (all zero when approximation
+    /// is off), computed once per block instead of once per candidate.
+    dont_care: Vec<u32>,
     activity: CodecActivity,
 }
 
@@ -107,6 +111,7 @@ impl LzEncoder {
             finder: MatchFinder::new(),
             recon: Vec::new(),
             mtf: Vec::new(),
+            dont_care: Vec::new(),
             activity: CodecActivity::default(),
         }
     }
@@ -114,49 +119,6 @@ impl LzEncoder {
     /// The tuning configuration.
     pub fn config(&self) -> LzConfig {
         self.config
-    }
-
-    /// Whether a window word is an acceptable stand-in for `word`.
-    #[inline]
-    fn accept(&mut self, word: u32, cand: u32, approx_on: bool, block: &CacheBlock) -> bool {
-        if word == cand {
-            return true;
-        }
-        if !approx_on {
-            return false;
-        }
-        self.activity.avcl_ops += 1;
-        self.avcl.accepts(word, cand, block.dtype())
-    }
-
-    /// Longest acceptable match of `words[i..]` against the window at
-    /// back-`distance`, supporting overlapped (run) copies. Returns the
-    /// length and whether any covered word was approximated.
-    fn extend(
-        &mut self,
-        words: &[u32],
-        i: usize,
-        distance: usize,
-        approx_on: bool,
-        block: &CacheBlock,
-    ) -> (usize, bool) {
-        let pos = self.recon.len() - distance;
-        let cap = (self.config.max_match as usize).min(words.len() - i);
-        let mut len = 0;
-        let mut any_approx = false;
-        while len < cap {
-            // An overlapped copy repeats with period `distance`: the value
-            // the decoder materialises at offset `len` is the window word at
-            // `pos + (len % distance)`, which is always already decoded.
-            let cand = self.recon[pos + (len % distance)];
-            let word = words[i + len];
-            if !self.accept(word, cand, approx_on, block) {
-                break;
-            }
-            any_approx |= cand != word;
-            len += 1;
-        }
-        (len, any_approx)
     }
 }
 
@@ -181,30 +143,52 @@ impl BlockEncoder for LzEncoder {
         }
         self.activity.table_updates += seed_len as u64;
 
+        self.dont_care.clear();
+        if approx_on {
+            let (avcl, dtype) = (self.avcl, block.dtype());
+            let masks = words.iter().map(|&w| avcl.approx_pattern(w, dtype).mask());
+            self.dont_care.extend(masks);
+        } else {
+            self.dont_care.resize(n, 0);
+        }
+
         let mut codes: Vec<WordCode> = Vec::with_capacity(n);
         let mut i = 0;
         while i < n {
             let word = words[i];
             let cur = seed_len + i;
+            let cap = (self.config.max_match as usize).min(n - i);
+            let (probe, dont_care) = (&words[i..i + cap], &self.dont_care[i..i + cap]);
             self.activity.cam_searches += 1;
             let mut best: Option<(usize, usize, bool)> = None; // (len, distance, approx)
-            let candidates: Vec<usize> = self
-                .finder
-                .chain(word)
-                .take(self.config.chain_depth)
-                .collect();
-            for pos in candidates {
+            for pos in self.finder.chain(word).take(self.config.chain_depth) {
                 let distance = cur - pos;
                 if distance > self.config.max_distance {
                     break; // chains are newest-first; older is only farther
                 }
-                if approx_on {
-                    self.activity.tcam_searches += 1;
+                self.activity.tcam_searches += u64::from(approx_on);
+                // Longest acceptable match at back-`distance`. A window word
+                // is an acceptable stand-in when it lies inside the probe
+                // word's don't-care pattern (bit equality when approximation
+                // is off). An overlapped copy repeats with period
+                // `distance`: the value the decoder materialises at offset
+                // `len` is the window word at `pos + len % distance`, which
+                // is always already decoded.
+                let (mut len, mut src, mut any_approx) = (0, pos, false);
+                for (&w, &mask) in probe.iter().zip(dont_care) {
+                    let cand = self.recon[src];
+                    let differs = w != cand;
+                    self.activity.avcl_ops += u64::from(approx_on & differs);
+                    if (w ^ cand) & !mask != 0 {
+                        break;
+                    }
+                    any_approx |= differs;
+                    len += 1;
+                    src = if src + 1 == cur { pos } else { src + 1 };
                 }
-                let (len, any_approx) = self.extend(words, i, distance, approx_on, block);
                 if len > best.map_or(0, |(l, _, _)| l) {
                     best = Some((len, distance, any_approx));
-                    if len == (self.config.max_match as usize).min(n - i) {
+                    if len == cap {
                         break;
                     }
                 }
@@ -222,11 +206,11 @@ impl BlockEncoder for LzEncoder {
                     self.mtf.insert(0, distance as u16);
                     self.mtf.truncate(self.config.mtf_capacity);
                     self.activity.table_updates += 1;
-                    let pos = cur - distance;
-                    for k in 0..len {
-                        let v = self.recon[pos + (k % distance)];
+                    // The overlapped copy, exactly as the decoder replays it.
+                    for k in cur..cur + len {
+                        let v = self.recon[k - distance];
                         self.recon.push(v);
-                        self.finder.insert(cur + k, v);
+                        self.finder.insert(k, v);
                     }
                     codes.push(WordCode::Match {
                         distance: distance as u16,

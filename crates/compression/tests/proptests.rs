@@ -284,6 +284,24 @@ mod lz_properties {
             }
         }
 
+        /// The per-block scratch (window, match finder, MTF list, don't-care
+        /// masks) carries no state across blocks: an encoder that has
+        /// already encoded block `a` encodes block `b` exactly as a fresh
+        /// encoder does.
+        #[test]
+        fn lz_scratch_carries_no_state_across_blocks(
+            a in super::skewed_block(),
+            b in super::skewed_block(),
+            approx_a in any::<bool>(),
+            approx_b in any::<bool>(),
+            pct in 0u32..=50,
+        ) {
+            let mut used = lz_at(pct);
+            used.encode(&a.with_approximable(approx_a), NodeId(1));
+            let b = b.with_approximable(approx_b);
+            prop_assert_eq!(used.encode(&b, NodeId(1)), lz_at(pct).encode(&b, NodeId(1)));
+        }
+
         /// Float path: value error bounded on normal floats.
         #[test]
         fn lz_float_threshold(vals in prop::collection::vec(prop::num::f32::NORMAL, 1..=32)) {
