@@ -13,7 +13,7 @@ use anoc_core::data::NodeId;
 use anoc_core::rng::Pcg32;
 use anoc_core::threshold::ErrorThreshold;
 use anoc_core::window::WindowBudget;
-use anoc_harness::runner::run_benchmark;
+use anoc_harness::runner::try_run_benchmark;
 use anoc_harness::{Mechanism, SystemConfig};
 use anoc_traffic::{Benchmark, DataModel};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -24,6 +24,13 @@ fn encoded_fraction(enc: &mut FpEncoder, model: &mut DataModel, blocks: usize) -
         stats.absorb_block(&enc.encode(&model.next_block(true), NodeId(1)));
     }
     stats.encoded_fraction()
+}
+
+/// Average packet latency of an ssca2 run at seed 42.
+fn ssca2_latency(mechanism: Mechanism, config: &SystemConfig) -> f64 {
+    try_run_benchmark(Benchmark::Ssca2, mechanism, config, 42)
+        .expect("run completes")
+        .avg_packet_latency()
 }
 
 fn bench(c: &mut Criterion) {
@@ -65,10 +72,8 @@ fn bench(c: &mut Criterion) {
     let mut no_hiding = base_cfg.clone();
     no_hiding.noc.hide_compression = false;
     no_hiding.noc.va_overlap = false;
-    let with_lat =
-        run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &base_cfg, 42).avg_packet_latency();
-    let without_lat =
-        run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &no_hiding, 42).avg_packet_latency();
+    let with_lat = ssca2_latency(Mechanism::FpVaxx, &base_cfg);
+    let without_lat = ssca2_latency(Mechanism::FpVaxx, &no_hiding);
     println!(
         "ablation 3: ssca2 FP-VAXX latency — hiding on {with_lat:.2} vs off {without_lat:.2} cycles"
     );
@@ -99,10 +104,8 @@ fn bench(c: &mut Criterion) {
     // 5. notification transport --------------------------------------------
     let mut in_band = base_cfg.clone();
     in_band.noc.notify_in_band = true;
-    let instant =
-        run_benchmark(Benchmark::Ssca2, Mechanism::DiVaxx, &base_cfg, 42).avg_packet_latency();
-    let banded =
-        run_benchmark(Benchmark::Ssca2, Mechanism::DiVaxx, &in_band, 42).avg_packet_latency();
+    let instant = ssca2_latency(Mechanism::DiVaxx, &base_cfg);
+    let banded = ssca2_latency(Mechanism::DiVaxx, &in_band);
     println!(
         "ablation 5: ssca2 DI-VAXX latency — instant notifications {instant:.2} vs in-band control packets {banded:.2} cycles"
     );
@@ -142,7 +145,9 @@ fn bench(c: &mut Criterion) {
     group.bench_function("ssca2/fp-vaxx/no-hiding", |b| {
         let mut cfg = SystemConfig::paper().with_sim_cycles(1_000);
         cfg.noc.hide_compression = false;
-        b.iter(|| run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &cfg, 42))
+        b.iter(|| {
+            try_run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &cfg, 42).expect("run completes")
+        })
     });
     group.finish();
 }

@@ -1,31 +1,9 @@
 //! # anoc-bench
 //!
-//! Criterion benchmarks regenerating every table and figure of the
-//! APPROX-NoC paper (`benches/table1.rs`, `benches/fig09_latency.rs` …
-//! `benches/fig17_bodytrack.rs`), plus microbenchmarks of the hot paths
-//! (`benches/micro.rs`) and design-choice ablations (`benches/ablations.rs`).
-//!
-//! Each figure bench prints the regenerated rows/series once (the artefact)
-//! and then times a representative slice of the experiment, so `cargo bench`
-//! both reproduces the evaluation and tracks simulator performance.
+//! Microbenchmarks of the simulator's hot paths (`benches/micro.rs`) and
+//! the design-choice ablations DESIGN.md §5 cites (`benches/ablations.rs`).
+//! The paper's tables and figures are regenerated by `anoc run <target>`,
+//! and end-to-end throughput is measured by the `anoc-benchmark` harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use anoc_harness::SystemConfig;
-
-/// The cycle count used when printing full figure tables from benches.
-pub const PRINT_CYCLES: u64 = 8_000;
-
-/// The cycle count used inside timed closures.
-pub const TIMED_CYCLES: u64 = 1_000;
-
-/// The config used for figure printing in benches.
-pub fn print_config() -> SystemConfig {
-    SystemConfig::paper().with_sim_cycles(PRINT_CYCLES)
-}
-
-/// The config used for timed closures.
-pub fn timed_config() -> SystemConfig {
-    SystemConfig::paper().with_sim_cycles(TIMED_CYCLES)
-}

@@ -24,7 +24,7 @@ use anoc_traffic::{Benchmark, DestPattern};
 use crate::config::{Mechanism, SystemConfig};
 use crate::persist::{decode_run_result, encode_run_result};
 use crate::runner::{
-    publish_benchmark_warmup, try_run_benchmark_snap, RunResult, SnapshotPolicy, StagedInfo,
+    publish_benchmark_warmup, run, Codecs, RunResult, RunSpec, SnapshotPolicy, StagedInfo, Traffic,
 };
 
 /// The [`ResultCodec`] storing [`RunResult`]s in the campaign cache.
@@ -467,11 +467,19 @@ fn run_benchmark_cell(
         },
         None => SnapshotPolicy::cold(),
     };
-    let (result, info) = try_run_benchmark_snap(benchmark, mechanism, config, seed, &policy)?;
+    let outcome = run(RunSpec {
+        traffic: Traffic::Benchmark {
+            benchmark,
+            seed,
+            snapshots: policy,
+        },
+        codecs: Codecs::Standard(mechanism),
+        config,
+    })?;
     if let Some(c) = ctx {
-        c.note_staged(&info);
+        c.note_staged(&outcome.staged);
     }
-    Ok(result)
+    Ok(outcome.result)
 }
 
 /// Attaches the shared warmup stage to a benchmark job when warm-starting is

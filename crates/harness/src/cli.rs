@@ -16,11 +16,10 @@
 //! ```
 //!
 //! The historical per-figure commands (`anoc fig9`, `anoc table1`, …) keep
-//! working as aliases for `anoc run <target>`, and the per-figure binaries
-//! (`fig9` … `fig17`, `table1`, `extensions`) are thin wrappers over this
-//! module. Campaigns run on the process-wide [`crate::campaign::ExecContext`]:
-//! parallel across cells, answering repeated cells from the on-disk result
-//! cache unless `--no-cache` is given.
+//! working as aliases for `anoc run <target>`. Campaigns run on the
+//! process-wide [`crate::campaign::ExecContext`]: parallel across cells,
+//! answering repeated cells from the on-disk result cache unless
+//! `--no-cache` is given.
 
 use anoc_exec::{ResultCache, SnapshotStore};
 use anoc_traffic::{Benchmark, DestPattern};
@@ -63,7 +62,8 @@ options:
   --csv         emit CSV instead of a text table
   --json        emit JSON instead of a text table (lz and qos targets)
   --mechs A,B   mechanism columns for the matrix figures (fig9/10/11/15),
-                e.g. --mechs Baseline,FP-VAXX,LZ-VAXX (default: the paper's 5)
+                Baseline first, e.g. --mechs Baseline,FP-VAXX,LZ-VAXX
+                (default: the paper's 5)
   --keep-going  complete campaigns past failed cells (exit 3 if any failed)
   --out PATH    output path (fig17 image directory, capture/replay trace)
 
@@ -138,6 +138,8 @@ impl Default for Opts {
 
 /// Parses a `--mechs` comma list into mechanism columns, accepting both the
 /// canonical names (`FP-VAXX`) and their lowercase spellings (`fp-vaxx`).
+/// The list must open with `Baseline`: Figure 15 normalizes every column to
+/// the first one.
 fn parse_mechs(list: &str) -> Result<Vec<crate::config::Mechanism>, String> {
     let mechs: Vec<_> = list
         .split(',')
@@ -152,10 +154,14 @@ fn parse_mechs(list: &str) -> Result<Vec<crate::config::Mechanism>, String> {
                 .ok_or_else(|| format!("unknown mechanism `{s}` in --mechs"))
         })
         .collect::<Result<_, _>>()?;
-    if mechs.is_empty() {
-        return Err("--mechs needs at least one mechanism".into());
+    match mechs.first() {
+        None => Err("--mechs needs at least one mechanism".into()),
+        Some(crate::config::Mechanism::Baseline) => Ok(mechs),
+        Some(first) => Err(format!(
+            "--mechs must start with Baseline (got {first}): baseline-normalized \
+             figures divide by the first column"
+        )),
     }
-    Ok(mechs)
 }
 
 #[derive(Debug, Clone)]
@@ -172,13 +178,6 @@ enum Command {
 /// returns the process exit code (0 success, 1 runtime error, 2 usage).
 pub fn run() -> i32 {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    run_argv(&argv)
-}
-
-/// Entry point for the per-figure alias binaries: runs with an explicit
-/// argument list and returns the process exit code.
-pub fn run_args(args: &[&str]) -> i32 {
-    let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
     run_argv(&argv)
 }
 
@@ -737,7 +736,7 @@ fn capture(opts: &Opts) -> Result<(), String> {
 
 fn replay(opts: &Opts) -> Result<(), String> {
     use crate::config::Mechanism;
-    use crate::runner::run_with_source;
+    use crate::runner::try_run_with_source;
     use anoc_traffic::Trace;
     let cfg = config(opts, 10_000);
     let out = opts
@@ -748,7 +747,8 @@ fn replay(opts: &Opts) -> Result<(), String> {
     println!("replaying {} injections from {out}:", trace.len());
     for m in Mechanism::ALL {
         let mut replay = trace.replay();
-        let r = run_with_source(&mut replay, m, &cfg);
+        let r = try_run_with_source(&mut replay, m, &cfg)
+            .map_err(|e| format!("simulation failed: {e}"))?;
         println!(
             "  {:<9} latency {:>8.2}  p99 {:>5}  norm_flits {:.3}  quality {:.4}{}",
             m.name(),
@@ -872,6 +872,10 @@ mod tests {
         assert!(parse_strs(&["run", "fig9", "--mechs"]).is_err());
         assert!(parse_strs(&["run", "fig9", "--mechs", "warp-drive"]).is_err());
         assert!(parse_strs(&["run", "fig9", "--mechs", ","]).is_err());
+        // Figure 15 normalizes to the first column, so it must be Baseline.
+        let err = parse_strs(&["run", "fig15", "--mechs", "FP-VAXX,LZ-VAXX"])
+            .expect_err("a list without a leading Baseline is a usage error");
+        assert!(err.contains("must start with Baseline"), "{err}");
     }
 
     #[test]
@@ -920,7 +924,7 @@ mod tests {
 
     #[test]
     fn lint_rejects_unknown_flags_with_usage_exit_code() {
-        assert_eq!(run_args(&["lint", "--frobnicate"]), 2);
+        assert_eq!(run_argv(&["lint".into(), "--frobnicate".into()]), 2);
     }
 
     #[test]
@@ -934,7 +938,7 @@ mod tests {
 
     #[test]
     fn run_argv_reports_usage_exit_code() {
-        assert_eq!(run_args(&["definitely-not-a-command"]), 2);
+        assert_eq!(run_argv(&["definitely-not-a-command".into()]), 2);
     }
 
     #[test]

@@ -26,8 +26,9 @@ pub enum Mechanism {
     /// don't-care patterns. Not part of the paper's five-way comparison
     /// ([`Mechanism::ALL`]); driven by the `anoc run lz` study.
     LzVaxx,
-    /// A custom mechanism driven through [`crate::runner::run_custom`]
-    /// (extension studies: BD-COMP/BD-VAXX, adaptive, windowed FP-VAXX).
+    /// A custom mechanism whose codecs the caller builds and runs through
+    /// [`crate::runner::Codecs::Custom`] (extension studies: BD-COMP/BD-VAXX,
+    /// adaptive, windowed FP-VAXX).
     Custom(&'static str),
 }
 
@@ -94,12 +95,12 @@ impl Mechanism {
     /// # Panics
     ///
     /// Panics for [`Mechanism::Custom`]: custom mechanisms supply their own
-    /// codecs through [`crate::runner::run_custom`].
+    /// codecs through [`crate::runner::Codecs::Custom`].
     pub fn codecs(&self, nodes: usize, threshold: ErrorThreshold) -> Vec<NodeCodec> {
         (0..nodes)
             .map(|_| match self {
                 Mechanism::Custom(name) => {
-                    panic!("custom mechanism {name} must use run_custom")
+                    panic!("custom mechanism {name} must supply Codecs::Custom")
                 }
                 Mechanism::Baseline => NodeCodec::baseline(),
                 Mechanism::FpComp => {

@@ -13,7 +13,8 @@ use anoc_traffic::{Benchmark, DataPool, DestPattern, SyntheticTraffic};
 use crate::campaign::{benchmark_job, cell_key, checked_benchmark_job, context, pattern_tag};
 use crate::config::{Mechanism, SystemConfig};
 use crate::power::EnergyModel;
-pub use crate::runner::{run_benchmark, run_with_source, RunResult};
+pub use crate::runner::RunResult;
+use crate::runner::{run, try_run_with_source, Codecs, RunSpec, SnapshotPolicy, Traffic};
 
 /// The full benchmark × mechanism result matrix backing Figures 9, 10, 11
 /// and 15.
@@ -297,7 +298,8 @@ pub fn fig12(
                         config.approx_ratio,
                         seed,
                     );
-                    run_with_source(&mut source, m, &config)
+                    try_run_with_source(&mut source, m, &config)
+                        .unwrap_or_else(|e| panic!("simulation failed: {e}"))
                 })
             })
         })
@@ -1190,14 +1192,12 @@ fn run_extension_cell(
     config: &SystemConfig,
     seed: u64,
 ) -> RunResult {
-    use crate::runner::run_custom;
     use anoc_compression::adaptive::AdaptiveEncoder;
     use anoc_compression::bd::{BdDecoder, BdEncoder};
     use anoc_compression::fp::{FpDecoder, FpEncoder};
     use anoc_core::avcl::Avcl;
     use anoc_core::window::WindowBudget;
     use anoc_noc::NodeCodec;
-    use anoc_traffic::BenchmarkTraffic;
 
     let nodes = config.noc.num_nodes();
     let t = config.threshold();
@@ -1227,9 +1227,19 @@ fn run_extension_cell(
             other => panic!("unknown extension mechanism {other}"),
         }
     };
-    let mut source = BenchmarkTraffic::new(benchmark, nodes, config.approx_ratio, seed);
-    let codecs = (0..nodes).map(|_| factory()).collect();
-    run_custom(&mut source, mechanism, config, codecs)
+    let spec = RunSpec {
+        traffic: Traffic::Benchmark {
+            benchmark,
+            seed,
+            snapshots: SnapshotPolicy::cold(),
+        },
+        codecs: Codecs::Custom(mechanism, (0..nodes).map(|_| factory()).collect()),
+        config,
+    };
+    match run(spec) {
+        Ok(outcome) => outcome.result,
+        Err(e) => panic!("simulation failed: {e}"),
+    }
 }
 
 /// Renders the extension study as a text table.

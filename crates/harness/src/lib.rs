@@ -5,15 +5,15 @@
 //!
 //! * [`config`] — [`SystemConfig`] (Table 1 defaults) and the five
 //!   [`Mechanism`]s under comparison;
-//! * [`runner`] — the generic traffic → NoC → statistics driver;
+//! * [`runner`] — the generic traffic → NoC → statistics driver: one
+//!   [`runner::run`] over a [`runner::RunSpec`];
 //! * [`experiments`] — one runner per figure (`fig9` … `fig17`) plus text
 //!   renderers producing the same rows/series the paper reports;
 //! * [`campaign`] — the bridge to the `anoc-exec` parallel engine: cell
 //!   content keys, the result-cache codec and the process-wide
 //!   [`campaign::ExecContext`] every figure runner executes on;
 //! * [`cli`] — the unified `anoc` command line (`anoc run fig9`,
-//!   `anoc cache clear`, …) that the root binary and every per-figure
-//!   alias binary delegate to;
+//!   `anoc cache clear`, …) that the root binary delegates to;
 //! * [`persist`] — bit-exact text serialization of [`RunResult`] for the
 //!   on-disk result cache;
 //! * [`power`] — the event-count dynamic power model and the §5.5 area
@@ -22,13 +22,23 @@
 //! ## Example
 //!
 //! ```
+//! use anoc_harness::runner::{run, Codecs, RunSpec, SnapshotPolicy, Traffic};
 //! use anoc_harness::{Mechanism, SystemConfig};
-//! use anoc_harness::runner::run_benchmark;
 //! use anoc_traffic::Benchmark;
 //!
 //! let config = SystemConfig::paper().with_sim_cycles(2_000);
-//! let result = run_benchmark(Benchmark::X264, Mechanism::FpVaxx, &config, 7);
-//! assert!(result.data_quality() > 0.9);
+//! let outcome = run(RunSpec {
+//!     traffic: Traffic::Benchmark {
+//!         benchmark: Benchmark::X264,
+//!         seed: 7,
+//!         snapshots: SnapshotPolicy::cold(),
+//!     },
+//!     codecs: Codecs::Standard(Mechanism::FpVaxx),
+//!     config: &config,
+//! })
+//! .expect("no watchdog or bound-checker abort");
+//! assert!(outcome.result.data_quality() > 0.9);
+//! assert!(!outcome.staged.forked, "a cold policy never forks");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,4 +55,4 @@ pub mod runner;
 pub use campaign::ExecContext;
 pub use config::{Mechanism, SystemConfig};
 pub use power::{AreaModel, EnergyModel};
-pub use runner::{run_benchmark, run_with_source, RunResult};
+pub use runner::RunResult;

@@ -266,7 +266,7 @@ pub fn decode_run_result(payload: &str) -> Option<RunResult> {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::runner::run_benchmark;
+    use crate::runner::try_run_benchmark;
     use anoc_traffic::Benchmark;
 
     fn assert_roundtrip(r: &RunResult) {
@@ -295,7 +295,7 @@ mod tests {
     fn roundtrip_is_bit_exact_for_real_runs() {
         let cfg = SystemConfig::paper().with_sim_cycles(1_500);
         for m in crate::config::Mechanism::ALL {
-            let r = run_benchmark(Benchmark::Ssca2, m, &cfg, 11);
+            let r = try_run_benchmark(Benchmark::Ssca2, m, &cfg, 11).expect("run completes");
             assert_roundtrip(&r);
         }
     }
@@ -316,7 +316,8 @@ mod tests {
     #[test]
     fn corrupt_payloads_decode_to_none() {
         let cfg = SystemConfig::paper().with_sim_cycles(1_000);
-        let r = run_benchmark(Benchmark::X264, Mechanism::FpVaxx, &cfg, 1);
+        let r =
+            try_run_benchmark(Benchmark::X264, Mechanism::FpVaxx, &cfg, 1).expect("run completes");
         let good = encode_run_result(&r);
         assert!(decode_run_result("").is_none());
         assert!(decode_run_result("garbage").is_none());
@@ -335,7 +336,8 @@ mod tests {
         // experiments in one figure; a v4 entry additionally lacks the
         // `drained` line, and v3 predates the LZ-VAXX mechanism namespace.
         let cfg = SystemConfig::paper().with_sim_cycles(1_000);
-        let r = run_benchmark(Benchmark::X264, Mechanism::DiVaxx, &cfg, 2);
+        let r =
+            try_run_benchmark(Benchmark::X264, Mechanism::DiVaxx, &cfg, 2).expect("run completes");
         let v7 = encode_run_result(&r);
         assert!(v7.starts_with("# anoc-result v7\n"), "{v7}");
         for stale in [3u32, 4, 5, 6] {

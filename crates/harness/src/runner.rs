@@ -1,18 +1,21 @@
 //! The generic experiment driver: traffic source → NoC → statistics.
 //!
-//! Runs are **staged** (DESIGN.md §11): codecs are built at the exact
-//! threshold, the warmup window runs threshold-free, and only at the
-//! measurement boundary are the encoders retargeted to the configured
-//! threshold, the bound checker armed and measurement begun. The warmup
-//! trajectory is therefore identical for every threshold variant of a sweep,
-//! which is what lets the [`SnapshotPolicy`] fork those variants from one
-//! shared post-warmup snapshot instead of replaying the warmup per cell.
+//! Every simulation goes through [`run`], which a [`RunSpec`] describes.
+//! Runs with standard codecs are **staged** (DESIGN.md §11): codecs are
+//! built at the exact threshold, the warmup window runs threshold-free, and
+//! only at the measurement boundary are the encoders retargeted to the
+//! configured threshold, the bound checker armed and measurement begun. The
+//! warmup trajectory is therefore identical for every threshold variant of a
+//! sweep, which is what lets the [`SnapshotPolicy`] fork those variants from
+//! one shared post-warmup snapshot instead of replaying the warmup per cell.
+
+use std::ops::RangeInclusive;
 
 use anoc_core::snap::{SnapReader, SnapWriter};
 use anoc_core::threshold::ErrorThreshold;
 use anoc_exec::hash::fnv1a64;
 use anoc_exec::SnapshotStore;
-use anoc_noc::{ActivityReport, NetStats, NocSim, SimError};
+use anoc_noc::{ActivityReport, NetStats, NocSim, NodeCodec, SimError};
 use anoc_traffic::{Benchmark, BenchmarkTraffic, Injection, TrafficSource};
 
 use crate::config::{Mechanism, SystemConfig};
@@ -125,6 +128,169 @@ pub struct StagedInfo {
     pub skipped_cycles: u64,
 }
 
+/// Where a run's traffic comes from.
+pub enum Traffic<'a> {
+    /// `benchmark`-shaped traffic from `seed`. The runner builds the source
+    /// itself, so it can rebuild it after a failed snapshot restore — which
+    /// is why only this traffic carries a [`SnapshotPolicy`]. The policy
+    /// applies under [`Codecs::Standard`]; custom codecs always run cold.
+    Benchmark {
+        /// The benchmark whose traffic and data values are modelled.
+        benchmark: Benchmark,
+        /// The traffic/data RNG seed.
+        seed: u64,
+        /// How the run uses the snapshot store.
+        snapshots: SnapshotPolicy<'a>,
+    },
+    /// A caller-owned source, ticked from cycle 0. Runs cold.
+    Source(&'a mut dyn TrafficSource),
+}
+
+/// The codec pairs a run's network interfaces use.
+pub enum Codecs {
+    /// The mechanism's own codec pairs, run staged (see the module docs).
+    Standard(Mechanism),
+    /// Caller-built codec pairs, one per node, reported under the given
+    /// mechanism — the extension mechanisms (BD-COMP/BD-VAXX, adaptive or
+    /// windowed encoders) that [`Mechanism`] does not build. They run
+    /// unstaged, as supplied: no exact-threshold warmup and no retarget,
+    /// since adaptive and windowed encoders manage their own thresholds. The
+    /// bound checker stays off under a [`Mechanism::Custom`] label, whose
+    /// per-word allowance the configured threshold does not describe.
+    Custom(Mechanism, Vec<NodeCodec>),
+}
+
+/// One simulation run: its traffic, its codecs and the system it runs on.
+pub struct RunSpec<'a> {
+    /// Where the traffic comes from.
+    pub traffic: Traffic<'a>,
+    /// The codec pairs of the network interfaces.
+    pub codecs: Codecs,
+    /// The system configuration, including the warmup/measurement/drain
+    /// windows.
+    pub config: &'a SystemConfig,
+}
+
+/// What [`run`] returns: the cacheable result and how it was obtained.
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// The run's result, bit-identical however it was obtained.
+    pub result: RunResult,
+    /// Whether the run forked or resumed, and the cycles that saved.
+    pub staged: StagedInfo,
+}
+
+/// Runs `spec` for the configured warmup + measurement window, then drains.
+///
+/// Benchmark traffic under standard codecs walks its policy's snapshot
+/// ladder: resume the cell from its last checkpoint if asked, else fork from
+/// the shared post-warmup snapshot, else run cold and publish that snapshot
+/// for the next cell. Every other spec runs cold. Warm and cold results are
+/// bit-identical.
+///
+/// # Errors
+///
+/// A watchdog deadlock abort or a fatal bound-checker violation.
+///
+/// # Panics
+///
+/// Panics if the traffic source or the custom codecs disagree with the
+/// configuration's node count.
+pub fn run(spec: RunSpec<'_>) -> Result<RunOutcome, SimError> {
+    let RunSpec {
+        traffic,
+        codecs,
+        config,
+    } = spec;
+    let mut built;
+    let source: &mut dyn TrafficSource = match traffic {
+        Traffic::Benchmark {
+            benchmark,
+            seed,
+            snapshots,
+        } => {
+            if let Codecs::Standard(mechanism) = codecs {
+                let cell = StagedCell {
+                    benchmark,
+                    seed,
+                    mechanism,
+                    config,
+                    policy: &snapshots,
+                };
+                return cell.run();
+            }
+            built = benchmark_source(benchmark, config, seed);
+            &mut built
+        }
+        Traffic::Source(source) => source,
+    };
+    cold_run(source, codecs, config, &SnapshotPolicy::cold())
+}
+
+/// Runs `mechanism` under the traffic produced by `source`, cold. A
+/// watchdog deadlock abort or a fatal bound-checker violation comes back as
+/// `Err`.
+pub fn try_run_with_source(
+    source: &mut dyn TrafficSource,
+    mechanism: Mechanism,
+    config: &SystemConfig,
+) -> Result<RunResult, SimError> {
+    let spec = RunSpec {
+        traffic: Traffic::Source(source),
+        codecs: Codecs::Standard(mechanism),
+        config,
+    };
+    run(spec).map(|outcome| outcome.result)
+}
+
+/// Runs `mechanism` under `benchmark`-shaped traffic, cold. A watchdog or
+/// bound-checker abort comes back as `Err` — the form fault-injection
+/// campaigns use.
+pub fn try_run_benchmark(
+    benchmark: Benchmark,
+    mechanism: Mechanism,
+    config: &SystemConfig,
+    seed: u64,
+) -> Result<RunResult, SimError> {
+    let spec = RunSpec {
+        traffic: Traffic::Benchmark {
+            benchmark,
+            seed,
+            snapshots: SnapshotPolicy::cold(),
+        },
+        codecs: Codecs::Standard(mechanism),
+        config,
+    };
+    run(spec).map(|outcome| outcome.result)
+}
+
+/// Runs just the warmup of a benchmark cell and publishes the post-warmup
+/// snapshot under `warmup_key` — the shared stage the campaign planner runs
+/// once per distinct key before the measurement cells. Skips simulating when
+/// the store already holds the key. Returns whether a fresh warmup was
+/// simulated and published.
+pub fn publish_benchmark_warmup(
+    benchmark: Benchmark,
+    mechanism: Mechanism,
+    config: &SystemConfig,
+    seed: u64,
+    store: &SnapshotStore,
+    warmup_key: &str,
+) -> Result<bool, SimError> {
+    if store.get(warmup_key).is_some() {
+        return Ok(false);
+    }
+    let policy = SnapshotPolicy {
+        store: Some(store),
+        warmup_key: Some(warmup_key.to_string()),
+        ..SnapshotPolicy::cold()
+    };
+    let (_, mut sim) = armed_sim(Codecs::Standard(mechanism), config);
+    let mut source = benchmark_source(benchmark, config, seed);
+    warm_up(&mut sim, &mut source, config, &policy, &mut Vec::new())?;
+    Ok(true)
+}
+
 /// The store key of a cell's mid-measurement checkpoint.
 pub fn checkpoint_key(cell_key: &str) -> String {
     format!("checkpoint {cell_key}")
@@ -135,95 +301,152 @@ const STAGE_WARMUP: u32 = 1;
 /// Stage tag of a mid-measurement checkpoint in a store blob.
 const STAGE_CHECKPOINT: u32 = 2;
 
-/// Runs `mechanism` under the traffic produced by `source` for the
-/// configured warmup + measurement window, then drains.
-///
-/// # Panics
-///
-/// Panics if the configured watchdog or bound checker aborts the
-/// simulation; campaigns that must survive that use
-/// [`try_run_with_source`].
-pub fn run_with_source(
-    source: &mut dyn TrafficSource,
+fn benchmark_source(benchmark: Benchmark, config: &SystemConfig, seed: u64) -> BenchmarkTraffic {
+    BenchmarkTraffic::new(benchmark, config.noc.num_nodes(), config.approx_ratio, seed)
+}
+
+/// A benchmark cell under a standard mechanism: the one kind of run the
+/// runner can rebuild from scratch, and so the one that may restore from
+/// the snapshot store.
+struct StagedCell<'a> {
+    benchmark: Benchmark,
+    seed: u64,
     mechanism: Mechanism,
-    config: &SystemConfig,
-) -> RunResult {
-    match try_run_with_source(source, mechanism, config) {
-        Ok(r) => r,
-        Err(e) => panic!("simulation failed: {e}"),
+    config: &'a SystemConfig,
+    policy: &'a SnapshotPolicy<'a>,
+}
+
+impl StagedCell<'_> {
+    /// Resume from the cell's last checkpoint if asked, else fork from the
+    /// shared post-warmup snapshot, else run cold (publishing the warmup for
+    /// the sweep's next cells).
+    fn run(&self) -> Result<RunOutcome, SimError> {
+        let warmup = self.config.warmup_cycles;
+        let total = warmup + self.config.sim_cycles;
+        let resume = self
+            .policy
+            .resume
+            .then_some((STAGE_CHECKPOINT, warmup..=total));
+        for (tag, cycles) in resume.into_iter().chain([(STAGE_WARMUP, warmup..=warmup)]) {
+            let Some((mut sim, mut source)) = self.restore(tag, cycles) else {
+                continue;
+            };
+            let staged = StagedInfo {
+                forked: tag == STAGE_WARMUP,
+                resumed: tag == STAGE_CHECKPOINT,
+                skipped_cycles: sim.cycle(),
+            };
+            arm_measurement(&mut sim, self.mechanism, true, self.config);
+            // Only a fork begins measuring: a checkpoint continues the
+            // measurement it saved.
+            if staged.forked {
+                sim.begin_measurement();
+            }
+            let result = measure(
+                &mut sim,
+                &mut source,
+                self.mechanism,
+                self.config,
+                self.policy,
+                &mut Vec::new(),
+            )?;
+            return Ok(RunOutcome { result, staged });
+        }
+        let mut source = benchmark_source(self.benchmark, self.config, self.seed);
+        let codecs = Codecs::Standard(self.mechanism);
+        cold_run(&mut source, codecs, self.config, self.policy)
+    }
+
+    /// Restores the cell's stage-`tag` blob — its checkpoint or the shared
+    /// post-warmup snapshot — into a freshly armed simulator and source.
+    /// `None` when the store holds no such blob, or when the blob does not
+    /// restore or stands at a cycle outside `cycles`; that blob is reported,
+    /// and a checkpoint is deleted so the next resume does not trip over it
+    /// again.
+    fn restore(&self, tag: u32, cycles: RangeInclusive<u64>) -> Option<(NocSim, BenchmarkTraffic)> {
+        let store = self.policy.store?;
+        let key = if tag == STAGE_CHECKPOINT {
+            checkpoint_key(self.policy.cell_key.as_deref()?)
+        } else {
+            self.policy.warmup_key.clone()?
+        };
+        let blob = store.get(&key)?;
+        let (_, mut sim) = armed_sim(Codecs::Standard(self.mechanism), self.config);
+        let mut source = benchmark_source(self.benchmark, self.config, self.seed);
+        let restored =
+            thaw(&blob, tag, fnv1a64(key.as_bytes()), &mut sim, &mut source).and_then(|()| {
+                if cycles.contains(&sim.cycle()) {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "it stands at cycle {}, outside {}..={}",
+                        sim.cycle(),
+                        cycles.start(),
+                        cycles.end()
+                    ))
+                }
+            });
+        let Err(msg) = restored else {
+            return Some((sim, source));
+        };
+        // Counted as a cold cell, never a panic: the half-restored pair is
+        // dropped and the caller falls through to the next rung.
+        if tag == STAGE_CHECKPOINT {
+            eprintln!("'{key}' unusable ({msg}); restarting the cell");
+            let _ = store.remove(&key);
+        } else {
+            eprintln!("warmup snapshot '{key}' unusable ({msg}); replaying warmup");
+        }
+        None
     }
 }
 
-/// Fallible [`run_with_source`]: a watchdog deadlock abort or a fatal
-/// bound-checker violation comes back as `Err` instead of panicking.
-///
-/// This is the staged cold path: exact-threshold warmup, retarget + arm +
-/// measure (see the module docs). It never touches a snapshot store.
-pub fn try_run_with_source(
+/// The cold path: build and arm a simulator, warm up (publishing the
+/// post-warmup snapshot when `policy` names one), arm the measurement
+/// boundary, measure.
+fn cold_run(
     source: &mut dyn TrafficSource,
-    mechanism: Mechanism,
+    codecs: Codecs,
     config: &SystemConfig,
-) -> Result<RunResult, SimError> {
-    cold_run(source, mechanism, config, None, &SnapshotPolicy::cold())
-}
-
-/// Runs with explicitly supplied codec pairs — the entry point for
-/// extension mechanisms (BD-COMP/BD-VAXX, adaptive or windowed encoders)
-/// that [`Mechanism`] does not enumerate.
-///
-/// # Panics
-///
-/// Panics if `source` / `codecs` disagree with the configuration's node
-/// count, or if the watchdog/bound checker aborts the run.
-pub fn run_custom(
-    source: &mut dyn TrafficSource,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    codecs: Vec<anoc_noc::NodeCodec>,
-) -> RunResult {
-    match try_run_custom(source, mechanism, config, codecs) {
-        Ok(r) => r,
-        Err(e) => panic!("simulation failed: {e}"),
-    }
-}
-
-/// Fallible [`run_custom`]: custom codecs are used as supplied for the whole
-/// run (no exact-warmup retargeting — adaptive and windowed encoders manage
-/// their own thresholds), and the end-to-end bound checker stays off for
-/// [`Mechanism::Custom`], whose per-word allowance the configuration's
-/// threshold does not describe.
-///
-/// # Panics
-///
-/// Panics if `source` / `codecs` disagree with the configuration's node
-/// count.
-pub fn try_run_custom(
-    source: &mut dyn TrafficSource,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    codecs: Vec<anoc_noc::NodeCodec>,
-) -> Result<RunResult, SimError> {
-    let nodes = config.noc.num_nodes();
+    policy: &SnapshotPolicy<'_>,
+) -> Result<RunOutcome, SimError> {
     assert_eq!(
         source.num_nodes(),
-        nodes,
+        config.noc.num_nodes(),
         "traffic source and NoC disagree on node count"
     );
-    let mut sim = NocSim::new(config.noc.clone(), codecs);
+    let staged = matches!(codecs, Codecs::Standard(_));
+    let (mechanism, mut sim) = armed_sim(codecs, config);
+    let mut buf = Vec::new();
+    warm_up(&mut sim, source, config, policy, &mut buf)?;
+    arm_measurement(&mut sim, mechanism, staged, config);
+    // Unconditional: a zero-cycle warmup (even with a zero-cycle measurement
+    // window) still arms measurement, so the statistics are well-defined.
+    sim.begin_measurement();
+    let result = measure(&mut sim, source, mechanism, config, policy, &mut buf)?;
+    Ok(RunOutcome {
+        result,
+        staged: StagedInfo::default(),
+    })
+}
+
+/// A fresh simulator running `codecs`, with shards, fault and loss plans,
+/// QoS and watchdog armed — before any snapshot restore, whose serialized
+/// cursors then overwrite what arming reset. Standard codecs are built at
+/// the exact threshold; the staged run retargets them at the measurement
+/// boundary. Returns the mechanism the run reports, too.
+fn armed_sim(codecs: Codecs, config: &SystemConfig) -> (Mechanism, NocSim) {
+    let (mechanism, pairs) = match codecs {
+        Codecs::Standard(m) => (m, m.codecs(config.noc.num_nodes(), ErrorThreshold::exact())),
+        Codecs::Custom(m, pairs) => (m, pairs),
+    };
+    let mut sim = NocSim::new(config.noc.clone(), pairs);
     sim.set_shards(config.shards);
     sim.set_fault_plan(config.faults);
     sim.set_loss_plan(config.loss);
     sim.set_qos(config.qos);
     sim.set_watchdog(config.watchdog_horizon);
-    let mut buf: Vec<Injection> = Vec::new();
-    drive(&mut sim, source, config.warmup_cycles, &mut buf)?;
-    if !matches!(mechanism, Mechanism::Custom(_)) {
-        sim.set_bound_check(config.bound_threshold());
-    }
-    // Unconditional: a zero-cycle warmup (even with a zero-cycle measurement
-    // window) still arms measurement, so the statistics are well-defined.
-    sim.begin_measurement();
-    measure_and_finish(&mut sim, source, mechanism, config, None, &mut buf)
+    (mechanism, sim)
 }
 
 /// Offers one cycle of traffic and advances the simulator, keeping the
@@ -266,75 +489,62 @@ fn drive(
     Ok(())
 }
 
-/// A fresh simulator for the staged path: exact-threshold codecs (retargeted
-/// at the measurement boundary), shards/fault-plan/watchdog armed — the
-/// arming happens *before* any snapshot restore, whose serialized cursors
-/// then overwrite what arming reset.
-fn fresh_sim(mechanism: Mechanism, config: &SystemConfig) -> NocSim {
-    let codecs = mechanism.codecs(config.noc.num_nodes(), ErrorThreshold::exact());
-    let mut sim = NocSim::new(config.noc.clone(), codecs);
-    sim.set_shards(config.shards);
-    sim.set_fault_plan(config.faults);
-    sim.set_loss_plan(config.loss);
-    sim.set_qos(config.qos);
-    sim.set_watchdog(config.watchdog_horizon);
-    sim
+/// Simulates the warmup window, then publishes the post-warmup snapshot
+/// when `policy` names a store and a warmup key: the stage
+/// [`publish_benchmark_warmup`] runs alone, and the first of a cold run.
+fn warm_up(
+    sim: &mut NocSim,
+    source: &mut dyn TrafficSource,
+    config: &SystemConfig,
+    policy: &SnapshotPolicy<'_>,
+    buf: &mut Vec<Injection>,
+) -> Result<(), SimError> {
+    drive(sim, source, config.warmup_cycles, buf)?;
+    if let (Some(store), Some(key)) = (policy.store, policy.warmup_key.as_deref()) {
+        publish(store, key, STAGE_WARMUP, sim, source);
+    }
+    Ok(())
 }
 
-/// The measurement boundary of a staged run: retarget the encoders to the
-/// configured threshold, arm the bound checker, start measuring.
-fn arm_measurement(sim: &mut NocSim, config: &SystemConfig) {
-    rearm_thresholds(sim, config);
-    sim.begin_measurement();
-}
-
-/// Re-arms the threshold machinery the snapshot format deliberately
-/// excludes. Statically-thresholded runs retarget every encoder to the
-/// configured threshold; QoS runs must NOT — the per-flow controllers own
+/// The measurement boundary. A staged run retargets its encoders to the
+/// configured threshold — unless QoS is active: the per-flow controllers own
 /// the encoder thresholds (lazily reinstalled per enqueue), and a global
-/// retarget here would stomp what the controllers learned. Either way the
-/// bound checker arms at [`SystemConfig::bound_threshold`].
-fn rearm_thresholds(sim: &mut NocSim, config: &SystemConfig) {
-    if !config.qos.is_active() {
+/// retarget would stomp what they learned. Custom codecs keep what they were
+/// built with. The bound checker arms at [`SystemConfig::bound_threshold`]
+/// except under a [`Mechanism::Custom`] label. Restored runs come through
+/// here too, since the snapshot format deliberately excludes all of this.
+fn arm_measurement(sim: &mut NocSim, mechanism: Mechanism, staged: bool, config: &SystemConfig) {
+    if staged && !config.qos.is_active() {
         sim.set_error_threshold(config.threshold());
     }
-    sim.set_bound_check(config.bound_threshold());
+    if !matches!(mechanism, Mechanism::Custom(_)) {
+        sim.set_bound_check(config.bound_threshold());
+    }
 }
 
-/// Runs the measurement window from wherever `sim` currently stands to its
-/// end, then drains and assembles the [`RunResult`]. Checkpoints per
-/// `policy` and retires the cell's checkpoint on success.
-fn measure_and_finish(
+/// Runs the measurement window from wherever `sim` stands to its end,
+/// checkpointing per `policy`, then drains, retires the cell's checkpoint
+/// and assembles the [`RunResult`].
+fn measure(
     sim: &mut NocSim,
     source: &mut dyn TrafficSource,
     mechanism: Mechanism,
     config: &SystemConfig,
-    store: Option<&SnapshotStore>,
+    policy: &SnapshotPolicy<'_>,
     buf: &mut Vec<Injection>,
 ) -> Result<RunResult, SimError> {
-    measure_and_finish_ckpt(sim, source, mechanism, config, store, 0, None, buf)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn measure_and_finish_ckpt(
-    sim: &mut NocSim,
-    source: &mut dyn TrafficSource,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    store: Option<&SnapshotStore>,
-    checkpoint_every: u64,
-    cell_key: Option<&str>,
-    buf: &mut Vec<Injection>,
-) -> Result<RunResult, SimError> {
-    let nodes = config.noc.num_nodes();
     let total = config.warmup_cycles + config.sim_cycles;
+    let checkpoint = policy
+        .store
+        .zip(policy.cell_key.as_deref())
+        .map(|(store, cell)| (store, checkpoint_key(cell)));
     while sim.cycle() < total {
         step_cycle(sim, source, buf)?;
-        if checkpoint_every > 0 && sim.cycle() < total {
-            if let (Some(st), Some(ck)) = (store, cell_key) {
+        if policy.checkpoint_every > 0 && sim.cycle() < total {
+            if let Some((store, key)) = &checkpoint {
                 let measured = sim.cycle() - config.warmup_cycles;
-                if measured.is_multiple_of(checkpoint_every) {
-                    publish(st, &checkpoint_key(ck), STAGE_CHECKPOINT, sim, source);
+                if measured.is_multiple_of(policy.checkpoint_every) {
+                    publish(store, key, STAGE_CHECKPOINT, sim, source);
                 }
             }
         }
@@ -344,56 +554,18 @@ fn measure_and_finish_ckpt(
     let drained = sim.try_drain(config.drain_cycles)?;
     sim.discard_delivered();
     sim.record_unfinished();
-    let activity = sim.activity_report();
-    let stats = sim.stats().clone();
-    if let (Some(st), Some(ck)) = (store, cell_key) {
+    if let Some((store, key)) = &checkpoint {
         // The cell completed: its checkpoint is spent.
-        let _ = st.remove(&checkpoint_key(ck));
+        let _ = store.remove(key);
     }
     Ok(RunResult {
         mechanism,
-        stats,
-        activity,
-        nodes,
+        stats: sim.stats().clone(),
+        activity: sim.activity_report(),
+        nodes: config.noc.num_nodes(),
         total_cycles: sim.cycle(),
         drained,
     })
-}
-
-/// The staged cold path: exact-threshold warmup, optional snapshot publish,
-/// retarget + arm + measure.
-fn cold_run(
-    source: &mut dyn TrafficSource,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    store: Option<&SnapshotStore>,
-    policy: &SnapshotPolicy<'_>,
-) -> Result<RunResult, SimError> {
-    let nodes = config.noc.num_nodes();
-    assert_eq!(
-        source.num_nodes(),
-        nodes,
-        "traffic source and NoC disagree on node count"
-    );
-    let mut sim = fresh_sim(mechanism, config);
-    let mut buf: Vec<Injection> = Vec::new();
-    drive(&mut sim, source, config.warmup_cycles, &mut buf)?;
-    if let (Some(st), Some(wk)) = (store, policy.warmup_key.as_deref()) {
-        if source.snapshot_supported() {
-            publish(st, wk, STAGE_WARMUP, &sim, source);
-        }
-    }
-    arm_measurement(&mut sim, config);
-    measure_and_finish_ckpt(
-        &mut sim,
-        source,
-        mechanism,
-        config,
-        store,
-        policy.checkpoint_every,
-        policy.cell_key.as_deref(),
-        &mut buf,
-    )
 }
 
 /// Frames `sim` + `source` state as one store blob:
@@ -414,8 +586,12 @@ fn freeze(
 }
 
 /// Best-effort snapshot publication: a failed save or store write costs a
-/// replayed warmup next time, never the run.
+/// replayed warmup next time, never the run. Sources that cannot snapshot
+/// publish nothing.
 fn publish(store: &SnapshotStore, key: &str, tag: u32, sim: &NocSim, source: &dyn TrafficSource) {
+    if !source.snapshot_supported() {
+        return;
+    }
     match freeze(sim, source, tag, fnv1a64(key.as_bytes())) {
         Ok(blob) => {
             if let Err(e) = store.put(key, &blob) {
@@ -455,254 +631,6 @@ fn thaw(
     Ok(())
 }
 
-/// Runs just the warmup of a benchmark cell and publishes the post-warmup
-/// snapshot under `warmup_key` — the shared stage the campaign planner runs
-/// once per distinct key before the measurement cells. Skips simulating when
-/// the store already holds the key. Returns whether a fresh warmup was
-/// simulated and published.
-pub fn publish_benchmark_warmup(
-    benchmark: Benchmark,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    seed: u64,
-    store: &SnapshotStore,
-    warmup_key: &str,
-) -> Result<bool, SimError> {
-    if store.get(warmup_key).is_some() {
-        return Ok(false);
-    }
-    let mut source =
-        BenchmarkTraffic::new(benchmark, config.noc.num_nodes(), config.approx_ratio, seed);
-    if !source.snapshot_supported() {
-        return Ok(false);
-    }
-    let mut sim = fresh_sim(mechanism, config);
-    let mut buf = Vec::new();
-    drive(&mut sim, &mut source, config.warmup_cycles, &mut buf)?;
-    publish(store, warmup_key, STAGE_WARMUP, &sim, &source);
-    Ok(true)
-}
-
-/// The snapshot-aware benchmark driver: resume from a checkpoint if asked,
-/// else fork from the shared warmup snapshot, else run cold (publishing the
-/// warmup for the next cell). Returns the result plus [`StagedInfo`]
-/// describing how it was obtained; warm and cold results are bit-identical.
-pub fn try_run_benchmark_snap(
-    benchmark: Benchmark,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    seed: u64,
-    policy: &SnapshotPolicy<'_>,
-) -> Result<(RunResult, StagedInfo), SimError> {
-    let nodes = config.noc.num_nodes();
-    let make_source = || BenchmarkTraffic::new(benchmark, nodes, config.approx_ratio, seed);
-    let store = if make_source().snapshot_supported() {
-        policy.store
-    } else {
-        None
-    };
-    let total = config.warmup_cycles + config.sim_cycles;
-    let mut buf: Vec<Injection> = Vec::new();
-
-    // 1. Resume from the cell's last checkpoint.
-    if policy.resume {
-        if let (Some(st), Some(ck)) = (store, policy.cell_key.as_deref()) {
-            let key = checkpoint_key(ck);
-            if let Some(blob) = st.get(&key) {
-                let mut sim = fresh_sim(mechanism, config);
-                let mut source = make_source();
-                let thawed = thaw(
-                    &blob,
-                    STAGE_CHECKPOINT,
-                    fnv1a64(key.as_bytes()),
-                    &mut sim,
-                    &mut source,
-                )
-                .and_then(|()| {
-                    if sim.cycle() < config.warmup_cycles || sim.cycle() > total {
-                        Err(format!("checkpoint cycle {} out of range", sim.cycle()))
-                    } else {
-                        Ok(())
-                    }
-                });
-                match thawed {
-                    Ok(()) => {
-                        // Mid-measurement state: re-arm the excluded pieces
-                        // (threshold, bound check) but do NOT begin a new
-                        // measurement — the restored one continues.
-                        let skipped = sim.cycle();
-                        rearm_thresholds(&mut sim, config);
-                        let result = measure_and_finish_ckpt(
-                            &mut sim,
-                            &mut source,
-                            mechanism,
-                            config,
-                            store,
-                            policy.checkpoint_every,
-                            policy.cell_key.as_deref(),
-                            &mut buf,
-                        )?;
-                        return Ok((
-                            result,
-                            StagedInfo {
-                                forked: false,
-                                resumed: true,
-                                skipped_cycles: skipped,
-                            },
-                        ));
-                    }
-                    Err(msg) => {
-                        // A stale checkpoint is worse than none: drop it so
-                        // the next resume does not trip over it again.
-                        eprintln!("checkpoint for '{ck}' unusable ({msg}); restarting the cell");
-                        let _ = st.remove(&key);
-                    }
-                }
-            }
-        }
-    }
-
-    // 2. Fork from the shared post-warmup snapshot.
-    if let (Some(st), Some(wk)) = (store, policy.warmup_key.as_deref()) {
-        if let Some(blob) = st.get(wk) {
-            let mut sim = fresh_sim(mechanism, config);
-            let mut source = make_source();
-            let thawed = thaw(
-                &blob,
-                STAGE_WARMUP,
-                fnv1a64(wk.as_bytes()),
-                &mut sim,
-                &mut source,
-            )
-            .and_then(|()| {
-                if sim.cycle() == config.warmup_cycles {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "snapshot is at cycle {}, warmup ends at {}",
-                        sim.cycle(),
-                        config.warmup_cycles
-                    ))
-                }
-            });
-            match thawed {
-                Ok(()) => {
-                    arm_measurement(&mut sim, config);
-                    let result = measure_and_finish_ckpt(
-                        &mut sim,
-                        &mut source,
-                        mechanism,
-                        config,
-                        store,
-                        policy.checkpoint_every,
-                        policy.cell_key.as_deref(),
-                        &mut buf,
-                    )?;
-                    return Ok((
-                        result,
-                        StagedInfo {
-                            forked: true,
-                            resumed: false,
-                            skipped_cycles: config.warmup_cycles,
-                        },
-                    ));
-                }
-                Err(msg) => {
-                    // Counted as a cold cell, never a panic: discard the
-                    // half-restored pair and replay the warmup below.
-                    eprintln!("warmup snapshot '{wk}' unusable ({msg}); replaying warmup");
-                }
-            }
-        }
-    }
-
-    // 3. Cold: replay the warmup (publishing it for the sweep's next cells).
-    let mut source = make_source();
-    let result = cold_run(&mut source, mechanism, config, store, policy)?;
-    Ok((result, StagedInfo::default()))
-}
-
-/// Summary statistics over repeated runs with different seeds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeedSummary {
-    /// Number of runs.
-    pub runs: usize,
-    /// Mean of the metric.
-    pub mean: f64,
-    /// Sample standard deviation (0 for a single run).
-    pub std_dev: f64,
-    /// Smallest observation.
-    pub min: f64,
-    /// Largest observation.
-    pub max: f64,
-}
-
-impl SeedSummary {
-    /// Summarises a set of observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty slice.
-    pub fn of(values: &[f64]) -> Self {
-        assert!(!values.is_empty(), "cannot summarise zero runs");
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = if values.len() < 2 {
-            0.0
-        } else {
-            values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1.0)
-        };
-        SeedSummary {
-            runs: values.len(),
-            mean,
-            std_dev: var.sqrt(),
-            min: values.iter().cloned().fold(f64::INFINITY, f64::min),
-            max: values.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-        }
-    }
-}
-
-/// Runs `mechanism` under `benchmark`-shaped traffic once per seed and
-/// summarises the average packet latency — the multi-seed rigour the paper's
-/// single-trace methodology lacks.
-pub fn run_benchmark_seeds(
-    benchmark: Benchmark,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    seeds: &[u64],
-) -> SeedSummary {
-    let latencies: Vec<f64> = seeds
-        .iter()
-        .map(|s| run_benchmark(benchmark, mechanism, config, *s).avg_packet_latency())
-        .collect();
-    SeedSummary::of(&latencies)
-}
-
-/// Runs `mechanism` under `benchmark`-shaped traffic.
-pub fn run_benchmark(
-    benchmark: Benchmark,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    seed: u64,
-) -> RunResult {
-    let mut source =
-        BenchmarkTraffic::new(benchmark, config.noc.num_nodes(), config.approx_ratio, seed);
-    run_with_source(&mut source, mechanism, config)
-}
-
-/// Fallible [`run_benchmark`]: a watchdog or bound-checker abort comes back
-/// as `Err` instead of panicking — the form fault-injection campaigns use.
-pub fn try_run_benchmark(
-    benchmark: Benchmark,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    seed: u64,
-) -> Result<RunResult, SimError> {
-    let mut source =
-        BenchmarkTraffic::new(benchmark, config.noc.num_nodes(), config.approx_ratio, seed);
-    try_run_with_source(&mut source, mechanism, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -713,7 +641,8 @@ mod tests {
 
     #[test]
     fn baseline_run_produces_traffic_and_latency() {
-        let r = run_benchmark(Benchmark::Blackscholes, Mechanism::Baseline, &quick(), 1);
+        let r = try_run_benchmark(Benchmark::Blackscholes, Mechanism::Baseline, &quick(), 1)
+            .expect("run completes");
         assert!(r.stats.packets > 50, "packets {}", r.stats.packets);
         assert!(r.avg_packet_latency() > 5.0);
         assert!(r.throughput() > 0.0);
@@ -729,8 +658,10 @@ mod tests {
     #[test]
     fn compression_reduces_injected_data_flits() {
         let cfg = quick();
-        let base = run_benchmark(Benchmark::Ssca2, Mechanism::Baseline, &cfg, 2);
-        let fp = run_benchmark(Benchmark::Ssca2, Mechanism::FpComp, &cfg, 2);
+        let base = try_run_benchmark(Benchmark::Ssca2, Mechanism::Baseline, &cfg, 2)
+            .expect("run completes");
+        let fp =
+            try_run_benchmark(Benchmark::Ssca2, Mechanism::FpComp, &cfg, 2).expect("run completes");
         assert_eq!(base.stats.normalized_data_flits(), 1.0);
         assert!(
             fp.stats.normalized_data_flits() < 0.95,
@@ -742,8 +673,10 @@ mod tests {
     #[test]
     fn vaxx_compresses_more_than_exact_compression() {
         let cfg = quick();
-        let fp = run_benchmark(Benchmark::Ssca2, Mechanism::FpComp, &cfg, 3);
-        let vaxx = run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &cfg, 3);
+        let fp =
+            try_run_benchmark(Benchmark::Ssca2, Mechanism::FpComp, &cfg, 3).expect("run completes");
+        let vaxx =
+            try_run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &cfg, 3).expect("run completes");
         assert!(
             vaxx.stats.encode.encoded_fraction() > fp.stats.encode.encoded_fraction(),
             "vaxx {} vs fp {}",
@@ -761,42 +694,22 @@ mod tests {
     fn vaxx_quality_stays_above_97_percent() {
         let cfg = quick();
         for m in [Mechanism::DiVaxx, Mechanism::FpVaxx] {
-            let r = run_benchmark(Benchmark::Blackscholes, m, &cfg, 4);
+            let r = try_run_benchmark(Benchmark::Blackscholes, m, &cfg, 4).expect("run completes");
             assert!(r.data_quality() > 0.97, "{m}: quality {}", r.data_quality());
         }
     }
 
     #[test]
-    fn seed_summary_statistics() {
-        let s = SeedSummary::of(&[10.0, 12.0, 14.0]);
-        assert_eq!(s.runs, 3);
-        assert!((s.mean - 12.0).abs() < 1e-12);
-        assert!((s.std_dev - 2.0).abs() < 1e-12);
-        assert_eq!((s.min, s.max), (10.0, 14.0));
-        let single = SeedSummary::of(&[7.0]);
-        assert_eq!(single.std_dev, 0.0);
-    }
-
-    #[test]
-    fn multi_seed_runs_agree_within_noise() {
-        let cfg = SystemConfig::paper().with_sim_cycles(1_500);
-        let s = run_benchmark_seeds(Benchmark::Bodytrack, Mechanism::FpVaxx, &cfg, &[1, 2, 3]);
-        assert_eq!(s.runs, 3);
-        assert!(s.mean > 5.0);
-        // Different seeds give different but same-regime results.
-        assert!(s.std_dev < s.mean * 0.5, "{s:?}");
-        assert!(s.min <= s.mean && s.mean <= s.max);
-    }
-
-    #[test]
     fn incomplete_drain_is_recorded_not_silently_finalized() {
         let mut cfg = quick();
-        let full = run_benchmark(Benchmark::Blackscholes, Mechanism::Baseline, &cfg, 7);
+        let full = try_run_benchmark(Benchmark::Blackscholes, Mechanism::Baseline, &cfg, 7)
+            .expect("run completes");
         assert!(full.drained, "generous budget should drain completely");
         assert_eq!(full.stats.unfinished, 0);
         // A one-cycle drain budget cannot possibly flush in-flight packets.
         cfg.drain_cycles = 1;
-        let cut = run_benchmark(Benchmark::Blackscholes, Mechanism::Baseline, &cfg, 7);
+        let cut = try_run_benchmark(Benchmark::Blackscholes, Mechanism::Baseline, &cfg, 7)
+            .expect("run completes");
         assert!(!cut.drained, "1-cycle drain budget reported as complete");
         assert!(cut.stats.unfinished > 0, "stragglers not recorded");
     }
@@ -804,13 +717,15 @@ mod tests {
     #[test]
     fn sharded_runs_match_serial_runs_exactly() {
         let cfg = quick();
-        let serial = run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &cfg, 9);
-        let sharded = run_benchmark(
+        let serial =
+            try_run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &cfg, 9).expect("run completes");
+        let sharded = try_run_benchmark(
             Benchmark::Ssca2,
             Mechanism::FpVaxx,
             &cfg.clone().with_shards(4),
             9,
-        );
+        )
+        .expect("run completes");
         assert_eq!(
             format!("{:?}", serial.stats),
             format!("{:?}", sharded.stats)
@@ -823,9 +738,29 @@ mod tests {
     fn exact_mechanisms_preserve_data_perfectly() {
         let cfg = quick();
         for m in [Mechanism::DiComp, Mechanism::FpComp] {
-            let r = run_benchmark(Benchmark::Streamcluster, m, &cfg, 5);
+            let r = try_run_benchmark(Benchmark::Streamcluster, m, &cfg, 5).expect("run completes");
             assert_eq!(r.data_quality(), 1.0, "{m} corrupted data");
         }
+    }
+
+    /// One benchmark cell under `policy`, through [`run`].
+    fn staged_cell(
+        benchmark: Benchmark,
+        mechanism: Mechanism,
+        config: &SystemConfig,
+        seed: u64,
+        policy: &SnapshotPolicy<'_>,
+    ) -> Result<(RunResult, StagedInfo), SimError> {
+        let outcome = run(RunSpec {
+            traffic: Traffic::Benchmark {
+                benchmark,
+                seed,
+                snapshots: policy.clone(),
+            },
+            codecs: Codecs::Standard(mechanism),
+            config,
+        })?;
+        Ok((outcome.result, outcome.staged))
     }
 
     fn temp_store(name: &str) -> SnapshotStore {
@@ -882,8 +817,7 @@ mod tests {
             checkpoint_every: 700,
             resume: false,
         };
-        let (warm, info) =
-            try_run_benchmark_snap(bench, mech, &cfg, seed, &policy).expect("forked run");
+        let (warm, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("forked run");
         assert!(info.forked && !info.resumed);
         assert_eq!(info.skipped_cycles, cfg.warmup_cycles);
         let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold run");
@@ -898,8 +832,7 @@ mod tests {
         );
         // A corrupt warmup blob degrades to a cold cell with the same result.
         store.put(wk, b"garbage").expect("corrupt");
-        let (fallback, info) =
-            try_run_benchmark_snap(bench, mech, &cfg, seed, &policy).expect("fallback run");
+        let (fallback, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("fallback run");
         assert!(!info.forked && info.skipped_cycles == 0);
         assert_eq!(
             crate::persist::encode_run_result(&fallback),
@@ -934,8 +867,7 @@ mod tests {
             checkpoint_every: 0,
             resume: false,
         };
-        let (warm, info) =
-            try_run_benchmark_snap(bench, mech, &cfg, seed, &policy).expect("forked run");
+        let (warm, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("forked run");
         assert!(info.forked && !info.resumed);
         let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold run");
         assert!(
@@ -960,10 +892,11 @@ mod tests {
         // Reproduce a killed cell: warmup + 600 measured cycles, checkpoint,
         // then "die".
         let mut source = BenchmarkTraffic::new(bench, cfg.noc.num_nodes(), cfg.approx_ratio, seed);
-        let mut sim = fresh_sim(mech, &cfg);
+        let (_, mut sim) = armed_sim(Codecs::Standard(mech), &cfg);
         let mut buf = Vec::new();
         drive(&mut sim, &mut source, cfg.warmup_cycles, &mut buf).expect("warmup");
-        arm_measurement(&mut sim, &cfg);
+        arm_measurement(&mut sim, mech, true, &cfg);
+        sim.begin_measurement();
         drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
         let ck = "cell resume-test";
         publish(&store, &checkpoint_key(ck), STAGE_CHECKPOINT, &sim, &source);
@@ -976,8 +909,7 @@ mod tests {
             checkpoint_every: 0,
             resume: true,
         };
-        let (resumed, info) =
-            try_run_benchmark_snap(bench, mech, &cfg, seed, &policy).expect("resumed run");
+        let (resumed, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("resumed run");
         assert!(info.resumed && !info.forked);
         assert_eq!(info.skipped_cycles, cfg.warmup_cycles + 600);
         assert_eq!(
@@ -990,5 +922,84 @@ mod tests {
             "completed cell retires its checkpoint"
         );
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// The cell the bad-checkpoint tests resume.
+    const BAD_CELL: (Benchmark, Mechanism, u64) = (Benchmark::Ssca2, Mechanism::FpVaxx, 11);
+
+    fn bad_cell_config() -> SystemConfig {
+        SystemConfig::paper().with_sim_cycles(2_000)
+    }
+
+    /// Resumes [`BAD_CELL`] over the checkpoint `plant` stores, with no
+    /// warmup key to fall back on. The failed restore must delete the
+    /// checkpoint on the spot — checked straight after it, since the cold
+    /// fallback retires the cell's checkpoint again when it completes — and
+    /// the cell must run cold, byte for byte, reporting no fork or resume.
+    fn resume_bad_checkpoint(name: &str, plant: impl Fn(&SnapshotStore, &str)) {
+        let store = temp_store(name);
+        let cfg = bad_cell_config();
+        let (bench, mech, seed) = BAD_CELL;
+        let ck = format!("cell {name}");
+        let key = checkpoint_key(&ck);
+        let policy = SnapshotPolicy {
+            store: Some(&store),
+            warmup_key: None,
+            cell_key: Some(ck),
+            checkpoint_every: 0,
+            resume: true,
+        };
+        let cell = StagedCell {
+            benchmark: bench,
+            seed,
+            mechanism: mech,
+            config: &cfg,
+            policy: &policy,
+        };
+        plant(&store, &key);
+        assert!(store.get(&key).is_some(), "checkpoint planted");
+        let window = cfg.warmup_cycles..=cfg.warmup_cycles + cfg.sim_cycles;
+        assert!(cell.restore(STAGE_CHECKPOINT, window).is_none());
+        assert!(
+            store.get(&key).is_none(),
+            "failed restore deletes the checkpoint"
+        );
+
+        plant(&store, &key);
+        let (fallback, info) =
+            staged_cell(bench, mech, &cfg, seed, &policy).expect("cold fallback");
+        assert_eq!(info, StagedInfo::default());
+        let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold reference");
+        assert_eq!(
+            crate::persist::encode_run_result(&fallback),
+            crate::persist::encode_run_result(&cold),
+            "a bad checkpoint changed the result"
+        );
+        assert!(
+            store.get(&key).is_none(),
+            "bad checkpoint left in the store"
+        );
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn garbage_checkpoint_is_deleted_and_the_cell_runs_cold() {
+        resume_bad_checkpoint("garbage-checkpoint", |store, key| {
+            store.put(key, b"garbage").expect("plant garbage");
+        });
+    }
+
+    #[test]
+    fn checkpoint_outside_the_window_is_deleted_and_the_cell_runs_cold() {
+        let cfg = bad_cell_config();
+        let (bench, mech, seed) = BAD_CELL;
+        resume_bad_checkpoint("early-checkpoint", |store, key| {
+            // Well-formed, but taken 100 cycles before measurement began.
+            let mut source = benchmark_source(bench, &cfg, seed);
+            let (_, mut sim) = armed_sim(Codecs::Standard(mech), &cfg);
+            let early = cfg.warmup_cycles - 100;
+            drive(&mut sim, &mut source, early, &mut Vec::new()).expect("warmup");
+            publish(store, key, STAGE_CHECKPOINT, &sim, &source);
+        });
     }
 }

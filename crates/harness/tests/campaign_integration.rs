@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use anoc_exec::ResultCache;
 use anoc_harness::campaign::{self, benchmark_job};
 use anoc_harness::persist::encode_run_result;
-use anoc_harness::runner::run_benchmark;
+use anoc_harness::runner::try_run_benchmark;
 use anoc_harness::{Mechanism, SystemConfig};
 use anoc_traffic::Benchmark;
 
@@ -57,7 +57,7 @@ fn parallel_campaign_is_bit_identical_to_serial_reference() {
     let mut i = 0;
     for b in [Benchmark::Ssca2, Benchmark::X264] {
         for m in Mechanism::ALL {
-            let reference = run_benchmark(b, m, &config, 3);
+            let reference = try_run_benchmark(b, m, &config, 3).expect("run completes");
             assert_eq!(
                 encode_run_result(&results[i]),
                 encode_run_result(&reference),

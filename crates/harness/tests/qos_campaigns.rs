@@ -11,7 +11,7 @@ use anoc_core::control::QosSpec;
 use anoc_exec::{run_campaign, CampaignOptions, JobSpec, ThreadPool};
 use anoc_harness::campaign::benchmark_job;
 use anoc_harness::persist::encode_run_result;
-use anoc_harness::runner::{run_benchmark, RunResult};
+use anoc_harness::runner::{try_run_benchmark, RunResult};
 use anoc_harness::{Mechanism, SystemConfig};
 use anoc_noc::LossPlan;
 use anoc_traffic::Benchmark;
@@ -53,18 +53,20 @@ fn qos_and_lossy_campaigns_reproduce_across_thread_counts() {
 
 #[test]
 fn qos_and_lossy_runs_are_bit_identical_across_shard_counts() {
-    let serial = run_benchmark(
+    let serial = try_run_benchmark(
         Benchmark::Blackscholes,
         Mechanism::FpVaxx,
         &qos_lossy_config(),
         9,
-    );
-    let sharded = run_benchmark(
+    )
+    .expect("run completes");
+    let sharded = try_run_benchmark(
         Benchmark::Blackscholes,
         Mechanism::FpVaxx,
         &qos_lossy_config().with_shards(4),
         9,
-    );
+    )
+    .expect("run completes");
     assert_eq!(encode_run_result(&serial), encode_run_result(&sharded));
     assert!(serial.stats.faults.words_lost > 0);
 }
@@ -80,8 +82,8 @@ fn inert_qos_and_loss_reproduce_the_plain_run_exactly() {
         .with_qos(QosSpec::off())
         .with_loss(LossPlan::none());
     for m in [Mechanism::FpVaxx, Mechanism::Baseline] {
-        let a = run_benchmark(Benchmark::Ssca2, m, &plain, 9);
-        let b = run_benchmark(Benchmark::Ssca2, m, &inert, 9);
+        let a = try_run_benchmark(Benchmark::Ssca2, m, &plain, 9).expect("run completes");
+        let b = try_run_benchmark(Benchmark::Ssca2, m, &inert, 9).expect("run completes");
         assert_eq!(encode_run_result(&a), encode_run_result(&b), "{}", m.name());
         assert_eq!(a.stats.faults.words_lost, 0);
     }
@@ -93,14 +95,15 @@ fn inert_qos_and_loss_reproduce_the_plain_run_exactly() {
 /// is the lossy scenario's signal, so it is exercised separately below.)
 #[test]
 fn qos_runs_never_violate_the_spec_ceiling() {
-    let r = run_benchmark(
+    let r = try_run_benchmark(
         Benchmark::Blackscholes,
         Mechanism::FpVaxx,
         &SystemConfig::paper()
             .with_sim_cycles(1_500)
             .with_qos(QosSpec::paper(970_000)),
         9,
-    );
+    )
+    .expect("run completes");
     assert!(r.stats.faults.bound_checked_words > 0);
     assert_eq!(
         r.stats.faults.bound_violations, 0,
@@ -122,7 +125,8 @@ fn lossy_curve_is_monotone_in_the_loss_rate() {
                 LossPlan::scaled(11, ppm, 50)
             };
             let cfg = base.clone().with_loss(plan);
-            run_benchmark(Benchmark::Blackscholes, Mechanism::FpVaxx, &cfg, 9)
+            try_run_benchmark(Benchmark::Blackscholes, Mechanism::FpVaxx, &cfg, 9)
+                .expect("run completes")
                 .stats
                 .faults
                 .words_lost

@@ -9,9 +9,9 @@ use std::path::PathBuf;
 use anoc_exec::SnapshotStore;
 use anoc_harness::campaign::warmup_key;
 use anoc_harness::persist::encode_run_result;
-use anoc_harness::runner::{try_run_benchmark_snap, SnapshotPolicy};
-use anoc_harness::{Mechanism, SystemConfig};
-use anoc_noc::FaultPlan;
+use anoc_harness::runner::{run, Codecs, RunSpec, SnapshotPolicy, StagedInfo, Traffic};
+use anoc_harness::{Mechanism, RunResult, SystemConfig};
+use anoc_noc::{FaultPlan, SimError};
 use anoc_traffic::Benchmark;
 
 fn scratch_store(name: &str) -> SnapshotStore {
@@ -21,6 +21,26 @@ fn scratch_store(name: &str) -> SnapshotStore {
     let store = SnapshotStore::open(dir).expect("open scratch snapshot store");
     store.clear().expect("start from an empty store");
     store
+}
+
+/// One benchmark cell under `policy`, through the runner's single entry point.
+fn staged_cell(
+    benchmark: Benchmark,
+    mechanism: Mechanism,
+    config: &SystemConfig,
+    seed: u64,
+    policy: &SnapshotPolicy<'_>,
+) -> Result<(RunResult, StagedInfo), SimError> {
+    let outcome = run(RunSpec {
+        traffic: Traffic::Benchmark {
+            benchmark,
+            seed,
+            snapshots: policy.clone(),
+        },
+        codecs: Codecs::Standard(mechanism),
+        config,
+    })?;
+    Ok((outcome.result, outcome.staged))
 }
 
 fn warm_policy<'a>(
@@ -65,21 +85,16 @@ fn warm_threshold_sweep_is_bit_identical_to_cold_at_any_shard_count() {
                 .with_threshold(threshold)
                 .with_shards(shards);
 
-            let (cold, cold_info) = try_run_benchmark_snap(
-                benchmark,
-                mechanism,
-                &config,
-                seed,
-                &SnapshotPolicy::cold(),
-            )
-            .expect("cold cell");
+            let (cold, cold_info) =
+                staged_cell(benchmark, mechanism, &config, seed, &SnapshotPolicy::cold())
+                    .expect("cold cell");
             assert!(!cold_info.forked && !cold_info.resumed);
             assert_eq!(cold_info.skipped_cycles, 0);
 
             let cell = format!("s{shards}-t{threshold}");
             let policy = warm_policy(&store, &config, mechanism, benchmark, seed, &cell);
-            let (warm, info) = try_run_benchmark_snap(benchmark, mechanism, &config, seed, &policy)
-                .expect("warm cell");
+            let (warm, info) =
+                staged_cell(benchmark, mechanism, &config, seed, &policy).expect("warm cell");
 
             assert_eq!(
                 encode_run_result(&cold),
@@ -136,8 +151,7 @@ fn fault_active_sweep_survives_warmup_forking() {
                 let cell = format!("flt-{ppm}");
                 let policy = warm_policy(&store, &config, mechanism, benchmark, seed, &cell);
                 let (r, info) =
-                    try_run_benchmark_snap(benchmark, mechanism, &config, seed, &policy)
-                        .expect("fault cell");
+                    staged_cell(benchmark, mechanism, &config, seed, &policy).expect("fault cell");
                 assert_eq!(
                     info.forked, expect_forked,
                     "ppm {ppm}: forked={} but expected {expect_forked}",

@@ -14,7 +14,7 @@ use approx_noc::apps::graph::{betweenness_centrality, Graph};
 use approx_noc::apps::transport::{ApproxTransport, PreciseTransport};
 use approx_noc::core::metrics::mean_relative_error;
 use approx_noc::core::threshold::ErrorThreshold;
-use approx_noc::harness::runner::run_benchmark;
+use approx_noc::harness::runner::try_run_benchmark;
 use approx_noc::harness::{Mechanism, SystemConfig};
 use approx_noc::traffic::Benchmark;
 
@@ -52,9 +52,12 @@ fn main() {
 
     // --- Network-level benefit ------------------------------------------
     let config = SystemConfig::paper().with_sim_cycles(15_000);
-    let base = run_benchmark(Benchmark::Ssca2, Mechanism::DiComp, &config, 11);
-    let vaxx = run_benchmark(Benchmark::Ssca2, Mechanism::DiVaxx, &config, 11);
-    let fp = run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &config, 11);
+    let base =
+        try_run_benchmark(Benchmark::Ssca2, Mechanism::DiComp, &config, 11).expect("run completes");
+    let vaxx =
+        try_run_benchmark(Benchmark::Ssca2, Mechanism::DiVaxx, &config, 11).expect("run completes");
+    let fp =
+        try_run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &config, 11).expect("run completes");
     println!(
         "\nssca2 traffic, avg packet latency: DI-COMP {:.1} | DI-VAXX {:.1} | FP-VAXX {:.1} cycles",
         base.avg_packet_latency(),

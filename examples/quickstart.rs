@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use approx_noc::harness::runner::run_benchmark;
+use approx_noc::harness::runner::try_run_benchmark;
 use approx_noc::harness::{Mechanism, SystemConfig};
 use approx_noc::traffic::Benchmark;
 
@@ -26,7 +26,7 @@ fn main() {
     );
     let mut baseline_latency = None;
     for mechanism in Mechanism::ALL {
-        let r = run_benchmark(benchmark, mechanism, &config, 42);
+        let r = try_run_benchmark(benchmark, mechanism, &config, 42).expect("run completes");
         if mechanism == Mechanism::Baseline {
             baseline_latency = Some(r.avg_packet_latency());
         }
@@ -40,7 +40,9 @@ fn main() {
         );
     }
     if let Some(base) = baseline_latency {
-        let vaxx = run_benchmark(benchmark, Mechanism::FpVaxx, &config, 42).avg_packet_latency();
+        let vaxx = try_run_benchmark(benchmark, Mechanism::FpVaxx, &config, 42)
+            .expect("run completes")
+            .avg_packet_latency();
         println!(
             "\nFP-VAXX cuts {benchmark}'s average packet latency by {:.1}% vs the baseline.",
             (base - vaxx) / base * 100.0

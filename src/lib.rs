@@ -20,12 +20,13 @@
 //! ## Quickstart
 //!
 //! ```
+//! use approx_noc::harness::runner::try_run_benchmark;
 //! use approx_noc::harness::{Mechanism, SystemConfig};
-//! use approx_noc::harness::experiments::run_benchmark;
 //! use approx_noc::traffic::Benchmark;
 //!
 //! let config = SystemConfig::default().with_sim_cycles(20_000);
-//! let result = run_benchmark(Benchmark::Blackscholes, Mechanism::FpVaxx, &config, 1);
+//! let result = try_run_benchmark(Benchmark::Blackscholes, Mechanism::FpVaxx, &config, 1)
+//!     .expect("no watchdog or bound-checker abort");
 //! assert!(result.avg_packet_latency() > 0.0);
 //! ```
 

@@ -1,0 +1,312 @@
+//! Runner golden fingerprints: one seeded cell per runner mode — cold
+//! benchmark cells of every standard mechanism, a synthetic source, a trace
+//! replay, the extension codecs, a QoS + lossy-link configuration and a
+//! fault-injection configuration with the bound checker armed. Each result
+//! is serialized with `persist::encode_run_result` and hashed with FNV-1a,
+//! and the hash must equal the recorded constant; a forked and a resumed
+//! cell must hash to their cold twin's constant. A rewrite of the runner
+//! therefore has to reproduce every mode bit for bit.
+
+use anoc_exec::hash::fnv1a64;
+use anoc_exec::SnapshotStore;
+use approx_noc::compression::adaptive::AdaptiveEncoder;
+use approx_noc::compression::bd::{BdDecoder, BdEncoder};
+use approx_noc::compression::fp::{FpDecoder, FpEncoder};
+use approx_noc::core::avcl::Avcl;
+use approx_noc::core::control::QosSpec;
+use approx_noc::core::snap::SnapWriter;
+use approx_noc::core::threshold::ErrorThreshold;
+use approx_noc::core::window::WindowBudget;
+use approx_noc::harness::persist::encode_run_result;
+use approx_noc::harness::runner::{
+    checkpoint_key, publish_benchmark_warmup, run, Codecs, RunOutcome, RunResult, RunSpec,
+    SnapshotPolicy, Traffic,
+};
+use approx_noc::harness::{Mechanism, SystemConfig};
+use approx_noc::noc::{FaultPlan, LossPlan, NocSim, NodeCodec};
+use approx_noc::traffic::{
+    Benchmark, BenchmarkTraffic, DataPool, DestPattern, SyntheticTraffic, Trace, TrafficSource,
+};
+
+const SEED: u64 = 42;
+
+/// The benchmark every benchmark-traffic cell runs.
+const BENCH: Benchmark = Benchmark::Blackscholes;
+
+/// Fingerprints recorded before the runner's entry points were collapsed
+/// into one `run(RunSpec)`.
+const GOLDEN: [(&str, u64); 13] = [
+    ("bench/Baseline", 0x1ff6_a260_c236_ea46),
+    ("bench/DI-COMP", 0x5e8e_d25a_7906_93f5),
+    ("bench/DI-VAXX", 0x0653_98dd_2d6f_71ac),
+    ("bench/FP-COMP", 0x2f18_6f4e_becd_3727),
+    ("bench/FP-VAXX", 0x42b8_f851_12e2_d0c7),
+    ("bench/LZ-VAXX", 0xd53a_3646_53af_5ebc),
+    ("synthetic/FP-VAXX", 0xe401_72a6_852b_40cf),
+    ("trace/DI-VAXX", 0xe121_e282_ea6c_bb79),
+    ("custom/BD-VAXX", 0x595e_9c7f_e054_4d49),
+    ("custom/FP-adaptive", 0xe6be_7b17_26db_3ecd),
+    ("custom/FP-VAXX-win", 0x12c9_0e36_ec44_e4e9),
+    ("qos+loss/FP-VAXX", 0xd92c_03b3_a603_e1df),
+    ("faults/FP-VAXX", 0xcac1_d396_aee3_a1f0),
+];
+
+fn config() -> SystemConfig {
+    SystemConfig::paper().with_sim_cycles(1_000)
+}
+
+/// Asserts that each `(name, twin, result)` hashes to the constant recorded
+/// for `twin`: a cell's own name, or the cold cell it must reproduce.
+fn check(cells: &[(&str, &str, RunResult)]) {
+    let hex = |name: &str, h: u64| (name.to_string(), format!("{h:016x}"));
+    let golden = |name: &str| {
+        GOLDEN
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, h)| h)
+            .expect("a recorded constant")
+    };
+    let got: Vec<_> = cells
+        .iter()
+        .map(|(name, _, r)| hex(name, fnv1a64(encode_run_result(r).as_bytes())))
+        .collect();
+    let want: Vec<_> = cells
+        .iter()
+        .map(|(name, twin, _)| hex(name, golden(twin)))
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// A benchmark cell running `codecs` under `snapshots`.
+fn bench_cell(codecs: Codecs, config: &SystemConfig, snapshots: SnapshotPolicy<'_>) -> RunOutcome {
+    run(RunSpec {
+        traffic: Traffic::Benchmark {
+            benchmark: BENCH,
+            seed: SEED,
+            snapshots,
+        },
+        codecs,
+        config,
+    })
+    .expect("run completes")
+}
+
+/// A cold run over a caller-owned source.
+fn source_cell(source: &mut dyn TrafficSource, codecs: Codecs, config: &SystemConfig) -> RunResult {
+    let spec = RunSpec {
+        traffic: Traffic::Source(source),
+        codecs,
+        config,
+    };
+    run(spec).expect("run completes").result
+}
+
+fn temp_store(name: &str) -> SnapshotStore {
+    let dir = std::env::temp_dir().join(format!("anoc-golden-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    SnapshotStore::open(dir).expect("open temp store")
+}
+
+#[test]
+fn cold_benchmark_cells_match_golden() {
+    let cfg = config();
+    let cells: Vec<_> = [
+        ("bench/Baseline", Mechanism::Baseline),
+        ("bench/DI-COMP", Mechanism::DiComp),
+        ("bench/DI-VAXX", Mechanism::DiVaxx),
+        ("bench/FP-COMP", Mechanism::FpComp),
+        ("bench/FP-VAXX", Mechanism::FpVaxx),
+        ("bench/LZ-VAXX", Mechanism::LzVaxx),
+    ]
+    .into_iter()
+    .map(|(name, m)| {
+        let outcome = bench_cell(Codecs::Standard(m), &cfg, SnapshotPolicy::cold());
+        assert_eq!(outcome.staged, Default::default(), "a cold cell is cold");
+        (name, name, outcome.result)
+    })
+    .collect();
+    check(&cells);
+}
+
+#[test]
+fn caller_owned_sources_match_golden() {
+    let cfg = config();
+    let nodes = cfg.noc.num_nodes();
+    // A Figure-12-style cell: synthetic transpose traffic over a value pool.
+    let pool = DataPool::from_benchmark(BENCH, 512, SEED);
+    let mut synthetic = SyntheticTraffic::new(
+        DestPattern::Transpose,
+        nodes,
+        pool,
+        0.3,
+        0.25,
+        cfg.approx_ratio,
+        SEED,
+    );
+    let synthetic = source_cell(&mut synthetic, Codecs::Standard(Mechanism::FpVaxx), &cfg);
+    let mut live = BenchmarkTraffic::new(Benchmark::Ssca2, nodes, cfg.approx_ratio, SEED);
+    let trace = Trace::capture(&mut live, cfg.warmup_cycles + cfg.sim_cycles);
+    let replayed = source_cell(
+        &mut trace.replay(),
+        Codecs::Standard(Mechanism::DiVaxx),
+        &cfg,
+    );
+    check(&[
+        ("synthetic/FP-VAXX", "synthetic/FP-VAXX", synthetic),
+        ("trace/DI-VAXX", "trace/DI-VAXX", replayed),
+    ]);
+}
+
+#[test]
+fn extension_codecs_match_golden() {
+    let cfg = config();
+    let nodes = cfg.noc.num_nodes();
+    let t = cfg.threshold();
+    let pair = |name: &str| match name {
+        "BD-VAXX" => NodeCodec::new(
+            Box::new(BdEncoder::bd_vaxx(Avcl::new(t))),
+            Box::new(BdDecoder::new()),
+        ),
+        "FP-adaptive" => NodeCodec::new(
+            Box::new(AdaptiveEncoder::new(FpEncoder::fp_comp())),
+            Box::new(FpDecoder::new()),
+        ),
+        _ => NodeCodec::new(
+            Box::new(FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10))),
+            Box::new(FpDecoder::new()),
+        ),
+    };
+    let cells: Vec<_> = [
+        ("custom/BD-VAXX", "BD-VAXX"),
+        ("custom/FP-adaptive", "FP-adaptive"),
+        ("custom/FP-VAXX-win", "FP-VAXX-win"),
+    ]
+    .into_iter()
+    .map(|(name, mech)| {
+        let m = Mechanism::from_name(mech).expect("extension mechanism");
+        let codecs = Codecs::Custom(m, (0..nodes).map(|_| pair(mech)).collect());
+        let outcome = bench_cell(codecs, &cfg, SnapshotPolicy::cold());
+        (name, name, outcome.result)
+    })
+    .collect();
+    check(&cells);
+}
+
+#[test]
+fn qos_loss_and_fault_configs_match_golden() {
+    let qos = config()
+        .with_qos(QosSpec::paper(970_000))
+        .with_loss(LossPlan::scaled(3, 5_000, 100));
+    let qos = bench_cell(
+        Codecs::Standard(Mechanism::FpVaxx),
+        &qos,
+        SnapshotPolicy::cold(),
+    )
+    .result;
+    assert!(qos.data_quality() < 1.0, "the QoS window approximates");
+    assert!(qos.stats.faults.words_lost > 0, "the loss plan is live");
+    // Faults make bound violations counted rather than fatal.
+    let faults = config().with_faults(FaultPlan::bit_flips(SEED, 2_000));
+    let faults = bench_cell(
+        Codecs::Standard(Mechanism::FpVaxx),
+        &faults,
+        SnapshotPolicy::cold(),
+    )
+    .result;
+    assert!(faults.stats.faults.bound_checked_words > 0, "checker armed");
+    assert!(faults.stats.faults.bound_violations > 0, "flips violate");
+    check(&[
+        ("qos+loss/FP-VAXX", "qos+loss/FP-VAXX", qos),
+        ("faults/FP-VAXX", "faults/FP-VAXX", faults),
+    ]);
+}
+
+/// Reproduces a cell killed 600 cycles into its measurement window: the
+/// staged prefix driven from public calls, framed as the runner frames a
+/// checkpoint (`[u32 stage 2][u64 sim-blob length][sim blob][traffic
+/// state]`) and stored under the cell's checkpoint key.
+fn plant_checkpoint(store: &SnapshotStore, cell: &str, mechanism: Mechanism, cfg: &SystemConfig) {
+    let key = checkpoint_key(cell);
+    let nodes = cfg.noc.num_nodes();
+    let codecs = mechanism.codecs(nodes, ErrorThreshold::exact());
+    let mut sim = NocSim::new(cfg.noc.clone(), codecs);
+    sim.set_shards(cfg.shards);
+    sim.set_fault_plan(cfg.faults);
+    sim.set_loss_plan(cfg.loss);
+    sim.set_qos(cfg.qos);
+    sim.set_watchdog(cfg.watchdog_horizon);
+    let mut source = BenchmarkTraffic::new(BENCH, nodes, cfg.approx_ratio, SEED);
+    let mut buf = Vec::new();
+    let mut step_to = |sim: &mut NocSim, until: u64| {
+        while sim.cycle() < until {
+            buf.clear();
+            source.tick(sim.cycle(), &mut buf);
+            for inj in buf.drain(..) {
+                match inj.payload {
+                    Some(block) => sim.enqueue_data(inj.src, inj.dest, block),
+                    None => sim.enqueue_control(inj.src, inj.dest),
+                };
+            }
+            sim.step();
+            sim.discard_delivered();
+        }
+    };
+    step_to(&mut sim, cfg.warmup_cycles);
+    sim.set_error_threshold(cfg.threshold());
+    sim.set_bound_check(cfg.bound_threshold());
+    sim.begin_measurement();
+    step_to(&mut sim, cfg.warmup_cycles + 600);
+    let sim_blob = sim
+        .save_snapshot(fnv1a64(key.as_bytes()))
+        .expect("snapshot");
+    let mut w = SnapWriter::new();
+    w.u32(2);
+    w.u64(sim_blob.len() as u64);
+    w.bytes(&sim_blob);
+    source.save_state(&mut w);
+    store.put(&key, &w.into_bytes()).expect("store checkpoint");
+}
+
+#[test]
+fn forked_and_resumed_cells_match_their_cold_twin() {
+    let store = temp_store("fork-resume");
+    let cfg = config();
+    let mech = Mechanism::FpVaxx;
+    let wk = "warmup runner-golden";
+    assert!(publish_benchmark_warmup(BENCH, mech, &cfg, SEED, &store, wk).expect("warmup runs"));
+    let forked = bench_cell(
+        Codecs::Standard(mech),
+        &cfg,
+        SnapshotPolicy {
+            store: Some(&store),
+            warmup_key: Some(wk.into()),
+            ..SnapshotPolicy::cold()
+        },
+    );
+    assert!(forked.staged.forked && !forked.staged.resumed);
+    assert_eq!(forked.staged.skipped_cycles, cfg.warmup_cycles);
+
+    let cell = "cell runner-golden";
+    plant_checkpoint(&store, cell, mech, &cfg);
+    let resumed = bench_cell(
+        Codecs::Standard(mech),
+        &cfg,
+        SnapshotPolicy {
+            store: Some(&store),
+            cell_key: Some(cell.into()),
+            resume: true,
+            ..SnapshotPolicy::cold()
+        },
+    );
+    assert!(resumed.staged.resumed && !resumed.staged.forked);
+    assert_eq!(resumed.staged.skipped_cycles, cfg.warmup_cycles + 600);
+    assert!(
+        store.get(&checkpoint_key(cell)).is_none(),
+        "the completed cell retires its checkpoint"
+    );
+    check(&[
+        ("forked/FP-VAXX", "bench/FP-VAXX", forked.result),
+        ("resumed/FP-VAXX", "bench/FP-VAXX", resumed.result),
+    ]);
+    let _ = std::fs::remove_dir_all(store.dir());
+}

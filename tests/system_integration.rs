@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: traffic models → codecs → cycle-accurate
 //! NoC → statistics, exercising the paper's headline claims end to end.
 
-use approx_noc::harness::runner::{run_benchmark, run_with_source};
+use approx_noc::harness::runner::{try_run_benchmark, try_run_with_source};
 use approx_noc::harness::{EnergyModel, Mechanism, SystemConfig};
 use approx_noc::traffic::{Benchmark, DataPool, DestPattern, SyntheticTraffic};
 
@@ -13,16 +13,16 @@ fn quick() -> SystemConfig {
 fn vaxx_never_loses_to_its_compression_counterpart_on_data_volume() {
     let cfg = quick();
     for b in [Benchmark::Blackscholes, Benchmark::Ssca2, Benchmark::X264] {
-        let fp = run_benchmark(b, Mechanism::FpComp, &cfg, 7);
-        let fp_vaxx = run_benchmark(b, Mechanism::FpVaxx, &cfg, 7);
+        let fp = try_run_benchmark(b, Mechanism::FpComp, &cfg, 7).expect("run completes");
+        let fp_vaxx = try_run_benchmark(b, Mechanism::FpVaxx, &cfg, 7).expect("run completes");
         assert!(
             fp_vaxx.stats.normalized_data_flits() <= fp.stats.normalized_data_flits() + 0.02,
             "{b}: FP-VAXX {} vs FP-COMP {}",
             fp_vaxx.stats.normalized_data_flits(),
             fp.stats.normalized_data_flits()
         );
-        let di = run_benchmark(b, Mechanism::DiComp, &cfg, 7);
-        let di_vaxx = run_benchmark(b, Mechanism::DiVaxx, &cfg, 7);
+        let di = try_run_benchmark(b, Mechanism::DiComp, &cfg, 7).expect("run completes");
+        let di_vaxx = try_run_benchmark(b, Mechanism::DiVaxx, &cfg, 7).expect("run completes");
         assert!(
             di_vaxx.stats.normalized_data_flits() <= di.stats.normalized_data_flits() + 0.02,
             "{b}: DI-VAXX {} vs DI-COMP {}",
@@ -43,7 +43,7 @@ fn data_quality_exceeds_97_percent_at_default_threshold() {
         Benchmark::Ssca2,
     ] {
         for m in [Mechanism::DiVaxx, Mechanism::FpVaxx] {
-            let r = run_benchmark(b, m, &cfg, 3);
+            let r = try_run_benchmark(b, m, &cfg, 3).expect("run completes");
             assert!(
                 r.data_quality() > 0.97,
                 "{b}/{m}: quality {}",
@@ -57,7 +57,7 @@ fn data_quality_exceeds_97_percent_at_default_threshold() {
 fn exact_mechanisms_are_lossless_end_to_end() {
     let cfg = quick();
     for m in [Mechanism::Baseline, Mechanism::DiComp, Mechanism::FpComp] {
-        let r = run_benchmark(Benchmark::Canneal, m, &cfg, 9);
+        let r = try_run_benchmark(Benchmark::Canneal, m, &cfg, 9).expect("run completes");
         assert_eq!(r.data_quality(), 1.0, "{m} corrupted a block");
         assert_eq!(r.stats.encode.approx_encoded, 0);
     }
@@ -79,7 +79,9 @@ fn throughput_improves_with_vaxx_under_synthetic_load() {
             0.75,
             5,
         );
-        run_with_source(&mut src, m, &cfg).avg_packet_latency()
+        try_run_with_source(&mut src, m, &cfg)
+            .expect("run completes")
+            .avg_packet_latency()
     };
     let base = run(Mechanism::Baseline);
     let vaxx = run(Mechanism::FpVaxx);
@@ -93,8 +95,10 @@ fn throughput_improves_with_vaxx_under_synthetic_load() {
 fn dynamic_power_drops_with_flit_reduction() {
     let cfg = quick();
     let model = EnergyModel::default();
-    let base = run_benchmark(Benchmark::X264, Mechanism::Baseline, &cfg, 11);
-    let vaxx = run_benchmark(Benchmark::X264, Mechanism::FpVaxx, &cfg, 11);
+    let base =
+        try_run_benchmark(Benchmark::X264, Mechanism::Baseline, &cfg, 11).expect("run completes");
+    let vaxx =
+        try_run_benchmark(Benchmark::X264, Mechanism::FpVaxx, &cfg, 11).expect("run completes");
     let p_base = model.dynamic_power(&base.activity);
     let p_vaxx = model.dynamic_power(&vaxx.activity);
     assert!(
@@ -109,7 +113,8 @@ fn error_threshold_sensitivity_is_monotone_in_encoded_fraction() {
     let mut fractions = Vec::new();
     for pct in [5u32, 10, 20] {
         let cfg = quick().with_threshold(pct);
-        let r = run_benchmark(Benchmark::Blackscholes, Mechanism::FpVaxx, &cfg, 13);
+        let r = try_run_benchmark(Benchmark::Blackscholes, Mechanism::FpVaxx, &cfg, 13)
+            .expect("run completes");
         fractions.push(r.stats.encode.encoded_fraction());
     }
     assert!(
@@ -124,7 +129,8 @@ fn approx_ratio_sensitivity_scales_approximated_words() {
     let mut approx_counts = Vec::new();
     for ratio in [0.25, 0.75] {
         let cfg = quick().with_approx_ratio(ratio);
-        let r = run_benchmark(Benchmark::Swaptions, Mechanism::FpVaxx, &cfg, 17);
+        let r = try_run_benchmark(Benchmark::Swaptions, Mechanism::FpVaxx, &cfg, 17)
+            .expect("run completes");
         approx_counts.push(r.stats.encode.approx_fraction());
     }
     assert!(
@@ -138,7 +144,8 @@ fn in_band_notifications_also_work() {
     // The ablation transport for dictionary updates: real control packets.
     let mut cfg = quick();
     cfg.noc.notify_in_band = true;
-    let r = run_benchmark(Benchmark::Ssca2, Mechanism::DiVaxx, &cfg, 19);
+    let r =
+        try_run_benchmark(Benchmark::Ssca2, Mechanism::DiVaxx, &cfg, 19).expect("run completes");
     assert!(r.stats.packets > 0);
     assert_eq!(
         approx_noc::core::avcl::Avcl::default()
@@ -152,8 +159,10 @@ fn in_band_notifications_also_work() {
 #[test]
 fn runs_are_reproducible() {
     let cfg = quick();
-    let a = run_benchmark(Benchmark::Streamcluster, Mechanism::DiVaxx, &cfg, 23);
-    let b = run_benchmark(Benchmark::Streamcluster, Mechanism::DiVaxx, &cfg, 23);
+    let a = try_run_benchmark(Benchmark::Streamcluster, Mechanism::DiVaxx, &cfg, 23)
+        .expect("run completes");
+    let b = try_run_benchmark(Benchmark::Streamcluster, Mechanism::DiVaxx, &cfg, 23)
+        .expect("run completes");
     assert_eq!(a.stats.packets, b.stats.packets);
     assert_eq!(a.stats.flits_injected, b.stats.flits_injected);
     assert_eq!(a.stats.queue_lat_sum, b.stats.queue_lat_sum);
@@ -203,8 +212,10 @@ fn extension_codecs_compose_with_the_network() {
 fn full_system_8x8_mesh_runs() {
     // The §5.4 configuration: 64 cores on an 8x8 mesh.
     let cfg = SystemConfig::full_system().with_sim_cycles(2_000);
-    let base = run_benchmark(Benchmark::Ssca2, Mechanism::Baseline, &cfg, 41);
-    let vaxx = run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &cfg, 41);
+    let base =
+        try_run_benchmark(Benchmark::Ssca2, Mechanism::Baseline, &cfg, 41).expect("run completes");
+    let vaxx =
+        try_run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &cfg, 41).expect("run completes");
     assert_eq!(base.nodes, 64);
     assert!(base.stats.packets > 100);
     assert!(
@@ -238,9 +249,9 @@ fn saved_trace_replay_reproduces_the_live_run_exactly() {
     std::fs::remove_file(&path).ok();
 
     let mut replay_a = trace.replay();
-    let a = run_with_source(&mut replay_a, Mechanism::FpVaxx, &cfg);
+    let a = try_run_with_source(&mut replay_a, Mechanism::FpVaxx, &cfg).expect("run completes");
     let mut replay_b = loaded.replay();
-    let b = run_with_source(&mut replay_b, Mechanism::FpVaxx, &cfg);
+    let b = try_run_with_source(&mut replay_b, Mechanism::FpVaxx, &cfg).expect("run completes");
     assert_eq!(a.stats.packets, b.stats.packets);
     assert_eq!(a.stats.flits_injected, b.stats.flits_injected);
     assert_eq!(a.stats.queue_lat_sum, b.stats.queue_lat_sum);
@@ -250,7 +261,7 @@ fn saved_trace_replay_reproduces_the_live_run_exactly() {
     // And the trace-driven run matches the live-source-driven run, since the
     // live source is deterministic too.
     let mut live2 = BenchmarkTraffic::new(Benchmark::X264, cfg.noc.num_nodes(), 0.75, 77);
-    let c = run_with_source(&mut live2, Mechanism::FpVaxx, &cfg);
+    let c = try_run_with_source(&mut live2, Mechanism::FpVaxx, &cfg).expect("run completes");
     assert_eq!(a.stats.packets, c.stats.packets);
     assert_eq!(a.stats.flits_injected, c.stats.flits_injected);
 }
