@@ -11,6 +11,7 @@ use anoc_core::data::{CacheBlock, DataType, NodeId};
 use anoc_core::rng::Pcg32;
 use anoc_core::threshold::ErrorThreshold;
 use anoc_noc::{NocConfig, NocSim, NodeCodec};
+use anoc_traffic::{Benchmark, DataPool, DestPattern, SyntheticTraffic, TrafficSource};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -150,6 +151,38 @@ fn bench(c: &mut Criterion) {
         // Reach steady state before sampling.
         drive(&mut sim, &mut rng, 2_000);
         b.iter(|| drive(&mut sim, &mut rng, 100))
+    });
+    // The `cmesh8-ur` shape: an 8x8 cmesh with two nodes per router (6-port
+    // routers), Baseline codecs, uniform-random traffic at 0.10
+    // flits/node/cycle with a 25:75 data:control mix — below saturation.
+    // Each iteration advances 100 cycles, so time / 100 is the per-cycle
+    // cost of the serial kernel plus traffic generation and enqueue.
+    group.bench_function("step_8x8_cmesh_uniform_random", |b| {
+        let cfg = NocConfig::cmesh(8, 8, 2);
+        let n = cfg.num_nodes();
+        let mut sim = NocSim::new(cfg, (0..n).map(|_| NodeCodec::baseline()).collect());
+        let pool = DataPool::from_benchmark(Benchmark::Blackscholes, 512, 42);
+        let mut source =
+            SyntheticTraffic::new(DestPattern::UniformRandom, n, pool, 0.10, 0.25, 0.75, 42);
+        let mut buf = Vec::new();
+        let mut drive = move |sim: &mut NocSim, cycles: u64| {
+            for _ in 0..cycles {
+                buf.clear();
+                source.tick(sim.cycle(), &mut buf);
+                for inj in buf.drain(..) {
+                    match inj.payload {
+                        Some(block) => sim.enqueue_data(inj.src, inj.dest, block),
+                        None => sim.enqueue_control(inj.src, inj.dest),
+                    };
+                }
+                sim.step();
+                sim.discard_delivered();
+            }
+            sim.cycle()
+        };
+        // Reach steady state before sampling.
+        drive(&mut sim, 2_000);
+        b.iter(|| drive(&mut sim, 100))
     });
     group.bench_function("deliver_1000_packets", |b| {
         b.iter(|| {

@@ -30,18 +30,20 @@ impl QualityAccumulator {
     /// Non-finite relative errors (NaN payloads, division by a zero precise
     /// value when the approximation differs) are clamped to 1.0 — a fully
     /// wrong word — so a single pathological word cannot dominate the mean.
+    ///
+    /// A bit-identical pair only counts the word. Its error is `+0.0` (a
+    /// non-finite float delivered exactly is not wrong), and adding `+0.0`
+    /// changes neither the sum (built from `+0.0` by adding non-negative
+    /// terms) nor the maximum.
     pub fn record_word(&mut self, precise: u32, approx: u32, dtype: DataType) {
+        self.words += 1;
+        if precise == approx {
+            return;
+        }
         let err = match Avcl::relative_error(precise, approx, dtype) {
             Some(e) if e.is_finite() => e.min(1.0),
-            _ => {
-                if precise == approx {
-                    0.0
-                } else {
-                    1.0
-                }
-            }
+            _ => 1.0,
         };
-        self.words += 1;
         self.error_sum += err;
         if err > self.max_error {
             self.max_error = err;
@@ -201,6 +203,77 @@ mod tests {
         let nan = f32::NAN.to_bits();
         qf.record_word(nan, nan, DataType::F32); // same bits -> 0
         assert_eq!(qf.mean_relative_error(), 0.0);
+    }
+
+    /// Word values whose relative errors hit every branch of the f64 path:
+    /// NaNs with distinct payloads, signed zeros, infinities, and finite
+    /// values near and far from each other.
+    fn special_words(dtype: DataType) -> Vec<u32> {
+        match dtype {
+            DataType::F32 => vec![
+                0x7fc0_0000,
+                0x7fc0_0001,
+                0xffc0_0000,
+                0.0f32.to_bits(),
+                (-0.0f32).to_bits(),
+                f32::INFINITY.to_bits(),
+                f32::NEG_INFINITY.to_bits(),
+                1.0f32.to_bits(),
+                1.05f32.to_bits(),
+                (-2.0f32).to_bits(),
+                1,
+                f32::MAX.to_bits(),
+            ],
+            DataType::Int => [0, 1, -1, 100, 105, 120, i32::MIN, i32::MAX]
+                .map(|v: i32| v as u32)
+                .to_vec(),
+        }
+    }
+
+    /// The per-word formula as it stood before bit-identical words skipped
+    /// the f64 path.
+    fn reference(words: &[(u32, u32)], dtype: DataType) -> (u64, f64, f64) {
+        let (mut n, mut sum, mut max) = (0u64, 0.0f64, 0.0f64);
+        for &(precise, approx) in words {
+            let err = match Avcl::relative_error(precise, approx, dtype) {
+                Some(e) if e.is_finite() => e.min(1.0),
+                _ => {
+                    if precise == approx {
+                        0.0
+                    } else {
+                        1.0
+                    }
+                }
+            };
+            n += 1;
+            sum += err;
+            if err > max {
+                max = err;
+            }
+        }
+        (n, sum, max)
+    }
+
+    #[test]
+    fn exact_word_fast_path_matches_the_f64_formula() {
+        for dtype in [DataType::F32, DataType::Int] {
+            let specials = special_words(dtype);
+            // Every ordered pair, so equal pairs sit between unequal ones.
+            let pairs: Vec<(u32, u32)> = specials
+                .iter()
+                .flat_map(|&p| specials.iter().map(move |&a| (p, a)))
+                .collect();
+            let mut q = QualityAccumulator::new();
+            for chunk in pairs.chunks(16) {
+                let precise = CacheBlock::new(chunk.iter().map(|p| p.0).collect(), dtype, true);
+                let approx = CacheBlock::new(chunk.iter().map(|p| p.1).collect(), dtype, true);
+                q.record_block(&precise, &approx);
+            }
+            let (n, sum, max) = reference(&pairs, dtype);
+            assert_eq!(q.words(), n, "{dtype:?}");
+            assert_eq!(q.error_sum().to_bits(), sum.to_bits(), "{dtype:?}");
+            assert_eq!(q.max_relative_error().to_bits(), max.to_bits(), "{dtype:?}");
+        }
     }
 
     #[test]

@@ -7,9 +7,16 @@
 //! uncontended. Credit-based flow control backpressures the VC buffers;
 //! virtual-channel allocation holds an output VC from a packet's head grant
 //! to its tail traversal (wormhole).
+//!
+//! Layout (DESIGN.md §7): a router is a handful of flat arrays. Input and
+//! output VC state sit in one array each, indexed `port * vcs + vc`, and
+//! each port's allocator state in one small record, with `u8` route, VC and
+//! round-robin indices. Every input VC buffer is a power-of-two ring inside
+//! one shared flit array. Credit-duplication faults can push a VC past its
+//! credited depth; the ring then doubles (a cold path) rather than dropping
+//! or overwriting a flit.
 
-use std::collections::VecDeque;
-
+use anoc_core::data::NodeId;
 use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::packet::Flit;
@@ -25,6 +32,21 @@ fn wrap(x: usize, m: usize) -> usize {
         x
     }
 }
+
+/// The unset value of a narrow route or output-VC index.
+const NONE: u8 = u8::MAX;
+
+/// What an empty ring slot holds.
+const NO_FLIT: Flit = Flit {
+    slot: 0,
+    seq: 0,
+    is_tail: false,
+    dest: NodeId(0),
+    ready_at: 0,
+};
+
+/// Longest VC buffer a snapshot may restore; a larger count is corrupt.
+const MAX_SNAPSHOT_VC_LEN: usize = 1 << 20;
 
 /// Where an output port's link lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,52 +82,60 @@ pub enum Upstream {
     },
 }
 
-/// One virtual channel of an input port.
-#[derive(Debug, Clone)]
-struct VcState {
-    buf: VecDeque<Flit>,
-    out_port: Option<usize>,
-    out_vc: Option<usize>,
+/// One input VC: a FIFO ring in the router's flit array, plus the route
+/// and output VC held by the packet at its front.
+#[derive(Debug, Clone, Copy)]
+struct InVc {
+    /// First slot of the ring in the flit array.
+    base: u32,
+    /// Ring capacity minus one; the capacity is a power of two.
+    mask: u32,
+    /// Ring offset of the front flit.
+    head: u32,
+    /// Buffered flits.
+    len: u32,
+    /// Allocated output port, or [`NONE`].
+    route: u8,
+    /// Allocated output VC, or [`NONE`].
+    out_vc: u8,
 }
 
-impl VcState {
-    fn new() -> Self {
-        VcState {
-            buf: VecDeque::new(),
-            out_port: None,
-            out_vc: None,
-        }
+impl InVc {
+    /// Flit-array index of the `k`-th buffered flit.
+    #[inline(always)]
+    fn at(&self, k: u32) -> usize {
+        (self.base + ((self.head + k) & self.mask)) as usize
     }
 }
 
-/// An input port: a set of VC buffers plus the upstream to credit.
-#[derive(Debug, Clone)]
-struct InPort {
-    vcs: Vec<VcState>,
-    /// Bitmask of VCs holding at least one flit, so allocation skips empty
-    /// ports in one branch and walks only occupied VCs.
+/// One port's allocator state. Input port `i` and output port `i` share a
+/// record, so a router's per-port state fits in a cache line or two.
+#[derive(Debug, Clone, Copy, Default)]
+struct Port {
+    /// Output side, [`Router::allocate`] scratch: bitmask of the input
+    /// ports requesting this output, so the grant phase costs one rotate +
+    /// trailing-zeros. Zero between calls.
+    requests: u64,
+    /// Input side: bitmask of VCs holding at least one flit, so allocation
+    /// walks only occupied VCs.
     occupied: u32,
-    rr: usize,
-    upstream: Option<Upstream>,
+    /// Input side: the VC round-robin pointer.
+    vc_rr: u8,
+    /// Input side, [`Router::allocate`] scratch: the VC nominated this
+    /// call. Read only where this port's bit is set in some `requests`.
+    nominated: u8,
+    /// Output side: the output-VC round-robin pointer.
+    out_vc_rr: u8,
+    /// Output side: the input-port round-robin pointer.
+    out_rr: u8,
 }
 
 /// One downstream VC's flow-control state: remaining credits and, while a
-/// wormhole holds the VC, the (input port, input VC) holding it. Credits and
-/// holders live side by side so the allocator's probe touches one cache
-/// line, not two heap blocks.
+/// wormhole holds the VC, the (input port, input VC) holding it.
 #[derive(Debug, Clone, Copy)]
 struct OutVc {
     credits: u32,
-    holder: Option<(u32, u32)>,
-}
-
-/// An output port: downstream link and per-VC flow-control state.
-#[derive(Debug, Clone)]
-struct OutPort {
-    dest: LinkDest,
-    vcs: Vec<OutVc>,
-    vc_rr: usize,
-    rr: usize,
+    holder: Option<(u8, u8)>,
 }
 
 /// A switch traversal granted this cycle, to be applied by the network.
@@ -151,20 +181,33 @@ impl RouterActivity {
 #[derive(Debug, Clone)]
 pub struct Router {
     id: usize,
-    in_ports: Vec<InPort>,
-    out_ports: Vec<OutPort>,
+    /// Port count; input and output ports pair up by index.
+    ports: usize,
+    /// VCs per port.
+    vcs: usize,
+    /// The ring capacity every VC starts with: `vc_buffer` rounded up to a
+    /// power of two.
+    base_cap: u32,
+    /// Every input VC's ring, back to back in `in_vcs` order.
+    flits: Vec<Flit>,
+    /// Input VCs, indexed `port * vcs + vc`.
+    in_vcs: Vec<InVc>,
+    /// Per-port allocator state.
+    port: Vec<Port>,
+    /// Bitmask of input ports with a non-zero `occupied` mask.
+    busy_ports: u64,
+    /// Per input port: who to credit for a freed slot.
+    upstream: Vec<Option<Upstream>>,
+    /// Per output port: where its link lands.
+    dest: Vec<LinkDest>,
+    /// Bitmask of ejecting output ports. An unwired port keeps the
+    /// ejection default, as its `dest` does.
+    eject: u64,
+    /// Output VCs, indexed `port * vcs + vc`.
+    out_vcs: Vec<OutVc>,
     /// Flits currently held across all input VC buffers. Maintained so the
     /// network can skip allocation for idle routers in O(1).
     buffered: usize,
-    /// Per-call request scratch of [`Router::allocate`] (`in_port ->
-    /// (vc, out_port)`), hoisted here so the steady-state allocation loop
-    /// never touches the heap.
-    requests: Vec<Option<(usize, usize)>>,
-    /// Per-call scratch of [`Router::allocate`]: for each output port, a
-    /// bitmask of the input ports requesting it, so the grant phase costs
-    /// one rotate + trailing-zeros per output port instead of a scan over
-    /// every input port.
-    out_requests: Vec<u64>,
     activity: RouterActivity,
 }
 
@@ -174,35 +217,41 @@ impl Router {
     pub fn new(id: usize, ports: usize, vcs: usize, vc_buffer: usize) -> Self {
         assert!(ports <= 64, "request bitmasks hold at most 64 input ports");
         assert!(vcs <= 32, "occupancy bitmasks hold at most 32 VCs");
-        Router {
+        let base_cap = vc_buffer.max(1).next_power_of_two() as u32;
+        let mut r = Router {
             id,
-            in_ports: (0..ports)
-                .map(|_| InPort {
-                    vcs: (0..vcs).map(|_| VcState::new()).collect(),
-                    occupied: 0,
-                    rr: 0,
-                    upstream: None,
-                })
-                .collect(),
-            out_ports: (0..ports)
-                .map(|_| OutPort {
-                    dest: LinkDest::Eject { node: usize::MAX },
-                    vcs: vec![
-                        OutVc {
-                            credits: vc_buffer as u32,
-                            holder: None,
-                        };
-                        vcs
-                    ],
-                    vc_rr: 0,
-                    rr: 0,
-                })
-                .collect(),
+            ports,
+            vcs,
+            base_cap,
+            flits: Vec::new(),
+            in_vcs: vec![
+                InVc {
+                    base: 0,
+                    mask: 0,
+                    head: 0,
+                    len: 0,
+                    route: NONE,
+                    out_vc: NONE,
+                };
+                ports * vcs
+            ],
+            port: vec![Port::default(); ports],
+            busy_ports: 0,
+            upstream: vec![None; ports],
+            dest: vec![LinkDest::Eject { node: usize::MAX }; ports],
+            eject: u64::MAX,
+            out_vcs: vec![
+                OutVc {
+                    credits: vc_buffer as u32,
+                    holder: None,
+                };
+                ports * vcs
+            ],
             buffered: 0,
-            requests: vec![None; ports],
-            out_requests: vec![0; ports],
             activity: RouterActivity::default(),
-        }
+        };
+        r.clear_buffers();
+        r
     }
 
     /// Router id.
@@ -215,26 +264,79 @@ impl Router {
     /// [`Router::allocate`] skips the credit check and decrement for them, so
     /// no finite counter can drain over a long-lived simulation.
     pub fn wire_output(&mut self, port: usize, dest: LinkDest) {
-        self.out_ports[port].dest = dest;
+        self.dest[port] = dest;
+        match dest {
+            LinkDest::Eject { .. } => self.eject |= 1 << port,
+            LinkDest::Router { .. } => self.eject &= !(1 << port),
+        }
     }
 
     /// Declares who feeds input port `port`.
     pub fn wire_input(&mut self, port: usize, upstream: Upstream) {
-        self.in_ports[port].upstream = Some(upstream);
+        self.upstream[port] = Some(upstream);
     }
 
-    /// Accepts a flit into an input VC buffer (BW stage).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer would exceed the credited capacity — that would
-    /// be a flow-control bug, not a runtime condition.
+    /// Accepts a flit into an input VC buffer (BW stage). A VC that already
+    /// holds as many flits as its ring has slots — possible only after a
+    /// duplicated credit — grows its ring instead of refusing the flit.
     pub fn accept_flit(&mut self, port: usize, vc: usize, flit: Flit) {
         self.activity.buffer_writes += 1;
+        self.push(port, vc, flit);
+    }
+
+    /// Appends `flit` to input VC (`port`, `vc`), growing its ring if full.
+    #[inline]
+    fn push(&mut self, port: usize, vc: usize, flit: Flit) {
+        let idx = port * self.vcs + vc;
+        if self.in_vcs[idx].len > self.in_vcs[idx].mask {
+            self.grow_ring(idx);
+        }
+        let q = &mut self.in_vcs[idx];
+        self.flits[q.at(q.len)] = flit;
+        q.len += 1;
         self.buffered += 1;
-        let p = &mut self.in_ports[port];
-        p.occupied |= 1 << vc;
-        p.vcs[vc].buf.push_back(flit);
+        self.port[port].occupied |= 1 << vc;
+        self.busy_ports |= 1 << port;
+    }
+
+    /// Doubles input VC `idx`'s ring. The flit array is rebuilt with every
+    /// ring unrolled to offset 0, so no slot is ever abandoned. Indices stay
+    /// within `u32`: a ring grows only when its VC holds more flits than it
+    /// has slots, so it is at most twice the most flits that VC ever held.
+    #[cold]
+    #[inline(never)]
+    fn grow_ring(&mut self, idx: usize) {
+        let grown = self.flits.len() + self.in_vcs[idx].mask as usize + 1;
+        let mut flits = Vec::with_capacity(grown);
+        for (i, q) in self.in_vcs.iter_mut().enumerate() {
+            let cap = (q.mask + 1) << u32::from(i == idx);
+            let base = flits.len();
+            flits.extend((0..q.len).map(|k| self.flits[q.at(k)]));
+            flits.resize(base + cap as usize, NO_FLIT);
+            *q = InVc {
+                base: base as u32,
+                mask: cap - 1,
+                head: 0,
+                ..*q
+            };
+        }
+        self.flits = flits;
+    }
+
+    /// Empties every input VC and shrinks its ring back to the base
+    /// capacity. Routes and output VCs are left as they are.
+    fn clear_buffers(&mut self) {
+        let cap = self.base_cap;
+        self.flits = vec![NO_FLIT; self.in_vcs.len() * cap as usize];
+        for (i, q) in self.in_vcs.iter_mut().enumerate() {
+            q.base = i as u32 * cap;
+            q.mask = cap - 1;
+            q.head = 0;
+            q.len = 0;
+        }
+        self.port.iter_mut().for_each(|p| p.occupied = 0);
+        self.busy_ports = 0;
+        self.buffered = 0;
     }
 
     /// Whether every input VC buffer is empty — an idle router's allocation
@@ -245,9 +347,8 @@ impl Router {
 
     /// Returns one credit for output port `port`, VC `vc`.
     pub fn return_credit(&mut self, port: usize, vc: usize) {
-        let out = &mut self.out_ports[port];
-        if !matches!(out.dest, LinkDest::Eject { .. }) {
-            out.vcs[vc].credits += 1;
+        if self.eject & (1 << port) == 0 {
+            self.out_vcs[port * self.vcs + vc].credits += 1;
         }
     }
 
@@ -255,11 +356,7 @@ impl Router {
     pub fn occupancy(&self) -> usize {
         debug_assert_eq!(
             self.buffered,
-            self.in_ports
-                .iter()
-                .flat_map(|p| p.vcs.iter())
-                .map(|v| v.buf.len())
-                .sum::<usize>(),
+            self.in_vcs.iter().map(|q| q.len as usize).sum::<usize>(),
             "buffered counter out of sync with the VC buffers"
         );
         self.buffered
@@ -274,45 +371,50 @@ impl Router {
     /// VC's `(remaining credits, wormhole holder)` where the holder is the
     /// `(input port, input VC)` currently owning the VC.
     pub fn flow_snapshot(&self) -> crate::faults::PortFlows {
-        self.out_ports
-            .iter()
-            .map(|p| p.vcs.iter().map(|v| (v.credits, v.holder)).collect())
+        self.out_vcs
+            .chunks(self.vcs)
+            .map(|port| {
+                port.iter()
+                    .map(|v| (v.credits, v.holder.map(|(p, c)| (p.into(), c.into()))))
+                    .collect()
+            })
             .collect()
     }
 
     /// Serializes the router's mutable state for a snapshot: per input VC the
-    /// buffered flits (slots translated to canonical packet indices by
-    /// `remap`) and held route/VC, per output VC the credits and wormhole
-    /// holder, the round-robin pointers and the activity counters. Wiring
-    /// (`dest`/`upstream`) is configuration, not state, and is skipped; the
-    /// `occupied` bitmask and `buffered` count are derived and recomputed on
-    /// load.
+    /// buffered flits in FIFO order (slots translated to canonical packet
+    /// indices by `remap`) and held route/VC, per output VC the credits and
+    /// wormhole holder, the round-robin pointers and the activity counters.
+    /// Wiring (`dest`/`upstream`) is configuration, not state, and is
+    /// skipped; ring placement, the occupancy masks and the `buffered` count
+    /// are derived and rebuilt on load.
     pub(crate) fn save_state(
         &self,
         w: &mut SnapWriter,
         remap: &impl Fn(u32) -> Option<u32>,
     ) -> Result<(), SnapError> {
-        for port in &self.in_ports {
-            w.usize(port.rr);
-            for vc in &port.vcs {
-                w.usize(vc.buf.len());
-                for f in &vc.buf {
-                    save_flit(w, f, remap)?;
+        let opt = |x: u8| (x != NONE).then_some(x as usize);
+        for (port, vcs) in self.in_vcs.chunks(self.vcs).enumerate() {
+            w.usize(self.port[port].vc_rr.into());
+            for q in vcs {
+                w.usize(q.len as usize);
+                for k in 0..q.len {
+                    save_flit(w, &self.flits[q.at(k)], remap)?;
                 }
-                save_opt_usize(w, vc.out_port);
-                save_opt_usize(w, vc.out_vc);
+                save_opt_usize(w, opt(q.route));
+                save_opt_usize(w, opt(q.out_vc));
             }
         }
-        for port in &self.out_ports {
-            w.usize(port.vc_rr);
-            w.usize(port.rr);
-            for vc in &port.vcs {
+        for (port, vcs) in self.out_vcs.chunks(self.vcs).enumerate() {
+            w.usize(self.port[port].out_vc_rr.into());
+            w.usize(self.port[port].out_rr.into());
+            for vc in vcs {
                 w.u32(vc.credits);
                 match vc.holder {
                     Some((ip, v)) => {
                         w.bool(true);
-                        w.u32(ip);
-                        w.u32(v);
+                        w.u32(ip.into());
+                        w.u32(v.into());
                     }
                     None => w.bool(false),
                 }
@@ -329,52 +431,48 @@ impl Router {
     /// Restores state written by [`Router::save_state`] into a router built
     /// with the same geometry. Every index that later feeds the allocator's
     /// rotate arithmetic is range-checked here so a corrupt blob fails as a
-    /// typed error, never as a shift overflow mid-campaign.
+    /// typed error, never as a shift overflow mid-campaign. A VC length is
+    /// checked before any flit is read, and rings grow only as flits are
+    /// actually read, so a corrupt length cannot trigger a huge allocation.
     pub(crate) fn load_state(
         &mut self,
         r: &mut SnapReader<'_>,
         remap: &impl Fn(u32) -> Option<u32>,
     ) -> Result<(), SnapError> {
-        let num_in = self.in_ports.len();
-        let num_vcs = self
-            .in_ports
-            .first()
-            .map(|p| p.vcs.len())
-            .unwrap_or_default();
-        let mut buffered = 0usize;
-        for port in &mut self.in_ports {
+        let (num_in, num_vcs) = (self.ports, self.vcs);
+        let narrow = |x: Option<usize>| x.map_or(NONE, |x| x as u8);
+        self.clear_buffers();
+        for port in 0..num_in {
             let rr = r.usize()?;
             if rr >= num_vcs {
                 return Err(SnapError::Invalid("input round-robin index"));
             }
-            port.rr = rr;
-            port.occupied = 0;
-            for (v, vc) in port.vcs.iter_mut().enumerate() {
+            self.port[port].vc_rr = rr as u8;
+            for v in 0..num_vcs {
                 let n = r.usize()?;
-                if n > 1 << 20 {
+                if n > MAX_SNAPSHOT_VC_LEN {
                     return Err(SnapError::Invalid("vc buffer length"));
                 }
-                vc.buf.clear();
                 for _ in 0..n {
-                    vc.buf.push_back(load_flit(r, remap)?);
+                    let flit = load_flit(r, remap)?;
+                    self.push(port, v, flit);
                 }
-                if !vc.buf.is_empty() {
-                    port.occupied |= 1 << v;
-                    buffered += vc.buf.len();
-                }
-                vc.out_port = load_opt_usize_below(r, num_in, "allocated output port")?;
-                vc.out_vc = load_opt_usize_below(r, num_vcs, "allocated output vc")?;
+                let route = load_opt_usize_below(r, num_in, "allocated output port")?;
+                let out_vc = load_opt_usize_below(r, num_vcs, "allocated output vc")?;
+                let q = &mut self.in_vcs[port * num_vcs + v];
+                q.route = narrow(route);
+                q.out_vc = narrow(out_vc);
             }
         }
-        for port in &mut self.out_ports {
+        for port in 0..num_in {
             let vc_rr = r.usize()?;
             let rr = r.usize()?;
             if vc_rr >= num_vcs || rr >= num_in {
                 return Err(SnapError::Invalid("output round-robin index"));
             }
-            port.vc_rr = vc_rr;
-            port.rr = rr;
-            for vc in &mut port.vcs {
+            self.port[port].out_vc_rr = vc_rr as u8;
+            self.port[port].out_rr = rr as u8;
+            for vc in &mut self.out_vcs[port * num_vcs..(port + 1) * num_vcs] {
                 vc.credits = r.u32()?;
                 vc.holder = if r.bool()? {
                     let ip = r.u32()?;
@@ -382,13 +480,12 @@ impl Router {
                     if ip as usize >= num_in || v as usize >= num_vcs {
                         return Err(SnapError::Invalid("wormhole holder"));
                     }
-                    Some((ip, v))
+                    Some((ip as u8, v as u8))
                 } else {
                     None
                 };
             }
         }
-        self.buffered = buffered;
         self.activity = RouterActivity {
             buffer_writes: r.u64()?,
             buffer_reads: r.u64()?,
@@ -415,165 +512,149 @@ impl Router {
             return;
         }
         // Destructure for split borrows: the nomination loop walks input
-        // ports while probing output-port credits and holders, and indexed
-        // re-lookups of `self` on every probe dominated the profile.
+        // VCs while probing output-VC credits and holders.
         let Router {
-            in_ports,
-            out_ports,
-            requests,
-            out_requests,
-            activity,
+            ports,
+            vcs,
+            flits,
+            in_vcs,
+            port,
+            busy_ports,
+            upstream,
+            dest,
+            eject,
+            out_vcs,
             buffered,
+            activity,
             ..
         } = self;
-        let num_in = in_ports.len();
-        let num_vcs = in_ports.first().map(|p| p.vcs.len()).unwrap_or_default();
-        // Phase 1 — each input port nominates one (vc, out_port) request.
-        requests.iter_mut().for_each(|r| *r = None);
-        out_requests.iter_mut().for_each(|m| *m = 0);
-        let mut any_request = false;
+        let (num_in, num_vcs, eject) = (*ports, *vcs, *eject);
         let vc_mask = u32::MAX >> (32 - num_vcs as u32);
-        for (ip, port) in in_ports.iter_mut().enumerate() {
-            if port.occupied == 0 {
-                continue;
-            }
-            let start = port.rr;
+        // Phase 1 — each busy input port, in ascending order, nominates one
+        // (vc, out_port) request. `requested` collects the output ports
+        // that received one.
+        let mut requested = 0u64;
+        let mut busy = *busy_ports;
+        while busy != 0 {
+            let ip = busy.trailing_zeros() as usize;
+            busy &= busy - 1;
+            let start = port[ip].vc_rr as usize;
+            let occ = port[ip].occupied;
             // Walk only the occupied VCs, in round-robin order from `rr`:
             // rotate the occupancy mask so bit position encodes priority,
-            // then peel set bits lowest-first. Empty VCs were skipped by the
-            // previous linear scan too, so the probe order is unchanged.
+            // then peel set bits lowest-first.
             let mut rot = if start == 0 {
-                port.occupied
+                occ
             } else {
-                ((port.occupied >> start) | (port.occupied << (num_vcs - start))) & vc_mask
+                ((occ >> start) | (occ << (num_vcs - start))) & vc_mask
             };
             while rot != 0 {
                 let v = wrap(start + rot.trailing_zeros() as usize, num_vcs);
                 rot &= rot - 1;
-                // Inspect the head-of-line flit of this VC. The occupancy
-                // bitmask mirrors the buffer contents, so an empty buffer
-                // here would be a bookkeeping bug — skip it rather than
-                // crash a long campaign.
-                let vc = &mut port.vcs[v];
-                let Some(&flit) = vc.buf.front() else {
-                    debug_assert!(false, "occupied VC {v} of port {ip} has no flit");
-                    continue;
-                };
+                let q = &mut in_vcs[ip * num_vcs + v];
+                debug_assert!(q.len > 0, "occupied VC {v} of port {ip} has no flit");
+                let flit = flits[q.at(0)];
                 if flit.ready_at > now {
                     continue;
                 }
                 // RC: resolve output port for a new packet.
-                let op = match vc.out_port {
-                    Some(op) => op,
-                    None => {
-                        debug_assert!(flit.is_head(), "body flit without an allocated route");
-                        let op = route_of(&flit);
-                        vc.out_port = Some(op);
-                        op
-                    }
+                let op = if q.route == NONE {
+                    debug_assert!(flit.is_head(), "body flit without an allocated route");
+                    let op = route_of(&flit);
+                    q.route = op as u8;
+                    op
+                } else {
+                    q.route as usize
                 };
-                let out = &mut out_ports[op];
-                let eject = matches!(out.dest, LinkDest::Eject { .. });
+                let ejects = eject & (1 << op) != 0;
+                let out = &mut out_vcs[op * num_vcs..(op + 1) * num_vcs];
                 // VA: obtain an output VC if the packet does not hold one.
                 // Ejection ports never serialise packets onto a single VC —
                 // the NI reassembles per packet — so they grant the input's
                 // own VC unconditionally.
-                let ovc = match vc.out_vc {
-                    Some(ovc) => ovc,
-                    None => {
-                        let granted = if eject {
-                            Some(v)
-                        } else {
-                            let n = out.vcs.len();
-                            let vstart = out.vc_rr;
-                            (0..n).map(|j| wrap(vstart + j, n)).find(|&ov| {
-                                if out.vcs[ov].holder.is_none() {
-                                    out.vcs[ov].holder = Some((ip as u32, v as u32));
-                                    out.vc_rr = wrap(ov + 1, n);
-                                    true
-                                } else {
-                                    false
-                                }
-                            })
-                        };
-                        let Some(granted) = granted else {
-                            continue; // no free downstream VC; try another input VC
-                        };
-                        vc.out_vc = Some(granted);
-                        activity.vc_allocs += 1;
-                        granted
+                let ovc = if q.out_vc != NONE {
+                    q.out_vc as usize
+                } else {
+                    let granted = if ejects {
+                        Some(v)
+                    } else {
+                        let vstart = port[op].out_vc_rr as usize;
+                        (0..num_vcs)
+                            .map(|j| wrap(vstart + j, num_vcs))
+                            .find(|&ov| out[ov].holder.is_none())
+                    };
+                    let Some(granted) = granted else {
+                        continue; // no free downstream VC; try another input VC
+                    };
+                    if !ejects {
+                        out[granted].holder = Some((ip as u8, v as u8));
+                        port[op].out_vc_rr = wrap(granted + 1, num_vcs) as u8;
                     }
+                    q.out_vc = granted as u8;
+                    activity.vc_allocs += 1;
+                    granted
                 };
                 // Credit check (ST needs a downstream buffer slot). Ejection
                 // is not credit flow-controlled: the NI sinks a flit per
                 // cycle, so eject grants neither check nor spend credits.
-                if !eject && out.vcs[ovc].credits == 0 {
+                if !ejects && out[ovc].credits == 0 {
                     continue;
                 }
-                requests[ip] = Some((v, op));
-                out_requests[op] |= 1u64 << ip;
-                any_request = true;
+                port[ip].nominated = v as u8;
+                port[op].requests |= 1 << ip;
+                requested |= 1 << op;
                 break;
             }
         }
-        if !any_request {
-            return;
-        }
-        // Phase 2 — each output port grants one requesting input port: the
-        // round-robin winner is the first set bit of the request mask
-        // rotated to start at the port's priority pointer.
-        for (op, out_port) in out_ports.iter_mut().enumerate() {
-            let mask = out_requests[op];
-            if mask == 0 {
-                continue;
-            }
-            let start = out_port.rr;
+        // Phase 2 — each requested output port, in ascending order, grants
+        // one requesting input port: the round-robin winner is the first
+        // set bit of the request mask rotated to start at the port's
+        // priority pointer.
+        while requested != 0 {
+            let op = requested.trailing_zeros() as usize;
+            requested &= requested - 1;
+            let mask = std::mem::take(&mut port[op].requests);
+            let start = port[op].out_rr as usize;
             let rot = if start == 0 {
                 mask
             } else {
                 (mask >> start) | (mask << (num_in - start))
             };
             let ip = wrap(start + rot.trailing_zeros() as usize, num_in);
-            // Each of these states was established by phase 1 (the request
-            // mask bit, the nominated flit, the granted output VC); a
-            // mismatch is a bookkeeping bug, degraded to a skipped grant.
-            let Some((v, _)) = requests[ip].take() else {
-                debug_assert!(false, "masked input {ip} had no request");
-                continue;
-            };
-            let in_port = &mut in_ports[ip];
-            let vc_state = &mut in_port.vcs[v];
-            let Some(flit) = vc_state.buf.pop_front() else {
-                debug_assert!(false, "nominated VC {v} of input {ip} has no flit");
-                continue;
-            };
+            let v = port[ip].nominated as usize;
+            let q = &mut in_vcs[ip * num_vcs + v];
+            let flit = flits[q.at(0)];
+            q.head = (q.head + 1) & q.mask;
+            q.len -= 1;
             *buffered -= 1;
-            let Some(ovc) = vc_state.out_vc else {
-                debug_assert!(false, "granted packet holds no output VC");
-                continue;
-            };
+            debug_assert!(q.out_vc != NONE, "granted packet holds no output VC");
+            let out = &mut out_vcs[op * num_vcs + q.out_vc as usize];
+            let out_vc = q.out_vc as usize;
             if flit.is_tail {
                 // Release the wormhole: route and output VC free up.
-                vc_state.out_port = None;
-                vc_state.out_vc = None;
-                out_port.vcs[ovc].holder = None;
+                q.route = NONE;
+                q.out_vc = NONE;
+                out.holder = None;
             }
-            if vc_state.buf.is_empty() {
-                in_port.occupied &= !(1 << v);
+            if q.len == 0 {
+                port[ip].occupied &= !(1 << v);
+                if port[ip].occupied == 0 {
+                    *busy_ports &= !(1 << ip);
+                }
             }
-            if matches!(out_port.dest, LinkDest::Router { .. }) {
-                out_port.vcs[ovc].credits -= 1;
+            if eject & (1 << op) == 0 {
+                out.credits -= 1;
                 activity.link_traversals += 1;
             }
             activity.buffer_reads += 1;
             activity.crossbar_traversals += 1;
-            in_port.rr = wrap(v + 1, num_vcs);
-            out_port.rr = wrap(ip + 1, num_in);
+            port[ip].vc_rr = wrap(v + 1, num_vcs) as u8;
+            port[op].out_rr = wrap(ip + 1, num_in) as u8;
             grants.push(Traversal {
                 flit,
-                dest: out_port.dest,
-                out_vc: ovc,
-                credit_to: in_port.upstream.map(|u| (u, v)),
+                dest: dest[op],
+                out_vc,
+                credit_to: upstream[ip].map(|u| (u, v)),
             });
         }
     }
@@ -728,6 +809,131 @@ mod tests {
             got += allocate(&mut r, now, |_| 2).len();
         }
         assert_eq!(got, 3, "eject port never runs out of VCs or credits");
+    }
+
+    /// Drains every buffered flit of input VC (`port`, `vc`) through the
+    /// ejection port, returning `(slot, seq)` in grant order.
+    fn eject_all(r: &mut Router, now: &mut u64) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        while !r.is_idle() {
+            *now += 1;
+            out.extend(
+                allocate(r, *now, |_| 2)
+                    .iter()
+                    .map(|t| (t.flit.slot, t.flit.seq)),
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn over_capacity_accepts_keep_fifo_order_across_ring_growth() {
+        // A 2-flit VC: move its ring head off slot 0 first, then overfill
+        // it past capacity twice (two doublings), as duplicated credits
+        // would.
+        let mut r = Router::new(0, 3, 2, 2);
+        r.wire_output(2, LinkDest::Eject { node: 0 });
+        let mut now = 0;
+        r.accept_flit(0, 0, flit(1, 0, true, 0));
+        assert_eq!(eject_all(&mut r, &mut now), vec![(1, 0)]);
+        // Another VC holds flits that must survive the rebuild untouched.
+        r.accept_flit(1, 1, flit(9, 0, false, 0));
+        r.accept_flit(1, 1, flit(9, 1, true, 0));
+        let mut want = Vec::new();
+        for seq in 0..7 {
+            r.accept_flit(0, 0, flit(2, seq, seq == 6, 0));
+            want.push((2, seq));
+        }
+        assert_eq!(r.occupancy(), 9);
+        // Six 2-slot rings, of which VC (0, 0) doubled twice, to 8 slots.
+        assert_eq!(r.flits.len(), 5 * 2 + 8, "only the overfilled ring grew");
+        let got = eject_all(&mut r, &mut now);
+        let vc0: Vec<_> = got.iter().copied().filter(|&(s, _)| s == 2).collect();
+        let vc1: Vec<_> = got.iter().copied().filter(|&(s, _)| s == 9).collect();
+        assert_eq!(vc0, want);
+        assert_eq!(vc1, vec![(9, 0), (9, 1)]);
+        // The grown ring keeps accepting and wrapping in order.
+        for round in 0..3u32 {
+            for seq in 0..5 {
+                r.accept_flit(0, 0, flit(3 + round, seq, seq == 4, 0));
+            }
+            let got = eject_all(&mut r, &mut now);
+            let seqs: Vec<_> = got.iter().map(|&(_, q)| q).collect();
+            assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        }
+    }
+
+    /// Serializes a router with the identity slot map.
+    fn save(r: &Router) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        r.save_state(&mut w, &|s| Some(s)).expect("save");
+        w.into_bytes()
+    }
+
+    #[test]
+    fn snapshot_round_trip_of_an_overfilled_vc_is_byte_identical() {
+        let mut r = test_router();
+        // Wrap the ring of input VC (0, 0) and overfill it past its four
+        // credits; leave the head of input VC (1, 1) holding a route and an
+        // output VC.
+        r.accept_flit(0, 0, flit(1, 0, true, 0));
+        r.accept_flit(0, 0, flit(4, 0, true, 0));
+        assert_eq!(allocate(&mut r, 1, |_| 2).len(), 1);
+        for seq in 0..7 {
+            r.accept_flit(0, 0, flit(2, seq, seq == 6, 0));
+        }
+        r.accept_flit(1, 1, flit(3, 0, false, 0));
+        assert_eq!(allocate(&mut r, 2, |_| 1).len(), 1);
+        assert!(r.occupancy() > 4, "a VC holds more flits than vc_buffer");
+        let blob = save(&r);
+        let mut restored = test_router();
+        let mut reader = SnapReader::new(&blob);
+        restored
+            .load_state(&mut reader, &|s| Some(s))
+            .expect("load");
+        assert!(reader.is_exhausted());
+        assert_eq!(save(&restored), blob);
+        // The restored router grants exactly what the original grants.
+        for now in 3..20 {
+            let a: Vec<_> = allocate(&mut r, now, |_| 1)
+                .iter()
+                .map(|t| t.flit)
+                .collect();
+            let b: Vec<_> = allocate(&mut restored, now, |_| 1)
+                .iter()
+                .map(|t| t.flit)
+                .collect();
+            assert_eq!(a, b, "cycle {now}");
+            r.return_credit(1, 0);
+            r.return_credit(1, 1);
+            restored.return_credit(1, 0);
+            restored.return_credit(1, 1);
+        }
+        assert_eq!(save(&restored), save(&r));
+    }
+
+    #[test]
+    fn oversized_snapshot_vc_length_fails_before_allocating() {
+        let slots = test_router().flits.len();
+        // Input port 0: round-robin pointer 0, then VC 0's flit count.
+        let blob = |len: usize| {
+            let mut w = SnapWriter::new();
+            w.usize(0);
+            w.usize(len);
+            w.into_bytes()
+        };
+        let mut r = test_router();
+        let over = blob(MAX_SNAPSHOT_VC_LEN + 1);
+        let err = r.load_state(&mut SnapReader::new(&over), &|s| Some(s));
+        assert_eq!(err, Err(SnapError::Invalid("vc buffer length")));
+        assert_eq!(r.flits.len(), slots, "nothing was allocated");
+        // A length at the cap is read flit by flit; a blob that stops short
+        // fails as truncated without growing the ring to the claimed size.
+        let mut r = test_router();
+        let at_cap = blob(MAX_SNAPSHOT_VC_LEN);
+        let err = r.load_state(&mut SnapReader::new(&at_cap), &|s| Some(s));
+        assert_eq!(err, Err(SnapError::Truncated));
+        assert_eq!(r.flits.len(), slots);
     }
 
     #[test]

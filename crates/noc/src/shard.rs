@@ -5,8 +5,8 @@
 //! of packets *sourced* by its nodes. [`NocSim::step`](crate::NocSim::step)
 //! drives shards through a deterministic two-phase barrier:
 //!
-//! * **Phase A** (parallel): each shard drains its own ring slot into local
-//!   router buffers and runs VC + switch allocation over its routers,
+//! * **Phase A** (parallel): each shard runs VC + switch allocation over its
+//!   routers, then drains its own ring slot into local router buffers,
 //!   reading only last-cycle-edge state and writing only shard-local state.
 //!   Ejections and trace lookups that would touch another shard's slab are
 //!   deferred into per-shard output queues.
@@ -76,7 +76,7 @@ pub(crate) struct Arrival {
 /// The phase a worker runs on a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
-    /// Ring drain + VC/switch allocation.
+    /// VC/switch allocation + ring drain.
     A,
     /// NI injection.
     B2,
@@ -124,8 +124,9 @@ pub(crate) struct Shard {
     /// `encode_slot(index, slab_index)`.
     pub packets: Vec<Option<PacketState>>,
     pub free_slots: Vec<u32>,
-    /// Packets waiting in this shard's NI queues (fast idle check for B2).
-    pub queued: usize,
+    /// Bit `n % 64` of word `n / 64` is set while local NI `n` has a queued
+    /// packet, so phase B2 visits only NIs that may inject.
+    pub busy_nis: Vec<u64>,
     /// Phase A output: granted traversals in local router-ascending order.
     pub outgoing: Vec<crate::router::Traversal>,
     /// Phase A output: ejection arrivals deferred to the serial cycle edge,
@@ -159,7 +160,7 @@ impl Default for Shard {
             events: Vec::new(),
             packets: Vec::new(),
             free_slots: Vec::new(),
-            queued: 0,
+            busy_nis: Vec::new(),
             outgoing: Vec::new(),
             ejects: Vec::new(),
             arrival_traces: Vec::new(),
@@ -266,7 +267,7 @@ impl Shard {
             events: (0..EVENT_HORIZON).map(|_| Vec::new()).collect(),
             packets: Vec::new(),
             free_slots: Vec::new(),
-            queued: 0,
+            busy_nis: vec![0; (node_hi - node_lo).div_ceil(64)],
             outgoing: Vec::new(),
             ejects: Vec::new(),
             arrival_traces: Vec::new(),
@@ -289,7 +290,7 @@ impl Shard {
             Phase::A => {
                 !self.events[Self::ring_index(now)].is_empty() || self.active.iter().any(|&a| a)
             }
-            Phase::B2 => self.queued > 0,
+            Phase::B2 => self.busy_nis.iter().any(|&w| w != 0),
         }
     }
 
@@ -301,12 +302,31 @@ impl Shard {
         }
     }
 
-    /// Phase A: drain this cycle's ring slot into local input buffers
-    /// (deferring ejections and cross-slab trace lookups), then run VC +
-    /// switch allocation over the shard's active routers. Reads only
-    /// last-cycle-edge state; writes only shard-local state.
+    /// Phase A: VC + switch allocation over the shard's active routers,
+    /// then drain this cycle's ring slot into local input buffers
+    /// (deferring ejections and cross-slab trace lookups). Allocating first
+    /// is exact: every flit drained here gets `ready_at >= now + 1`, so
+    /// allocation at `now` would skip it anyway, and it lands behind the
+    /// flits already queued in its VC. Reads only last-cycle-edge state;
+    /// writes only shard-local state.
     // anoc-lint: phase(A)
     fn phase_a(&mut self, ctx: &StepCtx) {
+        for lr in 0..self.routers.len() {
+            if !self.active[lr] {
+                continue;
+            }
+            let mesh = &self.mesh;
+            let router = &mut self.routers[lr];
+            let rid = router.id();
+            router.allocate(
+                ctx.now,
+                |flit| mesh.route_xy(rid, flit.dest),
+                &mut self.outgoing,
+            );
+            if router.is_idle() {
+                self.active[lr] = false;
+            }
+        }
         let ring = Self::ring_index(ctx.now);
         // The due slot is swapped out and restored so its capacity is
         // reused; safe because schedules only ever target future slots.
@@ -332,32 +352,45 @@ impl Shard {
             }
         }
         self.events[ring] = due;
-        for lr in 0..self.routers.len() {
-            if !self.active[lr] {
-                continue;
-            }
-            let mesh = &self.mesh;
-            let rid = self.routers[lr].id();
-            self.routers[lr].allocate(
-                ctx.now,
-                |flit| mesh.route_xy(rid, flit.dest),
-                &mut self.outgoing,
-            );
-            if self.routers[lr].is_idle() {
-                self.active[lr] = false;
-            }
-        }
     }
 
     /// Phase B2: at most one flit injection per local NI, into this shard's
     /// own ring (a node's router lives in the node's shard by construction).
+    /// Only NIs with a queued packet are visited, in ascending node order.
     fn phase_b2(&mut self, ctx: &StepCtx) {
-        if self.queued == 0 {
-            return;
+        for w in 0..self.busy_nis.len() {
+            let mut bits = self.busy_nis[w];
+            while bits != 0 {
+                let node = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.inject_from(node, ctx) {
+                    self.progressed = true;
+                }
+            }
         }
-        for node in 0..self.nis.len() {
-            if self.inject_from(node, ctx) {
-                self.progressed = true;
+    }
+
+    /// Records that local NI `local_node` has a queued packet.
+    pub fn mark_busy(&mut self, local_node: usize) {
+        self.busy_nis[local_node / 64] |= 1 << (local_node % 64);
+    }
+
+    /// Pops local NI `local_node`'s head packet, marking the NI idle when its
+    /// queue empties.
+    fn dequeue(&mut self, local_node: usize) {
+        let queue = &mut self.nis[local_node].queue;
+        queue.pop_front();
+        if queue.is_empty() {
+            self.busy_nis[local_node / 64] &= !(1 << (local_node % 64));
+        }
+    }
+
+    /// Recomputes `busy_nis` from the NI queues (after a restore).
+    pub fn rebuild_busy_nis(&mut self) {
+        self.busy_nis.iter_mut().for_each(|w| *w = 0);
+        for local in 0..self.nis.len() {
+            if !self.nis[local].queue.is_empty() {
+                self.mark_busy(local);
             }
         }
     }
@@ -374,8 +407,7 @@ impl Shard {
         // rather than crash if that invariant ever breaks.
         let Some(p) = self.packets[local_of_slot(slot)].as_mut() else {
             debug_assert!(false, "queued slot {slot} holds no packet");
-            ni.queue.pop_front();
-            self.queued -= 1;
+            self.dequeue(local_node);
             return false;
         };
         // Unhidden compression: pay the remaining latency now that the
@@ -423,10 +455,9 @@ impl Shard {
         ni.cur_vc = Some(vc);
         ni.next_seq += 1;
         if is_tail {
-            ni.queue.pop_front();
             ni.cur_vc = None;
             ni.next_seq = 0;
-            self.queued -= 1;
+            self.dequeue(local_node);
         }
         if ctx.tracing && flit.is_head() {
             self.injected_traces.push(pid);

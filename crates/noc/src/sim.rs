@@ -3,10 +3,11 @@
 //! [`NocSim`] ties together the mesh, routers, NIs and codecs. Each call to
 //! [`NocSim::step`] advances one router cycle:
 //!
-//! 1. link arrivals scheduled for this cycle are written into input buffers
-//!    (BW stage) or handed to ejection NIs;
-//! 2. every router runs VC + switch allocation and the granted flits start
+//! 1. every router runs VC + switch allocation and the granted flits start
 //!    their switch/link traversal (arriving two cycles later);
+//! 2. link arrivals scheduled for this cycle are written into input buffers
+//!    (BW stage) or handed to ejection NIs — after allocation, which could
+//!    not have granted them anyway (they become eligible next cycle);
 //! 3. freed buffer slots are credited back to the upstream hop;
 //! 4. every NI injects at most one flit of its head-of-queue packet.
 //!
@@ -513,20 +514,21 @@ impl NocSim {
             }
         };
         self.live_packets += 1;
-        shard.nis[src.index() - shard.node_lo].queue.push_back(slot);
-        shard.queued += 1;
+        let local = src.index() - shard.node_lo;
+        shard.nis[local].queue.push_back(slot);
+        shard.mark_busy(local);
         self.record_trace(id, created, TraceEvent::Created);
         id
     }
 
     /// Advances the simulation by one cycle.
     ///
-    /// Phase A (shard-parallel) drains each shard's ring slot and runs
-    /// allocation; the serial cycle edge applies ejections, link traversals
-    /// and credits in shard-concatenation order (globally router-ascending,
-    /// identical to the single-shard kernel); phase B2 (shard-parallel)
-    /// injects from each shard's NIs; the epilogue merges order-independent
-    /// tallies and runs the watchdog.
+    /// Phase A (shard-parallel) runs allocation and then drains each
+    /// shard's ring slot; the serial cycle edge applies ejections, link
+    /// traversals and credits in shard-concatenation order (globally
+    /// router-ascending, identical to the single-shard kernel); phase B2
+    /// (shard-parallel) injects from each shard's NIs; the epilogue merges
+    /// order-independent tallies and runs the watchdog.
     pub fn step(&mut self) {
         let now = self.cycle;
         let ctx = StepCtx {
@@ -1161,7 +1163,6 @@ impl NocSim {
         let remap = |canon: u32| -> Option<u32> { slot_of.get(canon as usize).copied() };
         let vcs = self.config.vcs;
         for shard in &mut self.shards {
-            let mut queued = 0usize;
             for ni in &mut shard.nis {
                 let qn = r.usize()?;
                 if qn > count {
@@ -1174,7 +1175,6 @@ impl NocSim {
                         remap(canon).ok_or(SnapshotError::Structure("queued packet reference"))?;
                     ni.queue.push_back(slot);
                 }
-                queued += qn;
                 for c in ni.vc_credits.iter_mut() {
                     *c = r.u32()?;
                 }
@@ -1186,7 +1186,7 @@ impl NocSim {
                 }
                 ni.vc_rr = vc_rr;
             }
-            shard.queued = queued;
+            shard.rebuild_busy_nis();
         }
         for shard in &mut self.shards {
             for router in &mut shard.routers {
@@ -1435,16 +1435,18 @@ impl NocSim {
         };
         let limit = threshold.percent() as f64 / 100.0 + 1e-9;
         let dtype = precise.dtype();
-        for (i, (&pw, &aw)) in precise.words().iter().zip(decoded.words()).enumerate() {
-            self.stats.faults.bound_checked_words += 1;
+        let words = precise.words().iter().zip(decoded.words());
+        self.stats.faults.bound_checked_words += words.len() as u64;
+        for (i, (&pw, &aw)) in words.enumerate() {
+            // A bit-identical word has relative error 0 (or is a non-finite
+            // float delivered exactly), so it is always within the bound.
+            if pw == aw {
+                continue;
+            }
             let err = Avcl::relative_error(pw, aw, dtype);
-            let violated = match err {
-                Some(e) => e > limit,
-                // Non-finite floats have no meaningful relative error; the
-                // codecs must deliver them bit-exactly.
-                None => pw != aw,
-            };
-            if violated {
+            // Non-finite floats have no meaningful relative error; the
+            // codecs must deliver them bit-exactly, and this one differs.
+            if err.is_none_or(|e| e > limit) {
                 self.stats.faults.bound_violations += 1;
                 if self.fatal.is_none() && !self.faults.is_active() && !self.loss.is_active() {
                     self.fatal = Some(SimError::BoundViolation(BoundViolation {
@@ -1595,6 +1597,99 @@ mod tests {
         assert!(sim.drain(2_000));
         assert_eq!(sim.injection_backlog(NodeId(0)), 0);
         assert_eq!(sim.outstanding_packets(), 0);
+    }
+
+    /// A delivered data packet carrying `precise`, for driving the bound
+    /// checker directly.
+    fn data_packet(precise: CacheBlock) -> PacketState {
+        PacketState {
+            id: 7,
+            src: NodeId(0),
+            dest: NodeId(1),
+            kind: PacketKind::Data,
+            created: 0,
+            ready_at: 0,
+            head_gate: 0,
+            inject_start: Some(0),
+            num_flits: 1,
+            baseline_flits: 1,
+            ejected_flits: 1,
+            payload: None,
+            precise: Some(precise),
+            notification: None,
+            corrupt: Vec::new(),
+            approx_level: 0,
+            lost: Vec::new(),
+            measured: true,
+        }
+    }
+
+    #[test]
+    fn bound_check_fast_path_matches_the_f64_formula() {
+        use anoc_core::data::DataType;
+        let f32_words = [
+            0x7fc0_0000,
+            0x7fc0_0001,
+            0xffc0_0000,
+            0.0f32.to_bits(),
+            (-0.0f32).to_bits(),
+            f32::INFINITY.to_bits(),
+            f32::NEG_INFINITY.to_bits(),
+            1.0f32.to_bits(),
+            1.05f32.to_bits(),
+            (-2.0f32).to_bits(),
+            1,
+            f32::MAX.to_bits(),
+        ];
+        let int_words = [0i32, 1, -1, 100, 105, 120, i32::MIN, i32::MAX].map(|v| v as u32);
+        let threshold = ErrorThreshold::from_percent(10).expect("valid percent");
+        for (dtype, specials) in [(DataType::F32, &f32_words[..]), (DataType::Int, &int_words)] {
+            let pairs: Vec<(u32, u32)> = specials
+                .iter()
+                .flat_map(|&p| specials.iter().map(move |&a| (p, a)))
+                .collect();
+            let mut sim = baseline_sim(NocConfig::mesh_3x3());
+            sim.set_bound_check(threshold);
+            // The formula as it stood before bit-identical words skipped it.
+            let limit = threshold.percent() as f64 / 100.0 + 1e-9;
+            let (mut checked, mut violations, mut first) = (0u64, 0u64, None);
+            for chunk in pairs.chunks(16) {
+                let precise = CacheBlock::new(chunk.iter().map(|p| p.0).collect(), dtype, true);
+                let decoded = CacheBlock::new(chunk.iter().map(|p| p.1).collect(), dtype, true);
+                sim.check_bound(&data_packet(precise), Some(&decoded), 3);
+                for (i, &(pw, aw)) in chunk.iter().enumerate() {
+                    checked += 1;
+                    let err = Avcl::relative_error(pw, aw, dtype);
+                    let violated = match err {
+                        Some(e) => e > limit,
+                        None => pw != aw,
+                    };
+                    if violated {
+                        violations += 1;
+                        first.get_or_insert((i, pw, aw, err.unwrap_or(f64::INFINITY)));
+                    }
+                }
+            }
+            let f = &sim.stats().faults;
+            assert_eq!(f.bound_checked_words, checked, "{dtype:?}");
+            assert_eq!(f.bound_violations, violations, "{dtype:?}");
+            // Without faults the first violation is fatal, and it names the
+            // same word with the same error.
+            let Some(SimError::BoundViolation(v)) = sim.take_fatal_error() else {
+                panic!("{dtype:?}: a violation is fatal without faults");
+            };
+            let (i, pw, aw, err) = first.expect("some pair violates");
+            assert_eq!(
+                (
+                    v.word_index,
+                    v.precise,
+                    v.approx,
+                    v.relative_error.to_bits()
+                ),
+                (i, pw, aw, err.to_bits()),
+                "{dtype:?}"
+            );
+        }
     }
 
     #[test]
