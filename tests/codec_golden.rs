@@ -6,10 +6,17 @@
 //! rewrite of a codec hot path has to reproduce the codec's output bit for
 //! bit. This is the codec counterpart of `anoc-noc`'s
 //! `kernel_refactor_is_behavior_preserving`.
+//!
+//! The dictionary codecs get a second, multi-node cell: several encoders
+//! share each decoder and each encoder feeds several decoders, so the
+//! per-destination encoder rows and the per-source decoder valid bits are
+//! all exercised, and the stream is snapshotted mid-run and continued on
+//! restored codecs.
 
 use approx_noc::core::codec::{Notification, WordCode};
 use approx_noc::core::data::{DataType, NodeId};
 use approx_noc::core::rng::Pcg32;
+use approx_noc::core::snap::{SnapReader, SnapWriter};
 use approx_noc::core::threshold::ErrorThreshold;
 use approx_noc::harness::Mechanism;
 use approx_noc::traffic::{Benchmark, DataModel};
@@ -183,5 +190,127 @@ fn codec_outputs_match_golden_fingerprints() {
         .map(|&(m, _)| hex(m, fingerprint(m)))
         .collect();
     let want: Vec<_> = GOLDEN.iter().map(|&(m, h)| hex(m, h)).collect();
+    assert_eq!(got, want);
+}
+
+/// Nodes of the multi-node dictionary cell. Node 5 takes no part, so every
+/// valid-bit vector and per-destination row is wider than the traffic.
+const NODES: usize = 6;
+
+/// Encoders that send in the multi-node cell.
+const SOURCES: [NodeId; 3] = [NodeId(0), NodeId(1), NodeId(2)];
+
+/// Decoders that receive in the multi-node cell.
+const SINKS: [NodeId; 2] = [NodeId(3), NodeId(4)];
+
+/// Blocks in the multi-node stream.
+const MULTI_BLOCKS: usize = 6000;
+
+/// The block before which every codec is snapshotted and replaced by a
+/// freshly built twin restored from the snapshot.
+const SPLIT: usize = 3333;
+
+/// The dictionaries' frequency-decay interval, in words
+/// (`DiConfig::for_nodes`).
+const DECAY_INTERVAL: u64 = 4096;
+
+/// Runs a dictionary `mechanism` over six nodes: sources 0–2 send an
+/// interleaved, seeded mix of X264 and Blackscholes blocks to decoders 3–4,
+/// every source encoder is retargeted 10% → 5% → 10% → 20%, and at block
+/// [`SPLIT`] every codec's snapshot is hashed and the stream continues on
+/// restored codecs. Returns the fingerprint of every code, decoded word,
+/// notification and snapshot byte.
+fn multi_node_fingerprint(mechanism: Mechanism) -> u64 {
+    let quarter = MULTI_BLOCKS / SCHEDULE.len();
+    let mut fnv = Fnv::new();
+    let mut models = [
+        DataModel::new(Benchmark::X264, SEED),
+        DataModel::new(Benchmark::Blackscholes, SEED),
+    ];
+    let mut pick = Pcg32::new(SEED, 6);
+    let mut codecs = mechanism.codecs(NODES, threshold(SCHEDULE[0]));
+    let mut words = [0u64; NODES * 2]; // encoder words, then decoder words
+    let mut widest_invalidate = 0;
+    for i in 0..MULTI_BLOCKS {
+        let t = threshold(SCHEDULE[i / quarter]);
+        if i > 0 && i % quarter == 0 {
+            for s in SOURCES {
+                codecs[s.index()].encoder.set_error_threshold(t);
+            }
+        }
+        if i == SPLIT {
+            let active = SOURCES.map(|s| words[s.index()]);
+            let sinks = SINKS.map(|s| words[NODES + s.index()]);
+            for n in active.into_iter().chain(sinks) {
+                assert!(
+                    n % DECAY_INTERVAL != 0,
+                    "a codec restores on a decay boundary"
+                );
+            }
+            let mut w = SnapWriter::new();
+            for c in &codecs {
+                c.encoder.save_state(&mut w);
+                c.decoder.save_state(&mut w);
+            }
+            let bytes = w.into_bytes();
+            fnv.bytes(&bytes);
+            let mut restored = mechanism.codecs(NODES, t);
+            let mut r = SnapReader::new(&bytes);
+            for c in &mut restored {
+                c.encoder.load_state(&mut r).expect("encoder restores");
+                c.decoder.load_state(&mut r).expect("decoder restores");
+            }
+            assert!(r.is_exhausted());
+            codecs = restored;
+        }
+        let src = SOURCES[pick.below(SOURCES.len() as u32) as usize];
+        let dst = SINKS[pick.below(SINKS.len() as u32) as usize];
+        let model = &mut models[pick.below(2) as usize];
+        let block = model.next_block(pick.chance(APPROX_RATIO));
+        words[src.index()] += block.len() as u64;
+        words[NODES + dst.index()] += block.len() as u64;
+        let encoded = codecs[src.index()].encoder.encode(&block, dst);
+        encoded.codes().iter().for_each(|c| fnv.code(c));
+        let decoded = codecs[dst.index()].decoder.decode(&encoded, src);
+        decoded.block.words().iter().for_each(|&w| fnv.u32(w));
+        let invalidated = decoded
+            .notifications
+            .iter()
+            .filter(|(_, n)| matches!(n, Notification::Invalidate { .. }))
+            .count();
+        widest_invalidate = widest_invalidate.max(invalidated);
+        for (to, note) in decoded.notifications {
+            fnv.note(to, &note);
+            codecs[to.index()].encoder.apply_notification(dst, note);
+        }
+    }
+    assert!(
+        widest_invalidate >= 2,
+        "an eviction must invalidate several encoders"
+    );
+    for s in SINKS {
+        assert!(
+            words[NODES + s.index()] > 2 * DECAY_INTERVAL,
+            "decoder {s:?} must decay"
+        );
+    }
+    fnv.0
+}
+
+/// Multi-node fingerprints recorded before the dictionary tables were
+/// rebuilt as flat arrays.
+const MULTI_GOLDEN: [(Mechanism, u64); 2] = [
+    (Mechanism::DiComp, 0xd043_8aef_bea9_23dd),
+    (Mechanism::DiVaxx, 0xd676_683b_4b11_a37b),
+];
+
+#[test]
+fn multi_node_dictionary_cells_match_golden() {
+    let hex = |m: Mechanism, h: u64| (m.name(), format!("{h:016x}"));
+    let got: Vec<_> = MULTI_GOLDEN
+        .iter()
+        .map(|&(m, _)| hex(m, multi_node_fingerprint(m)))
+        .collect();
+    let want: Vec<_> = MULTI_GOLDEN.iter().map(|&(m, h)| hex(m, h)).collect();
     assert_eq!(got, want);
 }
