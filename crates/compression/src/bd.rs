@@ -220,6 +220,9 @@ impl BdEncoder {
 #[derive(Debug, Clone, Default)]
 pub struct BdDecoder {
     activity: CodecActivity,
+    /// Decode buffer reused across blocks. A block is decoded into it and
+    /// copied out at its final length, so the output needs no sizing pass.
+    words: Vec<u32>,
 }
 
 impl BdDecoder {
@@ -235,7 +238,8 @@ impl BlockDecoder for BdDecoder {
     }
 
     fn decode(&mut self, encoded: &EncodedBlock, _src: NodeId) -> DecodeResult {
-        let mut words = Vec::with_capacity(encoded.word_count() as usize);
+        let words = &mut self.words;
+        words.clear();
         let mut base = 0u32;
         for code in encoded.codes() {
             match *code {
@@ -258,7 +262,7 @@ impl BlockDecoder for BdDecoder {
         }
         self.activity.words_decoded += words.len() as u64;
         DecodeResult {
-            block: CacheBlock::new(words, encoded.dtype(), encoded.is_approximable()),
+            block: CacheBlock::new(words.to_vec(), encoded.dtype(), encoded.is_approximable()),
             notifications: Vec::new(),
         }
     }

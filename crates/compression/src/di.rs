@@ -43,6 +43,43 @@ impl DiConfig {
     }
 }
 
+/// The frequency-aging clock of one dictionary codec: it counts observed
+/// words down to the next decay, so the per-word check is a compare and a
+/// decrement rather than a division of the running word count.
+#[derive(Debug, Clone, Copy)]
+struct DecayClock {
+    interval: u64,
+    /// Words until the next decay, 1 on the word that decays; 0 when aging
+    /// is off.
+    left: u64,
+}
+
+impl DecayClock {
+    /// The clock after `words_seen` words under `interval` (0: never decay).
+    /// A restored codec derives its clock this way from the snapshot's word
+    /// count, so it decays on the same word as an uninterrupted one.
+    fn at(interval: u64, words_seen: u64) -> Self {
+        let left = match interval {
+            0 => 0,
+            i => i - words_seen % i,
+        };
+        DecayClock { interval, left }
+    }
+
+    /// Counts one word; true when the running word count reaches a multiple
+    /// of the interval.
+    #[inline]
+    fn tick(&mut self) -> bool {
+        let fire = self.left == 1;
+        self.left = if fire {
+            self.interval
+        } else {
+            self.left.saturating_sub(1)
+        };
+        fire
+    }
+}
+
 /// The DI-COMP / DI-VAXX encoder for one node.
 #[derive(Debug, Clone)]
 pub struct DiEncoder {
@@ -51,6 +88,7 @@ pub struct DiEncoder {
     config: DiConfig,
     index_bits: u8,
     words_seen: u64,
+    decay: DecayClock,
     activity: CodecActivity,
 }
 
@@ -63,6 +101,7 @@ impl DiEncoder {
             config,
             index_bits: index_bits(config.pmt_entries),
             words_seen: 0,
+            decay: DecayClock::at(config.decay_interval, 0),
             activity: CodecActivity::default(),
         }
     }
@@ -75,6 +114,7 @@ impl DiEncoder {
             config,
             index_bits: index_bits(config.pmt_entries),
             words_seen: 0,
+            decay: DecayClock::at(config.decay_interval, 0),
             activity: CodecActivity::default(),
         }
     }
@@ -101,33 +141,40 @@ impl BlockEncoder for DiEncoder {
 
     fn encode(&mut self, block: &CacheBlock, dest: NodeId) -> EncodedBlock {
         let approx_on = self.is_vaxx() && block.is_approximable();
+        let n = block.len() as u64;
+        self.activity.words_encoded += n;
+        self.words_seen += n;
+        if approx_on {
+            self.activity.tcam_searches += n;
+        } else {
+            self.activity.cam_searches += n;
+        }
         let mut codes = Vec::with_capacity(block.len());
+        // A local copy keeps the countdown in a register across the lookups.
+        let mut decay = self.decay;
         for &word in block.words() {
-            self.activity.words_encoded += 1;
-            self.words_seen += 1;
-            if self.config.decay_interval > 0
-                && self.words_seen.is_multiple_of(self.config.decay_interval)
-            {
+            if decay.tick() {
                 self.pmt.decay();
             }
             // Approximate (TCAM) path first for approximable data: the paper
             // always prefers the pre-computed approximate pattern match
             // because it is what the TCAM returns in one search.
             let hit = if approx_on {
-                self.activity.tcam_searches += 1;
-                self.pmt
-                    .lookup_approx(word, dest, block.dtype(), self.config.strict_threshold)
-                    .map(|rec| (rec, rec.original != word))
-                    .or_else(|| self.pmt.lookup_exact(word, dest).map(|rec| (rec, false)))
+                self.pmt.lookup_approx_or_exact(
+                    word,
+                    dest,
+                    block.dtype(),
+                    self.config.strict_threshold,
+                )
             } else {
-                self.activity.cam_searches += 1;
-                self.pmt.lookup_exact(word, dest).map(|rec| (rec, false))
+                self.pmt.lookup_exact(word, dest)
             };
             match hit {
-                Some((rec, approx)) => codes.push(WordCode::Dict {
+                // Only a TCAM hit can resolve to a different word.
+                Some(rec) => codes.push(WordCode::Dict {
                     index: rec.index,
                     index_bits: self.index_bits,
-                    approx,
+                    approx: rec.original != word,
                     pattern: rec.original,
                 }),
                 None => codes.push(WordCode::Raw {
@@ -136,6 +183,7 @@ impl BlockEncoder for DiEncoder {
                 }),
             }
         }
+        self.decay = decay;
         EncodedBlock::new(codes, block.dtype(), block.is_approximable())
     }
 
@@ -173,6 +221,7 @@ impl BlockEncoder for DiEncoder {
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.pmt.load_state(r)?;
         self.words_seen = r.u64()?;
+        self.decay = DecayClock::at(self.config.decay_interval, self.words_seen);
         self.activity = CodecActivity::load_state(r)?;
         Ok(())
     }
@@ -185,6 +234,7 @@ pub struct DiDecoder {
     pmt: DecoderPmt,
     config: DiConfig,
     words_seen: u64,
+    decay: DecayClock,
     activity: CodecActivity,
 }
 
@@ -195,6 +245,7 @@ impl DiDecoder {
             pmt: DecoderPmt::new(config.pmt_entries, config.num_nodes),
             config,
             words_seen: 0,
+            decay: DecayClock::at(config.decay_interval, 0),
             activity: CodecActivity::default(),
         }
     }
@@ -218,12 +269,11 @@ impl BlockDecoder for DiDecoder {
     fn decode(&mut self, encoded: &EncodedBlock, src: NodeId) -> DecodeResult {
         let mut words = Vec::with_capacity(encoded.len());
         let mut notifications = Vec::new();
+        self.activity.words_decoded += encoded.len() as u64;
+        self.words_seen += encoded.len() as u64;
+        let mut decay = self.decay;
         for code in encoded.codes() {
-            self.activity.words_decoded += 1;
-            self.words_seen += 1;
-            if self.config.decay_interval > 0
-                && self.words_seen.is_multiple_of(self.config.decay_interval)
-            {
+            if decay.tick() {
                 self.pmt.decay();
             }
             match *code {
@@ -243,6 +293,7 @@ impl BlockDecoder for DiDecoder {
                 }
             }
         }
+        self.decay = decay;
         self.activity.notifications += notifications.len() as u64;
         DecodeResult {
             block: CacheBlock::new(words, encoded.dtype(), encoded.is_approximable()),
@@ -263,6 +314,7 @@ impl BlockDecoder for DiDecoder {
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.pmt.load_state(r)?;
         self.words_seen = r.u64()?;
+        self.decay = DecayClock::at(self.config.decay_interval, self.words_seen);
         self.activity = CodecActivity::load_state(r)?;
         Ok(())
     }
@@ -274,6 +326,8 @@ mod tests {
     use anoc_core::avcl::Avcl;
     use anoc_core::data::DataType;
     use anoc_core::threshold::ErrorThreshold;
+
+    use crate::dictionary::DEFAULT_PMT_ENTRIES;
 
     const N: usize = 4;
 
@@ -519,6 +573,133 @@ mod tests {
         let mut short = anoc_core::snap::SnapReader::new(&bytes[..bytes.len() - 1]);
         let mut enc4 = DiEncoder::di_comp(config());
         assert!(enc4.load_state(&mut short).is_err());
+    }
+
+    /// A decoder blob: one live slot whose valid-bit vector claims `width`
+    /// nodes, followed by nothing.
+    fn decoder_blob_with_valid_width(width: u64) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.usize(DEFAULT_PMT_ENTRIES);
+        w.bool(true);
+        w.u32(0xCAFE);
+        w.u32(2);
+        w.u64(width);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn corrupt_valid_width_is_a_typed_error() {
+        // Huge widths must be refused before any valid bit is read or any
+        // buffer is sized from them.
+        for width in [1 << 40, u64::MAX] {
+            let blob = decoder_blob_with_valid_width(width);
+            let mut dec = DiDecoder::new(config());
+            let err = dec.load_state(&mut SnapReader::new(&blob)).unwrap_err();
+            assert!(matches!(err, SnapError::Invalid(_)), "{width}: {err:?}");
+        }
+    }
+
+    /// A decoder blob with no live slots and one candidate row holding
+    /// `count` sightings.
+    fn decoder_blob_with_candidate_count(count: u32) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.usize(DEFAULT_PMT_ENTRIES);
+        (0..DEFAULT_PMT_ENTRIES).for_each(|_| w.bool(false));
+        w.usize(1);
+        w.u32(0xBEEF);
+        w.u32(count);
+        w.u64(0); // races
+        w.u64(0); // words seen
+        CodecActivity::default().save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn candidate_rows_must_hold_one_sighting() {
+        let mut dec = DiDecoder::new(config());
+        let one = decoder_blob_with_candidate_count(1);
+        dec.load_state(&mut SnapReader::new(&one)).unwrap();
+        for count in [0, 2, 7] {
+            let blob = decoder_blob_with_candidate_count(count);
+            let err = dec.load_state(&mut SnapReader::new(&blob)).unwrap_err();
+            assert!(matches!(err, SnapError::Invalid(_)), "{count}: {err:?}");
+        }
+    }
+
+    /// A DI-COMP pair under `decay_interval`, and the snapshot bytes of both
+    /// codecs after each block of `blocks`.
+    fn states(decay_interval: u64, blocks: &[CacheBlock]) -> Vec<Vec<u8>> {
+        let cfg = DiConfig {
+            decay_interval,
+            ..config()
+        };
+        let mut enc = DiEncoder::di_comp(cfg);
+        let mut dec = DiDecoder::new(cfg);
+        blocks
+            .iter()
+            .map(|b| {
+                run_pair(&mut enc, &mut dec, std::slice::from_ref(b));
+                let mut w = SnapWriter::new();
+                enc.save_state(&mut w);
+                dec.save_state(&mut w);
+                w.into_bytes()
+            })
+            .collect()
+    }
+
+    /// Five-word blocks of a few recurring values, so tables fill and
+    /// frequency counters move.
+    fn recurring_blocks(n: usize) -> Vec<CacheBlock> {
+        let mut rng = anoc_core::rng::Pcg32::seed_from_u64(11);
+        (0..n)
+            .map(|_| {
+                let words: Vec<i32> = (0..5).map(|_| 1000 * rng.below(12) as i32).collect();
+                CacheBlock::from_i32(&words).with_approximable(false)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn zero_decay_interval_never_decays() {
+        let blocks = recurring_blocks(400);
+        // An interval longer than the stream never fires either; an interval
+        // that does fire must show in the snapshot bytes.
+        assert_eq!(states(0, &blocks), states(u64::MAX, &blocks));
+        assert_ne!(states(0, &blocks), states(64, &blocks));
+    }
+
+    #[test]
+    fn restored_codecs_decay_on_the_uninterrupted_word() {
+        const INTERVAL: u64 = 24;
+        let blocks = recurring_blocks(200);
+        let cfg = DiConfig {
+            decay_interval: INTERVAL,
+            ..config()
+        };
+        let uninterrupted = states(INTERVAL, &blocks);
+        // 7 five-word blocks: 35 words, 11 into the second interval.
+        let split = 7;
+        assert_ne!((split as u64 * 5) % INTERVAL, 0);
+        let mut enc = DiEncoder::di_comp(cfg);
+        let mut dec = DiDecoder::new(cfg);
+        run_pair(&mut enc, &mut dec, &blocks[..split]);
+        let mut w = SnapWriter::new();
+        enc.save_state(&mut w);
+        dec.save_state(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, uninterrupted[split - 1]);
+        let mut enc = DiEncoder::di_comp(cfg);
+        let mut dec = DiDecoder::new(cfg);
+        let mut r = SnapReader::new(&bytes);
+        enc.load_state(&mut r).unwrap();
+        dec.load_state(&mut r).unwrap();
+        for (i, b) in blocks.iter().enumerate().skip(split) {
+            run_pair(&mut enc, &mut dec, std::slice::from_ref(b));
+            let mut w = SnapWriter::new();
+            enc.save_state(&mut w);
+            dec.save_state(&mut w);
+            assert_eq!(w.into_bytes(), uninterrupted[i], "block {i}");
+        }
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! ternary approximate pattern plus per-destination original patterns
 //! (DI-VAXX, built by the Approximate Pattern Compute Logic at install time
 //! so the AVCL is off the packetization critical path).
+//!
+//! Both tables are flat arrays indexed by entry, with `u64` bitmasks for
+//! occupancy, so a PMT holds at most [`MAX_PMT_ENTRIES`] entries.
 
 use anoc_core::avcl::{low_mask, ApproxPattern, Avcl};
 use anoc_core::codec::Notification;
@@ -18,6 +21,10 @@ use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
 
 /// Number of PMT entries in both encoders and decoders (Table 1: 8).
 pub const DEFAULT_PMT_ENTRIES: usize = 8;
+
+/// Most entries a PMT may hold: one bit per entry in the `u64` occupancy
+/// masks of the flat tables.
+pub const MAX_PMT_ENTRIES: usize = 64;
 
 /// Cap on the ternary (don't-care) width of a DI-VAXX TCAM entry. A TCAM
 /// row's length fixes the per-row compare budget in hardware; bounding it at
@@ -31,29 +38,43 @@ pub const MAX_TCAM_TERNARY_BITS: u32 = 16;
 /// Recurrences a candidate pattern needs before promotion into the PMT.
 pub const PROMOTE_THRESHOLD: u32 = 2;
 
+// The candidate filter keeps no counts. A row enters with one sighting and
+// leaves at its second (promotion) or at the next decay (1 / 2 = 0), so
+// every live row holds exactly one sighting. That holds only while the
+// second sighting promotes.
+const _: () = assert!(
+    PROMOTE_THRESHOLD == 2,
+    "candidate rows assume promotion on the second sighting"
+);
+
 /// Size of the decoder's candidate (pre-PMT) tracking filter.
 const CANDIDATE_ENTRIES: usize = 16;
 
-/// A decoder PMT entry: data pattern, frequency counter, and one valid bit
-/// per remote encoder (Figure 7b). The slot position doubles as the encoded
-/// index.
-#[derive(Debug, Clone)]
-struct DecoderEntry {
-    pattern: u32,
-    freq: u32,
-    valid: Vec<bool>,
+/// A mask of the low `n` bits, for `n` up to 64.
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
 }
 
-/// The decoder's pre-PMT candidate filter: fixed `(pattern, count)` rows,
-/// the first `len` live. Every search is a branch-free compare of all
-/// [`CANDIDATE_ENTRIES`] rows whose hit bitmask is peeled with
-/// `trailing_zeros`. Rows are appended at the end, dropped in place, and
-/// evicted by `swap_remove`; that order decides future evictions and the
+/// Panics unless a PMT of `entries` fits the occupancy masks.
+fn check_entries(entries: usize) {
+    assert!(
+        entries <= MAX_PMT_ENTRIES,
+        "a PMT holds at most {MAX_PMT_ENTRIES} entries, not {entries}"
+    );
+}
+
+/// The decoder's pre-PMT candidate filter: fixed word rows, the first `len`
+/// live, each holding one sighting (see [`PROMOTE_THRESHOLD`]). Rows are
+/// appended at the end, dropped in place, and a full filter evicts row 0 by
+/// moving the last row into it; that order decides future evictions and the
 /// snapshot bytes.
 #[derive(Debug, Clone)]
 struct Candidates {
     words: [u32; CANDIDATE_ENTRIES],
-    counts: [u32; CANDIDATE_ENTRIES],
     len: usize,
 }
 
@@ -61,48 +82,33 @@ impl Candidates {
     fn new() -> Self {
         Candidates {
             words: [0; CANDIDATE_ENTRIES],
-            counts: [0; CANDIDATE_ENTRIES],
             len: 0,
         }
     }
 
-    /// The first live row holding `word`.
-    fn find(&self, word: u32) -> Option<usize> {
-        let mut hits = 0u32;
-        for (row, &w) in self.words.iter().enumerate() {
-            hits |= u32::from(w == word) << row;
-        }
-        let live = hits & ((1 << self.len) - 1);
-        (live != 0).then(|| live.trailing_zeros() as usize)
+    /// Whether a live row holds `word`.
+    fn contains(&self, word: u32) -> bool {
+        self.words[..self.len].contains(&word)
     }
 
-    /// Appends `word` with one sighting. A full filter first evicts its
-    /// coldest row (the first minimum) by moving the last row into it.
+    /// Appends `word`. A full filter first evicts its coldest row, the first
+    /// of least sightings: with one sighting per row, that is row 0.
     fn push(&mut self, word: u32) {
         if self.len == CANDIDATE_ENTRIES {
-            let min = self.counts.iter().fold(u32::MAX, |m, &c| m.min(c));
-            let mut at_min = 0u32;
-            for (row, &c) in self.counts.iter().enumerate() {
-                at_min |= u32::from(c == min) << row;
-            }
-            let coldest = at_min.trailing_zeros() as usize;
             self.len -= 1;
-            self.words[coldest] = self.words[self.len];
-            self.counts[coldest] = self.counts[self.len];
+            self.words[0] = self.words[self.len];
         }
         self.words[self.len] = word;
-        self.counts[self.len] = 1;
         self.len += 1;
     }
 
-    /// Keeps the live rows `keep` accepts, in order.
-    fn retain(&mut self, keep: impl Fn(u32, u32) -> bool) {
+    /// Drops every live row holding `word`, keeping the others in order.
+    fn remove(&mut self, word: u32) {
         let mut kept = 0;
         for row in 0..self.len {
-            let (w, c) = (self.words[row], self.counts[row]);
+            let w = self.words[row];
             self.words[kept] = w;
-            self.counts[kept] = c;
-            kept += usize::from(keep(w, c));
+            kept += usize::from(w != word);
         }
         self.len = kept;
     }
@@ -114,10 +120,22 @@ pub(crate) fn index_bits(entries: usize) -> u8 {
     (usize::BITS - (entries.max(2) - 1).leading_zeros()) as u8
 }
 
-/// The decoder-side pattern matching table.
+/// The decoder-side pattern matching table: per slot a data pattern, a
+/// frequency counter and one valid bit per remote encoder (Figure 7b). The
+/// slot position doubles as the encoded index.
+///
+/// The slots are flat arrays plus a bitmask of the live ones; slot `s`'s
+/// valid bits are the `u64` words `valid[s * words..(s + 1) * words]`, node
+/// `n` at bit `n % 64` of word `n / 64`. A slot that is not live has no
+/// valid bits set.
 #[derive(Debug, Clone)]
 pub struct DecoderPmt {
-    slots: Vec<Option<DecoderEntry>>,
+    patterns: Vec<u32>,
+    freqs: Vec<u32>,
+    live: u64,
+    valid: Vec<u64>,
+    /// Valid-bit words per slot: ⌈num_nodes / 64⌉.
+    words: usize,
     candidates: Candidates,
     num_nodes: usize,
     /// Count of decode-time index lookups whose slot no longer held the
@@ -129,9 +147,19 @@ pub struct DecoderPmt {
 impl DecoderPmt {
     /// Creates a decoder PMT with `entries` slots, in a system of
     /// `num_nodes` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` exceeds [`MAX_PMT_ENTRIES`].
     pub fn new(entries: usize, num_nodes: usize) -> Self {
+        check_entries(entries);
+        let words = num_nodes.div_ceil(64);
         DecoderPmt {
-            slots: vec![None; entries],
+            patterns: vec![0; entries],
+            freqs: vec![0; entries],
+            live: 0,
+            valid: vec![0; entries * words],
+            words,
             candidates: Candidates::new(),
             num_nodes,
             races: 0,
@@ -140,19 +168,28 @@ impl DecoderPmt {
 
     /// Number of PMT slots.
     pub fn entries(&self) -> usize {
-        self.slots.len()
+        self.patterns.len()
     }
 
     /// Bits needed to express an encoded index.
     pub fn index_bits(&self) -> u8 {
-        index_bits(self.slots.len())
+        index_bits(self.patterns.len())
+    }
+
+    /// Whether slot `slot` holds a pattern.
+    fn is_live(&self, slot: usize) -> bool {
+        slot < self.patterns.len() && self.live >> slot & 1 == 1
+    }
+
+    /// The valid-bit word and bit of `node` in slot `slot`.
+    fn valid_bit(&self, slot: usize, node: usize) -> (usize, u64) {
+        (slot * self.words + node / 64, 1 << (node % 64))
     }
 
     /// The pattern currently stored at `index`, if any.
     pub fn pattern_at(&self, index: u8) -> Option<u32> {
-        self.slots
-            .get(index as usize)
-            .and_then(|s| s.as_ref().map(|e| e.pattern))
+        let slot = index as usize;
+        self.is_live(slot).then(|| self.patterns[slot])
     }
 
     /// Races observed so far (stale in-flight indices).
@@ -164,17 +201,21 @@ impl DecoderPmt {
     /// carries `expected`, the pattern the encoder believed the index mapped
     /// to; a mismatch is counted as a (protocol-resolved) race.
     pub fn record_hit(&mut self, index: u8, expected: u32) {
-        match self.slots.get_mut(index as usize).and_then(Option::as_mut) {
-            Some(entry) if entry.pattern == expected => {
-                entry.freq = entry.freq.saturating_add(1);
-            }
-            _ => self.races += 1,
+        let slot = index as usize;
+        if self.is_live(slot) && self.patterns[slot] == expected {
+            self.freqs[slot] = self.freqs[slot].saturating_add(1);
+        } else {
+            self.races += 1;
         }
     }
 
     /// Observes an uncompressed word arriving from `src`, learning frequent
     /// patterns. Appends the notifications to send (install to `src`,
     /// invalidations to displaced encoders) to `notes`, in send order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is not a node of this table's system.
     pub fn observe_raw(
         &mut self,
         word: u32,
@@ -182,38 +223,41 @@ impl DecoderPmt {
         dtype: DataType,
         notes: &mut Vec<(NodeId, Notification)>,
     ) {
+        let node = src.index();
+        assert!(
+            node < self.num_nodes,
+            "node {node} outside a {}-node decoder PMT",
+            self.num_nodes
+        );
         // Already tracked? Bump frequency; announce to this sender if new.
-        if let Some((idx, entry)) = self
-            .slots
-            .iter_mut()
+        let live = self.live;
+        let found = self
+            .patterns
+            .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_mut().map(|e| (i, e)))
-            .find(|(_, e)| e.pattern == word)
-        {
-            entry.freq = entry.freq.saturating_add(1);
-            if !entry.valid[src.index()] {
-                entry.valid[src.index()] = true;
+            .position(|(s, &p)| p == word && live >> s & 1 == 1);
+        if let Some(slot) = found {
+            self.freqs[slot] = self.freqs[slot].saturating_add(1);
+            let (at, bit) = self.valid_bit(slot, node);
+            if self.valid[at] & bit == 0 {
+                self.valid[at] |= bit;
                 notes.push((
                     src,
                     Notification::Install {
                         pattern: word,
-                        index: idx as u8,
+                        index: slot as u8,
                         dtype,
                     },
                 ));
             }
             return;
         }
-        // Track as a candidate.
-        match self.candidates.find(word) {
-            Some(row) => {
-                self.candidates.counts[row] += 1;
-                if self.candidates.counts[row] >= PROMOTE_THRESHOLD {
-                    self.candidates.retain(|w, _| w != word);
-                    self.promote(word, src, dtype, notes);
-                }
-            }
-            None => self.candidates.push(word),
+        // Track as a candidate; a second sighting promotes.
+        if self.candidates.contains(word) {
+            self.candidates.remove(word);
+            self.promote(word, src, dtype, notes);
+        } else {
+            self.candidates.push(word);
         }
     }
 
@@ -226,46 +270,33 @@ impl DecoderPmt {
         dtype: DataType,
         notes: &mut Vec<(NodeId, Notification)>,
     ) {
-        let (slot, mut valid) = match self.slots.iter().position(Option::is_none) {
-            Some(empty) => (empty, vec![false; self.num_nodes]),
-            None => {
-                // A zero-slot PMT can store nothing; drop the promotion.
-                let Some(victim_idx) = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.as_ref().map(|e| e.freq).unwrap_or(0))
-                    .map(|(i, _)| i)
-                else {
-                    return;
-                };
-                // The full-table scan above guarantees the slot is occupied.
-                let Some(victim) = self.slots[victim_idx].take() else {
-                    debug_assert!(false, "victim slot in a full PMT is occupied");
-                    return;
-                };
-                for (node, valid) in victim.valid.iter().enumerate() {
-                    if *valid {
-                        notes.push((
-                            NodeId::from(node),
-                            Notification::Invalidate {
-                                pattern: victim.pattern,
-                            },
-                        ));
-                    }
+        let free = !self.live & low_bits(self.patterns.len());
+        let slot = if free != 0 {
+            free.trailing_zeros() as usize
+        } else {
+            // The first slot of least frequency; a zero-slot PMT can store
+            // nothing, so the promotion is dropped.
+            let Some(victim) = (0..self.freqs.len()).min_by_key(|&s| self.freqs[s]) else {
+                return;
+            };
+            let pattern = self.patterns[victim];
+            let row = &mut self.valid[victim * self.words..(victim + 1) * self.words];
+            for (w, bits) in row.iter_mut().enumerate() {
+                let mut holders = *bits;
+                while holders != 0 {
+                    let node = w * 64 + holders.trailing_zeros() as usize;
+                    notes.push((NodeId::from(node), Notification::Invalidate { pattern }));
+                    holders &= holders - 1;
                 }
-                // The victim's valid-bit vector is reused for the newcomer.
-                let mut valid = victim.valid;
-                valid.fill(false);
-                (victim_idx, valid)
+                *bits = 0;
             }
+            victim
         };
-        valid[src.index()] = true;
-        self.slots[slot] = Some(DecoderEntry {
-            pattern: word,
-            freq: PROMOTE_THRESHOLD,
-            valid,
-        });
+        self.patterns[slot] = word;
+        self.freqs[slot] = PROMOTE_THRESHOLD;
+        self.live |= 1 << slot;
+        let (at, bit) = self.valid_bit(slot, src.index());
+        self.valid[at] |= bit;
         notes.push((
             src,
             Notification::Install {
@@ -277,82 +308,80 @@ impl DecoderPmt {
     }
 
     /// Ages all frequency counters (halving), so stale patterns lose
-    /// priority when the communication phase changes.
+    /// priority when the communication phase changes. Every candidate's one
+    /// sighting halves to none, so the filter empties.
     pub fn decay(&mut self) {
-        for entry in self.slots.iter_mut().flatten() {
-            entry.freq /= 2;
-        }
-        let c = &mut self.candidates;
-        c.counts.iter_mut().for_each(|n| *n /= 2);
-        c.retain(|_, n| n > 0);
+        self.freqs.iter_mut().for_each(|f| *f /= 2);
+        self.candidates.len = 0;
     }
 
     /// Serializes the learned table (slots, candidate filter, race counter)
     /// for a simulator snapshot. Structural parameters (slot count, node
     /// count) are construction-time configuration and are not written.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.slots.len());
-        for slot in &self.slots {
-            match slot {
-                Some(e) => {
-                    w.bool(true);
-                    w.u32(e.pattern);
-                    w.u32(e.freq);
-                    w.usize(e.valid.len());
-                    for &v in &e.valid {
-                        w.bool(v);
-                    }
+        w.usize(self.patterns.len());
+        for slot in 0..self.patterns.len() {
+            w.bool(self.is_live(slot));
+            if self.is_live(slot) {
+                w.u32(self.patterns[slot]);
+                w.u32(self.freqs[slot]);
+                w.usize(self.num_nodes);
+                for node in 0..self.num_nodes {
+                    let (at, bit) = self.valid_bit(slot, node);
+                    w.bool(self.valid[at] & bit != 0);
                 }
-                None => w.bool(false),
             }
         }
         let c = &self.candidates;
         w.usize(c.len);
-        for row in 0..c.len {
-            w.u32(c.words[row]);
-            w.u32(c.counts[row]);
+        for &word in &c.words[..c.len] {
+            w.u32(word);
+            w.u32(1);
         }
         w.u64(self.races);
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into an
-    /// identically configured table.
+    /// identically configured table. Each slot's valid-bit width and each
+    /// candidate's sighting count are checked before they are used.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let slots = r.usize()?;
-        if slots != self.slots.len() {
+        if slots != self.patterns.len() {
             return Err(SnapError::Invalid("decoder PMT slot count"));
         }
-        for slot in &mut self.slots {
-            *slot = if r.bool()? {
-                let pattern = r.u32()?;
-                let freq = r.u32()?;
-                let nodes = r.usize()?;
-                let mut valid = Vec::with_capacity(nodes);
-                for _ in 0..nodes {
-                    valid.push(r.bool()?);
+        self.live = 0;
+        self.valid.fill(0);
+        for slot in 0..slots {
+            if !r.bool()? {
+                continue;
+            }
+            self.patterns[slot] = r.u32()?;
+            self.freqs[slot] = r.u32()?;
+            if r.usize()? != self.num_nodes {
+                return Err(SnapError::Invalid("decoder PMT valid width"));
+            }
+            self.live |= 1 << slot;
+            for node in 0..self.num_nodes {
+                if r.bool()? {
+                    let (at, bit) = self.valid_bit(slot, node);
+                    self.valid[at] |= bit;
                 }
-                if valid.len() != self.num_nodes {
-                    return Err(SnapError::Invalid("decoder PMT valid width"));
-                }
-                Some(DecoderEntry {
-                    pattern,
-                    freq,
-                    valid,
-                })
-            } else {
-                None
-            };
+            }
         }
         let cands = r.usize()?;
         if cands > CANDIDATE_ENTRIES {
             return Err(SnapError::Invalid("decoder candidate count"));
         }
         let c = &mut self.candidates;
-        for row in 0..cands {
-            c.words[row] = r.u32()?;
-            c.counts[row] = r.u32()?;
+        c.len = 0;
+        for _ in 0..cands {
+            let word = r.u32()?;
+            if r.u32()? != 1 {
+                return Err(SnapError::Invalid("decoder candidate sightings"));
+            }
+            c.words[c.len] = word;
+            c.len += 1;
         }
-        c.len = cands;
         self.races = r.u64()?;
         Ok(())
     }
@@ -369,66 +398,83 @@ pub struct DestRecord {
     pub original: u32,
 }
 
-/// An encoder PMT entry. For DI-COMP the key is the exact pattern; for
-/// DI-VAXX it is the ternary approximate pattern computed by the APCL at
-/// install time, and `per_dest` additionally carries the original patterns.
-/// The install-time data type is kept so a threshold retarget can recompute
-/// the key's mask plane (see [`EncoderPmt::set_apcl`]).
-#[derive(Debug, Clone)]
-pub struct EncoderEntry {
-    key: ApproxPattern,
-    dtype: DataType,
-    freq: u32,
-    per_dest: Vec<Option<DestRecord>>,
-}
-
-impl EncoderEntry {
-    /// The ternary key of this entry.
-    pub fn key(&self) -> ApproxPattern {
-        self.key
-    }
-
-    /// The per-destination record for `dest`, if announced.
-    pub fn dest(&self, dest: NodeId) -> Option<DestRecord> {
-        self.per_dest.get(dest.index()).copied().flatten()
-    }
-}
-
 /// The encoder-side pattern matching table (binary CAM for DI-COMP, TCAM
 /// with original-pattern storage for DI-VAXX).
+///
+/// Entries keep table order in flat per-entry arrays: the key (for DI-COMP
+/// the exact pattern; for DI-VAXX the ternary approximate pattern computed
+/// by the APCL at install time), the install-time data type (so a threshold
+/// retarget can recompute the key's mask plane, see
+/// [`EncoderPmt::set_apcl`]) and the frequency. Destination `d` owns one
+/// contiguous row of `capacity` records, `records[d * capacity..]`, whose
+/// slot `e` belongs to entry `e`, and a bitmask `held[d]` of the entries that
+/// hold a record for it. A lookup scans only its destination's row.
+///
+/// Every record's original equals its entry's key value, since both come
+/// from the same install, until [`corrupt`](Self::corrupt) flips one.
 #[derive(Debug, Clone)]
 pub struct EncoderPmt {
-    entries: Vec<EncoderEntry>,
+    keys: Vec<ApproxPattern>,
+    dtypes: Vec<DataType>,
+    freqs: Vec<u32>,
+    records: Vec<DestRecord>,
+    held: Vec<u64>,
     capacity: usize,
     num_nodes: usize,
     /// `Some` for DI-VAXX (the APCL), `None` for DI-COMP.
     apcl: Option<Avcl>,
+    /// Whether some record's original may differ from its key value.
+    faulted: bool,
 }
 
 impl EncoderPmt {
-    /// Creates a DI-COMP (exact) encoder PMT.
-    pub fn di_comp(capacity: usize, num_nodes: usize) -> Self {
+    fn with_apcl(capacity: usize, num_nodes: usize, apcl: Option<Avcl>) -> Self {
+        check_entries(capacity);
+        let empty = DestRecord {
+            index: 0,
+            original: 0,
+        };
         EncoderPmt {
-            entries: Vec::with_capacity(capacity),
+            keys: Vec::with_capacity(capacity),
+            dtypes: Vec::with_capacity(capacity),
+            freqs: Vec::with_capacity(capacity),
+            records: vec![empty; capacity * num_nodes],
+            held: vec![0; num_nodes],
             capacity,
             num_nodes,
-            apcl: None,
+            apcl,
+            faulted: false,
         }
     }
 
+    /// Creates a DI-COMP (exact) encoder PMT.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` exceeds [`MAX_PMT_ENTRIES`].
+    pub fn di_comp(capacity: usize, num_nodes: usize) -> Self {
+        Self::with_apcl(capacity, num_nodes, None)
+    }
+
     /// Creates a DI-VAXX (ternary) encoder PMT with the given APCL.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` exceeds [`MAX_PMT_ENTRIES`].
     pub fn di_vaxx(capacity: usize, num_nodes: usize, apcl: Avcl) -> Self {
-        EncoderPmt {
-            entries: Vec::with_capacity(capacity),
-            capacity,
-            num_nodes,
-            apcl: Some(apcl),
-        }
+        Self::with_apcl(capacity, num_nodes, Some(apcl))
     }
 
     /// Whether this PMT stores ternary (TCAM) keys.
     pub fn is_ternary(&self) -> bool {
         self.apcl.is_some()
+    }
+
+    /// The ternary key the APCL derives from an install-time pattern, with
+    /// its don't-care run capped at [`MAX_TCAM_TERNARY_BITS`].
+    fn tcam_key(apcl: &Avcl, pattern: u32, dtype: DataType) -> ApproxPattern {
+        let p = apcl.approx_pattern(pattern, dtype);
+        ApproxPattern::new(p.value(), p.mask() & low_mask(MAX_TCAM_TERNARY_BITS))
     }
 
     /// Replaces the APCL at run time (the dynamic-threshold hook of the
@@ -442,35 +488,37 @@ impl EncoderPmt {
     pub fn set_apcl(&mut self, apcl: Avcl) {
         if self.apcl.is_some() {
             self.apcl = Some(apcl);
-            for e in &mut self.entries {
-                let p = apcl.approx_pattern(e.key.value(), e.dtype);
-                e.key = ApproxPattern::new(p.value(), p.mask() & low_mask(MAX_TCAM_TERNARY_BITS));
+            for (key, &dtype) in self.keys.iter_mut().zip(&self.dtypes) {
+                *key = Self::tcam_key(&apcl, key.value(), dtype);
             }
         }
+    }
+
+    /// Destination `dest`'s record row, one slot per live entry.
+    fn row(&self, dest: usize) -> &[DestRecord] {
+        &self.records[dest * self.capacity..][..self.keys.len()]
     }
 
     /// Serializes the learned entries for a simulator snapshot. Keys are
     /// stored verbatim (value + mask + install dtype), so restoring is
     /// independent of the APCL installed at load time.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.entries.len());
-        for e in &self.entries {
-            w.u32(e.key.value());
-            w.u32(e.key.mask());
-            w.u8(match e.dtype {
+        w.usize(self.keys.len());
+        for (e, key) in self.keys.iter().enumerate() {
+            w.u32(key.value());
+            w.u32(key.mask());
+            w.u8(match self.dtypes[e] {
                 DataType::Int => 0,
                 DataType::F32 => 1,
             });
-            w.u32(e.freq);
-            w.usize(e.per_dest.len());
-            for rec in &e.per_dest {
-                match rec {
-                    Some(r) => {
-                        w.bool(true);
-                        w.u8(r.index);
-                        w.u32(r.original);
-                    }
-                    None => w.bool(false),
+            w.u32(self.freqs[e]);
+            w.usize(self.num_nodes);
+            for (dest, &held) in self.held.iter().enumerate() {
+                w.bool(held >> e & 1 == 1);
+                if held >> e & 1 == 1 {
+                    let rec = self.records[dest * self.capacity + e];
+                    w.u8(rec.index);
+                    w.u32(rec.original);
                 }
             }
         }
@@ -483,8 +531,12 @@ impl EncoderPmt {
         if n > self.capacity {
             return Err(SnapError::Invalid("encoder PMT entry count"));
         }
-        self.entries.clear();
-        for _ in 0..n {
+        self.keys.clear();
+        self.dtypes.clear();
+        self.freqs.clear();
+        self.held.fill(0);
+        self.faulted = false;
+        for e in 0..n {
             let value = r.u32()?;
             let mask = r.u32()?;
             let dtype = match r.u8()? {
@@ -493,38 +545,35 @@ impl EncoderPmt {
                 _ => return Err(SnapError::Invalid("encoder PMT entry dtype")),
             };
             let freq = r.u32()?;
-            let dests = r.usize()?;
-            if dests != self.num_nodes {
+            if r.usize()? != self.num_nodes {
                 return Err(SnapError::Invalid("encoder PMT dest width"));
             }
-            let mut per_dest = Vec::with_capacity(dests);
-            for _ in 0..dests {
-                per_dest.push(if r.bool()? {
+            // The entry joins before its records, so a truncated blob still
+            // leaves every held bit inside the table.
+            self.keys.push(ApproxPattern::new(value, mask));
+            self.dtypes.push(dtype);
+            self.freqs.push(freq);
+            for dest in 0..self.num_nodes {
+                if r.bool()? {
                     let index = r.u8()?;
                     let original = r.u32()?;
-                    Some(DestRecord { index, original })
-                } else {
-                    None
-                });
+                    self.records[dest * self.capacity + e] = DestRecord { index, original };
+                    self.held[dest] |= 1 << e;
+                    self.faulted |= original != value;
+                }
             }
-            self.entries.push(EncoderEntry {
-                key: ApproxPattern::new(value, mask),
-                dtype,
-                freq,
-                per_dest,
-            });
         }
         Ok(())
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// Whether the PMT is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
     /// Applies an install/invalidate notification from `from`'s decoder.
@@ -541,71 +590,121 @@ impl EncoderPmt {
 
     fn install(&mut self, from: NodeId, pattern: u32, index: u8, dtype: DataType) {
         let key = match &self.apcl {
-            Some(apcl) => {
-                let p = apcl.approx_pattern(pattern, dtype);
-                ApproxPattern::new(p.value(), p.mask() & low_mask(MAX_TCAM_TERNARY_BITS))
-            }
+            Some(apcl) => Self::tcam_key(apcl, pattern, dtype),
             None => ApproxPattern::exact(pattern),
         };
         let record = DestRecord {
             index,
             original: pattern,
         };
-        if let Some(entry) = self.entries.iter_mut().find(|e| e.key == key) {
-            entry.per_dest[from.index()] = Some(record);
-            entry.freq = entry.freq.saturating_add(1);
-            return;
+        let dest = from.index();
+        let e = match self.keys.iter().position(|k| *k == key) {
+            Some(e) => {
+                self.freqs[e] = self.freqs[e].saturating_add(1);
+                e
+            }
+            None => {
+                if self.keys.len() == self.capacity {
+                    // Evict the LFU entry (the first of least frequency);
+                    // its per-destination indices simply stop being used
+                    // (the decoders keep their own state). A zero-capacity
+                    // PMT stores nothing.
+                    let Some(victim) = (0..self.freqs.len()).min_by_key(|&e| self.freqs[e]) else {
+                        return;
+                    };
+                    self.swap_remove(victim);
+                }
+                self.keys.push(key);
+                self.dtypes.push(dtype);
+                self.freqs.push(1);
+                self.keys.len() - 1
+            }
+        };
+        self.records[dest * self.capacity + e] = record;
+        self.held[dest] |= 1 << e;
+    }
+
+    /// Removes entry `victim`, moving the last entry into its place in the
+    /// per-entry arrays and in every destination's row.
+    fn swap_remove(&mut self, victim: usize) {
+        let last = self.keys.len() - 1;
+        self.keys.swap_remove(victim);
+        self.dtypes.swap_remove(victim);
+        self.freqs.swap_remove(victim);
+        for (dest, held) in self.held.iter_mut().enumerate() {
+            let row = &mut self.records[dest * self.capacity..];
+            row[victim] = row[last];
+            let moved = *held >> last & 1;
+            *held = (*held & !(1 << victim) | moved << victim) & !(1 << last);
         }
-        if self.entries.len() == self.capacity {
-            // Evict the LFU entry; its per-destination indices simply stop
-            // being used (the decoders keep their own state). A zero-capacity
-            // PMT (no victim in a "full" empty table) stores nothing.
-            let Some(victim) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.freq)
-                .map(|(i, _)| i)
-            else {
-                return;
-            };
-            self.entries.swap_remove(victim);
-        }
-        let mut per_dest = vec![None; self.num_nodes];
-        per_dest[from.index()] = Some(record);
-        self.entries.push(EncoderEntry {
-            key,
-            dtype,
-            freq: 1,
-            per_dest,
-        });
     }
 
     fn invalidate(&mut self, from: NodeId, pattern: u32) {
-        for entry in &mut self.entries {
-            if let Some(rec) = entry.per_dest[from.index()] {
-                if rec.original == pattern {
-                    entry.per_dest[from.index()] = None;
-                }
+        let dest = from.index();
+        let mut held = self.held[dest];
+        let mut scan = held;
+        while scan != 0 {
+            let e = scan.trailing_zeros() as usize;
+            if self.records[dest * self.capacity + e].original == pattern {
+                held &= !(1 << e);
             }
+            scan &= scan - 1;
         }
-        self.entries
-            .retain(|e| e.per_dest.iter().any(Option::is_some));
+        self.held[dest] = held;
+        // Entries that no destination holds leave the table, in order.
+        let any = self.held.iter().fold(0, |acc, &h| acc | h);
+        let keep = any & low_bits(self.keys.len());
+        if keep != low_bits(self.keys.len()) {
+            self.retain(keep);
+        }
+    }
+
+    /// Keeps the entries whose bit is set in `keep`, in order, compacting
+    /// the per-entry arrays, every destination's row and its held mask.
+    fn retain(&mut self, keep: u64) {
+        let mut kept = 0;
+        for e in 0..self.keys.len() {
+            if keep >> e & 1 == 0 {
+                continue;
+            }
+            self.keys[kept] = self.keys[e];
+            self.dtypes[kept] = self.dtypes[e];
+            self.freqs[kept] = self.freqs[e];
+            for (dest, held) in self.held.iter_mut().enumerate() {
+                let row = &mut self.records[dest * self.capacity..];
+                row[kept] = row[e];
+                let bit = *held >> e & 1;
+                *held = *held & !(1 << kept) | bit << kept;
+            }
+            kept += 1;
+        }
+        self.keys.truncate(kept);
+        self.dtypes.truncate(kept);
+        self.freqs.truncate(kept);
+        self.held.iter_mut().for_each(|h| *h &= low_bits(kept));
+    }
+
+    /// Bumps entry `e`'s frequency and returns its record for `dest`.
+    fn hit(&mut self, e: usize, dest: usize) -> DestRecord {
+        self.freqs[e] = self.freqs[e].saturating_add(1);
+        self.records[dest * self.capacity + e]
     }
 
     /// Exact lookup: an entry whose **original** pattern for `dest` equals
     /// `word`. This is the only path non-approximable data may use (§4.2.1).
+    #[inline]
     pub fn lookup_exact(&mut self, word: u32, dest: NodeId) -> Option<DestRecord> {
-        let hit = self
-            .entries
-            .iter_mut()
-            .find(|e| matches!(e.per_dest[dest.index()], Some(r) if r.original == word));
-        if let Some(entry) = hit {
-            entry.freq = entry.freq.saturating_add(1);
-            entry.per_dest[dest.index()]
-        } else {
-            None
+        let d = dest.index();
+        let held = self.held[d];
+        if held == 0 {
+            return None;
         }
+        let e = self
+            .row(d)
+            .iter()
+            .enumerate()
+            .position(|(e, rec)| rec.original == word && held >> e & 1 == 1)?;
+        Some(self.hit(e, d))
     }
 
     /// Ternary (TCAM) lookup for approximable data: an entry whose approximate
@@ -614,7 +713,9 @@ impl EncoderPmt {
     /// When `strict` is set the hit is additionally confirmed against
     /// `word`'s *own* error tolerance (the recovered original must lie within
     /// the threshold of the precise word), so the data-error guarantee holds
-    /// exactly; without it the raw TCAM semantics of the paper apply.
+    /// exactly; without it the raw TCAM semantics of the paper apply. The
+    /// word's own APCL pattern is computed once, and only after a key hits.
+    #[inline]
     pub fn lookup_approx(
         &mut self,
         word: u32,
@@ -622,24 +723,56 @@ impl EncoderPmt {
         dtype: DataType,
         strict: bool,
     ) -> Option<DestRecord> {
-        let apcl = self.apcl.as_ref()?;
-        let confirm = |rec: &DestRecord| !strict || apcl.accepts(word, rec.original, dtype);
-        let hit = self.entries.iter_mut().find(|e| {
-            e.key.matches(word) && matches!(&e.per_dest[dest.index()], Some(r) if confirm(r))
-        });
-        if let Some(entry) = hit {
-            entry.freq = entry.freq.saturating_add(1);
-            entry.per_dest[dest.index()]
-        } else {
-            None
+        let apcl = self.apcl?;
+        let d = dest.index();
+        let held = self.held[d];
+        if held == 0 {
+            return None;
         }
+        let mut own: Option<ApproxPattern> = None;
+        for (e, (key, rec)) in self.keys.iter().zip(self.row(d)).enumerate() {
+            if !key.matches(word) || held >> e & 1 == 0 {
+                continue;
+            }
+            if strict
+                && !own
+                    .get_or_insert_with(|| apcl.approx_pattern(word, dtype))
+                    .matches(rec.original)
+            {
+                continue;
+            }
+            return Some(self.hit(e, d));
+        }
+        None
+    }
+
+    /// The encoder's search for a word of approximable data:
+    /// [`lookup_approx`](Self::lookup_approx), then on a miss
+    /// [`lookup_exact`](Self::lookup_exact).
+    ///
+    /// On a ternary table the exact scan is skipped until a fault: a record
+    /// holding `word` sits in an entry whose key value is `word`, a key
+    /// always matches its own value, and `word`'s own pattern accepts
+    /// `word`, so the TCAM search would have hit that entry or an earlier
+    /// one.
+    #[inline]
+    pub fn lookup_approx_or_exact(
+        &mut self,
+        word: u32,
+        dest: NodeId,
+        dtype: DataType,
+        strict: bool,
+    ) -> Option<DestRecord> {
+        let hit = self.lookup_approx(word, dest, dtype, strict);
+        if hit.is_some() || (self.is_ternary() && !self.faulted) {
+            return hit;
+        }
+        self.lookup_exact(word, dest)
     }
 
     /// Ages all frequency counters.
     pub fn decay(&mut self) {
-        for e in &mut self.entries {
-            e.freq /= 2;
-        }
+        self.freqs.iter_mut().for_each(|f| *f /= 2);
     }
 
     /// Fault-injection hook: flips one bit of one stored original pattern,
@@ -648,18 +781,18 @@ impl EncoderPmt {
     /// soft error in the PMT storage array. Returns whether a record was hit
     /// (the addressed per-destination slot may be empty).
     pub fn corrupt(&mut self, entropy: u64) -> bool {
-        if self.entries.is_empty() || self.num_nodes == 0 {
+        if self.keys.is_empty() || self.num_nodes == 0 {
             return false;
         }
-        let entry = (entropy as usize) % self.entries.len();
+        let e = (entropy as usize) % self.keys.len();
         let dest = ((entropy >> 16) as usize) % self.num_nodes;
         let bit = ((entropy >> 40) % u32::BITS as u64) as u32;
-        if let Some(rec) = &mut self.entries[entry].per_dest[dest] {
-            rec.original ^= 1 << bit;
-            true
-        } else {
-            false
+        let held = self.held[dest] >> e & 1 == 1;
+        if held {
+            self.records[dest * self.capacity + e].original ^= 1 << bit;
+            self.faulted = true;
         }
+        held
     }
 }
 

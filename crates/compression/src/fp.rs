@@ -236,6 +236,9 @@ impl BlockEncoder for FpEncoder {
 #[derive(Debug, Clone, Default)]
 pub struct FpDecoder {
     activity: CodecActivity,
+    /// Decode buffer reused across blocks. A block is decoded into it and
+    /// copied out at its final length, so the output needs no sizing pass.
+    words: Vec<u32>,
 }
 
 impl FpDecoder {
@@ -251,7 +254,8 @@ impl BlockDecoder for FpDecoder {
     }
 
     fn decode(&mut self, encoded: &EncodedBlock, _src: NodeId) -> DecodeResult {
-        let mut words = Vec::with_capacity(encoded.word_count() as usize);
+        let words = &mut self.words;
+        words.clear();
         for code in encoded.codes() {
             match *code {
                 WordCode::Raw { word, .. } => words.push(word),
@@ -279,7 +283,7 @@ impl BlockDecoder for FpDecoder {
         }
         self.activity.words_decoded += words.len() as u64;
         DecodeResult {
-            block: CacheBlock::new(words, encoded.dtype(), encoded.is_approximable()),
+            block: CacheBlock::new(words.to_vec(), encoded.dtype(), encoded.is_approximable()),
             notifications: Vec::new(),
         }
     }
