@@ -3,9 +3,10 @@
 //! replay, the extension codecs, a QoS + lossy-link configuration and a
 //! fault-injection configuration with the bound checker armed. Each result
 //! is serialized with `persist::encode_run_result` and hashed with FNV-1a,
-//! and the hash must equal the recorded constant; a forked and a resumed
-//! cell must hash to their cold twin's constant. A rewrite of the runner
-//! therefore has to reproduce every mode bit for bit.
+//! and the hash must equal the recorded constant; forked and resumed FP-VAXX,
+//! DI-VAXX and DI-COMP cells must hash to their cold twin's constant. A
+//! rewrite of the runner or of a codec's snapshot state therefore has to
+//! reproduce every mode bit for bit.
 
 use anoc_exec::hash::fnv1a64;
 use anoc_exec::SnapshotStore;
@@ -314,42 +315,51 @@ fn plant_checkpoint(store: &SnapshotStore, cell: &str, mechanism: Mechanism, cfg
 fn forked_and_resumed_cells_match_their_cold_twin() {
     let store = temp_store("fork-resume");
     let cfg = config();
-    let mech = Mechanism::FpVaxx;
-    let wk = "warmup runner-golden";
-    assert!(publish_benchmark_warmup(BENCH, mech, &cfg, SEED, &store, wk).expect("warmup runs"));
-    let forked = bench_cell(
-        Codecs::Standard(mech),
-        &cfg,
-        SnapshotPolicy {
-            store: Some(&store),
-            warmup_key: Some(wk.into()),
-            ..SnapshotPolicy::cold()
-        },
-    );
-    assert!(forked.staged.forked && !forked.staged.resumed);
-    assert_eq!(forked.staged.skipped_cycles, cfg.warmup_cycles);
+    for (mech, twin) in [
+        (Mechanism::FpVaxx, "bench/FP-VAXX"),
+        (Mechanism::DiVaxx, "bench/DI-VAXX"),
+        (Mechanism::DiComp, "bench/DI-COMP"),
+    ] {
+        let wk = format!("warmup runner-golden {twin}");
+        assert!(
+            publish_benchmark_warmup(BENCH, mech, &cfg, SEED, &store, &wk).expect("warmup runs")
+        );
+        let forked = bench_cell(
+            Codecs::Standard(mech),
+            &cfg,
+            SnapshotPolicy {
+                store: Some(&store),
+                warmup_key: Some(wk),
+                ..SnapshotPolicy::cold()
+            },
+        );
+        assert!(forked.staged.forked && !forked.staged.resumed);
+        assert_eq!(forked.staged.skipped_cycles, cfg.warmup_cycles);
 
-    let cell = "cell runner-golden";
-    plant_checkpoint(&store, cell, mech, &cfg);
-    let resumed = bench_cell(
-        Codecs::Standard(mech),
-        &cfg,
-        SnapshotPolicy {
-            store: Some(&store),
-            cell_key: Some(cell.into()),
-            resume: true,
-            ..SnapshotPolicy::cold()
-        },
-    );
-    assert!(resumed.staged.resumed && !resumed.staged.forked);
-    assert_eq!(resumed.staged.skipped_cycles, cfg.warmup_cycles + 600);
-    assert!(
-        store.get(&checkpoint_key(cell)).is_none(),
-        "the completed cell retires its checkpoint"
-    );
-    check(&[
-        ("forked/FP-VAXX", "bench/FP-VAXX", forked.result),
-        ("resumed/FP-VAXX", "bench/FP-VAXX", resumed.result),
-    ]);
+        let cell = format!("cell runner-golden {twin}");
+        plant_checkpoint(&store, &cell, mech, &cfg);
+        let resumed = bench_cell(
+            Codecs::Standard(mech),
+            &cfg,
+            SnapshotPolicy {
+                store: Some(&store),
+                cell_key: Some(cell.clone()),
+                resume: true,
+                ..SnapshotPolicy::cold()
+            },
+        );
+        assert!(resumed.staged.resumed && !resumed.staged.forked);
+        assert_eq!(resumed.staged.skipped_cycles, cfg.warmup_cycles + 600);
+        assert!(
+            store.get(&checkpoint_key(&cell)).is_none(),
+            "the completed cell retires its checkpoint"
+        );
+        let forked_name = twin.replace("bench/", "forked/");
+        let resumed_name = twin.replace("bench/", "resumed/");
+        check(&[
+            (forked_name.as_str(), twin, forked.result),
+            (resumed_name.as_str(), twin, resumed.result),
+        ]);
+    }
     let _ = std::fs::remove_dir_all(store.dir());
 }
