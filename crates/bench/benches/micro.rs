@@ -1,7 +1,7 @@
 //! Microbenchmarks of the hot paths: the AVCL, frequent-pattern matching,
-//! dictionary encode, and the NoC simulation kernel itself.
+//! dictionary round trips, and the NoC simulation kernel itself.
 
-use anoc_compression::di::{DiConfig, DiEncoder};
+use anoc_compression::di::{DiConfig, DiDecoder, DiEncoder};
 use anoc_compression::fp::FpEncoder;
 use anoc_compression::fpc;
 use anoc_compression::lz::{LzConfig, LzDecoder, LzEncoder};
@@ -11,7 +11,7 @@ use anoc_core::data::{CacheBlock, DataType, NodeId};
 use anoc_core::rng::Pcg32;
 use anoc_core::threshold::ErrorThreshold;
 use anoc_noc::{NocConfig, NocSim, NodeCodec};
-use anoc_traffic::{Benchmark, DataPool, DestPattern, SyntheticTraffic, TrafficSource};
+use anoc_traffic::{Benchmark, DataModel, DataPool, DestPattern, SyntheticTraffic, TrafficSource};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -53,16 +53,41 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("micro/di_vaxx/encode_block", |b| {
-        let mut enc = DiEncoder::di_vaxx(DiConfig::for_nodes(4), Avcl::new(t));
-        b.iter(|| {
-            let mut bits = 0u32;
-            for block in &blocks {
-                bits += enc.encode(block, NodeId(1)).payload_bits();
-            }
-            bits
-        })
-    });
+    // DI-COMP / DI-VAXX: the codec-stream shape. An encoder (node 0) feeds a
+    // decoder (node 1) a seeded X264 corpus, 75% approximable, with the
+    // decoder's notifications routed back, so the dictionaries fill, hit,
+    // evict and decay as they do in a run.
+    let mut model = DataModel::new(Benchmark::X264, 1);
+    let mut flags = Pcg32::new(1, 0);
+    let di_blocks: Vec<CacheBlock> = (0..256)
+        .map(|_| model.next_block(flags.chance(0.75)))
+        .collect();
+    for (name, vaxx) in [
+        ("micro/di_comp/round_trip", false),
+        ("micro/di_vaxx/round_trip", true),
+    ] {
+        c.bench_function(name, |b| {
+            let cfg = DiConfig::for_nodes(2);
+            let mut enc = if vaxx {
+                DiEncoder::di_vaxx(cfg, avcl)
+            } else {
+                DiEncoder::di_comp(cfg)
+            };
+            let mut dec = DiDecoder::new(cfg);
+            let (src, dst) = (NodeId(0), NodeId(1));
+            b.iter(|| {
+                let mut words = 0usize;
+                for block in &di_blocks {
+                    let decoded = dec.decode(&enc.encode(block, dst), src);
+                    for (_, note) in decoded.notifications {
+                        enc.apply_notification(dst, note);
+                    }
+                    words += decoded.block.len();
+                }
+                words
+            })
+        });
+    }
 
     // LZ-VAXX: a mixed workload (runs, cross-word repeats, noise) so the
     // match finder exercises both its hit and miss paths.
