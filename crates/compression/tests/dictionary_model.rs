@@ -313,12 +313,19 @@ impl ModelEncoder {
         self.entries.iter_mut().for_each(|e| e.freq /= 2);
     }
 
-    fn corrupt(&mut self, entropy: u64) -> bool {
+    /// The entry and destination a fault with `entropy` addresses.
+    fn fault_target(&self, entropy: u64) -> Option<(usize, usize)> {
         if self.entries.is_empty() || self.num_nodes == 0 {
-            return false;
+            return None;
         }
         let entry = (entropy as usize) % self.entries.len();
-        let dest = ((entropy >> 16) as usize) % self.num_nodes;
+        Some((entry, ((entropy >> 16) as usize) % self.num_nodes))
+    }
+
+    fn corrupt(&mut self, entropy: u64) -> bool {
+        let Some((entry, dest)) = self.fault_target(entropy) else {
+            return false;
+        };
         let bit = ((entropy >> 40) % u64::from(u32::BITS)) as u32;
         match &mut self.entries[entry].per_dest[dest] {
             Some(rec) => {
@@ -486,7 +493,16 @@ proptest! {
         let mut pmt = new(apcl);
         let mut model = ModelEncoder::new(entries, nodes, apcl);
         for (step, &(kind, a, b)) in ops.iter().enumerate() {
-            let (w, at) = (word(a), node(b, nodes));
+            let at = node(b, nodes);
+            // Half the lookups probe a stored original (faulted ones too).
+            let stored = model
+                .entries
+                .get(a as usize % model.entries.len().max(1))
+                .and_then(|e| e.per_dest[at.index()]);
+            let w = match stored {
+                Some(rec) if b & 0x4_0000 != 0 => rec.original,
+                _ => word(a),
+            };
             match kind % 12 {
                 0..=2 => {
                     let note = Notification::Install {
@@ -539,7 +555,17 @@ proptest! {
                     apcl = apcl.map(|_| a);
                 }
                 _ if b & 1 == 0 => {
-                    let entropy = u64::from(a) << 32 | u64::from(b);
+                    // Aim the fault at a stored record when a few tries find
+                    // one, so faulted lookups actually happen.
+                    let seed = u64::from(a) << 32 | u64::from(b);
+                    let entropy = (0..64u64)
+                        .map(|k| (seed ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                        .find(|&x| {
+                            model
+                                .fault_target(x)
+                                .is_some_and(|(e, d)| model.entries[e].per_dest[d].is_some())
+                        })
+                        .unwrap_or(seed);
                     prop_assert_eq!(pmt.corrupt(entropy), model.corrupt(entropy));
                 }
                 _ => {
