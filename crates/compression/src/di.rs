@@ -150,24 +150,21 @@ impl BlockEncoder for DiEncoder {
             self.activity.cam_searches += n;
         }
         let mut codes = Vec::with_capacity(block.len());
-        // A local copy keeps the countdown in a register across the lookups.
+        // Local copies keep the countdown and the destination's row in
+        // registers across the lookups.
         let mut decay = self.decay;
+        let mut pmt = self.pmt.lookups(dest);
         for &word in block.words() {
             if decay.tick() {
-                self.pmt.decay();
+                pmt.decay();
             }
             // Approximate (TCAM) path first for approximable data: the paper
             // always prefers the pre-computed approximate pattern match
             // because it is what the TCAM returns in one search.
             let hit = if approx_on {
-                self.pmt.lookup_approx_or_exact(
-                    word,
-                    dest,
-                    block.dtype(),
-                    self.config.strict_threshold,
-                )
+                pmt.approx_or_exact(word, block.dtype(), self.config.strict_threshold)
             } else {
-                self.pmt.lookup_exact(word, dest)
+                pmt.exact(word)
             };
             match hit {
                 // Only a TCAM hit can resolve to a different word.

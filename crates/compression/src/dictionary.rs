@@ -408,7 +408,9 @@ pub struct DestRecord {
 /// [`EncoderPmt::set_apcl`]) and the frequency. Destination `d` owns one
 /// contiguous row of `capacity` records, `records[d * capacity..]`, whose
 /// slot `e` belongs to entry `e`, and a bitmask `held[d]` of the entries that
-/// hold a record for it. A lookup scans only its destination's row.
+/// hold a record for it. A lookup scans only its destination's row. The
+/// arrays are allocated at the first install or restore, so building a
+/// network's codecs stays cheap.
 ///
 /// Every record's original equals its entry's key value, since both come
 /// from the same install, until [`corrupt`](Self::corrupt) flips one.
@@ -430,21 +432,34 @@ pub struct EncoderPmt {
 impl EncoderPmt {
     fn with_apcl(capacity: usize, num_nodes: usize, apcl: Option<Avcl>) -> Self {
         check_entries(capacity);
-        let empty = DestRecord {
-            index: 0,
-            original: 0,
-        };
         EncoderPmt {
-            keys: Vec::with_capacity(capacity),
-            dtypes: Vec::with_capacity(capacity),
-            freqs: Vec::with_capacity(capacity),
-            records: vec![empty; capacity * num_nodes],
-            held: vec![0; num_nodes],
+            keys: Vec::new(),
+            dtypes: Vec::new(),
+            freqs: Vec::new(),
+            records: Vec::new(),
+            held: Vec::new(),
             capacity,
             num_nodes,
             apcl,
             faulted: false,
         }
+    }
+
+    /// Allocates the entry arrays and the destination rows if this table
+    /// has none yet.
+    fn allocate(&mut self) {
+        if self.held.len() == self.num_nodes {
+            return;
+        }
+        let empty = DestRecord {
+            index: 0,
+            original: 0,
+        };
+        self.keys.reserve_exact(self.capacity);
+        self.dtypes.reserve_exact(self.capacity);
+        self.freqs.reserve_exact(self.capacity);
+        self.records = vec![empty; self.capacity * self.num_nodes];
+        self.held = vec![0; self.num_nodes];
     }
 
     /// Creates a DI-COMP (exact) encoder PMT.
@@ -494,11 +509,6 @@ impl EncoderPmt {
         }
     }
 
-    /// Destination `dest`'s record row, one slot per live entry.
-    fn row(&self, dest: usize) -> &[DestRecord] {
-        &self.records[dest * self.capacity..][..self.keys.len()]
-    }
-
     /// Serializes the learned entries for a simulator snapshot. Keys are
     /// stored verbatim (value + mask + install dtype), so restoring is
     /// independent of the APCL installed at load time.
@@ -531,6 +541,7 @@ impl EncoderPmt {
         if n > self.capacity {
             return Err(SnapError::Invalid("encoder PMT entry count"));
         }
+        self.allocate();
         self.keys.clear();
         self.dtypes.clear();
         self.freqs.clear();
@@ -598,6 +609,7 @@ impl EncoderPmt {
             original: pattern,
         };
         let dest = from.index();
+        self.allocate();
         let e = match self.keys.iter().position(|k| *k == key) {
             Some(e) => {
                 self.freqs[e] = self.freqs[e].saturating_add(1);
@@ -641,7 +653,9 @@ impl EncoderPmt {
 
     fn invalidate(&mut self, from: NodeId, pattern: u32) {
         let dest = from.index();
-        let mut held = self.held[dest];
+        let Some(&(mut held)) = self.held.get(dest) else {
+            return;
+        };
         let mut scan = held;
         while scan != 0 {
             let e = scan.trailing_zeros() as usize;
@@ -684,27 +698,29 @@ impl EncoderPmt {
         self.held.iter_mut().for_each(|h| *h &= low_bits(kept));
     }
 
-    /// Bumps entry `e`'s frequency and returns its record for `dest`.
-    fn hit(&mut self, e: usize, dest: usize) -> DestRecord {
-        self.freqs[e] = self.freqs[e].saturating_add(1);
-        self.records[dest * self.capacity + e]
+    /// The lookups of destination `dest`'s row. An encoder takes this view
+    /// once per block, so the row and its held mask are found once.
+    pub(crate) fn lookups(&mut self, dest: NodeId) -> DestLookups<'_> {
+        let d = dest.index();
+        let held = self.held.get(d).copied().unwrap_or(0);
+        let row = match held {
+            0 => &[][..],
+            _ => &self.records[d * self.capacity..][..self.keys.len()],
+        };
+        DestLookups {
+            keys: &self.keys,
+            row,
+            freqs: &mut self.freqs,
+            held,
+            apcl: self.apcl,
+            exact_after_tcam: self.apcl.is_none() || self.faulted,
+        }
     }
 
     /// Exact lookup: an entry whose **original** pattern for `dest` equals
     /// `word`. This is the only path non-approximable data may use (§4.2.1).
-    #[inline]
     pub fn lookup_exact(&mut self, word: u32, dest: NodeId) -> Option<DestRecord> {
-        let d = dest.index();
-        let held = self.held[d];
-        if held == 0 {
-            return None;
-        }
-        let e = self
-            .row(d)
-            .iter()
-            .enumerate()
-            .position(|(e, rec)| rec.original == word && held >> e & 1 == 1)?;
-        Some(self.hit(e, d))
+        self.lookups(dest).exact(word)
     }
 
     /// Ternary (TCAM) lookup for approximable data: an entry whose approximate
@@ -715,7 +731,6 @@ impl EncoderPmt {
     /// the threshold of the precise word), so the data-error guarantee holds
     /// exactly; without it the raw TCAM semantics of the paper apply. The
     /// word's own APCL pattern is computed once, and only after a key hits.
-    #[inline]
     pub fn lookup_approx(
         &mut self,
         word: u32,
@@ -723,27 +738,7 @@ impl EncoderPmt {
         dtype: DataType,
         strict: bool,
     ) -> Option<DestRecord> {
-        let apcl = self.apcl?;
-        let d = dest.index();
-        let held = self.held[d];
-        if held == 0 {
-            return None;
-        }
-        let mut own: Option<ApproxPattern> = None;
-        for (e, (key, rec)) in self.keys.iter().zip(self.row(d)).enumerate() {
-            if !key.matches(word) || held >> e & 1 == 0 {
-                continue;
-            }
-            if strict
-                && !own
-                    .get_or_insert_with(|| apcl.approx_pattern(word, dtype))
-                    .matches(rec.original)
-            {
-                continue;
-            }
-            return Some(self.hit(e, d));
-        }
-        None
+        self.lookups(dest).approx(word, dtype, strict)
     }
 
     /// The encoder's search for a word of approximable data:
@@ -755,7 +750,6 @@ impl EncoderPmt {
     /// always matches its own value, and `word`'s own pattern accepts
     /// `word`, so the TCAM search would have hit that entry or an earlier
     /// one.
-    #[inline]
     pub fn lookup_approx_or_exact(
         &mut self,
         word: u32,
@@ -763,11 +757,7 @@ impl EncoderPmt {
         dtype: DataType,
         strict: bool,
     ) -> Option<DestRecord> {
-        let hit = self.lookup_approx(word, dest, dtype, strict);
-        if hit.is_some() || (self.is_ternary() && !self.faulted) {
-            return hit;
-        }
-        self.lookup_exact(word, dest)
+        self.lookups(dest).approx_or_exact(word, dtype, strict)
     }
 
     /// Ages all frequency counters.
@@ -793,6 +783,85 @@ impl EncoderPmt {
             self.faulted = true;
         }
         held
+    }
+}
+
+/// One destination's lookups in an [`EncoderPmt`]: its record row and held
+/// mask, with the table's keys and frequency counters.
+pub(crate) struct DestLookups<'a> {
+    keys: &'a [ApproxPattern],
+    row: &'a [DestRecord],
+    freqs: &'a mut [u32],
+    held: u64,
+    apcl: Option<Avcl>,
+    /// Whether an exact scan must follow a TCAM miss (see
+    /// [`EncoderPmt::lookup_approx_or_exact`]).
+    exact_after_tcam: bool,
+}
+
+impl DestLookups<'_> {
+    /// Bumps entry `e`'s frequency and returns its record.
+    fn hit(&mut self, e: usize) -> DestRecord {
+        self.freqs[e] = self.freqs[e].saturating_add(1);
+        self.row[e]
+    }
+
+    /// See [`EncoderPmt::lookup_exact`].
+    #[inline]
+    pub(crate) fn exact(&mut self, word: u32) -> Option<DestRecord> {
+        let held = self.held;
+        let e = self
+            .row
+            .iter()
+            .enumerate()
+            .position(|(e, rec)| rec.original == word && held >> e & 1 == 1)?;
+        Some(self.hit(e))
+    }
+
+    /// See [`EncoderPmt::lookup_approx`].
+    #[inline]
+    pub(crate) fn approx(
+        &mut self,
+        word: u32,
+        dtype: DataType,
+        strict: bool,
+    ) -> Option<DestRecord> {
+        let apcl = self.apcl?;
+        let mut own: Option<ApproxPattern> = None;
+        for (e, (key, rec)) in self.keys.iter().zip(self.row).enumerate() {
+            if !key.matches(word) || self.held >> e & 1 == 0 {
+                continue;
+            }
+            if strict
+                && !own
+                    .get_or_insert_with(|| apcl.approx_pattern(word, dtype))
+                    .matches(rec.original)
+            {
+                continue;
+            }
+            return Some(self.hit(e));
+        }
+        None
+    }
+
+    /// See [`EncoderPmt::lookup_approx_or_exact`].
+    #[inline]
+    pub(crate) fn approx_or_exact(
+        &mut self,
+        word: u32,
+        dtype: DataType,
+        strict: bool,
+    ) -> Option<DestRecord> {
+        let hit = self.approx(word, dtype, strict);
+        if hit.is_some() || !self.exact_after_tcam {
+            return hit;
+        }
+        self.exact(word)
+    }
+
+    /// Ages all frequency counters (see [`EncoderPmt::decay`]).
+    pub(crate) fn decay(&mut self) {
+        self.freqs.iter_mut().for_each(|f| *f /= 2);
     }
 }
 
@@ -1085,6 +1154,42 @@ mod tests {
         for i in 0..8 {
             assert!(d.pattern_at(i).is_none());
         }
+    }
+
+    #[test]
+    fn pmts_hold_up_to_64_entries() {
+        let full = MAX_PMT_ENTRIES as u32;
+        let far = NodeId(129);
+        let mut d = DecoderPmt::new(MAX_PMT_ENTRIES, 130);
+        for p in 0..full {
+            observe(&mut d, p, far);
+            observe(&mut d, p, far);
+        }
+        assert_eq!(d.pattern_at(63), Some(63));
+        let mut e = EncoderPmt::di_comp(MAX_PMT_ENTRIES, 130);
+        for p in 0..full {
+            let install = Notification::Install {
+                pattern: p,
+                index: p as u8,
+                dtype: DataType::Int,
+            };
+            e.apply(far, install);
+        }
+        assert_eq!(e.len(), MAX_PMT_ENTRIES);
+        assert_eq!(e.lookup_exact(63, far).map(|r| r.index), Some(63));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 entries")]
+    fn oversized_decoder_pmt_panics() {
+        DecoderPmt::new(MAX_PMT_ENTRIES + 1, N);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 entries")]
+    fn oversized_encoder_pmt_panics() {
+        let apcl = Avcl::new(ErrorThreshold::from_percent(10).unwrap());
+        EncoderPmt::di_vaxx(MAX_PMT_ENTRIES + 1, N, apcl);
     }
 
     #[test]
