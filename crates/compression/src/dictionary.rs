@@ -321,8 +321,9 @@ impl DecoderPmt {
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.usize(self.patterns.len());
         for slot in 0..self.patterns.len() {
-            w.bool(self.is_live(slot));
-            if self.is_live(slot) {
+            let live = self.is_live(slot);
+            w.bool(live);
+            if live {
                 w.u32(self.patterns[slot]);
                 w.u32(self.freqs[slot]);
                 w.usize(self.num_nodes);
@@ -524,8 +525,9 @@ impl EncoderPmt {
             w.u32(self.freqs[e]);
             w.usize(self.num_nodes);
             for (dest, &held) in self.held.iter().enumerate() {
-                w.bool(held >> e & 1 == 1);
-                if held >> e & 1 == 1 {
+                let holds = held >> e & 1 == 1;
+                w.bool(holds);
+                if holds {
                     let rec = self.records[dest * self.capacity + e];
                     w.u8(rec.index);
                     w.u32(rec.original);
