@@ -14,7 +14,7 @@
 //! Both tables are flat arrays indexed by entry, with `u64` bitmasks for
 //! occupancy, so a PMT holds at most [`MAX_PMT_ENTRIES`] entries.
 
-use anoc_core::avcl::{low_mask, ApproxPattern, Avcl};
+use anoc_core::avcl::{ApproxPattern, Avcl};
 use anoc_core::codec::Notification;
 use anoc_core::data::{DataType, NodeId};
 use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
@@ -25,15 +25,6 @@ pub const DEFAULT_PMT_ENTRIES: usize = 8;
 /// Most entries a PMT may hold: one bit per entry in the `u64` occupancy
 /// masks of the flat tables.
 pub const MAX_PMT_ENTRIES: usize = 64;
-
-/// Cap on the ternary (don't-care) width of a DI-VAXX TCAM entry. A TCAM
-/// row's length fixes the per-row compare budget in hardware; bounding it at
-/// a halfword lets every row use the same fixed-width masked compare (the
-/// Snippet-3 bounded-entry move) instead of sizing rows for the widest mask
-/// any install might produce. Keys whose APCL mask is wider are installed
-/// with the mask truncated to this many low bits — strictly tighter, so the
-/// error guarantee is untouched.
-pub const MAX_TCAM_TERNARY_BITS: u32 = 16;
 
 /// Recurrences a candidate pattern needs before promotion into the PMT.
 pub const PROMOTE_THRESHOLD: u32 = 2;
@@ -486,13 +477,6 @@ impl EncoderPmt {
         self.apcl.is_some()
     }
 
-    /// The ternary key the APCL derives from an install-time pattern, with
-    /// its don't-care run capped at [`MAX_TCAM_TERNARY_BITS`].
-    fn tcam_key(apcl: &Avcl, pattern: u32, dtype: DataType) -> ApproxPattern {
-        let p = apcl.approx_pattern(pattern, dtype);
-        ApproxPattern::new(p.value(), p.mask() & low_mask(MAX_TCAM_TERNARY_BITS))
-    }
-
     /// Replaces the APCL at run time (the dynamic-threshold hook of the
     /// staged-warmup methodology, DESIGN.md §11) and reprograms the mask
     /// plane: every stored key's don't-care mask is recomputed from its
@@ -505,7 +489,7 @@ impl EncoderPmt {
         if self.apcl.is_some() {
             self.apcl = Some(apcl);
             for (key, &dtype) in self.keys.iter_mut().zip(&self.dtypes) {
-                *key = Self::tcam_key(&apcl, key.value(), dtype);
+                *key = apcl.approx_pattern(key.value(), dtype);
             }
         }
     }
@@ -603,7 +587,7 @@ impl EncoderPmt {
 
     fn install(&mut self, from: NodeId, pattern: u32, index: u8, dtype: DataType) {
         let key = match &self.apcl {
-            Some(apcl) => Self::tcam_key(apcl, pattern, dtype),
+            Some(apcl) => apcl.approx_pattern(pattern, dtype),
             None => ApproxPattern::exact(pattern),
         };
         let record = DestRecord {
@@ -1118,32 +1102,6 @@ mod tests {
             e.lookup_approx(130, NodeId(0), DataType::Int, false),
             strict_hit
         );
-    }
-
-    #[test]
-    fn tcam_entry_width_is_capped() {
-        // A huge pattern at 50% would want ~30 don't-care bits; the stored
-        // row must be clipped to MAX_TCAM_TERNARY_BITS.
-        let apcl = Avcl::new(ErrorThreshold::from_percent(50).unwrap());
-        let mut e = EncoderPmt::di_vaxx(8, N, apcl);
-        let pattern = 0x4000_0000u32;
-        e.apply(
-            NodeId(0),
-            Notification::Install {
-                pattern,
-                index: 0,
-                dtype: DataType::Int,
-            },
-        );
-        // Inside the capped halfword: matches.
-        assert!(e
-            .lookup_approx(pattern | 0xFFFF, NodeId(0), DataType::Int, false)
-            .is_some());
-        // Outside the cap (bit 16 differs) the uncapped mask would have
-        // matched; the bounded row must not.
-        assert!(e
-            .lookup_approx(pattern | 0x1_0000, NodeId(0), DataType::Int, false)
-            .is_none());
     }
 
     #[test]

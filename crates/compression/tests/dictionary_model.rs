@@ -7,10 +7,8 @@
 //! agree. Tables span 1–16 entries and 1–130 nodes, so valid-bit sets cross
 //! the 64-bit word boundary.
 
-use anoc_compression::dictionary::{
-    DecoderPmt, DestRecord, EncoderPmt, MAX_TCAM_TERNARY_BITS, PROMOTE_THRESHOLD,
-};
-use anoc_core::avcl::{low_mask, ApproxPattern, Avcl};
+use anoc_compression::dictionary::{DecoderPmt, DestRecord, EncoderPmt, PROMOTE_THRESHOLD};
+use anoc_core::avcl::{ApproxPattern, Avcl};
 use anoc_core::codec::Notification;
 use anoc_core::data::{DataType, NodeId};
 use anoc_core::snap::{SnapReader, SnapWriter};
@@ -206,11 +204,6 @@ struct ModelEncoder {
     apcl: Option<Avcl>,
 }
 
-fn tcam_key(apcl: &Avcl, pattern: u32, dtype: DataType) -> ApproxPattern {
-    let p = apcl.approx_pattern(pattern, dtype);
-    ApproxPattern::new(p.value(), p.mask() & low_mask(MAX_TCAM_TERNARY_BITS))
-}
-
 impl ModelEncoder {
     fn new(capacity: usize, num_nodes: usize, apcl: Option<Avcl>) -> Self {
         ModelEncoder {
@@ -225,7 +218,7 @@ impl ModelEncoder {
         if self.apcl.is_some() {
             self.apcl = Some(apcl);
             for e in &mut self.entries {
-                e.key = tcam_key(&apcl, e.key.value(), e.dtype);
+                e.key = apcl.approx_pattern(e.key.value(), e.dtype);
             }
         }
     }
@@ -238,7 +231,7 @@ impl ModelEncoder {
                 dtype,
             } => {
                 let key = match &self.apcl {
-                    Some(apcl) => tcam_key(apcl, pattern, dtype),
+                    Some(apcl) => apcl.approx_pattern(pattern, dtype),
                     None => ApproxPattern::exact(pattern),
                 };
                 let record = DestRecord {

@@ -291,9 +291,15 @@ pub fn publish_benchmark_warmup(
     Ok(true)
 }
 
-/// The store key of a cell's mid-measurement checkpoint.
+/// The store key of a cell's mid-measurement checkpoint. It carries the
+/// result-format version: a checkpoint holds codec state verbatim (DI-VAXX
+/// key masks included), so one written under an older format must not resume
+/// into this build's model and be cached as a current result.
 pub fn checkpoint_key(cell_key: &str) -> String {
-    format!("checkpoint {cell_key}")
+    format!(
+        "checkpoint v{} {cell_key}",
+        crate::persist::RESULT_FORMAT_VERSION
+    )
 }
 
 /// Stage tag of a post-warmup snapshot in a store blob.
@@ -978,6 +984,45 @@ mod tests {
         assert!(
             store.get(&key).is_none(),
             "bad checkpoint left in the store"
+        );
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn checkpoint_of_an_older_result_format_is_ignored() {
+        let store = temp_store("v7-checkpoint");
+        let cfg = bad_cell_config();
+        let (bench, mech, seed) = (Benchmark::Ssca2, Mechanism::DiVaxx, 11);
+        // A well-formed checkpoint 600 cycles into the window, stored under
+        // the unversioned key a v7 build wrote.
+        let mut source = benchmark_source(bench, &cfg, seed);
+        let (_, mut sim) = armed_sim(Codecs::Standard(mech), &cfg);
+        let mut buf = Vec::new();
+        drive(&mut sim, &mut source, cfg.warmup_cycles, &mut buf).expect("warmup");
+        arm_measurement(&mut sim, mech, true, &cfg);
+        sim.begin_measurement();
+        drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
+        let ck = "cell v7-checkpoint";
+        publish(
+            &store,
+            &format!("checkpoint {ck}"),
+            STAGE_CHECKPOINT,
+            &sim,
+            &source,
+        );
+        let policy = SnapshotPolicy {
+            store: Some(&store),
+            warmup_key: None,
+            cell_key: Some(ck.into()),
+            checkpoint_every: 0,
+            resume: true,
+        };
+        let (result, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("cold run");
+        assert_eq!(info, StagedInfo::default(), "a v7 checkpoint resumed");
+        let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold reference");
+        assert_eq!(
+            crate::persist::encode_run_result(&result),
+            crate::persist::encode_run_result(&cold)
         );
         let _ = std::fs::remove_dir_all(store.dir());
     }
