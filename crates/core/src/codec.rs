@@ -192,21 +192,23 @@ impl EncodedBlock {
     }
 }
 
-/// Running statistics over encoded words (drives Figures 10a/10b).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EncodeStats {
-    /// Total words seen.
-    pub words: u64,
-    /// Words encoded via an exact match.
-    pub exact_encoded: u64,
-    /// Words encoded thanks to value approximation.
-    pub approx_encoded: u64,
-    /// Words sent raw (uncompressed).
-    pub raw: u64,
-    /// Total input bits (words × 32).
-    pub bits_in: u64,
-    /// Total output bits on the wire.
-    pub bits_out: u64,
+crate::stats_record! {
+    /// Running statistics over encoded words (drives Figures 10a/10b).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct EncodeStats {
+        /// Total words seen.
+        pub words: u64,
+        /// Words encoded via an exact match.
+        pub exact_encoded: u64,
+        /// Words encoded thanks to value approximation.
+        pub approx_encoded: u64,
+        /// Words sent raw (uncompressed).
+        pub raw: u64,
+        /// Total input bits (words × 32).
+        pub bits_in: u64,
+        /// Total output bits on the wire.
+        pub bits_out: u64,
+    }
 }
 
 impl EncodeStats {
@@ -224,16 +226,6 @@ impl EncodeStats {
                 (false, _) => self.raw += span,
             }
         }
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &EncodeStats) {
-        self.words += other.words;
-        self.exact_encoded += other.exact_encoded;
-        self.approx_encoded += other.approx_encoded;
-        self.raw += other.raw;
-        self.bits_in += other.bits_in;
-        self.bits_out += other.bits_out;
     }
 
     /// Fraction of words that were encoded (exact + approximate).
@@ -271,96 +263,27 @@ impl EncodeStats {
             self.bits_in as f64 / self.bits_out as f64
         }
     }
-
-    /// Serializes the accumulator for a simulator snapshot.
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        for v in [
-            self.words,
-            self.exact_encoded,
-            self.approx_encoded,
-            self.raw,
-            self.bits_in,
-            self.bits_out,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Reads an accumulator written by [`save_state`](Self::save_state).
-    pub fn load_state(
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<EncodeStats, crate::snap::SnapError> {
-        Ok(EncodeStats {
-            words: r.u64()?,
-            exact_encoded: r.u64()?,
-            approx_encoded: r.u64()?,
-            raw: r.u64()?,
-            bits_in: r.u64()?,
-            bits_out: r.u64()?,
-        })
-    }
 }
 
-/// Hardware activity counters a codec accumulates, consumed by the dynamic
-/// power model (Figure 15). All counts are event totals since construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CodecActivity {
-    /// CAM search operations (pattern-matching-table lookups).
-    pub cam_searches: u64,
-    /// TCAM search operations (ternary approximate lookups).
-    pub tcam_searches: u64,
-    /// CAM/TCAM write (update/install/invalidate) operations.
-    pub table_updates: u64,
-    /// Approximate-value/pattern compute logic activations (AVCL/APCL).
-    pub avcl_ops: u64,
-    /// Words pushed through encode.
-    pub words_encoded: u64,
-    /// Words pushed through decode.
-    pub words_decoded: u64,
-    /// Dictionary notifications produced or consumed.
-    pub notifications: u64,
-}
-
-impl CodecActivity {
-    /// Serializes the counters for a simulator snapshot.
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        for v in [
-            self.cam_searches,
-            self.tcam_searches,
-            self.table_updates,
-            self.avcl_ops,
-            self.words_encoded,
-            self.words_decoded,
-            self.notifications,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    /// Reads counters written by [`save_state`](Self::save_state).
-    pub fn load_state(
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<CodecActivity, crate::snap::SnapError> {
-        Ok(CodecActivity {
-            cam_searches: r.u64()?,
-            tcam_searches: r.u64()?,
-            table_updates: r.u64()?,
-            avcl_ops: r.u64()?,
-            words_encoded: r.u64()?,
-            words_decoded: r.u64()?,
-            notifications: r.u64()?,
-        })
-    }
-
-    /// Merges another activity record into this one.
-    pub fn merge(&mut self, other: &CodecActivity) {
-        self.cam_searches += other.cam_searches;
-        self.tcam_searches += other.tcam_searches;
-        self.table_updates += other.table_updates;
-        self.avcl_ops += other.avcl_ops;
-        self.words_encoded += other.words_encoded;
-        self.words_decoded += other.words_decoded;
-        self.notifications += other.notifications;
+crate::stats_record! {
+    /// Hardware activity counters a codec accumulates, consumed by the dynamic
+    /// power model (Figure 15). All counts are event totals since construction.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CodecActivity {
+        /// CAM search operations (pattern-matching-table lookups).
+        pub cam_searches: u64,
+        /// TCAM search operations (ternary approximate lookups).
+        pub tcam_searches: u64,
+        /// CAM/TCAM write (update/install/invalidate) operations.
+        pub table_updates: u64,
+        /// Approximate-value/pattern compute logic activations (AVCL/APCL).
+        pub avcl_ops: u64,
+        /// Words pushed through encode.
+        pub words_encoded: u64,
+        /// Words pushed through decode.
+        pub words_decoded: u64,
+        /// Dictionary notifications produced or consumed.
+        pub notifications: u64,
     }
 }
 

@@ -189,26 +189,28 @@ impl Default for LossPlan {
     }
 }
 
-/// Counters of injected faults and bound-checker outcomes, carried inside
-/// `NetStats` (reset with the measurement window like every other counter).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Payload bits flipped on link traversals.
-    pub bit_flips: u64,
-    /// Router arrivals delayed by an injected port stall.
-    pub port_stalls: u64,
-    /// Flow-control credits dropped (lost forever).
-    pub credits_dropped: u64,
-    /// Flow-control credits returned twice.
-    pub credits_duplicated: u64,
-    /// Encoder dictionary entries corrupted.
-    pub dict_corruptions: u64,
-    /// Delivered data words compared against the golden payload.
-    pub bound_checked_words: u64,
-    /// Delivered words whose relative error exceeded the active threshold.
-    pub bound_violations: u64,
-    /// Payload words erased by an active [`LossPlan`] (delivered as zero).
-    pub words_lost: u64,
+anoc_core::stats_record! {
+    /// Counters of injected faults and bound-checker outcomes, carried inside
+    /// `NetStats` (reset with the measurement window like every other counter).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FaultStats {
+        /// Payload bits flipped on link traversals.
+        pub bit_flips: u64,
+        /// Router arrivals delayed by an injected port stall.
+        pub port_stalls: u64,
+        /// Flow-control credits dropped (lost forever).
+        pub credits_dropped: u64,
+        /// Flow-control credits returned twice.
+        pub credits_duplicated: u64,
+        /// Encoder dictionary entries corrupted.
+        pub dict_corruptions: u64,
+        /// Delivered data words compared against the golden payload.
+        pub bound_checked_words: u64,
+        /// Delivered words whose relative error exceeded the active threshold.
+        pub bound_violations: u64,
+        /// Payload words erased by an active [`LossPlan`] (delivered as zero).
+        pub words_lost: u64,
+    }
 }
 
 /// A structured, diagnosable simulation failure.

@@ -151,29 +151,20 @@ pub struct Traversal {
     pub credit_to: Option<(Upstream, usize)>,
 }
 
-/// Microarchitectural event counters of one router (drive the power model).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterActivity {
-    /// Flits written into input buffers.
-    pub buffer_writes: u64,
-    /// Flits read out of input buffers (switch traversals).
-    pub buffer_reads: u64,
-    /// Output VC allocations performed.
-    pub vc_allocs: u64,
-    /// Switch allocation grants (crossbar traversals).
-    pub crossbar_traversals: u64,
-    /// Router-to-router link traversals.
-    pub link_traversals: u64,
-}
-
-impl RouterActivity {
-    /// Merges another activity record into this one.
-    pub fn merge(&mut self, other: &RouterActivity) {
-        self.buffer_writes += other.buffer_writes;
-        self.buffer_reads += other.buffer_reads;
-        self.vc_allocs += other.vc_allocs;
-        self.crossbar_traversals += other.crossbar_traversals;
-        self.link_traversals += other.link_traversals;
+anoc_core::stats_record! {
+    /// Microarchitectural event counters of one router (drive the power model).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RouterActivity {
+        /// Flits written into input buffers.
+        pub buffer_writes: u64,
+        /// Flits read out of input buffers (switch traversals).
+        pub buffer_reads: u64,
+        /// Output VC allocations performed.
+        pub vc_allocs: u64,
+        /// Switch allocation grants (crossbar traversals).
+        pub crossbar_traversals: u64,
+        /// Router-to-router link traversals.
+        pub link_traversals: u64,
     }
 }
 
@@ -420,11 +411,7 @@ impl Router {
                 }
             }
         }
-        w.u64(self.activity.buffer_writes);
-        w.u64(self.activity.buffer_reads);
-        w.u64(self.activity.vc_allocs);
-        w.u64(self.activity.crossbar_traversals);
-        w.u64(self.activity.link_traversals);
+        self.activity.save_state(w);
         Ok(())
     }
 
@@ -486,13 +473,7 @@ impl Router {
                 };
             }
         }
-        self.activity = RouterActivity {
-            buffer_writes: r.u64()?,
-            buffer_reads: r.u64()?,
-            vc_allocs: r.u64()?,
-            crossbar_traversals: r.u64()?,
-            link_traversals: r.u64()?,
-        };
+        self.activity = RouterActivity::load_state(r)?;
         Ok(())
     }
 

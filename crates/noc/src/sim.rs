@@ -49,9 +49,8 @@ use crate::shard::{
     EVENT_HORIZON, MAX_SHARDS, SLOT_MASK,
 };
 use crate::snapshot::{
-    load_flit, load_link_dest, load_opt_usize_below, load_packet, load_stats, save_flit,
-    save_link_dest, save_opt_usize, save_packet, save_stats, SnapshotError, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    load_flit, load_link_dest, load_opt_usize_below, load_packet, save_flit, save_link_dest,
+    save_opt_usize, save_packet, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use crate::stats::{ActivityReport, NetStats};
 use crate::topology::Mesh;
@@ -1070,7 +1069,7 @@ impl NocSim {
                 w.bool(a);
             }
         }
-        save_stats(&mut w, &self.stats);
+        self.stats.save_state(&mut w);
         for c in &self.codecs {
             c.encoder.save_state(&mut w);
             c.decoder.save_state(&mut w);
@@ -1232,7 +1231,7 @@ impl NocSim {
                 *a = active[lo + lr];
             }
         }
-        let stats = load_stats(&mut r)?;
+        let stats = NetStats::load_state(&mut r)?;
         for c in &mut self.codecs {
             c.encoder.load_state(&mut r)?;
             c.decoder.load_state(&mut r)?;

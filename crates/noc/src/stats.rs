@@ -7,47 +7,49 @@ use crate::faults::FaultStats;
 use crate::histogram::LatencyHistogram;
 use crate::router::RouterActivity;
 
-/// Statistics collected over the measurement window.
-#[derive(Debug, Clone, Default)]
-pub struct NetStats {
-    /// Cycles elapsed inside the measurement window.
-    pub cycles: u64,
-    /// Completed packets.
-    pub packets: u64,
-    /// Completed data packets.
-    pub data_packets: u64,
-    /// Completed control packets.
-    pub control_packets: u64,
-    /// Sum of NI queueing latency (creation → head flit injection),
-    /// including any exposed compression latency.
-    pub queue_lat_sum: u64,
-    /// Sum of network latency (injection → tail ejection).
-    pub net_lat_sum: u64,
-    /// Sum of decompression latency.
-    pub decode_lat_sum: u64,
-    /// Flits injected (all kinds).
-    pub flits_injected: u64,
-    /// Data flits injected (header + payload of data packets).
-    pub data_flits_injected: u64,
-    /// Control flits injected.
-    pub control_flits_injected: u64,
-    /// Flits delivered to NIs.
-    pub flits_delivered: u64,
-    /// Data flits an uncompressed baseline would have injected for the same
-    /// blocks (the normalization denominator of Figure 11).
-    pub baseline_data_flits: u64,
-    /// Word-encoding statistics aggregated across all encoders (Figure 10).
-    pub encode: EncodeStats,
-    /// Data value quality (Figure 9's right axis).
-    pub quality: QualityAccumulator,
-    /// Packets generated but dropped because the simulation ended before
-    /// injection (reported, never silently ignored).
-    pub unfinished: u64,
-    /// Injected-fault and bound-checker counters (all zero without an
-    /// active [`crate::faults::FaultPlan`] / bound checker).
-    pub faults: FaultStats,
-    /// Distribution of end-to-end packet latencies (tail analysis).
-    pub latency_histogram: LatencyHistogram,
+anoc_core::stats_record! {
+    /// Statistics collected over the measurement window.
+    #[derive(Debug, Clone, Default)]
+    pub struct NetStats {
+        /// Cycles elapsed inside the measurement window.
+        pub cycles: u64,
+        /// Completed packets.
+        pub packets: u64,
+        /// Completed data packets.
+        pub data_packets: u64,
+        /// Completed control packets.
+        pub control_packets: u64,
+        /// Sum of NI queueing latency (creation → head flit injection),
+        /// including any exposed compression latency.
+        pub queue_lat_sum: u64,
+        /// Sum of network latency (injection → tail ejection).
+        pub net_lat_sum: u64,
+        /// Sum of decompression latency.
+        pub decode_lat_sum: u64,
+        /// Flits injected (all kinds).
+        pub flits_injected: u64,
+        /// Data flits injected (header + payload of data packets).
+        pub data_flits_injected: u64,
+        /// Control flits injected.
+        pub control_flits_injected: u64,
+        /// Flits delivered to NIs.
+        pub flits_delivered: u64,
+        /// Data flits an uncompressed baseline would have injected for the same
+        /// blocks (the normalization denominator of Figure 11).
+        pub baseline_data_flits: u64,
+        /// Word-encoding statistics aggregated across all encoders (Figure 10).
+        pub encode: EncodeStats,
+        /// Data value quality (Figure 9's right axis).
+        pub quality: QualityAccumulator,
+        /// Packets generated but dropped because the simulation ended before
+        /// injection (reported, never silently ignored).
+        pub unfinished: u64,
+        /// Injected-fault and bound-checker counters (all zero without an
+        /// active [`crate::faults::FaultPlan`] / bound checker).
+        pub faults: FaultStats,
+        /// Distribution of end-to-end packet latencies (tail analysis).
+        pub latency_histogram: LatencyHistogram,
+    }
 }
 
 impl NetStats {
