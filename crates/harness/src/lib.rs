@@ -7,8 +7,10 @@
 //!   [`Mechanism`]s under comparison;
 //! * [`runner`] — the generic traffic → NoC → statistics driver: one
 //!   [`runner::run`] over a [`runner::RunSpec`];
-//! * [`experiments`] — one runner per figure (`fig9` … `fig17`) plus text
-//!   renderers producing the same rows/series the paper reports;
+//! * [`experiments`] — one runner per figure (`fig9` … `fig17`) producing
+//!   the same rows/series the paper reports, each with its [`table::Table`];
+//! * [`table`] — the one table type behind every `anoc run` target, with a
+//!   text, a CSV and a JSON writer;
 //! * [`campaign`] — the bridge to the `anoc-exec` parallel engine: cell
 //!   content keys, the result-cache codec and the process-wide
 //!   [`campaign::ExecContext`] every figure runner executes on;
@@ -51,6 +53,7 @@ pub mod experiments;
 pub mod persist;
 pub mod power;
 pub mod runner;
+pub mod table;
 
 pub use campaign::ExecContext;
 pub use config::{Mechanism, SystemConfig};
