@@ -50,8 +50,9 @@ options:
   --cycles N    measured simulation cycles (default varies per target)
   --seed N      traffic/data RNG seed (default 42)
   --threads N   worker threads (default: ANOC_THREADS or all cores)
-  --shards N    worker shards inside each simulation (default 1 = serial;
-                results are bit-identical for any value)
+  --shards N    worker shards inside each simulation (default 1 = serial,
+                or the host's core count for scale; results are
+                bit-identical for any value)
   --grids N     scale target only: sweep the N smallest meshes (default 3)
   --no-cache    always simulate; do not read or write the result cache
                 (also disables the warm-start snapshot store)
@@ -612,17 +613,28 @@ fn fig17(opts: &Opts) -> Result<(), String> {
 
 /// The `scale` target: single-simulation step-throughput across mesh sizes,
 /// serial kernel vs sharded kernel. It drives `NocSim::step` directly with
-/// the uniform-random workload of the kernel-fingerprint test, so the number
-/// measures the cycle kernel rather than a traffic generator. Timing is the
-/// measurement, so this never touches the result cache and runs one
-/// simulation at a time.
+/// uniform-random traffic, one packet in three a 9-flit data packet and the
+/// rest single-flit control packets, so the number measures the cycle kernel
+/// rather than a traffic generator. Each k×k grid (concentration 2) is
+/// offered half its ideal uniform-random bisection limit of 4/(c·k)
+/// flits/node/cycle, so every grid runs below saturation; each point prints
+/// the offered and accepted (injected) load beside the rates, and accepted
+/// falling short of offered means the grid saturated. `--shards` defaults
+/// to the host's available parallelism. Timing is the measurement, so this
+/// never touches the result cache and runs one simulation at a time.
 fn scale(opts: &Opts) -> Result<(), String> {
     use anoc_core::data::{CacheBlock, NodeId};
     use anoc_core::rng::Pcg32;
+    use anoc_noc::faults::PPM;
     use anoc_noc::{NocConfig, NocSim, NodeCodec};
     use std::time::Instant;
 
-    let shards = if opts.shards > 1 { opts.shards } else { 4 };
+    const CONCENTRATION: usize = 2;
+    let shards = if opts.shards > 1 {
+        opts.shards
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    };
     let cycles = if opts.cycles == 0 { 2_000 } else { opts.cycles };
     let grids: &[(usize, usize)] = &[(8, 8), (16, 16), (32, 32)];
     let grids = &grids[..opts.grids.min(grids.len())];
@@ -632,6 +644,8 @@ fn scale(opts: &Opts) -> Result<(), String> {
         &[
             data_only("mesh", None),
             data_only("nodes", None),
+            data_only("offered", Some(4)),
+            data_only("accepted", Some(4)),
             data_only("serial_mcycs", Some(4)),
             data_only("sharded_mcycs", Some(4)),
             data_only("speedup", Some(4)),
@@ -639,48 +653,61 @@ fn scale(opts: &Opts) -> Result<(), String> {
     );
     // Text and CSV open with the sweep's title line; JSON is the rows alone.
     if format != Format::Json {
-        println!("Kernel scaling: {cycles} stepped cycles per point, serial vs {shards} shards");
+        println!(
+            "Kernel scaling: {cycles} stepped cycles per point at half the bisection limit, \
+             serial vs {shards} shards"
+        );
     }
     for &(w, h) in grids {
-        let config = NocConfig::cmesh(w, h, 2);
+        let config = NocConfig::cmesh(w, h, CONCENTRATION);
         let nodes = config.num_nodes();
+        let data_flits = u64::from(config.data_packet_flits(16 * 32));
+        let limit = 4.0 / (CONCENTRATION * w.max(h)) as f64;
+        let packet_ppm = (0.5 * limit / ((2 + data_flits) as f64 / 3.0) * f64::from(PPM)) as u32;
         let mut rates = [0.0f64; 2];
+        // Flits offered and injected over the run, the same at any shard
+        // count.
+        let (mut offered, mut accepted) = (0u64, 0u64);
         for (i, s) in [1, shards].into_iter().enumerate() {
             let codecs = (0..nodes).map(|_| NodeCodec::baseline()).collect();
             let mut sim = NocSim::new(config.clone(), codecs);
             sim.set_shards(s);
             let mut rng = Pcg32::seed_from_u64(opts.seed ^ 0xA90C);
+            offered = 0;
             let start = Instant::now();
             for _ in 0..cycles {
                 for node in 0..nodes {
-                    let roll = rng.below(100);
-                    if roll >= 6 {
+                    let roll = rng.below(PPM);
+                    if roll >= packet_ppm {
                         continue;
                     }
                     let mut d = rng.below(nodes as u32) as usize;
                     if d == node {
                         d = (d + 1) % nodes;
                     }
-                    if roll < 4 {
-                        sim.enqueue_control(NodeId(node as u16), NodeId(d as u16));
-                    } else {
+                    let (src, dest) = (NodeId(node as u16), NodeId(d as u16));
+                    if roll < packet_ppm / 3 {
                         let word = rng.next_u32() as i32;
-                        sim.enqueue_data(
-                            NodeId(node as u16),
-                            NodeId(d as u16),
-                            CacheBlock::from_i32(&[word; 16]),
-                        );
+                        sim.enqueue_data(src, dest, CacheBlock::from_i32(&[word; 16]));
+                        offered += data_flits;
+                    } else {
+                        sim.enqueue_control(src, dest);
+                        offered += 1;
                     }
                 }
                 sim.step();
                 sim.discard_delivered();
             }
             rates[i] = cycles as f64 / start.elapsed().as_secs_f64().max(1e-9) / 1e6;
+            accepted = sim.stats().flits_injected;
         }
+        let per_node_cycle = |flits: u64| flits as f64 / (nodes as u64 * cycles) as f64;
+        let (offered, accepted) = (per_node_cycle(offered), per_node_cycle(accepted));
         let speedup = rates[1] / rates[0];
         if format == Format::Text {
             println!(
-                "  {w:>2}x{h:<2} cmesh ({nodes:>4} nodes): serial {:>7.3} Mcyc/s, {shards} shards {:>7.3} Mcyc/s, speedup {speedup:.2}x",
+                "  {w:>2}x{h:<2} cmesh ({nodes:>4} nodes): offered {offered:.4}, accepted {accepted:.4} flits/node/cyc; \
+                 serial {:>7.3} Mcyc/s, {shards} shards {:>7.3} Mcyc/s, speedup {speedup:.2}x",
                 rates[0],
                 rates[1],
             );
@@ -689,6 +716,8 @@ fn scale(opts: &Opts) -> Result<(), String> {
         table.row(vec![
             mesh.as_str().into(),
             (nodes as u64).into(),
+            offered.into(),
+            accepted.into(),
             rates[0].into(),
             rates[1].into(),
             speedup.into(),

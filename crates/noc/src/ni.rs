@@ -11,6 +11,8 @@ use std::collections::VecDeque;
 
 use anoc_core::codec::{BlockDecoder, BlockEncoder};
 
+use crate::router::wrap;
+
 /// The encoder/decoder pair hosted by one NI.
 pub struct NodeCodec {
     /// The block encoder used for every data packet this node sends.
@@ -71,15 +73,18 @@ impl NiState {
         }
     }
 
-    /// Picks an injection VC with at least one credit.
+    /// Picks an injection VC with at least one credit, in round-robin order
+    /// from `vc_rr` (always below the VC count).
     pub(crate) fn pick_vc(&mut self) -> Option<usize> {
         let n = self.vc_credits.len();
-        for k in 0..n {
-            let v = (self.vc_rr + k) % n;
+        let mut v = self.vc_rr;
+        for _ in 0..n {
+            let next = wrap(v + 1, n);
             if self.vc_credits[v] > 0 {
-                self.vc_rr = (v + 1) % n;
+                self.vc_rr = next;
                 return Some(v);
             }
+            v = next;
         }
         None
     }

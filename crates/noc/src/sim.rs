@@ -43,14 +43,14 @@ use crate::faults::{
 };
 use crate::ni::NodeCodec;
 use crate::packet::{Delivered, Flit, PacketId, PacketKind, PacketState, TraceEvent};
-use crate::router::{LinkDest, RouterActivity, Upstream};
+use crate::router::{Hop, RouterActivity};
 use crate::shard::{
     build_shards, encode_slot, local_of_slot, shard_of_slot, Arrival, Phase, Shard, StepCtx,
     EVENT_HORIZON, MAX_SHARDS, SLOT_MASK,
 };
 use crate::snapshot::{
     load_flit, load_link_dest, load_opt_usize_below, load_packet, save_flit, save_link_dest,
-    save_opt_usize, save_packet, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    save_opt_usize, save_packet, LinkDest, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use crate::stats::{ActivityReport, NetStats};
 use crate::topology::Mesh;
@@ -65,7 +65,8 @@ pub struct NocSim {
     /// least one; with exactly one, the kernel runs fully serially.
     shards: Vec<Shard>,
     /// Owning shard index of every router (and, through a router's attached
-    /// nodes, of every node).
+    /// nodes, of every node). The kernel's links carry their shard in their
+    /// [`Hop`]s; this serves enqueue, restore and the queries.
     router_shard: Vec<u32>,
     /// Persistent pinned workers for shards `1..n` (shard 0 runs on the
     /// stepping thread); present only with more than one shard.
@@ -380,7 +381,7 @@ impl NocSim {
 
     /// The shard owning `node`'s router (nodes follow their router).
     fn node_shard(&self, node: usize) -> usize {
-        self.router_shard[node / self.mesh.concentration()] as usize
+        self.router_shard[self.mesh.router_of(NodeId::from(node))] as usize
     }
 
     /// Stops measuring newly created packets (drain phase).
@@ -657,7 +658,8 @@ impl NocSim {
         // into its target shard's ring, pass 2 returns credits (drawing
         // drop/duplicate faults) — so allocation never observes same-cycle
         // credits, and the sequential fault-RNG draw order is the global
-        // router-ascending traversal order on any shard count.
+        // router-ascending traversal order on any shard count. Each
+        // traversal names its target and credit shards in its `Hop`s.
         for i in 0..n {
             let outgoing = std::mem::take(&mut self.shards[i].outgoing);
             for t in &outgoing {
@@ -677,29 +679,23 @@ impl NocSim {
                         self.erase_payload_word(t.flit.slot);
                     }
                 }
-                self.schedule(now + 2, t.dest, t.out_vc, t.flit);
+                self.shards[t.dest.shard as usize].schedule(now, now + 2, t.dest, t.out_vc, t.flit);
             }
             self.shards[i].outgoing = outgoing;
         }
+        // With credit faults inert every freed slot is credited exactly once
+        // and no draw is made, so the per-credit copy count is skipped.
+        let credit_faults = self.faults.credit_drop_ppm > 0 || self.faults.credit_dup_ppm > 0;
         for i in 0..n {
             let mut outgoing = std::mem::take(&mut self.shards[i].outgoing);
             for t in outgoing.drain(..) {
-                if let Some((upstream, vc)) = t.credit_to {
-                    let copies = self.credit_copies();
-                    for _ in 0..copies {
-                        match upstream {
-                            Upstream::Router { router, port } => {
-                                let s = self.router_shard[router] as usize;
-                                let lr = router - self.shards[s].router_lo;
-                                self.shards[s].routers[lr].return_credit(port, vc);
-                            }
-                            Upstream::Local { node } => {
-                                let s = self.node_shard(node);
-                                let ln = node - self.shards[s].node_lo;
-                                self.shards[s].nis[ln].vc_credits[vc] += 1;
-                            }
-                        }
-                    }
+                let (to, vc) = (t.credit_to, usize::from(t.in_vc));
+                if !credit_faults {
+                    self.shards[to.shard as usize].return_credit(to, vc);
+                    continue;
+                }
+                for _ in 0..self.credit_copies() {
+                    self.shards[to.shard as usize].return_credit(to, vc);
                 }
             }
             self.shards[i].outgoing = outgoing;
@@ -1057,16 +1053,26 @@ impl NocSim {
             w.usize(total);
             for shard in &self.shards {
                 for a in &shard.events[idx] {
-                    save_link_dest(&mut w, a.target);
-                    w.usize(a.vc);
+                    let target = if a.port == Hop::NI {
+                        LinkDest::Eject {
+                            node: a.index as usize,
+                        }
+                    } else {
+                        LinkDest::Router {
+                            router: shard.router_lo + a.index as usize,
+                            port: a.port.into(),
+                        }
+                    };
+                    save_link_dest(&mut w, target);
+                    w.usize(a.vc.into());
                     save_flit(&mut w, &a.flit, &remap)?;
                 }
             }
         }
         // Router activity flags, in global router order.
         for shard in &self.shards {
-            for &a in &shard.active {
-                w.bool(a);
+            for lr in 0..shard.routers.len() {
+                w.bool(shard.is_active(lr));
             }
         }
         self.stats.save_state(&mut w);
@@ -1214,11 +1220,19 @@ impl NocSim {
                     return Err(SnapshotError::Structure("arrival vc"));
                 }
                 let flit = load_flit(&mut r, &remap)?;
-                let s = match target {
-                    LinkDest::Router { router, .. } => self.router_shard[router] as usize,
-                    LinkDest::Eject { node } => self.node_shard(node),
+                let (s, index, port) = match target {
+                    LinkDest::Router { router, port } => {
+                        let s = self.router_shard[router] as usize;
+                        (s, router - self.shards[s].router_lo, port as u8)
+                    }
+                    LinkDest::Eject { node } => (self.node_shard(node), node, Hop::NI),
                 };
-                self.shards[s].events[idx].push(Arrival { target, vc, flit });
+                self.shards[s].events[idx].push(Arrival {
+                    flit,
+                    index: index as u32,
+                    port,
+                    vc: vc as u8,
+                });
             }
         }
         let mut active = Vec::with_capacity(num_routers);
@@ -1226,9 +1240,11 @@ impl NocSim {
             active.push(r.bool()?);
         }
         for shard in &mut self.shards {
-            let lo = shard.router_lo;
-            for (lr, a) in shard.active.iter_mut().enumerate() {
-                *a = active[lo + lr];
+            shard.active.iter_mut().for_each(|w| *w = 0);
+            for lr in 0..shard.routers.len() {
+                if active[shard.router_lo + lr] {
+                    shard.mark_active(lr);
+                }
             }
         }
         let stats = NetStats::load_state(&mut r)?;
@@ -1283,17 +1299,6 @@ impl NocSim {
         self.tracing = false;
         self.fatal = None;
         Ok(())
-    }
-
-    /// Schedules an arrival into the ring of the shard owning the target
-    /// router (ejection paths belong to the node's local router).
-    fn schedule(&mut self, at: u64, target: LinkDest, vc: usize, flit: Flit) {
-        let s = match target {
-            LinkDest::Router { router, .. } => self.router_shard[router] as usize,
-            LinkDest::Eject { node } => self.node_shard(node),
-        };
-        let now = self.cycle;
-        self.shards[s].schedule(at, target, vc, flit, now);
     }
 
     fn eject_flit(&mut self, node: usize, flit: Flit, now: u64) {

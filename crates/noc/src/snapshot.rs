@@ -34,7 +34,6 @@ use anoc_core::data::{CacheBlock, DataType, NodeId};
 use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::packet::{Flit, PacketKind, PacketState};
-use crate::router::LinkDest;
 
 /// First eight bytes of every snapshot blob.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ANOCSNAP";
@@ -359,6 +358,18 @@ pub(crate) fn load_flit(
         dest: load_node(r)?,
         ready_at: r.u64()?,
     })
+}
+
+/// Where an event-ring arrival lands, in the blob's shard-independent form:
+/// a global router id, or the ejecting node. The kernel itself resolves
+/// links to shard-local [`Hop`](crate::router::Hop)s; save and restore
+/// translate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LinkDest {
+    /// Input port `port` of router `router`.
+    Router { router: usize, port: usize },
+    /// The ejection path of node `node`.
+    Eject { node: usize },
 }
 
 pub(crate) fn save_link_dest(w: &mut SnapWriter, d: LinkDest) {

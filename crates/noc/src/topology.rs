@@ -39,21 +39,68 @@ impl Direction {
     }
 }
 
+/// Where a node sits: its router, that router's coordinates, and the
+/// node's local port.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NodeSite {
+    router: u32,
+    x: u16,
+    y: u16,
+    port: u8,
+}
+
 /// Static description of a (concentrated) 2D mesh.
+///
+/// The per-node and per-router geometry is tabulated once at construction,
+/// so routing and the node → router/port lookups on the kernel's hot path
+/// are table reads rather than divisions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mesh {
     width: usize,
     height: usize,
     concentration: usize,
+    /// Per node, indexed by node id.
+    nodes: Vec<NodeSite>,
+    /// Per router: `(x, y)`.
+    xy: Vec<(u16, u16)>,
 }
 
 impl Mesh {
     /// Builds the mesh described by `config`.
     pub fn new(config: &NocConfig) -> Self {
+        let (width, height, concentration) = (config.width, config.height, config.concentration);
+        let xy: Vec<(u16, u16)> = (0..width * height)
+            .map(|r| ((r % width) as u16, (r / width) as u16))
+            .collect();
+        let nodes = (0..width * height * concentration)
+            .map(|n| {
+                let router = n / concentration;
+                let (x, y) = xy[router];
+                NodeSite {
+                    router: router as u32,
+                    x,
+                    y,
+                    port: (4 + n % concentration) as u8,
+                }
+            })
+            .collect();
         Mesh {
-            width: config.width,
-            height: config.height,
-            concentration: config.concentration,
+            width,
+            height,
+            concentration,
+            nodes,
+            xy,
+        }
+    }
+
+    /// A mesh with no routers, for placeholders that are never stepped.
+    pub(crate) fn empty() -> Self {
+        Mesh {
+            width: 0,
+            height: 0,
+            concentration: 0,
+            nodes: Vec::new(),
+            xy: Vec::new(),
         }
     }
 
@@ -95,13 +142,15 @@ impl Mesh {
     }
 
     /// The router a node is attached to.
+    #[inline]
     pub fn router_of(&self, node: NodeId) -> usize {
-        node.index() / self.concentration
+        self.nodes[node.index()].router as usize
     }
 
     /// The local port index (within the router) serving `node`.
+    #[inline]
     pub fn local_port_of(&self, node: NodeId) -> usize {
-        4 + node.index() % self.concentration
+        self.nodes[node.index()].port as usize
     }
 
     /// The node attached to `router` at local port `port`.
@@ -116,7 +165,8 @@ impl Mesh {
 
     /// `(x, y)` coordinates of a router.
     pub fn coords(&self, router: usize) -> (usize, usize) {
-        (router % self.width, router / self.width)
+        let (x, y) = self.xy[router];
+        (x.into(), y.into())
     }
 
     /// Router id from coordinates.
@@ -139,18 +189,18 @@ impl Mesh {
     /// XY (dimension-ordered) routing: the output port at `router` towards
     /// `dest`. X is fully resolved before Y; at the destination router the
     /// packet exits through the node's local port. Deadlock-free on a mesh.
+    #[inline]
     pub fn route_xy(&self, router: usize, dest: NodeId) -> usize {
-        let dest_router = self.router_of(dest);
-        if router == dest_router {
-            return self.local_port_of(dest);
+        let d = self.nodes[dest.index()];
+        if router == d.router as usize {
+            return d.port as usize;
         }
-        let (x, y) = self.coords(router);
-        let (dx, dy) = self.coords(dest_router);
-        if x < dx {
+        let (x, y) = self.xy[router];
+        if x < d.x {
             Direction::East as usize
-        } else if x > dx {
+        } else if x > d.x {
             Direction::West as usize
-        } else if y < dy {
+        } else if y < d.y {
             Direction::South as usize
         } else {
             Direction::North as usize
@@ -159,9 +209,8 @@ impl Mesh {
 
     /// Hop count of the XY route between two nodes (router-to-router links).
     pub fn hops(&self, src: NodeId, dest: NodeId) -> usize {
-        let (sx, sy) = self.coords(self.router_of(src));
-        let (dx, dy) = self.coords(self.router_of(dest));
-        sx.abs_diff(dx) + sy.abs_diff(dy)
+        let (s, d) = (self.nodes[src.index()], self.nodes[dest.index()]);
+        usize::from(s.x.abs_diff(d.x)) + usize::from(s.y.abs_diff(d.y))
     }
 }
 
@@ -227,6 +276,59 @@ mod tests {
         assert_eq!(m.route_xy(3, dest), Direction::South as usize);
         assert_eq!(m.route_xy(7, dest), Direction::South as usize);
         assert_eq!(m.route_xy(15, dest), 5); // local port of node 31
+    }
+
+    /// The geometry tables must reproduce the arithmetic definitions they
+    /// replaced, which this test keeps as its reference, on square and
+    /// non-square meshes at every concentration the kernel uses.
+    #[test]
+    fn geometry_tables_match_the_arithmetic_definitions() {
+        for (width, height, c) in [(3, 3, 1), (4, 4, 2), (5, 3, 3), (1, 1, 4)] {
+            let m = Mesh::new(&NocConfig::cmesh(width, height, c));
+            let coords = |r: usize| (r % width, r / width);
+            let router_of = |n: usize| n / c;
+            let local_port_of = |n: usize| 4 + n % c;
+            let route_xy = |r: usize, n: usize| {
+                let dest = router_of(n);
+                let ((x, y), (dx, dy)) = (coords(r), coords(dest));
+                if r == dest {
+                    local_port_of(n)
+                } else if x < dx {
+                    Direction::East as usize
+                } else if x > dx {
+                    Direction::West as usize
+                } else if y < dy {
+                    Direction::South as usize
+                } else {
+                    Direction::North as usize
+                }
+            };
+            let hops = |a: usize, b: usize| {
+                let ((ax, ay), (bx, by)) = (coords(router_of(a)), coords(router_of(b)));
+                ax.abs_diff(bx) + ay.abs_diff(by)
+            };
+            let nodes = width * height * c;
+            assert_eq!(m.num_nodes(), nodes);
+            for r in 0..m.num_routers() {
+                assert_eq!(m.coords(r), coords(r), "{width}x{height}: router {r}");
+                for n in 0..nodes {
+                    let node = NodeId::from(n);
+                    assert_eq!(
+                        m.route_xy(r, node),
+                        route_xy(r, n),
+                        "router {r} -> node {n}"
+                    );
+                }
+            }
+            for n in 0..nodes {
+                let node = NodeId::from(n);
+                assert_eq!(m.router_of(node), router_of(n), "node {n}");
+                assert_eq!(m.local_port_of(node), local_port_of(n), "node {n}");
+                for b in 0..nodes {
+                    assert_eq!(m.hops(node, NodeId::from(b)), hops(n, b), "{n} -> {b}");
+                }
+            }
+        }
     }
 
     #[test]
