@@ -72,6 +72,7 @@ pub struct CacheStats {
     pub transfers: u64,
 }
 
+#[warn(clippy::cast_possible_truncation)]
 impl CacheStats {
     /// Miss ratio over all accesses.
     pub fn miss_ratio(&self) -> f64 {

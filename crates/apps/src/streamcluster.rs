@@ -112,6 +112,10 @@ impl ApproxKernel for Streamcluster {
     }
 
     /// Fraction of points whose cluster assignment changed.
+    #[expect(
+        clippy::float_cmp,
+        reason = "cluster indices carried as f64; any difference is a changed assignment"
+    )]
     fn output_error(&self, precise: &[f64], approx: &[f64]) -> f64 {
         assert_eq!(precise.len(), approx.len());
         if precise.is_empty() {

@@ -5,5 +5,4 @@
 //! The paper's tables and figures are regenerated by `anoc run <target>`,
 //! and end-to-end throughput is measured by the `anoc-benchmark` harness.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -231,9 +231,7 @@ impl Avcl {
             DataType::Int => {
                 let p = precise as i32 as f64;
                 let a = approx as i32 as f64;
-                // anoc-lint: allow(D003): exact-zero guard, relative error undefined at 0
                 if p == 0.0 {
-                    // anoc-lint: allow(D003): exact-zero comparison picks the 0/inf sentinel
                     Some(if a == 0.0 { 0.0 } else { f64::INFINITY })
                 } else {
                     Some((a - p).abs() / p.abs())
@@ -245,9 +243,7 @@ impl Avcl {
                 if !p.is_finite() || !a.is_finite() {
                     return None;
                 }
-                // anoc-lint: allow(D003): exact-zero guard, relative error undefined at 0
                 if p == 0.0 {
-                    // anoc-lint: allow(D003): exact-zero comparison picks the 0/inf sentinel
                     Some(if a == 0.0 { 0.0 } else { f64::INFINITY })
                 } else {
                     Some((a - p).abs() / p.abs())

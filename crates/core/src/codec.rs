@@ -211,6 +211,7 @@ crate::stats_record! {
     }
 }
 
+#[warn(clippy::cast_possible_truncation)]
 impl EncodeStats {
     /// Folds one encoded block into the statistics. A zero run counts as
     /// `len` exactly-encoded words.

@@ -38,8 +38,22 @@
 //! assert!(!pattern.matches(2000));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Sim-critical crate (DESIGN.md §6): no wall clock or hash-ordered
+// collection anywhere (lists in clippy.toml), and no panics, exact float
+// comparisons or console output outside `#[cfg(test)]` code.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod avcl;
 pub mod codec;

@@ -7,6 +7,10 @@
 //! application-level output error (Figure 16) via app-specific metrics; the
 //! generic building blocks (MRE, RMSE, PSNR) live here.
 
+// A stats-accumulation path: a counter narrowed by an `as` cast loses
+// high-traffic runs silently (DESIGN.md §6, C003).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use crate::avcl::Avcl;
 use crate::data::{CacheBlock, DataType};
 use crate::snap::{SnapError, SnapReader, SnapWriter};
@@ -158,7 +162,6 @@ pub fn rmse(reference: &[f64], candidate: &[f64]) -> f64 {
 /// value. Returns `f64::INFINITY` for identical inputs.
 pub fn psnr(reference: &[f64], candidate: &[f64], peak: f64) -> f64 {
     let e = rmse(reference, candidate);
-    // anoc-lint: allow(D003): exact-zero RMSE sentinel selects infinite PSNR
     if e == 0.0 {
         f64::INFINITY
     } else {

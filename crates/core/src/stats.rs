@@ -8,6 +8,10 @@
 //! through [`StatField`]. No serializer restates a record's field list, so
 //! adding a counter is one line.
 
+// A stats-accumulation path: a counter narrowed by an `as` cast loses
+// high-traffic runs silently (DESIGN.md §6, C003).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 
 /// A field of a stats record: a `u64` counter, a nested record or an
@@ -108,7 +112,10 @@ macro_rules! stats_record {
 
             /// A record holding `counters` in declaration order, with every
             /// other field at its default.
-            #[allow(clippy::needless_update)]
+            #[allow(
+                clippy::needless_update,
+                reason = "records whose every field is a counter leave nothing to default"
+            )]
             pub fn from_counters(counters: [u64; Self::COUNTERS]) -> Self {
                 let [$($counter),*] = counters;
                 Self {

@@ -674,7 +674,6 @@ mod tests {
                     let warm_check = Arc::clone(warm_runs);
                     let early = Arc::clone(early);
                     JobSpec::new(format!("w/{i}"), format!("warm v1 n={i}"), move || {
-                        // anoc-lint: allow(X001): test-only counters
                         if warm_check[group as usize].load(Ordering::SeqCst) == 0 {
                             early.fetch_add(1, Ordering::SeqCst);
                         }
@@ -695,7 +694,6 @@ mod tests {
         );
         assert_eq!(results, vec![0, 10, 20, 30, 40, 50]);
         assert_eq!(report.executed, 6);
-        // anoc-lint: allow(X001): test-only counters
         assert_eq!(warm_runs[0].load(Ordering::SeqCst), 1, "group 0 deduped");
         assert_eq!(warm_runs[1].load(Ordering::SeqCst), 1, "group 1 deduped");
         assert_eq!(

@@ -37,7 +37,6 @@
 //! assert_eq!(report.executed, 16);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -6,6 +6,10 @@
 //! `ANOC_PROGRESS`: `0` silences it, `1` forces it, and by default it is on
 //! only when stderr is a terminal (so tests and redirected runs stay clean).
 
+// A stats-accumulation path: a counter narrowed by an `as` cast loses
+// high-traffic runs silently (DESIGN.md §6, C003).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use std::io::{IsTerminal, Write};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -48,7 +52,10 @@ fn rate_fragment(sim_cycles: u64, wall: Duration) -> String {
 }
 
 /// Renders one per-job progress line from a snapshot of the counters.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per field of the progress line"
+)]
 fn format_job_line(
     label: &str,
     done: usize,

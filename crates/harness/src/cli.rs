@@ -12,7 +12,6 @@
 //! anoc cache clear
 //! anoc capture --out trace.txt     # persist a benchmark trace
 //! anoc replay --out trace.txt      # simulate from a saved trace
-//! anoc lint --deny                 # determinism/correctness static analysis
 //! ```
 //!
 //! The historical per-figure commands (`anoc fig9`, `anoc table1`, …) keep
@@ -33,7 +32,6 @@ const USAGE: &str = "usage: anoc run <TARGET> [OPTIONS]
        anoc cache <stats|clear>
        anoc capture [OPTIONS]
        anoc replay [OPTIONS]
-       anoc lint [--json] [--deny] [--baseline FILE]
        anoc <TARGET> [OPTIONS]          (alias for `anoc run <TARGET>`)
 
 targets:
@@ -67,17 +65,7 @@ options:
                 Baseline first, e.g. --mechs Baseline,FP-VAXX,LZ-VAXX
                 (default: the paper's 5)
   --keep-going  complete campaigns past failed cells (exit 3 if any failed)
-  --out PATH    output path (fig17 image directory, capture/replay trace)
-
-lint options:
-  --json                  machine-readable report (schema in EXPERIMENTS.md)
-  --deny                  treat warnings as errors (what CI runs)
-  --root PATH             lint this tree instead of the enclosing workspace
-  --baseline FILE         grandfather the findings recorded in FILE; fail only
-                          on new findings or suppression-count growth
-  --write-baseline FILE   regenerate FILE from the current tree and exit
-  --phase-deny NAME       add NAME to the D005 serial-edge deny list
-                          (repeatable)";
+  --out PATH    output path (fig17 image directory, capture/replay trace)";
 
 /// All figure/table targets of `anoc run`, in `all` order.
 const TARGETS: [&str; 15] = [
@@ -186,7 +174,6 @@ enum Command {
     CacheClear,
     Capture { opts: Opts },
     Replay { opts: Opts },
-    Lint { args: Vec<String> },
 }
 
 /// Entry point for the `anoc` binary: parses `std::env::args`, runs, and
@@ -198,9 +185,6 @@ pub fn run() -> i32 {
 
 fn run_argv(argv: &[String]) -> i32 {
     match parse(argv) {
-        // Lint owns its exit-code contract (1 findings, 2 usage), so it
-        // bypasses the Ok/Err mapping below.
-        Ok(Command::Lint { args }) => anoc_lint::run_cli(&args),
         Ok(cmd) => match execute(cmd) {
             // Completed-but-degraded campaigns (keep-going mode or a faults
             // sweep with aborted cells) exit 3, distinct from hard errors.
@@ -243,12 +227,6 @@ fn parse(argv: &[String]) -> Result<Command, String> {
         }
         "capture" => ("capture", String::new()),
         "replay" => ("replay", String::new()),
-        // `lint` has its own flag set, parsed by anoc-lint itself.
-        "lint" => {
-            return Ok(Command::Lint {
-                args: it.map(str::to_string).collect(),
-            });
-        }
         t if TARGETS.contains(&t) || t == "all" || t == "ablations" || t == "scale" => {
             ("run", t.to_string())
         }
@@ -412,7 +390,6 @@ fn execute(cmd: Command) -> Result<(), String> {
         }
         Command::Capture { opts } => capture(&opts),
         Command::Replay { opts } => replay(&opts),
-        Command::Lint { .. } => unreachable!("lint is dispatched in run_argv"),
     }
 }
 
@@ -928,23 +905,6 @@ mod tests {
         ));
         assert!(parse_strs(&["cache"]).is_err());
         assert!(parse_strs(&["cache", "nuke"]).is_err());
-    }
-
-    #[test]
-    fn lint_subcommand_parses_with_passthrough_flags() {
-        match parse_strs(&["lint"]).expect("parse") {
-            Command::Lint { args } => assert!(args.is_empty()),
-            other => panic!("wrong command {other:?}"),
-        }
-        match parse_strs(&["lint", "--json", "--deny"]).expect("parse") {
-            Command::Lint { args } => assert_eq!(args, vec!["--json", "--deny"]),
-            other => panic!("wrong command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn lint_rejects_unknown_flags_with_usage_exit_code() {
-        assert_eq!(run_argv(&["lint".into(), "--frobnicate".into()]), 2);
     }
 
     #[test]

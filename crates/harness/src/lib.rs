@@ -43,7 +43,6 @@
 //! assert!(!outcome.staged.forked, "a cold policy never forks");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;

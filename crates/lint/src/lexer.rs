@@ -10,8 +10,8 @@
 //! * string literals with escapes, byte strings, and raw strings with any
 //!   number of `#` guards (`r#"…"#`, `br##"…"##`);
 //! * char literals vs lifetimes (`'a'` vs `<'a>`);
-//! * numeric literals, distinguishing integer from float (fraction,
-//!   exponent, or `f32`/`f64` suffix);
+//! * numeric literals, so a suffix or exponent (`7usize`, `5e3`) never reads
+//!   as an identifier;
 //! * multi-char operators, so `==` is one token and `<=` never reads as
 //!   `<` + `=`.
 //!
@@ -21,12 +21,11 @@
 /// The kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`HashMap`, `fn`, `unwrap`, …).
+    /// Identifier or keyword (`Pcg32`, `fn`, `Relaxed`, …).
     Ident,
-    /// Integer literal (`42`, `0xFF`, `1_000u64`).
-    Int,
-    /// Float literal (`0.0`, `1e9`, `2f64`).
-    Float,
+    /// Numeric literal, or a run of one (`42`, `0xFF`, `1_000u64`; `1.5`
+    /// lexes as `1` `.` `5`).
+    Number,
     /// Operator or punctuation (`==`, `::`, `.`, `#`, `{`, …).
     Punct,
     /// String, byte-string or raw-string literal (contents not tokenized).
@@ -46,7 +45,7 @@ pub struct Token {
 }
 
 /// An inline suppression directive:
-/// `// anoc-lint: allow(D002): iteration order never observed`.
+/// `// anoc-lint: allow(X001): read after the pool joined`.
 ///
 /// It silences the listed rules on its own line and on the following line,
 /// so it can trail the offending expression or sit just above it.
@@ -99,12 +98,15 @@ pub struct Lexed {
 }
 
 impl Lexed {
-    /// Whether `rule` is suppressed at `line` (directive on the same line or
-    /// the line directly above).
-    pub fn is_suppressed(&self, rule: &str, line: u32) -> bool {
-        self.suppressions
-            .iter()
-            .any(|s| (s.line == line || s.line + 1 == line) && s.rules.iter().any(|r| r == rule))
+    /// The first directive suppressing `rule` at `line` (on the same line or
+    /// the line directly above), as (directive index, index in its rule
+    /// list).
+    pub fn suppression_of(&self, rule: &str, line: u32) -> Option<(usize, usize)> {
+        self.suppressions.iter().enumerate().find_map(|(d, s)| {
+            let covers = s.line == line || s.line + 1 == line;
+            let r = s.rules.iter().position(|r| r == rule)?;
+            covers.then_some((d, r))
+        })
     }
 
     /// Whether `line` is covered by an `rng-site` directive (same line or
@@ -175,8 +177,8 @@ impl Lexer {
                 }
                 'r' | 'b' if self.raw_string_ahead() => self.raw_string(),
                 '\'' => self.char_or_lifetime(),
-                _ if c.is_ascii_digit() => self.number(),
-                _ if c == '_' || c.is_alphanumeric() => self.ident(),
+                _ if c.is_ascii_digit() => self.word(TokKind::Number),
+                _ if c == '_' || c.is_alphanumeric() => self.word(TokKind::Ident),
                 _ => self.punct(),
             }
         }
@@ -336,100 +338,9 @@ impl Lexer {
         }
     }
 
-    fn number(&mut self) {
-        let line = self.line;
-        let mut text = String::new();
-        let mut is_float = false;
-        if self.peek(0) == Some('0') && matches!(self.peek(1), Some('x') | Some('o') | Some('b')) {
-            text.push(self.bump().unwrap());
-            text.push(self.bump().unwrap());
-            while let Some(c) = self.peek(0) {
-                if c == '_' || c.is_ascii_alphanumeric() {
-                    text.push(c);
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            self.push(TokKind::Int, text, line);
-            return;
-        }
-        while let Some(c) = self.peek(0) {
-            if c == '_' || c.is_ascii_digit() {
-                text.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        // Fraction: a dot followed by a digit (so `1.max(2)` and `1..2` stay
-        // integers), or a trailing dot not starting a path/range (`1.`).
-        if self.peek(0) == Some('.') {
-            match self.peek(1) {
-                Some(d) if d.is_ascii_digit() => {
-                    is_float = true;
-                    text.push('.');
-                    self.bump();
-                    while let Some(c) = self.peek(0) {
-                        if c == '_' || c.is_ascii_digit() {
-                            text.push(c);
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                Some(d) if d == '.' || d == '_' || d.is_alphabetic() => {}
-                _ => {
-                    is_float = true;
-                    text.push('.');
-                    self.bump();
-                }
-            }
-        }
-        // Exponent.
-        if matches!(self.peek(0), Some('e') | Some('E')) {
-            let sign = matches!(self.peek(1), Some('+') | Some('-'));
-            let digit_at = if sign { 2 } else { 1 };
-            if matches!(self.peek(digit_at), Some(d) if d.is_ascii_digit()) {
-                is_float = true;
-                text.push(self.bump().unwrap());
-                if sign {
-                    text.push(self.bump().unwrap());
-                }
-                while let Some(c) = self.peek(0) {
-                    if c == '_' || c.is_ascii_digit() {
-                        text.push(c);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        // Suffix (`u32`, `f64`, …).
-        let mut suffix = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '_' || c.is_ascii_alphanumeric() {
-                suffix.push(c);
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        if suffix == "f32" || suffix == "f64" {
-            is_float = true;
-        }
-        text.push_str(&suffix);
-        let kind = if is_float {
-            TokKind::Float
-        } else {
-            TokKind::Int
-        };
-        self.push(kind, text, line);
-    }
-
-    fn ident(&mut self) {
+    /// An identifier, or a number with its suffix: a run of `_` and
+    /// alphanumerics.
+    fn word(&mut self, kind: TokKind) {
         let line = self.line;
         let mut text = String::new();
         while let Some(c) = self.peek(0) {
@@ -440,7 +351,7 @@ impl Lexer {
                 break;
             }
         }
-        self.push(TokKind::Ident, text, line);
+        self.push(kind, text, line);
     }
 
     fn punct(&mut self) {
@@ -646,42 +557,13 @@ mod tests {
     }
 
     #[test]
-    fn float_vs_int_literals() {
-        let kinds = |src: &str| {
-            lex(src)
-                .tokens
-                .into_iter()
-                .filter(|t| matches!(t.kind, TokKind::Int | TokKind::Float))
-                .map(|t| (t.kind, t.text))
-                .collect::<Vec<_>>()
-        };
+    fn numbers_never_read_as_identifiers() {
         assert_eq!(
-            kinds("0.0 1e9 2.5e-3 3f64 0.5f32"),
-            vec![
-                (TokKind::Float, "0.0".into()),
-                (TokKind::Float, "1e9".into()),
-                (TokKind::Float, "2.5e-3".into()),
-                (TokKind::Float, "3f64".into()),
-                (TokKind::Float, "0.5f32".into()),
-            ]
+            idents("let x = 1.5e3 + 0xFF + 2f64 + 1_000u64 + t.0;"),
+            vec!["let", "x", "t"]
         );
-        assert_eq!(
-            kinds("42 0xFF 1_000u64 7usize"),
-            vec![
-                (TokKind::Int, "42".into()),
-                (TokKind::Int, "0xFF".into()),
-                (TokKind::Int, "1_000u64".into()),
-                (TokKind::Int, "7usize".into()),
-            ]
-        );
-        // Method calls and ranges on integers stay integers.
-        assert_eq!(
-            kinds("1..2").iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![TokKind::Int, TokKind::Int]
-        );
-        assert_eq!(kinds("3.max(4)")[0].0, TokKind::Int);
-        // Tuple/field access does not merge into a float.
-        assert_eq!(kinds("x.0")[0], (TokKind::Int, "0".into()));
+        // A method call on an integer keeps its name.
+        assert_eq!(idents("3.max(4)"), vec!["max"]);
     }
 
     #[test]
@@ -707,32 +589,33 @@ mod tests {
 
     #[test]
     fn suppression_directive_parses() {
-        let l = lex("let x = 1; // anoc-lint: allow(D002): bounded test helper\n");
+        let l = lex("let x = 1; // anoc-lint: allow(X001): bounded test helper\n");
         assert_eq!(l.suppressions.len(), 1);
         let s = &l.suppressions[0];
         assert_eq!(s.line, 1);
-        assert_eq!(s.rules, vec!["D002"]);
+        assert_eq!(s.rules, vec!["X001"]);
         assert_eq!(s.reason, "bounded test helper");
-        assert!(l.is_suppressed("D002", 1));
-        assert!(l.is_suppressed("D002", 2));
-        assert!(!l.is_suppressed("D002", 3));
-        assert!(!l.is_suppressed("C001", 1));
+        assert_eq!(l.suppression_of("X001", 1), Some((0, 0)));
+        assert_eq!(l.suppression_of("X001", 2), Some((0, 0)));
+        assert_eq!(l.suppression_of("X001", 3), None);
+        assert_eq!(l.suppression_of("D004", 1), None);
     }
 
     #[test]
     fn suppression_multiple_rules() {
-        let l = lex("// anoc-lint: allow(C001, D003): invariant holds by construction\n");
-        assert_eq!(l.suppressions[0].rules, vec!["C001", "D003"]);
+        let l = lex("// anoc-lint: allow(D004, X001): invariant holds by construction\n");
+        assert_eq!(l.suppressions[0].rules, vec!["D004", "X001"]);
+        assert_eq!(l.suppression_of("X001", 2), Some((0, 1)));
     }
 
     #[test]
     fn malformed_suppressions_are_reported() {
         for bad in [
-            "// anoc-lint: allow(D002)",          // missing reason
-            "// anoc-lint: allow(D002):   ",      // empty reason
+            "// anoc-lint: allow(X001)",          // missing reason
+            "// anoc-lint: allow(X001):   ",      // empty reason
             "// anoc-lint: allow(): why",         // empty rule list
-            "// anoc-lint: allow(D002: no close", // unclosed paren
-            "// anoc-lint: deny(D002): nope",     // unknown verb
+            "// anoc-lint: allow(X001: no close", // unclosed paren
+            "// anoc-lint: deny(X001): nope",     // unknown verb
         ] {
             let l = lex(bad);
             assert_eq!(l.suppressions.len(), 0, "{bad}");
@@ -784,7 +667,7 @@ mod tests {
     #[test]
     fn doc_comments_and_prose_are_not_directives() {
         for ignored in [
-            "/// Suppress with `// anoc-lint: allow(D002)` and a reason.",
+            "/// Suppress with `// anoc-lint: allow(X001)` and a reason.",
             "//! The `anoc-lint: allow(...)` syntax is described here.",
             "// see the anoc-lint: allow() docs", // body does not start with anoc-lint:
         ] {

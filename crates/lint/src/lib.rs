@@ -1,27 +1,29 @@
-//! # anoc-lint — workspace determinism & correctness static analysis
+//! # anoc-lint — the determinism rules no toolchain lint can express
 //!
 //! The whole APPROX-NoC reproduction rests on bit-exact determinism: the
 //! golden-fingerprint test pins every statistic of the paper's 4x4 cmesh
 //! workloads, and `anoc-exec`'s result cache assumes a
-//! `(config, workload, seed)` key always reproduces identical bits. This
-//! crate enforces that invariant *statically*: a minimal std-only Rust lexer
-//! ([`lexer`]) feeds a brace-matched scope tree ([`syntax`]) and a set of
-//! repo-specific rule families ([`rules`]) with stable IDs, severity levels,
-//! inline suppressions and human or JSON output.
+//! `(config, workload, seed)` key always reproduces identical bits. rustc
+//! and clippy enforce the generic half of that (clocks, hash-ordered
+//! collections, panics, float equality, narrowing casts, printing, `unsafe`;
+//! DESIGN.md §6). This crate checks the repo-specific half: a minimal
+//! std-only Rust lexer ([`lexer`]) feeds a brace-matched scope tree
+//! ([`syntax`]) and four rules ([`rules`]) — the RNG-site inventory, phase-A
+//! reachability, the relaxed-atomic audit and directive hygiene — with
+//! stable IDs, inline suppressions and human or JSON output.
 //!
-//! Run it as `anoc lint [--json] [--deny] [--baseline FILE]` through the
-//! unified CLI, or directly with
+//! Run it with
 //! `cargo run --release -p anoc-lint -- --deny --baseline lint-baseline.json`
 //! (what CI does). With `--baseline`, findings already recorded in the
 //! committed baseline are *grandfathered* — the run fails only on new
 //! findings and on suppression-count growth, so the grandfathered set can
-//! be burned down incrementally without blocking unrelated work.
+//! be burned down incrementally without blocking unrelated work. The
+//! suppression count covers both halves: findings silenced by
+//! `// anoc-lint: allow(..)` plus every `allow`/`expect` lint attribute.
 //! `--write-baseline FILE` regenerates the file from the current tree.
 //!
 //! Exit codes: `0` clean, `1` findings (errors; any finding under `--deny`;
 //! suppression growth past the baseline budget), `2` usage or I/O failure.
-
-#![forbid(unsafe_code)]
 
 pub mod lexer;
 pub mod rules;
@@ -31,7 +33,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use rules::{FileContext, RuleConfig, Severity, Violation, SIM_CRITICAL_CRATES};
+use rules::{FileContext, Severity, Violation, SIM_CRITICAL_CRATES};
 
 /// Options for one lint run.
 #[derive(Debug, Clone, Default)]
@@ -57,6 +59,8 @@ pub struct Finding {
 pub struct Report {
     pub files_scanned: usize,
     pub findings: Vec<Finding>,
+    /// Findings silenced by `// anoc-lint: allow(..)` directives, plus every
+    /// `allow`/`expect` lint attribute in the scanned files.
     pub suppressed: usize,
     /// Findings removed by [`apply_baseline`] because the committed baseline
     /// already records them.
@@ -313,26 +317,16 @@ pub fn apply_baseline(report: &mut Report, baseline: &Baseline) {
     report.suppressed_budget = Some(baseline.suppressed);
 }
 
-/// Lints one in-memory source file under an explicit context. The unit-test
+/// Lints one in-memory source file under an explicit context: its findings
+/// and its suppression count (see [`Report::suppressed`]). The unit-test
 /// entry point; [`lint_root`] drives it over a real tree.
 pub fn lint_source(ctx: &FileContext, src: &str) -> (Vec<Violation>, usize) {
-    lint_source_with(ctx, src, &RuleConfig::default())
-}
-
-/// [`lint_source`] with explicit rule parameters.
-pub fn lint_source_with(ctx: &FileContext, src: &str, cfg: &RuleConfig) -> (Vec<Violation>, usize) {
     let lexed = lexer::lex(src);
-    let all = rules::check_with(ctx, &lexed, cfg);
-    let mut kept = Vec::new();
-    let mut suppressed = 0usize;
-    for v in all {
-        if lexed.is_suppressed(v.rule.id, v.line) {
-            suppressed += 1;
-        } else {
-            kept.push(v);
-        }
-    }
-    (kept, suppressed)
+    let (findings, silenced) = rules::check(ctx, &lexed);
+    (
+        findings,
+        silenced + syntax::lint_suppressions(&lexed.tokens),
+    )
 }
 
 /// Derives the rule context of `rel` (a `/`-separated workspace-relative
@@ -347,19 +341,12 @@ pub fn context_for(rel: &str) -> FileContext {
     let sim_critical = SIM_CRITICAL_CRATES.contains(&crate_name.as_str());
     let in_dir = |d: &str| parts.contains(&d);
     let file = parts.last().copied().unwrap_or("");
-    let src_prefix = if parts.first() == Some(&"crates") {
-        2
-    } else {
-        0
-    };
     FileContext {
         path: rel.to_string(),
         crate_name,
         sim_critical,
         is_test_file: in_dir("tests") || in_dir("benches") || in_dir("examples"),
         is_bin: in_dir("bin") || file == "main.rs" || file == "build.rs",
-        is_crate_root: parts.get(src_prefix).copied() == Some("src")
-            && parts.get(src_prefix + 1).copied() == Some("lib.rs"),
     }
 }
 
@@ -394,11 +381,6 @@ pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 /// Lints every workspace source file under `root`.
 pub fn lint_root(root: &Path) -> std::io::Result<Report> {
-    lint_root_with(root, &RuleConfig::default())
-}
-
-/// [`lint_root`] with explicit rule parameters.
-pub fn lint_root_with(root: &Path, cfg: &RuleConfig) -> std::io::Result<Report> {
     let mut report = Report::default();
     for path in collect_files(root)? {
         let rel = path
@@ -410,7 +392,7 @@ pub fn lint_root_with(root: &Path, cfg: &RuleConfig) -> std::io::Result<Report> 
             .join("/");
         let ctx = context_for(&rel);
         let src = std::fs::read_to_string(&path)?;
-        let (violations, suppressed) = lint_source_with(&ctx, &src, cfg);
+        let (violations, suppressed) = lint_source(&ctx, &src);
         report.files_scanned += 1;
         report.suppressed += suppressed;
         for v in violations {
@@ -445,18 +427,16 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Full CLI driver shared by the `anoc-lint` binary and `anoc lint`.
-/// Accepts `--json`, `--deny`, `--root PATH`, `--baseline FILE`,
-/// `--write-baseline FILE` and repeatable `--phase-deny NAME`; prints the
+/// The `anoc-lint` binary's driver. Accepts `--json`, `--deny`,
+/// `--root PATH`, `--baseline FILE` and `--write-baseline FILE`; prints the
 /// report to stdout and returns the process exit code.
 pub fn run_cli(args: &[String]) -> i32 {
     const USAGE: &str = "usage: anoc-lint [--json] [--deny] [--root PATH] \
-                         [--baseline FILE] [--write-baseline FILE] [--phase-deny NAME]";
+                         [--baseline FILE] [--write-baseline FILE]";
     let mut opts = Options::default();
     let mut root: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
-    let mut cfg = RuleConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -483,13 +463,6 @@ pub fn run_cli(args: &[String]) -> i32 {
                     return 2;
                 }
             },
-            "--phase-deny" => match it.next() {
-                Some(name) => cfg.phase_deny.push(name.clone()),
-                None => {
-                    eprintln!("error: --phase-deny needs a function name");
-                    return 2;
-                }
-            },
             other => {
                 eprintln!("error: unknown argument `{other}`");
                 eprintln!("{USAGE}");
@@ -513,7 +486,7 @@ pub fn run_cli(args: &[String]) -> i32 {
             }
         }
     };
-    match lint_root_with(&root, &cfg) {
+    match lint_root(&root) {
         Ok(mut report) => {
             if let Some(path) = &write_baseline {
                 let base = Baseline::from_report(&report);
@@ -567,10 +540,7 @@ mod tests {
     fn context_classification() {
         let c = context_for("crates/noc/src/sim.rs");
         assert_eq!(c.crate_name, "noc");
-        assert!(c.sim_critical && !c.is_test_file && !c.is_bin && !c.is_crate_root);
-
-        let c = context_for("crates/compression/src/lib.rs");
-        assert!(c.sim_critical && c.is_crate_root);
+        assert!(c.sim_critical && !c.is_test_file && !c.is_bin);
 
         let c = context_for("crates/noc/tests/integration.rs");
         assert!(c.sim_critical && c.is_test_file);
@@ -583,7 +553,7 @@ mod tests {
 
         let c = context_for("src/lib.rs");
         assert_eq!(c.crate_name, "approx-noc");
-        assert!(c.is_crate_root && !c.sim_critical);
+        assert!(!c.sim_critical && !c.is_bin);
 
         let c = context_for("src/bin/anoc.rs");
         assert!(c.is_bin);
@@ -605,7 +575,7 @@ mod tests {
         );
         let mut warned = Report::default();
         warned.findings.push(Finding {
-            rule_id: "C001",
+            rule_id: "X001",
             severity: Severity::Warning,
             path: "x.rs".into(),
             line: 1,
@@ -621,7 +591,7 @@ mod tests {
         );
         let mut errored = Report::default();
         errored.findings.push(Finding {
-            rule_id: "D002",
+            rule_id: "X001",
             severity: Severity::Error,
             path: "x.rs".into(),
             line: 1,
@@ -638,7 +608,7 @@ mod tests {
             ..Report::default()
         };
         r.findings.push(Finding {
-            rule_id: "D002",
+            rule_id: "X001",
             severity: Severity::Error,
             path: "crates/noc/src/sim.rs".into(),
             line: 69,
@@ -653,7 +623,7 @@ mod tests {
         assert!(json.contains("\"grandfathered\": 0"));
         assert!(json.contains("\"suppressed_budget\": null"));
         assert!(json.contains(
-            "{\"rule\": \"D002\", \"severity\": \"error\", \
+            "{\"rule\": \"X001\", \"severity\": \"error\", \
              \"path\": \"crates/noc/src/sim.rs\", \"line\": 69, \
              \"message\": \"a \\\"quoted\\\" message\"}"
         ));
@@ -671,14 +641,16 @@ mod tests {
     }
 
     #[test]
-    fn lint_source_counts_suppressions() {
-        let ctx = context_for("crates/noc/src/x.rs");
+    fn lint_source_counts_directives_and_lint_attributes() {
+        let ctx = context_for("crates/exec/src/x.rs");
         let (v, s) = lint_source(
             &ctx,
-            "use std::collections::HashMap; // anoc-lint: allow(D002): scratch only\n",
+            "let n = c.load(Ordering::Relaxed); // anoc-lint: allow(X001): counter only\n\
+             #[expect(clippy::panic, reason = \"documented contract\")]\n\
+             fn f() { panic!() }\n",
         );
-        assert!(v.is_empty());
-        assert_eq!(s, 1);
+        assert!(v.is_empty(), "{v:?}");
+        assert_eq!(s, 2);
     }
 
     fn finding(rule_id: &'static str, path: &str, sev: Severity) -> Finding {
@@ -697,12 +669,12 @@ mod tests {
             suppressed: 4,
             ..Report::default()
         };
-        r.findings.push(finding("C001", "a.rs", Severity::Warning));
-        r.findings.push(finding("C001", "a.rs", Severity::Warning));
-        r.findings.push(finding("D002", "b.rs", Severity::Error));
+        r.findings.push(finding("D004", "a.rs", Severity::Warning));
+        r.findings.push(finding("D004", "a.rs", Severity::Warning));
+        r.findings.push(finding("X001", "b.rs", Severity::Error));
         let base = Baseline::from_report(&r);
         assert_eq!(base.suppressed, 4);
-        assert_eq!(base.entries[&("C001".into(), "a.rs".into())], 2);
+        assert_eq!(base.entries[&("D004".into(), "a.rs".into())], 2);
         let parsed = Baseline::parse(&base.render_json()).unwrap();
         assert_eq!(parsed, base);
         // An empty baseline round-trips too.
@@ -715,7 +687,7 @@ mod tests {
         assert!(Baseline::parse("{}").is_err());
         assert!(Baseline::parse("{\n  \"suppressed\": what\n}").is_err());
         assert!(Baseline::parse(
-            "{\n  \"suppressed\": 1,\n  \"entries\": [\n    {\"rule\": \"C001\"}\n  ]\n}"
+            "{\n  \"suppressed\": 1,\n  \"entries\": [\n    {\"rule\": \"D004\"}\n  ]\n}"
         )
         .is_err());
     }
@@ -726,14 +698,14 @@ mod tests {
             suppressed: 2,
             ..Report::default()
         };
-        r.findings.push(finding("C001", "a.rs", Severity::Warning));
-        r.findings.push(finding("C001", "a.rs", Severity::Warning));
-        r.findings.push(finding("D002", "new.rs", Severity::Error));
+        r.findings.push(finding("D004", "a.rs", Severity::Warning));
+        r.findings.push(finding("D004", "a.rs", Severity::Warning));
+        r.findings.push(finding("X001", "new.rs", Severity::Error));
         let mut base = Baseline {
             suppressed: 2,
             ..Baseline::default()
         };
-        base.entries.insert(("C001".into(), "a.rs".into()), 2);
+        base.entries.insert(("D004".into(), "a.rs".into()), 2);
         apply_baseline(&mut r, &base);
         assert_eq!(r.grandfathered, 2);
         assert_eq!(r.findings.len(), 1);
@@ -747,10 +719,10 @@ mod tests {
         // Three findings against a budget of two: one stays visible.
         let mut r = Report::default();
         for _ in 0..3 {
-            r.findings.push(finding("C001", "a.rs", Severity::Warning));
+            r.findings.push(finding("D004", "a.rs", Severity::Warning));
         }
         let mut base = Baseline::default();
-        base.entries.insert(("C001".into(), "a.rs".into()), 2);
+        base.entries.insert(("D004".into(), "a.rs".into()), 2);
         apply_baseline(&mut r, &base);
         assert_eq!((r.grandfathered, r.findings.len()), (2, 1));
     }

@@ -1,7 +1,5 @@
-//! `anoc-lint` — the standalone binary CI runs:
-//! `cargo run --release -p anoc-lint -- --deny`.
-//!
-//! `anoc lint` routes to the same [`anoc_lint::run_cli`] driver.
+//! `anoc-lint` — the binary CI runs:
+//! `cargo run --release -p anoc-lint -- --deny --baseline lint-baseline.json`.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -1,11 +1,13 @@
-//! The determinism family: D001–D005.
+//! The determinism family: D004 and D005.
 //!
 //! Everything here exists because the result cache and the golden
-//! fingerprint assume `(config, workload, seed)` → identical bits. Clocks,
-//! hash iteration order, ambient entropy and phase-discipline violations in
-//! the sharded kernel all break that silently.
+//! fingerprint assume `(config, workload, seed)` → identical bits. Ambient
+//! entropy, unaudited RNG streams and phase-discipline violations in the
+//! sharded kernel all break that silently. (Clocks and hash-ordered
+//! collections, D001/D002, are clippy's `disallowed_methods` and
+//! `disallowed_types`; DESIGN.md §6.)
 
-use super::{rule, FileContext, RuleConfig, Violation};
+use super::{rule, FileContext, Violation, PHASE_DENY};
 use crate::lexer::{Lexed, TokKind};
 use crate::syntax::ItemTree;
 use std::collections::BTreeSet;
@@ -31,138 +33,73 @@ const PCG_CONSTRUCTORS: [&str; 2] = ["new", "seed_from_u64"];
 /// implementation itself.
 const RNG_IMPL_PATH: &str = "crates/core/src/rng.rs";
 
-pub(super) fn check(
-    ctx: &FileContext,
-    lexed: &Lexed,
-    tree: &ItemTree,
-    cfg: &RuleConfig,
-    out: &mut Vec<Violation>,
-) {
-    let in_test = |line: u32| tree.in_test(line);
+pub(super) fn check(ctx: &FileContext, lexed: &Lexed, tree: &ItemTree, out: &mut Vec<Violation>) {
     let toks = &lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
-        let next = toks.get(i + 1);
-        let next_is = |s: &str| next.map(|n| n.text == s).unwrap_or(false);
-        let prev = i.checked_sub(1).and_then(|p| toks.get(p));
-        match t.kind {
-            TokKind::Ident => match t.text.as_str() {
-                // D001 — applies everywhere in a sim-critical crate, tests
-                // included: a deterministic kernel never consults the clock.
-                "Instant"
-                    if next_is("::")
-                        && toks.get(i + 2).map(|n| n.text == "now").unwrap_or(false) =>
-                {
-                    out.push(Violation {
-                        rule: rule("D001"),
-                        line: t.line,
-                        message: "`Instant::now` in a sim-critical crate; wall-clock reads \
-                                  belong in exec/harness progress paths"
-                            .into(),
-                    });
-                }
-                "SystemTime" | "thread_rng" => {
-                    out.push(Violation {
-                        rule: rule("D001"),
-                        line: t.line,
-                        message: format!(
-                            "`{}` in a sim-critical crate; use the seeded RNG plumbed \
-                             through the config",
-                            t.text
-                        ),
-                    });
-                }
-                // D002 — hash iteration order is nondeterministic; tests are
-                // included because trace/stat comparisons iterate helpers.
-                "HashMap" | "HashSet" => {
-                    out.push(Violation {
-                        rule: rule("D002"),
-                        line: t.line,
-                        message: format!(
-                            "`{}` in sim-critical crate `{}`: iteration order is \
-                             nondeterministic; use BTreeMap/BTreeSet or a Vec-indexed \
-                             structure",
-                            t.text, ctx.crate_name
-                        ),
-                    });
-                }
-                // D004a — ambient entropy sources, tests included: even a
-                // test drawing from the OS RNG cannot reproduce a failure.
-                id if AMBIENT_RNG_IDENTS.contains(&id) => {
-                    out.push(Violation {
-                        rule: rule("D004"),
-                        line: t.line,
-                        message: format!(
-                            "`{}` is ambient entropy; every sim-critical draw must come \
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        let next_is = |s: &str| toks.get(i + 1).is_some_and(|n| n.text == s);
+        match t.text.as_str() {
+            // D004a — ambient entropy sources, tests included: even a
+            // test drawing from the OS RNG cannot reproduce a failure.
+            id if AMBIENT_RNG_IDENTS.contains(&id) => {
+                out.push(Violation {
+                    rule: rule("D004"),
+                    line: t.line,
+                    message: format!(
+                        "`{}` is ambient entropy; every sim-critical draw must come \
                              from a seeded Pcg32 at an annotated rng-site",
-                            t.text
-                        ),
-                    });
-                }
-                "rand" if next_is("::") => {
-                    out.push(Violation {
-                        rule: rule("D004"),
-                        line: t.line,
-                        message: "the `rand` crate is off-limits in sim-critical code; use \
+                        t.text
+                    ),
+                });
+            }
+            "rand" if next_is("::") => {
+                out.push(Violation {
+                    rule: rule("D004"),
+                    line: t.line,
+                    message: "the `rand` crate is off-limits in sim-critical code; use \
                                   the in-repo seeded Pcg32"
-                            .into(),
-                    });
-                }
-                // D004b — seeded constructions are fine, but only at sites
-                // annotated with their determinism argument, so fault plans
-                // and future warmup-snapshot serialization can enumerate
-                // every RNG stream in the workspace.
-                "Pcg32"
-                    if !ctx.is_bin
-                        && ctx.path != RNG_IMPL_PATH
-                        && !in_test(t.line)
-                        && next_is("::")
-                        && toks
-                            .get(i + 2)
-                            .map(|n| PCG_CONSTRUCTORS.contains(&n.text.as_str()))
-                            .unwrap_or(false)
-                        && !lexed.is_rng_site(t.line) =>
-                {
-                    out.push(Violation {
-                        rule: rule("D004"),
-                        line: t.line,
-                        message: format!(
-                            "`Pcg32::{}` outside a sanctioned site; annotate the \
+                        .into(),
+                });
+            }
+            // D004b — seeded constructions are fine, but only at sites
+            // annotated with their determinism argument, so fault plans
+            // and future warmup-snapshot serialization can enumerate
+            // every RNG stream in the workspace.
+            "Pcg32"
+                if !ctx.is_bin
+                    && ctx.path != RNG_IMPL_PATH
+                    && !tree.in_test(t.line)
+                    && next_is("::")
+                    && toks
+                        .get(i + 2)
+                        .map(|n| PCG_CONSTRUCTORS.contains(&n.text.as_str()))
+                        .unwrap_or(false)
+                    && !lexed.is_rng_site(t.line) =>
+            {
+                out.push(Violation {
+                    rule: rule("D004"),
+                    line: t.line,
+                    message: format!(
+                        "`Pcg32::{}` outside a sanctioned site; annotate the \
                              construction with `// anoc-lint: rng-site: <why this seeding \
                              is deterministic>`",
-                            toks.get(i + 2).map(|n| n.text.as_str()).unwrap_or("new")
-                        ),
-                    });
-                }
-                _ => {}
-            },
-            // D003 — exact float equality: flagged when either side is a
-            // float literal (type-level detection needs a real type checker).
-            TokKind::Punct if (t.text == "==" || t.text == "!=") && !in_test(t.line) => {
-                let float_adjacent = prev.map(|p| p.kind == TokKind::Float).unwrap_or(false)
-                    || next.map(|n| n.kind == TokKind::Float).unwrap_or(false);
-                if float_adjacent {
-                    out.push(Violation {
-                        rule: rule("D003"),
-                        line: t.line,
-                        message: format!(
-                            "float `{}` comparison against a literal; compare with an \
-                             epsilon or document the exact-value sentinel with an allow",
-                            t.text
-                        ),
-                    });
-                }
+                        toks.get(i + 2).map(|n| n.text.as_str()).unwrap_or("new")
+                    ),
+                });
             }
             _ => {}
         }
     }
-    check_d005(tree, cfg, out);
+    check_d005(tree, out);
 }
 
 /// D005 — phase discipline: no function reachable from a `phase(A)` root
 /// may call a serial-edge mutator. Reachability is the name-level call
 /// graph from the item tree: conservative (same-named fns merge), so this
 /// can over-report but never silently under-report.
-fn check_d005(tree: &ItemTree, cfg: &RuleConfig, out: &mut Vec<Violation>) {
+fn check_d005(tree: &ItemTree, out: &mut Vec<Violation>) {
     let phases: BTreeSet<&str> = tree
         .scopes
         .iter()
@@ -176,7 +113,7 @@ fn check_d005(tree: &ItemTree, cfg: &RuleConfig, out: &mut Vec<Violation>) {
                 continue;
             }
             for call in &s.calls {
-                if cfg.phase_deny.iter().any(|d| d == &call.name)
+                if PHASE_DENY.contains(&call.name.as_str())
                     && seen.insert((call.line, call.name.as_str()))
                 {
                     out.push(Violation {
@@ -199,79 +136,6 @@ fn check_d005(tree: &ItemTree, cfg: &RuleConfig, out: &mut Vec<Violation>) {
 mod tests {
     use super::super::tests::{check_src, ids, sim_ctx};
     use super::super::FileContext;
-
-    #[test]
-    fn d001_hits_suppresses_and_passes() {
-        let ctx = sim_ctx();
-        assert_eq!(
-            ids(&check_src(&ctx, "let t = Instant::now();")),
-            vec!["D001"]
-        );
-        assert_eq!(
-            ids(&check_src(
-                &ctx,
-                "let r = thread_rng(); let s = SystemTime::now();"
-            )),
-            vec!["D001", "D001"]
-        );
-        assert!(check_src(
-            &ctx,
-            "let t = Instant::now(); // anoc-lint: allow(D001): test-only timing probe"
-        )
-        .is_empty());
-        // An `Instant` that is not `::now` (e.g. stored value) passes.
-        assert!(check_src(&ctx, "fn f(t: Instant) -> Instant { t }").is_empty());
-        // Non-sim crates may read the clock.
-        let exec = FileContext {
-            crate_name: "exec".into(),
-            sim_critical: false,
-            ..FileContext::default()
-        };
-        assert!(check_src(&exec, "let t = Instant::now();").is_empty());
-    }
-
-    #[test]
-    fn d002_hits_suppresses_and_passes() {
-        let ctx = sim_ctx();
-        assert_eq!(
-            ids(&check_src(&ctx, "use std::collections::HashMap;")),
-            vec!["D002"]
-        );
-        assert!(check_src(
-            &ctx,
-            "// anoc-lint: allow(D002): ordering never observed\nlet m = HashSet::new();"
-        )
-        .is_empty());
-        assert!(check_src(&ctx, "use std::collections::BTreeMap;").is_empty());
-        // D002 applies inside #[cfg(test)] too — test helpers can leak order.
-        assert_eq!(
-            ids(&check_src(
-                &ctx,
-                "#[cfg(test)]\nmod tests { fn f() { let m = HashMap::new(); } }"
-            )),
-            vec!["D002"]
-        );
-    }
-
-    #[test]
-    fn d003_hits_suppresses_and_passes() {
-        let ctx = sim_ctx();
-        assert_eq!(ids(&check_src(&ctx, "if x == 0.0 { y() }")), vec!["D003"]);
-        assert_eq!(ids(&check_src(&ctx, "if 1e-9 != x { y() }")), vec!["D003"]);
-        assert!(check_src(
-            &ctx,
-            "if x == 0.0 { y() } // anoc-lint: allow(D003): exact zero sentinel"
-        )
-        .is_empty());
-        assert!(check_src(&ctx, "if x == 0 { y() }").is_empty());
-        assert!(check_src(&ctx, "if (x - 0.5).abs() < 1e-9 { y() }").is_empty());
-        // Test code may compare floats exactly.
-        assert!(check_src(
-            &ctx,
-            "#[cfg(test)]\nmod tests { fn f() { assert!(q == 1.0); } }"
-        )
-        .is_empty());
-    }
 
     #[test]
     fn d004_ambient_entropy_always_fires() {

@@ -1,7 +1,7 @@
-//! The hygiene family: L000 and H001.
+//! The hygiene family: L000.
 
-use super::{rule, FileContext, Violation};
-use crate::lexer::{Lexed, TokKind};
+use super::{rule, Violation, RULES};
+use crate::lexer::Lexed;
 use crate::syntax::ItemTree;
 
 /// L000 — every defect in the directive/scope layer itself: malformed
@@ -33,32 +33,22 @@ pub(super) fn check_l000(lexed: &Lexed, tree: &ItemTree, out: &mut Vec<Violation
     }
 }
 
-/// H001 — output flows through stats/progress, never stdout. Library code
-/// only: bins, test scopes and test-tree files may print.
-pub(super) fn check_h001(
-    ctx: &FileContext,
-    lexed: &Lexed,
-    tree: &ItemTree,
-    out: &mut Vec<Violation>,
-) {
-    if ctx.is_bin || ctx.is_test_file {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || tree.in_test(t.line) {
-            continue;
-        }
-        let next_is_bang = toks.get(i + 1).map(|n| n.text == "!").unwrap_or(false);
-        if (t.text == "println" || t.text == "eprintln") && next_is_bang {
+/// L000, second half — an `allow` directive must earn its place: each rule
+/// it lists has to silence a finding on its line or the next. `used` holds,
+/// per directive and listed rule, whether it did. A rule id this set does
+/// not have (a deleted rule, a typo) can never be used, so it fires too.
+pub(super) fn check_unused_allows(lexed: &Lexed, used: &[Vec<bool>], out: &mut Vec<Violation>) {
+    for (s, used) in lexed.suppressions.iter().zip(used) {
+        for (id, _) in s.rules.iter().zip(used).filter(|(_, &u)| !u) {
+            let why = if RULES.iter().any(|r| r.id == id) {
+                "suppresses nothing here; delete it"
+            } else {
+                "names no anoc-lint rule (clippy checks the others; use `#[expect]`)"
+            };
             out.push(Violation {
-                rule: rule("H001"),
-                line: t.line,
-                message: format!(
-                    "`{}!` in sim-critical library code; emit through stats or \
-                     the progress reporter",
-                    t.text
-                ),
+                rule: rule("L000"),
+                line: s.line,
+                message: format!("`allow({id})` {why}"),
             });
         }
     }
@@ -67,33 +57,11 @@ pub(super) fn check_h001(
 #[cfg(test)]
 mod tests {
     use super::super::tests::{check_src, ids, sim_ctx};
-    use super::super::Severity;
-
-    #[test]
-    fn h001_hits_suppresses_and_passes() {
-        let ctx = sim_ctx();
-        assert_eq!(
-            ids(&check_src(&ctx, "println!(\"latency {x}\");")),
-            vec!["H001"]
-        );
-        assert_eq!(ids(&check_src(&ctx, "eprintln!(\"warn\");")), vec!["H001"]);
-        assert!(check_src(
-            &ctx,
-            "eprintln!(\"x\"); // anoc-lint: allow(H001): debug hook behind env var"
-        )
-        .is_empty());
-        assert!(check_src(
-            &ctx,
-            "#[cfg(test)]\nmod tests { fn f() { println!(\"dbg\"); } }"
-        )
-        .is_empty());
-        // format!/write! are fine.
-        assert!(check_src(&ctx, "let s = format!(\"{x}\");").is_empty());
-    }
+    use super::super::{FileContext, Severity};
 
     #[test]
     fn l000_malformed_directive_is_an_error() {
-        let vs = check_src(&sim_ctx(), "// anoc-lint: allow(D002)\nlet m = 1;");
+        let vs = check_src(&sim_ctx(), "// anoc-lint: allow(D004)\nlet m = 1;");
         assert_eq!(ids(&vs), vec!["L000"]);
         assert_eq!(vs[0].rule.severity, Severity::Error);
     }
@@ -103,5 +71,46 @@ mod tests {
         let vs = check_src(&sim_ctx(), "fn f() { if x { }\n");
         assert!(ids(&vs).contains(&"L000"));
         assert!(check_src(&sim_ctx(), "fn f() { if x { } }\n").is_empty());
+    }
+
+    #[test]
+    fn l000_unused_allow_fires() {
+        let exec = FileContext {
+            crate_name: "exec".into(),
+            ..FileContext::default()
+        };
+        // Above a SeqCst load, an X001 allow silences nothing.
+        let vs = check_src(
+            &exec,
+            "// anoc-lint: allow(X001): test-only counters\nlet v = n.load(Ordering::SeqCst);",
+        );
+        assert_eq!(ids(&vs), vec!["L000"]);
+        assert_eq!(vs[0].line, 1);
+        assert!(vs[0].message.contains("suppresses nothing"));
+        // The same directive over a Relaxed load is used, so quiet.
+        assert!(check_src(
+            &exec,
+            "// anoc-lint: allow(X001): test-only counters\nlet v = n.load(Ordering::Relaxed);"
+        )
+        .is_empty());
+        // In a multi-rule directive, only the idle rule fires.
+        let vs = check_src(
+            &exec,
+            "let v = n.load(Ordering::Relaxed); // anoc-lint: allow(X001, D004): counters",
+        );
+        assert_eq!(ids(&vs), vec!["L000"]);
+        assert!(vs[0].message.contains("allow(D004)"));
+    }
+
+    #[test]
+    fn l000_allow_naming_a_deleted_rule_fires() {
+        // D003 is clippy's `float_cmp`: an anoc-lint allow for it can never
+        // be used.
+        let vs = check_src(
+            &sim_ctx(),
+            "// anoc-lint: allow(D003): exact-zero guard\nif p == 0.0 { q() }",
+        );
+        assert_eq!(ids(&vs), vec!["L000"]);
+        assert!(vs[0].message.contains("names no anoc-lint rule"));
     }
 }

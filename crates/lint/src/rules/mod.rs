@@ -5,38 +5,30 @@
 //! `(config, workload, seed)` triple reproduces identical bits, and the
 //! sharded kernel (DESIGN.md §10) additionally assumes phase-A code reads
 //! only last-edge state and cross-thread handoff uses correctly-ordered
-//! atomics. Anything that can silently break those contracts is flagged at
-//! the source level, before it ever reaches a simulation.
+//! atomics. These rules need repo knowledge no toolchain lint has; clocks,
+//! hash-ordered collections, panics, float equality, narrowing stats casts,
+//! printing and `unsafe` are rustc and clippy lints (DESIGN.md §6).
 //!
 //! | id   | severity | family      | checks |
 //! |------|----------|-------------|--------|
-//! | L000 | error    | hygiene     | malformed `anoc-lint:` directive, dangling `phase()`, unbalanced braces |
-//! | D001 | error    | determinism | `Instant::now` / `SystemTime` / `thread_rng` in a sim-critical crate |
-//! | D002 | error    | determinism | `HashMap` / `HashSet` in a sim-critical crate |
-//! | D003 | warning  | determinism | float `==` / `!=` against a float literal (non-test code) |
+//! | L000 | error    | hygiene     | malformed or unused `anoc-lint:` directive, dangling `phase()`, unbalanced braces |
 //! | D004 | error    | determinism | RNG construction outside a `rng-site`-annotated seeded-Pcg32 site |
 //! | D005 | error    | determinism | serial-edge mutator reachable from a `phase(A)` root |
-//! | C001 | warning  | correctness | `.unwrap()` / `.expect()` / `panic!` in sim-critical library code |
-//! | C002 | error    | correctness | crate root missing `#![forbid(unsafe_code)]` |
-//! | C003 | warning  | correctness | silently-narrowing `as` cast in a stats-accumulation path |
-//! | H001 | warning  | hygiene     | `println!` / `eprintln!` in sim-critical library code |
 //! | X001 | error    | concurrency | `Ordering::Relaxed` in `anoc-exec` without an audit reason |
 //!
 //! Directives (plain `//` comments, same line or the line above):
 //!
-//! * `// anoc-lint: allow(RULE[, RULE…]): <reason>` — suppression;
+//! * `// anoc-lint: allow(RULE[, RULE…]): <reason>` — suppression; a listed
+//!   rule that silences nothing is an L000 finding;
 //! * `// anoc-lint: phase(A)` — marks the next `fn` as a phase-A root (D005);
 //! * `// anoc-lint: rng-site: <reason>` — sanctions an RNG construction (D004).
 //!
-//! Rule eligibility is scope- and location-aware: files under `tests/`,
-//! `benches/` or `examples/` get the hygiene family only (H001/L000 — test
-//! helpers may freely use clocks, hash maps and unwrap, but a malformed
-//! directive must never silently fail open), C002 applies to every crate
-//! root, X001/C003 extend to `anoc-exec`, and the remaining D/C/H rules run
-//! on sim-critical crates with `#[cfg(test)]` scopes exempted per-tree.
+//! Files under `tests/`, `benches/` or `examples/` get L000 only (test
+//! helpers may build ad-hoc RNGs, but a malformed directive must never
+//! silently fail open); X001 covers `anoc-exec`, test modules included, and
+//! D004/D005 run on the sim-critical crates.
 
 mod concurrency;
-mod correctness;
 mod determinism;
 mod hygiene;
 
@@ -68,26 +60,11 @@ pub struct Rule {
 }
 
 /// All rules, in report order.
-pub const RULES: [Rule; 11] = [
+pub const RULES: [Rule; 4] = [
     Rule {
         id: "L000",
         severity: Severity::Error,
-        summary: "malformed anoc-lint directive or unbalanced scope",
-    },
-    Rule {
-        id: "D001",
-        severity: Severity::Error,
-        summary: "wall-clock or ambient randomness in a sim-critical crate",
-    },
-    Rule {
-        id: "D002",
-        severity: Severity::Error,
-        summary: "hash-ordered collection in a sim-critical crate",
-    },
-    Rule {
-        id: "D003",
-        severity: Severity::Warning,
-        summary: "exact float equality in stats/metrics code",
+        summary: "malformed or unused anoc-lint directive, or unbalanced scope",
     },
     Rule {
         id: "D004",
@@ -98,26 +75,6 @@ pub const RULES: [Rule; 11] = [
         id: "D005",
         severity: Severity::Error,
         summary: "serial-edge mutator reachable from a parallel phase root",
-    },
-    Rule {
-        id: "C001",
-        severity: Severity::Warning,
-        summary: "panicking call in sim-critical library code",
-    },
-    Rule {
-        id: "C002",
-        severity: Severity::Error,
-        summary: "crate root missing #![forbid(unsafe_code)]",
-    },
-    Rule {
-        id: "C003",
-        severity: Severity::Warning,
-        summary: "silently-narrowing cast in a stats-accumulation path",
-    },
-    Rule {
-        id: "H001",
-        severity: Severity::Warning,
-        summary: "direct stdout/stderr printing in sim-critical library code",
     },
     Rule {
         id: "X001",
@@ -133,17 +90,16 @@ pub fn rule(id: &str) -> &'static Rule {
         .unwrap_or_else(|| panic!("unknown rule id {id}"))
 }
 
-/// The crates whose behaviour feeds simulation statistics. Wall-clock,
-/// hash-iteration order and panics are banned here; `exec`, `harness` and
-/// the vendored `criterion`/`proptest` shims legitimately measure time and
-/// print progress, so they are exempt from the D/H rules (C002 still
-/// applies everywhere, and X001/C003 extend to `exec`).
+/// The crates whose behaviour feeds simulation statistics. D004 and D005
+/// run here; each of these crates' `lib.rs` also denies clippy's
+/// `disallowed_methods`/`disallowed_types` (lists in `clippy.toml`), which
+/// `workspace_clean` checks.
 pub const SIM_CRITICAL_CRATES: [&str; 5] = ["noc", "compression", "core", "traffic", "apps"];
 
 /// Serial-edge mutators that phase-A code must never reach (DESIGN.md §10):
 /// each one writes current-edge state (ejections, credits, traces, control
 /// queues, fault draws) that only the serial cycle edge may touch.
-pub const DEFAULT_PHASE_DENY: [&str; 11] = [
+pub const PHASE_DENY: [&str; 11] = [
     "return_credit",
     "eject_flit",
     "complete_packet",
@@ -157,21 +113,6 @@ pub const DEFAULT_PHASE_DENY: [&str; 11] = [
     "apply_notification",
 ];
 
-/// Tunable rule parameters, settable from the CLI.
-#[derive(Debug, Clone)]
-pub struct RuleConfig {
-    /// D005 deny-list: function names phase-A-reachable code may not call.
-    pub phase_deny: Vec<String>,
-}
-
-impl Default for RuleConfig {
-    fn default() -> Self {
-        RuleConfig {
-            phase_deny: DEFAULT_PHASE_DENY.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-}
-
 /// Where a file sits in the workspace — determines which rules apply.
 #[derive(Debug, Clone, Default)]
 pub struct FileContext {
@@ -183,10 +124,8 @@ pub struct FileContext {
     pub sim_critical: bool,
     /// Under `tests/`, `benches/` or `examples/` — everything is test code.
     pub is_test_file: bool,
-    /// Under `src/bin/` or a `main.rs` — CLI entry points may print/panic.
+    /// Under `src/bin/` or a `main.rs` — CLI entry points.
     pub is_bin: bool,
-    /// A `src/lib.rs` — must carry `#![forbid(unsafe_code)]`.
-    pub is_crate_root: bool,
 }
 
 /// One finding, pre-suppression.
@@ -197,38 +136,40 @@ pub struct Violation {
     pub message: String,
 }
 
-/// Runs every applicable rule over one lexed file with the default config.
-/// Suppressions are applied by the caller (so suppressed counts can be
-/// reported).
-pub fn check(ctx: &FileContext, lexed: &Lexed) -> Vec<Violation> {
-    check_with(ctx, lexed, &RuleConfig::default())
-}
-
-/// [`check`] with explicit rule parameters.
-pub fn check_with(ctx: &FileContext, lexed: &Lexed, cfg: &RuleConfig) -> Vec<Violation> {
+/// Runs every applicable rule over one lexed file and applies its `allow`
+/// directives. Returns the findings left and the number silenced. A rule
+/// named by a directive that silenced nothing — an `allow` left behind by a
+/// fix, or naming no rule of this set — becomes an L000 finding, as an
+/// unfulfilled `#[expect]` fails clippy.
+pub fn check(ctx: &FileContext, lexed: &Lexed) -> (Vec<Violation>, usize) {
     let tree = syntax::build(lexed);
+    let mut found = Vec::new();
+    hygiene::check_l000(lexed, &tree, &mut found);
+    if !ctx.is_test_file {
+        concurrency::check_x001(ctx, lexed, &mut found);
+        if ctx.sim_critical {
+            determinism::check(ctx, lexed, &tree, &mut found);
+        }
+    }
+    let mut used: Vec<Vec<bool>> = lexed
+        .suppressions
+        .iter()
+        .map(|s| vec![false; s.rules.len()])
+        .collect();
     let mut out = Vec::new();
-    hygiene::check_l000(lexed, &tree, &mut out);
-    if ctx.is_test_file {
-        // Test trees get the hygiene family only: helpers there may freely
-        // use clocks, hash maps and unwrap, but directives are still parsed
-        // (L000) and printing is still policed by H001's own gates.
-        hygiene::check_h001(ctx, lexed, &tree, &mut out);
-        out.sort_by_key(|v| (v.line, v.rule.id));
-        return out;
+    let mut silenced = 0;
+    for v in found {
+        match lexed.suppression_of(v.rule.id, v.line) {
+            Some((directive, r)) => {
+                used[directive][r] = true;
+                silenced += 1;
+            }
+            None => out.push(v),
+        }
     }
-    if ctx.is_crate_root {
-        correctness::check_c002(lexed, &mut out);
-    }
-    concurrency::check_x001(ctx, lexed, &mut out);
-    correctness::check_c003(ctx, lexed, &tree, &mut out);
-    if ctx.sim_critical {
-        determinism::check(ctx, lexed, &tree, cfg, &mut out);
-        correctness::check_c001(ctx, lexed, &tree, &mut out);
-        hygiene::check_h001(ctx, lexed, &tree, &mut out);
-    }
+    hygiene::check_unused_allows(lexed, &used, &mut out);
     out.sort_by_key(|v| (v.line, v.rule.id));
-    out
+    (out, silenced)
 }
 
 #[cfg(test)]
@@ -246,11 +187,7 @@ mod tests {
     }
 
     pub(super) fn check_src(ctx: &FileContext, src: &str) -> Vec<Violation> {
-        let lexed = lex(src);
-        check(ctx, &lexed)
-            .into_iter()
-            .filter(|v| !lexed.is_suppressed(v.rule.id, v.line))
-            .collect()
+        check(ctx, &lex(src)).0
     }
 
     pub(super) fn ids(vs: &[Violation]) -> Vec<&'static str> {
@@ -260,9 +197,9 @@ mod tests {
     #[test]
     fn violations_in_strings_and_comments_do_not_fire() {
         let ctx = sim_ctx();
-        assert!(check_src(&ctx, "let s = \"HashMap::new() Instant::now\";").is_empty());
-        assert!(check_src(&ctx, "// HashMap in prose\n/* x.unwrap() */").is_empty());
-        assert!(check_src(&ctx, "let s = r#\"panic!(\"x\")\"#;").is_empty());
+        assert!(check_src(&ctx, "let s = \"Pcg32::new(1, 2) OsRng\";").is_empty());
+        assert!(check_src(&ctx, "// OsRng in prose\n/* rand::random() */").is_empty());
+        assert!(check_src(&ctx, "let s = r#\"Pcg32::seed_from_u64(\"x\")\"#;").is_empty());
     }
 
     #[test]
@@ -271,17 +208,17 @@ mod tests {
             is_test_file: true,
             ..sim_ctx()
         };
-        // Clocks, hash maps, unwraps: all fine in a test tree.
+        // Ad-hoc and ambient RNGs are fine in a test tree.
         assert!(check_src(
             &test_file,
-            "fn t() { let m = HashMap::new(); let t = Instant::now(); x.unwrap(); }"
+            "fn t() { let r = Pcg32::seed_from_u64(1); let o = OsRng; }"
         )
         .is_empty());
         // …but a malformed directive still fails loudly.
         assert_eq!(
             ids(&check_src(
                 &test_file,
-                "// anoc-lint: allow(D002)\nfn t() {}"
+                "// anoc-lint: allow(D004)\nfn t() {}"
             )),
             vec!["L000"]
         );
@@ -292,6 +229,6 @@ mod tests {
         for r in &RULES {
             assert_eq!(rule(r.id).id, r.id);
         }
-        assert_eq!(RULES.len(), 11);
+        assert_eq!(RULES.len(), 4);
     }
 }

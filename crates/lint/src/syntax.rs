@@ -32,8 +32,7 @@ pub enum ScopeKind {
     Module,
     /// `fn name(...) { ... }`
     Fn,
-    /// `impl Type { ... }` / `impl Trait for Type { ... }` — `name` is the
-    /// last path segment of the implemented-for type.
+    /// `impl Type { ... }` / `impl Trait for Type { ... }` (unnamed).
     Impl,
     /// `trait Name { ... }`
     Trait,
@@ -60,8 +59,8 @@ pub struct Call {
 #[derive(Debug, Clone)]
 pub struct Scope {
     pub kind: ScopeKind,
-    /// Item name (`fn`/`mod`/`trait`/type name, impl target); empty for
-    /// blocks and the root.
+    /// Item name (`fn`/`mod`/`trait`/type name); empty for impls, blocks
+    /// and the root.
     pub name: String,
     /// Index of the parent scope (the root is its own parent).
     pub parent: usize,
@@ -112,15 +111,6 @@ impl ItemTree {
             .iter()
             .skip(1)
             .any(|s| s.is_test && s.contains(line))
-    }
-
-    /// The innermost `impl` target name enclosing `line`, if any.
-    pub fn enclosing_impl_name(&self, line: u32) -> Option<&str> {
-        self.scopes
-            .iter()
-            .filter(|s| s.kind == ScopeKind::Impl && s.contains(line))
-            .max_by_key(|s| s.header_line)
-            .map(|s| s.name.as_str())
     }
 
     /// Every `(reachable fn scope, phase-root fn scope)` pair for `phase`,
@@ -188,6 +178,26 @@ pub(crate) fn attribute_at(tokens: &[Token], i: usize) -> Option<(&[Token], usiz
         j += 1;
     }
     None
+}
+
+/// The number of `allow`/`expect` lint attributes in `tokens` (outer,
+/// inner or under `cfg_attr`): each one silences a rustc or clippy lint.
+pub fn lint_suppressions(tokens: &[Token]) -> usize {
+    let mut count = 0;
+    let mut i = 0;
+    while i < tokens.len() {
+        match attribute_at(tokens, i).filter(|_| tokens[i].text == "#") {
+            Some((attr, after)) => {
+                let silences = attr
+                    .iter()
+                    .any(|t| t.kind == TokKind::Ident && (t.text == "allow" || t.text == "expect"));
+                count += usize::from(silences);
+                i = after;
+            }
+            None => i += 1,
+        }
+    }
+    count
 }
 
 /// `#[test]` or `#[cfg(test)]` — but not `#[cfg(not(test))]`.
@@ -322,42 +332,20 @@ impl Builder<'_> {
             "trait" => ScopeKind::Trait,
             _ => ScopeKind::Type,
         };
-        let name = if kind == ScopeKind::Impl {
-            self.impl_target_name(i)
-        } else {
-            match self.tokens.get(i + 1) {
-                Some(n) if n.kind == TokKind::Ident => n.text.clone(),
-                // `fn(` function-pointer type, `impl Trait` in arg position
-                // with no body, etc. — not an item header.
-                _ => return,
-            }
+        let name = match self.tokens.get(i + 1) {
+            // `impl Trait` inside a pending header is an argument or return
+            // type, not an impl block: the header stays the item's.
+            _ if kind == ScopeKind::Impl && self.pending.is_some() => return,
+            Some(_) if kind == ScopeKind::Impl => String::new(),
+            Some(n) if n.kind == TokKind::Ident => n.text.clone(),
+            // `fn(` function-pointer type etc. — not an item header.
+            _ => return,
         };
         self.pending = Some(Pending {
             kind,
             name,
             header_line: t.line,
         });
-    }
-
-    /// The last path segment of the type an `impl` header targets: the final
-    /// identifier at angle-bracket depth 0 before `{` / `;` / `where`
-    /// (`impl fmt::Display for stats::Histogram {` → `Histogram`).
-    fn impl_target_name(&self, i: usize) -> String {
-        let mut angle = 0i32;
-        let mut name = String::new();
-        for t in &self.tokens[i + 1..] {
-            match t.kind {
-                TokKind::Punct if t.text == "<" => angle += 1,
-                TokKind::Punct if t.text == ">" => angle -= 1,
-                TokKind::Punct if t.text == "{" || t.text == ";" => break,
-                TokKind::Ident if t.text == "where" => break,
-                TokKind::Ident if angle == 0 && t.text != "for" && t.text != "const" => {
-                    name = t.text.clone();
-                }
-                _ => {}
-            }
-        }
-        name
     }
 
     fn open_scope(&mut self, line: u32, anns: &mut [(u32, &str, bool)]) {
@@ -530,21 +518,25 @@ mod tests {
     }
 
     #[test]
-    fn impl_target_names() {
-        let t = tree(
-            "impl Histogram { fn a(&self) {} }\n\
-             impl fmt::Display for stats::NetStats { fn fmt(&self) {} }\n\
-             impl<T: Clone> Wrapper<T> where T: Send { fn c(&self) {} }\n",
+    fn lint_attributes_are_counted() {
+        let count = |src: &str| lint_suppressions(&lex(src).tokens);
+        assert_eq!(
+            count(
+                "#![allow(dead_code, reason = \"r\")]\n\
+                 #[expect(clippy::panic, reason = \"r\")]\nfn f() {}\n\
+                 #[cfg_attr(not(test), allow(clippy::float_cmp))]\nfn g() {}\n"
+            ),
+            3
         );
-        let impls: Vec<&str> = t
-            .scopes
-            .iter()
-            .filter(|s| s.kind == ScopeKind::Impl)
-            .map(|s| s.name.as_str())
-            .collect();
-        assert_eq!(impls, vec!["Histogram", "NetStats", "Wrapper"]);
-        assert_eq!(t.enclosing_impl_name(1), Some("Histogram"));
-        assert_eq!(t.enclosing_impl_name(2), Some("NetStats"));
+        // Raising a lint, or naming one in a comment or string, is not a
+        // suppression.
+        assert_eq!(
+            count(
+                "#![warn(missing_docs)]\n#![deny(clippy::disallowed_types)]\n\
+                 // #[allow(unused)]\nconst S: &str = \"#[expect(x)]\";\n#[derive(Debug)]\nstruct T;\n"
+            ),
+            0
+        );
     }
 
     #[test]
@@ -591,6 +583,25 @@ mod tests {
         assert!(reach.contains(&"helper"));
         assert!(reach.contains(&"mutate"));
         assert!(!reach.contains(&"unrelated"));
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_keeps_the_fn_scope() {
+        let t = tree(
+            "// anoc-lint: phase(A)\nfn a(x: impl Fn()) -> impl Iterator<Item = u8> { b() }\n\
+             fn b() { c() }\nimpl S { fn d() {} }\n",
+        );
+        let a = scope(&t, "a");
+        assert_eq!((a.kind, a.phase.as_deref()), (ScopeKind::Fn, Some("A")));
+        assert_eq!(a.calls.len(), 1);
+        assert!(t.dangling_phase.is_empty());
+        assert_eq!(
+            t.scopes
+                .iter()
+                .filter(|s| s.kind == ScopeKind::Impl)
+                .count(),
+            1
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the lint front end: the lexer and the
 //! brace-matched item tree must be total over arbitrary token soup. A panic
 //! in either would turn a stray byte in any workspace file into a broken
-//! `anoc lint` run, so the core property is "never panics, and every span
+//! `anoc-lint` run, so the core property is "never panics, and every span
 //! stays inside the file"; on top of that, the brace matcher must agree
 //! with a naive depth walk about whether the file is balanced — imbalance
 //! is *reported* (as L000 input for the rules), never mis-scoped silently.
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 /// Source fragments chosen to stress every lexer state and matcher
 /// transition: item keywords, attributes, directives (well- and malformed),
 /// braces hidden in strings/chars/comments, unterminated literals.
-const FRAGMENTS: [&str; 36] = [
+const FRAGMENTS: [&str; 37] = [
     "fn step",
     "pub fn phase_a",
     "mod kernel",
@@ -32,11 +32,14 @@ const FRAGMENTS: [&str; 36] = [
     "( )",
     "#[cfg(test)]",
     "#[test]",
-    "#![forbid(unsafe_code)]",
+    "#![deny(clippy::disallowed_types)]",
+    "#[expect(clippy::panic, reason = \"contract\")]",
+    "#[cfg_attr(not(test), allow(dead_code))]",
     "// anoc-lint: phase(A)",
     "// anoc-lint: phase(A) trailing",
-    "// anoc-lint: allow(D001): reason given",
-    "// anoc-lint: allow(D001)",
+    "// anoc-lint: allow(X001): reason given",
+    "// anoc-lint: allow(D003): deleted rule",
+    "// anoc-lint: allow(X001)",
     "// anoc-lint: rng-site: seeded from config",
     "// anoc-lint: rng-site",
     "// plain comment with { brace",
@@ -45,8 +48,6 @@ const FRAGMENTS: [&str; 36] = [
     "'a",
     "\"unterminated",
     "let x = 1.5e3;",
-    "x.unwrap()",
-    "if v == 0.0",
     "Pcg32::seed_from_u64(7)",
     "n.load(Ordering::Relaxed)",
     "self.eject_flit(0)",
@@ -160,9 +161,7 @@ proptest! {
         let (violations, _suppressed) = lint_source(&ctx, &src);
         let last = src.lines().count().max(1) as u32;
         for v in &violations {
-            // C002 reports line 1 even for empty files; everything else
-            // anchors to a real token line.
-            prop_assert!(v.line >= 1 && v.line <= last.max(1));
+            prop_assert!(v.line >= 1 && v.line <= last);
         }
     }
 }

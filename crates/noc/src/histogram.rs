@@ -6,6 +6,10 @@
 //! four sub-buckets), giving ≤ 12.5% relative quantile error at constant
 //! memory.
 
+// A stats-accumulation path: a counter narrowed by an `as` cast loses
+// high-traffic runs silently (DESIGN.md §6, C003).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
 use anoc_core::stats::StatField;
 
@@ -14,6 +18,10 @@ const SUBBUCKETS: u64 = 4;
 
 /// Number of buckets: covers latencies up to 2^40 cycles, far beyond any
 /// simulation length.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a compile-time count of 164 fits any usize"
+)]
 const BUCKETS: usize = (40 * SUBBUCKETS) as usize + SUBBUCKETS as usize;
 
 /// A fixed-memory log-bucketed histogram of cycle counts.
@@ -45,6 +53,10 @@ impl Default for LatencyHistogram {
     }
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "bucket indices stay below BUCKETS; a percentile's rank is at most the sample count"
+)]
 impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {

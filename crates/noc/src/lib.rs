@@ -24,8 +24,22 @@
 //! assert_eq!(delivered[0].block.as_ref().unwrap().as_i32(), vec![42; 16]);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Sim-critical crate (DESIGN.md §6): no wall clock or hash-ordered
+// collection anywhere (lists in clippy.toml), and no panics, exact float
+// comparisons or console output outside `#[cfg(test)]` code.
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod config;
 pub mod faults;

@@ -80,7 +80,7 @@ pub struct NocSim {
     measuring: bool,
     tracing: bool,
     /// Keyed by monotonic [`PacketId`], so iteration and dump order are
-    /// deterministic (enforced by anoc-lint rule D002).
+    /// deterministic (`HashMap` is a disallowed type in this crate).
     traces: BTreeMap<PacketId, Vec<(u64, TraceEvent)>>,
     /// Active fault-injection plan (inert by default).
     faults: FaultPlan,
@@ -142,8 +142,11 @@ impl NocSim {
     ///
     /// Panics if the configuration is invalid or `codecs` has the wrong
     /// length.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented constructor contract (# Panics)"
+    )]
     pub fn new(config: NocConfig, codecs: Vec<NodeCodec>) -> Self {
-        // anoc-lint: allow(C001): documented constructor contract (# Panics)
         config.validate().expect("invalid NoC configuration");
         let mesh = Mesh::new(&config);
         assert_eq!(

@@ -1,5 +1,9 @@
 //! Network-level statistics: the raw material of Figures 9–15.
 
+// A stats-accumulation path: a counter narrowed by an `as` cast loses
+// high-traffic runs silently (DESIGN.md §6, C003).
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use anoc_core::codec::{CodecActivity, EncodeStats};
 use anoc_core::metrics::QualityAccumulator;
 

@@ -17,8 +17,6 @@
 //!   `ProptestConfig::with_cases` or globally with the
 //!   `ANOC_PROPTEST_CASES` environment variable.
 
-#![forbid(unsafe_code)]
-
 pub mod strategy;
 pub mod test_runner;
 

@@ -30,8 +30,6 @@
 //! assert!(result.avg_packet_latency() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use anoc_apps as apps;
 pub use anoc_compression as compression;
 pub use anoc_core as core;
