@@ -12,9 +12,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::cache::ResultCache;
 use crate::pool::ThreadPool;
 use crate::progress::Progress;
+use crate::store::ResultCache;
 
 /// A shared warm-start stage a job depends on.
 ///
@@ -325,7 +325,8 @@ pub fn run_campaign_checked<T: Send + 'static>(
     }
     if !warmups.is_empty() {
         let (keys, tasks): (Vec<String>, Vec<WarmupWork>) = warmups.into_iter().unzip();
-        for (i, outcome) in pool.run_ordered_results(tasks).into_iter().enumerate() {
+        let outcomes = pool.run_ordered_results_observed(tasks, |_, _| {});
+        for (i, outcome) in outcomes.into_iter().enumerate() {
             if let Err(msg) = outcome {
                 eprintln!(
                     "[{}] warmup '{}' panicked ({msg}); its cells run cold",

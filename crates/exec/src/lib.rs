@@ -13,13 +13,13 @@
 //! * [`campaign`] — a [`JobSpec`](campaign::JobSpec) planner that executes
 //!   jobs in parallel and merges results deterministically in plan order,
 //!   so parallel output is bit-identical to a serial run;
-//! * [`cache`] — an on-disk, text-format [`ResultCache`](cache::ResultCache)
-//!   keyed by a content hash of the job's canonical key, so warm re-runs
-//!   skip simulation entirely;
-//! * [`snapshot_store`] — an on-disk, binary
-//!   [`SnapshotStore`](snapshot_store::SnapshotStore) holding post-warmup
-//!   simulator states and mid-campaign checkpoints, so sweep cells sharing a
-//!   warmup fork from one snapshot instead of replaying it;
+//! * [`store`] — one on-disk keyed store: digest-named files that keep the
+//!   full key in one text frame, written through a temp file and a rename.
+//!   Two typed views share it: the [`ResultCache`](store::ResultCache) holds
+//!   text results keyed by the job's canonical key, so warm re-runs skip
+//!   simulation entirely; the [`SnapshotStore`](store::SnapshotStore) holds
+//!   post-warmup simulator states and mid-campaign checkpoints, so sweep
+//!   cells sharing a warmup fork from one snapshot instead of replaying it;
 //! * [`progress`] — live queued/running/done + ETA reporting on stderr.
 //!
 //! ## Example
@@ -39,17 +39,15 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod campaign;
 pub mod hash;
 pub mod pool;
 pub mod progress;
-pub mod snapshot_store;
+pub mod store;
 
-pub use cache::ResultCache;
 pub use campaign::{
     run_campaign, run_campaign_checked, CampaignOptions, CampaignOutcome, CampaignReport,
     CellError, CellFailure, JobSpec, ResultCodec, WarmupSpec,
 };
 pub use pool::{plan_threads, ThreadPool, WorkerSet};
-pub use snapshot_store::SnapshotStore;
+pub use store::{default_cache_dir, default_snapshot_dir, ResultCache, SnapshotStore};

@@ -3,8 +3,8 @@
 //! Workers pull boxed jobs off a shared `mpsc` channel (the channel acts as
 //! the work queue, giving natural work-stealing-like load balancing: a free
 //! worker takes the next job regardless of which one stalls). Panics inside
-//! jobs are caught per job and re-thrown from the submitting thread, so a
-//! failing simulation cell surfaces exactly like it would serially.
+//! jobs are caught per job and come back as that job's `Err(message)`, so
+//! one failing simulation cell never takes down the batch.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -61,7 +61,7 @@ impl ThreadPool {
     }
 
     /// Submits one fire-and-forget job.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+    fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.sender
             .as_ref()
             .expect("pool is shutting down")
@@ -70,62 +70,12 @@ impl ThreadPool {
     }
 
     /// Runs every job and returns the results **in submission order**,
-    /// regardless of which worker finished first — the property the campaign
-    /// layer relies on for deterministic merges.
-    ///
-    /// # Panics
-    ///
-    /// After all jobs have finished, panics with a `String` payload listing
-    /// **every** job that panicked (index and message), not just the first.
-    pub fn run_ordered<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        self.run_ordered_observed(jobs, |_, _| {})
-    }
-
-    /// [`run_ordered`](Self::run_ordered) with a completion observer:
-    /// `observe(index, &result)` runs on the submitting thread as each
-    /// result arrives (completion order), for progress reporting.
-    pub fn run_ordered_observed<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-        observe: impl FnMut(usize, &T),
-    ) -> Vec<T> {
-        let results = self.run_ordered_results_observed(jobs, observe);
-        let mut values = Vec::with_capacity(results.len());
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        for (idx, outcome) in results.into_iter().enumerate() {
-            match outcome {
-                Ok(value) => values.push(value),
-                Err(msg) => failures.push((idx, msg)),
-            }
-        }
-        if !failures.is_empty() {
-            // Every failed job is reported, not just the first-by-index one:
-            // a campaign debugging session needs the full picture in one shot.
-            let mut report = format!("{} job(s) panicked:", failures.len());
-            for (idx, msg) in &failures {
-                report.push_str(&format!("\n  job {idx}: {msg}"));
-            }
-            resume_unwind(Box::new(report));
-        }
-        values
-    }
-
-    /// Runs every job, isolating panics per job: the result vector is in
-    /// submission order with `Err(message)` for jobs that panicked. Never
-    /// panics itself; the pool stays usable afterwards.
-    pub fn run_ordered_results<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<Result<T, String>> {
-        self.run_ordered_results_observed(jobs, |_, _| {})
-    }
-
-    /// [`run_ordered_results`](Self::run_ordered_results) with a completion
-    /// observer: `observe(index, &result)` runs on the submitting thread as
-    /// each successful result arrives (completion order).
+    /// regardless of which worker finished first (the property the campaign
+    /// layer relies on for deterministic merges). Panics are isolated per
+    /// job: a job that panicked yields `Err(message)`. Never panics itself;
+    /// the pool stays usable afterwards. `observe(index, &value)` runs on
+    /// the submitting thread as each successful result arrives (completion
+    /// order), for progress reporting.
     pub fn run_ordered_results_observed<T: Send + 'static>(
         &self,
         jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
@@ -431,115 +381,78 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    type Job<T> = Box<dyn FnOnce() -> T + Send>;
+
+    /// Runs `jobs` with no observer and unwraps every result.
+    fn run_all<T: Send + 'static>(pool: &ThreadPool, jobs: Vec<Job<T>>) -> Vec<T> {
+        pool.run_ordered_results_observed(jobs, |_, _| {})
+            .into_iter()
+            .map(|r| r.expect("job succeeded"))
+            .collect()
+    }
+
     #[test]
     fn results_come_back_in_submission_order() {
         let pool = ThreadPool::new(8);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..64usize)
+        let jobs: Vec<Job<usize>> = (0..64usize)
             .map(|i| {
                 Box::new(move || {
                     // Reverse the natural completion order.
                     std::thread::sleep(std::time::Duration::from_micros(64 - i as u64));
                     i
-                }) as Box<dyn FnOnce() -> usize + Send>
+                }) as Job<usize>
             })
             .collect();
-        let results = pool.run_ordered(jobs);
-        assert_eq!(results, (0..64).collect::<Vec<_>>());
+        assert_eq!(run_all(&pool, jobs), (0..64).collect::<Vec<_>>());
     }
 
     #[test]
     fn all_workers_participate() {
         let pool = ThreadPool::new(4);
         assert_eq!(pool.threads(), 4);
-        let jobs: Vec<Box<dyn FnOnce() -> String + Send>> = (0..32)
+        let jobs: Vec<Job<String>> = (0..32)
             .map(|_| {
                 Box::new(|| {
                     std::thread::sleep(std::time::Duration::from_millis(2));
                     std::thread::current().name().unwrap_or("?").to_string()
-                }) as Box<dyn FnOnce() -> String + Send>
+                }) as Job<String>
             })
             .collect();
-        let names: std::collections::BTreeSet<String> =
-            pool.run_ordered(jobs).into_iter().collect();
+        let names: std::collections::BTreeSet<String> = run_all(&pool, jobs).into_iter().collect();
         assert!(names.len() > 1, "only one worker ran: {names:?}");
     }
 
     #[test]
     fn observer_sees_every_completion() {
         let pool = ThreadPool::new(3);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..10usize)
-            .map(|i| Box::new(move || i * 2) as Box<dyn FnOnce() -> usize + Send>)
+        let jobs: Vec<Job<usize>> = (0..10usize)
+            .map(|i| Box::new(move || i * 2) as Job<usize>)
             .collect();
-        let seen = AtomicUsize::new(0);
-        let results = pool.run_ordered_observed(jobs, |idx, value| {
+        // The observer runs on this thread, so a plain counter suffices.
+        let mut seen = 0;
+        let results = pool.run_ordered_results_observed(jobs, |idx, value| {
             assert_eq!(*value, idx * 2);
-            // anoc-lint: allow(X001): test counter; run_ordered_observed joins before the read
-            seen.fetch_add(1, Ordering::Relaxed);
+            seen += 1;
         });
-        // anoc-lint: allow(X001): read after the pool joined; no concurrent writers left
-        assert_eq!(seen.load(Ordering::Relaxed), 10);
+        assert_eq!(seen, 10);
         assert_eq!(results.len(), 10);
     }
 
     #[test]
-    fn pool_survives_and_reports_job_panics() {
-        let pool = ThreadPool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..6usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 3 {
-                        panic!("cell {i} exploded");
-                    }
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let err = catch_unwind(AssertUnwindSafe(|| pool.run_ordered(jobs)))
-            .expect_err("panic must propagate");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("cell 3 exploded"), "{msg}");
-        // The pool is still usable afterwards.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            vec![Box::new(|| 7usize) as Box<dyn FnOnce() -> usize + Send>];
-        assert_eq!(pool.run_ordered(jobs), vec![7]);
-    }
-
-    #[test]
-    fn every_panicked_job_is_reported() {
-        let pool = ThreadPool::new(4);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i % 3 == 1 {
-                        panic!("job {i} failed");
-                    }
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let err = catch_unwind(AssertUnwindSafe(|| pool.run_ordered(jobs)))
-            .expect_err("panic must propagate");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        for i in [1usize, 4, 7] {
-            assert!(msg.contains(&format!("job {i} failed")), "{msg}");
-        }
-        assert!(msg.contains("3 job(s) panicked"), "{msg}");
-    }
-
-    #[test]
-    fn results_api_isolates_panics_per_job() {
+    fn panics_are_isolated_per_job_and_the_pool_survives() {
         let pool = ThreadPool::new(3);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..5usize)
+        let jobs: Vec<Job<usize>> = (0..5usize)
             .map(|i| {
                 Box::new(move || {
                     if i == 2 {
                         panic!("boom {i}");
                     }
                     i * 10
-                }) as Box<dyn FnOnce() -> usize + Send>
+                }) as Job<usize>
             })
             .collect();
-        let results = pool.run_ordered_results(jobs);
+        let mut observed = Vec::new();
+        let results = pool.run_ordered_results_observed(jobs, |idx, _| observed.push(idx));
         assert_eq!(results.len(), 5);
         for (i, r) in results.iter().enumerate() {
             if i == 2 {
@@ -548,10 +461,14 @@ mod tests {
                 assert_eq!(*r.as_ref().unwrap(), i * 10);
             }
         }
+        // The observer sees successes only.
+        observed.sort_unstable();
+        assert_eq!(observed, vec![0, 1, 3, 4]);
         // The pool is still usable afterwards.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            vec![Box::new(|| 1usize) as Box<dyn FnOnce() -> usize + Send>];
-        assert_eq!(pool.run_ordered(jobs), vec![1]);
+        assert_eq!(
+            run_all(&pool, vec![Box::new(|| 1usize) as Job<usize>]),
+            vec![1]
+        );
     }
 
     #[test]
@@ -606,7 +523,7 @@ mod tests {
     fn single_thread_pool_is_strictly_serial() {
         let pool = ThreadPool::new(1);
         let counter = Arc::new(AtomicUsize::new(0));
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16)
+        let jobs: Vec<Job<usize>> = (0..16)
             .map(|_| {
                 let counter = Arc::clone(&counter);
                 Box::new(move || {
@@ -615,9 +532,9 @@ mod tests {
                     counter.fetch_sub(1, Ordering::SeqCst);
                     assert_eq!(v - inside, 1, "two jobs ran concurrently");
                     inside
-                }) as Box<dyn FnOnce() -> usize + Send>
+                }) as Job<usize>
             })
             .collect();
-        pool.run_ordered(jobs);
+        run_all(&pool, jobs);
     }
 }

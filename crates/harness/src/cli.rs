@@ -20,7 +20,7 @@
 //! answering repeated cells from the on-disk result cache unless
 //! `--no-cache` is given.
 
-use anoc_exec::{ResultCache, SnapshotStore};
+use anoc_exec::{default_cache_dir, default_snapshot_dir, ResultCache, SnapshotStore};
 use anoc_traffic::{Benchmark, DestPattern};
 
 use crate::campaign;
@@ -287,11 +287,11 @@ fn install_context(opts: &Opts) -> Result<(), String> {
     } else {
         (
             Some(
-                ResultCache::open_default()
+                ResultCache::open(default_cache_dir())
                     .map_err(|e| format!("cannot open result cache: {e} (try --no-cache)"))?,
             ),
             Some(
-                SnapshotStore::open_default()
+                SnapshotStore::open(default_snapshot_dir())
                     .map_err(|e| format!("cannot open snapshot store: {e} (try --no-cache)"))?,
             ),
         )
@@ -347,7 +347,7 @@ fn execute(cmd: Command) -> Result<(), String> {
             outcome
         }
         Command::CacheStats => {
-            let cache = ResultCache::open_default().map_err(|e| e.to_string())?;
+            let cache = ResultCache::open(default_cache_dir()).map_err(|e| e.to_string())?;
             println!(
                 "result cache: {} entries, {} bytes, at {}",
                 cache.len(),
@@ -377,13 +377,13 @@ fn execute(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::CacheClear => {
-            let cache = ResultCache::open_default().map_err(|e| e.to_string())?;
+            let cache = ResultCache::open(default_cache_dir()).map_err(|e| e.to_string())?;
             let removed = cache.clear().map_err(|e| e.to_string())?;
             println!(
                 "cleared {removed} cache entries from {}",
                 cache.dir().display()
             );
-            let store = SnapshotStore::open_default().map_err(|e| e.to_string())?;
+            let store = SnapshotStore::open(default_snapshot_dir()).map_err(|e| e.to_string())?;
             let snaps = store.clear().map_err(|e| e.to_string())?;
             println!("cleared {snaps} snapshots from {}", store.dir().display());
             Ok(())

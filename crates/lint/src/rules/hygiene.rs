@@ -57,13 +57,12 @@ pub(super) fn check_unused_allows(lexed: &Lexed, used: &[Vec<bool>], out: &mut V
 #[cfg(test)]
 mod tests {
     use super::super::tests::{check_src, ids, sim_ctx};
-    use super::super::{FileContext, Severity};
+    use super::super::FileContext;
 
     #[test]
-    fn l000_malformed_directive_is_an_error() {
+    fn l000_malformed_directive_is_reported() {
         let vs = check_src(&sim_ctx(), "// anoc-lint: allow(D004)\nlet m = 1;");
         assert_eq!(ids(&vs), vec!["L000"]);
-        assert_eq!(vs[0].rule.severity, Severity::Error);
     }
 
     #[test]

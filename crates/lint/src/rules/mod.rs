@@ -9,12 +9,14 @@
 //! hash-ordered collections, panics, float equality, narrowing stats casts,
 //! printing and `unsafe` are rustc and clippy lints (DESIGN.md §6).
 //!
-//! | id   | severity | family      | checks |
-//! |------|----------|-------------|--------|
-//! | L000 | error    | hygiene     | malformed or unused `anoc-lint:` directive, dangling `phase()`, unbalanced braces |
-//! | D004 | error    | determinism | RNG construction outside a `rng-site`-annotated seeded-Pcg32 site |
-//! | D005 | error    | determinism | serial-edge mutator reachable from a `phase(A)` root |
-//! | X001 | error    | concurrency | `Ordering::Relaxed` in `anoc-exec` without an audit reason |
+//! Every rule is an error: any finding fails the run.
+//!
+//! | id   | family      | checks |
+//! |------|-------------|--------|
+//! | L000 | hygiene     | malformed or unused `anoc-lint:` directive, dangling `phase()`, unbalanced braces |
+//! | D004 | determinism | RNG construction outside a `rng-site`-annotated seeded-Pcg32 site |
+//! | D005 | determinism | serial-edge mutator reachable from a `phase(A)` root |
+//! | X001 | concurrency | `Ordering::Relaxed` in `anoc-exec` without an audit reason |
 //!
 //! Directives (plain `//` comments, same line or the line above):
 //!
@@ -35,27 +37,10 @@ mod hygiene;
 use crate::lexer::Lexed;
 use crate::syntax;
 
-/// Finding severity. `Error` fails the run; `Warning` fails under `--deny`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    Warning,
-    Error,
-}
-
-impl Severity {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
 /// A rule's stable identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rule {
     pub id: &'static str,
-    pub severity: Severity,
     pub summary: &'static str,
 }
 
@@ -63,22 +48,18 @@ pub struct Rule {
 pub const RULES: [Rule; 4] = [
     Rule {
         id: "L000",
-        severity: Severity::Error,
         summary: "malformed or unused anoc-lint directive, or unbalanced scope",
     },
     Rule {
         id: "D004",
-        severity: Severity::Error,
         summary: "RNG constructed outside a sanctioned seeded site",
     },
     Rule {
         id: "D005",
-        severity: Severity::Error,
         summary: "serial-edge mutator reachable from a parallel phase root",
     },
     Rule {
         id: "X001",
-        severity: Severity::Error,
         summary: "unaudited Ordering::Relaxed in anoc-exec",
     },
 ];

@@ -70,8 +70,6 @@ pub struct Scope {
     pub open_line: u32,
     /// Line of the closing `}` (last line of the file if unclosed).
     pub close_line: u32,
-    /// Normalized outer attributes (`"cfg(test)"`, `"test"`, `"derive(..)"`).
-    pub attrs: Vec<String>,
     /// Under `#[cfg(test)]` / `#[test]`, directly or via an ancestor.
     pub is_test: bool,
     /// Phase annotation (`// anoc-lint: phase(A)`) attached to this fn.
@@ -252,7 +250,6 @@ impl Builder<'_> {
             header_line: 1,
             open_line: 1,
             close_line: last_line,
-            attrs: Vec::new(),
             is_test: false,
             phase: None,
             calls: Vec::new(),
@@ -353,16 +350,11 @@ impl Builder<'_> {
             Some(p) => (p.kind, p.name, p.header_line),
             None => (ScopeKind::Block, String::new(), line),
         };
-        let attrs: Vec<String> = if kind == ScopeKind::Block {
-            // Attributes never decorate a bare block; drop strays so a
-            // statement attr cannot leak onto the next `{`.
-            self.pending_attrs.clear();
-            Vec::new()
-        } else {
-            self.pending_attrs.drain(..).map(|(a, _)| a).collect()
-        };
+        // Attributes never decorate a bare block; drop strays so a
+        // statement attr cannot leak onto the next `{`.
+        let tagged = self.pending_attrs.drain(..).any(|(a, _)| is_test_attr(&a));
         let parent = self.stack.last().copied().unwrap_or(0);
-        let is_test = self.tree.scopes[parent].is_test || attrs.iter().any(|a| is_test_attr(a));
+        let is_test = self.tree.scopes[parent].is_test || (tagged && kind != ScopeKind::Block);
         let mut phase = None;
         if kind == ScopeKind::Fn {
             for (ann_line, ann_phase, consumed) in anns.iter_mut() {
@@ -380,7 +372,6 @@ impl Builder<'_> {
             header_line,
             open_line: line,
             close_line: line,
-            attrs,
             is_test,
             phase,
             calls: Vec::new(),
@@ -397,9 +388,9 @@ impl Builder<'_> {
             return; // plain statement, or `fn f();` in a trait — nothing to track
         }
         let header_line = self.pending_attrs.first().map(|&(_, l)| l).unwrap_or(line);
-        let attrs: Vec<String> = self.pending_attrs.drain(..).map(|(a, _)| a).collect();
+        let tagged = self.pending_attrs.drain(..).any(|(a, _)| is_test_attr(&a));
         let parent = self.stack.last().copied().unwrap_or(0);
-        let is_test = self.tree.scopes[parent].is_test || attrs.iter().any(|a| is_test_attr(a));
+        let is_test = self.tree.scopes[parent].is_test || tagged;
         self.tree.scopes.push(Scope {
             kind: ScopeKind::Stmt,
             name: pending.map(|p| p.name).unwrap_or_default(),
@@ -407,7 +398,6 @@ impl Builder<'_> {
             header_line,
             open_line: line,
             close_line: line,
-            attrs,
             is_test,
             phase: None,
             calls: Vec::new(),

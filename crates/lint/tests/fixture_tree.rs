@@ -1,10 +1,10 @@
 //! End-to-end acceptance test: a synthetic workspace tree with one seeded
-//! violation per rule must make `anoc-lint --deny` report every rule and
-//! exit nonzero, while the cleaned-up twin exits zero.
+//! violation per rule must make `anoc-lint` report every rule and exit
+//! nonzero, while the cleaned-up twin exits zero.
 
 use std::path::{Path, PathBuf};
 
-use anoc_lint::{apply_baseline, lint_root, Baseline, Options};
+use anoc_lint::{apply_baseline, lint_root, Baseline};
 
 /// A scratch directory that cleans up after itself.
 struct TempTree(PathBuf);
@@ -39,10 +39,10 @@ impl Drop for TempTree {
 const WORKSPACE_MANIFEST: &str = "[workspace]\nmembers = [\"crates/*\"]\n";
 
 /// One deliberately-violating fixture per rule (D004, D005, X001, L000):
-/// each must fire, produce exit 1 under both modes, and serialize as a
-/// schema-stable JSON finding.
+/// each must fire, produce exit 1, and serialize as a schema-stable JSON
+/// finding.
 #[test]
-fn seeded_tree_trips_every_rule_and_denies() {
+fn seeded_tree_trips_every_rule() {
     let tree = TempTree::new("dirty");
     tree.write("Cargo.toml", WORKSPACE_MANIFEST);
     tree.write(
@@ -83,19 +83,12 @@ fn seeded_tree_trips_every_rule_and_denies() {
     for rule in ["D004", "D005", "X001", "L000"] {
         assert!(fired.contains(&rule), "rule {rule} did not fire: {fired:?}");
     }
-    // Every rule is an error: the default mode already fails.
-    assert_eq!(report.exit_code(&Options::default()), 1);
-    assert_eq!(
-        report.exit_code(&Options {
-            deny: true,
-            ..Options::default()
-        }),
-        1
-    );
+    // Every rule is an error.
+    assert_eq!(report.exit_code(), 1);
     // Schema-stable JSON: every finding serializes with the fixed key order
     // (rule before severity before path).
     let json = report.render_json();
-    assert!(json.contains("\"version\": 2"));
+    assert!(json.contains("\"version\": 3"));
     for (rule, path) in [
         ("D004", "crates/noc/src/jitter.rs"),
         ("D005", "crates/noc/src/phase.rs"),
@@ -156,13 +149,7 @@ fn clean_tree_is_quiet() {
     );
     // The X001 audit, the `#[expect]` and the `#[allow]`.
     assert_eq!(report.suppressed, 3);
-    assert_eq!(
-        report.exit_code(&Options {
-            deny: true,
-            ..Options::default()
-        }),
-        0
-    );
+    assert_eq!(report.exit_code(), 0);
 }
 
 /// Test trees (`tests/`, `examples/`, `crates/*/tests/`) are walked and get
@@ -206,13 +193,14 @@ fn test_trees_are_walked_with_hygiene_rules_only() {
         .map(|f| (f.rule_id, f.path.as_str()))
         .collect();
     assert_eq!(fired, vec![("L000", "tests/integration.rs")]);
-    assert_eq!(report.exit_code(&Options::default()), 1);
+    assert_eq!(report.exit_code(), 1);
 }
 
-/// The baseline workflow end-to-end: grandfather the current findings, stay
-/// green; a new finding or suppression growth turns the run red again.
+/// The budget workflow end to end: a finding fails the run whatever the
+/// baseline says, and suppression growth past the committed budget fails it
+/// even when no finding is left.
 #[test]
-fn baseline_grandfathers_and_catches_regressions() {
+fn baseline_budget_catches_growth_and_excuses_no_finding() {
     let tree = TempTree::new("baseline");
     tree.write("Cargo.toml", WORKSPACE_MANIFEST);
     tree.write(
@@ -226,42 +214,30 @@ fn baseline_grandfathers_and_catches_regressions() {
     let report = lint_root(tree.root()).expect("lint fixture tree");
     assert_eq!(report.findings.len(), 1); // the D004 legacy site
 
-    // Snapshot it; the same tree under the baseline is green, even --deny.
-    let baseline = Baseline::from_report(&report);
-    let parsed = Baseline::parse(&baseline.render_json()).expect("round trip");
+    // A budget snapshot of this tree excuses nothing: the finding still
+    // fails the run.
+    let baseline =
+        Baseline::parse(&Baseline::from_report(&report).render_json()).expect("round trip");
+    assert_eq!(baseline.suppressed, 0);
     let mut rerun = lint_root(tree.root()).expect("lint fixture tree");
-    apply_baseline(&mut rerun, &parsed);
-    assert!(rerun.findings.is_empty());
-    assert_eq!(rerun.grandfathered, 1);
-    assert_eq!(
-        rerun.exit_code(&Options {
-            deny: true,
-            ..Options::default()
-        }),
-        0
-    );
+    apply_baseline(&mut rerun, &baseline);
+    assert_eq!(rerun.findings.len(), 1);
+    assert_eq!(rerun.exit_code(), 1);
 
-    // A brand-new violation is NOT grandfathered.
-    tree.write(
-        "crates/noc/src/fresh.rs",
-        "pub fn fresh() -> u32 { Pcg32::seed_from_u64(2).next_u32() }\n",
-    );
-    let mut regressed = lint_root(tree.root()).expect("lint fixture tree");
-    apply_baseline(&mut regressed, &parsed);
-    assert_eq!(regressed.findings.len(), 1);
-    assert_eq!(regressed.findings[0].path, "crates/noc/src/fresh.rs");
-    assert_eq!(regressed.exit_code(&Options::default()), 1);
-
-    // Suppression growth past the budget fails even with zero findings.
-    let _ = std::fs::remove_file(tree.root().join("crates/noc/src/fresh.rs"));
+    // Suppressing the finding grows the count past the budget: still red.
     tree.write(
         "crates/noc/src/old.rs",
-        "// anoc-lint: allow(D004): grandfathered legacy stream\n\
+        "// anoc-lint: allow(D004): legacy stream\n\
          pub fn legacy() -> u32 { Pcg32::seed_from_u64(1).next_u32() }\n",
     );
     let mut grown = lint_root(tree.root()).expect("lint fixture tree");
     assert!(grown.findings.is_empty());
     assert_eq!(grown.suppressed, 1);
-    apply_baseline(&mut grown, &parsed); // budget was 0 suppressions
-    assert_eq!(grown.exit_code(&Options::default()), 1);
+    apply_baseline(&mut grown, &baseline);
+    assert_eq!(grown.exit_code(), 1);
+
+    // A budget regenerated deliberately at the new count is green.
+    let mut at_budget = lint_root(tree.root()).expect("lint fixture tree");
+    apply_baseline(&mut at_budget, &Baseline::from_report(&grown));
+    assert_eq!(at_budget.exit_code(), 0);
 }

@@ -8,7 +8,7 @@ use std::path::Path;
 
 use anoc_lint::lexer::lex;
 use anoc_lint::rules::SIM_CRITICAL_CRATES;
-use anoc_lint::{lint_root, Baseline, Options};
+use anoc_lint::{lint_root, Baseline};
 
 fn workspace_root() -> &'static Path {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -37,18 +37,13 @@ fn workspace_is_lint_clean() {
         report.findings.is_empty(),
         "workspace has lint findings:\n{rendered}"
     );
-    assert_eq!(
-        report.exit_code(&Options {
-            deny: true,
-            ..Options::default()
-        }),
-        0
-    );
+    assert_eq!(report.exit_code(), 0);
 }
 
-/// The committed baseline must stay in sync with reality: no grandfathered
-/// findings (the tree is clean), and a suppression budget the live count
-/// does not exceed. If a suppression was legitimately added, regenerate with
+/// The committed budget must equal the live suppression count: a new
+/// suppression fails until the budget is regenerated deliberately, and a
+/// removed one must shrink the budget with it, so slack never accumulates.
+/// Regenerate with
 /// `cargo run -p anoc-lint -- --write-baseline lint-baseline.json`.
 #[test]
 fn committed_baseline_matches_workspace() {
@@ -56,19 +51,11 @@ fn committed_baseline_matches_workspace() {
     let text = std::fs::read_to_string(root.join("lint-baseline.json"))
         .expect("committed lint-baseline.json at the workspace root");
     let baseline = Baseline::parse(&text).expect("parse committed baseline");
-    assert!(
-        baseline.entries.is_empty(),
-        "the workspace carries grandfathered findings; burn them down or \
-         justify each in the PR: {:?}",
-        baseline.entries
-    );
     let report = lint_root(root).expect("lint workspace");
-    assert!(
-        report.suppressed <= baseline.suppressed,
-        "live suppression count {} exceeds the committed budget {}; fix the \
-         finding or regenerate the baseline deliberately",
-        report.suppressed,
-        baseline.suppressed
+    assert_eq!(
+        report.suppressed, baseline.suppressed,
+        "live suppression count differs from the committed budget; fix the \
+         finding, or regenerate the baseline deliberately"
     );
 }
 
