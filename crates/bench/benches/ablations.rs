@@ -83,13 +83,13 @@ fn bench(c: &mut Criterion) {
     let mut plain = FpEncoder::fp_vaxx(Avcl::new(t));
     let plain_frac = encoded_fraction(&mut plain, &mut model, 200);
     let mut model = DataModel::new(Benchmark::X264, 13);
-    let mut windowed = FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10));
+    let mut windowed = FpEncoder::fp_vaxx_windowed(WindowBudget::new(10));
     let window_frac = encoded_fraction(&mut windowed, &mut model, 200);
     println!(
         "ablation 4: x264 encoded fraction — per-word {plain_frac:.3} vs 16-word window {window_frac:.3}"
     );
     c.bench_function("ablation/window/encode", |b| {
-        let mut enc = FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10));
+        let mut enc = FpEncoder::fp_vaxx_windowed(WindowBudget::new(10));
         let mut dec = FpDecoder::new();
         let mut model = DataModel::new(Benchmark::X264, 17);
         b.iter(|| {

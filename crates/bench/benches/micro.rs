@@ -4,7 +4,7 @@
 use anoc_compression::di::{DiConfig, DiDecoder, DiEncoder};
 use anoc_compression::fp::FpEncoder;
 use anoc_compression::fpc;
-use anoc_compression::lz::{LzConfig, LzDecoder, LzEncoder};
+use anoc_compression::lz::{LzDecoder, LzEncoder};
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::{BlockDecoder, BlockEncoder};
 use anoc_core::data::{CacheBlock, DataType, NodeId};
@@ -105,7 +105,7 @@ fn bench(c: &mut Criterion) {
         })
         .collect();
     c.bench_function("micro/lz_vaxx/encode_block", |b| {
-        let mut enc = LzEncoder::lz_vaxx(LzConfig::default(), avcl);
+        let mut enc = LzEncoder::lz_vaxx(avcl);
         b.iter(|| {
             let mut bits = 0u32;
             for block in &lz_blocks {
@@ -115,7 +115,7 @@ fn bench(c: &mut Criterion) {
         })
     });
     c.bench_function("micro/lz_vaxx/decode_block", |b| {
-        let mut enc = LzEncoder::lz_vaxx(LzConfig::default(), avcl);
+        let mut enc = LzEncoder::lz_vaxx(avcl);
         let encoded: Vec<_> = lz_blocks
             .iter()
             .map(|bl| enc.encode(bl, NodeId(1)))

@@ -14,32 +14,18 @@
 use anoc_core::codec::{BlockEncoder, CodecActivity, EncodedBlock, Notification, WordCode};
 use anoc_core::data::{CacheBlock, NodeId};
 
-/// Controller parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Blocks per evaluation window while ON.
-    pub window_blocks: u32,
-    /// Minimum compression ratio that keeps the encoder ON (must cover the
-    /// tag overhead and the 3-cycle latency; Jin et al. use a small margin
-    /// over 1.0).
-    pub min_ratio: f64,
-    /// While OFF, probe one block through the encoder every this many
-    /// blocks.
-    pub probe_interval: u32,
-    /// Consecutive profitable probes required to switch back ON.
-    pub probes_to_reenable: u32,
-}
+/// Blocks per evaluation window while ON.
+const WINDOW_BLOCKS: u32 = 64;
 
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            window_blocks: 64,
-            min_ratio: 1.10,
-            probe_interval: 16,
-            probes_to_reenable: 2,
-        }
-    }
-}
+/// Minimum compression ratio that keeps the encoder ON (must cover the tag
+/// overhead and the 3-cycle latency; Jin et al. use a small margin over 1.0).
+const MIN_RATIO: f64 = 1.10;
+
+/// While OFF, probe one block through the encoder every this many blocks.
+const PROBE_INTERVAL: u32 = 16;
+
+/// Consecutive profitable probes required to switch back ON.
+const PROBES_TO_REENABLE: u32 = 2;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -50,7 +36,6 @@ enum Mode {
 /// A [`BlockEncoder`] wrapper implementing the adaptive on/off controller.
 pub struct AdaptiveEncoder<E> {
     inner: E,
-    config: AdaptiveConfig,
     mode: Mode,
     window_in_bits: u64,
     window_out_bits: u64,
@@ -62,16 +47,10 @@ pub struct AdaptiveEncoder<E> {
 }
 
 impl<E: BlockEncoder> AdaptiveEncoder<E> {
-    /// Wraps `inner` with the default controller parameters.
+    /// Wraps `inner`, starting ON.
     pub fn new(inner: E) -> Self {
-        AdaptiveEncoder::with_config(inner, AdaptiveConfig::default())
-    }
-
-    /// Wraps `inner` with explicit parameters.
-    pub fn with_config(inner: E, config: AdaptiveConfig) -> Self {
         AdaptiveEncoder {
             inner,
-            config,
             mode: Mode::On,
             window_in_bits: 0,
             window_out_bits: 0,
@@ -127,9 +106,9 @@ impl<E: BlockEncoder> BlockEncoder for AdaptiveEncoder<E> {
                 self.window_in_bits += block.size_bits();
                 self.window_out_bits += encoded.payload_bits() as u64;
                 self.window_count += 1;
-                if self.window_count >= self.config.window_blocks {
+                if self.window_count >= WINDOW_BLOCKS {
                     let ratio = self.window_in_bits as f64 / self.window_out_bits.max(1) as f64;
-                    if ratio < self.config.min_ratio {
+                    if ratio < MIN_RATIO {
                         self.mode = Mode::Off;
                         self.transitions += 1;
                         self.off_count = 0;
@@ -143,12 +122,12 @@ impl<E: BlockEncoder> BlockEncoder for AdaptiveEncoder<E> {
             }
             Mode::Off => {
                 self.off_count += 1;
-                if self.off_count.is_multiple_of(self.config.probe_interval) {
+                if self.off_count.is_multiple_of(PROBE_INTERVAL) {
                     // Probe: run the encoder for real on this block.
                     let encoded = self.inner.encode(block, dest);
-                    if Self::block_ratio(block, &encoded) >= self.config.min_ratio {
+                    if Self::block_ratio(block, &encoded) >= MIN_RATIO {
                         self.good_probes += 1;
-                        if self.good_probes >= self.config.probes_to_reenable {
+                        if self.good_probes >= PROBES_TO_REENABLE {
                             self.mode = Mode::On;
                             self.transitions += 1;
                         }
@@ -211,23 +190,19 @@ mod tests {
         CacheBlock::from_i32(&[0, 1, -2, 3, 0, 0, 7, -8, 0, 1, 2, 3, 0, 0, 0, 0])
     }
 
-    fn cfg() -> AdaptiveConfig {
-        AdaptiveConfig {
-            window_blocks: 8,
-            min_ratio: 1.10,
-            probe_interval: 4,
-            probes_to_reenable: 2,
+    /// Encodes `n` blocks from `block`.
+    fn feed(enc: &mut AdaptiveEncoder<FpEncoder>, n: u32, mut block: impl FnMut() -> CacheBlock) {
+        for _ in 0..n {
+            enc.encode(&block(), NodeId(1));
         }
     }
 
     #[test]
     fn turns_off_on_incompressible_traffic() {
-        let mut enc = AdaptiveEncoder::with_config(FpEncoder::fp_comp(), cfg());
+        let mut enc = AdaptiveEncoder::new(FpEncoder::fp_comp());
         assert!(enc.is_on());
         let mut rng = Pcg32::seed_from_u64(1);
-        for _ in 0..8 {
-            enc.encode(&incompressible_block(&mut rng), NodeId(1));
-        }
+        feed(&mut enc, WINDOW_BLOCKS, || incompressible_block(&mut rng));
         assert!(!enc.is_on(), "should have turned off after one bad window");
         assert_eq!(enc.transitions(), 1);
         // While off, latency is zero and blocks travel tag-free.
@@ -238,17 +213,19 @@ mod tests {
 
     #[test]
     fn probes_reenable_on_compressible_traffic() {
-        let mut enc = AdaptiveEncoder::with_config(FpEncoder::fp_comp(), cfg());
+        let mut enc = AdaptiveEncoder::new(FpEncoder::fp_comp());
         let mut rng = Pcg32::seed_from_u64(2);
-        for _ in 0..8 {
-            enc.encode(&incompressible_block(&mut rng), NodeId(1));
-        }
+        feed(&mut enc, WINDOW_BLOCKS, || incompressible_block(&mut rng));
         assert!(!enc.is_on());
-        // Compressible traffic: every 4th block is probed; two good probes
-        // re-enable.
-        for _ in 0..8 {
-            enc.encode(&compressible_block(), NodeId(1));
-        }
+        // Compressible traffic: every PROBE_INTERVAL-th block is probed, and
+        // PROBES_TO_REENABLE good probes in a row re-enable.
+        feed(
+            &mut enc,
+            PROBE_INTERVAL * PROBES_TO_REENABLE - 1,
+            compressible_block,
+        );
+        assert!(!enc.is_on(), "re-enabled before the last probe");
+        feed(&mut enc, 1, compressible_block);
         assert!(enc.is_on(), "probes should re-enable compression");
         assert_eq!(enc.transitions(), 2);
         assert_eq!(enc.compression_latency(), 3);
@@ -256,22 +233,21 @@ mod tests {
 
     #[test]
     fn stays_on_for_compressible_traffic() {
-        let mut enc = AdaptiveEncoder::with_config(FpEncoder::fp_comp(), cfg());
-        for _ in 0..64 {
-            enc.encode(&compressible_block(), NodeId(1));
-        }
+        let mut enc = AdaptiveEncoder::new(FpEncoder::fp_comp());
+        feed(&mut enc, 4 * WINDOW_BLOCKS, compressible_block);
         assert!(enc.is_on());
         assert_eq!(enc.transitions(), 0);
     }
 
     #[test]
     fn every_mode_is_lossless() {
-        let mut enc = AdaptiveEncoder::with_config(FpEncoder::fp_comp(), cfg());
+        let mut enc = AdaptiveEncoder::new(FpEncoder::fp_comp());
         let mut dec = FpDecoder::new();
         let mut rng = Pcg32::seed_from_u64(3);
-        // Alternate phases to force transitions, decoding everything.
+        // Alternate phases longer than a window plus the re-enabling probes
+        // to force transitions, decoding everything.
         for phase in 0..6 {
-            for _ in 0..10 {
+            for _ in 0..WINDOW_BLOCKS + PROBE_INTERVAL * PROBES_TO_REENABLE {
                 let block = if phase % 2 == 0 {
                     incompressible_block(&mut rng)
                 } else {
@@ -289,11 +265,15 @@ mod tests {
 
     #[test]
     fn default_config_is_sane() {
-        let c = AdaptiveConfig::default();
-        assert!(c.min_ratio > 1.0);
-        assert!(c.window_blocks > 0 && c.probe_interval > 0);
-        let e = AdaptiveEncoder::new(FpEncoder::fp_comp());
-        assert!(e.is_on());
-        assert_eq!(e.inner().name(), "FP-COMP");
+        // A fresh encoder is on and judges a whole window before it turns
+        // off, even on traffic that never compresses.
+        let mut enc = AdaptiveEncoder::new(FpEncoder::fp_comp());
+        assert!(enc.is_on());
+        assert_eq!(enc.inner().name(), "FP-COMP");
+        let mut rng = Pcg32::seed_from_u64(4);
+        feed(&mut enc, WINDOW_BLOCKS - 1, || {
+            incompressible_block(&mut rng)
+        });
+        assert!(enc.is_on(), "turned off before a full window");
     }
 }

@@ -23,12 +23,6 @@ pub struct DiConfig {
     pub pmt_entries: usize,
     /// Number of nodes in the network (for valid-bit / index vectors).
     pub num_nodes: usize,
-    /// DI-VAXX only: confirm TCAM hits against the precise word's own
-    /// tolerance so the error-threshold guarantee is exact.
-    pub strict_threshold: bool,
-    /// Decay (halve) frequency counters every this many observed words; 0
-    /// disables aging.
-    pub decay_interval: u64,
 }
 
 impl DiConfig {
@@ -37,33 +31,31 @@ impl DiConfig {
         DiConfig {
             pmt_entries: DEFAULT_PMT_ENTRIES,
             num_nodes,
-            strict_threshold: true,
-            decay_interval: 4096,
         }
     }
 }
+
+/// Both sides of a dictionary pair halve their frequency counters every this
+/// many observed words.
+const DECAY_INTERVAL: u64 = 4096;
 
 /// The frequency-aging clock of one dictionary codec: it counts observed
 /// words down to the next decay, so the per-word check is a compare and a
 /// decrement rather than a division of the running word count.
 #[derive(Debug, Clone, Copy)]
 struct DecayClock {
-    interval: u64,
-    /// Words until the next decay, 1 on the word that decays; 0 when aging
-    /// is off.
+    /// Words until the next decay, 1 on the word that decays.
     left: u64,
 }
 
 impl DecayClock {
-    /// The clock after `words_seen` words under `interval` (0: never decay).
-    /// A restored codec derives its clock this way from the snapshot's word
-    /// count, so it decays on the same word as an uninterrupted one.
-    fn at(interval: u64, words_seen: u64) -> Self {
-        let left = match interval {
-            0 => 0,
-            i => i - words_seen % i,
-        };
-        DecayClock { interval, left }
+    /// The clock after `words_seen` words. A restored codec derives its
+    /// clock this way from the snapshot's word count, so it decays on the
+    /// same word as an uninterrupted one.
+    fn at(words_seen: u64) -> Self {
+        DecayClock {
+            left: DECAY_INTERVAL - words_seen % DECAY_INTERVAL,
+        }
     }
 
     /// Counts one word; true when the running word count reaches a multiple
@@ -71,11 +63,7 @@ impl DecayClock {
     #[inline]
     fn tick(&mut self) -> bool {
         let fire = self.left == 1;
-        self.left = if fire {
-            self.interval
-        } else {
-            self.left.saturating_sub(1)
-        };
+        self.left = if fire { DECAY_INTERVAL } else { self.left - 1 };
         fire
     }
 }
@@ -85,7 +73,6 @@ impl DecayClock {
 pub struct DiEncoder {
     pmt: EncoderPmt,
     avcl: Option<Avcl>,
-    config: DiConfig,
     index_bits: u8,
     words_seen: u64,
     decay: DecayClock,
@@ -98,10 +85,9 @@ impl DiEncoder {
         DiEncoder {
             pmt: EncoderPmt::di_comp(config.pmt_entries, config.num_nodes),
             avcl: None,
-            config,
             index_bits: index_bits(config.pmt_entries),
             words_seen: 0,
-            decay: DecayClock::at(config.decay_interval, 0),
+            decay: DecayClock::at(0),
             activity: CodecActivity::default(),
         }
     }
@@ -111,10 +97,9 @@ impl DiEncoder {
         DiEncoder {
             pmt: EncoderPmt::di_vaxx(config.pmt_entries, config.num_nodes, avcl),
             avcl: Some(avcl),
-            config,
             index_bits: index_bits(config.pmt_entries),
             words_seen: 0,
-            decay: DecayClock::at(config.decay_interval, 0),
+            decay: DecayClock::at(0),
             activity: CodecActivity::default(),
         }
     }
@@ -162,7 +147,7 @@ impl BlockEncoder for DiEncoder {
             // always prefers the pre-computed approximate pattern match
             // because it is what the TCAM returns in one search.
             let hit = if approx_on {
-                pmt.approx_or_exact(word, block.dtype(), self.config.strict_threshold)
+                pmt.approx_or_exact(word, block.dtype())
             } else {
                 pmt.exact(word)
             };
@@ -218,7 +203,7 @@ impl BlockEncoder for DiEncoder {
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.pmt.load_state(r)?;
         self.words_seen = r.u64()?;
-        self.decay = DecayClock::at(self.config.decay_interval, self.words_seen);
+        self.decay = DecayClock::at(self.words_seen);
         self.activity = CodecActivity::load_state(r)?;
         Ok(())
     }
@@ -229,7 +214,6 @@ impl BlockEncoder for DiEncoder {
 #[derive(Debug, Clone)]
 pub struct DiDecoder {
     pmt: DecoderPmt,
-    config: DiConfig,
     words_seen: u64,
     decay: DecayClock,
     activity: CodecActivity,
@@ -240,9 +224,8 @@ impl DiDecoder {
     pub fn new(config: DiConfig) -> Self {
         DiDecoder {
             pmt: DecoderPmt::new(config.pmt_entries, config.num_nodes),
-            config,
             words_seen: 0,
-            decay: DecayClock::at(config.decay_interval, 0),
+            decay: DecayClock::at(0),
             activity: CodecActivity::default(),
         }
     }
@@ -311,7 +294,7 @@ impl BlockDecoder for DiDecoder {
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.pmt.load_state(r)?;
         self.words_seen = r.u64()?;
-        self.decay = DecayClock::at(self.config.decay_interval, self.words_seen);
+        self.decay = DecayClock::at(self.words_seen);
         self.activity = CodecActivity::load_state(r)?;
         Ok(())
     }
@@ -623,15 +606,10 @@ mod tests {
         }
     }
 
-    /// A DI-COMP pair under `decay_interval`, and the snapshot bytes of both
-    /// codecs after each block of `blocks`.
-    fn states(decay_interval: u64, blocks: &[CacheBlock]) -> Vec<Vec<u8>> {
-        let cfg = DiConfig {
-            decay_interval,
-            ..config()
-        };
-        let mut enc = DiEncoder::di_comp(cfg);
-        let mut dec = DiDecoder::new(cfg);
+    /// The snapshot bytes of a DI-COMP pair after each block of `blocks`.
+    fn states(blocks: &[CacheBlock]) -> Vec<Vec<u8>> {
+        let mut enc = DiEncoder::di_comp(config());
+        let mut dec = DiDecoder::new(config());
         blocks
             .iter()
             .map(|b| {
@@ -657,36 +635,25 @@ mod tests {
     }
 
     #[test]
-    fn zero_decay_interval_never_decays() {
-        let blocks = recurring_blocks(400);
-        // An interval longer than the stream never fires either; an interval
-        // that does fire must show in the snapshot bytes.
-        assert_eq!(states(0, &blocks), states(u64::MAX, &blocks));
-        assert_ne!(states(0, &blocks), states(64, &blocks));
-    }
-
-    #[test]
     fn restored_codecs_decay_on_the_uninterrupted_word() {
-        const INTERVAL: u64 = 24;
-        let blocks = recurring_blocks(200);
-        let cfg = DiConfig {
-            decay_interval: INTERVAL,
-            ..config()
-        };
-        let uninterrupted = states(INTERVAL, &blocks);
-        // 7 five-word blocks: 35 words, 11 into the second interval.
-        let split = 7;
-        assert_ne!((split as u64 * 5) % INTERVAL, 0);
-        let mut enc = DiEncoder::di_comp(cfg);
-        let mut dec = DiDecoder::new(cfg);
+        // 1700 five-word blocks cross the decays at words 4096 and 8192; the
+        // split at 900 blocks (4500 words) restores 404 words into the
+        // second interval, so a clock restarted on restore would decay 404
+        // words late, at word 8596, past the end of the stream.
+        let blocks = recurring_blocks(1700);
+        let uninterrupted = states(&blocks);
+        let split = 900;
+        assert_eq!((split as u64 * 5) % DECAY_INTERVAL, 404);
+        let mut enc = DiEncoder::di_comp(config());
+        let mut dec = DiDecoder::new(config());
         run_pair(&mut enc, &mut dec, &blocks[..split]);
         let mut w = SnapWriter::new();
         enc.save_state(&mut w);
         dec.save_state(&mut w);
         let bytes = w.into_bytes();
         assert_eq!(bytes, uninterrupted[split - 1]);
-        let mut enc = DiEncoder::di_comp(cfg);
-        let mut dec = DiDecoder::new(cfg);
+        let mut enc = DiEncoder::di_comp(config());
+        let mut dec = DiDecoder::new(config());
         let mut r = SnapReader::new(&bytes);
         enc.load_state(&mut r).unwrap();
         dec.load_state(&mut r).unwrap();

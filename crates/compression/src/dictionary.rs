@@ -712,19 +712,17 @@ impl EncoderPmt {
     /// Ternary (TCAM) lookup for approximable data: an entry whose approximate
     /// pattern matches `word` and that has a record for `dest`.
     ///
-    /// When `strict` is set the hit is additionally confirmed against
-    /// `word`'s *own* error tolerance (the recovered original must lie within
-    /// the threshold of the precise word), so the data-error guarantee holds
-    /// exactly; without it the raw TCAM semantics of the paper apply. The
-    /// word's own APCL pattern is computed once, and only after a key hits.
+    /// The hit is confirmed against `word`'s *own* error tolerance (the
+    /// recovered original must lie within the threshold of the precise
+    /// word), so the data-error guarantee holds exactly. The word's own APCL
+    /// pattern is computed once, and only after a key hits.
     pub fn lookup_approx(
         &mut self,
         word: u32,
         dest: NodeId,
         dtype: DataType,
-        strict: bool,
     ) -> Option<DestRecord> {
-        self.lookups(dest).approx(word, dtype, strict)
+        self.lookups(dest).approx(word, dtype)
     }
 
     /// The encoder's search for a word of approximable data:
@@ -741,9 +739,8 @@ impl EncoderPmt {
         word: u32,
         dest: NodeId,
         dtype: DataType,
-        strict: bool,
     ) -> Option<DestRecord> {
-        self.lookups(dest).approx_or_exact(word, dtype, strict)
+        self.lookups(dest).approx_or_exact(word, dtype)
     }
 
     /// Ages all frequency counters.
@@ -806,22 +803,16 @@ impl DestLookups<'_> {
 
     /// See [`EncoderPmt::lookup_approx`].
     #[inline]
-    pub(crate) fn approx(
-        &mut self,
-        word: u32,
-        dtype: DataType,
-        strict: bool,
-    ) -> Option<DestRecord> {
+    pub(crate) fn approx(&mut self, word: u32, dtype: DataType) -> Option<DestRecord> {
         let apcl = self.apcl?;
         let mut own: Option<ApproxPattern> = None;
         for (e, (key, rec)) in self.keys.iter().zip(self.row).enumerate() {
             if !key.matches(word) || self.held >> e & 1 == 0 {
                 continue;
             }
-            if strict
-                && !own
-                    .get_or_insert_with(|| apcl.approx_pattern(word, dtype))
-                    .matches(rec.original)
+            if !own
+                .get_or_insert_with(|| apcl.approx_pattern(word, dtype))
+                .matches(rec.original)
             {
                 continue;
             }
@@ -832,13 +823,8 @@ impl DestLookups<'_> {
 
     /// See [`EncoderPmt::lookup_approx_or_exact`].
     #[inline]
-    pub(crate) fn approx_or_exact(
-        &mut self,
-        word: u32,
-        dtype: DataType,
-        strict: bool,
-    ) -> Option<DestRecord> {
-        let hit = self.approx(word, dtype, strict);
+    pub(crate) fn approx_or_exact(&mut self, word: u32, dtype: DataType) -> Option<DestRecord> {
+        let hit = self.approx(word, dtype);
         if hit.is_some() || !self.exact_after_tcam {
             return hit;
         }
@@ -974,9 +960,7 @@ mod tests {
         // Not announced for another destination.
         assert!(e.lookup_exact(0xFACE, NodeId(3)).is_none());
         // Approximate lookup is unavailable on a binary CAM.
-        assert!(e
-            .lookup_approx(0xFACE, NodeId(2), DataType::Int, true)
-            .is_none());
+        assert!(e.lookup_approx(0xFACE, NodeId(2), DataType::Int).is_none());
     }
 
     #[test]
@@ -1050,9 +1034,7 @@ mod tests {
             },
         );
         // 1005 matches the ternary key and confirms strictly.
-        let rec = e
-            .lookup_approx(1005, NodeId(1), DataType::Int, true)
-            .unwrap();
+        let rec = e.lookup_approx(1005, NodeId(1), DataType::Int).unwrap();
         assert_eq!(rec.original, 1000);
         // A word whose own tolerance cannot absorb the recovered original
         // fails the strict confirm even if the TCAM fires: 4 (tolerance 1)
@@ -1060,9 +1042,7 @@ mod tests {
         // a sharper case: word 960 matches key (1000 & !0x7F = 0x3C0 ==
         // 960 & !0x7F)? 960 = 0x3C0, base(1000)=0x3C0 -> TCAM fires. 960's
         // own tolerance at 25% is 240 >= |1000-960| = 40, so it confirms.
-        assert!(e
-            .lookup_approx(960, NodeId(1), DataType::Int, true)
-            .is_some());
+        assert!(e.lookup_approx(960, NodeId(1), DataType::Int).is_some());
         // Exact path finds the original.
         assert_eq!(e.lookup_exact(1000, NodeId(1)).unwrap().index, 2);
         // ...but not a merely-close word.
@@ -1071,37 +1051,29 @@ mod tests {
 
     #[test]
     fn di_vaxx_strict_rejects_out_of_tolerance() {
-        // 100% threshold on the stored pattern makes a huge TCAM mask; a
-        // small word can then TCAM-match a big original that its own
-        // (smaller) tolerance cannot accept.
-        let apcl = Avcl::new(ErrorThreshold::from_percent(100).unwrap());
+        // The stored pattern's tolerance can be a power of two wider than
+        // the probe word's: at 25% the error range is `v >> 2`, so 510
+        // (range 127) ignores 7 low bits and its key's base is 384, while
+        // 400 (range 100) ignores only 6.
+        let apcl = Avcl::new(ErrorThreshold::from_percent(25).unwrap());
         let mut e = EncoderPmt::di_vaxx(8, N, apcl);
         e.apply(
             NodeId(0),
             Notification::Install {
-                pattern: 200,
+                pattern: 510,
                 index: 0,
                 dtype: DataType::Int,
             },
         );
-        // 200 at 100%: range 200, k = 7 -> key base = 200 & !0x7F = 128.
-        // Word 130: TCAM matches (130 & !0x7F = 128). 130's own tolerance
-        // is 130 >= |200-130| = 70 -> actually accepted. Try word 129:
-        // tolerance 129 >= 71 -> accepted too. With 100% everything close
-        // passes; use a 10% APCL-mask mismatch instead via relaxed=false:
-        let strict_hit = e.lookup_approx(130, NodeId(0), DataType::Int, true);
-        assert!(strict_hit.is_some());
-        // Now a genuinely failing confirm: install with 100% (wide key) but
-        // confirm against a word whose own 100% tolerance still misses?
-        // |200 - w| <= w requires w >= 100: word 100..: passes. w < 100
-        // cannot TCAM-match since base(w)=... w=64: 64 & !0x7F = 0 != 128.
-        // The geometry guarantees strictness is rarely needed at equal
-        // thresholds — which is exactly the paper's argument. Document by
-        // asserting the non-strict path agrees here.
-        assert_eq!(
-            e.lookup_approx(130, NodeId(0), DataType::Int, false),
-            strict_hit
-        );
+        // The TCAM fires for 400, but 510 lies outside 400's own pattern
+        // (and 110 away, past 25% of 400): the confirm rejects the hit.
+        assert!(apcl.approx_pattern(510, DataType::Int).matches(400));
+        assert!(!apcl.accepts(400, 510, DataType::Int));
+        assert!(e.lookup_approx(400, NodeId(0), DataType::Int).is_none());
+        // 460's own pattern does hold 510: the key fires and confirms.
+        assert!(apcl.accepts(460, 510, DataType::Int));
+        let hit = e.lookup_approx(460, NodeId(0), DataType::Int);
+        assert_eq!(hit.map(|r| r.original), Some(510));
     }
 
     #[test]

@@ -482,7 +482,7 @@ mod window_tests {
 
     #[test]
     fn windowed_encoder_flags() {
-        let w = FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10));
+        let w = FpEncoder::fp_vaxx_windowed(WindowBudget::new(10));
         assert!(w.is_vaxx() && w.is_windowed());
         assert!(!FpEncoder::fp_comp().is_windowed());
     }
@@ -511,7 +511,7 @@ mod window_tests {
             })
             .collect();
         let mut plain = FpEncoder::fp_vaxx(Avcl::new(ErrorThreshold::from_percent(10).unwrap()));
-        let mut windowed = FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10));
+        let mut windowed = FpEncoder::fp_vaxx_windowed(WindowBudget::new(10));
         let mut sp = anoc_core::codec::EncodeStats::default();
         let mut sw = anoc_core::codec::EncodeStats::default();
         for b in &blocks {
@@ -531,7 +531,7 @@ mod window_tests {
     fn windowed_average_error_stays_near_base() {
         use anoc_core::metrics::QualityAccumulator;
         let mut rng = anoc_core::rng::Pcg32::seed_from_u64(5);
-        let mut enc = FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10));
+        let mut enc = FpEncoder::fp_vaxx_windowed(WindowBudget::new(10));
         let mut dec = FpDecoder::new();
         let mut q = QualityAccumulator::new();
         for _ in 0..200 {

@@ -70,8 +70,8 @@ pub mod fp;
 pub mod fpc;
 pub mod lz;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveEncoder};
+pub use adaptive::AdaptiveEncoder;
 pub use bd::{BdDecoder, BdEncoder};
 pub use di::{DiConfig, DiDecoder, DiEncoder};
 pub use fp::{FpDecoder, FpEncoder};
-pub use lz::{LzConfig, LzDecoder, LzEncoder};
+pub use lz::{LzDecoder, LzEncoder};

@@ -53,39 +53,27 @@ const SHORT_DIST_BITS: u8 = 3;
 /// Wire width of the distance field otherwise: 1 rank flag + 6 distance bits.
 const FULL_DIST_BITS: u8 = 7;
 
-/// LZ-VAXX tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LzConfig {
-    /// Longest back-reference, in words (the 3-bit length field caps at 8).
-    pub max_match: u8,
-    /// Hash-chain probes per anchor word before giving up.
-    pub chain_depth: usize,
-    /// Largest usable distance (the 6-bit full-width field caps at 64).
-    pub max_distance: usize,
-    /// MTF list positions that qualify for the short distance code.
-    pub mtf_short_slots: usize,
-    /// MTF list capacity.
-    pub mtf_capacity: usize,
-}
+/// Longest back-reference, in words: the 3-bit length field caps at 8.
+const MAX_MATCH: usize = 8;
 
-impl Default for LzConfig {
-    fn default() -> Self {
-        LzConfig {
-            max_match: 8,
-            chain_depth: 16,
-            max_distance: 64,
-            mtf_short_slots: 4,
-            mtf_capacity: 16,
-        }
-    }
-}
+/// Hash-chain probes per anchor word before giving up.
+const CHAIN_DEPTH: usize = 16;
+
+/// Largest usable distance: the 6-bit full-width distance field caps at 64.
+const MAX_DISTANCE: usize = 64;
+
+/// MTF list positions that qualify for the short distance code (the 2
+/// slot-index bits of [`SHORT_DIST_BITS`]).
+const MTF_SHORT_SLOTS: usize = 4;
+
+/// MTF list capacity.
+const MTF_CAPACITY: usize = 16;
 
 /// The LZ-VAXX encoder. Per-block scratch (window, match finder, MTF list,
 /// don't-care masks) is reset on every `encode`, so no encode allocates per
 /// word; only the seed dictionary persists.
 #[derive(Debug, Clone)]
 pub struct LzEncoder {
-    config: LzConfig,
     avcl: Avcl,
     seed: [u32; 8],
     finder: MatchFinder,
@@ -103,9 +91,8 @@ pub struct LzEncoder {
 impl LzEncoder {
     /// Creates an LZ-VAXX encoder with the given AVCL (exact threshold makes
     /// it a lossless LZ).
-    pub fn lz_vaxx(config: LzConfig, avcl: Avcl) -> Self {
+    pub fn lz_vaxx(avcl: Avcl) -> Self {
         LzEncoder {
-            config,
             avcl,
             seed: SEED_DICT,
             finder: MatchFinder::new(),
@@ -114,11 +101,6 @@ impl LzEncoder {
             dont_care: Vec::new(),
             activity: CodecActivity::default(),
         }
-    }
-
-    /// The tuning configuration.
-    pub fn config(&self) -> LzConfig {
-        self.config
     }
 }
 
@@ -157,13 +139,13 @@ impl BlockEncoder for LzEncoder {
         while i < n {
             let word = words[i];
             let cur = seed_len + i;
-            let cap = (self.config.max_match as usize).min(n - i);
+            let cap = MAX_MATCH.min(n - i);
             let (probe, dont_care) = (&words[i..i + cap], &self.dont_care[i..i + cap]);
             self.activity.cam_searches += 1;
             let mut best: Option<(usize, usize, bool)> = None; // (len, distance, approx)
-            for pos in self.finder.chain(word).take(self.config.chain_depth) {
+            for pos in self.finder.chain(word).take(CHAIN_DEPTH) {
                 let distance = cur - pos;
-                if distance > self.config.max_distance {
+                if distance > MAX_DISTANCE {
                     break; // chains are newest-first; older is only farther
                 }
                 self.activity.tcam_searches += u64::from(approx_on);
@@ -197,14 +179,14 @@ impl BlockEncoder for LzEncoder {
                 Some((len, distance, approx)) => {
                     let rank = self.mtf.iter().position(|&d| d == distance as u16);
                     let dist_bits = match rank {
-                        Some(k) if k < self.config.mtf_short_slots => SHORT_DIST_BITS,
+                        Some(k) if k < MTF_SHORT_SLOTS => SHORT_DIST_BITS,
                         _ => FULL_DIST_BITS,
                     };
                     if let Some(k) = rank {
                         self.mtf.remove(k);
                     }
                     self.mtf.insert(0, distance as u16);
-                    self.mtf.truncate(self.config.mtf_capacity);
+                    self.mtf.truncate(MTF_CAPACITY);
                     self.activity.table_updates += 1;
                     // The overlapped copy, exactly as the decoder replays it.
                     for k in cur..cur + len {
@@ -367,7 +349,7 @@ mod tests {
         } else {
             avcl(pct)
         };
-        LzEncoder::lz_vaxx(LzConfig::default(), a)
+        LzEncoder::lz_vaxx(a)
     }
 
     fn roundtrip(e: &mut LzEncoder, block: &CacheBlock) -> CacheBlock {
@@ -573,7 +555,7 @@ mod tests {
         let encoded = e.encode(&block, NodeId(1));
         for c in encoded.codes() {
             if let WordCode::Match { distance, .. } = c {
-                assert!(*distance as usize <= LzConfig::default().max_distance);
+                assert!(*distance as usize <= MAX_DISTANCE);
             }
         }
         assert_eq!(roundtrip(&mut e, &block), block);

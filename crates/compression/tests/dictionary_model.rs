@@ -285,18 +285,12 @@ impl ModelEncoder {
         e.per_dest[dest.index()]
     }
 
-    fn lookup_approx(
-        &mut self,
-        word: u32,
-        dest: NodeId,
-        dtype: DataType,
-        strict: bool,
-    ) -> Option<DestRecord> {
+    fn lookup_approx(&mut self, word: u32, dest: NodeId, dtype: DataType) -> Option<DestRecord> {
         let apcl = self.apcl?;
         let e = self.entries.iter_mut().find(|e| {
             e.key.matches(word)
                 && matches!(e.per_dest[dest.index()],
-                    Some(r) if !strict || apcl.accepts(word, r.original, dtype))
+                    Some(r) if apcl.accepts(word, r.original, dtype))
         })?;
         e.freq = e.freq.saturating_add(1);
         e.per_dest[dest.index()]
@@ -519,20 +513,20 @@ proptest! {
                     );
                 }
                 6 | 7 => {
-                    let (dt, strict) = (dtype(b >> 16), b & 0x2_0000 != 0);
+                    let dt = dtype(b >> 16);
                     prop_assert_eq!(
-                        pmt.lookup_approx(w, at, dt, strict),
-                        model.lookup_approx(w, at, dt, strict),
+                        pmt.lookup_approx(w, at, dt),
+                        model.lookup_approx(w, at, dt),
                         "approximate lookup at step {}", step
                     );
                 }
                 8 => {
-                    let (dt, strict) = (dtype(b >> 16), b & 0x2_0000 != 0);
+                    let dt = dtype(b >> 16);
                     let want = model
-                        .lookup_approx(w, at, dt, strict)
+                        .lookup_approx(w, at, dt)
                         .or_else(|| model.lookup_exact(w, at));
                     prop_assert_eq!(
-                        pmt.lookup_approx_or_exact(w, at, dt, strict),
+                        pmt.lookup_approx_or_exact(w, at, dt),
                         want,
                         "TCAM-then-CAM lookup at step {}", step
                     );

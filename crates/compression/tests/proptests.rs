@@ -235,7 +235,7 @@ mod bd_properties {
 
 mod lz_properties {
     use super::*;
-    use anoc_compression::lz::{LzConfig, LzDecoder, LzEncoder};
+    use anoc_compression::lz::{LzDecoder, LzEncoder};
     use anoc_core::codec::WordCode;
 
     fn lz_at(pct: u32) -> LzEncoder {
@@ -244,7 +244,7 @@ mod lz_properties {
         } else {
             ErrorThreshold::from_percent(pct).unwrap()
         };
-        LzEncoder::lz_vaxx(LzConfig::default(), Avcl::new(t))
+        LzEncoder::lz_vaxx(Avcl::new(t))
     }
 
     proptest! {
@@ -315,10 +315,10 @@ mod lz_properties {
 
         /// Structural invariants of the emitted stream: spans cover the
         /// block exactly, every distance is in range and backed by enough
-        /// window, and no foreign code kinds appear.
+        /// window, and no foreign code kinds appear. The caps are the wire
+        /// format's: a 3-bit length field and a 6-bit distance field.
         #[test]
         fn lz_stream_well_formed(block in super::skewed_block(), pct in 0u32..=50) {
-            let cfg = LzConfig::default();
             let mut enc = lz_at(pct);
             let e = enc.encode(&block, NodeId(1));
             let seed_len = anoc_compression::lz::SEED_DICT.len();
@@ -327,9 +327,8 @@ mod lz_properties {
                 match *code {
                     WordCode::Raw { .. } => covered += 1,
                     WordCode::Match { distance, len, dist_bits, .. } => {
-                        prop_assert!(len >= 1 && len <= cfg.max_match);
-                        prop_assert!(distance >= 1);
-                        prop_assert!((distance as usize) <= cfg.max_distance);
+                        prop_assert!((1..=8).contains(&len));
+                        prop_assert!((1..=64).contains(&distance));
                         prop_assert!(
                             (distance as usize) <= seed_len + covered,
                             "distance {distance} exceeds window at word {covered}"

@@ -307,11 +307,6 @@ impl FlowControllerBank {
         FlowControllerBank { spec, nodes, flows }
     }
 
-    /// The spec the bank was built from.
-    pub fn spec(&self) -> &QosSpec {
-        &self.spec
-    }
-
     /// The destination class of `dest`.
     pub fn class_of(&self, dest: usize) -> usize {
         dest % self.spec.classes as usize

@@ -142,11 +142,6 @@ impl CacheBlock {
         &mut self.words
     }
 
-    /// Consumes the block and returns its words.
-    pub fn into_words(self) -> Vec<u32> {
-        self.words
-    }
-
     /// Number of words in the block.
     #[inline]
     pub fn len(&self) -> usize {

@@ -9,14 +9,16 @@
 
 use crate::threshold::ErrorThreshold;
 
+/// Words per window: one 16-word cache block.
+const WINDOW: u32 = 16;
+
 /// A sliding per-window error budget.
 ///
-/// The budget is `window × base_percent` percentage points of relative error
-/// per window of words; each word may spend up to the remaining budget
-/// (capped at `max_percent`), and the window resets after `window` words.
+/// The budget is `16 × base_percent` percentage points of relative error
+/// per window of 16 words; each word may spend up to the remaining budget
+/// (capped at `max_percent`), and the window resets after 16 words.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowBudget {
-    window: u32,
     base_percent: u32,
     max_percent: u32,
     used_percent: f64,
@@ -25,30 +27,23 @@ pub struct WindowBudget {
 
 impl WindowBudget {
     /// Creates a budget of `base_percent`% average error per word over
-    /// windows of `window` words. Individual words are capped at
+    /// windows of 16 words. Individual words are capped at
     /// `4 × base_percent` (at most 100%).
     ///
     /// # Panics
     ///
-    /// Panics if `window` is zero or `base_percent` is not in `1..=100`.
-    pub fn new(window: u32, base_percent: u32) -> Self {
-        assert!(window > 0, "window must hold at least one word");
+    /// Panics if `base_percent` is not in `1..=100`.
+    pub fn new(base_percent: u32) -> Self {
         assert!(
             (1..=100).contains(&base_percent),
             "base percentage must be in 1..=100"
         );
         WindowBudget {
-            window,
             base_percent,
             max_percent: (base_percent * 4).min(100),
             used_percent: 0.0,
             seen: 0,
         }
-    }
-
-    /// Words per window.
-    pub fn window(&self) -> u32 {
-        self.window
     }
 
     /// The configured average per-word error percentage.
@@ -58,7 +53,7 @@ impl WindowBudget {
 
     /// Remaining budget in the current window, in percentage points.
     pub fn remaining_percent(&self) -> f64 {
-        (self.window as f64 * self.base_percent as f64) - self.used_percent
+        (WINDOW as f64 * self.base_percent as f64) - self.used_percent
     }
 
     /// The error threshold available to the *next* word: the remaining
@@ -80,7 +75,7 @@ impl WindowBudget {
     pub fn record(&mut self, relative_error: f64) {
         self.used_percent += (relative_error.max(0.0) * 100.0).min(self.max_percent as f64);
         self.seen += 1;
-        if self.seen == self.window {
+        if self.seen == WINDOW {
             self.seen = 0;
             self.used_percent = 0.0;
         }
@@ -93,25 +88,33 @@ mod tests {
 
     #[test]
     fn fresh_window_offers_pooled_budget() {
-        let b = WindowBudget::new(8, 10);
-        // 8 words x 10% = 80 points available, capped at 40% per word.
-        assert_eq!(b.remaining_percent(), 80.0);
+        let b = WindowBudget::new(10);
+        // 16 words x 10% = 160 points available, capped at 40% per word.
+        assert_eq!(b.remaining_percent(), 160.0);
         assert_eq!(b.next_threshold().percent(), 40);
     }
 
     #[test]
     fn exact_words_donate_budget() {
-        let mut b = WindowBudget::new(4, 10);
-        b.record(0.0);
-        b.record(0.0);
-        // Two exact words: 40 points still available for the remaining two.
-        assert_eq!(b.next_threshold().percent(), 40);
+        let mut b = WindowBudget::new(10);
+        for _ in 0..12 {
+            b.record(0.0);
+        }
+        // Twelve exact words leave all 160 points to the last four, which
+        // may each spend the 40% cap instead of their own 10%.
+        for _ in 0..4 {
+            assert_eq!(b.next_threshold().percent(), 40);
+            b.record(0.40);
+        }
     }
 
     #[test]
     fn spending_shrinks_the_allowance() {
-        let mut b = WindowBudget::new(4, 10);
-        b.record(0.35); // 35 points of the 40 spent
+        let mut b = WindowBudget::new(10);
+        for _ in 0..3 {
+            b.record(0.40);
+        }
+        b.record(0.35); // 155 points of the 160 spent
         assert_eq!(b.next_threshold().percent(), 5);
         b.record(0.05);
         assert!(b.next_threshold().is_exact(), "budget exhausted");
@@ -119,39 +122,36 @@ mod tests {
 
     #[test]
     fn window_resets() {
-        let mut b = WindowBudget::new(2, 10);
+        let mut b = WindowBudget::new(10);
         b.record(0.20);
+        for _ in 0..14 {
+            b.record(0.0);
+        }
+        assert_eq!(b.remaining_percent(), 140.0);
         b.record(0.0); // window boundary
-        assert_eq!(b.remaining_percent(), 20.0);
-        assert_eq!(b.next_threshold().percent(), 20);
+        assert_eq!(b.remaining_percent(), 160.0);
+        assert_eq!(b.next_threshold().percent(), 40);
     }
 
     #[test]
     fn average_error_bounded_by_base() {
         // Property: however the budget is spent, the recorded average per
         // window never exceeds the base percentage.
-        let mut b = WindowBudget::new(8, 10);
+        let mut b = WindowBudget::new(10);
         let mut spent = 0.0;
-        for i in 0..8 {
+        for _ in 0..WINDOW {
             let t = b.next_threshold();
             // Adversarially spend the full allowance every time.
             let e = t.percent() as f64 / 100.0;
             spent += e;
             b.record(e);
-            let _ = i;
         }
-        assert!(spent * 100.0 <= 8.0 * 10.0 + 1e-9, "spent {spent}");
-    }
-
-    #[test]
-    #[should_panic(expected = "window must hold")]
-    fn zero_window_rejected() {
-        let _ = WindowBudget::new(0, 10);
+        assert!(spent * 100.0 <= 16.0 * 10.0 + 1e-9, "spent {spent}");
     }
 
     #[test]
     #[should_panic(expected = "base percentage")]
     fn bad_percent_rejected() {
-        let _ = WindowBudget::new(4, 0);
+        let _ = WindowBudget::new(0);
     }
 }

@@ -141,9 +141,6 @@ pub struct CampaignReport {
     /// Simulated cycles summed over the executed jobs (cache hits excluded;
     /// 0 when no cycle extractor was supplied).
     pub sim_cycles: u64,
-    /// Per-job wall time summed over the executed jobs — the serial cost,
-    /// where `wall` is the parallel one.
-    pub exec_wall: Duration,
 }
 
 impl CampaignReport {
@@ -365,14 +362,12 @@ pub fn run_campaign_checked<T: Send + 'static>(
 
     // Phase 3: write back successes and merge in plan order.
     let mut sim_cycles = 0u64;
-    let mut exec_wall = Duration::ZERO;
     let mut failures: Vec<CellFailure> = Vec::new();
     for (i, outcome) in fresh.into_iter().enumerate() {
         let index = plan_indices[i];
         match outcome {
-            Ok((wall, Ok(value))) => {
+            Ok((_, Ok(value))) => {
                 sim_cycles += cycles_of.map_or(0, |f| f(&value));
-                exec_wall += wall;
                 if let Some((store, codec)) = cache.as_ref() {
                     cache_put_with_retry(
                         store,
@@ -384,8 +379,7 @@ pub fn run_campaign_checked<T: Send + 'static>(
                 }
                 slots[index] = Some(value);
             }
-            Ok((wall, Err(msg))) => {
-                exec_wall += wall;
+            Ok((_, Err(msg))) => {
                 failures.push(CellFailure {
                     index,
                     id: ids[i].clone(),
@@ -410,7 +404,6 @@ pub fn run_campaign_checked<T: Send + 'static>(
         executed,
         wall: start.elapsed(),
         sim_cycles,
-        exec_wall,
     };
     CampaignOutcome {
         results: slots,

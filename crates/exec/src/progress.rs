@@ -115,13 +115,9 @@ struct State {
 }
 
 impl Progress {
-    /// Creates a tracker for `total` jobs under a campaign `label`,
-    /// honouring the `ANOC_PROGRESS` policy.
-    pub fn new(label: &str, total: usize) -> Self {
-        Progress::with_enabled(label, total, enabled())
-    }
-
-    /// Creates a tracker with an explicit on/off switch (tests, `--quiet`).
+    /// Creates a tracker for `total` jobs under a campaign `label`, printing
+    /// only when `enabled` (the campaign passes the `ANOC_PROGRESS` policy,
+    /// off under `--quiet`).
     pub fn with_enabled(label: &str, total: usize, enabled: bool) -> Self {
         Progress {
             label: label.to_string(),

@@ -10,6 +10,7 @@
 //! are the same computation share a key across figures — a `fig13` rerun
 //! reuses the matrix cells `fig9` already paid for.
 
+use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -205,8 +206,8 @@ impl ExecContext {
             .fetch_add(info.skipped_cycles, Ordering::Relaxed);
     }
 
-    /// Counts a shared warmup stage that actually simulated (a snapshot-store
-    /// miss). Cell results only account for their own simulated time, so
+    /// Counts a shared warmup stage that actually simulated (no stored
+    /// snapshot its cells could fork). Cell results only account for their own simulated time, so
     /// without this a cold sweep would report the same cycle total as a warm
     /// one and the summary could not show the warm-start saving.
     pub fn note_warmup_simulated(&self, cycles: u64) {
@@ -339,14 +340,16 @@ impl ExecContext {
     }
 }
 
-/// The canonical single-line rendering of a [`SystemConfig`]: every field
-/// that influences a simulation, floats by their exact bits. The fault plan
-/// is part of the key, so cached healthy results are never confused with
-/// fault-injected ones (and vice versa).
-pub fn config_key(c: &SystemConfig) -> String {
+/// Appends the space-separated `name=value` fields of `c` that a key
+/// renders, floats by their exact bits: the one field list behind
+/// [`config_key`], [`cell_key`] and [`warmup_key`]. With `warmup_only`, the
+/// fields that shape only the measurement window (`thr`, `sim`, `drain`) are
+/// left out (see [`warmup_key`]).
+fn push_config_fields(out: &mut String, c: &SystemConfig, warmup_only: bool) {
     let n = &c.noc;
-    format!(
-        "noc={}x{}x{} vcs={} buf={} flit={} hide={} vao={} nib={} thr={} ar={:016x} warm={} sim={} drain={} flt={{{}}} lp={{{}}} qos={{{}}} wd={}",
+    let _ = write!(
+        out,
+        "noc={}x{}x{} vcs={} buf={} flit={} hide={} vao={} nib={}",
         n.width,
         n.height,
         n.concentration,
@@ -356,16 +359,40 @@ pub fn config_key(c: &SystemConfig) -> String {
         n.hide_compression,
         n.va_overlap,
         n.notify_in_band,
-        c.threshold_percent,
+    );
+    if !warmup_only {
+        let _ = write!(out, " thr={}", c.threshold_percent);
+    }
+    let _ = write!(
+        out,
+        " ar={:016x} warm={}",
         c.approx_ratio.to_bits(),
-        c.warmup_cycles,
-        c.sim_cycles,
-        c.drain_cycles,
+        c.warmup_cycles
+    );
+    if !warmup_only {
+        let _ = write!(out, " sim={} drain={}", c.sim_cycles, c.drain_cycles);
+    }
+    let _ = write!(
+        out,
+        " flt={{{}}} lp={{{}}} qos={{{}}} wd={}",
         c.faults.key_fragment(),
         c.loss.key_fragment(),
         c.qos.key_fragment(),
         c.watchdog_horizon,
-    )
+    );
+}
+
+/// Room for a whole cell key, so rendering one does not reallocate.
+const KEY_CAPACITY: usize = 384;
+
+/// The canonical single-line rendering of a [`SystemConfig`]: every field
+/// that influences a simulation, floats by their exact bits. The fault plan
+/// is part of the key, so cached healthy results are never confused with
+/// fault-injected ones (and vice versa).
+pub fn config_key(c: &SystemConfig) -> String {
+    let mut key = String::with_capacity(KEY_CAPACITY);
+    push_config_fields(&mut key, c, false);
+    key
 }
 
 /// The content key of one simulation cell.
@@ -380,10 +407,11 @@ pub fn cell_key(
     workload: &str,
     seed: u64,
 ) -> String {
-    format!(
-        "anoc-cell v1 kind={kind} {} mech={mechanism} work={workload} seed={seed}",
-        config_key(config)
-    )
+    let mut key = String::with_capacity(KEY_CAPACITY);
+    let _ = write!(key, "anoc-cell v1 kind={kind} ");
+    push_config_fields(&mut key, config, false);
+    let _ = write!(key, " mech={mechanism} work={workload} seed={seed}");
+    key
 }
 
 /// The content key of one cell's *warmup stage* — everything that influences
@@ -405,25 +433,11 @@ pub fn warmup_key(
     workload: &str,
     seed: u64,
 ) -> String {
-    let n = &config.noc;
-    format!(
-        "anoc-warmup v1 kind={kind} noc={}x{}x{} vcs={} buf={} flit={} hide={} vao={} nib={} ar={:016x} warm={} flt={{{}}} lp={{{}}} qos={{{}}} wd={} mech={mechanism} work={workload} seed={seed}",
-        n.width,
-        n.height,
-        n.concentration,
-        n.vcs,
-        n.vc_buffer,
-        n.flit_bits,
-        n.hide_compression,
-        n.va_overlap,
-        n.notify_in_band,
-        config.approx_ratio.to_bits(),
-        config.warmup_cycles,
-        config.faults.key_fragment(),
-        config.loss.key_fragment(),
-        config.qos.key_fragment(),
-        config.watchdog_horizon,
-    )
+    let mut key = String::with_capacity(KEY_CAPACITY);
+    let _ = write!(key, "anoc-warmup v1 kind={kind} ");
+    push_config_fields(&mut key, config, true);
+    let _ = write!(key, " mech={mechanism} work={workload} seed={seed}");
+    key
 }
 
 /// A short stable tag for a synthetic destination pattern, for cell keys.
@@ -448,20 +462,11 @@ fn run_benchmark_cell(
     mechanism: Mechanism,
     config: &SystemConfig,
     seed: u64,
-    key: &str,
 ) -> Result<RunResult, SimError> {
     let ctx = installed_context();
     let policy = match ctx {
         Some(c) => SnapshotPolicy {
             store: c.snapshots(),
-            warmup_key: Some(warmup_key(
-                "bench",
-                config,
-                mechanism.name(),
-                benchmark.name(),
-                seed,
-            )),
-            cell_key: Some(key.to_string()),
             checkpoint_every: c.checkpoint_every(),
             resume: c.resume(),
         },
@@ -507,7 +512,7 @@ fn with_benchmark_warmup<T>(
             return;
         };
         if let Some(store) = ctx.snapshots() {
-            match publish_benchmark_warmup(benchmark, mechanism, &config, seed, store, &key) {
+            match publish_benchmark_warmup(benchmark, mechanism, &config, seed, store) {
                 Ok(true) => ctx.note_warmup_simulated(config.warmup_cycles),
                 Ok(false) => {}
                 Err(e) => {
@@ -531,9 +536,8 @@ pub fn benchmark_job(
     let id = format!("{}/{}/s{seed}", benchmark.name(), mechanism.name());
     let key = cell_key("bench", config, mechanism.name(), benchmark.name(), seed);
     let cfg = config.clone();
-    let cell = key.clone();
     let job = JobSpec::new(id, key, move || {
-        match run_benchmark_cell(benchmark, mechanism, &cfg, seed, &cell) {
+        match run_benchmark_cell(benchmark, mechanism, &cfg, seed) {
             Ok(r) => r,
             Err(e) => panic!("simulation failed: {e}"),
         }
@@ -555,9 +559,8 @@ pub fn checked_benchmark_job(
     let id = format!("{}/{}/s{seed}", benchmark.name(), mechanism.name());
     let key = cell_key("bench", config, mechanism.name(), benchmark.name(), seed);
     let cfg = config.clone();
-    let cell = key.clone();
     let job = JobSpec::new(id, key, move || {
-        run_benchmark_cell(benchmark, mechanism, &cfg, seed, &cell).map_err(|e| e.to_string())
+        run_benchmark_cell(benchmark, mechanism, &cfg, seed).map_err(|e| e.to_string())
     });
     with_benchmark_warmup(job, benchmark, mechanism, config, seed)
 }
@@ -647,6 +650,33 @@ mod tests {
         assert_ne!(k0, warmup_key("bench", &base, "FP-VAXX", "x264", 42));
         assert_ne!(k0, warmup_key("bench", &base, "FP-VAXX", "ssca2", 43));
         assert_ne!(k0, warmup_key("synth", &base, "FP-VAXX", "ssca2", 42));
+    }
+
+    /// The keys' exact text: the result cache, the snapshot store and the
+    /// benchmark's staged workload all find their entries by it.
+    #[test]
+    fn cell_and_warmup_keys_are_pinned() {
+        let c = SystemConfig::paper()
+            .with_faults(anoc_noc::FaultPlan::bit_flips(3, 250))
+            .with_loss(anoc_noc::LossPlan::scaled(5, 4_000, 40))
+            .with_qos(anoc_core::control::QosSpec::paper(990_000));
+        let noc = "noc=4x4x2 vcs=4 buf=4 flit=64 hide=true vao=true nib=false";
+        let plans = "flt={fseed=3 flip=250 stall=0x0 cdrop=0 cdup=0 dict=0} \
+                     lp={lseed=5 loss=4000 lscale=40} \
+                     qos={qt=990000 qe=500 qi=10 qlo=1 qhi=20 qc=4 qw=64} wd=20000";
+        let tail = "mech=DI-VAXX work=ssca2 seed=42";
+        assert_eq!(
+            config_key(&c),
+            format!("{noc} thr=10 ar=3fe8000000000000 warm=5000 sim=50000 drain=50000 {plans}")
+        );
+        assert_eq!(
+            cell_key("bench", &c, "DI-VAXX", "ssca2", 42),
+            format!("anoc-cell v1 kind=bench {} {tail}", config_key(&c))
+        );
+        assert_eq!(
+            warmup_key("bench", &c, "DI-VAXX", "ssca2", 42),
+            format!("anoc-warmup v1 kind=bench {noc} ar=3fe8000000000000 warm=5000 {plans} {tail}")
+        );
     }
 
     #[test]

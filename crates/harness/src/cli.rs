@@ -8,8 +8,8 @@
 //! anoc run ablations --no-cache    # figs 13/14 + extension study, uncached
 //! anoc run fig12 --csv             # CSV instead of the text table
 //! anoc run fig9 --seed 7 --threads 4
-//! anoc cache stats                 # entries / bytes / location
-//! anoc cache clear
+//! anoc cache stats                 # entries / bytes / location of both stores
+//! anoc cache clear                 # empties the result cache and snapshot store
 //! anoc capture --out trace.txt     # persist a benchmark trace
 //! anoc replay --out trace.txt      # simulate from a saved trace
 //! ```
@@ -374,6 +374,13 @@ fn execute(cmd: Command) -> Result<(), String> {
                 };
                 println!("  format {version}: {count} entries ({note})");
             }
+            let store = SnapshotStore::open(default_snapshot_dir()).map_err(|e| e.to_string())?;
+            println!(
+                "snapshot store: {} entries, {} bytes, at {}",
+                store.len(),
+                store.size_bytes(),
+                store.dir().display()
+            );
             Ok(())
         }
         Command::CacheClear => {

@@ -2,7 +2,7 @@
 
 use anoc_compression::di::{DiConfig, DiDecoder, DiEncoder};
 use anoc_compression::fp::{FpDecoder, FpEncoder};
-use anoc_compression::lz::{LzConfig, LzDecoder, LzEncoder};
+use anoc_compression::lz::{LzDecoder, LzEncoder};
 use anoc_core::avcl::Avcl;
 use anoc_core::control::QosSpec;
 use anoc_core::threshold::ErrorThreshold;
@@ -125,10 +125,7 @@ impl Mechanism {
                     )
                 }
                 Mechanism::LzVaxx => NodeCodec::new(
-                    Box::new(LzEncoder::lz_vaxx(
-                        LzConfig::default(),
-                        Avcl::new(threshold),
-                    )),
+                    Box::new(LzEncoder::lz_vaxx(Avcl::new(threshold))),
                     Box::new(LzDecoder::new()),
                 ),
             })

@@ -1149,7 +1149,6 @@ fn run_extension_cell(
             ),
             "FP-VAXX-win" => NodeCodec::new(
                 Box::new(FpEncoder::fp_vaxx_windowed(WindowBudget::new(
-                    16,
                     t.percent().max(1),
                 ))),
                 Box::new(FpDecoder::new()),

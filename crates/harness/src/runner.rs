@@ -18,6 +18,7 @@ use anoc_exec::SnapshotStore;
 use anoc_noc::{ActivityReport, NetStats, NocSim, NodeCodec, SimError};
 use anoc_traffic::{Benchmark, BenchmarkTraffic, Injection, TrafficSource};
 
+use crate::campaign::{cell_key, warmup_key};
 use crate::config::{Mechanism, SystemConfig};
 
 /// The result of one simulation run.
@@ -86,21 +87,19 @@ impl RunResult {
 /// How one run interacts with the on-disk [`SnapshotStore`].
 ///
 /// [`cold`](SnapshotPolicy::cold) is a plain replayed-warmup run. With a
-/// store, `warmup_key` forks the run from the shared post-warmup snapshot
-/// (publishing it first when absent), `cell_key` + `checkpoint_every`
-/// periodically checkpoint the measurement window, and `resume` restarts a
-/// killed cell from its last checkpoint. Every snapshot miss, stale blob or
-/// restore failure silently degrades to the cold path — the store can make
-/// a campaign slower, never wrong.
+/// store, the run forks from the shared post-warmup snapshot (publishing it
+/// first when absent), `checkpoint_every` periodically checkpoints the
+/// measurement window, and `resume` restarts a killed cell from its last
+/// checkpoint. The store keys are the cell's own, derived from its
+/// benchmark, mechanism, configuration and seed: the warmup snapshot sits
+/// under [`warmup_key`] and the checkpoints under the [`checkpoint_key`] of
+/// its [`cell_key`], both of the `bench` kind. Every snapshot miss, stale
+/// blob or restore failure silently degrades to the cold path — the store
+/// can make a campaign slower, never wrong.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotPolicy<'a> {
     /// The snapshot store, or `None` for a purely cold run.
     pub store: Option<&'a SnapshotStore>,
-    /// Key of the shared post-warmup snapshot to fork from (and to publish
-    /// on a cold run); see [`crate::campaign::warmup_key`].
-    pub warmup_key: Option<String>,
-    /// The cell's content key, identifying its mid-measurement checkpoints.
-    pub cell_key: Option<String>,
     /// Checkpoint every N measured cycles (0 disables checkpointing).
     pub checkpoint_every: u64,
     /// Restart from the cell's last checkpoint if one exists.
@@ -210,21 +209,14 @@ pub fn run(spec: RunSpec<'_>) -> Result<RunOutcome, SimError> {
             snapshots,
         } => {
             if let Codecs::Standard(mechanism) = codecs {
-                let cell = StagedCell {
-                    benchmark,
-                    seed,
-                    mechanism,
-                    config,
-                    policy: &snapshots,
-                };
-                return cell.run();
+                return StagedCell::new(benchmark, mechanism, config, seed, &snapshots).run();
             }
             built = benchmark_source(benchmark, config, seed);
             &mut built
         }
         Traffic::Source(source) => source,
     };
-    cold_run(source, codecs, config, &SnapshotPolicy::cold())
+    cold_run(source, codecs, config, None)
 }
 
 /// Runs `mechanism` under the traffic produced by `source`, cold. A
@@ -265,29 +257,31 @@ pub fn try_run_benchmark(
 }
 
 /// Runs just the warmup of a benchmark cell and publishes the post-warmup
-/// snapshot under `warmup_key` — the shared stage the campaign planner runs
-/// once per distinct key before the measurement cells. Skips simulating when
-/// the store already holds the key. Returns whether a fresh warmup was
-/// simulated and published.
+/// snapshot under the cell's [`warmup_key`] — the shared stage the campaign
+/// planner runs once per distinct key before the measurement cells. Skips
+/// simulating when the stored snapshot restores as the cells will fork it
+/// (right stage, exactly at the warmup's end); a missing or unusable one is
+/// replayed and republished. Returns whether the stage simulated.
 pub fn publish_benchmark_warmup(
     benchmark: Benchmark,
     mechanism: Mechanism,
     config: &SystemConfig,
     seed: u64,
     store: &SnapshotStore,
-    warmup_key: &str,
 ) -> Result<bool, SimError> {
-    if store.get(warmup_key).is_some() {
-        return Ok(false);
-    }
     let policy = SnapshotPolicy {
         store: Some(store),
-        warmup_key: Some(warmup_key.to_string()),
         ..SnapshotPolicy::cold()
     };
+    let cell = StagedCell::new(benchmark, mechanism, config, seed, &policy);
+    let warmup = config.warmup_cycles;
+    if cell.restore(STAGE_WARMUP, warmup..=warmup).is_some() {
+        return Ok(false);
+    }
     let (_, mut sim) = armed_sim(Codecs::Standard(mechanism), config);
     let mut source = benchmark_source(benchmark, config, seed);
-    warm_up(&mut sim, &mut source, config, &policy, &mut Vec::new())?;
+    let keys = cell.keys.as_ref();
+    warm_up(&mut sim, &mut source, config, keys, &mut Vec::new())?;
     Ok(true)
 }
 
@@ -311,6 +305,17 @@ fn benchmark_source(benchmark: Benchmark, config: &SystemConfig, seed: u64) -> B
     BenchmarkTraffic::new(benchmark, config.noc.num_nodes(), config.approx_ratio, seed)
 }
 
+/// A staged cell's snapshot store and its keys there.
+struct StoreKeys<'a> {
+    store: &'a SnapshotStore,
+    /// The shared post-warmup snapshot's key.
+    warmup: String,
+    /// The key of the cell's mid-measurement checkpoint.
+    checkpoint: String,
+    /// Checkpoint every N measured cycles (0 disables checkpointing).
+    checkpoint_every: u64,
+}
+
 /// A benchmark cell under a standard mechanism: the one kind of run the
 /// runner can rebuild from scratch, and so the one that may restore from
 /// the snapshot store.
@@ -319,20 +324,43 @@ struct StagedCell<'a> {
     seed: u64,
     mechanism: Mechanism,
     config: &'a SystemConfig,
-    policy: &'a SnapshotPolicy<'a>,
+    resume: bool,
+    /// `None` for a cold run.
+    keys: Option<StoreKeys<'a>>,
 }
 
-impl StagedCell<'_> {
+impl<'a> StagedCell<'a> {
+    fn new(
+        benchmark: Benchmark,
+        mechanism: Mechanism,
+        config: &'a SystemConfig,
+        seed: u64,
+        policy: &SnapshotPolicy<'a>,
+    ) -> Self {
+        let (m, b) = (mechanism.name(), benchmark.name());
+        let keys = policy.store.map(|store| StoreKeys {
+            store,
+            warmup: warmup_key("bench", config, m, b, seed),
+            checkpoint: checkpoint_key(&cell_key("bench", config, m, b, seed)),
+            checkpoint_every: policy.checkpoint_every,
+        });
+        StagedCell {
+            benchmark,
+            seed,
+            mechanism,
+            config,
+            resume: policy.resume,
+            keys,
+        }
+    }
+
     /// Resume from the cell's last checkpoint if asked, else fork from the
     /// shared post-warmup snapshot, else run cold (publishing the warmup for
     /// the sweep's next cells).
     fn run(&self) -> Result<RunOutcome, SimError> {
         let warmup = self.config.warmup_cycles;
         let total = warmup + self.config.sim_cycles;
-        let resume = self
-            .policy
-            .resume
-            .then_some((STAGE_CHECKPOINT, warmup..=total));
+        let resume = self.resume.then_some((STAGE_CHECKPOINT, warmup..=total));
         for (tag, cycles) in resume.into_iter().chain([(STAGE_WARMUP, warmup..=warmup)]) {
             let Some((mut sim, mut source)) = self.restore(tag, cycles) else {
                 continue;
@@ -353,14 +381,14 @@ impl StagedCell<'_> {
                 &mut source,
                 self.mechanism,
                 self.config,
-                self.policy,
+                self.keys.as_ref(),
                 &mut Vec::new(),
             )?;
             return Ok(RunOutcome { result, staged });
         }
         let mut source = benchmark_source(self.benchmark, self.config, self.seed);
         let codecs = Codecs::Standard(self.mechanism);
-        cold_run(&mut source, codecs, self.config, self.policy)
+        cold_run(&mut source, codecs, self.config, self.keys.as_ref())
     }
 
     /// Restores the cell's stage-`tag` blob — its checkpoint or the shared
@@ -370,13 +398,13 @@ impl StagedCell<'_> {
     /// and a checkpoint is deleted so the next resume does not trip over it
     /// again.
     fn restore(&self, tag: u32, cycles: RangeInclusive<u64>) -> Option<(NocSim, BenchmarkTraffic)> {
-        let store = self.policy.store?;
+        let keys = self.keys.as_ref()?;
         let key = if tag == STAGE_CHECKPOINT {
-            checkpoint_key(self.policy.cell_key.as_deref()?)
+            &keys.checkpoint
         } else {
-            self.policy.warmup_key.clone()?
+            &keys.warmup
         };
-        let blob = store.get(&key)?;
+        let blob = keys.store.get(key)?;
         let (_, mut sim) = armed_sim(Codecs::Standard(self.mechanism), self.config);
         let mut source = benchmark_source(self.benchmark, self.config, self.seed);
         let restored =
@@ -399,7 +427,7 @@ impl StagedCell<'_> {
         // dropped and the caller falls through to the next rung.
         if tag == STAGE_CHECKPOINT {
             eprintln!("'{key}' unusable ({msg}); restarting the cell");
-            let _ = store.remove(&key);
+            let _ = keys.store.remove(key);
         } else {
             eprintln!("warmup snapshot '{key}' unusable ({msg}); replaying warmup");
         }
@@ -408,13 +436,13 @@ impl StagedCell<'_> {
 }
 
 /// The cold path: build and arm a simulator, warm up (publishing the
-/// post-warmup snapshot when `policy` names one), arm the measurement
+/// post-warmup snapshot when a staged cell has a store), arm the measurement
 /// boundary, measure.
 fn cold_run(
     source: &mut dyn TrafficSource,
     codecs: Codecs,
     config: &SystemConfig,
-    policy: &SnapshotPolicy<'_>,
+    keys: Option<&StoreKeys<'_>>,
 ) -> Result<RunOutcome, SimError> {
     assert_eq!(
         source.num_nodes(),
@@ -424,12 +452,12 @@ fn cold_run(
     let staged = matches!(codecs, Codecs::Standard(_));
     let (mechanism, mut sim) = armed_sim(codecs, config);
     let mut buf = Vec::new();
-    warm_up(&mut sim, source, config, policy, &mut buf)?;
+    warm_up(&mut sim, source, config, keys, &mut buf)?;
     arm_measurement(&mut sim, mechanism, staged, config);
     // Unconditional: a zero-cycle warmup (even with a zero-cycle measurement
     // window) still arms measurement, so the statistics are well-defined.
     sim.begin_measurement();
-    let result = measure(&mut sim, source, mechanism, config, policy, &mut buf)?;
+    let result = measure(&mut sim, source, mechanism, config, keys, &mut buf)?;
     Ok(RunOutcome {
         result,
         staged: StagedInfo::default(),
@@ -496,18 +524,18 @@ fn drive(
 }
 
 /// Simulates the warmup window, then publishes the post-warmup snapshot
-/// when `policy` names a store and a warmup key: the stage
-/// [`publish_benchmark_warmup`] runs alone, and the first of a cold run.
+/// when the run has a store: the stage [`publish_benchmark_warmup`] runs
+/// alone, and the first of a cold run.
 fn warm_up(
     sim: &mut NocSim,
     source: &mut dyn TrafficSource,
     config: &SystemConfig,
-    policy: &SnapshotPolicy<'_>,
+    keys: Option<&StoreKeys<'_>>,
     buf: &mut Vec<Injection>,
 ) -> Result<(), SimError> {
     drive(sim, source, config.warmup_cycles, buf)?;
-    if let (Some(store), Some(key)) = (policy.store, policy.warmup_key.as_deref()) {
-        publish(store, key, STAGE_WARMUP, sim, source);
+    if let Some(keys) = keys {
+        publish(keys.store, &keys.warmup, STAGE_WARMUP, sim, source);
     }
     Ok(())
 }
@@ -529,29 +557,24 @@ fn arm_measurement(sim: &mut NocSim, mechanism: Mechanism, staged: bool, config:
 }
 
 /// Runs the measurement window from wherever `sim` stands to its end,
-/// checkpointing per `policy`, then drains, retires the cell's checkpoint
-/// and assembles the [`RunResult`].
+/// checkpointing when the run has a store and an interval, then drains,
+/// retires the cell's checkpoint and assembles the [`RunResult`].
 fn measure(
     sim: &mut NocSim,
     source: &mut dyn TrafficSource,
     mechanism: Mechanism,
     config: &SystemConfig,
-    policy: &SnapshotPolicy<'_>,
+    keys: Option<&StoreKeys<'_>>,
     buf: &mut Vec<Injection>,
 ) -> Result<RunResult, SimError> {
     let total = config.warmup_cycles + config.sim_cycles;
-    let checkpoint = policy
-        .store
-        .zip(policy.cell_key.as_deref())
-        .map(|(store, cell)| (store, checkpoint_key(cell)));
+    let checkpoint = keys.filter(|k| k.checkpoint_every > 0);
     while sim.cycle() < total {
         step_cycle(sim, source, buf)?;
-        if policy.checkpoint_every > 0 && sim.cycle() < total {
-            if let Some((store, key)) = &checkpoint {
-                let measured = sim.cycle() - config.warmup_cycles;
-                if measured.is_multiple_of(policy.checkpoint_every) {
-                    publish(store, key, STAGE_CHECKPOINT, sim, source);
-                }
+        if let Some(k) = checkpoint {
+            let measured = sim.cycle() - config.warmup_cycles;
+            if sim.cycle() < total && measured.is_multiple_of(k.checkpoint_every) {
+                publish(k.store, &k.checkpoint, STAGE_CHECKPOINT, sim, source);
             }
         }
     }
@@ -560,9 +583,9 @@ fn measure(
     let drained = sim.try_drain(config.drain_cycles)?;
     sim.discard_delivered();
     sim.record_unfinished();
-    if let Some((store, key)) = &checkpoint {
+    if let Some(k) = keys {
         // The cell completed: its checkpoint is spent.
-        let _ = store.remove(key);
+        let _ = k.store.remove(&k.checkpoint);
     }
     Ok(RunResult {
         mechanism,
@@ -775,6 +798,29 @@ mod tests {
         SnapshotStore::open(dir).expect("open temp store")
     }
 
+    /// A cell's store keys: its warmup snapshot's and its checkpoint's.
+    fn store_keys(
+        benchmark: Benchmark,
+        mechanism: Mechanism,
+        config: &SystemConfig,
+        seed: u64,
+    ) -> (String, String) {
+        let (m, b) = (mechanism.name(), benchmark.name());
+        let warmup = warmup_key("bench", config, m, b, seed);
+        (
+            warmup,
+            checkpoint_key(&cell_key("bench", config, m, b, seed)),
+        )
+    }
+
+    /// A policy that forks from (or publishes to) `store`.
+    fn stored(store: &SnapshotStore) -> SnapshotPolicy<'_> {
+        SnapshotPolicy {
+            store: Some(store),
+            ..SnapshotPolicy::cold()
+        }
+    }
+
     /// Regression for the zero-warmup corner: `begin_measurement` arming
     /// used to hinge on the loop hitting `cycle == warmup_cycles`, which a
     /// zero-cycle run never did — statistics came back from an unarmed
@@ -807,21 +853,18 @@ mod tests {
         let store = temp_store("fork");
         let cfg = SystemConfig::paper().with_sim_cycles(2_500);
         let (bench, mech, seed) = (Benchmark::Ssca2, Mechanism::FpVaxx, 13);
-        let wk = "warmup fork-test";
+        let (wk, ck) = store_keys(bench, mech, &cfg, seed);
         assert!(
-            publish_benchmark_warmup(bench, mech, &cfg, seed, &store, wk).expect("warmup runs"),
+            publish_benchmark_warmup(bench, mech, &cfg, seed, &store).expect("warmup runs"),
             "first publish simulates the warmup"
         );
         assert!(
-            !publish_benchmark_warmup(bench, mech, &cfg, seed, &store, wk).expect("no-op"),
-            "second publish is a store hit"
+            !publish_benchmark_warmup(bench, mech, &cfg, seed, &store).expect("no-op"),
+            "second publish restores the stored snapshot"
         );
         let policy = SnapshotPolicy {
-            store: Some(&store),
-            warmup_key: Some(wk.into()),
-            cell_key: Some("cell fork-test".into()),
             checkpoint_every: 700,
-            resume: false,
+            ..stored(&store)
         };
         let (warm, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("forked run");
         assert!(info.forked && !info.resumed);
@@ -833,11 +876,11 @@ mod tests {
             "forking the warmup changed the measured result"
         );
         assert!(
-            store.get(&checkpoint_key("cell fork-test")).is_none(),
+            store.get(&ck).is_none(),
             "completed cell retires its checkpoint"
         );
         // A corrupt warmup blob degrades to a cold cell with the same result.
-        store.put(wk, b"garbage").expect("corrupt");
+        store.put(&wk, b"garbage").expect("corrupt");
         let (fallback, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("fallback run");
         assert!(!info.forked && info.skipped_cycles == 0);
         assert_eq!(
@@ -861,19 +904,12 @@ mod tests {
             .with_qos(anoc_core::control::QosSpec::paper(970_000))
             .with_loss(anoc_noc::LossPlan::scaled(3, 5_000, 100));
         let (bench, mech, seed) = (Benchmark::Blackscholes, Mechanism::FpVaxx, 13);
-        let wk = "warmup fork-qos-test";
         assert!(
-            publish_benchmark_warmup(bench, mech, &cfg, seed, &store, wk).expect("warmup runs"),
+            publish_benchmark_warmup(bench, mech, &cfg, seed, &store).expect("warmup runs"),
             "first publish simulates the warmup"
         );
-        let policy = SnapshotPolicy {
-            store: Some(&store),
-            warmup_key: Some(wk.into()),
-            cell_key: None,
-            checkpoint_every: 0,
-            resume: false,
-        };
-        let (warm, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("forked run");
+        let (warm, info) =
+            staged_cell(bench, mech, &cfg, seed, &stored(&store)).expect("forked run");
         assert!(info.forked && !info.resumed);
         let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold run");
         assert!(
@@ -904,16 +940,13 @@ mod tests {
         arm_measurement(&mut sim, mech, true, &cfg);
         sim.begin_measurement();
         drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
-        let ck = "cell resume-test";
-        publish(&store, &checkpoint_key(ck), STAGE_CHECKPOINT, &sim, &source);
-        assert!(store.get(&checkpoint_key(ck)).is_some(), "checkpoint saved");
+        let (_, ck) = store_keys(bench, mech, &cfg, seed);
+        publish(&store, &ck, STAGE_CHECKPOINT, &sim, &source);
+        assert!(store.get(&ck).is_some(), "checkpoint saved");
         drop(sim);
         let policy = SnapshotPolicy {
-            store: Some(&store),
-            warmup_key: None,
-            cell_key: Some(ck.into()),
-            checkpoint_every: 0,
             resume: true,
+            ..stored(&store)
         };
         let (resumed, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("resumed run");
         assert!(info.resumed && !info.forked);
@@ -924,9 +957,34 @@ mod tests {
             "resuming mid-measurement changed the result"
         );
         assert!(
-            store.get(&checkpoint_key(ck)).is_none(),
+            store.get(&ck).is_none(),
             "completed cell retires its checkpoint"
         );
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn warmup_stage_replays_an_unusable_snapshot() {
+        let store = temp_store("stage");
+        let cfg = SystemConfig::paper().with_sim_cycles(1_000);
+        let (bench, mech, seed) = (Benchmark::Ssca2, Mechanism::DiVaxx, 5);
+        let (wk, _) = store_keys(bench, mech, &cfg, seed);
+        // Blobs no cell can fork: a well-formed snapshot at the warmup's end
+        // framed as a checkpoint, and garbage.
+        let mut source = benchmark_source(bench, &cfg, seed);
+        let (_, mut sim) = armed_sim(Codecs::Standard(mech), &cfg);
+        drive(&mut sim, &mut source, cfg.warmup_cycles, &mut Vec::new()).expect("warmup");
+        let framed = freeze(&sim, &source, STAGE_CHECKPOINT, fnv1a64(wk.as_bytes()));
+        for blob in [framed.expect("save"), b"garbage".to_vec()] {
+            store.put(&wk, &blob).expect("plant");
+            assert!(
+                publish_benchmark_warmup(bench, mech, &cfg, seed, &store).expect("warmup runs"),
+                "the stage took an unusable snapshot as published"
+            );
+            assert!(!publish_benchmark_warmup(bench, mech, &cfg, seed, &store).expect("no-op"));
+            let (_, info) = staged_cell(bench, mech, &cfg, seed, &stored(&store)).expect("fork");
+            assert!(info.forked, "the cell did not fork the republished warmup");
+        }
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -938,7 +996,7 @@ mod tests {
     }
 
     /// Resumes [`BAD_CELL`] over the checkpoint `plant` stores, with no
-    /// warmup key to fall back on. The failed restore must delete the
+    /// warmup snapshot to fall back on. The failed restore must delete the
     /// checkpoint on the spot — checked straight after it, since the cold
     /// fallback retires the cell's checkpoint again when it completes — and
     /// the cell must run cold, byte for byte, reporting no fork or resume.
@@ -946,22 +1004,12 @@ mod tests {
         let store = temp_store(name);
         let cfg = bad_cell_config();
         let (bench, mech, seed) = BAD_CELL;
-        let ck = format!("cell {name}");
-        let key = checkpoint_key(&ck);
+        let (_, key) = store_keys(bench, mech, &cfg, seed);
         let policy = SnapshotPolicy {
-            store: Some(&store),
-            warmup_key: None,
-            cell_key: Some(ck),
-            checkpoint_every: 0,
             resume: true,
+            ..stored(&store)
         };
-        let cell = StagedCell {
-            benchmark: bench,
-            seed,
-            mechanism: mech,
-            config: &cfg,
-            policy: &policy,
-        };
+        let cell = StagedCell::new(bench, mech, &cfg, seed, &policy);
         plant(&store, &key);
         assert!(store.get(&key).is_some(), "checkpoint planted");
         let window = cfg.warmup_cycles..=cfg.warmup_cycles + cfg.sim_cycles;
@@ -1002,7 +1050,7 @@ mod tests {
         arm_measurement(&mut sim, mech, true, &cfg);
         sim.begin_measurement();
         drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
-        let ck = "cell v7-checkpoint";
+        let ck = cell_key("bench", &cfg, mech.name(), bench.name(), seed);
         publish(
             &store,
             &format!("checkpoint {ck}"),
@@ -1011,11 +1059,8 @@ mod tests {
             &source,
         );
         let policy = SnapshotPolicy {
-            store: Some(&store),
-            warmup_key: None,
-            cell_key: Some(ck.into()),
-            checkpoint_every: 0,
             resume: true,
+            ..stored(&store)
         };
         let (result, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("cold run");
         assert_eq!(info, StagedInfo::default(), "a v7 checkpoint resumed");

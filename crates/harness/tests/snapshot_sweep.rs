@@ -1,13 +1,14 @@
 //! End-to-end pins for the warm-start snapshot store as sweeps use it:
 //! a multi-threshold sweep forked from a shared post-warmup snapshot is
 //! bit-identical to the same sweep run cold — at every shard count — while
-//! simulating measurably fewer cycles, and a fault-active campaign's
-//! monotonic violation curve is unchanged when its warmups are forked.
+//! simulating measurably fewer cycles, a fault-active campaign's monotonic
+//! violation curve is unchanged when its warmups are forked, and a
+//! campaign's warmup stage replays a stored warmup its cells could not fork.
 
 use std::path::PathBuf;
 
 use anoc_exec::SnapshotStore;
-use anoc_harness::campaign::warmup_key;
+use anoc_harness::campaign::{self, benchmark_job, warmup_key};
 use anoc_harness::persist::encode_run_result;
 use anoc_harness::runner::{run, Codecs, RunSpec, SnapshotPolicy, StagedInfo, Traffic};
 use anoc_harness::{Mechanism, RunResult, SystemConfig};
@@ -43,26 +44,10 @@ fn staged_cell(
     Ok((outcome.result, outcome.staged))
 }
 
-fn warm_policy<'a>(
-    store: &'a SnapshotStore,
-    config: &SystemConfig,
-    mechanism: Mechanism,
-    benchmark: Benchmark,
-    seed: u64,
-    cell: &str,
-) -> SnapshotPolicy<'a> {
+fn warm_policy(store: &SnapshotStore) -> SnapshotPolicy<'_> {
     SnapshotPolicy {
         store: Some(store),
-        warmup_key: Some(warmup_key(
-            "bench",
-            config,
-            mechanism.name(),
-            benchmark.name(),
-            seed,
-        )),
-        cell_key: Some(cell.to_string()),
-        checkpoint_every: 0,
-        resume: false,
+        ..SnapshotPolicy::cold()
     }
 }
 
@@ -92,9 +77,9 @@ fn warm_threshold_sweep_is_bit_identical_to_cold_at_any_shard_count() {
             assert_eq!(cold_info.skipped_cycles, 0);
 
             let cell = format!("s{shards}-t{threshold}");
-            let policy = warm_policy(&store, &config, mechanism, benchmark, seed, &cell);
             let (warm, info) =
-                staged_cell(benchmark, mechanism, &config, seed, &policy).expect("warm cell");
+                staged_cell(benchmark, mechanism, &config, seed, &warm_policy(&store))
+                    .expect("warm cell");
 
             assert_eq!(
                 encode_run_result(&cold),
@@ -148,10 +133,9 @@ fn fault_active_sweep_survives_warmup_forking() {
             .iter()
             .map(|&ppm| {
                 let config = config_for(ppm);
-                let cell = format!("flt-{ppm}");
-                let policy = warm_policy(&store, &config, mechanism, benchmark, seed, &cell);
                 let (r, info) =
-                    staged_cell(benchmark, mechanism, &config, seed, &policy).expect("fault cell");
+                    staged_cell(benchmark, mechanism, &config, seed, &warm_policy(&store))
+                        .expect("fault cell");
                 assert_eq!(
                     info.forked, expect_forked,
                     "ppm {ppm}: forked={} but expected {expect_forked}",
@@ -188,5 +172,47 @@ fn fault_active_sweep_survives_warmup_forking() {
     assert!(
         *curve.last().unwrap() > 0,
         "the heaviest fault plan must actually trip the bound checker: {curve:?}"
+    );
+}
+
+/// A garbage blob under one warmup key of a sweep: the campaign's warmup
+/// stage must find that its cells cannot fork it, replay the warmup and
+/// republish it, so every executed cell forks. This is the one test in this
+/// binary that installs the process-wide execution context.
+#[test]
+fn warmup_stage_replays_a_garbage_warmup_so_every_cell_forks() {
+    let store = scratch_store("stage");
+    assert!(campaign::configure(Some(2), None, Some(store.clone())));
+    let (mechanism, seed) = (Mechanism::FpVaxx, 3);
+    let config = SystemConfig::paper().with_sim_cycles(500);
+    let planted = warmup_key(
+        "bench",
+        &config,
+        mechanism.name(),
+        Benchmark::Ssca2.name(),
+        seed,
+    );
+    store.put(&planted, b"garbage").expect("plant garbage");
+    let jobs: Vec<_> = [Benchmark::Ssca2, Benchmark::X264]
+        .into_iter()
+        .flat_map(|benchmark| {
+            [5, 10, 20].map(|t| {
+                benchmark_job(
+                    benchmark,
+                    mechanism,
+                    &config.clone().with_threshold(t),
+                    seed,
+                )
+            })
+        })
+        .collect();
+    let ctx = campaign::context();
+    let (results, _) = ctx.run_reported("stage", jobs);
+    assert_eq!(results.len(), 6);
+    let totals = ctx.totals();
+    assert_eq!(totals.executed_jobs, 6);
+    assert_eq!(
+        totals.forked_jobs, totals.executed_jobs,
+        "a cell replayed the warmup the stage should have"
     );
 }

@@ -41,27 +41,14 @@ use crate::syntax;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rule {
     pub id: &'static str,
-    pub summary: &'static str,
 }
 
-/// All rules, in report order.
+/// All rules, in report order (the module table says what each checks).
 pub const RULES: [Rule; 4] = [
-    Rule {
-        id: "L000",
-        summary: "malformed or unused anoc-lint directive, or unbalanced scope",
-    },
-    Rule {
-        id: "D004",
-        summary: "RNG constructed outside a sanctioned seeded site",
-    },
-    Rule {
-        id: "D005",
-        summary: "serial-edge mutator reachable from a parallel phase root",
-    },
-    Rule {
-        id: "X001",
-        summary: "unaudited Ordering::Relaxed in anoc-exec",
-    },
+    Rule { id: "L000" },
+    Rule { id: "D004" },
+    Rule { id: "D005" },
+    Rule { id: "X001" },
 ];
 
 pub fn rule(id: &str) -> &'static Rule {
@@ -78,15 +65,14 @@ pub fn rule(id: &str) -> &'static Rule {
 pub const SIM_CRITICAL_CRATES: [&str; 5] = ["noc", "compression", "core", "traffic", "apps"];
 
 /// Serial-edge mutators that phase-A code must never reach (DESIGN.md §10):
-/// each one writes current-edge state (ejections, credits, traces, control
-/// queues, fault draws) that only the serial cycle edge may touch.
-pub const PHASE_DENY: [&str; 11] = [
+/// each one writes current-edge state (ejections, credits, control queues,
+/// fault draws) that only the serial cycle edge may touch.
+pub const PHASE_DENY: [&str; 10] = [
     "return_credit",
     "eject_flit",
     "complete_packet",
     "flip_payload_bit",
     "credit_copies",
-    "record_trace",
     "enqueue_control_with",
     "check_bound",
     "schedule",

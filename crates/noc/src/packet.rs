@@ -101,24 +101,6 @@ pub struct PacketState {
     pub measured: bool,
 }
 
-/// One event in a packet's traced lifetime (see `NocSim::enable_tracing`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// Handed to the source NI.
-    Created,
-    /// Head flit entered the router's local input port.
-    Injected,
-    /// Head flit was written into a router's input buffer.
-    RouterArrival {
-        /// The router reached.
-        router: usize,
-    },
-    /// Tail flit reached the destination NI.
-    Ejected,
-    /// Decode finished; packet complete.
-    Completed,
-}
-
 /// A delivered packet, as reported to the simulation driver.
 #[derive(Debug, Clone)]
 pub struct Delivered {

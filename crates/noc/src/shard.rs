@@ -8,8 +8,8 @@
 //! * **Phase A** (parallel): each shard runs VC + switch allocation over its
 //!   routers, then drains its own ring slot into local router buffers,
 //!   reading only last-cycle-edge state and writing only shard-local state.
-//!   Ejections and trace lookups that would touch another shard's slab are
-//!   deferred into per-shard output queues.
+//!   Ejections, which may touch another shard's slab, are deferred into
+//!   per-shard output queues.
 //! * **Cycle edge** (serial): the simulator walks shards in index order,
 //!   processing deferred ejections and applying link traversals — flit
 //!   scheduling into the *target* shard's ring and credit returns to the
@@ -36,7 +36,7 @@ use anoc_core::rng::Pcg32;
 use crate::config::NocConfig;
 use crate::faults::{FaultPlan, PPM};
 use crate::ni::NiState;
-use crate::packet::{Flit, PacketId, PacketKind, PacketState};
+use crate::packet::{Flit, PacketKind, PacketState};
 use crate::router::{Hop, Router, Traversal};
 use crate::topology::{Direction, Mesh};
 
@@ -93,7 +93,6 @@ pub(crate) enum Phase {
 pub(crate) struct StepCtx {
     pub now: u64,
     pub faults: FaultPlan,
-    pub tracing: bool,
 }
 
 /// Injection statistics tallied shard-locally during phase B2. All plain
@@ -139,11 +138,6 @@ pub(crate) struct Shard {
     /// Phase A output: ejection arrivals deferred to the serial cycle edge,
     /// in ring order (which is traversal push order, i.e. router-ascending).
     pub ejects: Vec<(usize, Flit)>,
-    /// Phase A output: deferred head-flit `RouterArrival` traces, resolved
-    /// serially because the packet may live in another shard's slab.
-    pub arrival_traces: Vec<(u32, usize)>,
-    /// Phase B2 output: packets whose head flit injected this cycle.
-    pub injected_traces: Vec<PacketId>,
     /// Phase B2 output: injection statistics.
     pub inject_tally: InjectTally,
     /// Phase A output: injected port stalls this cycle.
@@ -170,8 +164,6 @@ impl Default for Shard {
             busy_nis: Vec::new(),
             outgoing: Vec::new(),
             ejects: Vec::new(),
-            arrival_traces: Vec::new(),
-            injected_traces: Vec::new(),
             inject_tally: InjectTally::default(),
             stall_hits: 0,
             progressed: false,
@@ -267,8 +259,6 @@ impl Shard {
             busy_nis: vec![0; (node_hi - node_lo).div_ceil(64)],
             outgoing: Vec::new(),
             ejects: Vec::new(),
-            arrival_traces: Vec::new(),
-            injected_traces: Vec::new(),
             inject_tally: InjectTally::default(),
             stall_hits: 0,
             progressed: false,
@@ -302,7 +292,7 @@ impl Shard {
 
     /// Phase A: VC + switch allocation over the shard's active routers,
     /// then drain this cycle's ring slot into local input buffers
-    /// (deferring ejections and cross-slab trace lookups). Allocating first
+    /// (deferring ejections to the serial cycle edge). Allocating first
     /// is exact: every flit drained here gets `ready_at >= now + 1`, so
     /// allocation at `now` would skip it anyway, and it lands behind the
     /// flits already queued in its VC. Reads only last-cycle-edge state;
@@ -342,9 +332,6 @@ impl Shard {
             if port_stall(&ctx.faults, ctx.now, router, port) {
                 flit.ready_at += ctx.faults.stall_cycles as u64;
                 self.stall_hits += 1;
-            }
-            if ctx.tracing && flit.is_head() {
-                self.arrival_traces.push((flit.slot, router));
             }
             self.routers[lr].accept_flit(port, arrival.vc.into(), flit);
             self.mark_active(lr);
@@ -454,7 +441,6 @@ impl Shard {
             dest: p.dest,
             ready_at: 0, // set at arrival
         };
-        let pid = p.id;
         let measured = p.measured;
         let kind = p.kind;
         let num_flits = p.num_flits;
@@ -466,9 +452,6 @@ impl Shard {
             ni.cur_vc = None;
             ni.next_seq = 0;
             self.dequeue(local_node);
-        }
-        if ctx.tracing && flit.is_head() {
-            self.injected_traces.push(pid);
         }
         // A node's router is in its own shard.
         let node = NodeId::from(self.node_lo + local_node);

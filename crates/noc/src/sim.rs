@@ -27,8 +27,6 @@
 //! flits and credits. The phase ordering and the serial edge make results
 //! bit-identical for any shard count — see `shard.rs` and DESIGN.md §10.
 
-use std::collections::BTreeMap;
-
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::Notification;
 use anoc_core::control::{FlowControllerBank, QosSpec};
@@ -42,7 +40,7 @@ use crate::faults::{
     BoundViolation, DeadlockDump, FaultPlan, LossPlan, RouterDiag, SimError, StuckPacket, PPM,
 };
 use crate::ni::NodeCodec;
-use crate::packet::{Delivered, Flit, PacketId, PacketKind, PacketState, TraceEvent};
+use crate::packet::{Delivered, Flit, PacketId, PacketKind, PacketState};
 use crate::router::{Hop, RouterActivity};
 use crate::shard::{
     build_shards, encode_slot, local_of_slot, shard_of_slot, Arrival, Phase, Shard, StepCtx,
@@ -78,10 +76,6 @@ pub struct NocSim {
     delivered: Vec<Delivered>,
     stats: NetStats,
     measuring: bool,
-    tracing: bool,
-    /// Keyed by monotonic [`PacketId`], so iteration and dump order are
-    /// deterministic (`HashMap` is a disallowed type in this crate).
-    traces: BTreeMap<PacketId, Vec<(u64, TraceEvent)>>,
     /// Active fault-injection plan (inert by default).
     faults: FaultPlan,
     /// Dedicated fault RNG stream, seeded from the plan — independent of
@@ -170,8 +164,6 @@ impl NocSim {
             delivered: Vec::new(),
             stats: NetStats::default(),
             measuring: true,
-            tracing: false,
-            traces: BTreeMap::new(),
             faults: FaultPlan::none(),
             // anoc-lint: rng-site: inert placeholder; re-seeded by set_fault_plan before any draw
             fault_rng: Pcg32::seed_from_u64(0),
@@ -225,11 +217,6 @@ impl NocSim {
         self.faults = plan;
     }
 
-    /// The active fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Installs a lossy-link plan and seeds the dedicated loss RNG from it.
     /// An inert plan ([`LossPlan::none`]) draws no random numbers, so the
     /// run stays bit-identical to one without any plan. The loss stream is
@@ -239,11 +226,6 @@ impl NocSim {
         // anoc-lint: rng-site: dedicated loss stream, seeded from the plan (thread-count independent)
         self.loss_rng = Pcg32::seed_from_u64(plan.seed);
         self.loss = plan;
-    }
-
-    /// The active lossy-link plan.
-    pub fn loss_plan(&self) -> &LossPlan {
-        &self.loss
     }
 
     /// Arms (or disarms) the per-flow QoS control plane. An active spec
@@ -264,11 +246,6 @@ impl NocSim {
         for slot in &mut self.installed_percent {
             *slot = 0;
         }
-    }
-
-    /// The armed QoS spec, if any.
-    pub fn qos_spec(&self) -> Option<QosSpec> {
-        self.qos.as_ref().map(|bank| *bank.spec())
     }
 
     /// Current per-flow threshold percentages of the armed QoS plane
@@ -301,25 +278,6 @@ impl NocSim {
     /// directly.
     pub fn take_fatal_error(&mut self) -> Option<SimError> {
         self.fatal.take()
-    }
-
-    /// Enables per-packet lifetime tracing (Created / Injected /
-    /// RouterArrival / Ejected / Completed events with their cycles).
-    /// Intended for debugging and timing verification; off by default.
-    pub fn enable_tracing(&mut self) {
-        self.tracing = true;
-    }
-
-    /// The traced lifetime of a packet, if tracing was enabled before it was
-    /// created.
-    pub fn trace(&self, id: PacketId) -> Option<&[(u64, TraceEvent)]> {
-        self.traces.get(&id).map(Vec::as_slice)
-    }
-
-    fn record_trace(&mut self, id: PacketId, at: u64, event: TraceEvent) {
-        if self.tracing {
-            self.traces.entry(id).or_default().push((at, event));
-        }
     }
 
     /// The simulator configuration.
@@ -501,7 +459,6 @@ impl NocSim {
         self.next_pid += 1;
         p.id = id;
         let src = p.src;
-        let created = p.created;
         // A packet lives in its source node's shard: only that shard's NI
         // queue references the slot, so injection stays shard-local.
         let si = self.node_shard(src.index());
@@ -520,7 +477,6 @@ impl NocSim {
         let local = src.index() - shard.node_lo;
         shard.nis[local].queue.push_back(slot);
         shard.mark_busy(local);
-        self.record_trace(id, created, TraceEvent::Created);
         id
     }
 
@@ -537,13 +493,12 @@ impl NocSim {
         let ctx = StepCtx {
             now,
             faults: self.faults,
-            tracing: self.tracing,
         };
         self.run_phase(&ctx, Phase::A);
         let mut progressed = self.cycle_edge(now);
         self.run_phase(&ctx, Phase::B2);
-        // Merge phase B2 outputs (all integer sums or per-packet events, so
-        // shard order cannot matter; iterated ascending regardless).
+        // Merge phase B2 outputs (all integer sums, so shard order cannot
+        // matter; iterated ascending regardless).
         for i in 0..self.shards.len() {
             progressed |= self.shards[i].progressed;
             self.shards[i].progressed = false;
@@ -552,12 +507,6 @@ impl NocSim {
             self.stats.data_flits_injected += t.data_flits;
             self.stats.control_flits_injected += t.control_flits;
             self.stats.baseline_data_flits += t.baseline_flits;
-            if self.tracing {
-                let injected = std::mem::take(&mut self.shards[i].injected_traces);
-                for pid in injected {
-                    self.record_trace(pid, now, TraceEvent::Injected);
-                }
-            }
         }
         self.cycle = now + 1;
         // QoS control epoch: runs in the serial epilogue, after the phase-B2
@@ -626,24 +575,12 @@ impl NocSim {
     fn cycle_edge(&mut self, now: u64) -> bool {
         let mut progressed = false;
         let n = self.shards.len();
-        // Phase A bookkeeping: stall tallies, progress flags, and deferred
-        // head-arrival traces (resolved here because the packet may live in
-        // another shard's slab; done before ejections can free any slot).
+        // Phase A bookkeeping: stall tallies and progress flags.
         for i in 0..n {
             self.stats.faults.port_stalls += self.shards[i].stall_hits;
             self.shards[i].stall_hits = 0;
             progressed |= self.shards[i].progressed;
             self.shards[i].progressed = false;
-            if self.tracing {
-                let traces = std::mem::take(&mut self.shards[i].arrival_traces);
-                for &(slot, router) in &traces {
-                    let owner = shard_of_slot(slot);
-                    if let Some(p) = self.shards[owner].packets[local_of_slot(slot)].as_ref() {
-                        let id = p.id;
-                        self.record_trace(id, now, TraceEvent::RouterArrival { router });
-                    }
-                }
-            }
         }
         // Ejections. Eject arrivals land in the granting (local) router's
         // shard and each shard's list is in ring order, so concatenation
@@ -943,18 +880,15 @@ impl NocSim {
     /// blob saved under a different fingerprint.
     ///
     /// Saving refuses (with [`SnapshotError::Unclean`]) if a fatal error is
-    /// pending, the delivered-packet log has not been drained, or tracing is
-    /// active — those are driver-facing states a restored simulation could
-    /// not reproduce faithfully.
+    /// pending or the delivered-packet log has not been drained — those are
+    /// driver-facing states a restored simulation could not reproduce
+    /// faithfully.
     pub fn save_snapshot(&self, fingerprint: u64) -> Result<Vec<u8>, SnapshotError> {
         if self.fatal.is_some() {
             return Err(SnapshotError::Unclean("a fatal error is pending"));
         }
         if !self.delivered.is_empty() {
             return Err(SnapshotError::Unclean("undrained delivered packets"));
-        }
-        if self.tracing || !self.traces.is_empty() {
-            return Err(SnapshotError::Unclean("per-packet tracing is active"));
         }
         let mut w = SnapWriter::new();
         w.bytes(&SNAPSHOT_MAGIC);
@@ -1298,8 +1232,6 @@ impl NocSim {
         }
         self.stats = stats;
         self.delivered.clear();
-        self.traces.clear();
-        self.tracing = false;
         self.fatal = None;
         Ok(())
     }
@@ -1334,7 +1266,6 @@ impl NocSim {
         };
         self.shards[owner].free_slots.push(flit.slot);
         self.live_packets -= 1;
-        self.record_trace(p.id, now, TraceEvent::Ejected);
         self.complete_packet(p, node, now);
     }
 
@@ -1418,7 +1349,6 @@ impl NocSim {
                     .apply_notification(p.dest, note);
             }
         }
-        self.record_trace(p.id, done_at, TraceEvent::Completed);
         self.delivered.push(Delivered {
             id: p.id,
             src: p.src,

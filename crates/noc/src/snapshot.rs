@@ -16,8 +16,8 @@
 //! * the shard partition and worker threads — snapshots serialize packets
 //!   and ring events in a canonical shard-independent order, so a blob
 //!   saved at one shard count restores bit-identically at any other;
-//! * the delivered-packet log and per-packet traces — observability state
-//!   the driver drains each step; saving refuses if either is non-empty;
+//! * the delivered-packet log — observability state the driver drains each
+//!   step; saving refuses if it is non-empty;
 //! * the bound checker, watchdog, fault *plan*, loss *plan* and QoS *spec*
 //!   — armed by the caller, who must re-arm them before restoring (the
 //!   restored fault/loss RNG cursors, controller-bank state and progress
@@ -551,9 +551,9 @@ mod tests {
         assert!(SnapshotError::FingerprintMismatch
             .to_string()
             .contains("configuration"));
-        assert!(SnapshotError::Unclean("tracing enabled")
+        assert!(SnapshotError::Unclean("a fatal error is pending")
             .to_string()
-            .contains("tracing"));
+            .contains("fatal"));
         let e: SnapshotError = SnapError::Truncated.into();
         assert_eq!(e, SnapshotError::Truncated);
         let e: SnapshotError = SnapError::Invalid("x").into();

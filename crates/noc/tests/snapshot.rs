@@ -357,12 +357,6 @@ fn unclean_states_refuse_to_save() {
     assert!(matches!(err, SnapshotError::Unclean(_)), "{err}");
     sim.drain_delivered();
     sim.save_snapshot(FP).expect("clean after draining");
-
-    // Tracing holds per-packet history keyed by ids a restored run reuses.
-    let mut traced = baseline_sim(NocConfig::mesh_3x3());
-    traced.enable_tracing();
-    let err = traced.save_snapshot(FP).expect_err("tracing active");
-    assert!(matches!(err, SnapshotError::Unclean(_)), "{err}");
 }
 
 proptest! {

@@ -65,7 +65,6 @@ pub struct BenchmarkTraffic {
     model: DataModel,
     rng: Pcg32,
     approx_ratio: f64,
-    load_scale: f64,
     /// Remaining cycles of the current phase, and whether it is a burst.
     phase: (u64, bool),
 }
@@ -82,16 +81,8 @@ impl BenchmarkTraffic {
             // anoc-lint: rng-site: per-generator injection stream, seeded from the workload seed
             rng: Pcg32::new(seed, 0x6765_6e65_7261),
             approx_ratio,
-            load_scale: 1.0,
             phase: (0, false),
         }
-    }
-
-    /// Scales the profile's offered load (for sensitivity studies).
-    #[must_use]
-    pub fn with_load_scale(mut self, scale: f64) -> Self {
-        self.load_scale = scale;
-        self
     }
 
     /// The benchmark this source models.
@@ -111,7 +102,7 @@ impl TrafficSource for BenchmarkTraffic {
         }
         self.phase.0 -= 1;
         let burst_mult = if self.phase.1 { 4.0 } else { 1.0 };
-        let rate = (profile.load * self.load_scale * burst_mult).min(1.0);
+        let rate = (profile.load * burst_mult).min(1.0);
         for node in 0..self.num_nodes {
             if !self.rng.chance(rate) {
                 continue;
@@ -143,7 +134,6 @@ impl TrafficSource for BenchmarkTraffic {
         self.model.save_state(w);
         w.u64(self.phase.0);
         w.bool(self.phase.1);
-        w.f64_bits(self.load_scale);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -152,7 +142,6 @@ impl TrafficSource for BenchmarkTraffic {
         self.rng = Pcg32::from_state_parts(state, inc);
         self.model.load_state(r)?;
         self.phase = (r.u64()?, r.bool()?);
-        self.load_scale = r.f64_bits()?;
         Ok(())
     }
 }

@@ -64,7 +64,7 @@ fn main() {
     let plain = ApproxTransport::fp_vaxx(threshold);
     drop(plain);
     let mut windowed = ApproxTransport::from_codecs(
-        Box::new(FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10))),
+        Box::new(FpEncoder::fp_vaxx_windowed(WindowBudget::new(10))),
         Box::new(FpDecoder::new()),
     );
     let (_, _, windowed_diff) = evaluate(&tracker, &mut windowed);

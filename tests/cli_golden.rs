@@ -3,13 +3,14 @@
 //! measured cycles, plus the literal rows a faults sweep prints for a failed
 //! point. A rewrite of any table, its CSV or its JSON must reproduce every
 //! byte. `run all --json` must carry, table by table, exactly the CSV rows.
+//! `anoc cache stats` must report both stores that `anoc cache clear` empties.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
 
 use anoc_exec::hash::fnv1a64;
-use anoc_exec::{CellError, CellFailure};
+use anoc_exec::{CellError, CellFailure, ResultCache, SnapshotStore};
 use approx_noc::harness::experiments::{faults_table, FaultCurvePoint};
 use approx_noc::traffic::Benchmark;
 
@@ -203,4 +204,46 @@ fn faults_sweep_prints_failed_points() {
          1000,,,,,\n\
          100000,14.766917293233083,0.9371554540589585,165,1376,96\n"
     );
+}
+
+/// The stdout of `anoc cache <action>` over the stores in `dir`.
+fn cache_command(dir: &Path, action: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_anoc"))
+        .args(["cache", action])
+        .env("ANOC_CACHE_DIR", dir.join("cache"))
+        .env("ANOC_SNAPSHOT_DIR", dir.join("snapshots"))
+        .output()
+        .expect("anoc starts");
+    assert!(
+        out.status.success(),
+        "anoc cache {action} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+#[test]
+fn cache_stats_reports_the_snapshot_store_that_clear_empties() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("anoc-cli-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ResultCache::open(dir.join("cache")).expect("open the result cache");
+    let store = SnapshotStore::open(dir.join("snapshots")).expect("open the snapshot store");
+    cache.put("a cell", "a payload").expect("put a result");
+    store.put("a warmup", &[7; 40]).expect("put a snapshot");
+    store.put("a checkpoint", &[9; 24]).expect("put a snapshot");
+    let line = |entries: usize, bytes: u64| {
+        format!(
+            "snapshot store: {entries} entries, {bytes} bytes, at {}\n",
+            store.dir().display()
+        )
+    };
+    let stats = cache_command(&dir, "stats");
+    assert!(stats.starts_with("result cache: 1 entries, "), "{stats}");
+    assert!(stats.ends_with(&line(2, store.size_bytes())), "{stats}");
+    assert!(store.size_bytes() > 64, "the frames count toward the bytes");
+    let cleared = cache_command(&dir, "clear");
+    assert!(cleared.contains("cleared 2 snapshots"), "{cleared}");
+    assert!(cache_command(&dir, "stats").ends_with(&line(0, 0)));
+    let _ = std::fs::remove_dir_all(&dir);
 }

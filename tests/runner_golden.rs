@@ -19,6 +19,7 @@ use approx_noc::core::control::QosSpec;
 use approx_noc::core::snap::SnapWriter;
 use approx_noc::core::threshold::ErrorThreshold;
 use approx_noc::core::window::WindowBudget;
+use approx_noc::harness::campaign::cell_key;
 use approx_noc::harness::persist::encode_run_result;
 use approx_noc::harness::runner::{
     checkpoint_key, publish_benchmark_warmup, run, Codecs, RunOutcome, RunResult, RunSpec,
@@ -184,7 +185,7 @@ fn extension_codecs_match_golden() {
             Box::new(FpDecoder::new()),
         ),
         _ => NodeCodec::new(
-            Box::new(FpEncoder::fp_vaxx_windowed(WindowBudget::new(16, 10))),
+            Box::new(FpEncoder::fp_vaxx_windowed(WindowBudget::new(10))),
             Box::new(FpDecoder::new()),
         ),
     };
@@ -278,9 +279,16 @@ fn stall_and_credit_fault_cells_match_golden() {
 /// Reproduces a cell killed 600 cycles into its measurement window: the
 /// staged prefix driven from public calls, framed as the runner frames a
 /// checkpoint (`[u32 stage 2][u64 sim-blob length][sim blob][traffic
-/// state]`) and stored under the cell's checkpoint key.
-fn plant_checkpoint(store: &SnapshotStore, cell: &str, mechanism: Mechanism, cfg: &SystemConfig) {
-    let key = checkpoint_key(cell);
+/// state]`) and stored under the cell's checkpoint key, which the runner
+/// derives from the cell's own `bench` key.
+fn plant_checkpoint(store: &SnapshotStore, mechanism: Mechanism, cfg: &SystemConfig) -> String {
+    let key = checkpoint_key(&cell_key(
+        "bench",
+        cfg,
+        mechanism.name(),
+        BENCH.name(),
+        SEED,
+    ));
     let nodes = cfg.noc.num_nodes();
     let codecs = mechanism.codecs(nodes, ErrorThreshold::exact());
     let mut sim = NocSim::new(cfg.noc.clone(), codecs);
@@ -319,6 +327,7 @@ fn plant_checkpoint(store: &SnapshotStore, cell: &str, mechanism: Mechanism, cfg
     w.bytes(&sim_blob);
     source.save_state(&mut w);
     store.put(&key, &w.into_bytes()).expect("store checkpoint");
+    key
 }
 
 #[test]
@@ -330,30 +339,24 @@ fn forked_and_resumed_cells_match_their_cold_twin() {
         (Mechanism::DiVaxx, "bench/DI-VAXX"),
         (Mechanism::DiComp, "bench/DI-COMP"),
     ] {
-        let wk = format!("warmup runner-golden {twin}");
-        assert!(
-            publish_benchmark_warmup(BENCH, mech, &cfg, SEED, &store, &wk).expect("warmup runs")
-        );
+        assert!(publish_benchmark_warmup(BENCH, mech, &cfg, SEED, &store).expect("warmup runs"));
         let forked = bench_cell(
             Codecs::Standard(mech),
             &cfg,
             SnapshotPolicy {
                 store: Some(&store),
-                warmup_key: Some(wk),
                 ..SnapshotPolicy::cold()
             },
         );
         assert!(forked.staged.forked && !forked.staged.resumed);
         assert_eq!(forked.staged.skipped_cycles, cfg.warmup_cycles);
 
-        let cell = format!("cell runner-golden {twin}");
-        plant_checkpoint(&store, &cell, mech, &cfg);
+        let checkpoint = plant_checkpoint(&store, mech, &cfg);
         let resumed = bench_cell(
             Codecs::Standard(mech),
             &cfg,
             SnapshotPolicy {
                 store: Some(&store),
-                cell_key: Some(cell.clone()),
                 resume: true,
                 ..SnapshotPolicy::cold()
             },
@@ -361,7 +364,7 @@ fn forked_and_resumed_cells_match_their_cold_twin() {
         assert!(resumed.staged.resumed && !resumed.staged.forked);
         assert_eq!(resumed.staged.skipped_cycles, cfg.warmup_cycles + 600);
         assert!(
-            store.get(&checkpoint_key(&cell)).is_none(),
+            store.get(&checkpoint).is_none(),
             "the completed cell retires its checkpoint"
         );
         let forked_name = twin.replace("bench/", "forked/");
