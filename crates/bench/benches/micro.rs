@@ -1,5 +1,6 @@
 //! Microbenchmarks of the hot paths: the AVCL, frequent-pattern matching,
-//! dictionary round trips, and the NoC simulation kernel itself.
+//! dictionary round trips, traffic generation, and the NoC simulation kernel
+//! itself.
 
 use anoc_compression::di::{DiConfig, DiDecoder, DiEncoder};
 use anoc_compression::fp::FpEncoder;
@@ -11,7 +12,9 @@ use anoc_core::data::{CacheBlock, DataType, NodeId};
 use anoc_core::rng::Pcg32;
 use anoc_core::threshold::ErrorThreshold;
 use anoc_noc::{NocConfig, NocSim, NodeCodec};
-use anoc_traffic::{Benchmark, DataModel, DataPool, DestPattern, SyntheticTraffic, TrafficSource};
+use anoc_traffic::{
+    Benchmark, BenchmarkTraffic, DataModel, DataPool, DestPattern, SyntheticTraffic, TrafficSource,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench(c: &mut Criterion) {
@@ -127,6 +130,25 @@ fn bench(c: &mut Criterion) {
                 words += dec.decode(e, NodeId(0)).block.len();
             }
             words
+        })
+    });
+
+    // Traffic generation as the Fig. 9-15 cells run it: one Blackscholes
+    // data block, and one cycle of Blackscholes traffic on the paper's 4x4
+    // cmesh (32 nodes), payload blocks included.
+    c.bench_function("micro/traffic/next_block", |b| {
+        let mut model = DataModel::new(Benchmark::Blackscholes, 42);
+        b.iter(|| model.next_block(true))
+    });
+    c.bench_function("micro/traffic/benchmark_tick_4x4", |b| {
+        let mut source = BenchmarkTraffic::new(Benchmark::Blackscholes, 32, 0.75, 42);
+        let mut buf = Vec::new();
+        let mut cycle = 0;
+        b.iter(|| {
+            buf.clear();
+            source.tick(cycle, &mut buf);
+            cycle += 1;
+            buf.len()
         })
     });
 

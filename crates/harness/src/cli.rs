@@ -748,6 +748,13 @@ fn replay(opts: &Opts) -> Result<(), String> {
         .clone()
         .unwrap_or_else(|| "target/trace.txt".into());
     let trace = Trace::load(&out).map_err(|e| format!("cannot read trace {out}: {e}"))?;
+    let nodes = cfg.noc.num_nodes();
+    if trace.num_nodes() != nodes {
+        return Err(format!(
+            "trace {out} has nodes={}, but the NoC has {nodes} nodes",
+            trace.num_nodes()
+        ));
+    }
     println!("replaying {} injections from {out}:", trace.len());
     for m in Mechanism::ALL {
         let mut replay = trace.replay();

@@ -13,7 +13,7 @@
 //!   be kept constant and correlated with data locality in the benchmarks").
 
 use anoc_core::data::{CacheBlock, NodeId};
-use anoc_core::rng::Pcg32;
+use anoc_core::rng::{Chance, Pcg32};
 use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::datamodel::{Benchmark, DataModel};
@@ -64,7 +64,13 @@ pub struct BenchmarkTraffic {
     num_nodes: usize,
     model: DataModel,
     rng: Pcg32,
-    approx_ratio: f64,
+    /// Whether a new phase is a burst.
+    burst: Chance,
+    /// A node's per-cycle injection, in a steady and in a burst phase.
+    inject: [Chance; 2],
+    /// Whether a packet carries data, and whether that data is approximable.
+    data: Chance,
+    approx: Chance,
     /// Remaining cycles of the current phase, and whether it is a burst.
     phase: (u64, bool),
 }
@@ -74,13 +80,18 @@ impl BenchmarkTraffic {
     /// the fraction of data packets flagged approximable (the paper's
     /// default is 0.75).
     pub fn new(benchmark: Benchmark, num_nodes: usize, approx_ratio: f64, seed: u64) -> Self {
+        let profile = benchmark.profile();
         BenchmarkTraffic {
             benchmark,
             num_nodes,
             model: DataModel::new(benchmark, seed),
             // anoc-lint: rng-site: per-generator injection stream, seeded from the workload seed
             rng: Pcg32::new(seed, 0x6765_6e65_7261),
-            approx_ratio,
+            burst: Chance::new(profile.burstiness),
+            // Bursty phases inject at four times the profile load.
+            inject: [1.0, 4.0].map(|mult| Chance::new((profile.load * mult).min(1.0))),
+            data: Chance::new(profile.data_packet_ratio),
+            approx: Chance::new(approx_ratio),
             phase: (0, false),
         }
     }
@@ -93,24 +104,22 @@ impl BenchmarkTraffic {
 
 impl TrafficSource for BenchmarkTraffic {
     fn tick(&mut self, _cycle: u64, out: &mut Vec<Injection>) {
-        let profile = *self.model.profile();
         // Phase machine: alternate steady and bursty intervals.
         if self.phase.0 == 0 {
-            let burst = self.rng.chance(profile.burstiness);
+            let burst = self.rng.trial(self.burst);
             let len = self.rng.range(200, 800) as u64;
             self.phase = (len, burst);
         }
         self.phase.0 -= 1;
-        let burst_mult = if self.phase.1 { 4.0 } else { 1.0 };
-        let rate = (profile.load * burst_mult).min(1.0);
+        let inject = self.inject[usize::from(self.phase.1)];
         for node in 0..self.num_nodes {
-            if !self.rng.chance(rate) {
+            if !self.rng.trial(inject) {
                 continue;
             }
             let src = NodeId::from(node);
             let dest = DestPattern::UniformRandom.dest(src, self.num_nodes, &mut self.rng);
-            let payload = if self.rng.chance(profile.data_packet_ratio) {
-                let approx = self.rng.chance(self.approx_ratio);
+            let payload = if self.rng.trial(self.data) {
+                let approx = self.rng.trial(self.approx);
                 Some(self.model.next_block(approx))
             } else {
                 None
@@ -155,13 +164,13 @@ pub struct SyntheticTraffic {
     rng: Pcg32,
     /// Offered load in flits per node per cycle.
     flit_rate: f64,
-    /// Fraction of packets that are data packets (25:75 in §5.2.2).
-    data_ratio: f64,
-    approx_ratio: f64,
-    /// Average flits per data packet (for converting flit rate to packet
-    /// rate); the uncompressed size is used so offered load is
-    /// mechanism-independent.
-    data_flits: f64,
+    /// A node's per-cycle injection: the flit rate over the mix's average
+    /// packet size.
+    inject: Chance,
+    /// Whether a packet carries data (25:75 in §5.2.2), and whether that
+    /// data is approximable.
+    data: Chance,
+    approx: Chance,
 }
 
 impl SyntheticTraffic {
@@ -180,7 +189,11 @@ impl SyntheticTraffic {
         approx_ratio: f64,
         seed: u64,
     ) -> Self {
-        let data_flits = 9.0; // uncompressed 64 B block on 64-bit flits
+        // Average flits per packet, for converting the flit rate to a packet
+        // rate; a data packet counts at its uncompressed size (a 64 B block
+        // on 64-bit flits), so the offered load is mechanism-independent.
+        let data_flits = 9.0;
+        let avg_flits = data_ratio * data_flits + (1.0 - data_ratio);
         SyntheticTraffic {
             pattern,
             num_nodes,
@@ -188,9 +201,9 @@ impl SyntheticTraffic {
             // anoc-lint: rng-site: synthetic-pattern stream, seeded from the workload seed
             rng: Pcg32::new(seed, 0x0073_796e_7468),
             flit_rate,
-            data_ratio,
-            approx_ratio,
-            data_flits,
+            inject: Chance::new((flit_rate / avg_flits).min(1.0)),
+            data: Chance::new(data_ratio),
+            approx: Chance::new(approx_ratio),
         }
     }
 
@@ -202,18 +215,14 @@ impl SyntheticTraffic {
 
 impl TrafficSource for SyntheticTraffic {
     fn tick(&mut self, _cycle: u64, out: &mut Vec<Injection>) {
-        // Convert the flit rate to a packet rate given the mix's average
-        // packet size.
-        let avg_flits = self.data_ratio * self.data_flits + (1.0 - self.data_ratio);
-        let packet_rate = (self.flit_rate / avg_flits).min(1.0);
         for node in 0..self.num_nodes {
-            if !self.rng.chance(packet_rate) {
+            if !self.rng.trial(self.inject) {
                 continue;
             }
             let src = NodeId::from(node);
             let dest = self.pattern.dest(src, self.num_nodes, &mut self.rng);
-            let payload = if self.rng.chance(self.data_ratio) {
-                let approx = self.rng.chance(self.approx_ratio);
+            let payload = if self.rng.trial(self.data) {
+                let approx = self.rng.trial(self.approx);
                 Some(self.pool.draw(&mut self.rng).with_approximable(approx))
             } else {
                 None

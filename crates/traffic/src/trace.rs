@@ -106,6 +106,11 @@ impl Trace {
         trace
     }
 
+    /// Number of nodes the trace was recorded over.
+    pub fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
     /// Number of recorded injections.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -164,8 +169,9 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on any malformed line, and propagates I/O
-    /// errors.
+    /// Returns `InvalidData` on any malformed line, on a node id outside the
+    /// header's `nodes=`, and on a record whose cycle is lower than the one
+    /// before it (replay would inject it late). Propagates I/O errors.
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
         let file = std::fs::File::open(path)?;
@@ -177,6 +183,15 @@ impl Trace {
             .and_then(|n| n.parse().ok())
             .ok_or_else(|| bad("bad trace header"))?;
         let mut trace = Trace::new(nodes);
+        let node = |field: Option<&str>, what: &str| -> std::io::Result<NodeId> {
+            let id: u16 = field
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| bad(&format!("missing {what}")))?;
+            if usize::from(id) >= nodes {
+                return Err(bad(&format!("{what} {id} is not a node of nodes={nodes}")));
+            }
+            Ok(NodeId(id))
+        };
         for line in lines {
             let line = line?;
             if line.is_empty() {
@@ -187,14 +202,16 @@ impl Trace {
                 .next()
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| bad("missing cycle"))?;
-            let src: u16 = f
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| bad("missing src"))?;
-            let dest: u16 = f
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| bad("missing dest"))?;
+            if let Some(prev) = trace.records.last() {
+                if cycle < prev.cycle {
+                    return Err(bad(&format!(
+                        "cycle {cycle} follows cycle {}: records must be in cycle order",
+                        prev.cycle
+                    )));
+                }
+            }
+            let src = node(f.next(), "src")?;
+            let dest = node(f.next(), "dest")?;
             let kind = f.next().ok_or_else(|| bad("missing kind"))?;
             let payload = match kind {
                 "C" => None,
@@ -220,8 +237,8 @@ impl Trace {
             };
             trace.records.push(TraceRecord {
                 cycle,
-                src: NodeId(src),
-                dest: NodeId(dest),
+                src,
+                dest,
                 payload,
             });
         }
@@ -370,6 +387,42 @@ mod file_tests {
             assert!(Trace::load(&path).is_err(), "accepted: {content:?}");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Loads `content` from a scratch file and returns the error message.
+    fn load_error(name: &str, content: &str) -> String {
+        let path = temp_path(name);
+        std::fs::write(&path, content).expect("write fixture");
+        let err = Trace::load(&path).expect_err("a malformed trace loads");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        err.to_string()
+    }
+
+    #[test]
+    fn src_outside_the_header_nodes_is_rejected() {
+        let msg = load_error("src", "# anoc-trace v1 nodes=32\n0 1 2 C\n0 32 2 C\n");
+        assert!(msg.contains("src 32"), "{msg}");
+    }
+
+    #[test]
+    fn dest_outside_the_header_nodes_is_rejected() {
+        let msg = load_error("dest", "# anoc-trace v1 nodes=32\n0 0 40 C\n");
+        assert!(msg.contains("dest 40"), "{msg}");
+        let msg = load_error(
+            "dest-data",
+            "# anoc-trace v1 nodes=4\n3 0 4 D ia 00000001\n",
+        );
+        assert!(msg.contains("dest 4"), "{msg}");
+    }
+
+    #[test]
+    fn a_record_earlier_than_the_one_before_it_is_rejected() {
+        let msg = load_error(
+            "order",
+            "# anoc-trace v1 nodes=4\n5 0 1 C\n5 1 2 C\n4 2 3 C\n",
+        );
+        assert!(msg.contains("cycle 4 follows cycle 5"), "{msg}");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! point. A rewrite of any table, its CSV or its JSON must reproduce every
 //! byte. `run all --json` must carry, table by table, exactly the CSV rows.
 //! `anoc cache stats` must report both stores that `anoc cache clear` empties.
+//! `anoc replay` must turn a malformed trace into an `error:`, not a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -245,5 +246,38 @@ fn cache_stats_reports_the_snapshot_store_that_clear_empties() {
     let cleared = cache_command(&dir, "clear");
     assert!(cleared.contains("cleared 2 snapshots"), "{cleared}");
     assert!(cache_command(&dir, "stats").ends_with(&line(0, 0)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A node id beyond the header's `nodes=`, and a header whose node count is
+/// not the NoC's (the paper's 4x4 cmesh has 32 nodes): each is a runtime
+/// error (exit 1) with an `error:` line, never a panic.
+#[test]
+fn replay_rejects_a_malformed_trace_without_panicking() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("anoc-cli-replay-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the work directory");
+    for (name, trace) in [
+        ("node-out-of-range", "# anoc-trace v1 nodes=32\n0 0 40 C\n"),
+        ("node-count-mismatch", "# anoc-trace v1 nodes=16\n0 0 1 C\n"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, trace).expect("write the trace");
+        let out = Command::new(env!("CARGO_BIN_EXE_anoc"))
+            .args(["replay", "--cycles", "100", "--out"])
+            .arg(&path)
+            .env("ANOC_CACHE_DIR", dir.join("cache"))
+            .env("ANOC_SNAPSHOT_DIR", dir.join("snapshots"))
+            .output()
+            .expect("anoc starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("error: ")),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
