@@ -219,12 +219,10 @@ impl CacheSim {
         self.stats.misses += 1;
         self.stats.transfers += 1;
         let start = (line_addr as usize) * wpl;
-        let words: Vec<u32> = (0..wpl)
-            .map(|i| memory.words.get(start + i).copied().unwrap_or(0))
-            .collect();
         let approximable = memory.approx_range.contains(&start)
             && memory.approx_range.contains(&(start + wpl - 1));
-        let block = CacheBlock::new(words, memory.dtype, approximable);
+        let mut block = CacheBlock::empty(memory.dtype, approximable);
+        block.extend((0..wpl).map(|i| memory.words.get(start + i).copied().unwrap_or(0)));
         let received = transport.transmit(block);
         // Victim: LRU way.
         let victim = (0..self.config.ways)

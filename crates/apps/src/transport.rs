@@ -202,30 +202,23 @@ impl AdversarialTransport {
 }
 
 impl BlockTransport for AdversarialTransport {
-    fn transmit(&mut self, block: CacheBlock) -> CacheBlock {
+    fn transmit(&mut self, mut block: CacheBlock) -> CacheBlock {
         if !block.is_approximable() {
             return block;
         }
-        let words = block
-            .words()
-            .iter()
-            .map(|&w| {
-                let p = self.avcl.approx_pattern(w, block.dtype());
-                let mask = p.mask();
-                if mask == 0 {
-                    return w;
-                }
-                // Pick the masked-bit endpoint farthest from the original.
-                let zeros = w & !mask;
-                let ones = w | mask;
-                if w.abs_diff(zeros) >= w.abs_diff(ones) {
-                    zeros
-                } else {
-                    ones
-                }
-            })
-            .collect();
-        CacheBlock::new(words, block.dtype(), true)
+        let dtype = block.dtype();
+        for w in block.words_mut() {
+            let mask = self.avcl.approx_pattern(*w, dtype).mask();
+            // Pick the masked-bit endpoint farthest from the original.
+            let zeros = *w & !mask;
+            let ones = *w | mask;
+            if w.abs_diff(zeros) >= w.abs_diff(ones) {
+                *w = zeros;
+            } else {
+                *w = ones;
+            }
+        }
+        block
     }
 }
 

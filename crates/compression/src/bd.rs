@@ -93,10 +93,10 @@ impl BdEncoder {
     /// Encodes the block with `bits`-wide deltas against the dual base
     /// (implicit zero + the first word), per-word fit flags, and raw
     /// fallbacks. Always succeeds; the caller compares total cost.
-    fn encode_config(&self, block: &CacheBlock, bits: u8, approx_on: bool) -> Vec<WordCode> {
+    fn encode_config(&self, block: &CacheBlock, bits: u8, approx_on: bool) -> EncodedBlock {
         let words = block.words();
         let base = words[0];
-        let mut codes = Vec::with_capacity(words.len());
+        let mut codes = EncodedBlock::empty_for(block);
         codes.push(WordCode::Raw {
             word: base,
             prefix_bits: CONFIG_TAG_BITS,
@@ -140,43 +140,40 @@ impl BlockEncoder for BdEncoder {
             self.activity.avcl_ops += block.len() as u64;
         }
         let words = block.words();
-        let codes = 'config: {
-            if words.is_empty() {
-                break 'config Vec::new();
-            }
-            // All-zero block: the tag alone suffices.
-            if words.iter().all(|w| *w == 0) {
-                break 'config words
+        let mut codes = EncodedBlock::empty_for(block);
+        if words.is_empty() {
+            return codes;
+        }
+        // All-zero block: the tag alone suffices.
+        if words.iter().all(|w| *w == 0) {
+            codes.extend(
+                words
                     .chunks(8)
-                    .map(|c| WordCode::ZeroRun { len: c.len() as u8 })
-                    .collect();
+                    .map(|c| WordCode::ZeroRun { len: c.len() as u8 }),
+            );
+            return codes;
+        }
+        // Repeated (or approximately repeated) block: base + 0-bit deltas.
+        if let Some(repeat) = self.try_config_repeat(block, approx_on) {
+            return repeat;
+        }
+        // Pick the cheapest delta width (DELTA_WIDTHS is a non-empty const,
+        // so the min exists); fall back to uncompressed (one tag bit) when no
+        // width is profitable.
+        if let Some(best) = DELTA_WIDTHS
+            .iter()
+            .map(|bits| self.encode_config(block, *bits, approx_on))
+            .min_by_key(EncodedBlock::payload_bits)
+        {
+            if u64::from(best.payload_bits()) < block.size_bits() + 1 {
+                return best;
             }
-            // Repeated (or approximately repeated) block: base + 0-bit deltas.
-            if let Some(codes) = self.try_config_repeat(block, approx_on) {
-                break 'config codes;
-            }
-            // Pick the cheapest delta width (DELTA_WIDTHS is a non-empty
-            // const, so the min exists); fall back to uncompressed (one tag
-            // bit) when no width is profitable.
-            if let Some(best) = DELTA_WIDTHS
-                .iter()
-                .map(|bits| self.encode_config(block, *bits, approx_on))
-                .min_by_key(|codes| codes.iter().map(WordCode::bits).sum::<u32>())
-            {
-                let best_bits: u32 = best.iter().map(WordCode::bits).sum();
-                if u64::from(best_bits) < block.size_bits() + 1 {
-                    break 'config best;
-                }
-            }
-            words
-                .iter()
-                .map(|w| WordCode::Raw {
-                    word: *w,
-                    prefix_bits: 1,
-                })
-                .collect()
-        };
-        EncodedBlock::new(codes, block.dtype(), block.is_approximable())
+        }
+        codes.extend(words.iter().map(|&word| WordCode::Raw {
+            word,
+            prefix_bits: 1,
+        }));
+        codes
     }
 
     fn activity(&self) -> CodecActivity {
@@ -187,10 +184,10 @@ impl BlockEncoder for BdEncoder {
 impl BdEncoder {
     /// The repeated-word configuration: every word equals (or approximates
     /// to) the base; only the base travels.
-    fn try_config_repeat(&self, block: &CacheBlock, approx_on: bool) -> Option<Vec<WordCode>> {
+    fn try_config_repeat(&self, block: &CacheBlock, approx_on: bool) -> Option<EncodedBlock> {
         let words = block.words();
         let base = words[0];
-        let mut codes = Vec::with_capacity(words.len());
+        let mut codes = EncodedBlock::empty_for(block);
         codes.push(WordCode::Raw {
             word: base,
             prefix_bits: CONFIG_TAG_BITS,
@@ -220,9 +217,6 @@ impl BdEncoder {
 #[derive(Debug, Clone, Default)]
 pub struct BdDecoder {
     activity: CodecActivity,
-    /// Decode buffer reused across blocks. A block is decoded into it and
-    /// copied out at its final length, so the output needs no sizing pass.
-    words: Vec<u32>,
 }
 
 impl BdDecoder {
@@ -238,8 +232,7 @@ impl BlockDecoder for BdDecoder {
     }
 
     fn decode(&mut self, encoded: &EncodedBlock, _src: NodeId) -> DecodeResult {
-        let words = &mut self.words;
-        words.clear();
+        let mut block = CacheBlock::empty(encoded.dtype(), encoded.is_approximable());
         let mut base = 0u32;
         for code in encoded.codes() {
             match *code {
@@ -249,20 +242,20 @@ impl BlockDecoder for BdDecoder {
                     if prefix_bits >= CONFIG_TAG_BITS {
                         base = word;
                     }
-                    words.push(word);
+                    block.push(word);
                 }
                 WordCode::ZeroRun { len } => {
-                    words.extend(std::iter::repeat_n(0u32, len as usize));
+                    block.extend(std::iter::repeat_n(0u32, len as usize));
                 }
                 WordCode::Delta { delta, .. } => {
-                    words.push((base as i32).wrapping_add(delta) as u32);
+                    block.push((base as i32).wrapping_add(delta) as u32);
                 }
                 ref other => unreachable!("base-delta stream cannot contain {other:?}"),
             }
         }
-        self.activity.words_decoded += words.len() as u64;
+        self.activity.words_decoded += block.len() as u64;
         DecodeResult {
-            block: CacheBlock::new(words.to_vec(), encoded.dtype(), encoded.is_approximable()),
+            block,
             notifications: Vec::new(),
         }
     }

@@ -134,7 +134,7 @@ impl BlockEncoder for DiEncoder {
         } else {
             self.activity.cam_searches += n;
         }
-        let mut codes = Vec::with_capacity(block.len());
+        let mut codes = EncodedBlock::empty_for(block);
         // Local copies keep the countdown and the destination's row in
         // registers across the lookups.
         let mut decay = self.decay;
@@ -166,7 +166,7 @@ impl BlockEncoder for DiEncoder {
             }
         }
         self.decay = decay;
-        EncodedBlock::new(codes, block.dtype(), block.is_approximable())
+        codes
     }
 
     fn apply_notification(&mut self, from: NodeId, note: Notification) {
@@ -247,7 +247,7 @@ impl BlockDecoder for DiDecoder {
     }
 
     fn decode(&mut self, encoded: &EncodedBlock, src: NodeId) -> DecodeResult {
-        let mut words = Vec::with_capacity(encoded.len());
+        let mut block = CacheBlock::empty(encoded.dtype(), encoded.is_approximable());
         let mut notifications = Vec::new();
         self.activity.words_decoded += encoded.len() as u64;
         self.words_seen += encoded.len() as u64;
@@ -261,12 +261,12 @@ impl BlockDecoder for DiDecoder {
                     // Learning happens on the uncompressed stream.
                     self.pmt
                         .observe_raw(word, src, encoded.dtype(), &mut notifications);
-                    words.push(word);
+                    block.push(word);
                 }
                 WordCode::Dict { index, pattern, .. } => {
                     self.activity.cam_searches += 1;
                     self.pmt.record_hit(index, pattern);
-                    words.push(pattern);
+                    block.push(pattern);
                 }
                 ref other => {
                     unreachable!("dictionary stream cannot contain {other:?}")
@@ -276,7 +276,7 @@ impl BlockDecoder for DiDecoder {
         self.decay = decay;
         self.activity.notifications += notifications.len() as u64;
         DecodeResult {
-            block: CacheBlock::new(words, encoded.dtype(), encoded.is_approximable()),
+            block,
             notifications,
         }
     }

@@ -93,16 +93,16 @@ impl BlockEncoder for FpEncoder {
 
     fn encode(&mut self, block: &CacheBlock, _dest: NodeId) -> EncodedBlock {
         let approx_on = self.avcl.is_some() && block.is_approximable();
-        let mut codes: Vec<WordCode> = Vec::with_capacity(block.len());
+        let mut codes = EncodedBlock::empty_for(block);
         let mut zero_run: u8 = 0;
-        fn flush_run(codes: &mut Vec<WordCode>, run: &mut u8) {
+        fn flush_run(codes: &mut EncodedBlock, run: &mut u8) {
             if *run > 0 {
                 codes.push(WordCode::ZeroRun { len: *run });
                 *run = 0;
             }
         }
         fn emit(
-            codes: &mut Vec<WordCode>,
+            codes: &mut EncodedBlock,
             zero_run: &mut u8,
             word: u32,
             matched: Option<(FpcClass, u32)>,
@@ -206,7 +206,7 @@ impl BlockEncoder for FpEncoder {
             }
         }
         flush_run(&mut codes, &mut zero_run);
-        EncodedBlock::new(codes, block.dtype(), block.is_approximable())
+        codes
     }
 
     fn activity(&self) -> CodecActivity {
@@ -236,9 +236,6 @@ impl BlockEncoder for FpEncoder {
 #[derive(Debug, Clone, Default)]
 pub struct FpDecoder {
     activity: CodecActivity,
-    /// Decode buffer reused across blocks. A block is decoded into it and
-    /// copied out at its final length, so the output needs no sizing pass.
-    words: Vec<u32>,
 }
 
 impl FpDecoder {
@@ -254,24 +251,23 @@ impl BlockDecoder for FpDecoder {
     }
 
     fn decode(&mut self, encoded: &EncodedBlock, _src: NodeId) -> DecodeResult {
-        let words = &mut self.words;
-        words.clear();
+        let mut block = CacheBlock::empty(encoded.dtype(), encoded.is_approximable());
         for code in encoded.codes() {
             match *code {
-                WordCode::Raw { word, .. } => words.push(word),
-                WordCode::ZeroRun { len } => words.extend(std::iter::repeat_n(0u32, len as usize)),
+                WordCode::Raw { word, .. } => block.push(word),
+                WordCode::ZeroRun { len } => block.extend(std::iter::repeat_n(0u32, len as usize)),
                 WordCode::Pattern { index, adjunct, .. } => {
                     // The encoder emits only valid pattern indices; deliver
                     // the adjunct raw rather than crash if one ever slips.
                     let Some(class) = FpcClass::from_index(index) else {
                         debug_assert!(false, "invalid FP pattern index {index}");
-                        words.push(adjunct);
+                        block.push(adjunct);
                         continue;
                     };
                     if class == FpcClass::Zero {
-                        words.extend(std::iter::repeat_n(0u32, adjunct as usize));
+                        block.extend(std::iter::repeat_n(0u32, adjunct as usize));
                     } else {
-                        words.push(class.decode(adjunct));
+                        block.push(class.decode(adjunct));
                     }
                 }
                 ref other @ (WordCode::Dict { .. }
@@ -281,9 +277,9 @@ impl BlockDecoder for FpDecoder {
                 }
             }
         }
-        self.activity.words_decoded += words.len() as u64;
+        self.activity.words_decoded += block.len() as u64;
         DecodeResult {
-            block: CacheBlock::new(words.to_vec(), encoded.dtype(), encoded.is_approximable()),
+            block,
             notifications: Vec::new(),
         }
     }

@@ -134,7 +134,7 @@ impl BlockEncoder for LzEncoder {
             self.dont_care.resize(n, 0);
         }
 
-        let mut codes: Vec<WordCode> = Vec::with_capacity(n);
+        let mut codes = EncodedBlock::empty_for(block);
         let mut i = 0;
         while i < n {
             let word = words[i];
@@ -214,7 +214,7 @@ impl BlockEncoder for LzEncoder {
                 }
             }
         }
-        EncodedBlock::new(codes, block.dtype(), block.is_approximable())
+        codes
     }
 
     /// Two matching cycles, one MTF ranking cycle, one encoding cycle: one
@@ -266,7 +266,6 @@ impl BlockEncoder for LzEncoder {
 /// its own window (pristine seed + decoded prefix). Stateless across blocks.
 #[derive(Debug, Clone, Default)]
 pub struct LzDecoder {
-    window: Vec<u32>,
     activity: CodecActivity,
 }
 
@@ -283,27 +282,30 @@ impl BlockDecoder for LzDecoder {
     }
 
     fn decode(&mut self, encoded: &EncodedBlock, _src: NodeId) -> DecodeResult {
-        self.window.clear();
-        self.window.extend_from_slice(&SEED_DICT);
+        // The window is the seed dictionary followed by the block decoded so
+        // far; window position `k` past the seed is block word `k - seed`.
+        let seed = SEED_DICT.len();
+        let mut block = CacheBlock::empty(encoded.dtype(), encoded.is_approximable());
         for code in encoded.codes() {
             match *code {
-                WordCode::Raw { word, .. } => self.window.push(word),
+                WordCode::Raw { word, .. } => block.push(word),
                 WordCode::Match { distance, len, .. } => {
-                    let Some(start) = self
-                        .window
-                        .len()
+                    let Some(start) = (seed + block.len())
                         .checked_sub(distance as usize)
                         .filter(|_| distance > 0)
                     else {
                         // The encoder never emits an out-of-window distance;
                         // deliver zeros rather than crash if one ever slips.
                         debug_assert!(false, "invalid LZ distance {distance}");
-                        self.window.extend(std::iter::repeat_n(0u32, len as usize));
+                        block.extend(std::iter::repeat_n(0u32, len as usize));
                         continue;
                     };
-                    for k in 0..len as usize {
-                        let v = self.window[start + k];
-                        self.window.push(v);
+                    for k in start..start + len as usize {
+                        let v = match SEED_DICT.get(k) {
+                            Some(&s) => s,
+                            None => block.words()[k - seed],
+                        };
+                        block.push(v);
                     }
                 }
                 ref other => {
@@ -311,10 +313,9 @@ impl BlockDecoder for LzDecoder {
                 }
             }
         }
-        let words = self.window[SEED_DICT.len()..].to_vec();
-        self.activity.words_decoded += words.len() as u64;
+        self.activity.words_decoded += block.len() as u64;
         DecodeResult {
-            block: CacheBlock::new(words, encoded.dtype(), encoded.is_approximable()),
+            block,
             notifications: Vec::new(),
         }
     }

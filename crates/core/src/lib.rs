@@ -59,6 +59,7 @@ pub mod avcl;
 pub mod codec;
 pub mod control;
 pub mod data;
+mod line;
 pub mod metrics;
 pub mod rng;
 pub mod snap;
@@ -69,6 +70,6 @@ pub mod window;
 pub use avcl::{ApproxPattern, Avcl, MaskPolicy};
 pub use codec::{BlockDecoder, BlockEncoder, EncodeStats, EncodedBlock, Notification, WordCode};
 pub use control::QualityController;
-pub use data::{CacheBlock, DataType, NodeId, WORD_BYTES};
+pub use data::{CacheBlock, DataType, NodeId, BLOCK_WORDS, WORD_BYTES};
 pub use threshold::ErrorThreshold;
 pub use window::WindowBudget;
