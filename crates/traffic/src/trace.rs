@@ -170,8 +170,9 @@ impl Trace {
     /// # Errors
     ///
     /// Returns `InvalidData` on any malformed line, on a node id outside the
-    /// header's `nodes=`, and on a record whose cycle is lower than the one
-    /// before it (replay would inject it late). Propagates I/O errors.
+    /// header's `nodes=`, on a data record with no payload words, and on a
+    /// record whose cycle is lower than the one before it (replay would
+    /// inject it late). Propagates I/O errors.
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<Self> {
         let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
         let file = std::fs::File::open(path)?;
@@ -228,10 +229,17 @@ impl Trace {
                         Some('p') => false,
                         _ => return Err(bad("bad approximable flag")),
                     };
-                    let words: Result<Vec<u32>, _> =
-                        f.map(|w| u32::from_str_radix(w, 16)).collect();
-                    let words = words.map_err(|_| bad("bad payload word"))?;
-                    Some(CacheBlock::new(words, dtype, approx))
+                    let mut block = CacheBlock::empty(dtype, approx);
+                    for w in f {
+                        block
+                            .push(u32::from_str_radix(w, 16).map_err(|_| bad("bad payload word"))?);
+                    }
+                    if block.is_empty() {
+                        return Err(bad(&format!(
+                            "data record at cycle {cycle} has no payload words"
+                        )));
+                    }
+                    Some(block)
                 }
                 _ => return Err(bad("bad record kind")),
             };
@@ -423,6 +431,35 @@ mod file_tests {
             "# anoc-trace v1 nodes=4\n5 0 1 C\n5 1 2 C\n4 2 3 C\n",
         );
         assert!(msg.contains("cycle 4 follows cycle 5"), "{msg}");
+    }
+
+    #[test]
+    fn a_data_record_without_payload_words_is_rejected() {
+        let msg = load_error(
+            "empty-data",
+            "# anoc-trace v1 nodes=4\n0 0 1 C\n7 0 1 D ia\n",
+        );
+        assert!(msg.contains("cycle 7"), "{msg}");
+        assert!(msg.contains("no payload words"), "{msg}");
+    }
+
+    #[test]
+    fn a_data_record_longer_than_a_line_loads_whole() {
+        let words: Vec<u32> = (0..40).map(|i| i * 0x0101_0101).collect();
+        let mut trace = Trace::new(4);
+        trace.records.push(TraceRecord {
+            cycle: 3,
+            src: NodeId(0),
+            dest: NodeId(1),
+            payload: Some(CacheBlock::new(words.clone(), DataType::Int, true)),
+        });
+        let path = temp_path("long-data");
+        trace.save(&path).expect("save");
+        let loaded = Trace::load(&path).expect("load");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.records(), trace.records());
+        let block = loaded.records()[0].payload.as_ref().expect("a data record");
+        assert_eq!(block.words(), &words[..]);
     }
 
     #[test]
