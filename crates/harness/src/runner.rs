@@ -189,12 +189,12 @@ pub struct RunOutcome {
 ///
 /// # Errors
 ///
-/// A watchdog deadlock abort or a fatal bound-checker violation.
+/// A watchdog deadlock abort, a fatal bound-checker violation, or a traffic
+/// source whose node count is not the configuration's.
 ///
 /// # Panics
 ///
-/// Panics if the traffic source or the custom codecs disagree with the
-/// configuration's node count.
+/// Panics if the custom codecs disagree with the configuration's node count.
 pub fn run(spec: RunSpec<'_>) -> Result<RunOutcome, SimError> {
     let RunSpec {
         traffic,
@@ -220,8 +220,8 @@ pub fn run(spec: RunSpec<'_>) -> Result<RunOutcome, SimError> {
 }
 
 /// Runs `mechanism` under the traffic produced by `source`, cold. A
-/// watchdog deadlock abort or a fatal bound-checker violation comes back as
-/// `Err`.
+/// watchdog deadlock abort, a fatal bound-checker violation or a source
+/// with another node count than the NoC's comes back as `Err`.
 pub fn try_run_with_source(
     source: &mut dyn TrafficSource,
     mechanism: Mechanism,
@@ -444,11 +444,10 @@ fn cold_run(
     config: &SystemConfig,
     keys: Option<&StoreKeys<'_>>,
 ) -> Result<RunOutcome, SimError> {
-    assert_eq!(
-        source.num_nodes(),
-        config.noc.num_nodes(),
-        "traffic source and NoC disagree on node count"
-    );
+    let (nodes, noc) = (source.num_nodes(), config.noc.num_nodes());
+    if nodes != noc {
+        return Err(SimError::NodeCountMismatch { source: nodes, noc });
+    }
     let staged = matches!(codecs, Codecs::Standard(_));
     let (mechanism, mut sim) = armed_sim(codecs, config);
     let mut buf = Vec::new();
@@ -682,6 +681,28 @@ mod tests {
         let (p50, p99) = (r.latency_percentile(50.0), r.latency_percentile(99.0));
         assert!(p50 as f64 <= r.avg_packet_latency() * 2.0);
         assert!(p99 >= p50, "p99 {p99} < p50 {p50}");
+    }
+
+    #[test]
+    fn a_source_of_another_node_count_is_a_typed_error() {
+        use anoc_traffic::{DataPool, DestPattern, SyntheticTraffic};
+        let cfg = quick();
+        assert_eq!(cfg.noc.num_nodes(), 32);
+        let pool = DataPool::from_benchmark(Benchmark::X264, 8, 1);
+        let mut source =
+            SyntheticTraffic::new(DestPattern::UniformRandom, 16, pool, 0.1, 0.25, 0.75, 1);
+        let err = try_run_with_source(&mut source, Mechanism::Baseline, &cfg)
+            .expect_err("a 16-node source on a 32-node NoC");
+        assert!(
+            matches!(
+                err,
+                SimError::NodeCountMismatch {
+                    source: 16,
+                    noc: 32
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

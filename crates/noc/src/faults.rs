@@ -222,6 +222,14 @@ pub enum SimError {
     /// The end-to-end bound checker caught a delivered word outside the
     /// active error threshold while no faults were being injected.
     BoundViolation(BoundViolation),
+    /// The traffic source injects between another number of nodes than the
+    /// NoC has, so the run could not start.
+    NodeCountMismatch {
+        /// Nodes of the traffic source.
+        source: usize,
+        /// Nodes of the NoC.
+        noc: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -229,6 +237,10 @@ impl fmt::Display for SimError {
         match self {
             SimError::Deadlock(dump) => write!(f, "network deadlock: {dump}"),
             SimError::BoundViolation(v) => write!(f, "error-bound violation: {v}"),
+            SimError::NodeCountMismatch { source, noc } => write!(
+                f,
+                "traffic source has {source} nodes, but the NoC has {noc} nodes"
+            ),
         }
     }
 }
@@ -456,6 +468,13 @@ mod tests {
         let s = v.to_string();
         assert!(s.contains("bound violation"), "{s}");
         assert!(s.contains("word 2"), "{s}");
+
+        let m = SimError::NodeCountMismatch {
+            source: 16,
+            noc: 32,
+        }
+        .to_string();
+        assert!(m.contains("16 nodes") && m.contains("32 nodes"), "{m}");
 
         let d = SimError::Deadlock(DeadlockDump {
             cycle: 100,
