@@ -132,8 +132,7 @@ impl<P: Payload> KeyedStore<P> {
             ".{}.tmp-{}-{}",
             key_digest(key),
             std::process::id(),
-            // anoc-lint: allow(X001): tmp-name uniqueness counter; no ordering dependency
-            PUT_SEQ.fetch_add(1, Ordering::Relaxed)
+            PUT_SEQ.fetch_add(1, Ordering::SeqCst)
         ));
         {
             let mut f = std::fs::File::create(&tmp_path)?;
