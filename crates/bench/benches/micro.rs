@@ -7,7 +7,7 @@ use anoc_compression::fp::FpEncoder;
 use anoc_compression::fpc;
 use anoc_compression::lz::{LzDecoder, LzEncoder};
 use anoc_core::avcl::Avcl;
-use anoc_core::codec::{BlockDecoder, BlockEncoder};
+use anoc_core::codec::{BlockDecoder, BlockEncoder, NullCodec};
 use anoc_core::data::{CacheBlock, DataType, NodeId};
 use anoc_core::rng::Pcg32;
 use anoc_core::threshold::ErrorThreshold;
@@ -53,6 +53,19 @@ fn bench(c: &mut Criterion) {
                 bits += enc.encode(block, NodeId(1)).payload_bits();
             }
             bits
+        })
+    });
+
+    // The Baseline pair copies words to raw codes and back, so one 16-word
+    // round trip measures what building the encoded and the delivered block
+    // costs, apart from any codec's work.
+    c.bench_function("micro/codec/baseline_round_trip", |b| {
+        let block = CacheBlock::from_i32(&[0x1234_5678; 16]);
+        let (mut enc, mut dec) = (NullCodec::new(), NullCodec::new());
+        b.iter(|| {
+            dec.decode(&enc.encode(&block, NodeId(1)), NodeId(0))
+                .block
+                .len()
         })
     });
 
