@@ -5,7 +5,7 @@
 //! arrays (spot, strike, volatility, time-to-maturity); the output error is
 //! the mean relative error of the computed prices.
 
-use anoc_core::rng::Pcg32;
+use anoc_core::rng::{Pcg32, Stream};
 
 use crate::kernel::ApproxKernel;
 use crate::transport::BlockTransport;
@@ -61,8 +61,7 @@ impl ApproxKernel for Blackscholes {
     }
 
     fn run(&self, transport: &mut dyn BlockTransport) -> Vec<f64> {
-        // anoc-lint: rng-site: seeded from the workload's config seed with a fixed per-app stream
-        let mut rng = Pcg32::new(self.seed, 0x626c6b);
+        let mut rng = Pcg32::on(self.seed, Stream::BLACKSCHOLES);
         let n = self.options;
         let spot: Vec<f32> = (0..n).map(|_| 20.0 + rng.f32() * 80.0).collect();
         let strike: Vec<f32> = (0..n).map(|_| 20.0 + rng.f32() * 80.0).collect();

@@ -8,7 +8,7 @@
 //! the paper reports a 2.4% vector difference at a 10% data threshold, with
 //! outputs "hardly captured through human vision" (Figure 17).
 
-use anoc_core::rng::Pcg32;
+use anoc_core::rng::{Pcg32, Stream};
 
 use crate::kernel::ApproxKernel;
 use crate::transport::BlockTransport;
@@ -46,8 +46,7 @@ impl Bodytrack {
     /// Renders the ground-truth frame sequence (row-major pixel intensities
     /// in `[0, 255]`) and true blob trajectories.
     pub fn render(&self) -> (Vec<Frame>, Vec<Positions>) {
-        // anoc-lint: rng-site: seeded from the workload's config seed with a fixed per-app stream
-        let mut rng = Pcg32::new(self.seed, 0x626f6479);
+        let mut rng = Pcg32::on(self.seed, Stream::BODYTRACK);
         let s = self.size as f64;
         let mut pos: Vec<(f64, f64)> = (0..self.blobs)
             .map(|_| (rng.f64() * s * 0.6 + s * 0.2, rng.f64() * s * 0.6 + s * 0.2))

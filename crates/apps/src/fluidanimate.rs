@@ -6,7 +6,7 @@
 //! particle positions exchanged between threads. The output vector holds the
 //! post-step densities, judged by mean relative error.
 
-use anoc_core::rng::Pcg32;
+use anoc_core::rng::{Pcg32, Stream};
 
 use crate::kernel::ApproxKernel;
 use crate::transport::BlockTransport;
@@ -45,8 +45,7 @@ impl ApproxKernel for Fluidanimate {
     }
 
     fn run(&self, transport: &mut dyn BlockTransport) -> Vec<f64> {
-        // anoc-lint: rng-site: seeded from the workload's config seed with a fixed per-app stream
-        let mut rng = Pcg32::new(self.seed, 0x666c7569);
+        let mut rng = Pcg32::on(self.seed, Stream::FLUIDANIMATE);
         let n = self.particles;
         let box_size = 50.0f32;
         let mut pos = vec![0f32; n * 3];

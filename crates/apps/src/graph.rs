@@ -8,7 +8,7 @@
 //! passes each source's dependency vector through the transport before
 //! accumulation, and the error metric is the pair-wise BC difference (§5.4).
 
-use anoc_core::rng::Pcg32;
+use anoc_core::rng::{Pcg32, Stream};
 
 use crate::transport::BlockTransport;
 
@@ -33,8 +33,7 @@ impl Graph {
     pub fn rmat(nodes: usize, edges: usize, seed: u64) -> Self {
         assert!(nodes.is_power_of_two(), "R-MAT needs a power-of-two size");
         let mut g = Graph::new(nodes);
-        // anoc-lint: rng-site: seeded from the caller-supplied graph seed, fixed R-MAT stream
-        let mut rng = Pcg32::new(seed, 0x726d_6174);
+        let mut rng = Pcg32::on(seed, Stream::RMAT);
         let bits = nodes.trailing_zeros();
         let mut inserted = 0usize;
         while inserted < edges {

@@ -8,7 +8,7 @@
 //! assignment, and the error metric is the fraction of points assigned to a
 //! different center than in the precise run.
 
-use anoc_core::rng::Pcg32;
+use anoc_core::rng::{Pcg32, Stream};
 
 use crate::kernel::ApproxKernel;
 use crate::transport::BlockTransport;
@@ -63,8 +63,7 @@ impl ApproxKernel for Streamcluster {
     }
 
     fn run(&self, transport: &mut dyn BlockTransport) -> Vec<f64> {
-        // anoc-lint: rng-site: seeded from the workload's config seed with a fixed per-app stream
-        let mut rng = Pcg32::new(self.seed, 0x73747265);
+        let mut rng = Pcg32::on(self.seed, Stream::STREAMCLUSTER);
         let d = self.dims;
         // Points drawn around `k` ground-truth blobs plus noise.
         let blob_centers: Vec<Vec<f32>> = (0..self.k)

@@ -4,7 +4,7 @@
 //! simulation. The approximable shared data are the simulated forward-rate
 //! paths; the output error is the mean relative error of the prices.
 
-use anoc_core::rng::Pcg32;
+use anoc_core::rng::{Pcg32, Stream};
 
 use crate::kernel::ApproxKernel;
 use crate::transport::BlockTransport;
@@ -46,8 +46,7 @@ impl ApproxKernel for Swaptions {
     }
 
     fn run(&self, transport: &mut dyn BlockTransport) -> Vec<f64> {
-        // anoc-lint: rng-site: seeded from the workload's config seed with a fixed per-app stream
-        let mut rng = Pcg32::new(self.seed, 0x73776170);
+        let mut rng = Pcg32::on(self.seed, Stream::SWAPTIONS);
         let mut prices = Vec::with_capacity(self.swaptions);
         for _ in 0..self.swaptions {
             let strike = 0.02 + rng.f64() * 0.06;

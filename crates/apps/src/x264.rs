@@ -6,7 +6,7 @@
 //! through the transport. The output is the reconstructed frame and the
 //! error metric is the RMSE relative to the 255 peak (a PSNR-style measure).
 
-use anoc_core::rng::Pcg32;
+use anoc_core::rng::{Pcg32, Stream};
 
 use crate::kernel::ApproxKernel;
 use crate::transport::BlockTransport;
@@ -94,8 +94,7 @@ pub fn idct8(coeffs: &[f64; 64]) -> [f64; 64] {
 impl X264 {
     /// Renders the synthetic source frame (smooth gradients + texture).
     pub fn source_frame(&self) -> Vec<i32> {
-        // anoc-lint: rng-site: seeded from the workload's config seed with a fixed per-app stream
-        let mut rng = Pcg32::new(self.seed, 0x78323634);
+        let mut rng = Pcg32::on(self.seed, Stream::X264);
         let s = self.size;
         (0..s * s)
             .map(|i| {

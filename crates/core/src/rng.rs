@@ -4,6 +4,10 @@
 //! experiments are bit-reproducible; depending on an external `rand` version
 //! would tie reproducibility to upstream API/algorithm churn. PCG32 is tiny,
 //! statistically solid for simulation workloads, and trivially seedable.
+//!
+//! Library code in the sim-critical crates builds its generators with
+//! [`Pcg32::on`] from a named [`Stream`], so the constants below are the
+//! inventory of every random stream a simulation draws from.
 
 /// A PCG-XSH-RR 64/32 generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,9 +21,73 @@ const PCG_MULT: u64 = 6364136223846793005;
 /// `PCG_MULT²` (mod 2^64): the multiplier of two steps at once.
 const PCG_MULT_SQUARED: u64 = PCG_MULT.wrapping_mul(PCG_MULT);
 
+/// The stream id of [`Pcg32::seed_from_u64`].
+const DEFAULT_STREAM: u64 = 0xda3e_39cb_94b9_5bdb;
+
+/// A named PCG stream id, one per kind of construction site. Its only
+/// values are the constants below, and every generator built on one is
+/// seeded from the run's configuration (a workload, plan or kernel seed),
+/// never from ambient entropy, so a `(config, workload, seed)` cell reruns
+/// bit for bit.
+///
+/// Two generators draw independent sequences when their `(seed, stream)`
+/// pairs differ. [`FAULT`](Self::FAULT), [`LOSS`](Self::LOSS) and
+/// [`PORT_STALL`](Self::PORT_STALL) share the default id of
+/// [`Pcg32::seed_from_u64`], so they are independent only through their
+/// seeds: a fault plan and a loss plan with equal seeds draw the same
+/// sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stream(u64);
+
+impl Stream {
+    /// `NocSim`'s link-flip and credit fault draws, seeded from the fault
+    /// plan. They are drawn only on the serial cycle edge, in global
+    /// router-ascending traversal order, so they do not depend on the shard
+    /// or thread count. Until a plan is installed the generator is an inert
+    /// placeholder that draws nothing.
+    pub const FAULT: Stream = Stream(DEFAULT_STREAM);
+    /// `NocSim`'s lossy-link erasure draws, seeded from the loss plan, in
+    /// the same serial traversal order as [`FAULT`](Self::FAULT). Until a
+    /// plan is installed the generator is an inert placeholder.
+    pub const LOSS: Stream = Stream(DEFAULT_STREAM);
+    /// The stateless port-stall oracle: one generator per
+    /// `(plan seed, cycle, router, port)` site, drawn once, so the outcome
+    /// is the same on any shard count.
+    pub const PORT_STALL: Stream = Stream(DEFAULT_STREAM);
+    /// `DataModel`'s value-pool synthesis, seeded from the workload seed.
+    pub const DATA_MODEL: Stream = Stream(0x7261_6666_6963);
+    /// `BenchmarkTraffic`'s injection stream, seeded from the workload seed.
+    pub const BENCHMARK_TRAFFIC: Stream = Stream(0x6765_6e65_7261);
+    /// `SyntheticTraffic`'s pattern stream, seeded from the workload seed.
+    pub const SYNTHETIC_TRAFFIC: Stream = Stream(0x0073_796e_7468);
+    /// The blackscholes kernel's inputs, seeded from its config seed.
+    pub const BLACKSCHOLES: Stream = Stream(0x626c6b);
+    /// The bodytrack kernel's inputs, seeded from its config seed.
+    pub const BODYTRACK: Stream = Stream(0x626f6479);
+    /// The canneal kernel's inputs and swaps, seeded from its config seed.
+    pub const CANNEAL: Stream = Stream(0x63616e6e);
+    /// The fluidanimate kernel's inputs, seeded from its config seed.
+    pub const FLUIDANIMATE: Stream = Stream(0x666c7569);
+    /// The streamcluster kernel's inputs, seeded from its config seed.
+    pub const STREAMCLUSTER: Stream = Stream(0x73747265);
+    /// The swaptions kernel's inputs, seeded from its config seed.
+    pub const SWAPTIONS: Stream = Stream(0x73776170);
+    /// The x264 kernel's inputs, seeded from its config seed.
+    pub const X264: Stream = Stream(0x78323634);
+    /// The R-MAT graph generator behind ssca2, seeded from the caller's
+    /// graph seed.
+    pub const RMAT: Stream = Stream(0x726d_6174);
+}
+
 impl Pcg32 {
-    /// Creates a generator from a seed and a stream id. Different stream ids
-    /// yield independent sequences for the same seed.
+    /// Creates a generator from a seed and a named stream.
+    pub fn on(seed: u64, stream: Stream) -> Self {
+        Pcg32::new(seed, stream.0)
+    }
+
+    /// Creates a generator from a seed and a raw stream id. Different stream
+    /// ids yield independent sequences for the same seed. Sim-critical
+    /// library code uses [`on`](Self::on) instead.
     pub fn new(seed: u64, stream: u64) -> Self {
         let mut rng = Pcg32 {
             state: 0,
@@ -33,7 +101,7 @@ impl Pcg32 {
 
     /// Creates a generator on the default stream.
     pub fn seed_from_u64(seed: u64) -> Self {
-        Pcg32::new(seed, 0xda3e_39cb_94b9_5bdb)
+        Pcg32::new(seed, DEFAULT_STREAM)
     }
 
     /// The raw `(state, stream increment)` pair, for snapshotting a
@@ -43,9 +111,9 @@ impl Pcg32 {
     }
 
     /// Rebuilds a generator from [`state_parts`](Self::state_parts). The
-    /// restored generator continues the original sequence exactly; this is a
-    /// resume, not a reseed, so it is exempt from the rng-site discipline
-    /// (the original construction site already justified its determinism).
+    /// restored generator continues the original sequence exactly, on the
+    /// stream it was built on: this is a resume, not a new stream, so it
+    /// names no [`Stream`].
     pub fn from_state_parts(state: u64, inc: u64) -> Self {
         Pcg32 { state, inc }
     }

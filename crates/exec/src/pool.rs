@@ -237,20 +237,18 @@ impl<T: Send + 'static> WorkerSet<T> {
     }
 
     /// Hands `item` to worker `worker` (modulo the worker count) to run
-    /// `job`; `tag` is echoed back by [`WorkerSet::recv`]. Returns `false`
-    /// if the set is shutting down. If that worker still has an uncollected
-    /// job, waits for the slot to clear (a previous `recv` must collect it).
+    /// `job`; `tag` is echoed back by [`WorkerSet::recv`]. If that worker
+    /// still has an uncollected job, waits for the slot to clear (a
+    /// previous `recv` must collect it). The workers outlive every call:
+    /// only `Drop` stops them, and it cannot run while this borrows the set.
     pub fn submit(
         &self,
         worker: usize,
         tag: usize,
         item: T,
         job: impl FnOnce(&mut T) + Send + 'static,
-    ) -> bool {
+    ) {
         use std::sync::atomic::Ordering;
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return false;
-        }
         let idx = worker % self.handles.len();
         let slot = &self.shared.slots[idx];
         // One job in flight per worker: wait out a slot still carrying the
@@ -269,7 +267,6 @@ impl<T: Send + 'static> WorkerSet<T> {
         slot.state.store(SLOT_READY, Ordering::Release);
         self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
         self.handles[idx].thread().unpark();
-        true
     }
 
     /// Receives one finished item, in completion order across workers.
@@ -483,10 +480,9 @@ mod tests {
         // Dispatch one owned item to each worker, mutate it there, and
         // collect everything back by tag.
         for tag in 0..3usize {
-            let sent = set.submit(tag, tag, vec![tag as u32], move |v| {
+            set.submit(tag, tag, vec![tag as u32], move |v| {
                 v.push(99);
             });
-            assert!(sent);
         }
         let mut got: Vec<Option<Vec<u32>>> = vec![None; 3];
         for _ in 0..3 {
@@ -501,7 +497,7 @@ mod tests {
     #[test]
     fn worker_set_propagates_panics_to_the_receiver() {
         let set: WorkerSet<u32> = WorkerSet::new(1, "panicky");
-        assert!(set.submit(0, 7, 1, |_| panic!("shard blew up")));
+        set.submit(0, 7, 1, |_| panic!("shard blew up"));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| set.recv()));
         assert!(caught.is_err(), "worker panic must resurface on recv");
     }

@@ -31,8 +31,10 @@ pub const PPM: u32 = 1_000_000;
 /// random numbers at all, so it is bit-identical to running without a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultPlan {
-    /// Seed of the dedicated fault RNG stream (independent of traffic
-    /// seeds, so enabling faults never perturbs offered traffic).
+    /// Seed of the fault RNG ([`Stream::FAULT`](anoc_core::rng::Stream::FAULT)).
+    /// It is not a traffic RNG, so enabling faults never perturbs offered
+    /// traffic. Its draws are independent of a [`LossPlan`]'s only when
+    /// the two seeds differ: both plans draw on the default stream id.
     pub seed: u64,
     /// Per-link-traversal probability (ppm) of flipping one random payload
     /// bit of the traversing data packet.
@@ -119,8 +121,10 @@ impl Default for FaultPlan {
 /// it is bit-identical to running without one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LossPlan {
-    /// Seed of the dedicated loss RNG stream (independent of the traffic
-    /// and fault streams).
+    /// Seed of the loss RNG ([`Stream::LOSS`](anoc_core::rng::Stream::LOSS)).
+    /// It is not a traffic RNG. It shares its stream id with the fault
+    /// RNG, so its draws are independent of a [`FaultPlan`]'s only when the
+    /// two seeds differ; equal seeds draw the same sequence.
     pub seed: u64,
     /// Base per-link-traversal probability (ppm) of erasing one payload
     /// word of the traversing data packet.

@@ -22,6 +22,7 @@ use anoc_core::data::NodeId;
 use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::packet::Flit;
+use crate::sim::Edge;
 use crate::snapshot::{load_flit, load_opt_usize_below, save_flit, save_opt_usize};
 
 /// `x mod m` for `x < 2m`: one compare instead of a hardware divide, which
@@ -381,8 +382,9 @@ impl Router {
         self.buffered == 0
     }
 
-    /// Returns one credit for output port `port`, VC `vc`.
-    pub fn return_credit(&mut self, port: usize, vc: usize) {
+    /// Returns one credit for output port `port`, VC `vc`. Only the serial
+    /// cycle edge may, hence the [`Edge`].
+    pub(crate) fn return_credit(&mut self, port: usize, vc: usize, _edge: Edge) {
         if self.eject & (1 << port) == 0 {
             self.out_vcs[port * self.vcs + vc].credits += 1;
         }
@@ -742,7 +744,7 @@ mod tests {
         }
         assert_eq!(sent, 4);
         assert!(allocate(&mut r, 5, |_| 1).is_empty(), "no credit left");
-        r.return_credit(1, 0);
+        r.return_credit(1, 0, Edge::for_tests());
         assert_eq!(allocate(&mut r, 6, |_| 1).len(), 1);
     }
 
@@ -924,10 +926,10 @@ mod tests {
                 .map(|t| t.flit)
                 .collect();
             assert_eq!(a, b, "cycle {now}");
-            r.return_credit(1, 0);
-            r.return_credit(1, 1);
-            restored.return_credit(1, 0);
-            restored.return_credit(1, 1);
+            r.return_credit(1, 0, Edge::for_tests());
+            r.return_credit(1, 1, Edge::for_tests());
+            restored.return_credit(1, 0, Edge::for_tests());
+            restored.return_credit(1, 1, Edge::for_tests());
         }
         assert_eq!(save(&restored), save(&r));
     }

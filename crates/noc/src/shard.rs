@@ -24,6 +24,9 @@
 //!   tallying injection statistics into order-independent integer counters
 //!   merged serially afterwards.
 //!
+//! Phase A holds no [`Edge`], the capability that scheduling a flit and
+//! returning a credit take, so it cannot write current-edge state.
+//!
 //! The only per-site randomness inside phase A is the port-stall fault
 //! draw; it uses a stateless oracle keyed on `(plan seed, cycle, router,
 //! port)` instead of the shared sequential fault RNG, so its outcomes do not
@@ -31,13 +34,14 @@
 //! discipline `FaultPlan` follows elsewhere).
 
 use anoc_core::data::NodeId;
-use anoc_core::rng::Pcg32;
+use anoc_core::rng::{Pcg32, Stream};
 
 use crate::config::NocConfig;
 use crate::faults::{FaultPlan, PPM};
 use crate::ni::NiState;
 use crate::packet::{Flit, PacketKind, PacketState};
 use crate::router::{Hop, Router, Traversal};
+use crate::sim::Edge;
 use crate::topology::{Direction, Mesh};
 
 /// Ring-buffer horizon for scheduled arrivals (link events land at +1/+2).
@@ -79,13 +83,14 @@ pub(crate) struct Arrival {
     pub vc: u8,
 }
 
-/// The phase a worker runs on a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The phase a worker runs on a shard. Phase A carries no [`Edge`], so no
+/// code it reaches can schedule a flit or return a credit.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Phase {
     /// VC/switch allocation + ring drain.
     A,
-    /// NI injection.
-    B2,
+    /// NI injection, which schedules each injected flit into the ring.
+    B2(Edge),
 }
 
 /// Per-cycle context broadcast to every shard; immutable during a phase.
@@ -180,8 +185,7 @@ pub(crate) fn port_stall(plan: &FaultPlan, now: u64, router: usize, port: usize)
         return false;
     }
     let site = mix64(plan.seed ^ now ^ ((router as u64) << 40) ^ ((port as u64) << 56));
-    // anoc-lint: rng-site: stateless per-(cycle,router,port) draw; same result on any shard count
-    Pcg32::seed_from_u64(site).below(PPM) < plan.port_stall_ppm
+    Pcg32::on(site, Stream::PORT_STALL).below(PPM) < plan.port_stall_ppm
 }
 
 /// SplitMix64 finalizer: decorrelates nearby `(cycle, router, port)` sites.
@@ -278,7 +282,7 @@ impl Shard {
                 !self.events[Self::ring_index(now)].is_empty()
                     || self.active.iter().any(|&w| w != 0)
             }
-            Phase::B2 => self.busy_nis.iter().any(|&w| w != 0),
+            Phase::B2(_) => self.busy_nis.iter().any(|&w| w != 0),
         }
     }
 
@@ -286,7 +290,7 @@ impl Shard {
     pub fn run(&mut self, ctx: &StepCtx, phase: Phase) {
         match phase {
             Phase::A => self.phase_a(ctx),
-            Phase::B2 => self.phase_b2(ctx),
+            Phase::B2(edge) => self.phase_b2(ctx, edge),
         }
     }
 
@@ -296,8 +300,7 @@ impl Shard {
     /// is exact: every flit drained here gets `ready_at >= now + 1`, so
     /// allocation at `now` would skip it anyway, and it lands behind the
     /// flits already queued in its VC. Reads only last-cycle-edge state;
-    /// writes only shard-local state.
-    // anoc-lint: phase(A)
+    /// writes only shard-local state: it holds no [`Edge`].
     fn phase_a(&mut self, ctx: &StepCtx) {
         for w in 0..self.active.len() {
             let mut bits = self.active[w];
@@ -352,13 +355,13 @@ impl Shard {
     /// Phase B2: at most one flit injection per local NI, into this shard's
     /// own ring (a node's router lives in the node's shard by construction).
     /// Only NIs with a queued packet are visited, in ascending node order.
-    fn phase_b2(&mut self, ctx: &StepCtx) {
+    fn phase_b2(&mut self, ctx: &StepCtx, edge: Edge) {
         for w in 0..self.busy_nis.len() {
             let mut bits = self.busy_nis[w];
             while bits != 0 {
                 let node = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                if self.inject_from(node, ctx) {
+                if self.inject_from(node, ctx, edge) {
                     self.progressed = true;
                 }
             }
@@ -392,7 +395,7 @@ impl Shard {
 
     /// Attempts one flit injection from local node index `local_node`;
     /// returns whether a flit entered the network.
-    fn inject_from(&mut self, local_node: usize, ctx: &StepCtx) -> bool {
+    fn inject_from(&mut self, local_node: usize, ctx: &StepCtx, edge: Edge) -> bool {
         let now = ctx.now;
         let ni = &mut self.nis[local_node];
         let Some(&slot) = ni.queue.front() else {
@@ -460,7 +463,7 @@ impl Shard {
             (self.mesh.router_of(node) - self.router_lo) as u32,
             self.mesh.local_port_of(node) as u8,
         );
-        self.schedule(now, now + 1, to, vc as u8, flit);
+        self.schedule(now, now + 1, to, vc as u8, flit, edge);
         // Injection statistics. Per-packet counters are committed at tail
         // injection so a drain cutoff can never split a packet across the
         // two sides of the Figure 11 normalization.
@@ -481,7 +484,7 @@ impl Shard {
 
     /// Schedules `flit` to land on VC `vc` at `to`, a router input or NI
     /// owned by this shard, at cycle `at`.
-    pub fn schedule(&mut self, now: u64, at: u64, to: Hop, vc: u8, flit: Flit) {
+    pub fn schedule(&mut self, now: u64, at: u64, to: Hop, vc: u8, flit: Flit, _edge: Edge) {
         debug_assert!(at > now && at < now + EVENT_HORIZON as u64);
         debug_assert_eq!(
             usize::from(to.shard),
@@ -498,11 +501,11 @@ impl Shard {
 
     /// Returns one credit for VC `vc` to `to`, a router output or NI owned
     /// by this shard.
-    pub fn return_credit(&mut self, to: Hop, vc: usize) {
+    pub fn return_credit(&mut self, to: Hop, vc: usize, edge: Edge) {
         if to.is_ni() {
             self.nis[to.index as usize - self.node_lo].vc_credits[vc] += 1;
         } else {
-            self.routers[to.index as usize].return_credit(to.port.into(), vc);
+            self.routers[to.index as usize].return_credit(to.port.into(), vc, edge);
         }
     }
 }

@@ -31,7 +31,7 @@ use anoc_core::avcl::Avcl;
 use anoc_core::codec::Notification;
 use anoc_core::control::{FlowControllerBank, QosSpec};
 use anoc_core::data::{CacheBlock, NodeId};
-use anoc_core::rng::Pcg32;
+use anoc_core::rng::{Pcg32, Stream};
 use anoc_core::threshold::ErrorThreshold;
 use anoc_exec::WorkerSet;
 
@@ -54,6 +54,23 @@ use crate::stats::{ActivityReport, NetStats};
 use crate::topology::Mesh;
 
 use anoc_core::snap::{SnapReader, SnapWriter};
+
+/// The capability to write current-edge state: scheduling a flit into a
+/// ring or returning a credit ([`Shard::schedule`], [`Shard::return_credit`]
+/// and `Router::return_credit` each take one). Only this module can make
+/// one, and [`NocSim::step`] hands it to the serial cycle edge and to phase
+/// B2, never to phase A, which may read only last-edge state (DESIGN.md
+/// §10). A phase-A call to any of the three therefore does not compile.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Edge(());
+
+#[cfg(test)]
+impl Edge {
+    /// An edge for unit tests that drive a router directly.
+    pub(crate) fn for_tests() -> Edge {
+        Edge(())
+    }
+}
 
 /// The cycle-accurate NoC simulator.
 pub struct NocSim {
@@ -78,14 +95,15 @@ pub struct NocSim {
     measuring: bool,
     /// Active fault-injection plan (inert by default).
     faults: FaultPlan,
-    /// Dedicated fault RNG stream, seeded from the plan — independent of
-    /// every traffic RNG so enabling faults never perturbs offered load.
+    /// Fault RNG ([`Stream::FAULT`]), seeded from the plan. It is not a
+    /// traffic RNG, so enabling faults never perturbs offered load.
     fault_rng: Pcg32,
     /// Active lossy-link plan (inert by default).
     loss: LossPlan,
-    /// Dedicated loss RNG stream, seeded from the loss plan — independent
-    /// of the traffic and fault streams, so the three scenario families
-    /// compose without perturbing each other.
+    /// Loss RNG ([`Stream::LOSS`]), seeded from the loss plan. It is not a
+    /// traffic RNG; it shares its stream id with the fault RNG, so it is
+    /// independent of the fault draws only when the two plans' seeds
+    /// differ (equal seeds draw the same sequence).
     loss_rng: Pcg32,
     /// Per-flow QoS control plane (armed via [`NocSim::set_qos`]).
     qos: Option<FlowControllerBank>,
@@ -165,11 +183,10 @@ impl NocSim {
             stats: NetStats::default(),
             measuring: true,
             faults: FaultPlan::none(),
-            // anoc-lint: rng-site: inert placeholder; re-seeded by set_fault_plan before any draw
-            fault_rng: Pcg32::seed_from_u64(0),
+            // Both RNGs are re-seeded by their plan's setter before any draw.
+            fault_rng: Pcg32::on(0, Stream::FAULT),
             loss: LossPlan::none(),
-            // anoc-lint: rng-site: inert placeholder; re-seeded by set_loss_plan before any draw
-            loss_rng: Pcg32::seed_from_u64(0),
+            loss_rng: Pcg32::on(0, Stream::LOSS),
             qos: None,
             installed_percent: vec![0; num_nodes],
             bound_check: None,
@@ -212,19 +229,18 @@ impl NocSim {
     /// inert plan ([`FaultPlan::none`]) draws no random numbers, so the run
     /// stays bit-identical to one without any plan.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        // anoc-lint: rng-site: dedicated fault stream, seeded from the plan (thread-count independent)
-        self.fault_rng = Pcg32::seed_from_u64(plan.seed);
+        self.fault_rng = Pcg32::on(plan.seed, Stream::FAULT);
         self.faults = plan;
     }
 
-    /// Installs a lossy-link plan and seeds the dedicated loss RNG from it.
-    /// An inert plan ([`LossPlan::none`]) draws no random numbers, so the
-    /// run stays bit-identical to one without any plan. The loss stream is
-    /// independent of both the traffic and the fault streams, so the
-    /// scenario families compose without perturbing each other.
+    /// Installs a lossy-link plan and seeds the loss RNG from it. An inert
+    /// plan ([`LossPlan::none`]) draws no random numbers, so the run stays
+    /// bit-identical to one without any plan. The loss RNG is not a traffic
+    /// RNG, so losses never perturb offered load. It shares its stream id
+    /// with the fault RNG ([`Stream`]): a loss plan and a fault plan compose
+    /// as independent draws only when their seeds differ.
     pub fn set_loss_plan(&mut self, plan: LossPlan) {
-        // anoc-lint: rng-site: dedicated loss stream, seeded from the plan (thread-count independent)
-        self.loss_rng = Pcg32::seed_from_u64(plan.seed);
+        self.loss_rng = Pcg32::on(plan.seed, Stream::LOSS);
         self.loss = plan;
     }
 
@@ -494,9 +510,10 @@ impl NocSim {
             now,
             faults: self.faults,
         };
+        let edge = Edge(());
         self.run_phase(&ctx, Phase::A);
-        let mut progressed = self.cycle_edge(now);
-        self.run_phase(&ctx, Phase::B2);
+        let mut progressed = self.cycle_edge(now, edge);
+        self.run_phase(&ctx, Phase::B2(edge));
         // Merge phase B2 outputs (all integer sums, so shard order cannot
         // matter; iterated ascending regardless).
         for i in 0..self.shards.len() {
@@ -545,34 +562,28 @@ impl NocSim {
             }
             return;
         };
-        let mut outstanding = 0usize;
         for i in 1..self.shards.len() {
             if !self.shards[i].has_work(ctx.now, phase) {
                 continue;
             }
             let shard = std::mem::take(&mut self.shards[i]);
             let ctx = *ctx;
-            let sent = workers.submit(i - 1, i, shard, move |s| s.run(&ctx, phase));
-            assert!(sent, "shard worker {i} terminated");
-            outstanding += 1;
+            workers.submit(i - 1, i, shard, move |s| s.run(&ctx, phase));
         }
         if self.shards[0].has_work(ctx.now, phase) {
             self.shards[0].run(ctx, phase);
         }
-        for _ in 0..outstanding {
-            let received = workers.recv();
-            // A dead worker set cannot return checked-out shard state.
-            assert!(received.is_some(), "shard worker set terminated mid-cycle");
-            if let Some((tag, shard)) = received {
-                self.shards[tag] = shard;
-            }
+        // `recv` returns every submitted shard (re-throwing a worker's
+        // panic) and then `None`.
+        while let Some((tag, shard)) = workers.recv() {
+            self.shards[tag] = shard;
         }
     }
 
     /// The serial cycle edge between phases A and B2: applies every shard's
     /// deferred phase-A outputs in shard index order. Returns whether
     /// anything progressed.
-    fn cycle_edge(&mut self, now: u64) -> bool {
+    fn cycle_edge(&mut self, now: u64, edge: Edge) -> bool {
         let mut progressed = false;
         let n = self.shards.len();
         // Phase A bookkeeping: stall tallies and progress flags.
@@ -609,17 +620,26 @@ impl NocSim {
                 {
                     self.flip_payload_bit(t.flit.slot);
                 }
-                // Lossy links: one draw from the dedicated loss stream per
-                // traversal whenever a plan is active, so the draw order is
-                // the same global router-ascending traversal order as the
-                // fault stream — and independent of it.
+                // Lossy links: one draw from the loss RNG per traversal
+                // whenever a plan is active, so the draw order is the same
+                // global router-ascending traversal order as the fault RNG's.
+                // The two RNGs share a stream id (`Stream`), so with equal
+                // plan seeds they draw one sequence and the flip and erase
+                // decisions read the same values until one of them fires.
                 if self.loss.is_active() {
                     let rate = self.loss.effective_ppm(self.approx_level_of(t.flit.slot));
                     if self.loss_rng.below(PPM) < rate {
                         self.erase_payload_word(t.flit.slot);
                     }
                 }
-                self.shards[t.dest.shard as usize].schedule(now, now + 2, t.dest, t.out_vc, t.flit);
+                self.shards[t.dest.shard as usize].schedule(
+                    now,
+                    now + 2,
+                    t.dest,
+                    t.out_vc,
+                    t.flit,
+                    edge,
+                );
             }
             self.shards[i].outgoing = outgoing;
         }
@@ -631,11 +651,11 @@ impl NocSim {
             for t in outgoing.drain(..) {
                 let (to, vc) = (t.credit_to, usize::from(t.in_vc));
                 if !credit_faults {
-                    self.shards[to.shard as usize].return_credit(to, vc);
+                    self.shards[to.shard as usize].return_credit(to, vc, edge);
                     continue;
                 }
                 for _ in 0..self.credit_copies() {
-                    self.shards[to.shard as usize].return_credit(to, vc);
+                    self.shards[to.shard as usize].return_credit(to, vc, edge);
                 }
             }
             self.shards[i].outgoing = outgoing;
@@ -1208,9 +1228,7 @@ impl NocSim {
         self.measuring = measuring;
         self.last_progress = last_progress;
         self.live_packets = count;
-        // anoc-lint: rng-site: resuming a serialized cursor, not reseeding
         self.fault_rng = Pcg32::from_state_parts(rng_state, rng_inc);
-        // anoc-lint: rng-site: resuming a serialized cursor, not reseeding
         self.loss_rng = Pcg32::from_state_parts(loss_rng_state, loss_rng_inc);
         self.installed_percent = installed;
         // The snapshot format deliberately excludes encoder threshold

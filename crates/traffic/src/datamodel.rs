@@ -19,7 +19,7 @@
 //! data-to-control ratios and light queueing).
 
 use anoc_core::data::{CacheBlock, DataType};
-use anoc_core::rng::{Chance, Pcg32};
+use anoc_core::rng::{Chance, Pcg32, Stream};
 
 /// Words per generated cache block: one 64-byte line (§5.4), which a
 /// [`CacheBlock`] holds in place.
@@ -296,8 +296,7 @@ impl DataModel {
 
     /// Creates a data model from an explicit profile.
     pub fn from_profile(profile: Profile, seed: u64) -> Self {
-        // anoc-lint: rng-site: value-pool synthesis stream, seeded from the workload seed
-        let mut rng = Pcg32::new(seed, 0x7261_6666_6963);
+        let mut rng = Pcg32::on(seed, Stream::DATA_MODEL);
         let hot_ints = (0..profile.hot_values)
             .map(|_| {
                 // Hot integers span magnitudes so some are FPC-friendly and

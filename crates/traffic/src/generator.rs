@@ -13,7 +13,7 @@
 //!   be kept constant and correlated with data locality in the benchmarks").
 
 use anoc_core::data::{CacheBlock, NodeId};
-use anoc_core::rng::{Chance, Pcg32};
+use anoc_core::rng::{Chance, Pcg32, Stream};
 use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::datamodel::{Benchmark, DataModel};
@@ -85,8 +85,7 @@ impl BenchmarkTraffic {
             benchmark,
             num_nodes,
             model: DataModel::new(benchmark, seed),
-            // anoc-lint: rng-site: per-generator injection stream, seeded from the workload seed
-            rng: Pcg32::new(seed, 0x6765_6e65_7261),
+            rng: Pcg32::on(seed, Stream::BENCHMARK_TRAFFIC),
             burst: Chance::new(profile.burstiness),
             // Bursty phases inject at four times the profile load.
             inject: [1.0, 4.0].map(|mult| Chance::new((profile.load * mult).min(1.0))),
@@ -198,8 +197,7 @@ impl SyntheticTraffic {
             pattern,
             num_nodes,
             pool,
-            // anoc-lint: rng-site: synthetic-pattern stream, seeded from the workload seed
-            rng: Pcg32::new(seed, 0x0073_796e_7468),
+            rng: Pcg32::on(seed, Stream::SYNTHETIC_TRAFFIC),
             flit_rate,
             inject: Chance::new((flit_rate / avg_flits).min(1.0)),
             data: Chance::new(data_ratio),
