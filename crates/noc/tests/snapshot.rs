@@ -4,12 +4,17 @@
 //! from a snapshot must reproduce the uninterrupted run's violation curve
 //! exactly.
 
-use anoc_compression::{DiConfig, DiDecoder, DiEncoder};
+use anoc_compression::{
+    BdDecoder, BdEncoder, DiConfig, DiDecoder, DiEncoder, FpDecoder, FpEncoder, LzDecoder,
+    LzEncoder,
+};
 use anoc_core::avcl::Avcl;
-use anoc_core::data::{CacheBlock, NodeId};
+use anoc_core::control::QosSpec;
+use anoc_core::data::{CacheBlock, DataType, NodeId};
 use anoc_core::rng::Pcg32;
 use anoc_core::threshold::ErrorThreshold;
-use anoc_noc::{FaultPlan, NocConfig, NocSim, NodeCodec, SnapshotError};
+use anoc_exec::hash::fnv1a64;
+use anoc_noc::{FaultPlan, LossPlan, NocConfig, NocSim, NodeCodec, SnapshotError};
 use proptest::prelude::*;
 
 fn baseline_sim(config: NocConfig) -> NocSim {
@@ -344,6 +349,137 @@ fn stale_or_corrupt_blobs_fail_as_typed_errors() {
         .restore_snapshot(&padded, FP)
         .expect_err("trailing bytes accepted");
     assert_eq!(err, SnapshotError::Structure("trailing bytes"));
+}
+
+/// Offers one cycle of traffic whose blocks between them draw every word
+/// code: zero runs and small integers (FP patterns), integers clustered
+/// around a base (BD deltas), a few recurring words (LZ matches, DI
+/// dictionary hits), floats, and control packets.
+fn offer_mixed(sim: &mut NocSim, salt: u64, cycle: u64) {
+    let nodes = sim.num_nodes();
+    let mut rng = Pcg32::seed_from_u64(salt ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    for node in 0..nodes {
+        if rng.below(100) >= 8 {
+            continue;
+        }
+        let src = NodeId(node as u16);
+        let dest = NodeId(((node + 1 + rng.below(nodes as u32 - 1) as usize) % nodes) as u16);
+        let (words, dtype): (Vec<u32>, _) = match rng.below(5) {
+            0 => {
+                sim.enqueue_control(src, dest);
+                continue;
+            }
+            1 => (
+                (0..16)
+                    .map(|i| if i % 3 == 0 { 0 } else { rng.below(200) })
+                    .collect(),
+                DataType::Int,
+            ),
+            2 => {
+                let base = rng.next_u32() & 0x00FF_FF00;
+                (
+                    (0..16).map(|_| base + rng.below(64)).collect(),
+                    DataType::Int,
+                )
+            }
+            3 => {
+                let hot = [0x1234_5678, 0x0BAD_F00D, 0x00C0_FFEE];
+                (
+                    (0..16)
+                        .map(|_| hot[rng.below(3) as usize] ^ rng.below(4))
+                        .collect(),
+                    DataType::Int,
+                )
+            }
+            _ => (
+                (0..16)
+                    .map(|_| (1.0 + rng.below(1000) as f32 / 997.0).to_bits())
+                    .collect(),
+                DataType::F32,
+            ),
+        };
+        sim.enqueue_data(src, dest, CacheBlock::new(words, dtype, true));
+    }
+}
+
+/// A network whose every node runs the codec pair `pair` builds.
+fn codec_sim(config: NocConfig, pair: impl Fn() -> NodeCodec) -> NocSim {
+    let n = config.num_nodes();
+    NocSim::new(config, (0..n).map(|_| pair()).collect())
+}
+
+/// FNV-1a of the blob each simulator saves mid-run. Between them the blobs
+/// hold every record kind: data and control packets in flight, every
+/// `WordCode` variant (FP, BD, LZ and DI codecs), learned DI-VAXX tables,
+/// in-band dictionary notifications, non-empty corruption and loss lists
+/// and an armed QoS bank. Recorded once, before the serializers were
+/// derived from one field list per record; a blob format change moves them.
+const BLOB_GOLDEN: [(&str, u64); 4] = [
+    ("fp-vaxx", 0x1dc9_4ddc_86bd_a484),
+    ("bd-vaxx", 0xbef4_dd6c_983a_9c2f),
+    ("lz-vaxx", 0x3402_b91e_bec1_ca6e),
+    ("di-vaxx+in-band+qos+flips+loss", 0x604c_d87c_4d48_932c),
+];
+
+#[test]
+fn saved_blob_bytes_match_golden() {
+    let t = ErrorThreshold::from_percent(10).expect("valid");
+    let avcl = Avcl::new(t);
+    let mesh = NocConfig::mesh_3x3();
+    let build = |name: &str| -> NocSim {
+        match name {
+            "fp-vaxx" => codec_sim(mesh.clone(), || {
+                NodeCodec::new(
+                    Box::new(FpEncoder::fp_vaxx(avcl)),
+                    Box::new(FpDecoder::new()),
+                )
+            }),
+            "bd-vaxx" => codec_sim(mesh.clone(), || {
+                NodeCodec::new(
+                    Box::new(BdEncoder::bd_vaxx(avcl)),
+                    Box::new(BdDecoder::new()),
+                )
+            }),
+            "lz-vaxx" => codec_sim(mesh.clone(), || {
+                NodeCodec::new(
+                    Box::new(LzEncoder::lz_vaxx(avcl)),
+                    Box::new(LzDecoder::new()),
+                )
+            }),
+            _ => {
+                let config = NocConfig {
+                    notify_in_band: true,
+                    ..mesh.clone()
+                };
+                let mut sim = di_vaxx_sim(config, t);
+                sim.set_qos(QosSpec::paper(970_000));
+                sim.set_fault_plan(FaultPlan::bit_flips(11, 20_000));
+                sim.set_loss_plan(LossPlan::uniform(17, 20_000));
+                sim.set_bound_check(t);
+                sim
+            }
+        }
+    };
+    let got: Vec<_> = BLOB_GOLDEN
+        .iter()
+        .map(|&(name, _)| {
+            let mut sim = build(name);
+            sim.begin_measurement();
+            for c in 0..700 {
+                offer_mixed(&mut sim, 9, c);
+                sim.step();
+                sim.discard_delivered();
+            }
+            assert!(sim.outstanding_packets() > 0, "{name}: nothing in flight");
+            let blob = sim.save_snapshot(FP).expect("save");
+            (name, format!("{:016x}", fnv1a64(&blob)))
+        })
+        .collect();
+    let want: Vec<_> = BLOB_GOLDEN
+        .iter()
+        .map(|&(name, h)| (name, format!("{h:016x}")))
+        .collect();
+    assert_eq!(got, want);
 }
 
 #[test]

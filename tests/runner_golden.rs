@@ -19,7 +19,7 @@ use approx_noc::core::control::QosSpec;
 use approx_noc::core::snap::SnapWriter;
 use approx_noc::core::threshold::ErrorThreshold;
 use approx_noc::core::window::WindowBudget;
-use approx_noc::harness::campaign::cell_key;
+use approx_noc::harness::campaign::{cell_key, warmup_key};
 use approx_noc::harness::persist::encode_run_result;
 use approx_noc::harness::runner::{
     checkpoint_key, publish_benchmark_warmup, run, Codecs, RunOutcome, RunResult, RunSpec,
@@ -56,6 +56,13 @@ const GOLDEN: [(&str, u64); 14] = [
     ("faults/FP-VAXX", 0x4de9_e736_2f5f_7659),
     ("stall+credit/FP-VAXX", 0x804e_4d0c_7800_5f55),
 ];
+
+/// FNV-1a of the whole store blob a DI-VAXX warmup stage publishes: the
+/// runner's frame, the post-warmup simulator snapshot (learned DI tables
+/// included) and the `BenchmarkTraffic` and `DataModel` RNG cursors.
+/// Recorded once, before the serializers were derived from one field list
+/// per record.
+const WARMUP_BLOB: u64 = 0xe626_18ac_dfb3_cee2;
 
 fn config() -> SystemConfig {
     SystemConfig::paper().with_sim_cycles(1_000)
@@ -274,6 +281,21 @@ fn stall_and_credit_fault_cells_match_golden() {
             sharded,
         ),
     ]);
+}
+
+#[test]
+fn published_warmup_blob_matches_golden() {
+    let store = temp_store("warmup-blob");
+    let cfg = config();
+    let mech = Mechanism::DiVaxx;
+    assert!(publish_benchmark_warmup(BENCH, mech, &cfg, SEED, &store).expect("warmup runs"));
+    let key = warmup_key("bench", &cfg, mech.name(), BENCH.name(), SEED);
+    let blob = store.get(&key).expect("a published warmup");
+    let _ = std::fs::remove_dir_all(store.dir());
+    assert_eq!(
+        format!("{:016x}", fnv1a64(&blob)),
+        format!("{WARMUP_BLOB:016x}")
+    );
 }
 
 /// Reproduces a cell killed 600 cycles into its measurement window: the
