@@ -11,7 +11,7 @@ use anoc_core::codec::{
     BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, Notification, WordCode,
 };
 use anoc_core::data::{CacheBlock, NodeId};
-use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
+use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use anoc_core::threshold::ErrorThreshold;
 
 use crate::dictionary::{index_bits, DecoderPmt, EncoderPmt, DEFAULT_PMT_ENTRIES};
@@ -197,14 +197,14 @@ impl BlockEncoder for DiEncoder {
     fn save_state(&self, w: &mut SnapWriter) {
         self.pmt.save_state(w);
         w.u64(self.words_seen);
-        self.activity.save_state(w);
+        self.activity.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.pmt.load_state(r)?;
         self.words_seen = r.u64()?;
         self.decay = DecayClock::at(self.words_seen);
-        self.activity = CodecActivity::load_state(r)?;
+        self.activity = CodecActivity::load(r)?;
         Ok(())
     }
 }
@@ -288,14 +288,14 @@ impl BlockDecoder for DiDecoder {
     fn save_state(&self, w: &mut SnapWriter) {
         self.pmt.save_state(w);
         w.u64(self.words_seen);
-        self.activity.save_state(w);
+        self.activity.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.pmt.load_state(r)?;
         self.words_seen = r.u64()?;
         self.decay = DecayClock::at(self.words_seen);
-        self.activity = CodecActivity::load_state(r)?;
+        self.activity = CodecActivity::load(r)?;
         Ok(())
     }
 }
@@ -590,7 +590,7 @@ mod tests {
         w.u32(count);
         w.u64(0); // races
         w.u64(0); // words seen
-        CodecActivity::default().save_state(&mut w);
+        CodecActivity::default().save(&mut w);
         w.into_bytes()
     }
 

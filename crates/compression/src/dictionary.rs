@@ -17,7 +17,7 @@
 use anoc_core::avcl::{ApproxPattern, Avcl};
 use anoc_core::codec::Notification;
 use anoc_core::data::{DataType, NodeId};
-use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
+use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Number of PMT entries in both encoders and decoders (Table 1: 8).
 pub const DEFAULT_PMT_ENTRIES: usize = 8;
@@ -502,10 +502,7 @@ impl EncoderPmt {
         for (e, key) in self.keys.iter().enumerate() {
             w.u32(key.value());
             w.u32(key.mask());
-            w.u8(match self.dtypes[e] {
-                DataType::Int => 0,
-                DataType::F32 => 1,
-            });
+            self.dtypes[e].save(w);
             w.u32(self.freqs[e]);
             w.usize(self.num_nodes);
             for (dest, &held) in self.held.iter().enumerate() {
@@ -536,11 +533,7 @@ impl EncoderPmt {
         for e in 0..n {
             let value = r.u32()?;
             let mask = r.u32()?;
-            let dtype = match r.u8()? {
-                0 => DataType::Int,
-                1 => DataType::F32,
-                _ => return Err(SnapError::Invalid("encoder PMT entry dtype")),
-            };
+            let dtype = DataType::load(r)?;
             let freq = r.u32()?;
             if r.usize()? != self.num_nodes {
                 return Err(SnapError::Invalid("encoder PMT dest width"));

@@ -11,7 +11,7 @@ use anoc_core::codec::{
     BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, WordCode,
 };
 use anoc_core::data::{CacheBlock, NodeId};
-use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
+use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use anoc_core::threshold::ErrorThreshold;
 use anoc_core::window::WindowBudget;
 
@@ -222,11 +222,11 @@ impl BlockEncoder for FpEncoder {
     // excluded: windowed encoders exist only in custom-mechanism runs, which
     // never take the snapshot path.
     fn save_state(&self, w: &mut SnapWriter) {
-        self.activity.save_state(w);
+        self.activity.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.activity = CodecActivity::load_state(r)?;
+        self.activity = CodecActivity::load(r)?;
         Ok(())
     }
 }
@@ -289,11 +289,11 @@ impl BlockDecoder for FpDecoder {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        self.activity.save_state(w);
+        self.activity.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.activity = CodecActivity::load_state(r)?;
+        self.activity = CodecActivity::load(r)?;
         Ok(())
     }
 }

@@ -27,7 +27,7 @@ use anoc_core::codec::{
     BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, WordCode,
 };
 use anoc_core::data::{CacheBlock, NodeId};
-use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
+use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use anoc_core::threshold::ErrorThreshold;
 
 use matchfinder::MatchFinder;
@@ -250,14 +250,14 @@ impl BlockEncoder for LzEncoder {
         for &s in &self.seed {
             w.u32(s);
         }
-        self.activity.save_state(w);
+        self.activity.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         for s in &mut self.seed {
             *s = r.u32()?;
         }
-        self.activity = CodecActivity::load_state(r)?;
+        self.activity = CodecActivity::load(r)?;
         Ok(())
     }
 }
@@ -325,11 +325,11 @@ impl BlockDecoder for LzDecoder {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        self.activity.save_state(w);
+        self.activity.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.activity = CodecActivity::load_state(r)?;
+        self.activity = CodecActivity::load(r)?;
         Ok(())
     }
 }

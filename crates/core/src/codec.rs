@@ -14,81 +14,86 @@ use std::fmt;
 
 use crate::data::{CacheBlock, DataType, NodeId};
 use crate::line::{Entry, Line, Meta};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-/// One word of the network representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WordCode {
-    /// Word transmitted verbatim, plus `prefix_bits` of "uncompressed" tag.
-    Raw {
-        /// The verbatim 32-bit word.
-        word: u32,
-        /// Tag overhead in bits (3 for FPC's `111` prefix, 1 for dictionary
-        /// schemes' miss flag).
-        prefix_bits: u8,
-    },
-    /// Frequent-pattern hit: a 3-bit pattern index plus a variable-length
-    /// adjunct carrying the significant bits (Figure 5).
-    Pattern {
-        /// Index into the static frequent-pattern table (0..=7).
-        index: u8,
-        /// The adjunct data bits accompanying the index.
-        adjunct: u32,
-        /// Width of the adjunct in bits (0, 4, 8 or 16).
-        adjunct_bits: u8,
-        /// Whether VAXX approximation enabled this hit.
-        approx: bool,
-    },
-    /// A run of consecutive all-zero words, merged into one code with a
-    /// 3-bit run length (FPC's `000` row in Figure 5).
-    ZeroRun {
-        /// Number of zero words covered (1..=8).
-        len: u8,
-    },
-    /// Base-delta encoding: the word travels as a narrow signed delta from
-    /// the block's base word (Zhan et al., ASP-DAC'14 — the BDI extension).
-    Delta {
-        /// The signed delta from the base (simulation metadata; the wire
-        /// carries `delta_bits` of it).
-        delta: i32,
-        /// Width of the delta field in bits (0 for a repeated word).
-        delta_bits: u8,
-        /// Whether VAXX approximation enabled this delta to fit.
-        approx: bool,
-    },
-    /// LZ back-reference (LZ-VAXX): copies `len` words starting `distance`
-    /// words back in the reconstruction window (static seed dictionary +
-    /// already-decoded words of the same block). The distance may be shorter
-    /// than the length, in which case the copy overlaps itself and expresses
-    /// a run. Matching across word boundaries is what distinguishes this
-    /// mechanism from the per-word FP/DI tables.
-    Match {
-        /// Backward distance in words (1-based) into the window.
-        distance: u16,
-        /// Number of source words covered (1..=8).
-        len: u8,
-        /// Wire width of the distance field: short after MTF recency ranking
-        /// promoted this distance, full width otherwise.
-        dist_bits: u8,
-        /// Whether any covered word was accepted through a VAXX don't-care
-        /// mask rather than an exact compare.
-        approx: bool,
-    },
-    /// Dictionary hit: an encoded index the paired decoder can resolve.
-    Dict {
-        /// The encoded index previously announced by the decoder.
-        index: u8,
-        /// Width of the index field in bits (log2 of the PMT size).
-        index_bits: u8,
-        /// Whether the hit went through the approximate (TCAM) path.
-        approx: bool,
-        /// Simulation metadata (not counted on the wire): the value this
-        /// index resolves to at the paired decoder when the packet was
-        /// encoded. The dictionary consistency protocol (update/invalidate
-        /// notifications, §4.2) keeps encoder and decoder in sync; this field
-        /// lets the simulator decode in-flight packets that raced with a
-        /// replacement exactly as the protocol's epoch handling would.
-        pattern: u32,
-    },
+crate::snap_record! {
+    /// One word of the network representation. A snapshot writes its
+    /// variant's tag (`Raw` 0 to `Dict` 5), then its fields in order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum WordCode {
+        /// Word transmitted verbatim, plus `prefix_bits` of "uncompressed" tag.
+        Raw {
+            /// The verbatim 32-bit word.
+            word: u32,
+            /// Tag overhead in bits (3 for FPC's `111` prefix, 1 for dictionary
+            /// schemes' miss flag).
+            prefix_bits: u8,
+        },
+        /// Frequent-pattern hit: a 3-bit pattern index plus a variable-length
+        /// adjunct carrying the significant bits (Figure 5).
+        Pattern {
+            /// Index into the static frequent-pattern table (0..=7).
+            index: u8,
+            /// The adjunct data bits accompanying the index.
+            adjunct: u32,
+            /// Width of the adjunct in bits (0, 4, 8 or 16).
+            adjunct_bits: u8,
+            /// Whether VAXX approximation enabled this hit.
+            approx: bool,
+        },
+        /// A run of consecutive all-zero words, merged into one code with a
+        /// 3-bit run length (FPC's `000` row in Figure 5).
+        ZeroRun {
+            /// Number of zero words covered (1..=8).
+            len: u8,
+        },
+        /// Base-delta encoding: the word travels as a narrow signed delta from
+        /// the block's base word (Zhan et al., ASP-DAC'14 — the BDI extension).
+        Delta {
+            /// The signed delta from the base (simulation metadata; the wire
+            /// carries `delta_bits` of it).
+            delta: i32,
+            /// Width of the delta field in bits (0 for a repeated word).
+            delta_bits: u8,
+            /// Whether VAXX approximation enabled this delta to fit.
+            approx: bool,
+        },
+        /// LZ back-reference (LZ-VAXX): copies `len` words starting `distance`
+        /// words back in the reconstruction window (static seed dictionary +
+        /// already-decoded words of the same block). The distance may be
+        /// shorter than the length, in which case the copy overlaps itself and
+        /// expresses a run. Matching across word boundaries is what
+        /// distinguishes this mechanism from the per-word FP/DI tables.
+        Match {
+            /// Backward distance in words (1-based) into the window.
+            distance: u16,
+            /// Number of source words covered (1..=8).
+            len: u8,
+            /// Wire width of the distance field: short after MTF recency
+            /// ranking promoted this distance, full width otherwise.
+            dist_bits: u8,
+            /// Whether any covered word was accepted through a VAXX don't-care
+            /// mask rather than an exact compare.
+            approx: bool,
+        },
+        /// Dictionary hit: an encoded index the paired decoder can resolve.
+        Dict {
+            /// The encoded index previously announced by the decoder.
+            index: u8,
+            /// Width of the index field in bits (log2 of the PMT size).
+            index_bits: u8,
+            /// Whether the hit went through the approximate (TCAM) path.
+            approx: bool,
+            /// Simulation metadata (not counted on the wire): the value this
+            /// index resolves to at the paired decoder when the packet was
+            /// encoded. The dictionary consistency protocol (update/invalidate
+            /// notifications, §4.2) keeps encoder and decoder in sync; this
+            /// field lets the simulator decode in-flight packets that raced
+            /// with a replacement exactly as the protocol's epoch handling
+            /// would.
+            pattern: u32,
+        },
+    }
 }
 
 impl WordCode {
@@ -223,6 +228,17 @@ impl EncodedBlock {
     }
 }
 
+/// The codes as a list, then the data type and the flag.
+impl Snap for EncodedBlock {
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Line::load(r).map(EncodedBlock)
+    }
+}
+
 impl Extend<WordCode> for EncodedBlock {
     #[inline]
     fn extend<I: IntoIterator<Item = WordCode>>(&mut self, codes: I) {
@@ -337,25 +353,27 @@ crate::stats_record! {
     }
 }
 
-/// A dictionary maintenance message from a decoder to a remote encoder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Notification {
-    /// The decoder placed `pattern` at `index` in its PMT; the encoder may now
-    /// compress occurrences of it for this decoder.
-    Install {
-        /// The newly tracked data pattern.
-        pattern: u32,
-        /// The encoded index assigned by the decoder.
-        index: u8,
-        /// Data type the pattern was observed under, so a DI-VAXX encoder's
-        /// APCL can derive the right don't-care mask.
-        dtype: DataType,
-    },
-    /// The decoder evicted `pattern`; the encoder must stop compressing it.
-    Invalidate {
-        /// The evicted data pattern.
-        pattern: u32,
-    },
+crate::snap_record! {
+    /// A dictionary maintenance message from a decoder to a remote encoder.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Notification {
+        /// The decoder placed `pattern` at `index` in its PMT; the encoder may
+        /// now compress occurrences of it for this decoder.
+        Install {
+            /// The newly tracked data pattern.
+            pattern: u32,
+            /// The encoded index assigned by the decoder.
+            index: u8,
+            /// Data type the pattern was observed under, so a DI-VAXX encoder's
+            /// APCL can derive the right don't-care mask.
+            dtype: DataType,
+        },
+        /// The decoder evicted `pattern`; the encoder must stop compressing it.
+        Invalidate {
+            /// The evicted data pattern.
+            pattern: u32,
+        },
+    }
 }
 
 /// Result of decoding a block: the (possibly approximated) cache block plus

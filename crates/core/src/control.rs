@@ -18,7 +18,7 @@
 
 use crate::data::CacheBlock;
 use crate::metrics::QualityAccumulator;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::threshold::ErrorThreshold;
 
 /// An AIMD controller for the runtime error threshold.
@@ -374,9 +374,7 @@ impl FlowControllerBank {
         w.usize(self.flows.len());
         for f in &self.flows {
             f.controller.save_state(w);
-            w.u64(f.epoch.words());
-            w.f64_bits(f.epoch.error_sum());
-            w.f64_bits(f.epoch.max_relative_error());
+            f.epoch.save(w);
         }
     }
 
@@ -389,10 +387,7 @@ impl FlowControllerBank {
         }
         for f in &mut self.flows {
             f.controller.load_state(r)?;
-            let words = r.u64()?;
-            let sum = r.f64_bits()?;
-            let max = r.f64_bits()?;
-            f.epoch = QualityAccumulator::from_raw(words, sum, max);
+            f.epoch = QualityAccumulator::load(r)?;
         }
         Ok(())
     }

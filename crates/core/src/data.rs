@@ -9,6 +9,7 @@
 use std::fmt;
 
 use crate::line::{Line, Meta};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Words in one 64-byte cache line, the unit the NIs move (§5.4). A
 /// [`CacheBlock`] holds this many words in place, and an
@@ -44,6 +45,17 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// The id as a `u16` (see [`Snap`]'s `u16` impl).
+impl Snap for NodeId {
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        u16::load(r).map(NodeId)
+    }
+}
+
 impl From<u16> for NodeId {
     fn from(v: u16) -> Self {
         NodeId(v)
@@ -56,19 +68,22 @@ impl From<usize> for NodeId {
     }
 }
 
-/// The data type of the words of a cache block.
-///
-/// The AVCL handles integers natively; for IEEE-754 single-precision floats it
-/// approximates only the mantissa field, reusing the integer approximate logic
-/// (Figure 4). The paper conservatively compresses only blocks whose words all
-/// share one data type, because per-word type metadata would be too expensive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DataType {
-    /// 32-bit two's-complement integers.
-    #[default]
-    Int,
-    /// IEEE-754 single-precision floating point.
-    F32,
+crate::snap_record! {
+    /// The data type of the words of a cache block.
+    ///
+    /// The AVCL handles integers natively; for IEEE-754 single-precision
+    /// floats it approximates only the mantissa field, reusing the integer
+    /// approximate logic (Figure 4). The paper conservatively compresses only
+    /// blocks whose words all share one data type, because per-word type
+    /// metadata would be too expensive.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum DataType {
+        /// 32-bit two's-complement integers.
+        #[default]
+        Int,
+        /// IEEE-754 single-precision floating point.
+        F32,
+    }
 }
 
 impl fmt::Display for DataType {
@@ -216,6 +231,17 @@ impl CacheBlock {
     /// Interprets the words as `i32` values.
     pub fn as_i32(&self) -> Vec<i32> {
         self.words().iter().map(|w| *w as i32).collect()
+    }
+}
+
+/// The words as a list, then the data type and the flag.
+impl Snap for CacheBlock {
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Line::load(r).map(CacheBlock)
     }
 }
 

@@ -9,6 +9,7 @@
 //! entries exactly when it is inline.
 
 use crate::data::{DataType, BLOCK_WORDS};
+use crate::snap::{load_list, save_list, Snap, SnapError, SnapReader, SnapWriter};
 
 /// An entry a line can hold inline; `FILL` occupies its unused slots.
 pub(crate) trait Entry: Copy {
@@ -20,11 +21,13 @@ impl Entry for u32 {
     const FILL: u32 = 0;
 }
 
-/// The metadata a block carries beside its entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Meta {
-    pub(crate) dtype: DataType,
-    pub(crate) approximable: bool,
+crate::snap_record! {
+    /// The metadata a block carries beside its entries.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct Meta {
+        pub(crate) dtype: DataType,
+        pub(crate) approximable: bool,
+    }
 }
 
 impl Meta {
@@ -186,6 +189,25 @@ impl<T: Entry> Line<T> {
         match self {
             Line::Inline { meta, .. } | Line::Spilled { meta, .. } => meta,
         }
+    }
+}
+
+/// The longest line a snapshot may declare.
+const MAX_SNAPSHOT_LEN: usize = 1 << 16;
+
+/// The entries as a list, then the metadata. A load pushes entries one at a
+/// time, so a line that fits stays inline.
+impl<T: Entry + Snap> Snap for Line<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        save_list(w, self.as_slice());
+        self.meta().save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut line = Line::new(Meta::new(DataType::Int, false));
+        load_list(r, MAX_SNAPSHOT_LEN, "block length", |x| line.push(x))?;
+        *line.meta_mut() = Meta::load(r)?;
+        Ok(line)
     }
 }
 

@@ -13,16 +13,17 @@
 
 use crate::avcl::Avcl;
 use crate::data::{CacheBlock, DataType};
-use crate::snap::{SnapError, SnapReader, SnapWriter};
-use crate::stats::StatField;
 
-/// Accumulates per-word relative error to produce the data value quality
-/// metric of Figure 9.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct QualityAccumulator {
-    words: u64,
-    error_sum: f64,
-    max_error: f64,
+crate::snap_record! {
+    /// Accumulates per-word relative error to produce the data value quality
+    /// metric of Figure 9. A snapshot stores the word count and the raw bits
+    /// of both error sums.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct QualityAccumulator {
+        words: u64,
+        error_sum: f64,
+        max_error: f64,
+    }
 }
 
 impl QualityAccumulator {
@@ -113,19 +114,6 @@ impl QualityAccumulator {
         self.words += other.words;
         self.error_sum += other.error_sum;
         self.max_error = self.max_error.max(other.max_error);
-    }
-}
-
-/// A snapshot stores the word count and the raw bits of both error sums.
-impl StatField for QualityAccumulator {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.words);
-        w.f64_bits(self.error_sum);
-        w.f64_bits(self.max_error);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Self::from_raw(r.u64()?, r.f64_bits()?, r.f64_bits()?))
     }
 }
 

@@ -9,11 +9,16 @@
 //! [`Pcg32::on`] from a named [`Stream`], so the constants below are the
 //! inventory of every random stream a simulation draws from.
 
-/// A PCG-XSH-RR 64/32 generator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pcg32 {
-    state: u64,
-    inc: u64,
+crate::snap_record! {
+    /// A PCG-XSH-RR 64/32 generator. A snapshot stores its cursor, and the
+    /// generator it loads continues the saved sequence exactly, on the
+    /// stream it was built on: a resume, not a new stream, so it names no
+    /// [`Stream`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Pcg32 {
+        state: u64,
+        inc: u64,
+    }
 }
 
 const PCG_MULT: u64 = 6364136223846793005;
@@ -102,20 +107,6 @@ impl Pcg32 {
     /// Creates a generator on the default stream.
     pub fn seed_from_u64(seed: u64) -> Self {
         Pcg32::new(seed, DEFAULT_STREAM)
-    }
-
-    /// The raw `(state, stream increment)` pair, for snapshotting a
-    /// generator mid-sequence.
-    pub fn state_parts(&self) -> (u64, u64) {
-        (self.state, self.inc)
-    }
-
-    /// Rebuilds a generator from [`state_parts`](Self::state_parts). The
-    /// restored generator continues the original sequence exactly, on the
-    /// stream it was built on: this is a resume, not a new stream, so it
-    /// names no [`Stream`].
-    pub fn from_state_parts(state: u64, inc: u64) -> Self {
-        Pcg32 { state, inc }
     }
 
     /// The next 32 random bits.
@@ -272,13 +263,16 @@ mod tests {
     }
 
     #[test]
-    fn state_parts_resume_mid_sequence() {
+    fn saved_state_resumes_mid_sequence() {
+        use crate::snap::{Snap, SnapReader, SnapWriter};
         let mut a = Pcg32::new(99, 7);
         for _ in 0..37 {
             a.next_u32();
         }
-        let (state, inc) = a.state_parts();
-        let mut b = Pcg32::from_state_parts(state, inc);
+        let mut w = SnapWriter::new();
+        a.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut b = Pcg32::load(&mut SnapReader::new(&bytes)).expect("loads");
         for _ in 0..100 {
             assert_eq!(a.next_u32(), b.next_u32());
         }

@@ -3,35 +3,15 @@
 //! [`stats_record!`](crate::stats_record) declares a record and derives from
 //! its declaration everything that walks its fields: the `[u64; N]` view of
 //! its `u64` counters (which the text cache payload writes), the snapshot
-//! `save_state`/`load_state`, and `merge` for a record of counters alone. A
-//! field that is not a `u64` — a nested record or an accumulator — takes part
-//! through [`StatField`]. No serializer restates a record's field list, so
-//! adding a counter is one line.
+//! encoding (through [`snap_record!`](crate::snap_record)), and `merge` for a
+//! record of counters alone. A field that is not a `u64` — a nested record
+//! or an accumulator — snapshots through its own [`Snap`](crate::snap::Snap)
+//! impl. No serializer restates a record's field list, so adding a counter
+//! is one line.
 
 // A stats-accumulation path: a counter narrowed by an `as` cast loses
 // high-traffic runs silently (DESIGN.md §6, C003).
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
-
-use crate::snap::{SnapError, SnapReader, SnapWriter};
-
-/// A field of a stats record: a `u64` counter, a nested record or an
-/// accumulator. Records snapshot field by field through it.
-pub trait StatField: Sized {
-    /// Writes the field to a snapshot.
-    fn save(&self, w: &mut SnapWriter);
-    /// Reads a field written by [`save`](Self::save).
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
-}
-
-impl StatField for u64 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(*self);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        r.u64()
-    }
-}
 
 /// Declares a stats record: a struct of `pub` fields whose `u64` fields are
 /// counters. Declaration order is the only field order. The macro adds
@@ -39,9 +19,8 @@ impl StatField for u64 {
 /// * `COUNTERS`, `counters()` and `from_counters()`: the `u64` fields as a
 ///   `[u64; COUNTERS]` array in declaration order, and back (every other
 ///   field at its default);
-/// * `save_state` and `load_state`, which visit every field in declaration
-///   order through [`StatField`];
-/// * a [`StatField`] impl, so a record can nest in another;
+/// * a [`Snap`](crate::snap::Snap) impl, which visits every field in
+///   declaration order, so a record snapshots and nests in another;
 /// * `merge`, which adds up the counters, when every field is a counter.
 ///
 /// ```
@@ -64,25 +43,23 @@ impl StatField for u64 {
 #[macro_export]
 macro_rules! stats_record {
     ($(#[$attr:meta])* pub struct $name:ident { $($body:tt)* }) => {
-        $crate::stats_record!(@split [$(#[$attr])* pub struct $name] [] [] [] [] $($body)*);
+        $crate::stats_record!(@split [$(#[$attr])* pub struct $name] [] [] [] $($body)*);
     };
     // A `u64` field is a counter.
-    (@split $head:tt [$($decl:tt)*] [$($field:ident)*] [$($counter:ident)*] $other:tt
+    (@split $head:tt [$($decl:tt)*] [$($counter:ident)*] $other:tt
         $(#[$fattr:meta])* pub $f:ident: u64, $($rest:tt)*) => {
         $crate::stats_record!(@split $head [$($decl)* $(#[$fattr])* pub $f: u64,]
-            [$($field)* $f] [$($counter)* $f] $other $($rest)*);
+            [$($counter)* $f] $other $($rest)*);
     };
     // Any other field is a nested record or an accumulator.
-    (@split $head:tt [$($decl:tt)*] [$($field:ident)*] $counters:tt [$($other:ident)*]
+    (@split $head:tt [$($decl:tt)*] $counters:tt [$($other:ident)*]
         $(#[$fattr:meta])* pub $f:ident: $ty:ty, $($rest:tt)*) => {
         $crate::stats_record!(@split $head [$($decl)* $(#[$fattr])* pub $f: $ty,]
-            [$($field)* $f] $counters [$($other)* $f] $($rest)*);
+            $counters [$($other)* $f] $($rest)*);
     };
     // A record of counters alone also merges.
-    (@split [$(#[$attr:meta])* pub struct $name:ident] $decl:tt $fields:tt
-        [$($counter:ident)*] []) => {
-        $crate::stats_record!(@emit [$(#[$attr])* pub struct $name] $decl $fields
-            [$($counter)*]);
+    (@split [$(#[$attr:meta])* pub struct $name:ident] $decl:tt [$($counter:ident)*] []) => {
+        $crate::stats_record!(@emit [$(#[$attr])* pub struct $name] $decl [$($counter)*]);
 
         impl $name {
             /// Adds `other`'s counters into this record.
@@ -91,14 +68,16 @@ macro_rules! stats_record {
             }
         }
     };
-    (@split $head:tt $decl:tt $fields:tt $counters:tt $other:tt) => {
-        $crate::stats_record!(@emit $head $decl $fields $counters);
+    (@split $head:tt $decl:tt $counters:tt $other:tt) => {
+        $crate::stats_record!(@emit $head $decl $counters);
     };
     (@emit [$(#[$attr:meta])* pub struct $name:ident] [$($decl:tt)*]
-        [$($field:ident)*] [$($counter:ident)*]) => {
-        $(#[$attr])*
-        pub struct $name {
-            $($decl)*
+        [$($counter:ident)*]) => {
+        $crate::snap_record! {
+            $(#[$attr])*
+            pub struct $name {
+                $($decl)*
+            }
         }
 
         impl $name {
@@ -122,31 +101,6 @@ macro_rules! stats_record {
                     $($counter,)*
                     ..Default::default()
                 }
-            }
-
-            /// Writes every field to a snapshot, in declaration order.
-            pub fn save_state(&self, w: &mut $crate::snap::SnapWriter) {
-                $($crate::stats::StatField::save(&self.$field, w);)*
-            }
-
-            /// Reads a record written by [`save_state`](Self::save_state).
-            pub fn load_state(
-                r: &mut $crate::snap::SnapReader<'_>,
-            ) -> Result<Self, $crate::snap::SnapError> {
-                $(let $field = $crate::stats::StatField::load(r)?;)*
-                Ok(Self { $($field),* })
-            }
-        }
-
-        impl $crate::stats::StatField for $name {
-            fn save(&self, w: &mut $crate::snap::SnapWriter) {
-                self.save_state(w);
-            }
-
-            fn load(
-                r: &mut $crate::snap::SnapReader<'_>,
-            ) -> Result<Self, $crate::snap::SnapError> {
-                Self::load_state(r)
             }
         }
     };

@@ -1101,6 +1101,29 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_naming_a_node_outside_the_mesh_is_deleted_and_the_cell_runs_cold() {
+        let cfg = bad_cell_config();
+        let (bench, mech, seed) = BAD_CELL;
+        resume_bad_checkpoint("node-checkpoint", |store, key| {
+            // Well-formed and inside the window, but the first packet's
+            // source is node 1000: the frame's 12 bytes, then 56 header
+            // bytes, 57 bytes of scalars, the packet count and its id.
+            let mut source = benchmark_source(bench, &cfg, seed);
+            let (_, mut sim) = armed_sim(Codecs::Standard(mech), &cfg);
+            let mut buf = Vec::new();
+            drive(&mut sim, &mut source, cfg.warmup_cycles, &mut buf).expect("warmup");
+            arm_measurement(&mut sim, mech, true, &cfg);
+            sim.begin_measurement();
+            drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
+            let fingerprint = fnv1a64(key.as_bytes());
+            let mut blob = freeze(&sim, &source, STAGE_CHECKPOINT, fingerprint).expect("save");
+            assert!(blob[125..133] != [0; 8], "want a packet in the blob");
+            blob[141..145].copy_from_slice(&1000u32.to_le_bytes());
+            store.put(key, &blob).expect("plant checkpoint");
+        });
+    }
+
+    #[test]
     fn checkpoint_outside_the_window_is_deleted_and_the_cell_runs_cold() {
         let cfg = bad_cell_config();
         let (bench, mech, seed) = BAD_CELL;

@@ -10,8 +10,7 @@
 // high-traffic runs silently (DESIGN.md §6, C003).
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
-use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
-use anoc_core::stats::StatField;
+use anoc_core::snap::{load_list, Snap, SnapError, SnapReader, SnapWriter};
 
 /// Sub-buckets per power of two (4 → ≤ 1/8 relative error).
 const SUBBUCKETS: u64 = 4;
@@ -164,29 +163,18 @@ impl LatencyHistogram {
     }
 }
 
-/// A snapshot stores the maximum sample and the nonzero buckets as
-/// `(index, count)` pairs.
-impl StatField for LatencyHistogram {
+/// A snapshot stores the maximum sample and the nonzero buckets as a list
+/// of `(index, count)` pairs.
+impl Snap for LatencyHistogram {
     fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.max);
-        let buckets: Vec<(usize, u64)> = self.nonzero_buckets().collect();
-        w.usize(buckets.len());
-        for (b, c) in buckets {
-            w.usize(b);
-            w.u64(c);
-        }
+        self.max.save(w);
+        self.nonzero_buckets().collect::<Vec<_>>().save(w);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let max = r.u64()?;
-        let nb = r.usize()?;
-        if nb > 4096 {
-            return Err(SnapError::Invalid("histogram bucket count"));
-        }
-        let mut buckets = Vec::with_capacity(nb);
-        for _ in 0..nb {
-            buckets.push((r.usize()?, r.u64()?));
-        }
+        let max = u64::load(r)?;
+        let mut buckets: Vec<(usize, u64)> = Vec::new();
+        load_list(r, 4096, "histogram bucket count", |b| buckets.push(b))?;
         LatencyHistogram::from_buckets(buckets, max)
             .ok_or(SnapError::Invalid("histogram bucket index"))
     }

@@ -19,11 +19,10 @@
 //! grant carries its destination and its credit target ready to apply.
 
 use anoc_core::data::NodeId;
-use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
+use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::packet::Flit;
 use crate::sim::Edge;
-use crate::snapshot::{load_flit, load_opt_usize_below, save_flit, save_opt_usize};
 
 /// `x mod m` for `x < 2m`: one compare instead of a hardware divide, which
 /// dominated the allocation loop's round-robin index arithmetic.
@@ -420,27 +419,28 @@ impl Router {
     }
 
     /// Serializes the router's mutable state for a snapshot: per input VC the
-    /// buffered flits in FIFO order (slots translated to canonical packet
-    /// indices by `remap`) and held route/VC, per output VC the credits and
-    /// wormhole holder, the round-robin pointers and the activity counters.
+    /// buffered flits in FIFO order (each passed through `remap`, which
+    /// translates its slot to a canonical packet index) and held route/VC,
+    /// per output VC the credits and wormhole holder, the round-robin
+    /// pointers and the activity counters.
     /// Wiring (`dest`/`credit_to`) is configuration, not state, and is
     /// skipped; ring placement, the occupancy and free-VC masks and the
     /// `buffered` count are derived and rebuilt on load.
     pub(crate) fn save_state(
         &self,
         w: &mut SnapWriter,
-        remap: &impl Fn(u32) -> Option<u32>,
+        remap: &impl Fn(Flit) -> Result<Flit, SnapError>,
     ) -> Result<(), SnapError> {
-        let opt = |x: u8| (x != NONE).then_some(x as usize);
+        let opt = |x: u8| (x != NONE).then_some(usize::from(x));
         for (port, vcs) in self.in_vcs.chunks(self.vcs).enumerate() {
             w.usize(self.port[port].vc_rr.into());
             for q in vcs {
                 w.usize(q.len as usize);
                 for k in 0..q.len {
-                    save_flit(w, &self.flits[q.at(k)], remap)?;
+                    remap(self.flits[q.at(k)])?.save(w);
                 }
-                save_opt_usize(w, opt(q.route));
-                save_opt_usize(w, opt(q.out_vc));
+                opt(q.route).save(w);
+                opt(q.out_vc).save(w);
             }
         }
         for (port, vcs) in self.out_vcs.chunks(self.vcs).enumerate() {
@@ -448,34 +448,35 @@ impl Router {
             w.usize(self.port[port].out_rr.into());
             for vc in vcs {
                 w.u32(vc.credits);
-                match vc.holder() {
-                    Some((ip, v)) => {
-                        w.bool(true);
-                        w.u32(ip.into());
-                        w.u32(v.into());
-                    }
-                    None => w.bool(false),
-                }
+                vc.holder()
+                    .map(|(ip, v)| (u32::from(ip), u32::from(v)))
+                    .save(w);
             }
         }
-        self.activity.save_state(w);
+        self.activity.save(w);
         Ok(())
     }
 
     /// Restores state written by [`Router::save_state`] into a router built
-    /// with the same geometry. Every index that later feeds the allocator's
-    /// rotate arithmetic is range-checked here so a corrupt blob fails as a
-    /// typed error, never as a shift overflow mid-campaign. A VC length is
-    /// checked before any flit is read, and rings grow only as flits are
-    /// actually read, so a corrupt length cannot trigger a huge allocation.
-    /// The free-VC masks are rebuilt from the restored holders.
+    /// with the same geometry, passing each flit read through `remap`, which
+    /// translates its canonical packet index back to a slot. Every index that
+    /// later feeds the allocator's rotate arithmetic is range-checked here so a
+    /// corrupt blob fails as a typed error, never as a shift overflow
+    /// mid-campaign. A VC length is checked before any flit is read, and rings
+    /// grow only as flits are actually read, so a corrupt length cannot trigger
+    /// a huge allocation. The free-VC masks are rebuilt from the restored
+    /// holders.
     pub(crate) fn load_state(
         &mut self,
         r: &mut SnapReader<'_>,
-        remap: &impl Fn(u32) -> Option<u32>,
+        remap: &impl Fn(Flit) -> Result<Flit, SnapError>,
     ) -> Result<(), SnapError> {
         let (num_in, num_vcs) = (self.ports, self.vcs);
-        let narrow = |x: Option<usize>| x.map_or(NONE, |x| x as u8);
+        // An allocated index below `limit`, narrowed to its `u8` slot.
+        let below = |r: &mut SnapReader<'_>, limit: usize, what| match Option::<usize>::load(r)? {
+            Some(x) if x >= limit => Err(SnapError::Invalid(what)),
+            x => Ok(x.map_or(NONE, |x| x as u8)),
+        };
         self.clear_buffers();
         for port in 0..num_in {
             let rr = r.usize()?;
@@ -489,14 +490,13 @@ impl Router {
                     return Err(SnapError::Invalid("vc buffer length"));
                 }
                 for _ in 0..n {
-                    let flit = load_flit(r, remap)?;
+                    let flit = remap(Flit::load(r)?)?;
                     self.push(port, v, flit);
                 }
-                let route = load_opt_usize_below(r, num_in, "allocated output port")?;
-                let out_vc = load_opt_usize_below(r, num_vcs, "allocated output vc")?;
+                let route = below(r, num_in, "allocated output port")?;
+                let out_vc = below(r, num_vcs, "allocated output vc")?;
                 let q = &mut self.in_vcs[port * num_vcs + v];
-                q.route = narrow(route);
-                q.out_vc = narrow(out_vc);
+                (q.route, q.out_vc) = (route, out_vc);
             }
         }
         for port in 0..num_in {
@@ -513,21 +513,20 @@ impl Router {
                 .enumerate()
             {
                 vc.credits = r.u32()?;
-                (vc.holder_port, vc.holder_vc) = if r.bool()? {
-                    let ip = r.u32()?;
-                    let v = r.u32()?;
-                    if ip as usize >= num_in || v as usize >= num_vcs {
+                (vc.holder_port, vc.holder_vc) = match Option::<(u32, u32)>::load(r)? {
+                    Some((ip, v)) if ip as usize >= num_in || v as usize >= num_vcs => {
                         return Err(SnapError::Invalid("wormhole holder"));
                     }
-                    (ip as u8, v as u8)
-                } else {
-                    free |= 1 << ov;
-                    (NONE, 0)
+                    Some((ip, v)) => (ip as u8, v as u8),
+                    None => {
+                        free |= 1 << ov;
+                        (NONE, 0)
+                    }
                 };
             }
             self.port[port].free_vcs = free;
         }
-        self.activity = RouterActivity::load_state(r)?;
+        self.activity = RouterActivity::load(r)?;
         Ok(())
     }
 
@@ -888,7 +887,7 @@ mod tests {
     /// Serializes a router with the identity slot map.
     fn save(r: &Router) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        r.save_state(&mut w, &|s| Some(s)).expect("save");
+        r.save_state(&mut w, &Ok).expect("save");
         w.into_bytes()
     }
 
@@ -910,9 +909,7 @@ mod tests {
         let blob = save(&r);
         let mut restored = test_router();
         let mut reader = SnapReader::new(&blob);
-        restored
-            .load_state(&mut reader, &|s| Some(s))
-            .expect("load");
+        restored.load_state(&mut reader, &Ok).expect("load");
         assert!(reader.is_exhausted());
         assert_eq!(save(&restored), blob);
         // The restored router grants exactly what the original grants.
@@ -946,14 +943,14 @@ mod tests {
         };
         let mut r = test_router();
         let over = blob(MAX_SNAPSHOT_VC_LEN + 1);
-        let err = r.load_state(&mut SnapReader::new(&over), &|s| Some(s));
+        let err = r.load_state(&mut SnapReader::new(&over), &Ok);
         assert_eq!(err, Err(SnapError::Invalid("vc buffer length")));
         assert_eq!(r.flits.len(), slots, "nothing was allocated");
         // A length at the cap is read flit by flit; a blob that stops short
         // fails as truncated without growing the ring to the claimed size.
         let mut r = test_router();
         let at_cap = blob(MAX_SNAPSHOT_VC_LEN);
-        let err = r.load_state(&mut SnapReader::new(&at_cap), &|s| Some(s));
+        let err = r.load_state(&mut SnapReader::new(&at_cap), &Ok);
         assert_eq!(err, Err(SnapError::Truncated));
         assert_eq!(r.flits.len(), slots);
     }

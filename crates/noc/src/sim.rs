@@ -21,7 +21,7 @@
 //! with buffered flits are visited (see DESIGN.md).
 //!
 //! The routers, NIs, event ring and packet slab are spatially partitioned
-//! into [`Shard`]s ([`NocSim::set_shards`]); phase A (allocation) and phase
+//! into `Shard`s ([`NocSim::set_shards`]); phase A (allocation) and phase
 //! B2 (injection) of each cycle run shard-parallel on a persistent
 //! [`WorkerSet`], with a serial cycle edge in between exchanging boundary
 //! flits and credits. The phase ordering and the serial edge make results
@@ -46,14 +46,11 @@ use crate::shard::{
     build_shards, encode_slot, local_of_slot, shard_of_slot, Arrival, Phase, Shard, StepCtx,
     EVENT_HORIZON, MAX_SHARDS, SLOT_MASK,
 };
-use crate::snapshot::{
-    load_flit, load_link_dest, load_opt_usize_below, load_packet, save_flit, save_link_dest,
-    save_opt_usize, save_packet, LinkDest, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-};
+use crate::snapshot::{load_link_dest, LinkDest, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::stats::{ActivityReport, NetStats};
 use crate::topology::Mesh;
 
-use anoc_core::snap::{SnapReader, SnapWriter};
+use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// The capability to write current-edge state: scheduling a flit into a
 /// ring or returning a credit ([`Shard::schedule`], [`Shard::return_credit`]
@@ -925,12 +922,8 @@ impl NocSim {
         w.u64(self.next_pid);
         w.bool(self.measuring);
         w.u64(self.last_progress);
-        let (state, inc) = self.fault_rng.state_parts();
-        w.u64(state);
-        w.u64(inc);
-        let (loss_state, loss_inc) = self.loss_rng.state_parts();
-        w.u64(loss_state);
-        w.u64(loss_inc);
+        self.fault_rng.save(&mut w);
+        self.loss_rng.save(&mut w);
         // Packet slab, in canonical order (shard-ascending, slab-index-
         // ascending). Slots are position-dependent — free-list history and
         // shard count shape them — so flits serialize the packet's *rank* in
@@ -961,22 +954,26 @@ impl NocSim {
         w.usize(count);
         for shard in &self.shards {
             for p in shard.packets.iter().flatten() {
-                save_packet(&mut w, p);
+                p.save(&mut w);
             }
         }
-        let remap = |slot: u32| -> Option<u32> {
+        let canon = |slot: u32| -> Option<u32> {
             canon_of
                 .get(shard_of_slot(slot))?
                 .get(local_of_slot(slot))
                 .copied()
                 .flatten()
         };
+        let remap = |f: Flit| -> Result<Flit, SnapError> {
+            let slot = canon(f.slot).ok_or(SnapError::Invalid("flit references a dead slot"))?;
+            Ok(Flit { slot, ..f })
+        };
         // NI states, in global node order.
         for shard in &self.shards {
             for ni in &shard.nis {
                 w.usize(ni.queue.len());
                 for &slot in &ni.queue {
-                    match remap(slot) {
+                    match canon(slot) {
                         Some(c) => w.u32(c),
                         None => {
                             return Err(SnapshotError::Structure("queued slot holds no packet"))
@@ -986,7 +983,7 @@ impl NocSim {
                 for &c in &ni.vc_credits {
                     w.u32(c);
                 }
-                save_opt_usize(&mut w, ni.cur_vc);
+                ni.cur_vc.save(&mut w);
                 w.u32(ni.next_seq);
                 w.usize(ni.vc_rr);
             }
@@ -1020,9 +1017,9 @@ impl NocSim {
                             port: a.port.into(),
                         }
                     };
-                    save_link_dest(&mut w, target);
+                    target.save(&mut w);
                     w.usize(a.vc.into());
-                    save_flit(&mut w, &a.flit, &remap)?;
+                    remap(a.flit)?.save(&mut w);
                 }
             }
         }
@@ -1032,7 +1029,7 @@ impl NocSim {
                 w.bool(shard.is_active(lr));
             }
         }
-        self.stats.save_state(&mut w);
+        self.stats.save(&mut w);
         for c in &self.codecs {
             c.encoder.save_state(&mut w);
             c.decoder.save_state(&mut w);
@@ -1094,10 +1091,8 @@ impl NocSim {
         let next_pid = r.u64()?;
         let measuring = r.bool()?;
         let last_progress = r.u64()?;
-        let rng_state = r.u64()?;
-        let rng_inc = r.u64()?;
-        let loss_rng_state = r.u64()?;
-        let loss_rng_inc = r.u64()?;
+        let fault_rng = Pcg32::load(&mut r)?;
+        let loss_rng = Pcg32::load(&mut r)?;
         let count = r.usize()?;
         if count > SLOT_MASK as usize {
             return Err(SnapshotError::Structure("packet count"));
@@ -1113,7 +1108,10 @@ impl NocSim {
         let num_nodes = self.mesh.num_nodes();
         let mut slot_of: Vec<u32> = Vec::with_capacity(count);
         for _ in 0..count {
-            let p = load_packet(&mut r)?;
+            let p = PacketState::load(&mut r)?;
+            if p.src.index() >= num_nodes || p.dest.index() >= num_nodes {
+                return Err(SnapshotError::Structure("packet node id"));
+            }
             let si = self.node_shard(p.src.index());
             let shard = &mut self.shards[si];
             if shard.packets.len() > SLOT_MASK as usize {
@@ -1122,7 +1120,16 @@ impl NocSim {
             shard.packets.push(Some(p));
             slot_of.push(encode_slot(si, shard.packets.len() - 1));
         }
-        let remap = |canon: u32| -> Option<u32> { slot_of.get(canon as usize).copied() };
+        let remap = |f: Flit| -> Result<Flit, SnapError> {
+            let slot = slot_of
+                .get(f.slot as usize)
+                .copied()
+                .ok_or(SnapError::Invalid("flit references an unknown packet"))?;
+            if f.dest.index() >= num_nodes {
+                return Err(SnapError::Invalid("flit destination"));
+            }
+            Ok(Flit { slot, ..f })
+        };
         let vcs = self.config.vcs;
         for shard in &mut self.shards {
             for ni in &mut shard.nis {
@@ -1132,15 +1139,19 @@ impl NocSim {
                 }
                 ni.queue.clear();
                 for _ in 0..qn {
-                    let canon = r.u32()?;
-                    let slot =
-                        remap(canon).ok_or(SnapshotError::Structure("queued packet reference"))?;
+                    let slot = slot_of
+                        .get(r.u32()? as usize)
+                        .copied()
+                        .ok_or(SnapshotError::Structure("queued packet reference"))?;
                     ni.queue.push_back(slot);
                 }
                 for c in ni.vc_credits.iter_mut() {
                     *c = r.u32()?;
                 }
-                ni.cur_vc = load_opt_usize_below(&mut r, vcs, "NI current vc")?;
+                ni.cur_vc = Option::load(&mut r)?;
+                if ni.cur_vc.is_some_and(|vc| vc >= vcs) {
+                    return Err(SnapshotError::Structure("NI current vc"));
+                }
                 ni.next_seq = r.u32()?;
                 let vc_rr = r.usize()?;
                 if vc_rr >= vcs {
@@ -1176,7 +1187,7 @@ impl NocSim {
                 if vc >= vcs {
                     return Err(SnapshotError::Structure("arrival vc"));
                 }
-                let flit = load_flit(&mut r, &remap)?;
+                let flit = remap(Flit::load(&mut r)?)?;
                 let (s, index, port) = match target {
                     LinkDest::Router { router, port } => {
                         let s = self.router_shard[router] as usize;
@@ -1204,7 +1215,7 @@ impl NocSim {
                 }
             }
         }
-        let stats = NetStats::load_state(&mut r)?;
+        let stats = NetStats::load(&mut r)?;
         for c in &mut self.codecs {
             c.encoder.load_state(&mut r)?;
             c.decoder.load_state(&mut r)?;
@@ -1228,8 +1239,8 @@ impl NocSim {
         self.measuring = measuring;
         self.last_progress = last_progress;
         self.live_packets = count;
-        self.fault_rng = Pcg32::from_state_parts(rng_state, rng_inc);
-        self.loss_rng = Pcg32::from_state_parts(loss_rng_state, loss_rng_inc);
+        self.fault_rng = fault_rng;
+        self.loss_rng = loss_rng;
         self.installed_percent = installed;
         // The snapshot format deliberately excludes encoder threshold
         // machinery: statically-thresholded runs re-arm it globally after

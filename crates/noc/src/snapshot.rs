@@ -24,16 +24,12 @@
 //!   clock then overwrite what arming reset; a blob carrying QoS state
 //!   refuses to restore into a simulator whose bank is not armed).
 //!
-//! Serialization uses the little-endian primitives of [`anoc_core::snap`],
-//! so blobs are byte-stable across hosts.
+//! Every record travels through its [`Snap`] impl, on the little-endian
+//! primitives of [`anoc_core::snap`], so blobs are byte-stable across hosts.
 
 use std::fmt;
 
-use anoc_core::codec::{EncodedBlock, Notification, WordCode};
-use anoc_core::data::{CacheBlock, DataType, NodeId};
-use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
-
-use crate::packet::{Flit, PacketKind, PacketState};
+use anoc_core::snap::{Snap, SnapError, SnapReader};
 
 /// First eight bytes of every snapshot blob.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ANOCSNAP";
@@ -91,449 +87,35 @@ impl From<SnapError> for SnapshotError {
     }
 }
 
-// ---- value helpers shared by the sim serializer --------------------------
-
-pub(crate) fn save_node(w: &mut SnapWriter, n: NodeId) {
-    w.u32(n.0 as u32);
-}
-
-pub(crate) fn load_node(r: &mut SnapReader<'_>) -> Result<NodeId, SnapError> {
-    u16::try_from(r.u32()?)
-        .map(NodeId)
-        .map_err(|_| SnapError::Invalid("node id"))
-}
-
-pub(crate) fn save_opt_u64(w: &mut SnapWriter, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            w.bool(true);
-            w.u64(x);
-        }
-        None => w.bool(false),
+anoc_core::snap_record! {
+    /// Where an event-ring arrival lands, in the blob's shard-independent
+    /// form: a global router id, or the ejecting node. The kernel itself
+    /// resolves links to shard-local [`Hop`](crate::router::Hop)s; save and
+    /// restore translate.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum LinkDest {
+        /// Input port `port` of router `router`.
+        Router { router: usize, port: usize },
+        /// The ejection path of node `node`.
+        Eject { node: usize },
     }
 }
 
-pub(crate) fn load_opt_u64(r: &mut SnapReader<'_>) -> Result<Option<u64>, SnapError> {
-    Ok(if r.bool()? { Some(r.u64()?) } else { None })
-}
-
-pub(crate) fn save_opt_usize(w: &mut SnapWriter, v: Option<usize>) {
-    match v {
-        Some(x) => {
-            w.bool(true);
-            w.usize(x);
-        }
-        None => w.bool(false),
-    }
-}
-
-/// Reads an `Option<usize>` bounded by `limit` (exclusive).
-pub(crate) fn load_opt_usize_below(
-    r: &mut SnapReader<'_>,
-    limit: usize,
-    what: &'static str,
-) -> Result<Option<usize>, SnapError> {
-    if !r.bool()? {
-        return Ok(None);
-    }
-    let v = r.usize()?;
-    if v >= limit {
-        return Err(SnapError::Invalid(what));
-    }
-    Ok(Some(v))
-}
-
-fn save_dtype(w: &mut SnapWriter, d: DataType) {
-    w.u8(match d {
-        DataType::Int => 0,
-        DataType::F32 => 1,
-    });
-}
-
-fn load_dtype(r: &mut SnapReader<'_>) -> Result<DataType, SnapError> {
-    match r.u8()? {
-        0 => Ok(DataType::Int),
-        1 => Ok(DataType::F32),
-        _ => Err(SnapError::Invalid("data type tag")),
-    }
-}
-
-pub(crate) fn save_block(w: &mut SnapWriter, b: &CacheBlock) {
-    w.usize(b.len());
-    for &word in b.words() {
-        w.u32(word);
-    }
-    save_dtype(w, b.dtype());
-    w.bool(b.is_approximable());
-}
-
-pub(crate) fn load_block(r: &mut SnapReader<'_>) -> Result<CacheBlock, SnapError> {
-    let n = r.usize()?;
-    if n > 1 << 16 {
-        return Err(SnapError::Invalid("cache block length"));
-    }
-    // The metadata follows the words: it is filled in once read.
-    let mut block = CacheBlock::empty(DataType::Int, false);
-    for _ in 0..n {
-        block.push(r.u32()?);
-    }
-    let dtype = load_dtype(r)?;
-    let approximable = r.bool()?;
-    Ok(block.with_meta(dtype, approximable))
-}
-
-fn save_code(w: &mut SnapWriter, c: &WordCode) {
-    match *c {
-        WordCode::Raw { word, prefix_bits } => {
-            w.u8(0);
-            w.u32(word);
-            w.u8(prefix_bits);
-        }
-        WordCode::Pattern {
-            index,
-            adjunct,
-            adjunct_bits,
-            approx,
-        } => {
-            w.u8(1);
-            w.u8(index);
-            w.u32(adjunct);
-            w.u8(adjunct_bits);
-            w.bool(approx);
-        }
-        WordCode::ZeroRun { len } => {
-            w.u8(2);
-            w.u8(len);
-        }
-        WordCode::Delta {
-            delta,
-            delta_bits,
-            approx,
-        } => {
-            w.u8(3);
-            w.u32(delta as u32);
-            w.u8(delta_bits);
-            w.bool(approx);
-        }
-        WordCode::Match {
-            distance,
-            len,
-            dist_bits,
-            approx,
-        } => {
-            w.u8(4);
-            w.u32(distance as u32);
-            w.u8(len);
-            w.u8(dist_bits);
-            w.bool(approx);
-        }
-        WordCode::Dict {
-            index,
-            index_bits,
-            approx,
-            pattern,
-        } => {
-            w.u8(5);
-            w.u8(index);
-            w.u8(index_bits);
-            w.bool(approx);
-            w.u32(pattern);
-        }
-    }
-}
-
-fn load_code(r: &mut SnapReader<'_>) -> Result<WordCode, SnapError> {
-    Ok(match r.u8()? {
-        0 => WordCode::Raw {
-            word: r.u32()?,
-            prefix_bits: r.u8()?,
-        },
-        1 => WordCode::Pattern {
-            index: r.u8()?,
-            adjunct: r.u32()?,
-            adjunct_bits: r.u8()?,
-            approx: r.bool()?,
-        },
-        2 => WordCode::ZeroRun { len: r.u8()? },
-        3 => WordCode::Delta {
-            delta: r.u32()? as i32,
-            delta_bits: r.u8()?,
-            approx: r.bool()?,
-        },
-        4 => WordCode::Match {
-            distance: u16::try_from(r.u32()?).map_err(|_| SnapError::Invalid("match distance"))?,
-            len: r.u8()?,
-            dist_bits: r.u8()?,
-            approx: r.bool()?,
-        },
-        5 => WordCode::Dict {
-            index: r.u8()?,
-            index_bits: r.u8()?,
-            approx: r.bool()?,
-            pattern: r.u32()?,
-        },
-        _ => return Err(SnapError::Invalid("word code tag")),
-    })
-}
-
-pub(crate) fn save_encoded(w: &mut SnapWriter, e: &EncodedBlock) {
-    w.usize(e.codes().len());
-    for c in e.codes() {
-        save_code(w, c);
-    }
-    save_dtype(w, e.dtype());
-    w.bool(e.is_approximable());
-}
-
-pub(crate) fn load_encoded(r: &mut SnapReader<'_>) -> Result<EncodedBlock, SnapError> {
-    let n = r.usize()?;
-    if n > 1 << 16 {
-        return Err(SnapError::Invalid("encoded block length"));
-    }
-    let mut codes = EncodedBlock::empty(DataType::Int, false);
-    for _ in 0..n {
-        codes.push(load_code(r)?);
-    }
-    let dtype = load_dtype(r)?;
-    let approximable = r.bool()?;
-    Ok(codes.with_meta(dtype, approximable))
-}
-
-pub(crate) fn save_notification(w: &mut SnapWriter, n: &Notification) {
-    match *n {
-        Notification::Install {
-            pattern,
-            index,
-            dtype,
-        } => {
-            w.u8(0);
-            w.u32(pattern);
-            w.u8(index);
-            save_dtype(w, dtype);
-        }
-        Notification::Invalidate { pattern } => {
-            w.u8(1);
-            w.u32(pattern);
-        }
-    }
-}
-
-pub(crate) fn load_notification(r: &mut SnapReader<'_>) -> Result<Notification, SnapError> {
-    Ok(match r.u8()? {
-        0 => Notification::Install {
-            pattern: r.u32()?,
-            index: r.u8()?,
-            dtype: load_dtype(r)?,
-        },
-        1 => Notification::Invalidate { pattern: r.u32()? },
-        _ => return Err(SnapError::Invalid("notification tag")),
-    })
-}
-
-/// Writes a flit with its slab slot translated by `remap` (to a canonical
-/// index on save, back to a slot on restore).
-pub(crate) fn save_flit(
-    w: &mut SnapWriter,
-    f: &Flit,
-    remap: &impl Fn(u32) -> Option<u32>,
-) -> Result<(), SnapError> {
-    let slot = remap(f.slot).ok_or(SnapError::Invalid("flit references a dead slot"))?;
-    w.u32(slot);
-    w.u32(f.seq);
-    w.bool(f.is_tail);
-    save_node(w, f.dest);
-    w.u64(f.ready_at);
-    Ok(())
-}
-
-pub(crate) fn load_flit(
-    r: &mut SnapReader<'_>,
-    remap: &impl Fn(u32) -> Option<u32>,
-) -> Result<Flit, SnapError> {
-    let canon = r.u32()?;
-    let slot = remap(canon).ok_or(SnapError::Invalid("flit references an unknown packet"))?;
-    Ok(Flit {
-        slot,
-        seq: r.u32()?,
-        is_tail: r.bool()?,
-        dest: load_node(r)?,
-        ready_at: r.u64()?,
-    })
-}
-
-/// Where an event-ring arrival lands, in the blob's shard-independent form:
-/// a global router id, or the ejecting node. The kernel itself resolves
-/// links to shard-local [`Hop`](crate::router::Hop)s; save and restore
-/// translate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LinkDest {
-    /// Input port `port` of router `router`.
-    Router { router: usize, port: usize },
-    /// The ejection path of node `node`.
-    Eject { node: usize },
-}
-
-pub(crate) fn save_link_dest(w: &mut SnapWriter, d: LinkDest) {
-    match d {
-        LinkDest::Router { router, port } => {
-            w.u8(0);
-            w.usize(router);
-            w.usize(port);
-        }
-        LinkDest::Eject { node } => {
-            w.u8(1);
-            w.usize(node);
-        }
-    }
-}
-
+/// Reads a [`LinkDest`] and checks its router or node against the
+/// network's geometry.
 pub(crate) fn load_link_dest(
     r: &mut SnapReader<'_>,
     num_routers: usize,
     num_nodes: usize,
 ) -> Result<LinkDest, SnapError> {
-    Ok(match r.u8()? {
-        0 => {
-            let router = r.usize()?;
-            let port = r.usize()?;
-            if router >= num_routers {
-                return Err(SnapError::Invalid("arrival router id"));
-            }
-            LinkDest::Router { router, port }
+    let dest = LinkDest::load(r)?;
+    match dest {
+        LinkDest::Router { router, .. } if router >= num_routers => {
+            Err(SnapError::Invalid("arrival router id"))
         }
-        1 => {
-            let node = r.usize()?;
-            if node >= num_nodes {
-                return Err(SnapError::Invalid("arrival node id"));
-            }
-            LinkDest::Eject { node }
-        }
-        _ => return Err(SnapError::Invalid("link destination tag")),
-    })
-}
-
-/// Serializes one packet's full state. Flit slots are not involved — flits
-/// reference packets, not the other way around.
-pub(crate) fn save_packet(w: &mut SnapWriter, p: &PacketState) {
-    w.u64(p.id);
-    save_node(w, p.src);
-    save_node(w, p.dest);
-    w.u8(match p.kind {
-        PacketKind::Control => 0,
-        PacketKind::Data => 1,
-    });
-    w.u64(p.created);
-    w.u64(p.ready_at);
-    w.u64(p.head_gate);
-    save_opt_u64(w, p.inject_start);
-    w.u32(p.num_flits);
-    w.u32(p.baseline_flits);
-    w.u32(p.ejected_flits);
-    match &p.payload {
-        Some(e) => {
-            w.bool(true);
-            save_encoded(w, e);
-        }
-        None => w.bool(false),
+        LinkDest::Eject { node } if node >= num_nodes => Err(SnapError::Invalid("arrival node id")),
+        _ => Ok(dest),
     }
-    match &p.precise {
-        Some(b) => {
-            w.bool(true);
-            save_block(w, b);
-        }
-        None => w.bool(false),
-    }
-    match &p.notification {
-        Some(n) => {
-            w.bool(true);
-            save_notification(w, n);
-        }
-        None => w.bool(false),
-    }
-    w.usize(p.corrupt.len());
-    for &(word, bit) in &p.corrupt {
-        w.u32(word);
-        w.u32(bit);
-    }
-    w.u32(p.approx_level);
-    w.usize(p.lost.len());
-    for &word in &p.lost {
-        w.u32(word);
-    }
-    w.bool(p.measured);
-}
-
-pub(crate) fn load_packet(r: &mut SnapReader<'_>) -> Result<PacketState, SnapError> {
-    let id = r.u64()?;
-    let src = load_node(r)?;
-    let dest = load_node(r)?;
-    let kind = match r.u8()? {
-        0 => PacketKind::Control,
-        1 => PacketKind::Data,
-        _ => return Err(SnapError::Invalid("packet kind tag")),
-    };
-    let created = r.u64()?;
-    let ready_at = r.u64()?;
-    let head_gate = r.u64()?;
-    let inject_start = load_opt_u64(r)?;
-    let num_flits = r.u32()?;
-    let baseline_flits = r.u32()?;
-    let ejected_flits = r.u32()?;
-    let payload = if r.bool()? {
-        Some(load_encoded(r)?)
-    } else {
-        None
-    };
-    let precise = if r.bool()? {
-        Some(load_block(r)?)
-    } else {
-        None
-    };
-    let notification = if r.bool()? {
-        Some(load_notification(r)?)
-    } else {
-        None
-    };
-    let nc = r.usize()?;
-    if nc > 1 << 24 {
-        return Err(SnapError::Invalid("corruption event count"));
-    }
-    let mut corrupt = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        let word = r.u32()?;
-        let bit = r.u32()?;
-        corrupt.push((word, bit));
-    }
-    let approx_level = r.u32()?;
-    let nl = r.usize()?;
-    if nl > 1 << 24 {
-        return Err(SnapError::Invalid("loss event count"));
-    }
-    let mut lost = Vec::with_capacity(nl);
-    for _ in 0..nl {
-        lost.push(r.u32()?);
-    }
-    let measured = r.bool()?;
-    Ok(PacketState {
-        id,
-        src,
-        dest,
-        kind,
-        created,
-        ready_at,
-        head_gate,
-        inject_start,
-        num_flits,
-        baseline_flits,
-        ejected_flits,
-        payload,
-        precise,
-        notification,
-        corrupt,
-        approx_level,
-        lost,
-        measured,
-    })
 }
 
 #[cfg(test)]
@@ -542,8 +124,10 @@ mod tests {
     use crate::faults::FaultStats;
     use crate::histogram::LatencyHistogram;
     use crate::stats::NetStats;
-    use anoc_core::codec::EncodeStats;
+    use anoc_core::codec::{EncodeStats, EncodedBlock, Notification, WordCode};
+    use anoc_core::data::{CacheBlock, DataType};
     use anoc_core::metrics::QualityAccumulator;
+    use anoc_core::snap::SnapWriter;
 
     #[test]
     fn error_display_is_informative() {
@@ -563,7 +147,7 @@ mod tests {
 
     /// Every counter of the stats block holds a distinct value, so the
     /// words a snapshot stores show each counter's slot. A round trip cannot
-    /// catch a swap made in both `save_state` and `load_state`.
+    /// catch a swap made in both `save` and `load`.
     #[test]
     fn every_stats_counter_lands_in_its_snapshot_slot() {
         let stats = NetStats {
@@ -603,7 +187,7 @@ mod tests {
                 .expect("valid buckets"),
         };
         let mut w = SnapWriter::new();
-        stats.save_state(&mut w);
+        stats.save(&mut w);
         let bytes = w.into_bytes();
         let words: Vec<u64> = bytes
             .chunks(8)
@@ -650,9 +234,9 @@ mod tests {
                 502,
             ]
         );
-        let back = NetStats::load_state(&mut SnapReader::new(&bytes)).expect("loads");
+        let back = NetStats::load(&mut SnapReader::new(&bytes)).expect("loads");
         let mut again = SnapWriter::new();
-        back.save_state(&mut again);
+        back.save(&mut again);
         assert_eq!(again.into_bytes(), bytes);
     }
 
@@ -690,10 +274,10 @@ mod tests {
         ];
         let block = EncodedBlock::new(codes, DataType::F32, true);
         let mut w = SnapWriter::new();
-        save_encoded(&mut w, &block);
+        block.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let back = load_encoded(&mut r).unwrap();
+        let back = EncodedBlock::load(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(back.codes(), block.codes());
         assert_eq!(back.dtype(), block.dtype());
@@ -739,11 +323,11 @@ mod tests {
 
                     let block = CacheBlock::new(words.to_vec(), dtype, approximable);
                     let mut w = SnapWriter::new();
-                    save_block(&mut w, &block);
+                    block.save(&mut w);
                     let bytes = w.into_bytes();
                     prop_assert_eq!(&bytes, &expected);
                     let mut r = SnapReader::new(&bytes);
-                    let back = load_block(&mut r).expect("loads");
+                    let back = CacheBlock::load(&mut r).expect("loads");
                     prop_assert!(r.is_exhausted());
                     prop_assert_eq!(back.words(), words);
                     prop_assert_eq!(&back, &block);
@@ -755,10 +339,10 @@ mod tests {
                         .collect();
                     let encoded = EncodedBlock::new(codes.clone(), dtype, approximable);
                     let mut w = SnapWriter::new();
-                    save_encoded(&mut w, &encoded);
+                    encoded.save(&mut w);
                     let bytes = w.into_bytes();
                     let mut r = SnapReader::new(&bytes);
-                    let back = load_encoded(&mut r).expect("loads");
+                    let back = EncodedBlock::load(&mut r).expect("loads");
                     prop_assert!(r.is_exhausted());
                     prop_assert_eq!(back.codes(), &codes[..]);
                     prop_assert_eq!(&back, &encoded);
@@ -771,11 +355,11 @@ mod tests {
     #[test]
     fn bad_tags_are_typed_errors() {
         let mut r = SnapReader::new(&[9]);
-        assert!(load_dtype(&mut r).is_err());
+        assert!(DataType::load(&mut r).is_err());
         let mut r = SnapReader::new(&[9]);
-        assert!(load_code(&mut r).is_err());
+        assert!(WordCode::load(&mut r).is_err());
         let mut r = SnapReader::new(&[9]);
-        assert!(load_notification(&mut r).is_err());
+        assert!(Notification::load(&mut r).is_err());
         let mut r = SnapReader::new(&[9]);
         assert!(load_link_dest(&mut r, 4, 8).is_err());
     }

@@ -342,6 +342,20 @@ fn stale_or_corrupt_blobs_fail_as_typed_errors() {
         .expect_err("wrong geometry accepted");
     assert_eq!(err, SnapshotError::Structure("network geometry"));
 
+    // A packet whose source or destination lies outside the mesh. The first
+    // packet follows 56 header bytes, 57 bytes of scalars and the packet
+    // count; its id is a u64, then its source and destination are u32s.
+    let count = u64::from_le_bytes(blob[113..121].try_into().expect("8 bytes"));
+    assert!(count > 0, "want a packet in the blob");
+    for at in [129, 133] {
+        let mut bad = blob.clone();
+        bad[at..at + 4].copy_from_slice(&1000u32.to_le_bytes());
+        let err = baseline_sim(NocConfig::mesh_3x3())
+            .restore_snapshot(&bad, FP)
+            .expect_err("out-of-range node id accepted");
+        assert_eq!(err, SnapshotError::Structure("packet node id"));
+    }
+
     // Trailing garbage means the blob is not what was saved.
     let mut padded = blob.clone();
     padded.push(0);

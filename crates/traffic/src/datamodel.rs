@@ -20,6 +20,7 @@
 
 use anoc_core::data::{CacheBlock, DataType};
 use anoc_core::rng::{Chance, Pcg32, Stream};
+use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Words per generated cache block: one 64-byte line (§5.4), which a
 /// [`CacheBlock`] holds in place.
@@ -329,21 +330,14 @@ impl DataModel {
     /// tables and the derived thresholds are a pure function of
     /// `(profile, seed)` and are rebuilt by the constructor, so only the RNG
     /// cursor travels.
-    pub fn save_state(&self, w: &mut anoc_core::snap::SnapWriter) {
-        let (state, inc) = self.rng.state_parts();
-        w.u64(state);
-        w.u64(inc);
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        self.rng.save(w);
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into a
     /// model built with the same `(profile, seed)`.
-    pub fn load_state(
-        &mut self,
-        r: &mut anoc_core::snap::SnapReader<'_>,
-    ) -> Result<(), anoc_core::snap::SnapError> {
-        let state = r.u64()?;
-        let inc = r.u64()?;
-        self.rng = Pcg32::from_state_parts(state, inc);
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.rng = Pcg32::load(r)?;
         Ok(())
     }
 

@@ -14,7 +14,7 @@
 
 use anoc_core::data::{CacheBlock, NodeId};
 use anoc_core::rng::{Chance, Pcg32, Stream};
-use anoc_core::snap::{SnapError, SnapReader, SnapWriter};
+use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::datamodel::{Benchmark, DataModel};
 use crate::pattern::DestPattern;
@@ -136,20 +136,15 @@ impl TrafficSource for BenchmarkTraffic {
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
-        let (state, inc) = self.rng.state_parts();
-        w.u64(state);
-        w.u64(inc);
+        self.rng.save(w);
         self.model.save_state(w);
-        w.u64(self.phase.0);
-        w.bool(self.phase.1);
+        self.phase.save(w);
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let state = r.u64()?;
-        let inc = r.u64()?;
-        self.rng = Pcg32::from_state_parts(state, inc);
+        self.rng = Pcg32::load(r)?;
         self.model.load_state(r)?;
-        self.phase = (r.u64()?, r.bool()?);
+        self.phase = Snap::load(r)?;
         Ok(())
     }
 }

@@ -10,7 +10,7 @@
 
 use approx_noc::core::data::{CacheBlock, NodeId};
 use approx_noc::core::rng::Pcg32;
-use approx_noc::core::snap::SnapWriter;
+use approx_noc::core::snap::{Snap, SnapWriter};
 use approx_noc::noc::{NocConfig, NocSim, NodeCodec};
 
 const SEED: u64 = 42;
@@ -76,7 +76,7 @@ fn finish(sim: &mut NocSim) -> (Vec<u8>, String) {
     assert!(sim.try_drain(100_000).expect("no watchdog abort"), "drains");
     sim.record_unfinished();
     let mut w = SnapWriter::new();
-    sim.stats().save_state(&mut w);
+    sim.stats().save(&mut w);
     (w.into_bytes(), format!("{:?}", sim.activity_report()))
 }
 
