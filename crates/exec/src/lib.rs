@@ -7,17 +7,17 @@
 //! figure campaigns embarrassingly parallel. This crate supplies the
 //! machinery, with no dependencies beyond `std`:
 //!
-//! * [`pool`] — a channel-based [`ThreadPool`](pool::ThreadPool) sized from
+//! * [`pool`] — a channel-based [`ThreadPool`] sized from
 //!   `std::thread::available_parallelism`, honouring the `ANOC_THREADS`
 //!   override;
-//! * [`campaign`] — a [`JobSpec`](campaign::JobSpec) planner that executes
+//! * [`campaign`] — a [`JobSpec`] planner that executes
 //!   jobs in parallel and merges results deterministically in plan order,
 //!   so parallel output is bit-identical to a serial run;
 //! * [`store`] — one on-disk keyed store: digest-named files that keep the
 //!   full key in one text frame, written through a temp file and a rename.
-//!   Two typed views share it: the [`ResultCache`](store::ResultCache) holds
+//!   Two typed views share it: the [`ResultCache`] holds
 //!   text results keyed by the job's canonical key, so warm re-runs skip
-//!   simulation entirely; the [`SnapshotStore`](store::SnapshotStore) holds
+//!   simulation entirely; the [`SnapshotStore`] holds
 //!   post-warmup simulator states and mid-campaign checkpoints, so sweep
 //!   cells sharing a warmup fork from one snapshot instead of replaying it;
 //! * [`progress`] — live queued/running/done + ETA reporting on stderr.

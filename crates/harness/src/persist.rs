@@ -46,7 +46,8 @@ use crate::runner::RunResult;
 const MAGIC: &str = "# anoc-result v8";
 
 /// The payload version this build writes and accepts (the numeric suffix of
-/// [`MAGIC`]); exposed so cache tooling can report version mixes.
+/// the payload's first line, `# anoc-result v8`); exposed so cache tooling
+/// can report version mixes.
 pub const RESULT_FORMAT_VERSION: u32 = 8;
 
 /// Extracts the result-format version of a stored payload without decoding
