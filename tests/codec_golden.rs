@@ -142,9 +142,17 @@ fn threshold(percent: u32) -> ErrorThreshold {
 /// Runs `mechanism` over an X264 and a Blackscholes corpus (integer- and
 /// float-dominated) and returns the fingerprint of everything it emitted.
 fn fingerprint(mechanism: Mechanism) -> u64 {
+    two_node_stream(mechanism).0
+}
+
+/// Runs the two-node stream of [`fingerprint`] and returns the fingerprint
+/// of its output, then one over every `CodecActivity` counter of both
+/// nodes' encoders and decoders at the end of each corpus.
+fn two_node_stream(mechanism: Mechanism) -> (u64, u64) {
     let (src, dst) = (NodeId(0), NodeId(1));
     let quarter = BLOCKS / SCHEDULE.len();
     let mut fnv = Fnv::new();
+    let mut activity = Fnv::new();
     for (stream, benchmark) in [Benchmark::X264, Benchmark::Blackscholes]
         .into_iter()
         .enumerate()
@@ -167,8 +175,15 @@ fn fingerprint(mechanism: Mechanism) -> u64 {
                 codecs[to.index()].encoder.apply_notification(dst, note);
             }
         }
+        for c in &codecs {
+            for counters in [c.encoder.activity(), c.decoder.activity()].map(|a| a.counters()) {
+                counters
+                    .iter()
+                    .for_each(|n| activity.bytes(&n.to_le_bytes()));
+            }
+        }
     }
-    fnv.0
+    (fnv.0, activity.0)
 }
 
 /// Fingerprints recorded before the codec hot paths were lowered to
@@ -191,6 +206,30 @@ fn codec_outputs_match_golden_fingerprints() {
         .map(|&(m, _)| hex(m, fingerprint(m)))
         .collect();
     let want: Vec<_> = GOLDEN.iter().map(|&(m, h)| hex(m, h)).collect();
+    assert_eq!(got, want);
+}
+
+/// Activity fingerprints of the two-node stream, recorded before the codec
+/// hot paths were rewritten as whole-line kernels. The counters feed the
+/// dynamic power model (Figure 15), so a rewrite that moves where a search,
+/// an AVCL activation or a table write is counted must still count each one.
+const ACTIVITY_GOLDEN: [(Mechanism, u64); 6] = [
+    (Mechanism::Baseline, 0xdded_d579_bea7_6625),
+    (Mechanism::DiComp, 0x6e23_1478_1d81_7cdf),
+    (Mechanism::DiVaxx, 0x5381_9062_b181_ff17),
+    (Mechanism::FpComp, 0xac97_a3e7_6e6a_f525),
+    (Mechanism::FpVaxx, 0xeb25_692b_da62_083b),
+    (Mechanism::LzVaxx, 0x4633_efcc_08b3_c3d9),
+];
+
+#[test]
+fn codec_activity_matches_golden_fingerprints() {
+    let hex = |m: Mechanism, h: u64| (m.name(), format!("{h:016x}"));
+    let got: Vec<_> = ACTIVITY_GOLDEN
+        .iter()
+        .map(|&(m, _)| hex(m, two_node_stream(m).1))
+        .collect();
+    let want: Vec<_> = ACTIVITY_GOLDEN.iter().map(|&(m, h)| hex(m, h)).collect();
     assert_eq!(got, want);
 }
 
