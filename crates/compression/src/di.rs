@@ -8,9 +8,10 @@
 
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::{
-    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, Notification, WordCode,
+    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, LineBlock, Notification,
+    Spill, WordCode,
 };
-use anoc_core::data::{CacheBlock, NodeId};
+use anoc_core::data::{CacheBlock, NodeId, BLOCK_WORDS};
 use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use anoc_core::threshold::ErrorThreshold;
 
@@ -125,8 +126,9 @@ impl BlockEncoder for DiEncoder {
     }
 
     fn encode(&mut self, block: &CacheBlock, dest: NodeId) -> EncodedBlock {
+        let (words, dtype) = (block.words(), block.dtype());
         let approx_on = self.is_vaxx() && block.is_approximable();
-        let n = block.len() as u64;
+        let n = words.len() as u64;
         self.activity.words_encoded += n;
         self.words_seen += n;
         if approx_on {
@@ -134,12 +136,14 @@ impl BlockEncoder for DiEncoder {
         } else {
             self.activity.cam_searches += n;
         }
-        let mut codes = EncodedBlock::empty_for(block);
+        let mut spill = Spill::new(dtype, block.is_approximable());
+        let mut line = [EncodedBlock::FILL; BLOCK_WORDS];
+        let mut len = 0;
         // Local copies keep the countdown and the destination's row in
         // registers across the lookups.
         let mut decay = self.decay;
         let mut pmt = self.pmt.lookups(dest);
-        for &word in block.words() {
+        for &word in words {
             if decay.tick() {
                 pmt.decay();
             }
@@ -147,26 +151,35 @@ impl BlockEncoder for DiEncoder {
             // always prefers the pre-computed approximate pattern match
             // because it is what the TCAM returns in one search.
             let hit = if approx_on {
-                pmt.approx_or_exact(word, block.dtype())
+                pmt.approx_or_exact(word, dtype)
             } else {
                 pmt.exact(word)
             };
-            match hit {
+            // Only a line longer than BLOCK_WORDS fills the local one.
+            if len == BLOCK_WORDS {
+                spill.take(&line, len);
+                len = 0;
+            }
+            line[len] = match hit {
                 // Only a TCAM hit can resolve to a different word.
-                Some(rec) => codes.push(WordCode::Dict {
+                Some(rec) => WordCode::Dict {
                     index: rec.index,
                     index_bits: self.index_bits,
                     approx: rec.original != word,
                     pattern: rec.original,
-                }),
-                None => codes.push(WordCode::Raw {
+                },
+                None => WordCode::Raw {
                     word,
                     prefix_bits: 1,
-                }),
-            }
+                },
+            };
+            len += 1;
         }
         self.decay = decay;
-        codes
+        if spill.is_spilled() {
+            return spill.finish(&line, len);
+        }
+        EncodedBlock::from_line(line, len, dtype, block.is_approximable())
     }
 
     fn apply_notification(&mut self, from: NodeId, note: Notification) {
@@ -247,34 +260,51 @@ impl BlockDecoder for DiDecoder {
     }
 
     fn decode(&mut self, encoded: &EncodedBlock, src: NodeId) -> DecodeResult {
-        let mut block = CacheBlock::empty(encoded.dtype(), encoded.is_approximable());
+        let dtype = encoded.dtype();
         let mut notifications = Vec::new();
         self.activity.words_decoded += encoded.len() as u64;
         self.words_seen += encoded.len() as u64;
+        let mut spill = Spill::new(dtype, encoded.is_approximable());
+        let mut line = [CacheBlock::FILL; BLOCK_WORDS];
+        let mut len = 0;
         let mut decay = self.decay;
         for code in encoded.codes() {
             if decay.tick() {
                 self.pmt.decay();
             }
-            match *code {
+            let word = match *code {
                 WordCode::Raw { word, .. } => {
                     // Learning happens on the uncompressed stream.
-                    self.pmt
-                        .observe_raw(word, src, encoded.dtype(), &mut notifications);
-                    block.push(word);
+                    self.pmt.observe_raw(word, src, dtype, &mut notifications);
+                    word
                 }
                 WordCode::Dict { index, pattern, .. } => {
                     self.activity.cam_searches += 1;
                     self.pmt.record_hit(index, pattern);
-                    block.push(pattern);
+                    pattern
                 }
                 ref other => {
                     unreachable!("dictionary stream cannot contain {other:?}")
                 }
+            };
+            // Only a line longer than BLOCK_WORDS fills the local one.
+            if len == BLOCK_WORDS {
+                spill.take(&line, len);
+                len = 0;
             }
+            line[len] = word;
+            len += 1;
         }
         self.decay = decay;
         self.activity.notifications += notifications.len() as u64;
+        if spill.is_spilled() {
+            let block = spill.finish(&line, len);
+            return DecodeResult {
+                block,
+                notifications,
+            };
+        }
+        let block = CacheBlock::from_line(line, len, dtype, encoded.is_approximable());
         DecodeResult {
             block,
             notifications,

@@ -8,14 +8,15 @@
 
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::{
-    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, WordCode,
+    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, LineBlock, Spill,
+    WordCode,
 };
-use anoc_core::data::{CacheBlock, NodeId};
+use anoc_core::data::{CacheBlock, DataType, NodeId, BLOCK_WORDS};
 use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use anoc_core::threshold::ErrorThreshold;
 use anoc_core::window::WindowBudget;
 
-use crate::fpc::{self, FpcClass};
+use crate::fpc::{self, FpcClass, NO_ROW, ROW_CODES};
 
 /// Maximum zero-run length expressible in the 3-bit run-length adjunct.
 const MAX_ZERO_RUN: u8 = 8;
@@ -92,121 +93,78 @@ impl BlockEncoder for FpEncoder {
     }
 
     fn encode(&mut self, block: &CacheBlock, _dest: NodeId) -> EncodedBlock {
-        let approx_on = self.avcl.is_some() && block.is_approximable();
-        let mut codes = EncodedBlock::empty_for(block);
-        let mut zero_run: u8 = 0;
-        fn flush_run(codes: &mut EncodedBlock, run: &mut u8) {
-            if *run > 0 {
-                codes.push(WordCode::ZeroRun { len: *run });
-                *run = 0;
-            }
-        }
-        fn emit(
-            codes: &mut EncodedBlock,
-            zero_run: &mut u8,
-            word: u32,
-            matched: Option<(FpcClass, u32)>,
-        ) {
-            match matched {
-                Some((FpcClass::Zero, v)) => {
-                    if v == word {
-                        *zero_run += 1;
-                        if *zero_run == MAX_ZERO_RUN {
-                            flush_run(codes, zero_run);
-                        }
-                    } else {
-                        // An approximated zero: single-word zero pattern,
-                        // flagged approximate for the encoding statistics.
-                        flush_run(codes, zero_run);
-                        codes.push(WordCode::Pattern {
-                            index: FpcClass::Zero as u8,
-                            adjunct: 1,
-                            adjunct_bits: FpcClass::Zero.adjunct_bits(),
-                            approx: true,
-                        });
-                    }
+        let (words, dtype) = (block.words(), block.dtype());
+        let avcl = self.avcl.filter(|_| block.is_approximable());
+        let n = words.len() as u64;
+        self.activity.words_encoded += n;
+        self.activity.cam_searches += n;
+        self.activity.avcl_ops += if avcl.is_some() { n } else { 0 };
+        let mut spill = Spill::new(dtype, block.is_approximable());
+        let mut line = [EncodedBlock::FILL; BLOCK_WORDS];
+        let mut len = 0;
+        // Exact zero words not yet emitted: the zero run in progress.
+        let mut run: u8 = 0;
+        for chunk in words.chunks(8) {
+            let lanes = <[u32; 8]>::try_from(chunk).unwrap_or_else(|_| fpc::pad8(chunk));
+            let rows = match (&mut self.window, avcl) {
+                (Some(budget), Some(installed)) => windowed_rows(budget, installed, chunk, dtype),
+                (_, avcl) => {
+                    let masks = match avcl {
+                        Some(a) => a.approx_pattern8(&lanes, dtype).map(|p| p.mask()),
+                        None => [0; 8],
+                    };
+                    fpc::first_rows8(&lanes, &masks)
                 }
-                Some((class, v)) => {
-                    flush_run(codes, zero_run);
-                    codes.push(WordCode::Pattern {
-                        index: class as u8,
-                        adjunct: class.adjunct_of(v),
-                        adjunct_bits: class.adjunct_bits(),
-                        approx: v != word,
-                    });
+            };
+            for (&word, &row) in chunk.iter().zip(&rows) {
+                // Only a line longer than BLOCK_WORDS fills the local one.
+                if len + usize::from(run > 0) == BLOCK_WORDS {
+                    spill.take(&line, len);
+                    len = 0;
                 }
-                None => {
-                    flush_run(codes, zero_run);
-                    codes.push(WordCode::Raw {
+                let code = &ROW_CODES[usize::from(row)];
+                let value = code.value(word);
+                let own = if row == NO_ROW {
+                    WordCode::Raw {
                         word,
                         prefix_bits: 3,
-                    });
-                }
+                    }
+                } else {
+                    // An approximated zero is a single-word zero pattern,
+                    // flagged approximate for the encoding statistics.
+                    WordCode::Pattern {
+                        index: code.index,
+                        adjunct: code.adjunct(value),
+                        adjunct_bits: code.width,
+                        approx: value != word,
+                    }
+                };
+                // Store the run with this word added and the word's own code
+                // after the run, whatever the word is; then advance past
+                // what is emitted. An exact zero emits only a run that
+                // reaches MAX_ZERO_RUN; any other word emits the pending run,
+                // if there is one, then its own code.
+                let zero = word == 0;
+                let pending = run + u8::from(zero);
+                line[len] = WordCode::ZeroRun { len: pending };
+                line[len + usize::from(run > 0)] = own;
+                let full = pending == MAX_ZERO_RUN;
+                len += if zero {
+                    usize::from(full)
+                } else {
+                    1 + usize::from(run > 0)
+                };
+                run = if zero && !full { pending } else { 0 };
             }
         }
-        let words = block.words();
-        self.activity.words_encoded += words.len() as u64;
-        self.activity.cam_searches += words.len() as u64;
-        if self.window.is_none() {
-            // Wide path: eight contiguous words per iteration. The AVCL masks
-            // for the whole group come out of one `approx_pattern8` call and
-            // `best_match8` compares each pattern row against all eight lanes
-            // into one hit mask, with no per-lane branch. Lane results are
-            // bit-identical to the scalar path.
-            let avcl = if approx_on { self.avcl } else { None };
-            for chunk in words.chunks(8) {
-                let mut lanes = [0u32; 8];
-                lanes[..chunk.len()].copy_from_slice(chunk);
-                let masks = match &avcl {
-                    Some(a) => {
-                        self.activity.avcl_ops += chunk.len() as u64;
-                        let pats = a.approx_pattern8(&lanes, block.dtype());
-                        core::array::from_fn(|i| pats[i].mask())
-                    }
-                    None => [0u32; 8],
-                };
-                let matched = fpc::best_match8(&lanes, &masks);
-                for (lane, &word) in chunk.iter().enumerate() {
-                    emit(&mut codes, &mut zero_run, word, matched[lane]);
-                }
-            }
-        } else {
-            // Windowed mode stays word-at-a-time: each word's allowance
-            // depends on the error the previous word banked, so the masks
-            // cannot be batched.
-            for &word in words {
-                let mask = match self.avcl {
-                    Some(installed) if approx_on => {
-                        self.activity.avcl_ops += 1;
-                        let avcl = match &self.window {
-                            Some(budget) => {
-                                Avcl::with_policy(budget.next_threshold(), installed.policy())
-                            }
-                            None => installed,
-                        };
-                        avcl.approx_pattern(word, block.dtype()).mask()
-                    }
-                    _ => 0,
-                };
-                let matched = fpc::best_match(word, mask);
-                if let Some(budget) = &mut self.window {
-                    if approx_on {
-                        let incurred = match matched {
-                            Some((_, v)) if v != word => {
-                                Avcl::relative_error(word, v, block.dtype())
-                                    .unwrap_or(0.0)
-                                    .min(1.0)
-                            }
-                            _ => 0.0,
-                        };
-                        budget.record(incurred);
-                    }
-                }
-                emit(&mut codes, &mut zero_run, word, matched);
-            }
+        if run > 0 {
+            line[len] = WordCode::ZeroRun { len: run };
+            len += 1;
         }
-        flush_run(&mut codes, &mut zero_run);
-        codes
+        if spill.is_spilled() {
+            return spill.finish(&line, len);
+        }
+        EncodedBlock::from_line(line, len, dtype, block.is_approximable())
     }
 
     fn activity(&self) -> CodecActivity {
@@ -231,6 +189,33 @@ impl BlockEncoder for FpEncoder {
     }
 }
 
+/// The rows of a windowed FP-VAXX encoder's words, one at a time: each
+/// word's allowance depends on the error the word before it banked, so the
+/// masks cannot be batched. Out of line, so the batched path stays tight.
+#[inline(never)]
+fn windowed_rows(
+    budget: &mut WindowBudget,
+    installed: Avcl,
+    chunk: &[u32],
+    dtype: DataType,
+) -> [u8; 8] {
+    let mut rows = [NO_ROW; 8];
+    for (row, &word) in rows.iter_mut().zip(chunk) {
+        let avcl = Avcl::with_policy(budget.next_threshold(), installed.policy());
+        *row = fpc::first_row(word, avcl.approx_pattern(word, dtype).mask());
+        let value = ROW_CODES[usize::from(*row)].value(word);
+        let incurred = if value != word {
+            Avcl::relative_error(word, value, dtype)
+                .unwrap_or(0.0)
+                .min(1.0)
+        } else {
+            0.0
+        };
+        budget.record(incurred);
+    }
+    rows
+}
+
 /// The FP-COMP / FP-VAXX decoder — shared by both mechanisms, since the
 /// approximation is entirely a source-side affair.
 #[derive(Debug, Clone, Default)]
@@ -251,36 +236,61 @@ impl BlockDecoder for FpDecoder {
     }
 
     fn decode(&mut self, encoded: &EncodedBlock, _src: NodeId) -> DecodeResult {
-        let mut block = CacheBlock::empty(encoded.dtype(), encoded.is_approximable());
+        let mut spill = Spill::new(encoded.dtype(), encoded.is_approximable());
+        // Every slot at or past `len` holds zero, so a zero run only moves
+        // `len` on.
+        let mut line = [0u32; BLOCK_WORDS];
+        let mut len = 0;
         for code in encoded.codes() {
-            match *code {
-                WordCode::Raw { word, .. } => block.push(word),
-                WordCode::ZeroRun { len } => block.extend(std::iter::repeat_n(0u32, len as usize)),
-                WordCode::Pattern { index, adjunct, .. } => {
+            let (word, span) = match *code {
+                WordCode::Raw { word, .. } => (word, 1),
+                WordCode::ZeroRun { len } => (0, usize::from(len)),
+                WordCode::Pattern { index, adjunct, .. } => match FpcClass::from_index(index) {
+                    Some(FpcClass::Zero) => (0, adjunct as usize),
+                    Some(class) => (class.decode(adjunct), 1),
                     // The encoder emits only valid pattern indices; deliver
                     // the adjunct raw rather than crash if one ever slips.
-                    let Some(class) = FpcClass::from_index(index) else {
+                    None => {
                         debug_assert!(false, "invalid FP pattern index {index}");
-                        block.push(adjunct);
-                        continue;
-                    };
-                    if class == FpcClass::Zero {
-                        block.extend(std::iter::repeat_n(0u32, adjunct as usize));
-                    } else {
-                        block.push(class.decode(adjunct));
+                        (adjunct, 1)
                     }
-                }
+                },
                 ref other @ (WordCode::Dict { .. }
                 | WordCode::Delta { .. }
                 | WordCode::Match { .. }) => {
                     unreachable!("frequent-pattern stream cannot contain {other:?}")
                 }
+            };
+            if len < BLOCK_WORDS && span <= BLOCK_WORDS - len {
+                line[len] = word;
+                len += span;
+                continue;
+            }
+            // Only a line longer than BLOCK_WORDS fills the local one.
+            for _ in 0..span {
+                if len == BLOCK_WORDS {
+                    spill.take(&line, len);
+                    line = [0; BLOCK_WORDS];
+                    len = 0;
+                }
+                line[len] = word;
+                len += 1;
             }
         }
-        self.activity.words_decoded += block.len() as u64;
+        let notifications = Vec::new();
+        if spill.is_spilled() {
+            let block: CacheBlock = spill.finish(&line, len);
+            self.activity.words_decoded += block.len() as u64;
+            return DecodeResult {
+                block,
+                notifications,
+            };
+        }
+        self.activity.words_decoded += len as u64;
+        let block = CacheBlock::from_line(line, len, encoded.dtype(), encoded.is_approximable());
         DecodeResult {
             block,
-            notifications: Vec::new(),
+            notifications,
         }
     }
 

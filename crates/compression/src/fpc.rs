@@ -75,7 +75,7 @@ impl FpcClass {
 
     /// The adjunct data size in bits (the "encoded data size" column of
     /// Figure 5; 3 bits for a zero run's length, 32 for uncompressed).
-    pub fn adjunct_bits(self) -> u8 {
+    pub const fn adjunct_bits(self) -> u8 {
         match self {
             FpcClass::Zero => 3,
             FpcClass::Se4 => 4,
@@ -102,17 +102,25 @@ impl FpcClass {
             .map(|&(_, fixed, fill)| fill | (word & !fixed))
     }
 
+    /// How the adjunct is cut from a word of this class, as
+    /// `(shift, high, low, base)`: the adjunct is
+    /// `(value >> shift) & high | value & low | base`.
+    const fn adjunct_layout(self) -> (u32, u32, u32, u32) {
+        match self {
+            FpcClass::Zero => (0, 0, 0, 1), // run length 1; block layer merges runs
+            FpcClass::Se4 => (0, 0, 0xF, 0),
+            FpcClass::Se8 => (0, 0, 0xFF, 0),
+            FpcClass::Se16 => (0, 0, 0xFFFF, 0),
+            FpcClass::HalfPadded => (16, 0xFFFF, 0, 0),
+            FpcClass::TwoHalfSe => (8, 0xFF00, 0xFF, 0),
+            FpcClass::Uncompressed => (0, 0, u32::MAX, 0),
+        }
+    }
+
     /// Extracts the adjunct data bits from a word known to fit this class.
     pub fn adjunct_of(self, value: u32) -> u32 {
-        match self {
-            FpcClass::Zero => 1, // run length 1; block layer merges runs
-            FpcClass::Se4 => value & 0xF,
-            FpcClass::Se8 => value & 0xFF,
-            FpcClass::Se16 => value & 0xFFFF,
-            FpcClass::HalfPadded => value >> 16,
-            FpcClass::TwoHalfSe => ((value >> 8) & 0xFF00) | (value & 0xFF),
-            FpcClass::Uncompressed => value,
-        }
+        let (shift, high, low, base) = self.adjunct_layout();
+        (value >> shift) & high | value & low | base
     }
 
     /// Reconstructs the word from its class and adjunct (the decoder side).
@@ -164,36 +172,133 @@ pub fn best_match(word: u32, dont_care: u32) -> Option<(FpcClass, u32)> {
     None
 }
 
-/// Wide variant of [`best_match`]: classifies eight contiguous words in one
-/// pass, the way the CA logic of Figure 6 matches every pattern row at once.
-/// Each row is compared against all eight words (masked by the per-lane
-/// don't-care bits) with no per-lane branch, the eight lane results ORed
-/// into one hit mask. The lanes that row is first to match are peeled off the
-/// mask with `trailing_zeros`; the walk stops once every lane has matched.
-/// Lane `i` of the result is bit-identical to
-/// `best_match(words[i], dont_care[i])`.
-pub fn best_match8(words: &[u32; 8], dont_care: &[u32; 8]) -> [Option<(FpcClass, u32)>; 8] {
-    let mut out: [Option<(FpcClass, u32)>; 8] = [None; 8];
-    // Lanes no earlier row has matched.
-    let mut pending: u32 = 0xFF;
-    for &(class, fixed, fill) in &ROWS {
-        let mut hits = 0u32;
-        for lane in 0..8 {
-            let must = !dont_care[lane];
-            hits |= u32::from(words[lane] & must & fixed == fill & must) << lane;
-        }
-        let mut first = hits & pending;
-        pending &= !hits;
-        while first != 0 {
-            let lane = first.trailing_zeros() as usize;
-            first &= first - 1;
-            out[lane] = Some((class, fill | (words[lane] & !fixed)));
-        }
-        if pending == 0 {
-            break;
+/// The row index [`first_rows8`] gives a word that matches no row: the
+/// index of [`ROW_CODES`]' uncompressed entry.
+pub const NO_ROW: u8 = ROWS.len() as u8;
+
+/// What the encoder emits for a word whose first matching row is a given
+/// one: the row's fixed region and fill, which give the approximated value
+/// `fill | word & !fixed`, the class index and adjunct width of its code,
+/// and the cut of the adjunct from the value (see
+/// [`FpcClass::adjunct_of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowCode {
+    /// Fixed-region mask of the row (0 for no match: the value is the word).
+    pub fixed: u32,
+    /// Fill of the fixed region.
+    pub fill: u32,
+    /// The 3-bit class index of the code.
+    pub index: u8,
+    /// Adjunct width in bits.
+    pub width: u8,
+    /// The adjunct is `(value >> shift) & high | value & low | base`.
+    pub shift: u32,
+    /// See [`shift`](Self::shift).
+    pub high: u32,
+    /// See [`shift`](Self::shift).
+    pub low: u32,
+    /// See [`shift`](Self::shift).
+    pub base: u32,
+}
+
+impl RowCode {
+    const fn of(class: FpcClass, fixed: u32, fill: u32) -> RowCode {
+        let (shift, high, low, base) = class.adjunct_layout();
+        RowCode {
+            fixed,
+            fill,
+            index: class as u8,
+            width: class.adjunct_bits(),
+            shift,
+            high,
+            low,
+            base,
         }
     }
-    out
+
+    /// The value the decoder materialises for `word`.
+    #[inline]
+    pub fn value(&self, word: u32) -> u32 {
+        self.fill | (word & !self.fixed)
+    }
+
+    /// The adjunct of `value`.
+    #[inline]
+    pub fn adjunct(&self, value: u32) -> u32 {
+        (value >> self.shift) & self.high | value & self.low | self.base
+    }
+}
+
+/// One [`RowCode`] per row of the CA logic, in [`MATCH_PRIORITY`] order,
+/// then the uncompressed entry at [`NO_ROW`].
+pub const ROW_CODES: [RowCode; ROWS.len() + 1] = {
+    let mut codes = [RowCode::of(FpcClass::Uncompressed, 0, 0); ROWS.len() + 1];
+    let mut r = 0;
+    while r < ROWS.len() {
+        let (class, fixed, fill) = ROWS[r];
+        codes[r] = RowCode::of(class, fixed, fill);
+        r += 1;
+    }
+    codes
+};
+
+/// Finds each of eight contiguous words' first matching row, the way the CA
+/// logic of Figure 6 matches every pattern row at once: the index into
+/// [`ROW_CODES`] of the row [`best_match`] would project the word onto
+/// under its don't-care mask, or [`NO_ROW`]. Each lane compares its word
+/// against all twelve rows with no branch, each compare one bit of a hit
+/// mask, and takes the lowest set bit ([`first_row`]). A walk of the rows
+/// that stopped once every lane had matched measured slower: one raw word
+/// in a group sends it through every row, and the winners are picked with
+/// a data-dependent branch or a select per lane and row.
+#[inline]
+pub fn first_rows8(words: &[u32; 8], dont_care: &[u32; 8]) -> [u8; 8] {
+    std::array::from_fn(|lane| first_row(words[lane], dont_care[lane]))
+}
+
+/// The words of a group shorter than eight, padded with zeros to eight
+/// lanes: the tail of a block whose length is not a multiple of eight.
+#[cold]
+pub fn pad8(group: &[u32]) -> [u32; 8] {
+    let mut lanes = [0; 8];
+    let n = group.len().min(8);
+    lanes[..n].copy_from_slice(&group[..n]);
+    lanes
+}
+
+/// Each row's fixed-region mask, in [`ROWS`] order.
+const FIXED: [u32; ROWS.len()] = {
+    let mut fixed = [0; ROWS.len()];
+    let mut r = 0;
+    while r < ROWS.len() {
+        fixed[r] = ROWS[r].1;
+        r += 1;
+    }
+    fixed
+};
+
+/// Each row's fill, in [`ROWS`] order.
+const FILL: [u32; ROWS.len()] = {
+    let mut fill = [0; ROWS.len()];
+    let mut r = 0;
+    while r < ROWS.len() {
+        fill[r] = ROWS[r].2;
+        r += 1;
+    }
+    fill
+};
+
+/// One lane of [`first_rows8`]: `word`'s first matching row under
+/// `dont_care`, or [`NO_ROW`]. Every row is compared, each into one bit
+/// of a hit mask, and the lowest set bit is the winner.
+#[inline]
+pub fn first_row(word: u32, dont_care: u32) -> u8 {
+    let must = !dont_care;
+    let mut hits = 1u32 << NO_ROW;
+    for r in 0..ROWS.len() {
+        hits |= u32::from((word ^ FILL[r]) & FIXED[r] & must == 0) << r;
+    }
+    hits.trailing_zeros() as u8
 }
 
 #[cfg(test)]
@@ -311,21 +416,28 @@ mod tests {
         assert_eq!(FpcClass::from_index(8), None);
     }
 
+    /// The class and value the row [`first_rows8`] picked gives a word.
+    fn matched(row: u8, word: u32) -> Option<(FpcClass, u32)> {
+        let code = ROW_CODES[usize::from(row)];
+        let class = FpcClass::from_index(code.index).unwrap();
+        (row != NO_ROW).then(|| (class, code.value(word)))
+    }
+
     #[test]
-    fn best_match8_agrees_with_scalar() {
+    fn first_rows8_agrees_with_scalar() {
         use anoc_core::avcl::Avcl;
         use anoc_core::data::DataType;
         use anoc_core::threshold::ErrorThreshold;
 
         let check = |words: &[u32; 8], masks: &[u32; 8]| {
-            let batch = best_match8(words, masks);
+            let batch = first_rows8(words, masks);
             for lane in 0..8 {
+                let (word, mask) = (words[lane], masks[lane]);
+                assert_eq!(batch[lane], first_row(word, mask), "lane {lane}");
                 assert_eq!(
-                    batch[lane],
-                    best_match(words[lane], masks[lane]),
-                    "lane {lane}: word {:#x} mask {:#x}",
-                    words[lane],
-                    masks[lane]
+                    matched(batch[lane], word),
+                    best_match(word, mask),
+                    "lane {lane}: word {word:#x} mask {mask:#x}"
                 );
             }
         };
@@ -359,6 +471,29 @@ mod tests {
                     check(&words, &core::array::from_fn(|i| pats[i].mask()));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn row_codes_encode_as_the_classes_do() {
+        for (r, &(class, fixed, fill)) in ROWS.iter().enumerate() {
+            let code = ROW_CODES[r];
+            assert_eq!((code.fixed, code.fill), (fixed, fill));
+            assert_eq!(code.index, class as u8);
+            assert_eq!(code.width, class.adjunct_bits());
+        }
+        let raw = ROW_CODES[usize::from(NO_ROW)];
+        assert_eq!(raw.index, FpcClass::Uncompressed as u8);
+        let mut rng = anoc_core::rng::Pcg32::seed_from_u64(0xC0DE);
+        for _ in 0..2000 {
+            let word = rng.next_u32() >> rng.below(32);
+            let mask = (1u32 << rng.below(17)) - 1;
+            if let Some((class, v)) = best_match(word, mask) {
+                let code = ROW_CODES[usize::from(first_row(word, mask))];
+                assert_eq!(code.value(word), v);
+                assert_eq!(code.adjunct(v), class.adjunct_of(v), "{word:#x}");
+            }
+            assert_eq!(raw.value(word), word);
         }
     }
 

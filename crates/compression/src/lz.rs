@@ -24,13 +24,15 @@ pub mod matchfinder;
 
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::{
-    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, WordCode,
+    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, LineBlock, Spill,
+    WordCode,
 };
-use anoc_core::data::{CacheBlock, NodeId};
+use anoc_core::data::{CacheBlock, NodeId, BLOCK_WORDS};
 use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use anoc_core::threshold::ErrorThreshold;
 
-use matchfinder::MatchFinder;
+use crate::fpc;
+use matchfinder::{MatchFinder, RING};
 
 /// The static seed dictionary logically prepended to every block's window.
 /// Both sides hold it, so the very first words of a block can already match.
@@ -69,22 +71,23 @@ const MTF_SHORT_SLOTS: usize = 4;
 /// MTF list capacity.
 const MTF_CAPACITY: usize = 16;
 
-/// The LZ-VAXX encoder. Per-block scratch (window, match finder, MTF list,
-/// don't-care masks) is reset on every `encode`, so no encode allocates per
-/// word; only the seed dictionary persists.
+/// Don't-care masks an encode keeps: a line's worth, and those of the
+/// words a probe near its end covers past it.
+const MASKS: usize = BLOCK_WORDS + MAX_MATCH;
+
+/// The LZ-VAXX encoder. Its per-block scratch (window, match finder, MTF
+/// list, don't-care masks) lives in fixed arrays that each `encode` starts
+/// afresh, so no encode allocates; only the seed dictionary persists.
 #[derive(Debug, Clone)]
 pub struct LzEncoder {
     avcl: Avcl,
     seed: [u32; 8],
     finder: MatchFinder,
-    /// The reconstructed window as the paired decoder will see it: seed
-    /// followed by the decoded words of the block so far.
-    recon: Vec<u32>,
-    /// MTF recency ranking of match distances, rebuilt per block.
-    mtf: Vec<u16>,
-    /// Each block word's AVCL don't-care mask (all zero when approximation
-    /// is off), computed once per block instead of once per candidate.
-    dont_care: Vec<u32>,
+    /// The reconstructed window as the paired decoder will see it (seed
+    /// followed by the decoded words of the block so far), window position
+    /// `p` in slot `p % RING`. A match reaches at most [`MAX_DISTANCE`]
+    /// back, so no slot it reads has been overwritten.
+    window: [u32; RING],
     activity: CodecActivity,
 }
 
@@ -96,11 +99,34 @@ impl LzEncoder {
             avcl,
             seed: SEED_DICT,
             finder: MatchFinder::new(),
-            recon: Vec::new(),
-            mtf: Vec::new(),
-            dont_care: Vec::new(),
+            window: [0; RING],
             activity: CodecActivity::default(),
         }
+    }
+}
+
+/// A move-to-front recency ranking of match distances, rebuilt per block:
+/// the most recent distance first, at most [`MTF_CAPACITY`] of them. The
+/// slots past the list's end hold 0, which no distance is.
+struct Mtf([u16; MTF_CAPACITY]);
+
+impl Mtf {
+    /// Ranks `distance` (its position in the list before the move, if it
+    /// was there), then moves it to the front; the list keeps its
+    /// [`MTF_CAPACITY`] most recent distances. Both steps compare and shift
+    /// every slot, with no per-slot branch.
+    #[inline]
+    fn rank_and_promote(&mut self, distance: u16) -> Option<usize> {
+        let old = self.0;
+        let hits = (0..MTF_CAPACITY).fold(0u32, |m, j| m | u32::from(old[j] == distance) << j);
+        let rank = (hits != 0).then(|| hits.trailing_zeros() as usize);
+        let end = rank.unwrap_or(MTF_CAPACITY - 1);
+        self.0 = std::array::from_fn(|j| match j {
+            0 => distance,
+            j if j <= end => old[j - 1],
+            j => old[j],
+        });
+        rank
     }
 }
 
@@ -111,56 +137,69 @@ impl BlockEncoder for LzEncoder {
 
     fn encode(&mut self, block: &CacheBlock, _dest: NodeId) -> EncodedBlock {
         let approx_on = block.is_approximable() && !self.avcl.threshold().is_exact();
-        let words = block.words();
+        let (words, dtype) = (block.words(), block.dtype());
         let n = words.len();
         let seed_len = self.seed.len();
-        self.activity.words_encoded += n as u64;
 
-        self.recon.clear();
-        self.recon.extend_from_slice(&self.seed);
-        self.mtf.clear();
-        self.finder.begin_block(seed_len + n);
+        self.finder.begin_block();
         for (pos, &w) in self.seed.iter().enumerate() {
+            self.window[pos] = w;
             self.finder.insert(pos, w);
         }
-        self.activity.table_updates += seed_len as u64;
+        // Activity counted in locals, added to the counters once.
+        let (mut cam, mut tcam, mut avcl_ops) = (0u64, 0u64, 0u64);
+        let mut table_updates = seed_len as u64;
 
-        self.dont_care.clear();
-        if approx_on {
-            let (avcl, dtype) = (self.avcl, block.dtype());
-            let masks = words.iter().map(|&w| avcl.approx_pattern(w, dtype).mask());
-            self.dont_care.extend(masks);
-        } else {
-            self.dont_care.resize(n, 0);
-        }
-
-        let mut codes = EncodedBlock::empty_for(block);
+        // Word `base + k`'s AVCL don't-care mask is `dont_care[k]`, for every
+        // word before `masked`, computed eight words at a time (all zero
+        // when approximation is off).
+        let mut dont_care = [0u32; MASKS];
+        let (mut base, mut masked) = (0, 0);
+        let mut mtf = Mtf([0; MTF_CAPACITY]);
+        let mut spill = Spill::new(dtype, block.is_approximable());
+        let mut line = [EncodedBlock::FILL; BLOCK_WORDS];
+        let mut len = 0;
         let mut i = 0;
         while i < n {
             let word = words[i];
             let cur = seed_len + i;
             let cap = MAX_MATCH.min(n - i);
-            let (probe, dont_care) = (&words[i..i + cap], &self.dont_care[i..i + cap]);
-            self.activity.cam_searches += 1;
-            let mut best: Option<(usize, usize, bool)> = None; // (len, distance, approx)
-            for pos in self.finder.chain(word).take(CHAIN_DEPTH) {
-                let distance = cur - pos;
-                if distance > MAX_DISTANCE {
-                    break; // chains are newest-first; older is only farther
+            while approx_on && masked < i + cap {
+                if masked + 8 > base + MASKS {
+                    // Only a line longer than BLOCK_WORDS gets here: drop
+                    // the masks of the words before this one.
+                    dont_care.copy_within(i - base.., 0);
+                    base = i;
                 }
-                self.activity.tcam_searches += u64::from(approx_on);
-                // Longest acceptable match at back-`distance`. A window word
-                // is an acceptable stand-in when it lies inside the probe
-                // word's don't-care pattern (bit equality when approximation
-                // is off). An overlapped copy repeats with period
-                // `distance`: the value the decoder materialises at offset
-                // `len` is the window word at `pos + len % distance`, which
-                // is always already decoded.
+                let group = &words[masked..n.min(masked + 8)];
+                let lanes = <[u32; 8]>::try_from(group).unwrap_or_else(|_| fpc::pad8(group));
+                let pats = self.avcl.approx_pattern8(&lanes, dtype);
+                for (mask, p) in dont_care[masked - base..].iter_mut().zip(&pats) {
+                    *mask = p.mask();
+                }
+                masked += 8;
+            }
+            let masks = match approx_on {
+                true => &dont_care[i - base..],
+                false => &[0; MAX_MATCH][..],
+            };
+            let probe = words[i..i + cap].iter().zip(masks);
+            cam += 1;
+            let (mut best_len, mut best_distance, mut best_approx) = (0, 0, false);
+            for pos in self.finder.chain(word, cur).take(CHAIN_DEPTH) {
+                tcam += u64::from(approx_on);
+                // Longest acceptable match at `pos`. A window word is an
+                // acceptable stand-in when it lies inside the probe word's
+                // don't-care pattern (bit equality when approximation is
+                // off). An overlapped copy repeats with period `cur - pos`:
+                // the value the decoder materialises at offset `len` is the
+                // window word at `pos + len % (cur - pos)`, which is always
+                // already decoded.
                 let (mut len, mut src, mut any_approx) = (0, pos, false);
-                for (&w, &mask) in probe.iter().zip(dont_care) {
-                    let cand = self.recon[src];
+                for (&w, &mask) in probe.clone() {
+                    let cand = self.window[src % RING];
                     let differs = w != cand;
-                    self.activity.avcl_ops += u64::from(approx_on & differs);
+                    avcl_ops += u64::from(approx_on & differs);
                     if (w ^ cand) & !mask != 0 {
                         break;
                     }
@@ -168,53 +207,58 @@ impl BlockEncoder for LzEncoder {
                     len += 1;
                     src = if src + 1 == cur { pos } else { src + 1 };
                 }
-                if len > best.map_or(0, |(l, _, _)| l) {
-                    best = Some((len, distance, any_approx));
+                if len > best_len {
+                    (best_len, best_distance, best_approx) = (len, cur - pos, any_approx);
                     if len == cap {
                         break;
                     }
                 }
             }
-            match best {
-                Some((len, distance, approx)) => {
-                    let rank = self.mtf.iter().position(|&d| d == distance as u16);
-                    let dist_bits = match rank {
-                        Some(k) if k < MTF_SHORT_SLOTS => SHORT_DIST_BITS,
-                        _ => FULL_DIST_BITS,
-                    };
-                    if let Some(k) = rank {
-                        self.mtf.remove(k);
-                    }
-                    self.mtf.insert(0, distance as u16);
-                    self.mtf.truncate(MTF_CAPACITY);
-                    self.activity.table_updates += 1;
-                    // The overlapped copy, exactly as the decoder replays it.
-                    for k in cur..cur + len {
-                        let v = self.recon[k - distance];
-                        self.recon.push(v);
-                        self.finder.insert(k, v);
-                    }
-                    codes.push(WordCode::Match {
-                        distance: distance as u16,
-                        len: len as u8,
-                        dist_bits,
-                        approx,
-                    });
-                    i += len;
-                }
-                None => {
-                    self.recon.push(word);
-                    self.finder.insert(cur, word);
-                    self.activity.table_updates += 1;
-                    codes.push(WordCode::Raw {
-                        word,
-                        prefix_bits: 2,
-                    });
-                    i += 1;
-                }
+            // Only a line longer than BLOCK_WORDS fills the local one.
+            if len == BLOCK_WORDS {
+                spill.take(&line, len);
+                len = 0;
             }
+            table_updates += 1;
+            if best_len > 0 {
+                let distance = best_distance as u16;
+                let dist_bits = match mtf.rank_and_promote(distance) {
+                    Some(k) if k < MTF_SHORT_SLOTS => SHORT_DIST_BITS,
+                    _ => FULL_DIST_BITS,
+                };
+                // The overlapped copy, exactly as the decoder replays it.
+                for k in cur..cur + best_len {
+                    let v = self.window[(k - best_distance) % RING];
+                    self.window[k % RING] = v;
+                    self.finder.insert(k, v);
+                }
+                line[len] = WordCode::Match {
+                    distance,
+                    len: best_len as u8,
+                    dist_bits,
+                    approx: best_approx,
+                };
+                i += best_len;
+            } else {
+                self.window[cur % RING] = word;
+                self.finder.insert(cur, word);
+                line[len] = WordCode::Raw {
+                    word,
+                    prefix_bits: 2,
+                };
+                i += 1;
+            }
+            len += 1;
         }
-        codes
+        self.activity.words_encoded += n as u64;
+        self.activity.cam_searches += cam;
+        self.activity.tcam_searches += tcam;
+        self.activity.avcl_ops += avcl_ops;
+        self.activity.table_updates += table_updates;
+        if spill.is_spilled() {
+            return spill.finish(&line, len);
+        }
+        EncodedBlock::from_line(line, len, dtype, block.is_approximable())
     }
 
     /// Two matching cycles, one MTF ranking cycle, one encoding cycle: one
@@ -263,16 +307,28 @@ impl BlockEncoder for LzEncoder {
 }
 
 /// The LZ-VAXX decoder: replays raw words and back-reference copies against
-/// its own window (pristine seed + decoded prefix). Stateless across blocks.
-#[derive(Debug, Clone, Default)]
+/// its own window (pristine seed + decoded prefix). Stateless across blocks:
+/// the window is scratch, and a decode reads only slots it wrote.
+#[derive(Debug, Clone)]
 pub struct LzDecoder {
+    /// Window position `p` in slot `p % RING`, as in [`LzEncoder`].
+    window: [u32; RING],
     activity: CodecActivity,
 }
 
 impl LzDecoder {
     /// Creates an LZ-VAXX decoder.
     pub fn new() -> Self {
-        LzDecoder::default()
+        LzDecoder {
+            window: [0; RING],
+            activity: CodecActivity::default(),
+        }
+    }
+}
+
+impl Default for LzDecoder {
+    fn default() -> Self {
+        LzDecoder::new()
     }
 }
 
@@ -283,29 +339,42 @@ impl BlockDecoder for LzDecoder {
 
     fn decode(&mut self, encoded: &EncodedBlock, _src: NodeId) -> DecodeResult {
         // The window is the seed dictionary followed by the block decoded so
-        // far; window position `k` past the seed is block word `k - seed`.
-        let seed = SEED_DICT.len();
-        let mut block = CacheBlock::empty(encoded.dtype(), encoded.is_approximable());
+        // far; `cur` is the window position of the next decoded word.
+        self.window[..SEED_DICT.len()].copy_from_slice(&SEED_DICT);
+        let mut cur = SEED_DICT.len();
+        let mut spill = Spill::new(encoded.dtype(), encoded.is_approximable());
+        let mut line = [CacheBlock::FILL; BLOCK_WORDS];
+        let mut len = 0;
+        // Appends a decoded word to the window and the line.
+        macro_rules! put {
+            ($v:expr) => {{
+                let v = $v;
+                self.window[cur % RING] = v;
+                // Only a line longer than BLOCK_WORDS fills the local one.
+                if len == BLOCK_WORDS {
+                    spill.take(&line, len);
+                    len = 0;
+                }
+                line[len] = v;
+                len += 1;
+                cur += 1;
+            }};
+        }
         for code in encoded.codes() {
             match *code {
-                WordCode::Raw { word, .. } => block.push(word),
+                WordCode::Raw { word, .. } => put!(word),
                 WordCode::Match { distance, len, .. } => {
-                    let Some(start) = (seed + block.len())
-                        .checked_sub(distance as usize)
-                        .filter(|_| distance > 0)
-                    else {
-                        // The encoder never emits an out-of-window distance;
-                        // deliver zeros rather than crash if one ever slips.
-                        debug_assert!(false, "invalid LZ distance {distance}");
-                        block.extend(std::iter::repeat_n(0u32, len as usize));
-                        continue;
-                    };
-                    for k in start..start + len as usize {
-                        let v = match SEED_DICT.get(k) {
-                            Some(&s) => s,
-                            None => block.words()[k - seed],
-                        };
-                        block.push(v);
+                    let distance = usize::from(distance);
+                    // The encoder never emits a distance past MAX_DISTANCE
+                    // or before the window; deliver zeros rather than crash
+                    // if one ever slips.
+                    let valid = (1..=MAX_DISTANCE.min(cur)).contains(&distance);
+                    debug_assert!(valid, "invalid LZ distance {distance}");
+                    for _ in 0..len {
+                        put!(match valid {
+                            true => self.window[(cur - distance) % RING],
+                            false => 0,
+                        });
                     }
                 }
                 ref other => {
@@ -313,10 +382,19 @@ impl BlockDecoder for LzDecoder {
                 }
             }
         }
-        self.activity.words_decoded += block.len() as u64;
+        self.activity.words_decoded += (cur - SEED_DICT.len()) as u64;
+        let notifications = Vec::new();
+        if spill.is_spilled() {
+            let block = spill.finish(&line, len);
+            return DecodeResult {
+                block,
+                notifications,
+            };
+        }
+        let block = CacheBlock::from_line(line, len, encoded.dtype(), encoded.is_approximable());
         DecodeResult {
             block,
-            notifications: Vec::new(),
+            notifications,
         }
     }
 

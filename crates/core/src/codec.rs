@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use crate::data::{CacheBlock, DataType, NodeId};
+use crate::data::{CacheBlock, DataType, NodeId, BLOCK_WORDS};
 use crate::line::{Entry, Line, Meta};
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
@@ -157,6 +157,20 @@ impl EncodedBlock {
         EncodedBlock(Line::from_vec(codes, Meta::new(dtype, approximable)))
     }
 
+    /// Creates an encoded block of the first `len` (at most
+    /// [`BLOCK_WORDS`]) codes of `line`, moved in whole: the constructor for
+    /// encoders, which fill a line in place. A longer block goes through a
+    /// [`Spill`].
+    #[inline]
+    pub fn from_line(
+        line: [WordCode; BLOCK_WORDS],
+        len: usize,
+        dtype: DataType,
+        approximable: bool,
+    ) -> Self {
+        EncodedBlock(Line::prefix(line, len, Meta::new(dtype, approximable)))
+    }
+
     /// Creates an encoded block with no codes yet, carrying `block`'s
     /// metadata: an encoder [`push`](Self::push)es its codes into it.
     pub fn empty_for(block: &CacheBlock) -> Self {
@@ -254,6 +268,94 @@ impl fmt::Debug for EncodedBlock {
             .field("dtype", &self.dtype())
             .field("approximable", &self.is_approximable())
             .finish()
+    }
+}
+
+/// A block a codec builds one local line at a time: a [`CacheBlock`] (a
+/// decoder's output) or an [`EncodedBlock`] (an encoder's).
+pub trait LineBlock {
+    /// What the block holds: a word or a code.
+    type Entry: Copy;
+
+    /// The value a codec's fresh local line holds in every slot.
+    const FILL: Self::Entry;
+
+    /// The block of `entries`, of any length.
+    fn from_vec(entries: Vec<Self::Entry>, dtype: DataType, approximable: bool) -> Self;
+}
+
+impl LineBlock for CacheBlock {
+    type Entry = u32;
+    const FILL: u32 = <u32 as Entry>::FILL;
+
+    fn from_vec(words: Vec<u32>, dtype: DataType, approximable: bool) -> Self {
+        CacheBlock::new(words, dtype, approximable)
+    }
+}
+
+impl LineBlock for EncodedBlock {
+    type Entry = WordCode;
+    const FILL: WordCode = <WordCode as Entry>::FILL;
+
+    fn from_vec(codes: Vec<WordCode>, dtype: DataType, approximable: bool) -> Self {
+        EncodedBlock::new(codes, dtype, approximable)
+    }
+}
+
+/// The first entries of a block longer than [`BLOCK_WORDS`], which a codec
+/// has handed over from its local line.
+///
+/// Every encoder and decoder fills one local `[_; BLOCK_WORDS]` line and
+/// hands it to its block once, through `from_line`. A block longer than a
+/// line (tests, cachesim lines of another size) fills the local line more
+/// than once: each time it is full, the codec's loop moves it here with
+/// [`take`](Self::take) and starts it again, and the codec returns
+/// [`finish`](Self::finish)'s block instead. The block keeps the form its
+/// length alone decides.
+///
+/// The codec builds its block from the line in its own return statement,
+/// not through a helper that returns it: the block is then written straight
+/// into the caller's slot, where a returned temporary costs a second copy
+/// of the line.
+pub struct Spill<B: LineBlock> {
+    entries: Vec<B::Entry>,
+    dtype: DataType,
+    approximable: bool,
+}
+
+impl<B: LineBlock> Spill<B> {
+    /// Nothing spilled yet, for a block of this metadata.
+    #[inline(always)]
+    pub fn new(dtype: DataType, approximable: bool) -> Self {
+        Spill {
+            entries: Vec::new(),
+            dtype,
+            approximable,
+        }
+    }
+
+    /// Moves the first `len` entries of `line` after those taken before.
+    #[cold]
+    #[inline(never)]
+    pub fn take(&mut self, line: &[B::Entry; BLOCK_WORDS], len: usize) {
+        self.entries.extend_from_slice(&line[..len]);
+    }
+
+    /// Whether any entries were taken. Nothing taken means nothing
+    /// allocated, so a codec that builds its block from the line has
+    /// nothing to free.
+    #[inline(always)]
+    pub fn is_spilled(&self) -> bool {
+        self.entries.capacity() != 0
+    }
+
+    /// The block of a line that spilled: the entries taken before, then
+    /// the first `len` of `line`.
+    #[cold]
+    #[inline(never)]
+    pub fn finish(mut self, line: &[B::Entry; BLOCK_WORDS], len: usize) -> B {
+        self.take(line, len);
+        B::from_vec(self.entries, self.dtype, self.approximable)
     }
 }
 
@@ -505,12 +607,26 @@ impl BlockEncoder for NullCodec {
     }
 
     fn encode(&mut self, block: &CacheBlock, _dest: NodeId) -> EncodedBlock {
-        let codes = block.words().iter().map(|&word| WordCode::Raw {
-            word,
-            prefix_bits: 0,
-        });
-        let meta = Meta::new(block.dtype(), block.is_approximable());
-        EncodedBlock(Line::collect(codes, meta))
+        let mut spill = Spill::new(block.dtype(), block.is_approximable());
+        let mut line = [EncodedBlock::FILL; BLOCK_WORDS];
+        let mut len = 0;
+        for words in block.words().chunks(BLOCK_WORDS) {
+            // Only a line longer than BLOCK_WORDS fills the local one.
+            if len == BLOCK_WORDS {
+                spill.take(&line, len);
+            }
+            for (slot, &word) in line.iter_mut().zip(words) {
+                *slot = WordCode::Raw {
+                    word,
+                    prefix_bits: 0,
+                };
+            }
+            len = words.len();
+        }
+        if spill.is_spilled() {
+            return spill.finish(&line, len);
+        }
+        EncodedBlock::from_line(line, len, block.dtype(), block.is_approximable())
     }
 
     fn compression_latency(&self) -> u64 {
@@ -524,14 +640,38 @@ impl BlockDecoder for NullCodec {
     }
 
     fn decode(&mut self, encoded: &EncodedBlock, _src: NodeId) -> DecodeResult {
-        let mut block = CacheBlock::empty(encoded.dtype(), encoded.is_approximable());
-        block.extend(encoded.codes().iter().map(|c| match *c {
-            WordCode::Raw { word, .. } => word,
-            _ => unreachable!("baseline never produces encoded words"),
-        }));
+        let mut spill = Spill::new(encoded.dtype(), encoded.is_approximable());
+        let mut line = [CacheBlock::FILL; BLOCK_WORDS];
+        let mut codes = encoded.codes().iter();
+        let mut len = 0;
+        loop {
+            for slot in &mut line {
+                let Some(code) = codes.next() else { break };
+                *slot = match *code {
+                    WordCode::Raw { word, .. } => word,
+                    _ => unreachable!("baseline never produces encoded words"),
+                };
+                len += 1;
+            }
+            // Only a line longer than BLOCK_WORDS fills the local one.
+            if codes.len() == 0 {
+                break;
+            }
+            spill.take(&line, len);
+            len = 0;
+        }
+        let notifications = Vec::new();
+        if spill.is_spilled() {
+            let block = spill.finish(&line, len);
+            return DecodeResult {
+                block,
+                notifications,
+            };
+        }
+        let block = CacheBlock::from_line(line, len, encoded.dtype(), encoded.is_approximable());
         DecodeResult {
             block,
-            notifications: Vec::new(),
+            notifications,
         }
     }
 

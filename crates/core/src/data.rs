@@ -118,10 +118,17 @@ impl CacheBlock {
         CacheBlock(Line::from_vec(words, Meta::new(dtype, approximable)))
     }
 
-    /// Creates a block of one full 64-byte line, its words moved in whole:
-    /// the constructor for blocks made a line at a time.
-    pub fn from_line(words: [u32; BLOCK_WORDS], dtype: DataType, approximable: bool) -> Self {
-        CacheBlock(Line::full(words, Meta::new(dtype, approximable)))
+    /// Creates a block of the first `len` (at most [`BLOCK_WORDS`]) words of
+    /// `line`, moved in whole: the constructor for blocks made a line at a
+    /// time. A longer block goes through a [`Spill`](crate::codec::Spill).
+    #[inline]
+    pub fn from_line(
+        line: [u32; BLOCK_WORDS],
+        len: usize,
+        dtype: DataType,
+        approximable: bool,
+    ) -> Self {
+        CacheBlock(Line::prefix(line, len, Meta::new(dtype, approximable)))
     }
 
     /// Creates a block with no words yet, to [`push`](Self::push) them into.

@@ -94,10 +94,13 @@ impl<T: Entry> Line<T> {
         }
     }
 
-    /// A full line of [`BLOCK_WORDS`] entries, moved in whole.
-    pub(crate) fn full(items: [T; BLOCK_WORDS], meta: Meta) -> Self {
+    /// The first `len` entries of `items`, moved in whole. A `len` past
+    /// [`BLOCK_WORDS`] is taken as [`BLOCK_WORDS`].
+    #[inline]
+    pub(crate) fn prefix(items: [T; BLOCK_WORDS], len: usize, meta: Meta) -> Self {
+        debug_assert!(len <= BLOCK_WORDS, "a line holds {BLOCK_WORDS} entries");
         Line::Inline {
-            len: BLOCK_WORDS as u8,
+            len: len.min(BLOCK_WORDS) as u8,
             meta,
             items,
         }

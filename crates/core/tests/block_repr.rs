@@ -1,11 +1,12 @@
 //! Pins the observable behaviour of `CacheBlock` and `EncodedBlock` against
 //! a plain-`Vec` reference model, at every length from 0 to 40: both sides
-//! of the 16-entry inline capacity a 64-byte line needs. Constructors,
+//! of the 16-entry inline capacity a 64-byte line needs. Constructors (the
+//! codecs' line-at-a-time construction through a `Spill` among them),
 //! accessors, `==`, `clone()` and the `Debug` text must all agree with the
 //! model, whatever storage the real types use underneath.
 
-use anoc_core::codec::{EncodedBlock, WordCode};
-use anoc_core::data::{CacheBlock, DataType};
+use anoc_core::codec::{EncodedBlock, LineBlock, Spill, WordCode};
+use anoc_core::data::{CacheBlock, DataType, BLOCK_WORDS};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -73,6 +74,31 @@ fn code_of((tag, a, b, c, approx): (u8, u32, u8, u8, bool)) -> WordCode {
             approx,
             pattern: a,
         },
+    }
+}
+
+/// `entries` as a codec builds them: into a local line, each full line
+/// handed to a [`Spill`], and the block made once at the end.
+fn lined<B: LineBlock>(
+    entries: &[B::Entry],
+    dtype: DataType,
+    approximable: bool,
+    from_line: impl FnOnce([B::Entry; BLOCK_WORDS], usize) -> B,
+) -> B {
+    let mut spill = Spill::new(dtype, approximable);
+    let mut line = [B::FILL; BLOCK_WORDS];
+    let mut len = 0;
+    for &entry in entries {
+        if len == BLOCK_WORDS {
+            spill.take(&line, len);
+            len = 0;
+        }
+        line[len] = entry;
+        len += 1;
+    }
+    match spill.is_spilled() {
+        true => spill.finish(&line, len),
+        false => from_line(line, len),
     }
 }
 
@@ -170,6 +196,8 @@ proptest! {
             let mut extended = CacheBlock::empty(dtype_of(!f32), !approximable);
             extended.extend(words.iter().copied());
             check_block(&extended.with_meta(dtype, approximable), &model)?;
+            let from_line = |line, len| CacheBlock::from_line(line, len, dtype, approximable);
+            check_block(&lined(words, dtype, approximable, from_line), &model)?;
 
             // `words_mut` edits in place, at any length.
             let mut edited = block.clone();
@@ -221,6 +249,8 @@ proptest! {
             prop_assert_eq!(extended.is_approximable(), source.is_approximable());
             extended.extend(codes.iter().copied());
             check_encoded(&extended.with_meta(dtype, approximable), &model)?;
+            let from_line = |line, len| EncodedBlock::from_line(line, len, dtype, approximable);
+            check_encoded(&lined(codes, dtype, approximable, from_line), &model)?;
             let stats = block.stats();
             prop_assert_eq!(stats.words, codes.iter().map(|c| u64::from(c.word_span())).sum::<u64>());
             prop_assert_eq!(stats.bits_out, codes.iter().map(|c| u64::from(c.bits())).sum::<u64>());

@@ -349,12 +349,12 @@ impl DataModel {
             for w in &mut words {
                 *w = self.next_float_word().to_bits();
             }
-            CacheBlock::from_line(words, DataType::F32, approximable)
+            CacheBlock::from_line(words, BLOCK_WORDS, DataType::F32, approximable)
         } else {
             for w in &mut words {
                 *w = self.next_int_word() as u32;
             }
-            CacheBlock::from_line(words, DataType::Int, approximable)
+            CacheBlock::from_line(words, BLOCK_WORDS, DataType::Int, approximable)
         }
     }
 
