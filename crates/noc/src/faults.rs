@@ -226,6 +226,21 @@ pub enum SimError {
     /// The end-to-end bound checker caught a delivered word outside the
     /// active error threshold while no faults were being injected.
     BoundViolation(BoundViolation),
+    /// A packet's tail flit ejected before all of its body flits, so the
+    /// per-VC FIFO order was broken (a corrupt snapshot can do that). The
+    /// packet is neither delivered nor freed.
+    TailBeforeBody {
+        /// The packet.
+        packet: PacketId,
+        /// The node it ejected at.
+        node: NodeId,
+        /// Flits ejected, the tail included.
+        ejected: u32,
+        /// Flits the packet has.
+        flits: u32,
+        /// Cycle of the tail's ejection.
+        cycle: u64,
+    },
     /// The traffic source injects between another number of nodes than the
     /// NoC has, so the run could not start.
     NodeCountMismatch {
@@ -241,6 +256,18 @@ impl fmt::Display for SimError {
         match self {
             SimError::Deadlock(dump) => write!(f, "network deadlock: {dump}"),
             SimError::BoundViolation(v) => write!(f, "error-bound violation: {v}"),
+            SimError::TailBeforeBody {
+                packet,
+                node,
+                ejected,
+                flits,
+                cycle,
+            } => write!(
+                f,
+                "packet {packet} ejected its tail at node {} after {ejected} of {flits} flits \
+                 at cycle {cycle} (per-VC FIFO order broken)",
+                node.index()
+            ),
             SimError::NodeCountMismatch { source, noc } => write!(
                 f,
                 "traffic source has {source} nodes, but the NoC has {noc} nodes"

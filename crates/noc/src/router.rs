@@ -312,6 +312,11 @@ impl Router {
         self.credit_to[port] = upstream;
     }
 
+    /// Whether a link or an NI feeds input port `port`.
+    pub(crate) fn is_fed(&self, port: usize) -> bool {
+        self.credit_to[port] != Hop::UNWIRED
+    }
+
     /// Accepts a flit into an input VC buffer (BW stage). A VC that already
     /// holds as many flits as its ring has slots — possible only after a
     /// duplicated credit — grows its ring instead of refusing the flit.
@@ -489,11 +494,18 @@ impl Router {
                 if n > MAX_SNAPSHOT_VC_LEN {
                     return Err(SnapError::Invalid("vc buffer length"));
                 }
+                // Nothing but a link or an NI fills an input port.
+                if n > 0 && !self.is_fed(port) {
+                    return Err(SnapError::Invalid("flits at an unwired input port"));
+                }
                 for _ in 0..n {
                     let flit = remap(Flit::load(r)?)?;
                     self.push(port, v, flit);
                 }
                 let route = below(r, num_in, "allocated output port")?;
+                if route != NONE && self.dest[usize::from(route)] == Hop::UNWIRED {
+                    return Err(SnapError::Invalid("route to an unwired output port"));
+                }
                 let out_vc = below(r, num_vcs, "allocated output vc")?;
                 let q = &mut self.in_vcs[port * num_vcs + v];
                 (q.route, q.out_vc) = (route, out_vc);
@@ -684,6 +696,36 @@ impl Router {
     }
 }
 
+/// Hooks for the simulator's tests to plant states only a corrupt snapshot
+/// holds.
+#[cfg(test)]
+impl Router {
+    /// Buffers `flit` in input VC `vc` of `port`, wired or not.
+    pub(crate) fn plant_flit(&mut self, port: usize, vc: usize, flit: Flit) {
+        self.push(port, vc, flit);
+    }
+
+    /// Points the route of the first input VC holding flits at `port`;
+    /// false if no VC holds any.
+    pub(crate) fn plant_route(&mut self, port: usize) -> bool {
+        let Some(q) = self.in_vcs.iter_mut().find(|q| q.len > 0) else {
+            return false;
+        };
+        q.route = port as u8;
+        true
+    }
+
+    /// An output port that leads nowhere, if the router has one.
+    pub(crate) fn unwired_output(&self) -> Option<usize> {
+        self.dest.iter().position(|&d| d == Hop::UNWIRED)
+    }
+
+    /// An input port no link feeds, if the router has one.
+    pub(crate) fn unwired_input(&self) -> Option<usize> {
+        (0..self.ports).find(|&p| !self.is_fed(p))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,11 +741,15 @@ mod tests {
         }
     }
 
+    /// A router fed on every input port (a restore refuses flits at an
+    /// input no link feeds), with output 0 leading nowhere.
     fn test_router() -> Router {
         let mut r = Router::new(0, 3, 2, 4);
         r.wire_output(1, Hop::router(0, 1, 3));
         r.wire_output(2, Hop::ni(0, 0));
         r.wire_input(0, Hop::ni(0, 0));
+        r.wire_input(1, Hop::router(0, 1, 3));
+        r.wire_input(2, Hop::router(0, 2, 1));
         r
     }
 

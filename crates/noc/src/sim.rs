@@ -1178,9 +1178,13 @@ impl NocSim {
             }
             for _ in 0..total {
                 let target = load_link_dest(&mut r, num_routers, num_nodes)?;
-                if let LinkDest::Router { port, .. } = target {
+                if let LinkDest::Router { router, port } = target {
                     if port >= ports {
                         return Err(SnapshotError::Structure("arrival port"));
+                    }
+                    let s = &self.shards[self.router_shard[router] as usize];
+                    if !s.routers[router - s.router_lo].is_fed(port) {
+                        return Err(SnapshotError::Structure("arrival at an unwired input port"));
                     }
                 }
                 let vc = r.usize()?;
@@ -1285,10 +1289,17 @@ impl NocSim {
         if !flit.is_tail {
             return;
         }
-        assert_eq!(
-            p.ejected_flits, p.num_flits,
-            "tail arrived before all body flits (per-VC FIFO violated)"
-        );
+        if p.ejected_flits != p.num_flits {
+            let error = SimError::TailBeforeBody {
+                packet: p.id,
+                node: NodeId::from(node),
+                ejected: p.ejected_flits,
+                flits: p.num_flits,
+                cycle: now,
+            };
+            self.fatal.get_or_insert(error);
+            return;
+        }
         let Some(p) = self.shards[owner].packets[slot].take() else {
             debug_assert!(false, "slot {slot} vanished between borrow and take");
             return;
@@ -1435,11 +1446,155 @@ impl NocSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::Router;
 
     fn baseline_sim(config: NocConfig) -> NocSim {
         let n = config.num_nodes();
         NocSim::new(config, (0..n).map(|_| NodeCodec::baseline()).collect())
     }
+
+    /// A 3x3 Baseline mesh after `cycles` cycles of data packets (five
+    /// flits each), many of them still in flight.
+    fn busy_mesh(cycles: u64) -> NocSim {
+        let mut sim = baseline_sim(NocConfig::mesh_3x3());
+        for c in 0..cycles {
+            let (src, dest) = ((c % 9) as u16, ((c * 5 + 4) % 9) as u16);
+            if c % 2 == 0 && src != dest {
+                let block = CacheBlock::from_i32(&[c as i32; 16]);
+                sim.enqueue_data(NodeId(src), NodeId(dest), block);
+            }
+            sim.step();
+        }
+        sim.drain_delivered();
+        sim
+    }
+
+    /// Restores `blob` into a fresh 3x3 mesh; the error it is refused with.
+    /// A blob that restores is run for 100 cycles first.
+    fn refusal(blob: &[u8]) -> SnapshotError {
+        let mut fresh = baseline_sim(NocConfig::mesh_3x3());
+        match fresh.restore_snapshot(blob, 0) {
+            Err(e) => e,
+            Ok(()) => panic!(
+                "a corrupt blob restored; the run gave {:?}",
+                fresh.try_run(100)
+            ),
+        }
+    }
+
+    /// The shard, ring slot and index of the first in-flight head flit
+    /// arriving at a router that has a port of the kind `unwired` finds,
+    /// and that port.
+    fn arrival_at_edge_router(
+        sim: &NocSim,
+        unwired: impl Fn(&Router) -> Option<usize>,
+    ) -> Option<(usize, usize, usize, usize)> {
+        for (s, shard) in sim.shards.iter().enumerate() {
+            for (slot, ring) in shard.events.iter().enumerate() {
+                for (k, a) in ring.iter().enumerate() {
+                    if a.port == Hop::NI || !a.flit.is_head() {
+                        continue;
+                    }
+                    if let Some(port) = unwired(&shard.routers[a.index as usize]) {
+                        return Some((s, slot, k, port));
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// [`busy_mesh`] run on until a head flit is on its way to an edge
+    /// router; that mesh and [`arrival_at_edge_router`]'s answer.
+    fn mesh_with_edge_arrival() -> (NocSim, (usize, usize, usize, usize)) {
+        let mut sim = busy_mesh(120);
+        for _ in 0..500 {
+            if let Some(found) = arrival_at_edge_router(&sim, Router::unwired_input) {
+                return (sim, found);
+            }
+            sim.step();
+            sim.drain_delivered();
+        }
+        panic!("no head flit reached an edge router");
+    }
+
+    #[test]
+    fn restore_refuses_an_arrival_at_an_unwired_input_port() {
+        let (mut sim, (s, slot, k, port)) = mesh_with_edge_arrival();
+        sim.shards[s].events[slot][k].port = port as u8;
+        let blob = sim.save_snapshot(0).unwrap();
+        let err = refusal(&blob);
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Structure("arrival at an unwired input port")
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_flits_buffered_at_an_unwired_input_port() {
+        let (mut sim, (s, slot, k, _)) = mesh_with_edge_arrival();
+        let a = sim.shards[s].events[slot][k];
+        let router = &mut sim.shards[s].routers[a.index as usize];
+        let port = router.unwired_input().unwrap();
+        router.plant_flit(port, 0, a.flit);
+        let blob = sim.save_snapshot(0).unwrap();
+        let err = refusal(&blob);
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Structure("flits at an unwired input port")
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_route_to_an_unwired_output_port() {
+        let mut sim = busy_mesh(120);
+        let planted = sim.shards.iter_mut().any(|shard| {
+            shard.routers.iter_mut().any(|router| {
+                let Some(port) = router.unwired_output() else {
+                    return false;
+                };
+                router.plant_route(port)
+            })
+        });
+        assert!(planted, "no edge router holds a routed flit");
+        let blob = sim.save_snapshot(0).unwrap();
+        let err = refusal(&blob);
+        assert!(
+            matches!(
+                err,
+                SnapshotError::Structure("route to an unwired output port")
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_reordered_tail_is_a_typed_error() {
+        // Moving the restored cycle on by one moves every event-ring slot
+        // one cycle nearer, except the current one, which goes to the back:
+        // a packet whose body flit arrives in that slot ejects its tail
+        // first.
+        let sim = busy_mesh(SHIFTED_SAVE);
+        let mut blob = sim.save_snapshot(0).unwrap();
+        let at = SNAPSHOT_MAGIC.len() + 4 + 8 + 4 * 8 + 4;
+        let cycle = u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        assert_eq!(cycle, sim.cycle());
+        blob[at..at + 8].copy_from_slice(&(cycle + 1).to_le_bytes());
+        let mut fresh = baseline_sim(NocConfig::mesh_3x3());
+        fresh.restore_snapshot(&blob, 0).unwrap();
+        let err = fresh.try_run(100).unwrap_err();
+        assert!(matches!(err, SimError::TailBeforeBody { .. }), "{err}");
+    }
+
+    /// A save cycle of [`busy_mesh`] at which a one-cycle shift reorders a
+    /// packet's tail.
+    const SHIFTED_SAVE: u64 = 60;
 
     #[test]
     fn control_packet_crosses_the_mesh() {
