@@ -3,7 +3,7 @@
 //! itself.
 
 use anoc_compression::di::{DiConfig, DiDecoder, DiEncoder};
-use anoc_compression::fp::FpEncoder;
+use anoc_compression::fp::{FpDecoder, FpEncoder};
 use anoc_compression::fpc;
 use anoc_compression::lz::{LzDecoder, LzEncoder};
 use anoc_core::avcl::Avcl;
@@ -42,19 +42,46 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    let blocks: Vec<CacheBlock> = (0..64)
-        .map(|i| CacheBlock::from_i32(&[i * 37; 16]))
+    // The codecs' corpus, the codec-stream shape: a seeded X264 data model,
+    // 75% of its blocks approximable, so each line mixes zero runs,
+    // patterns and raw words and the lanes take different rows.
+    let mut model = DataModel::new(Benchmark::X264, 1);
+    let mut flags = Pcg32::new(1, 0);
+    let corpus: Vec<CacheBlock> = (0..256)
+        .map(|_| model.next_block(flags.chance(0.75)))
         .collect();
+
     c.bench_function("micro/fp_vaxx/encode_block", |b| {
         let mut enc = FpEncoder::fp_vaxx(avcl);
         b.iter(|| {
             let mut bits = 0u32;
-            for block in &blocks {
+            for block in &corpus {
                 bits += enc.encode(block, NodeId(1)).payload_bits();
             }
             bits
         })
     });
+    for (name, vaxx) in [
+        ("micro/fp_comp/round_trip", false),
+        ("micro/fp_vaxx/round_trip", true),
+    ] {
+        c.bench_function(name, |b| {
+            let mut enc = if vaxx {
+                FpEncoder::fp_vaxx(avcl)
+            } else {
+                FpEncoder::fp_comp()
+            };
+            let mut dec = FpDecoder::new();
+            b.iter(|| {
+                let mut words = 0usize;
+                for block in &corpus {
+                    let encoded = enc.encode(block, NodeId(1));
+                    words += dec.decode(&encoded, NodeId(0)).block.len();
+                }
+                words
+            })
+        });
+    }
 
     // The Baseline pair copies words to raw codes and back, so one 16-word
     // round trip measures what building the encoded and the delivered block
@@ -69,15 +96,9 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // DI-COMP / DI-VAXX: the codec-stream shape. An encoder (node 0) feeds a
-    // decoder (node 1) a seeded X264 corpus, 75% approximable, with the
-    // decoder's notifications routed back, so the dictionaries fill, hit,
-    // evict and decay as they do in a run.
-    let mut model = DataModel::new(Benchmark::X264, 1);
-    let mut flags = Pcg32::new(1, 0);
-    let di_blocks: Vec<CacheBlock> = (0..256)
-        .map(|_| model.next_block(flags.chance(0.75)))
-        .collect();
+    // DI-COMP / DI-VAXX: an encoder (node 0) feeds a decoder (node 1) the
+    // corpus, with the decoder's notifications routed back, so the
+    // dictionaries fill, hit, evict and decay as they do in a run.
     for (name, vaxx) in [
         ("micro/di_comp/round_trip", false),
         ("micro/di_vaxx/round_trip", true),
@@ -93,7 +114,7 @@ fn bench(c: &mut Criterion) {
             let (src, dst) = (NodeId(0), NodeId(1));
             b.iter(|| {
                 let mut words = 0usize;
-                for block in &di_blocks {
+                for block in &corpus {
                     let decoded = dec.decode(&enc.encode(block, dst), src);
                     for (_, note) in decoded.notifications {
                         enc.apply_notification(dst, note);
