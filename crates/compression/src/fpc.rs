@@ -174,7 +174,7 @@ pub fn best_match(word: u32, dont_care: u32) -> Option<(FpcClass, u32)> {
 
 /// The row index [`first_rows8`] gives a word that matches no row: the
 /// index of [`ROW_CODES`]' uncompressed entry.
-pub const NO_ROW: u8 = ROWS.len() as u8;
+pub(crate) const NO_ROW: u8 = ROWS.len() as u8;
 
 /// What the encoder emits for a word whose first matching row is a given
 /// one: the row's fixed region and fill, which give the approximated value
@@ -182,23 +182,23 @@ pub const NO_ROW: u8 = ROWS.len() as u8;
 /// and the cut of the adjunct from the value (see
 /// [`FpcClass::adjunct_of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowCode {
+pub(crate) struct RowCode {
     /// Fixed-region mask of the row (0 for no match: the value is the word).
-    pub fixed: u32,
+    pub(crate) fixed: u32,
     /// Fill of the fixed region.
-    pub fill: u32,
+    pub(crate) fill: u32,
     /// The 3-bit class index of the code.
-    pub index: u8,
+    pub(crate) index: u8,
     /// Adjunct width in bits.
-    pub width: u8,
+    pub(crate) width: u8,
     /// The adjunct is `(value >> shift) & high | value & low | base`.
-    pub shift: u32,
+    pub(crate) shift: u32,
     /// See [`shift`](Self::shift).
-    pub high: u32,
+    pub(crate) high: u32,
     /// See [`shift`](Self::shift).
-    pub low: u32,
+    pub(crate) low: u32,
     /// See [`shift`](Self::shift).
-    pub base: u32,
+    pub(crate) base: u32,
 }
 
 impl RowCode {
@@ -218,20 +218,20 @@ impl RowCode {
 
     /// The value the decoder materialises for `word`.
     #[inline]
-    pub fn value(&self, word: u32) -> u32 {
+    pub(crate) fn value(&self, word: u32) -> u32 {
         self.fill | (word & !self.fixed)
     }
 
     /// The adjunct of `value`.
     #[inline]
-    pub fn adjunct(&self, value: u32) -> u32 {
+    pub(crate) fn adjunct(&self, value: u32) -> u32 {
         (value >> self.shift) & self.high | value & self.low | self.base
     }
 }
 
 /// One [`RowCode`] per row of the CA logic, in [`MATCH_PRIORITY`] order,
 /// then the uncompressed entry at [`NO_ROW`].
-pub const ROW_CODES: [RowCode; ROWS.len() + 1] = {
+pub(crate) const ROW_CODES: [RowCode; ROWS.len() + 1] = {
     let mut codes = [RowCode::of(FpcClass::Uncompressed, 0, 0); ROWS.len() + 1];
     let mut r = 0;
     while r < ROWS.len() {
@@ -252,14 +252,14 @@ pub const ROW_CODES: [RowCode; ROWS.len() + 1] = {
 /// in a group sends it through every row, and the winners are picked with
 /// a data-dependent branch or a select per lane and row.
 #[inline]
-pub fn first_rows8(words: &[u32; 8], dont_care: &[u32; 8]) -> [u8; 8] {
+pub(crate) fn first_rows8(words: &[u32; 8], dont_care: &[u32; 8]) -> [u8; 8] {
     std::array::from_fn(|lane| first_row(words[lane], dont_care[lane]))
 }
 
 /// The words of a group shorter than eight, padded with zeros to eight
 /// lanes: the tail of a block whose length is not a multiple of eight.
 #[cold]
-pub fn pad8(group: &[u32]) -> [u32; 8] {
+pub(crate) fn pad8(group: &[u32]) -> [u32; 8] {
     let mut lanes = [0; 8];
     let n = group.len().min(8);
     lanes[..n].copy_from_slice(&group[..n]);
@@ -292,7 +292,7 @@ const FILL: [u32; ROWS.len()] = {
 /// `dont_care`, or [`NO_ROW`]. Every row is compared, each into one bit
 /// of a hit mask, and the lowest set bit is the winner.
 #[inline]
-pub fn first_row(word: u32, dont_care: u32) -> u8 {
+pub(crate) fn first_row(word: u32, dont_care: u32) -> u8 {
     let must = !dont_care;
     let mut hits = 1u32 << NO_ROW;
     for r in 0..ROWS.len() {

@@ -146,7 +146,7 @@ impl Entry for WordCode {
 /// The encoded network representation of one cache block.
 ///
 /// A block never encodes to more codes than it has words, so the codes of a
-/// 64-byte line live in place ([`BLOCK_WORDS`](crate::data::BLOCK_WORDS) of
+/// 64-byte line live in place ([`BLOCK_WORDS`] of
 /// them, 136 bytes in all); longer blocks spill to the heap.
 #[derive(Clone, PartialEq)]
 pub struct EncodedBlock(Line<WordCode>);
