@@ -15,7 +15,7 @@
 //! correctness, because every candidate is still confirmed word-by-word.
 //!
 //! Everything lives in fixed arrays. A chain reaches at most
-//! [`MAX_DISTANCE`] positions back, so the links are kept in a ring of
+//! `MAX_DISTANCE` (64) positions back, so the links are kept in a ring of
 //! [`RING`] (twice that) slots, position `p` in slot `p % RING`, and a walk
 //! never reads a slot a newer position has overwritten. A bucket head is
 //! stamped with the generation of the block that wrote it, so starting a
@@ -51,7 +51,7 @@ pub struct MatchFinder {
     /// Most recent window position per bucket.
     heads: [Head; BUCKETS],
     /// Per window position, how far back the previous position of its
-    /// bucket lies; 0 when there is none within [`MAX_DISTANCE`].
+    /// bucket lies; 0 when there is none within `MAX_DISTANCE`.
     links: [u8; RING],
     /// The current block's generation, never 0.
     generation: u16,
@@ -99,7 +99,7 @@ impl MatchFinder {
 
     /// Walks the chain of candidate window positions for `word`, newest
     /// first, for a probe at window position `cur`: every position of the
-    /// bucket at most [`MAX_DISTANCE`] before `cur`. The caller bounds the
+    /// bucket at most `MAX_DISTANCE` before `cur`. The caller bounds the
     /// walk with its chain-depth budget.
     #[inline]
     pub fn chain(&self, word: u32, cur: usize) -> Chain<'_> {
