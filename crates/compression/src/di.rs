@@ -260,51 +260,34 @@ impl BlockDecoder for DiDecoder {
     }
 
     fn decode(&mut self, encoded: &EncodedBlock, src: NodeId) -> DecodeResult {
-        let dtype = encoded.dtype();
+        let mut block = CacheBlock::empty(encoded.dtype(), encoded.is_approximable());
         let mut notifications = Vec::new();
         self.activity.words_decoded += encoded.len() as u64;
         self.words_seen += encoded.len() as u64;
-        let mut spill = Spill::new(dtype, encoded.is_approximable());
-        let mut line = [CacheBlock::FILL; BLOCK_WORDS];
-        let mut len = 0;
         let mut decay = self.decay;
         for code in encoded.codes() {
             if decay.tick() {
                 self.pmt.decay();
             }
-            let word = match *code {
+            match *code {
                 WordCode::Raw { word, .. } => {
                     // Learning happens on the uncompressed stream.
-                    self.pmt.observe_raw(word, src, dtype, &mut notifications);
-                    word
+                    self.pmt
+                        .observe_raw(word, src, encoded.dtype(), &mut notifications);
+                    block.push(word);
                 }
                 WordCode::Dict { index, pattern, .. } => {
                     self.activity.cam_searches += 1;
                     self.pmt.record_hit(index, pattern);
-                    pattern
+                    block.push(pattern);
                 }
                 ref other => {
                     unreachable!("dictionary stream cannot contain {other:?}")
                 }
-            };
-            // Only a line longer than BLOCK_WORDS fills the local one.
-            if len == BLOCK_WORDS {
-                spill.take(&line, len);
-                len = 0;
             }
-            line[len] = word;
-            len += 1;
         }
         self.decay = decay;
         self.activity.notifications += notifications.len() as u64;
-        if spill.is_spilled() {
-            let block = spill.finish(&line, len);
-            return DecodeResult {
-                block,
-                notifications,
-            };
-        }
-        let block = CacheBlock::from_line(line, len, dtype, encoded.is_approximable());
         DecodeResult {
             block,
             notifications,
