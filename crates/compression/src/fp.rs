@@ -11,10 +11,9 @@ use anoc_core::codec::{
     BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, LineBlock, Spill,
     WordCode,
 };
-use anoc_core::data::{CacheBlock, DataType, NodeId, BLOCK_WORDS};
+use anoc_core::data::{CacheBlock, NodeId, BLOCK_WORDS};
 use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use anoc_core::threshold::ErrorThreshold;
-use anoc_core::window::WindowBudget;
 
 use crate::fpc::{self, FpcClass, NO_ROW, ROW_CODES};
 
@@ -26,7 +25,6 @@ const MAX_ZERO_RUN: u8 = 8;
 #[derive(Debug, Clone)]
 pub struct FpEncoder {
     avcl: Option<Avcl>,
-    window: Option<WindowBudget>,
     activity: CodecActivity,
 }
 
@@ -35,7 +33,6 @@ impl FpEncoder {
     pub fn fp_comp() -> Self {
         FpEncoder {
             avcl: None,
-            window: None,
             activity: CodecActivity::default(),
         }
     }
@@ -44,20 +41,6 @@ impl FpEncoder {
     pub fn fp_vaxx(avcl: Avcl) -> Self {
         FpEncoder {
             avcl: Some(avcl),
-            window: None,
-            activity: CodecActivity::default(),
-        }
-    }
-
-    /// Creates an FP-VAXX encoder with a window-based cumulative error
-    /// budget (§7 future work): words that compress exactly donate their
-    /// unused tolerance to later words in the same window, yielding more
-    /// approximate matches at the same average error.
-    pub fn fp_vaxx_windowed(budget: WindowBudget) -> Self {
-        let base = Avcl::new(budget.next_threshold());
-        FpEncoder {
-            avcl: Some(base),
-            window: Some(budget),
             activity: CodecActivity::default(),
         }
     }
@@ -65,11 +48,6 @@ impl FpEncoder {
     /// Whether this encoder approximates (FP-VAXX) or is exact (FP-COMP).
     pub fn is_vaxx(&self) -> bool {
         self.avcl.is_some()
-    }
-
-    /// Whether this encoder pools error tolerance across a word window.
-    pub fn is_windowed(&self) -> bool {
-        self.window.is_some()
     }
 
     /// Replaces the AVCL at run time — the dynamic-threshold hook of §1
@@ -106,16 +84,11 @@ impl BlockEncoder for FpEncoder {
         let mut run: u8 = 0;
         for chunk in words.chunks(8) {
             let lanes = <[u32; 8]>::try_from(chunk).unwrap_or_else(|_| fpc::pad8(chunk));
-            let rows = match (&mut self.window, avcl) {
-                (Some(budget), Some(installed)) => windowed_rows(budget, installed, chunk, dtype),
-                (_, avcl) => {
-                    let masks = match avcl {
-                        Some(a) => a.approx_pattern8(&lanes, dtype).map(|p| p.mask()),
-                        None => [0; 8],
-                    };
-                    fpc::first_rows8(&lanes, &masks)
-                }
+            let masks = match avcl {
+                Some(a) => a.approx_pattern8(&lanes, dtype).map(|p| p.mask()),
+                None => [0; 8],
             };
+            let rows = fpc::first_rows8(&lanes, &masks);
             for (&word, &row) in chunk.iter().zip(&rows) {
                 // Only a line longer than BLOCK_WORDS fills the local one.
                 if len + usize::from(run > 0) == BLOCK_WORDS {
@@ -176,9 +149,7 @@ impl BlockEncoder for FpEncoder {
     }
 
     // The pattern table is static, so the only mutable state worth a
-    // snapshot is the activity counters. The window budget is deliberately
-    // excluded: windowed encoders exist only in custom-mechanism runs, which
-    // never take the snapshot path.
+    // snapshot is the activity counters.
     fn save_state(&self, w: &mut SnapWriter) {
         self.activity.save(w);
     }
@@ -187,33 +158,6 @@ impl BlockEncoder for FpEncoder {
         self.activity = CodecActivity::load(r)?;
         Ok(())
     }
-}
-
-/// The rows of a windowed FP-VAXX encoder's words, one at a time: each
-/// word's allowance depends on the error the word before it banked, so the
-/// masks cannot be batched. Out of line, so the batched path stays tight.
-#[inline(never)]
-fn windowed_rows(
-    budget: &mut WindowBudget,
-    installed: Avcl,
-    chunk: &[u32],
-    dtype: DataType,
-) -> [u8; 8] {
-    let mut rows = [NO_ROW; 8];
-    for (row, &word) in rows.iter_mut().zip(chunk) {
-        let avcl = Avcl::with_policy(budget.next_threshold(), installed.policy());
-        *row = fpc::first_row(word, avcl.approx_pattern(word, dtype).mask());
-        let value = ROW_CODES[usize::from(*row)].value(word);
-        let incurred = if value != word {
-            Avcl::relative_error(word, value, dtype)
-                .unwrap_or(0.0)
-                .min(1.0)
-        } else {
-            0.0
-        };
-        budget.record(incurred);
-    }
-    rows
 }
 
 /// The FP-COMP / FP-VAXX decoder — shared by both mechanisms, since the
@@ -255,9 +199,7 @@ impl BlockDecoder for FpDecoder {
                         (adjunct, 1)
                     }
                 },
-                ref other @ (WordCode::Dict { .. }
-                | WordCode::Delta { .. }
-                | WordCode::Match { .. }) => {
+                ref other @ (WordCode::Dict { .. } | WordCode::Match { .. }) => {
                     unreachable!("frequent-pattern stream cannot contain {other:?}")
                 }
             };
@@ -478,84 +420,6 @@ mod tests {
         let dec = FpDecoder::new();
         assert_eq!(enc.compression_latency(), 3);
         assert_eq!(dec.decompression_latency(), 2);
-    }
-}
-
-#[cfg(test)]
-mod window_tests {
-    use super::*;
-    use anoc_core::window::WindowBudget;
-
-    #[test]
-    fn windowed_encoder_flags() {
-        let w = FpEncoder::fp_vaxx_windowed(WindowBudget::new(10));
-        assert!(w.is_vaxx() && w.is_windowed());
-        assert!(!FpEncoder::fp_comp().is_windowed());
-    }
-
-    #[test]
-    fn windowed_mode_wins_more_approximate_matches() {
-        use anoc_core::threshold::ErrorThreshold;
-        // A stream where half the words are exactly compressible (zeros) and
-        // half need > 10% tolerance to reach a frequent pattern. The plain
-        // 10% FP-VAXX misses them; the windowed version banks the zeros'
-        // budget and converts them.
-        let mut rng = anoc_core::rng::Pcg32::seed_from_u64(3);
-        let blocks: Vec<CacheBlock> = (0..100)
-            .map(|_| {
-                let words: Vec<i32> = (0..16)
-                    .map(|i| {
-                        if i % 2 == 0 {
-                            0
-                        } else {
-                            // ~30% away from the all-zero-low-halfword shape
-                            0x0001_0000 + rng.below(0x4000) as i32
-                        }
-                    })
-                    .collect();
-                CacheBlock::from_i32(&words)
-            })
-            .collect();
-        let mut plain = FpEncoder::fp_vaxx(Avcl::new(ErrorThreshold::from_percent(10).unwrap()));
-        let mut windowed = FpEncoder::fp_vaxx_windowed(WindowBudget::new(10));
-        let mut sp = anoc_core::codec::EncodeStats::default();
-        let mut sw = anoc_core::codec::EncodeStats::default();
-        for b in &blocks {
-            sp.absorb_block(&plain.encode(b, NodeId(1)));
-            sw.absorb_block(&windowed.encode(b, NodeId(1)));
-        }
-        assert!(
-            sw.approx_encoded > sp.approx_encoded,
-            "windowed {} vs plain {}",
-            sw.approx_encoded,
-            sp.approx_encoded
-        );
-        assert!(sw.compression_ratio() > sp.compression_ratio());
-    }
-
-    #[test]
-    fn windowed_average_error_stays_near_base() {
-        use anoc_core::metrics::QualityAccumulator;
-        let mut rng = anoc_core::rng::Pcg32::seed_from_u64(5);
-        let mut enc = FpEncoder::fp_vaxx_windowed(WindowBudget::new(10));
-        let mut dec = FpDecoder::new();
-        let mut q = QualityAccumulator::new();
-        for _ in 0..200 {
-            let words: Vec<i32> = (0..16)
-                .map(|_| (rng.next_u32() >> rng.below(20)) as i32)
-                .collect();
-            let block = CacheBlock::from_i32(&words);
-            let e = enc.encode(&block, NodeId(1));
-            let d = dec.decode(&e, NodeId(0)).block;
-            q.record_block(&block, &d);
-        }
-        // Average relative error across the stream stays at/under the 10%
-        // base even though single words may exceed it (window semantics).
-        assert!(
-            q.mean_relative_error() <= 0.10 + 1e-9,
-            "mean error {}",
-            q.mean_relative_error()
-        );
     }
 }
 

@@ -9,13 +9,9 @@
 //! * [`dictionary`] — encoder/decoder pattern-matching tables with the
 //!   install/invalidate notification protocol (Figures 7–8);
 //! * [`di`] — the DI-COMP and DI-VAXX block codecs (§4.2);
-//! * [`bd`] — BD-COMP and BD-VAXX base-delta codecs (the plug-and-play
-//!   extension over Zhan et al.'s cited mechanism);
 //! * [`lz`] — the LZ-VAXX streaming approximate-LZ codec: cross-word
 //!   back-references within a cache block, confirmed word-by-word against
 //!   AVCL don't-care patterns;
-//! * [`adaptive`] — Jin et al.'s on/off compression controller, wrappable
-//!   around any encoder;
 //! * [`cam`] — CAM/TCAM throughput, energy and area models (§4.3, §5.5).
 //!
 //! All codecs implement the [`anoc_core::codec::BlockEncoder`] /
@@ -61,8 +57,6 @@
     )
 )]
 
-pub mod adaptive;
-pub mod bd;
 pub mod cam;
 pub mod di;
 pub mod dictionary;
@@ -70,8 +64,6 @@ pub mod fp;
 pub mod fpc;
 pub mod lz;
 
-pub use adaptive::AdaptiveEncoder;
-pub use bd::{BdDecoder, BdEncoder};
 pub use di::{DiConfig, DiDecoder, DiEncoder};
 pub use fp::{FpDecoder, FpEncoder};
 pub use lz::{LzDecoder, LzEncoder};

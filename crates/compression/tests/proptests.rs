@@ -161,78 +161,6 @@ proptest! {
     }
 }
 
-mod bd_properties {
-    use super::*;
-    use anoc_compression::bd::{BdDecoder, BdEncoder};
-
-    fn clustered_block() -> impl Strategy<Value = CacheBlock> {
-        (
-            any::<i32>(),
-            prop::collection::vec(-40_000i32..=40_000, 1..=31),
-        )
-            .prop_map(|(base, offsets)| {
-                let mut words = vec![base];
-                words.extend(offsets.iter().map(|o| base.wrapping_add(*o)));
-                CacheBlock::from_i32(&words)
-            })
-    }
-
-    proptest! {
-        /// BD-COMP round-trips any block bit-exactly.
-        #[test]
-        fn bd_comp_lossless(block in super::int_block()) {
-            let mut enc = BdEncoder::bd_comp();
-            let e = enc.encode(&block, NodeId(1));
-            prop_assert_eq!(e.word_count() as usize, block.len());
-            let d = BdDecoder::new().decode(&e, NodeId(0)).block;
-            prop_assert_eq!(d, block);
-        }
-
-        /// BD-COMP never inflates beyond one flag bit per word (+ the tag).
-        #[test]
-        fn bd_comp_bounded_expansion(block in super::int_block()) {
-            let mut enc = BdEncoder::bd_comp();
-            let e = enc.encode(&block, NodeId(1));
-            prop_assert!(
-                u64::from(e.payload_bits()) <= block.size_bits() + block.len() as u64 + 3
-            );
-        }
-
-        /// Clustered (low intra-variance) blocks actually compress.
-        #[test]
-        fn bd_comp_compresses_clusters(block in clustered_block()) {
-            prop_assume!(block.len() >= 8);
-            let mut enc = BdEncoder::bd_comp();
-            let e = enc.encode(&block, NodeId(1));
-            prop_assert!(
-                u64::from(e.payload_bits()) < block.size_bits(),
-                "{} bits for a {}-bit clustered block",
-                e.payload_bits(),
-                block.size_bits()
-            );
-        }
-
-        /// BD-VAXX respects the threshold on approximable data and is exact
-        /// on precise data.
-        #[test]
-        fn bd_vaxx_threshold(block in clustered_block(), pct in 5u32..=25, approx in any::<bool>()) {
-            let block = block.with_approximable(approx);
-            let t = ErrorThreshold::from_percent(pct).unwrap();
-            let mut enc = BdEncoder::bd_vaxx(Avcl::new(t));
-            let e = enc.encode(&block, NodeId(1));
-            let d = BdDecoder::new().decode(&e, NodeId(0)).block;
-            if approx {
-                for (p, a) in block.words().iter().zip(d.words()) {
-                    let err = Avcl::relative_error(*p, *a, DataType::Int).unwrap();
-                    prop_assert!(err <= pct as f64 / 100.0 + 1e-12, "{p:#x} -> {a:#x}");
-                }
-            } else {
-                prop_assert_eq!(d, block);
-            }
-        }
-    }
-}
-
 mod lz_properties {
     use super::*;
     use anoc_compression::lz::{LzDecoder, LzEncoder};

@@ -18,7 +18,7 @@ use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 crate::snap_record! {
     /// One word of the network representation. A snapshot writes its
-    /// variant's tag (`Raw` 0 to `Dict` 5), then its fields in order.
+    /// variant's tag (`Raw` 0 to `Dict` 4), then its fields in order.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum WordCode {
         /// Word transmitted verbatim, plus `prefix_bits` of "uncompressed" tag.
@@ -46,17 +46,6 @@ crate::snap_record! {
         ZeroRun {
             /// Number of zero words covered (1..=8).
             len: u8,
-        },
-        /// Base-delta encoding: the word travels as a narrow signed delta from
-        /// the block's base word (Zhan et al., ASP-DAC'14 — the BDI extension).
-        Delta {
-            /// The signed delta from the base (simulation metadata; the wire
-            /// carries `delta_bits` of it).
-            delta: i32,
-            /// Width of the delta field in bits (0 for a repeated word).
-            delta_bits: u8,
-            /// Whether VAXX approximation enabled this delta to fit.
-            approx: bool,
         },
         /// LZ back-reference (LZ-VAXX): copies `len` words starting `distance`
         /// words back in the reconstruction window (static seed dictionary +
@@ -105,7 +94,6 @@ impl WordCode {
                 adjunct_bits: data, ..
             } => 3 + data as u32,
             WordCode::ZeroRun { .. } => 3 + 3,
-            WordCode::Delta { delta_bits, .. } => delta_bits as u32,
             WordCode::Match { dist_bits, .. } => 2 + dist_bits as u32 + 3,
             WordCode::Dict { index_bits, .. } => 1 + index_bits as u32,
         }
@@ -133,7 +121,6 @@ impl WordCode {
             WordCode::Raw { .. } | WordCode::ZeroRun { .. } => false,
             WordCode::Pattern { approx, .. }
             | WordCode::Dict { approx, .. }
-            | WordCode::Delta { approx, .. }
             | WordCode::Match { approx, .. } => approx,
         }
     }
@@ -171,23 +158,6 @@ impl EncodedBlock {
         EncodedBlock(Line::prefix(line, len, Meta::new(dtype, approximable)))
     }
 
-    /// Creates an encoded block with no codes yet, carrying `block`'s
-    /// metadata: an encoder [`push`](Self::push)es its codes into it.
-    pub fn empty_for(block: &CacheBlock) -> Self {
-        EncodedBlock::empty(block.dtype(), block.is_approximable())
-    }
-
-    /// Creates an encoded block with no codes yet.
-    pub fn empty(dtype: DataType, approximable: bool) -> Self {
-        EncodedBlock(Line::new(Meta::new(dtype, approximable)))
-    }
-
-    /// Appends a code.
-    #[inline]
-    pub fn push(&mut self, code: WordCode) {
-        self.0.push(code);
-    }
-
     /// The per-word codes.
     #[inline]
     pub fn codes(&self) -> &[WordCode] {
@@ -204,14 +174,6 @@ impl EncodedBlock {
     #[inline]
     pub fn is_approximable(&self) -> bool {
         self.0.meta().approximable
-    }
-
-    /// Overrides the data type and the approximable flag, returning the
-    /// modified block.
-    #[must_use]
-    pub fn with_meta(mut self, dtype: DataType, approximable: bool) -> Self {
-        *self.0.meta_mut() = Meta::new(dtype, approximable);
-        self
     }
 
     /// Number of codes in the block (zero runs count once).
@@ -250,13 +212,6 @@ impl Snap for EncodedBlock {
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Line::load(r).map(EncodedBlock)
-    }
-}
-
-impl Extend<WordCode> for EncodedBlock {
-    #[inline]
-    fn extend<I: IntoIterator<Item = WordCode>>(&mut self, codes: I) {
-        self.0.extend(codes);
     }
 }
 
@@ -492,8 +447,8 @@ pub struct DecodeResult {
 
 /// A block compression encoder living in a source NI.
 ///
-/// Implementations: the baseline (no-op), FP-COMP, FP-VAXX, DI-COMP and
-/// DI-VAXX in the `anoc-compression` crate.
+/// Implementations: the baseline (no-op), and FP-COMP, FP-VAXX, DI-COMP,
+/// DI-VAXX and LZ-VAXX in the `anoc-compression` crate.
 pub trait BlockEncoder {
     /// Short mechanism name, e.g. `"FP-VAXX"`.
     fn name(&self) -> &'static str;

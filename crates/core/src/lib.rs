@@ -65,11 +65,9 @@ pub mod rng;
 pub mod snap;
 pub mod stats;
 pub mod threshold;
-pub mod window;
 
 pub use avcl::{ApproxPattern, Avcl, MaskPolicy};
 pub use codec::{BlockDecoder, BlockEncoder, EncodeStats, EncodedBlock, Notification, WordCode};
 pub use control::QualityController;
 pub use data::{CacheBlock, DataType, NodeId, BLOCK_WORDS, WORD_BYTES};
 pub use threshold::ErrorThreshold;
-pub use window::WindowBudget;

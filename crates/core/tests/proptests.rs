@@ -1,11 +1,10 @@
 //! Property-based tests for the AVCL's central guarantee: a masked match can
 //! never violate the configured error threshold (Guaranteed policy), plus
-//! structural invariants of thresholds, patterns and window budgets.
+//! structural invariants of thresholds and patterns.
 
 use anoc_core::avcl::{Avcl, MaskPolicy};
 use anoc_core::data::DataType;
 use anoc_core::threshold::ErrorThreshold;
-use anoc_core::window::WindowBudget;
 use proptest::prelude::*;
 
 proptest! {
@@ -85,33 +84,6 @@ proptest! {
         };
         let expected = (p.abs_diff(a) as u128) * 100 <= (p as u128) * (pct as u128);
         prop_assert_eq!(t.allows(p, a), expected);
-    }
-
-    /// Window budgets never let a 16-word window spend more than
-    /// `16 × base`.
-    #[test]
-    fn window_budget_bounded(
-        base in 1u32..=25,
-        spend_fracs in prop::collection::vec(0.0f64..=1.0, 1..200),
-    ) {
-        let window = 16;
-        let mut b = WindowBudget::new(base);
-        let mut spent_this_window = 0.0;
-        let mut i = 0u32;
-        for f in spend_fracs {
-            let allowance = b.next_threshold().percent() as f64;
-            let spend = allowance * f / 100.0;
-            spent_this_window += spend * 100.0;
-            prop_assert!(
-                spent_this_window <= (window * base) as f64 + 1e-6,
-                "window overspent: {spent_this_window}"
-            );
-            b.record(spend);
-            i += 1;
-            if i.is_multiple_of(window) {
-                spent_this_window = 0.0;
-            }
-        }
     }
 
     /// PCG stays in bounds and is deterministic.

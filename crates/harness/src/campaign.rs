@@ -6,7 +6,7 @@
 //! a cell's cache key is the canonical rendering of exactly those inputs:
 //! the full [`SystemConfig`], the mechanism, the workload and the seed,
 //! prefixed with a campaign kind that distinguishes differently-driven cells
-//! (benchmark traffic vs synthetic sweeps vs extension codecs). Cells that
+//! (benchmark traffic vs synthetic sweeps). Cells that
 //! are the same computation share a key across figures — a `fig13` rerun
 //! reuses the matrix cells `fig9` already paid for.
 
@@ -25,7 +25,7 @@ use anoc_traffic::{Benchmark, DestPattern};
 use crate::config::{Mechanism, SystemConfig};
 use crate::persist::{decode_run_result, encode_run_result};
 use crate::runner::{
-    publish_benchmark_warmup, run, Codecs, RunResult, RunSpec, SnapshotPolicy, StagedInfo, Traffic,
+    publish_benchmark_warmup, run, RunResult, RunSpec, SnapshotPolicy, StagedInfo, Traffic,
 };
 
 /// The [`ResultCodec`] storing [`RunResult`]s in the campaign cache.
@@ -397,7 +397,7 @@ pub fn config_key(c: &SystemConfig) -> String {
 
 /// The content key of one simulation cell.
 ///
-/// `kind` names the cell computation (`bench`, `fig12 …`, `ext`); equal keys
+/// `kind` names the cell computation (`bench`, `synth`); equal keys
 /// must mean equal results, so anything that changes what the cell computes
 /// belongs in here.
 pub fn cell_key(
@@ -478,7 +478,7 @@ fn run_benchmark_cell(
             seed,
             snapshots: policy,
         },
-        codecs: Codecs::Standard(mechanism),
+        mechanism,
         config,
     })?;
     if let Some(c) = ctx {
@@ -605,7 +605,7 @@ mod tests {
         let k = |kind: &str, m: &str, w: &str, s: u64| cell_key(kind, &c, m, w, s);
         let base = k("bench", "FP-VAXX", "ssca2", 42);
         assert_eq!(base, k("bench", "FP-VAXX", "ssca2", 42));
-        assert_ne!(base, k("ext", "FP-VAXX", "ssca2", 42));
+        assert_ne!(base, k("synth", "FP-VAXX", "ssca2", 42));
         assert_ne!(base, k("bench", "FP-COMP", "ssca2", 42));
         assert_ne!(base, k("bench", "FP-VAXX", "x264", 42));
         assert_ne!(base, k("bench", "FP-VAXX", "ssca2", 43));

@@ -5,7 +5,7 @@
 //! ```sh
 //! anoc run fig9                    # one figure, parallel + cached
 //! anoc run all --cycles 20000      # every table and figure
-//! anoc run ablations --no-cache    # figs 13/14 + extension study, uncached
+//! anoc run ablations --no-cache    # figs 13/14, uncached
 //! anoc run fig12 --csv             # CSV instead of the text table
 //! anoc run fig9 --seed 7 --threads 4
 //! anoc cache stats                 # entries / bytes / location of both stores
@@ -35,14 +35,14 @@ const USAGE: &str = "usage: anoc run <TARGET> [OPTIONS]
        anoc <TARGET> [OPTIONS]          (alias for `anoc run <TARGET>`)
 
 targets:
-  table1 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 extensions
+  table1 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17
   faults      fault-injection resilience sweep (latency/quality vs flip rate)
   lossy       lossy-link degradation sweep (quality/violations vs loss rate)
   lz          LZ-VAXX study: threshold x workload vs DI-VAXX/FP-VAXX
   qos         per-flow QoS control loop vs worst-case-safe static threshold
   scale       kernel scaling sweep: 8x8 -> 32x32 cmesh, serial vs sharded
   all         every table and figure in order (excludes scale)
-  ablations   the sensitivity studies: fig13, fig14 and the extension study
+  ablations   the sensitivity studies: fig13 and fig14
 
 options:
   --cycles N    measured simulation cycles (default varies per target)
@@ -60,7 +60,7 @@ options:
   --resume      restart killed cells from their last checkpoint
   --csv         emit CSV instead of a text table
   --json        emit JSON instead of a text table (every target with a
-                CSV form; table1, fig17 and extensions print text)
+                CSV form; table1 and fig17 print text)
   --mechs A,B   mechanism columns for the matrix figures (fig9/10/11/15),
                 Baseline first, e.g. --mechs Baseline,FP-VAXX,LZ-VAXX
                 (default: the paper's 5)
@@ -68,26 +68,13 @@ options:
   --out PATH    output path (fig17 image directory, capture/replay trace)";
 
 /// All figure/table targets of `anoc run`, in `all` order.
-const TARGETS: [&str; 15] = [
-    "table1",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "extensions",
-    "faults",
-    "lossy",
-    "qos",
-    "lz",
+const TARGETS: [&str; 14] = [
+    "table1", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
+    "faults", "lossy", "qos", "lz",
 ];
 
 /// The sensitivity/ablation subset behind `anoc run ablations`.
-const ABLATIONS: [&str; 3] = ["fig13", "fig14", "extensions"];
+const ABLATIONS: [&str; 2] = ["fig13", "fig14"];
 
 #[derive(Debug, Clone)]
 struct Opts {
@@ -444,14 +431,6 @@ fn run_target(target: &str, opts: &Opts) -> Result<(), String> {
         }
         "fig17" => return fig17(opts),
         "scale" => return scale(opts),
-        "extensions" => {
-            let cfg = config(opts, 20_000);
-            for b in [Benchmark::Blackscholes, Benchmark::Ssca2, Benchmark::X264] {
-                let results = experiments::extension_study(b, &cfg, cfg.seed);
-                println!("{}", experiments::extension_table(b, &results).text());
-            }
-            return Ok(());
-        }
         "fig9" | "fig10" | "fig11" | "fig15" => vec![matrix_table(target, opts)],
         "fig12" => return fig12(opts, format),
         "fig13" | "fig14" => {
@@ -882,6 +861,12 @@ mod tests {
         }
         assert!(parse_strs(&["run", "fig9", "--mechs"]).is_err());
         assert!(parse_strs(&["run", "fig9", "--mechs", "warp-drive"]).is_err());
+        // The retired extension labels are unknown mechanisms, not runs.
+        for retired in ["BD-COMP", "BD-VAXX", "FP-adaptive", "FP-VAXX-win"] {
+            let err = parse_strs(&["run", "fig9", "--mechs", &format!("Baseline,{retired}")])
+                .expect_err("a retired mechanism is a usage error");
+            assert!(err.contains("unknown mechanism"), "{err}");
+        }
         assert!(parse_strs(&["run", "fig9", "--mechs", ","]).is_err());
         // Figure 15 normalizes to the first column, so it must be Baseline.
         let err = parse_strs(&["run", "fig15", "--mechs", "FP-VAXX,LZ-VAXX"])

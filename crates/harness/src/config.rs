@@ -8,7 +8,8 @@ use anoc_core::control::QosSpec;
 use anoc_core::threshold::ErrorThreshold;
 use anoc_noc::{FaultPlan, LossPlan, NocConfig, NodeCodec};
 
-/// The five mechanisms compared throughout the evaluation.
+/// The mechanisms a run can simulate: the paper's five
+/// ([`Mechanism::ALL`]) and LZ-VAXX, plus the label of a failed cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mechanism {
     /// No compression.
@@ -26,10 +27,10 @@ pub enum Mechanism {
     /// don't-care patterns. Not part of the paper's five-way comparison
     /// ([`Mechanism::ALL`]); driven by the `anoc run lz` study.
     LzVaxx,
-    /// A custom mechanism whose codecs the caller builds and runs through
-    /// [`crate::runner::Codecs::Custom`] (extension studies: BD-COMP/BD-VAXX,
-    /// adaptive, windowed FP-VAXX).
-    Custom(&'static str),
+    /// The label of [`RunResult::failed_sentinel`](crate::runner::RunResult::failed_sentinel),
+    /// the placeholder a keep-going campaign reports for a failed cell. It
+    /// names a result, never a run.
+    Failed,
 }
 
 impl Mechanism {
@@ -51,13 +52,14 @@ impl Mechanism {
             Mechanism::FpComp => "FP-COMP",
             Mechanism::FpVaxx => "FP-VAXX",
             Mechanism::LzVaxx => "LZ-VAXX",
-            Mechanism::Custom(name) => name,
+            Mechanism::Failed => "FAILED",
         }
     }
 
-    /// The inverse of [`name`](Self::name) over every mechanism the harness
-    /// knows, including the extension-study customs — the hook the result
-    /// cache uses to reconstruct a mechanism from its stored name.
+    /// The inverse of [`name`](Self::name) over every mechanism a run can
+    /// simulate — the hook the result cache uses to reconstruct a mechanism
+    /// from its stored name. `FAILED` is not one: a failed cell is never
+    /// cached.
     pub fn from_name(name: &str) -> Option<Mechanism> {
         Some(match name {
             "Baseline" => Mechanism::Baseline,
@@ -66,10 +68,6 @@ impl Mechanism {
             "FP-COMP" => Mechanism::FpComp,
             "FP-VAXX" => Mechanism::FpVaxx,
             "LZ-VAXX" => Mechanism::LzVaxx,
-            "BD-COMP" => Mechanism::Custom("BD-COMP"),
-            "BD-VAXX" => Mechanism::Custom("BD-VAXX"),
-            "FP-adaptive" => Mechanism::Custom("FP-adaptive"),
-            "FP-VAXX-win" => Mechanism::Custom("FP-VAXX-win"),
             _ => return None,
         })
     }
@@ -94,14 +92,12 @@ impl Mechanism {
     ///
     /// # Panics
     ///
-    /// Panics for [`Mechanism::Custom`]: custom mechanisms supply their own
-    /// codecs through [`crate::runner::Codecs::Custom`].
+    /// Panics for [`Mechanism::Failed`], which labels a failed cell's
+    /// placeholder and has no codecs.
     pub fn codecs(&self, nodes: usize, threshold: ErrorThreshold) -> Vec<NodeCodec> {
         (0..nodes)
             .map(|_| match self {
-                Mechanism::Custom(name) => {
-                    panic!("custom mechanism {name} must supply Codecs::Custom")
-                }
+                Mechanism::Failed => panic!("the FAILED placeholder labels no run"),
                 Mechanism::Baseline => NodeCodec::baseline(),
                 Mechanism::FpComp => {
                     NodeCodec::new(Box::new(FpEncoder::fp_comp()), Box::new(FpDecoder::new()))
@@ -353,7 +349,7 @@ mod tests {
                 Mechanism::FpComp => "FP-COMP",
                 Mechanism::FpVaxx => "FP-VAXX",
                 Mechanism::LzVaxx => "LZ-VAXX",
-                Mechanism::Custom(name) => name,
+                Mechanism::Failed => "FAILED",
             };
             assert_eq!(codecs[0].encoder.name(), expected);
             assert_eq!(m.to_string(), expected);

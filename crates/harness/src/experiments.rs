@@ -13,9 +13,9 @@ use anoc_traffic::{Benchmark, DataPool, DestPattern, SyntheticTraffic};
 use crate::campaign::{benchmark_job, cell_key, checked_benchmark_job, context, pattern_tag};
 use crate::config::{Mechanism, SystemConfig};
 use crate::power::{AreaModel, EnergyModel};
+use crate::runner::try_run_with_source;
 pub use crate::runner::RunResult;
-use crate::runner::{run, try_run_with_source, Codecs, RunSpec, SnapshotPolicy, Traffic};
-use crate::table::Layout::{Left, Right, Suffix};
+use crate::table::Layout::{Left, Right};
 use crate::table::{col, data_only, text_only, Cell, Column, Table};
 
 /// The full benchmark × mechanism result matrix backing Figures 9, 10, 11
@@ -1083,124 +1083,6 @@ pub fn fig17(seed: u64) -> Fig17Result {
         precise_pgm: frame_to_pgm(precise_frame, kernel.size),
         approx_pgm: frame_to_pgm(&approx_frame, kernel.size),
     }
-}
-
-/// Extension study (beyond the paper's five mechanisms): the VAXX engine
-/// plugged into a third compression family — base-delta (BD-COMP/BD-VAXX,
-/// after the Zhan et al. mechanism cited in §6) — plus Jin et al.'s
-/// adaptive on/off controller wrapped around FP-COMP. Demonstrates the §1
-/// claim that VAXX is a "plug and play module for any underlying NoC data
-/// compression mechanism".
-pub fn extension_study(benchmark: Benchmark, config: &SystemConfig, seed: u64) -> Vec<RunResult> {
-    const MECHANISMS: [Mechanism; 6] = [
-        Mechanism::FpComp,
-        Mechanism::FpVaxx,
-        Mechanism::Custom("BD-COMP"),
-        Mechanism::Custom("BD-VAXX"),
-        Mechanism::Custom("FP-adaptive"),
-        Mechanism::Custom("FP-VAXX-win"),
-    ];
-    let jobs = MECHANISMS
-        .iter()
-        .map(|&mechanism| {
-            let id = format!("ext/{}/{}", benchmark.name(), mechanism.name());
-            let key = cell_key("ext", config, mechanism.name(), benchmark.name(), seed);
-            let config = config.clone();
-            JobSpec::new(id, key, move || {
-                run_extension_cell(benchmark, mechanism, &config, seed)
-            })
-        })
-        .collect();
-    context().run("extensions", jobs)
-}
-
-/// Runs one extension-study cell: `mechanism`'s codec family (built fresh
-/// per node) under benchmark traffic.
-fn run_extension_cell(
-    benchmark: Benchmark,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    seed: u64,
-) -> RunResult {
-    use anoc_compression::adaptive::AdaptiveEncoder;
-    use anoc_compression::bd::{BdDecoder, BdEncoder};
-    use anoc_compression::fp::{FpDecoder, FpEncoder};
-    use anoc_core::avcl::Avcl;
-    use anoc_core::window::WindowBudget;
-    use anoc_noc::NodeCodec;
-
-    let nodes = config.noc.num_nodes();
-    let t = config.threshold();
-    let factory = || -> NodeCodec {
-        match mechanism.name() {
-            "FP-COMP" => NodeCodec::new(Box::new(FpEncoder::fp_comp()), Box::new(FpDecoder::new())),
-            "FP-VAXX" => NodeCodec::new(
-                Box::new(FpEncoder::fp_vaxx(Avcl::new(t))),
-                Box::new(FpDecoder::new()),
-            ),
-            "BD-COMP" => NodeCodec::new(Box::new(BdEncoder::bd_comp()), Box::new(BdDecoder::new())),
-            "BD-VAXX" => NodeCodec::new(
-                Box::new(BdEncoder::bd_vaxx(Avcl::new(t))),
-                Box::new(BdDecoder::new()),
-            ),
-            "FP-adaptive" => NodeCodec::new(
-                Box::new(AdaptiveEncoder::new(FpEncoder::fp_comp())),
-                Box::new(FpDecoder::new()),
-            ),
-            "FP-VAXX-win" => NodeCodec::new(
-                Box::new(FpEncoder::fp_vaxx_windowed(WindowBudget::new(
-                    t.percent().max(1),
-                ))),
-                Box::new(FpDecoder::new()),
-            ),
-            other => panic!("unknown extension mechanism {other}"),
-        }
-    };
-    let spec = RunSpec {
-        traffic: Traffic::Benchmark {
-            benchmark,
-            seed,
-            snapshots: SnapshotPolicy::cold(),
-        },
-        codecs: Codecs::Custom(mechanism, (0..nodes).map(|_| factory()).collect()),
-        config,
-    };
-    match run(spec) {
-        Ok(outcome) => outcome.result,
-        Err(e) => panic!("simulation failed: {e}"),
-    }
-}
-
-/// The extension study as a text table (it has no CSV or JSON form). A run
-/// that outlived its drain budget reports lower-bound delivery stats, not
-/// final ones; its text line says so.
-pub fn extension_table(benchmark: Benchmark, results: &[RunResult]) -> Table {
-    let mut t = Table::new(
-        "extensions",
-        format!("Extension study ({benchmark}): VAXX plugged into three compression families"),
-        "mechanism     latency  norm_flits  comp_ratio  approx_frac  quality",
-        &[
-            text_only(Left(13)),
-            text_only(Right(8, 2)),
-            text_only(Right(11, 3)),
-            text_only(Right(11, 3)),
-            text_only(Right(12, 3)),
-            text_only(Right(8, 4)),
-            text_only(Suffix),
-        ],
-    );
-    for r in results {
-        t.row(vec![
-            r.mechanism.name().into(),
-            r.avg_packet_latency().into(),
-            r.stats.normalized_data_flits().into(),
-            r.stats.encode.compression_ratio().into(),
-            r.stats.encode.approx_fraction().into(),
-            r.data_quality().into(),
-            if r.drained { "" } else { "  [undrained]" }.into(),
-        ]);
-    }
-    t
 }
 
 /// One cell of the LZ-VAXX study (`anoc run lz`): one mechanism at one

@@ -3,7 +3,7 @@
 //! The experiment harness that regenerates every table and figure of
 //! APPROX-NoC (ISCA 2017):
 //!
-//! * [`config`] — [`SystemConfig`] (Table 1 defaults) and the five
+//! * [`config`] — [`SystemConfig`] (Table 1 defaults) and the
 //!   [`Mechanism`]s under comparison;
 //! * [`runner`] — the generic traffic → NoC → statistics driver: one
 //!   [`runner::run`] over a [`runner::RunSpec`];
@@ -24,7 +24,7 @@
 //! ## Example
 //!
 //! ```
-//! use anoc_harness::runner::{run, Codecs, RunSpec, SnapshotPolicy, Traffic};
+//! use anoc_harness::runner::{run, RunSpec, SnapshotPolicy, Traffic};
 //! use anoc_harness::{Mechanism, SystemConfig};
 //! use anoc_traffic::Benchmark;
 //!
@@ -35,7 +35,7 @@
 //!         seed: 7,
 //!         snapshots: SnapshotPolicy::cold(),
 //!     },
-//!     codecs: Codecs::Standard(Mechanism::FpVaxx),
+//!     mechanism: Mechanism::FpVaxx,
 //!     config: &config,
 //! })
 //! .expect("no watchdog or bound-checker abort");

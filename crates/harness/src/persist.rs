@@ -216,9 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_handles_default_and_custom() {
+    fn roundtrip_handles_default_stats() {
         let r = RunResult {
-            mechanism: Mechanism::Custom("BD-VAXX"),
+            mechanism: Mechanism::LzVaxx,
             stats: NetStats::default(),
             activity: ActivityReport::default(),
             nodes: 0,
@@ -241,6 +241,12 @@ mod tests {
         assert!(decode_run_result(truncated).is_none());
         let unknown = good.replace("mechanism FP-VAXX", "mechanism NO-SUCH");
         assert!(decode_run_result(&unknown).is_none());
+        // Retired mechanisms that v8 builds could cache: their entries are
+        // misses, never results under another mechanism.
+        for retired in ["BD-COMP", "BD-VAXX", "FP-adaptive", "FP-VAXX-win"] {
+            let stale = good.replace("mechanism FP-VAXX", &format!("mechanism {retired}"));
+            assert!(decode_run_result(&stale).is_none(), "{retired}");
+        }
     }
 
     #[test]

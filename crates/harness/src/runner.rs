@@ -1,10 +1,10 @@
 //! The generic experiment driver: traffic source → NoC → statistics.
 //!
 //! Every simulation goes through [`run`], which a [`RunSpec`] describes.
-//! Runs with standard codecs are **staged** (DESIGN.md §11): codecs are
-//! built at the exact threshold, the warmup window runs threshold-free, and
-//! only at the measurement boundary are the encoders retargeted to the
-//! configured threshold, the bound checker armed and measurement begun. The
+//! Every run is **staged** (DESIGN.md §11): codecs are built at the exact
+//! threshold, the warmup window runs threshold-free, and only at the
+//! measurement boundary are the encoders retargeted to the configured
+//! threshold, the bound checker armed and measurement begun. The
 //! warmup trajectory is therefore identical for every threshold variant of a
 //! sweep, which is what lets the [`SnapshotPolicy`] fork those variants from
 //! one shared post-warmup snapshot instead of replaying the warmup per cell.
@@ -15,7 +15,7 @@ use anoc_core::snap::{SnapReader, SnapWriter};
 use anoc_core::threshold::ErrorThreshold;
 use anoc_exec::hash::fnv1a64;
 use anoc_exec::SnapshotStore;
-use anoc_noc::{ActivityReport, NetStats, NocSim, NodeCodec, SimError};
+use anoc_noc::{ActivityReport, NetStats, NocSim, SimError};
 use anoc_traffic::{Benchmark, BenchmarkTraffic, Injection, TrafficSource};
 
 use crate::campaign::{cell_key, warmup_key};
@@ -69,7 +69,7 @@ impl RunResult {
     /// every statistic zero. Never cached.
     pub fn failed_sentinel() -> Self {
         RunResult {
-            mechanism: Mechanism::Custom("FAILED"),
+            mechanism: Mechanism::Failed,
             stats: NetStats::default(),
             activity: ActivityReport::default(),
             nodes: 0,
@@ -80,7 +80,7 @@ impl RunResult {
 
     /// Whether this result is the keep-going failure placeholder.
     pub fn is_failed_sentinel(&self) -> bool {
-        self.mechanism == Mechanism::Custom("FAILED") && self.total_cycles == 0
+        self.mechanism == Mechanism::Failed && self.total_cycles == 0
     }
 }
 
@@ -131,8 +131,7 @@ pub struct StagedInfo {
 pub enum Traffic<'a> {
     /// `benchmark`-shaped traffic from `seed`. The runner builds the source
     /// itself, so it can rebuild it after a failed snapshot restore — which
-    /// is why only this traffic carries a [`SnapshotPolicy`]. The policy
-    /// applies under [`Codecs::Standard`]; custom codecs always run cold.
+    /// is why only this traffic carries a [`SnapshotPolicy`].
     Benchmark {
         /// The benchmark whose traffic and data values are modelled.
         benchmark: Benchmark,
@@ -145,26 +144,12 @@ pub enum Traffic<'a> {
     Source(&'a mut dyn TrafficSource),
 }
 
-/// The codec pairs a run's network interfaces use.
-pub enum Codecs {
-    /// The mechanism's own codec pairs, run staged (see the module docs).
-    Standard(Mechanism),
-    /// Caller-built codec pairs, one per node, reported under the given
-    /// mechanism — the extension mechanisms (BD-COMP/BD-VAXX, adaptive or
-    /// windowed encoders) that [`Mechanism`] does not build. They run
-    /// unstaged, as supplied: no exact-threshold warmup and no retarget,
-    /// since adaptive and windowed encoders manage their own thresholds. The
-    /// bound checker stays off under a [`Mechanism::Custom`] label, whose
-    /// per-word allowance the configured threshold does not describe.
-    Custom(Mechanism, Vec<NodeCodec>),
-}
-
-/// One simulation run: its traffic, its codecs and the system it runs on.
+/// One simulation run: its traffic, its mechanism and the system it runs on.
 pub struct RunSpec<'a> {
     /// Where the traffic comes from.
     pub traffic: Traffic<'a>,
-    /// The codec pairs of the network interfaces.
-    pub codecs: Codecs,
+    /// The mechanism whose codec pairs the network interfaces run.
+    pub mechanism: Mechanism,
     /// The system configuration, including the warmup/measurement/drain
     /// windows.
     pub config: &'a SystemConfig,
@@ -181,42 +166,29 @@ pub struct RunOutcome {
 
 /// Runs `spec` for the configured warmup + measurement window, then drains.
 ///
-/// Benchmark traffic under standard codecs walks its policy's snapshot
-/// ladder: resume the cell from its last checkpoint if asked, else fork from
-/// the shared post-warmup snapshot, else run cold and publish that snapshot
-/// for the next cell. Every other spec runs cold. Warm and cold results are
-/// bit-identical.
+/// Benchmark traffic walks its policy's snapshot ladder: resume the cell
+/// from its last checkpoint if asked, else fork from the shared post-warmup
+/// snapshot, else run cold and publish that snapshot for the next cell. A
+/// caller-owned source runs cold. Warm and cold results are bit-identical.
 ///
 /// # Errors
 ///
 /// A watchdog deadlock abort, a fatal bound-checker violation, or a traffic
 /// source whose node count is not the configuration's.
-///
-/// # Panics
-///
-/// Panics if the custom codecs disagree with the configuration's node count.
 pub fn run(spec: RunSpec<'_>) -> Result<RunOutcome, SimError> {
     let RunSpec {
         traffic,
-        codecs,
+        mechanism,
         config,
     } = spec;
-    let mut built;
-    let source: &mut dyn TrafficSource = match traffic {
+    match traffic {
         Traffic::Benchmark {
             benchmark,
             seed,
             snapshots,
-        } => {
-            if let Codecs::Standard(mechanism) = codecs {
-                return StagedCell::new(benchmark, mechanism, config, seed, &snapshots).run();
-            }
-            built = benchmark_source(benchmark, config, seed);
-            &mut built
-        }
-        Traffic::Source(source) => source,
-    };
-    cold_run(source, codecs, config, None)
+        } => StagedCell::new(benchmark, mechanism, config, seed, &snapshots).run(),
+        Traffic::Source(source) => cold_run(source, mechanism, config, None),
+    }
 }
 
 /// Runs `mechanism` under the traffic produced by `source`, cold. A
@@ -229,7 +201,7 @@ pub fn try_run_with_source(
 ) -> Result<RunResult, SimError> {
     let spec = RunSpec {
         traffic: Traffic::Source(source),
-        codecs: Codecs::Standard(mechanism),
+        mechanism,
         config,
     };
     run(spec).map(|outcome| outcome.result)
@@ -250,7 +222,7 @@ pub fn try_run_benchmark(
             seed,
             snapshots: SnapshotPolicy::cold(),
         },
-        codecs: Codecs::Standard(mechanism),
+        mechanism,
         config,
     };
     run(spec).map(|outcome| outcome.result)
@@ -278,7 +250,7 @@ pub fn publish_benchmark_warmup(
     if cell.restore(STAGE_WARMUP, warmup..=warmup).is_some() {
         return Ok(false);
     }
-    let (_, mut sim) = armed_sim(Codecs::Standard(mechanism), config);
+    let mut sim = armed_sim(mechanism, config);
     let mut source = benchmark_source(benchmark, config, seed);
     let keys = cell.keys.as_ref();
     warm_up(&mut sim, &mut source, config, keys, &mut Vec::new())?;
@@ -316,9 +288,8 @@ struct StoreKeys<'a> {
     checkpoint_every: u64,
 }
 
-/// A benchmark cell under a standard mechanism: the one kind of run the
-/// runner can rebuild from scratch, and so the one that may restore from
-/// the snapshot store.
+/// A benchmark cell: the one kind of run the runner can rebuild from
+/// scratch, and so the one that may restore from the snapshot store.
 struct StagedCell<'a> {
     benchmark: Benchmark,
     seed: u64,
@@ -370,7 +341,7 @@ impl<'a> StagedCell<'a> {
                 resumed: tag == STAGE_CHECKPOINT,
                 skipped_cycles: sim.cycle(),
             };
-            arm_measurement(&mut sim, self.mechanism, true, self.config);
+            arm_measurement(&mut sim, self.config);
             // Only a fork begins measuring: a checkpoint continues the
             // measurement it saved.
             if staged.forked {
@@ -387,8 +358,7 @@ impl<'a> StagedCell<'a> {
             return Ok(RunOutcome { result, staged });
         }
         let mut source = benchmark_source(self.benchmark, self.config, self.seed);
-        let codecs = Codecs::Standard(self.mechanism);
-        cold_run(&mut source, codecs, self.config, self.keys.as_ref())
+        cold_run(&mut source, self.mechanism, self.config, self.keys.as_ref())
     }
 
     /// Restores the cell's stage-`tag` blob — its checkpoint or the shared
@@ -405,7 +375,7 @@ impl<'a> StagedCell<'a> {
             &keys.warmup
         };
         let blob = keys.store.get(key)?;
-        let (_, mut sim) = armed_sim(Codecs::Standard(self.mechanism), self.config);
+        let mut sim = armed_sim(self.mechanism, self.config);
         let mut source = benchmark_source(self.benchmark, self.config, self.seed);
         let restored =
             thaw(&blob, tag, fnv1a64(key.as_bytes()), &mut sim, &mut source).and_then(|()| {
@@ -440,7 +410,7 @@ impl<'a> StagedCell<'a> {
 /// boundary, measure.
 fn cold_run(
     source: &mut dyn TrafficSource,
-    codecs: Codecs,
+    mechanism: Mechanism,
     config: &SystemConfig,
     keys: Option<&StoreKeys<'_>>,
 ) -> Result<RunOutcome, SimError> {
@@ -448,11 +418,10 @@ fn cold_run(
     if nodes != noc {
         return Err(SimError::NodeCountMismatch { source: nodes, noc });
     }
-    let staged = matches!(codecs, Codecs::Standard(_));
-    let (mechanism, mut sim) = armed_sim(codecs, config);
+    let mut sim = armed_sim(mechanism, config);
     let mut buf = Vec::new();
     warm_up(&mut sim, source, config, keys, &mut buf)?;
-    arm_measurement(&mut sim, mechanism, staged, config);
+    arm_measurement(&mut sim, config);
     // Unconditional: a zero-cycle warmup (even with a zero-cycle measurement
     // window) still arms measurement, so the statistics are well-defined.
     sim.begin_measurement();
@@ -463,23 +432,20 @@ fn cold_run(
     })
 }
 
-/// A fresh simulator running `codecs`, with shards, fault and loss plans,
-/// QoS and watchdog armed — before any snapshot restore, whose serialized
-/// cursors then overwrite what arming reset. Standard codecs are built at
-/// the exact threshold; the staged run retargets them at the measurement
-/// boundary. Returns the mechanism the run reports, too.
-fn armed_sim(codecs: Codecs, config: &SystemConfig) -> (Mechanism, NocSim) {
-    let (mechanism, pairs) = match codecs {
-        Codecs::Standard(m) => (m, m.codecs(config.noc.num_nodes(), ErrorThreshold::exact())),
-        Codecs::Custom(m, pairs) => (m, pairs),
-    };
-    let mut sim = NocSim::new(config.noc.clone(), pairs);
+/// A fresh simulator running `mechanism`'s codecs, with shards, fault and
+/// loss plans, QoS and watchdog armed — before any snapshot restore, whose
+/// serialized cursors then overwrite what arming reset. The codecs are built
+/// at the exact threshold; the staged run retargets them at the measurement
+/// boundary.
+fn armed_sim(mechanism: Mechanism, config: &SystemConfig) -> NocSim {
+    let codecs = mechanism.codecs(config.noc.num_nodes(), ErrorThreshold::exact());
+    let mut sim = NocSim::new(config.noc.clone(), codecs);
     sim.set_shards(config.shards);
     sim.set_fault_plan(config.faults);
     sim.set_loss_plan(config.loss);
     sim.set_qos(config.qos);
     sim.set_watchdog(config.watchdog_horizon);
-    (mechanism, sim)
+    sim
 }
 
 /// Offers one cycle of traffic and advances the simulator, keeping the
@@ -539,20 +505,18 @@ fn warm_up(
     Ok(())
 }
 
-/// The measurement boundary. A staged run retargets its encoders to the
-/// configured threshold — unless QoS is active: the per-flow controllers own
-/// the encoder thresholds (lazily reinstalled per enqueue), and a global
-/// retarget would stomp what they learned. Custom codecs keep what they were
-/// built with. The bound checker arms at [`SystemConfig::bound_threshold`]
-/// except under a [`Mechanism::Custom`] label. Restored runs come through
-/// here too, since the snapshot format deliberately excludes all of this.
-fn arm_measurement(sim: &mut NocSim, mechanism: Mechanism, staged: bool, config: &SystemConfig) {
-    if staged && !config.qos.is_active() {
+/// The measurement boundary. The encoders retarget to the configured
+/// threshold — unless QoS is active: the per-flow controllers own the
+/// encoder thresholds (lazily reinstalled per enqueue), and a global
+/// retarget would stomp what they learned. The bound checker arms at
+/// [`SystemConfig::bound_threshold`] on every run. Restored runs come
+/// through here too, since the snapshot format deliberately excludes all of
+/// this.
+fn arm_measurement(sim: &mut NocSim, config: &SystemConfig) {
+    if !config.qos.is_active() {
         sim.set_error_threshold(config.threshold());
     }
-    if !matches!(mechanism, Mechanism::Custom(_)) {
-        sim.set_bound_check(config.bound_threshold());
-    }
+    sim.set_bound_check(config.bound_threshold());
 }
 
 /// Runs the measurement window from wherever `sim` stands to its end,
@@ -807,7 +771,7 @@ mod tests {
                 seed,
                 snapshots: policy.clone(),
             },
-            codecs: Codecs::Standard(mechanism),
+            mechanism,
             config,
         })?;
         Ok((outcome.result, outcome.staged))
@@ -955,10 +919,10 @@ mod tests {
         // Reproduce a killed cell: warmup + 600 measured cycles, checkpoint,
         // then "die".
         let mut source = BenchmarkTraffic::new(bench, cfg.noc.num_nodes(), cfg.approx_ratio, seed);
-        let (_, mut sim) = armed_sim(Codecs::Standard(mech), &cfg);
+        let mut sim = armed_sim(mech, &cfg);
         let mut buf = Vec::new();
         drive(&mut sim, &mut source, cfg.warmup_cycles, &mut buf).expect("warmup");
-        arm_measurement(&mut sim, mech, true, &cfg);
+        arm_measurement(&mut sim, &cfg);
         sim.begin_measurement();
         drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
         let (_, ck) = store_keys(bench, mech, &cfg, seed);
@@ -993,7 +957,7 @@ mod tests {
         // Blobs no cell can fork: a well-formed snapshot at the warmup's end
         // framed as a checkpoint, and garbage.
         let mut source = benchmark_source(bench, &cfg, seed);
-        let (_, mut sim) = armed_sim(Codecs::Standard(mech), &cfg);
+        let mut sim = armed_sim(mech, &cfg);
         drive(&mut sim, &mut source, cfg.warmup_cycles, &mut Vec::new()).expect("warmup");
         let framed = freeze(&sim, &source, STAGE_CHECKPOINT, fnv1a64(wk.as_bytes()));
         for blob in [framed.expect("save"), b"garbage".to_vec()] {
@@ -1065,10 +1029,10 @@ mod tests {
         // A well-formed checkpoint 600 cycles into the window, stored under
         // the unversioned key a v7 build wrote.
         let mut source = benchmark_source(bench, &cfg, seed);
-        let (_, mut sim) = armed_sim(Codecs::Standard(mech), &cfg);
+        let mut sim = armed_sim(mech, &cfg);
         let mut buf = Vec::new();
         drive(&mut sim, &mut source, cfg.warmup_cycles, &mut buf).expect("warmup");
-        arm_measurement(&mut sim, mech, true, &cfg);
+        arm_measurement(&mut sim, &cfg);
         sim.begin_measurement();
         drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
         let ck = cell_key("bench", &cfg, mech.name(), bench.name(), seed);
@@ -1109,10 +1073,10 @@ mod tests {
             // source is node 1000: the frame's 12 bytes, then 56 header
             // bytes, 57 bytes of scalars, the packet count and its id.
             let mut source = benchmark_source(bench, &cfg, seed);
-            let (_, mut sim) = armed_sim(Codecs::Standard(mech), &cfg);
+            let mut sim = armed_sim(mech, &cfg);
             let mut buf = Vec::new();
             drive(&mut sim, &mut source, cfg.warmup_cycles, &mut buf).expect("warmup");
-            arm_measurement(&mut sim, mech, true, &cfg);
+            arm_measurement(&mut sim, &cfg);
             sim.begin_measurement();
             drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
             let fingerprint = fnv1a64(key.as_bytes());
@@ -1130,7 +1094,7 @@ mod tests {
         resume_bad_checkpoint("early-checkpoint", |store, key| {
             // Well-formed, but taken 100 cycles before measurement began.
             let mut source = benchmark_source(bench, &cfg, seed);
-            let (_, mut sim) = armed_sim(Codecs::Standard(mech), &cfg);
+            let mut sim = armed_sim(mech, &cfg);
             let early = cfg.warmup_cycles - 100;
             drive(&mut sim, &mut source, early, &mut Vec::new()).expect("warmup");
             publish(store, key, STAGE_CHECKPOINT, &sim, &source);

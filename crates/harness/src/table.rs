@@ -73,8 +73,6 @@ pub enum Layout {
     /// Right-aligned in `width` characters, a float with `precision`
     /// decimals.
     Right(usize, usize),
-    /// Appended to the previous cell without a separating space.
-    Suffix,
     /// Not printed in the text table.
     Hidden,
 }
@@ -183,11 +181,11 @@ impl Table {
                     out.push_str(FAILED_ROW);
                     break;
                 }
-                match column.layout {
-                    Layout::Hidden => continue,
-                    Layout::Suffix => {}
-                    _ if !first => out.push(' '),
-                    _ => {}
+                if column.layout == Layout::Hidden {
+                    continue;
+                }
+                if !first {
+                    out.push(' ');
                 }
                 first = false;
                 let _ = match (column.layout, cell) {
@@ -304,31 +302,17 @@ mod tests {
                 col("rate", Layout::Right(4, 0), None),
                 col("name", Layout::Left(6), None),
                 col("value", Layout::Right(7, 2), Some(3)),
-                text_only(Layout::Suffix),
                 data_only("ok", None),
             ],
         );
-        t.row(vec![
-            5u32.into(),
-            "a\"b".into(),
-            1.25.into(),
-            "".into(),
-            true.into(),
-        ]);
+        t.row(vec![5u32.into(), "a\"b".into(), 1.25.into(), true.into()]);
         t.row(vec![
             10u32.into(),
             "c".into(),
             f64::NAN.into(),
-            " *".into(),
             false.into(),
         ]);
-        t.row(vec![
-            20u32.into(),
-            "d".into(),
-            Cell::Empty,
-            "".into(),
-            Cell::Empty,
-        ]);
+        t.row(vec![20u32.into(), "d".into(), Cell::Empty, Cell::Empty]);
         t.note("note");
         t
     }
@@ -337,7 +321,7 @@ mod tests {
     fn text_pads_cells_and_marks_failed_points() {
         assert_eq!(
             sweep().text(),
-            "A sweep\nrate  name     value  ok\n   5 a\"b       1.25\n  10 c          NaN *\n  20 d          failed (see below)\nnote\n"
+            "A sweep\nrate  name     value  ok\n   5 a\"b       1.25\n  10 c          NaN\n  20 d          failed (see below)\nnote\n"
         );
     }
 

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use anoc_exec::SnapshotStore;
 use anoc_harness::campaign::{self, benchmark_job, warmup_key};
 use anoc_harness::persist::encode_run_result;
-use anoc_harness::runner::{run, Codecs, RunSpec, SnapshotPolicy, StagedInfo, Traffic};
+use anoc_harness::runner::{run, RunSpec, SnapshotPolicy, StagedInfo, Traffic};
 use anoc_harness::{Mechanism, RunResult, SystemConfig};
 use anoc_noc::{FaultPlan, SimError};
 use anoc_traffic::Benchmark;
@@ -38,7 +38,7 @@ fn staged_cell(
             seed,
             snapshots: policy.clone(),
         },
-        codecs: Codecs::Standard(mechanism),
+        mechanism,
         config,
     })?;
     Ok((outcome.result, outcome.staged))

@@ -3,8 +3,7 @@
 //!
 //! Tracks body-part blobs across frames whose pixel data crosses an FP-VAXX
 //! link, writes precise/approximate PGM frames side by side, and runs an
-//! x264-style DCT transform on approximated residuals, reporting PSNR. Also
-//! demonstrates the §7 window-based error budget.
+//! x264-style DCT transform on approximated residuals, reporting PSNR.
 //!
 //! ```sh
 //! cargo run --release --example image_pipeline [output-dir]
@@ -14,10 +13,8 @@ use approx_noc::apps::bodytrack::{frame_to_pgm, Bodytrack};
 use approx_noc::apps::kernel::evaluate;
 use approx_noc::apps::transport::{ApproxTransport, BlockTransport};
 use approx_noc::apps::x264::X264;
-use approx_noc::compression::fp::{FpDecoder, FpEncoder};
 use approx_noc::core::metrics::psnr;
 use approx_noc::core::threshold::ErrorThreshold;
-use approx_noc::core::window::WindowBudget;
 
 fn main() {
     let out_dir = std::env::args()
@@ -57,19 +54,5 @@ fn main() {
         "x264 reconstruction PSNR: precise-pipeline vs approximate-input {:.1} dB (rel. RMSE {:.3})",
         psnr(&precise, &approx, 255.0),
         rel_rmse
-    );
-
-    // --- window-based error budget (§7 future work) ----------------------
-    // Per-frame error budgets suit video: pool the tolerance over a window.
-    let plain = ApproxTransport::fp_vaxx(threshold);
-    drop(plain);
-    let mut windowed = ApproxTransport::from_codecs(
-        Box::new(FpEncoder::fp_vaxx_windowed(WindowBudget::new(10))),
-        Box::new(FpDecoder::new()),
-    );
-    let (_, _, windowed_diff) = evaluate(&tracker, &mut windowed);
-    println!(
-        "bodytrack with a 16-word window budget: {:.4}% vector difference (more matches, same average error)",
-        windowed_diff * 100.0
     );
 }

@@ -18,11 +18,11 @@ use approx_noc::traffic::Benchmark;
 /// `(name, anoc arguments, FNV-1a of stdout)`; every run adds
 /// `--cycles 300 --out fig17`.
 const GOLDEN: [(&str, &[&str], u64); 4] = [
-    ("run all", &["run", "all"], 0x3695_50b7_5b7d_9783),
+    ("run all", &["run", "all"], 0xb6fb_49ad_edbf_0ac4),
     (
         "run all --csv",
         &["run", "all", "--csv"],
-        0x183b_417a_cd30_dbd0,
+        0xbd50_81db_3caa_65cd,
     ),
     (
         "run qos --json",

@@ -77,16 +77,6 @@ impl Fnv {
                 self.u8(2);
                 self.u8(len);
             }
-            WordCode::Delta {
-                delta,
-                delta_bits,
-                approx,
-            } => {
-                self.u8(3);
-                self.bytes(&delta.to_le_bytes());
-                self.u8(delta_bits);
-                self.u8(u8::from(approx));
-            }
             WordCode::Match {
                 distance,
                 len,

@@ -170,45 +170,6 @@ fn runs_are_reproducible() {
 }
 
 #[test]
-fn extension_codecs_compose_with_the_network() {
-    // The plug-and-play claim: BD-COMP/BD-VAXX, the adaptive wrapper and
-    // the windowed encoder all run through the full simulator with sound
-    // statistics.
-    use approx_noc::harness::experiments::extension_study;
-    let cfg = SystemConfig::paper().with_sim_cycles(2_500);
-    let results = extension_study(Benchmark::Blackscholes, &cfg, 31);
-    assert_eq!(results.len(), 6);
-    for r in &results {
-        assert!(r.stats.packets > 0, "{} delivered nothing", r.mechanism);
-        assert!(
-            r.data_quality() > 0.97,
-            "{}: quality {}",
-            r.mechanism,
-            r.data_quality()
-        );
-    }
-    // Exact mechanisms stay lossless.
-    for idx in [0usize, 2, 4] {
-        assert_eq!(
-            results[idx].data_quality(),
-            1.0,
-            "{}",
-            results[idx].mechanism
-        );
-    }
-    // Each VAXX variant compresses at least as well as its exact partner.
-    for (comp, vaxx) in [(0usize, 1usize), (2, 3)] {
-        assert!(
-            results[vaxx].stats.encode.compression_ratio()
-                >= results[comp].stats.encode.compression_ratio() - 1e-9,
-            "{} vs {}",
-            results[vaxx].mechanism,
-            results[comp].mechanism
-        );
-    }
-}
-
-#[test]
 fn full_system_8x8_mesh_runs() {
     // The §5.4 configuration: 64 cores on an 8x8 mesh.
     let cfg = SystemConfig::full_system().with_sim_cycles(2_000);
