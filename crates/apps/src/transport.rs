@@ -99,16 +99,6 @@ impl ApproxTransport {
         }
     }
 
-    /// A transport around an arbitrary codec pair.
-    pub fn from_codecs(encoder: Box<dyn BlockEncoder>, decoder: Box<dyn BlockDecoder>) -> Self {
-        ApproxTransport {
-            encoder,
-            decoder,
-            src: NodeId(0),
-            dest: NodeId(1),
-        }
-    }
-
     /// The mechanism name of the underlying encoder.
     pub fn mechanism(&self) -> &'static str {
         self.encoder.name()

@@ -126,12 +126,6 @@ impl Avcl {
         self.threshold
     }
 
-    /// The configured mask policy.
-    #[inline]
-    pub fn policy(&self) -> MaskPolicy {
-        self.policy
-    }
-
     /// Number of don't-care bits tolerated by a value of the given unsigned
     /// `magnitude`.
     pub fn dont_care_width(&self, magnitude: u32) -> u32 {

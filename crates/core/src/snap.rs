@@ -226,17 +226,6 @@ impl Snap for u16 {
     }
 }
 
-/// The bits of its two's-complement representation, as a `u32`.
-impl Snap for i32 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(*self as u32);
-    }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(r.u32()? as i32)
-    }
-}
-
 /// A presence flag, then the value if present.
 impl<T: Snap> Snap for Option<T> {
     fn save(&self, w: &mut SnapWriter) {
@@ -477,13 +466,12 @@ mod tests {
     #[test]
     fn impls_write_their_documented_widths() {
         assert_eq!(bytes_of(&0x1234u16), [0x34, 0x12, 0, 0]);
-        assert_eq!(bytes_of(&-2i32), [0xfe, 0xff, 0xff, 0xff]);
         assert_eq!(bytes_of(&Some(5u8)), [1, 5]);
         assert_eq!(bytes_of(&None::<u8>), [0]);
         assert_eq!(bytes_of(&vec![(1u8, true)]), [1, 0, 0, 0, 0, 0, 0, 0, 1, 1]);
-        let bytes = bytes_of(&vec![Some(-7i32), None]);
-        let back = Vec::<Option<i32>>::load(&mut SnapReader::new(&bytes));
-        assert_eq!(back, Ok(vec![Some(-7), None]));
+        let bytes = bytes_of(&vec![Some(7u32), None]);
+        let back = Vec::<Option<u32>>::load(&mut SnapReader::new(&bytes));
+        assert_eq!(back, Ok(vec![Some(7), None]));
     }
 
     #[test]
