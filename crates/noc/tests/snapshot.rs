@@ -370,10 +370,16 @@ fn stale_or_corrupt_blobs_fail_as_typed_errors() {
 /// around a base, a few recurring words (LZ matches, DI dictionary hits),
 /// floats, and control packets.
 fn offer_mixed(sim: &mut NocSim, salt: u64, cycle: u64) {
+    offer_mixed_at(sim, salt, cycle, 8);
+}
+
+/// [`offer_mixed`] with each node offering a packet with probability
+/// `percent` / 100 per cycle.
+fn offer_mixed_at(sim: &mut NocSim, salt: u64, cycle: u64, percent: u32) {
     let nodes = sim.num_nodes();
     let mut rng = Pcg32::seed_from_u64(salt ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     for node in 0..nodes {
-        if rng.below(100) >= 8 {
+        if rng.below(100) >= percent {
             continue;
         }
         let src = NodeId(node as u16);
@@ -489,6 +495,84 @@ fn saved_blob_bytes_match_golden() {
         .map(|&(name, h)| (name, format!("{h:016x}")))
         .collect();
     assert_eq!(got, want);
+}
+
+/// FNV-1a of the blob [`kernel_trajectory_matches_golden`] saves every 250
+/// cycles, at cycles 250 to 2,000, at one shard (first row) and at two. A
+/// blob lists the packet slab shard by shard, so the rows differ. Recorded
+/// before the per-router allocation loop became shard-wide sweeps; a kernel
+/// change that moves a simulated bit at any of these points moves one of
+/// them.
+const TRAJECTORY_GOLDEN: [[u64; 8]; 2] = [
+    [
+        0x4ae1_b0d2_db0c_c8c3,
+        0xd72d_9f1b_8507_c51e,
+        0x4076_ca00_d5fe_737c,
+        0x9da0_41f7_3f93_2abd,
+        0x588c_b1d3_8592_9d89,
+        0x76a9_f6c5_fbbd_0599,
+        0xa46a_7b26_2aa8_d641,
+        0x754e_7317_2695_89cb,
+    ],
+    [
+        0xa9fc_7c4c_8403_8bdf,
+        0x0b6b_efe5_fbb3_2ae2,
+        0x7eae_4c60_c485_f887,
+        0x1466_5590_add8_fc8f,
+        0x6fb0_eebf_b843_c771,
+        0xf480_6046_62c8_9e96,
+        0x680a_6c33_6ee7_125b,
+        0xf503_6e42_de2c_36ae,
+    ],
+];
+
+/// The `cmesh8-ur` geometry (8x8 routers, two nodes each, so six ports)
+/// under mixed control and data traffic, with port stalls, credit drops,
+/// duplicated credits (which overfill and grow VC rings), link bit flips
+/// and lossy links all active. The blob saved every 250 cycles pins the
+/// kernel's whole trajectory, at one shard and at two.
+#[test]
+fn kernel_trajectory_matches_golden() {
+    let faults = FaultPlan {
+        seed: 21,
+        link_bit_flip_ppm: 5_000,
+        port_stall_ppm: 20_000,
+        stall_cycles: 3,
+        credit_drop_ppm: 200,
+        credit_dup_ppm: 20_000,
+        dict_corrupt_ppm: 0,
+    };
+    for (shards, want) in [1usize, 2].into_iter().zip(TRAJECTORY_GOLDEN) {
+        let mut sim = baseline_sim(NocConfig::cmesh(8, 8, 2));
+        sim.set_shards(shards);
+        sim.set_fault_plan(faults);
+        sim.set_loss_plan(LossPlan::uniform(23, 5_000));
+        sim.begin_measurement();
+        let mut got = Vec::new();
+        for c in 0..2_000 {
+            offer_mixed_at(&mut sim, 13, c, 2);
+            sim.step();
+            sim.discard_delivered();
+            if (c + 1) % 250 == 0 {
+                got.push(fnv1a64(&sim.save_snapshot(FP).expect("save")));
+            }
+        }
+        let f = sim.stats().faults;
+        assert!(
+            f.port_stalls > 0
+                && f.credits_dropped > 0
+                && f.credits_duplicated > 0
+                && f.bit_flips > 0
+                && f.words_lost > 0,
+            "every fault site should fire: {f:?}"
+        );
+        let hex = |h: &[u64]| h.iter().map(|h| format!("{h:016x}")).collect::<Vec<_>>();
+        assert_eq!(
+            hex(&got),
+            hex(&want),
+            "{shards} shard(s) left the pinned trajectory"
+        );
+    }
 }
 
 #[test]
