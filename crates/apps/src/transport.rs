@@ -12,7 +12,7 @@
 use anoc_compression::di::{DiConfig, DiDecoder, DiEncoder};
 use anoc_compression::fp::{FpDecoder, FpEncoder};
 use anoc_core::avcl::Avcl;
-use anoc_core::codec::{BlockDecoder, BlockEncoder};
+use anoc_core::codec::{BlockDecoder, BlockEncoder, EncodeStats};
 use anoc_core::data::{CacheBlock, NodeId};
 use anoc_core::threshold::ErrorThreshold;
 
@@ -67,6 +67,8 @@ pub struct ApproxTransport {
     decoder: Box<dyn BlockDecoder>,
     src: NodeId,
     dest: NodeId,
+    /// How the encoder coded every word sent so far.
+    coded: EncodeStats,
 }
 
 impl std::fmt::Debug for ApproxTransport {
@@ -85,6 +87,7 @@ impl ApproxTransport {
             decoder: Box::new(FpDecoder::new()),
             src: NodeId(0),
             dest: NodeId(1),
+            coded: EncodeStats::default(),
         }
     }
 
@@ -96,6 +99,7 @@ impl ApproxTransport {
             decoder: Box::new(DiDecoder::new(config)),
             src: NodeId(0),
             dest: NodeId(1),
+            coded: EncodeStats::default(),
         }
     }
 
@@ -103,11 +107,18 @@ impl ApproxTransport {
     pub fn mechanism(&self) -> &'static str {
         self.encoder.name()
     }
+
+    /// How the encoder coded every word sent so far: exactly, approximately
+    /// or raw.
+    pub fn coded_words(&self) -> EncodeStats {
+        self.coded
+    }
 }
 
 impl BlockTransport for ApproxTransport {
     fn transmit(&mut self, block: CacheBlock) -> CacheBlock {
         let encoded = self.encoder.encode(&block, self.dest);
+        self.coded.absorb_block(&encoded);
         let result = self.decoder.decode(&encoded, self.src);
         for (to, note) in result.notifications {
             debug_assert_eq!(to, self.src);
@@ -141,6 +152,11 @@ mod tests {
         for (p, a) in vals.iter().zip(&rx) {
             assert!(((a - p) / p).abs() <= 0.10 + 1e-6, "{p} -> {a}");
         }
+        // 100 words in seven blocks, the last padded to 16 on the wire.
+        let coded = t.coded_words();
+        assert_eq!(coded.words, 112);
+        assert_eq!(coded.exact_encoded + coded.approx_encoded + coded.raw, 112);
+        assert!(coded.approx_encoded > 0, "{coded:?}");
     }
 
     #[test]

@@ -118,9 +118,10 @@ impl ApproxKernel for X264 {
         let frame = self.source_frame();
         // The luminance plane travels as floats (as in the motion-search
         // and rate-distortion stages); it is the annotated approximable
-        // region. Note that the plain 8-bit residuals would compress
-        // *exactly* under FPC (they fit the sign-extended-halfword row), so
-        // the float plane is where approximation actually bites.
+        // region. Its pixels are integers in 0..=255, and as floats those
+        // still fit FP's exact pattern rows: FP-VAXX codes every word
+        // exactly and approximates none, so the reconstruction is
+        // bit-identical to the precise one.
         let frame_f32: Vec<f32> = frame.iter().map(|p| *p as f32).collect();
         let frame: Vec<i32> = transport
             .transmit_f32(&frame_f32)

@@ -241,6 +241,19 @@ pub enum SimError {
         /// Cycle of the tail's ejection.
         cycle: u64,
     },
+    /// A body flit reached the front of a router input VC that holds no
+    /// route, so its packet's head did not go first (a corrupt snapshot can
+    /// do that). Allocation skips the VC rather than route the body flit.
+    BodyBeforeHead {
+        /// The flit's packet, unless its slot holds none.
+        packet: Option<PacketId>,
+        /// The router.
+        router: usize,
+        /// The input port.
+        port: usize,
+        /// Cycle of the allocation that met it.
+        cycle: u64,
+    },
     /// The traffic source injects between another number of nodes than the
     /// NoC has, so the run could not start.
     NodeCountMismatch {
@@ -268,6 +281,22 @@ impl fmt::Display for SimError {
                  at cycle {cycle} (per-VC FIFO order broken)",
                 node.index()
             ),
+            SimError::BodyBeforeHead {
+                packet,
+                router,
+                port,
+                cycle,
+            } => {
+                match packet {
+                    Some(id) => write!(f, "a body flit of packet {id}")?,
+                    None => write!(f, "a body flit of a freed packet slot")?,
+                }
+                write!(
+                    f,
+                    " reached the front of a VC of router {router} port {port} without a route \
+                     at cycle {cycle} (its head did not go first)"
+                )
+            }
             SimError::NodeCountMismatch { source, noc } => write!(
                 f,
                 "traffic source has {source} nodes, but the NoC has {noc} nodes"
@@ -499,6 +528,18 @@ mod tests {
         let s = v.to_string();
         assert!(s.contains("bound violation"), "{s}");
         assert!(s.contains("word 2"), "{s}");
+
+        let b = SimError::BodyBeforeHead {
+            packet: Some(12),
+            router: 3,
+            port: 1,
+            cycle: 70,
+        }
+        .to_string();
+        assert!(
+            b.contains("packet 12") && b.contains("router 3 port 1") && b.contains("cycle 70"),
+            "{b}"
+        );
 
         let m = SimError::NodeCountMismatch {
             source: 16,
