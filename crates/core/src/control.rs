@@ -269,10 +269,10 @@ struct FlowState {
 /// and stepped on a fixed epoch schedule.
 ///
 /// Determinism contract (DESIGN.md §12): the bank is only ever mutated from
-/// the serial section of the simulator's cycle edge — observation happens at
-/// packet completion (ejections are processed in canonical router order) and
+/// the simulator's cycle edge and epilogue — observation happens at packet
+/// completion (ejections are processed in router-ascending ring order) and
 /// the epoch update walks flows in ascending index order — so its trajectory
-/// is bit-identical across worker-thread and shard counts.
+/// is bit-identical across campaign worker-thread counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowControllerBank {
     spec: QosSpec,
@@ -331,7 +331,7 @@ impl FlowControllerBank {
 
     /// Whether `cycle` is an epoch boundary. Purely arithmetic — the
     /// schedule carries no randomness, which is what keeps the loop
-    /// bit-identical across `--threads` and `--shards`.
+    /// bit-identical across `--threads` values.
     pub fn epoch_due(&self, cycle: u64) -> bool {
         cycle > 0 && cycle.is_multiple_of(self.spec.epoch_cycles)
     }

@@ -46,10 +46,10 @@ pub struct Stream(u64);
 
 impl Stream {
     /// `NocSim`'s link-flip and credit fault draws, seeded from the fault
-    /// plan. They are drawn only on the serial cycle edge, in global
-    /// router-ascending traversal order, so they do not depend on the shard
-    /// or thread count. Until a plan is installed the generator is an inert
-    /// placeholder that draws nothing.
+    /// plan. They are drawn only on the cycle edge, in router-ascending
+    /// grant order, so they do not depend on the thread count. Until a plan
+    /// is installed the generator is an inert placeholder that draws
+    /// nothing.
     pub const FAULT: Stream = Stream(DEFAULT_STREAM);
     /// `NocSim`'s lossy-link erasure draws, seeded from the loss plan, in
     /// the same serial traversal order as [`FAULT`](Self::FAULT). Until a
@@ -57,7 +57,7 @@ impl Stream {
     pub const LOSS: Stream = Stream(DEFAULT_STREAM);
     /// The stateless port-stall oracle: one generator per
     /// `(plan seed, cycle, router, port)` site, drawn once, so the outcome
-    /// is the same on any shard count.
+    /// does not depend on the order arrivals are processed in.
     pub const PORT_STALL: Stream = Stream(DEFAULT_STREAM);
     /// `DataModel`'s value-pool synthesis, seeded from the workload seed.
     pub const DATA_MODEL: Stream = Stream(0x7261_6666_6963);

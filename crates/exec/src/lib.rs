@@ -49,5 +49,5 @@ pub use campaign::{
     run_campaign, run_campaign_checked, CampaignOptions, CampaignOutcome, CampaignReport,
     CellError, CellFailure, JobSpec, ResultCodec, WarmupSpec,
 };
-pub use pool::{plan_threads, ThreadPool, WorkerSet};
+pub use pool::ThreadPool;
 pub use store::{default_cache_dir, default_snapshot_dir, ResultCache, SnapshotStore};

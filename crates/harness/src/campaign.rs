@@ -423,9 +423,7 @@ pub fn cell_key(
 ///   only retarget at the measurement boundary (DESIGN.md §11), so the
 ///   post-warmup state is threshold-independent by construction;
 /// * `sim_cycles` / `drain_cycles` — they shape the measurement window and
-///   drain, which happen entirely after the snapshot point;
-/// * the shard count — sharded stepping is bit-identical to serial
-///   (DESIGN.md §10) and snapshots restore at any shard count.
+///   drain, which happen entirely after the snapshot point.
 pub fn warmup_key(
     kind: &str,
     config: &SystemConfig,
@@ -592,14 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn config_key_is_shard_independent() {
-        // Sharded execution is bit-identical to serial (DESIGN.md §10), so
-        // the shard count must never invalidate cached results.
-        let base = SystemConfig::paper();
-        assert_eq!(config_key(&base), config_key(&base.clone().with_shards(4)));
-    }
-
-    #[test]
     fn cell_key_separates_kind_mechanism_workload_seed() {
         let c = SystemConfig::paper();
         let k = |kind: &str, m: &str, w: &str, s: u64| cell_key(kind, &c, m, w, s);
@@ -618,7 +608,6 @@ mod tests {
         let k0 = k(&base);
         // Measurement-window knobs do not split the warmup.
         assert_eq!(k0, k(&base.clone().with_threshold(5)));
-        assert_eq!(k0, k(&base.clone().with_shards(4)));
         let mut window = base.clone();
         window.sim_cycles = 123;
         window.drain_cycles = 456;

@@ -40,7 +40,7 @@ targets:
   lossy       lossy-link degradation sweep (quality/violations vs loss rate)
   lz          LZ-VAXX study: threshold x workload vs DI-VAXX/FP-VAXX
   qos         per-flow QoS control loop vs worst-case-safe static threshold
-  scale       kernel scaling sweep: 8x8 -> 32x32 cmesh, serial vs sharded
+  scale       kernel throughput sweep: 8x8 -> 32x32 cmesh
   all         every table and figure in order (excludes scale)
   ablations   the sensitivity studies: fig13 and fig14
 
@@ -48,9 +48,6 @@ options:
   --cycles N    measured simulation cycles (default varies per target)
   --seed N      traffic/data RNG seed (default 42)
   --threads N   worker threads (default: ANOC_THREADS or all cores)
-  --shards N    worker shards inside each simulation (default 1 = serial,
-                or the host's core count for scale; results are
-                bit-identical for any value)
   --grids N     scale target only: sweep the N smallest meshes (default 3)
   --no-cache    always simulate; do not read or write the result cache
                 (also disables the warm-start snapshot store)
@@ -81,7 +78,6 @@ struct Opts {
     cycles: u64,
     seed: u64,
     threads: Option<usize>,
-    shards: usize,
     grids: usize,
     no_cache: bool,
     checkpoint_every: u64,
@@ -112,7 +108,6 @@ impl Default for Opts {
             cycles: 0,
             seed: 42,
             threads: None,
-            shards: 1,
             grids: 3,
             no_cache: false,
             checkpoint_every: 0,
@@ -239,7 +234,6 @@ fn parse(argv: &[String]) -> Result<Command, String> {
             "--cycles" => opts.cycles = num("--cycles")?,
             "--seed" => opts.seed = num("--seed")?,
             "--threads" => opts.threads = Some(num("--threads")?.max(1) as usize),
-            "--shards" => opts.shards = num("--shards")?.max(1) as usize,
             "--grids" => opts.grids = num("--grids")?.max(1) as usize,
             "--no-cache" => opts.no_cache = true,
             "--checkpoint-every" => opts.checkpoint_every = num("--checkpoint-every")?,
@@ -263,11 +257,6 @@ fn parse(argv: &[String]) -> Result<Command, String> {
 }
 
 /// Installs the process-wide execution context from the CLI options.
-///
-/// When `--shards` is active every simulation multiplies the process's
-/// parallelism by its shard count, so the campaign-level worker budget is
-/// divided down with [`anoc_exec::plan_threads`] to keep `--threads` (or the
-/// machine's core count) from being oversubscribed.
 fn install_context(opts: &Opts) -> Result<(), String> {
     let (cache, snapshots) = if opts.no_cache {
         (None, None)
@@ -283,17 +272,7 @@ fn install_context(opts: &Opts) -> Result<(), String> {
             ),
         )
     };
-    let threads = if opts.shards > 1 {
-        let total = opts.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        Some(anoc_exec::plan_threads(total, opts.shards).0)
-    } else {
-        opts.threads
-    };
-    campaign::configure(threads, cache, snapshots);
+    campaign::configure(opts.threads, cache, snapshots);
     let ctx = campaign::context();
     ctx.set_keep_going(opts.keep_going);
     ctx.set_checkpoint_every(opts.checkpoint_every);
@@ -312,7 +291,6 @@ fn config(opts: &Opts, default_cycles: u64) -> SystemConfig {
     SystemConfig::paper()
         .with_sim_cycles(cycles)
         .with_seed(opts.seed)
-        .with_shards(opts.shards)
 }
 
 fn execute(cmd: Command) -> Result<(), String> {
@@ -574,17 +552,16 @@ fn fig17(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The `scale` target: single-simulation step-throughput across mesh sizes,
-/// serial kernel vs sharded kernel. It drives `NocSim::step` directly with
-/// uniform-random traffic, one packet in three a 9-flit data packet and the
-/// rest single-flit control packets, so the number measures the cycle kernel
-/// rather than a traffic generator. Each k×k grid (concentration 2) is
-/// offered half its ideal uniform-random bisection limit of 4/(c·k)
-/// flits/node/cycle, so every grid runs below saturation; each point prints
-/// the offered and accepted (injected) load beside the rates, and accepted
-/// falling short of offered means the grid saturated. `--shards` defaults
-/// to the host's available parallelism. Timing is the measurement, so this
-/// never touches the result cache and runs one simulation at a time.
+/// The `scale` target: single-simulation step throughput across mesh sizes.
+/// It drives `NocSim::step` directly with uniform-random traffic, one packet
+/// in three a 9-flit data packet and the rest single-flit control packets,
+/// so the number measures the cycle kernel rather than a traffic generator.
+/// Each k×k grid (concentration 2) is offered half its ideal uniform-random
+/// bisection limit of 4/(c·k) flits/node/cycle, so every grid runs below
+/// saturation; each point prints the offered and accepted (injected) load
+/// beside the rate, and accepted falling short of offered means the grid
+/// saturated. Timing is the measurement, so this never touches the result
+/// cache and runs one simulation at a time.
 fn scale(opts: &Opts) -> Result<(), String> {
     use anoc_core::data::{CacheBlock, NodeId};
     use anoc_core::rng::Pcg32;
@@ -593,11 +570,6 @@ fn scale(opts: &Opts) -> Result<(), String> {
     use std::time::Instant;
 
     const CONCENTRATION: usize = 2;
-    let shards = if opts.shards > 1 {
-        opts.shards
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    };
     let cycles = if opts.cycles == 0 { 2_000 } else { opts.cycles };
     let grids: &[(usize, usize)] = &[(8, 8), (16, 16), (32, 32)];
     let grids = &grids[..opts.grids.min(grids.len())];
@@ -609,16 +581,13 @@ fn scale(opts: &Opts) -> Result<(), String> {
             data_only("nodes", None),
             data_only("offered", Some(4)),
             data_only("accepted", Some(4)),
-            data_only("serial_mcycs", Some(4)),
-            data_only("sharded_mcycs", Some(4)),
-            data_only("speedup", Some(4)),
+            data_only("mcycs", Some(4)),
         ],
     );
     // Text and CSV open with the sweep's title line; JSON is the rows alone.
     if format != Format::Json {
         println!(
-            "Kernel scaling: {cycles} stepped cycles per point at half the bisection limit, \
-             serial vs {shards} shards"
+            "Kernel throughput: {cycles} stepped cycles per point at half the bisection limit"
         );
     }
     for &(w, h) in grids {
@@ -627,52 +596,43 @@ fn scale(opts: &Opts) -> Result<(), String> {
         let data_flits = u64::from(config.data_packet_flits(16 * 32));
         let limit = 4.0 / (CONCENTRATION * w.max(h)) as f64;
         let packet_ppm = (0.5 * limit / ((2 + data_flits) as f64 / 3.0) * f64::from(PPM)) as u32;
-        let mut rates = [0.0f64; 2];
-        // Flits offered and injected over the run, the same at any shard
-        // count.
-        let (mut offered, mut accepted) = (0u64, 0u64);
-        for (i, s) in [1, shards].into_iter().enumerate() {
-            let codecs = (0..nodes).map(|_| NodeCodec::baseline()).collect();
-            let mut sim = NocSim::new(config.clone(), codecs);
-            sim.set_shards(s);
-            let mut rng = Pcg32::seed_from_u64(opts.seed ^ 0xA90C);
-            offered = 0;
-            let start = Instant::now();
-            for _ in 0..cycles {
-                for node in 0..nodes {
-                    let roll = rng.below(PPM);
-                    if roll >= packet_ppm {
-                        continue;
-                    }
-                    let mut d = rng.below(nodes as u32) as usize;
-                    if d == node {
-                        d = (d + 1) % nodes;
-                    }
-                    let (src, dest) = (NodeId(node as u16), NodeId(d as u16));
-                    if roll < packet_ppm / 3 {
-                        let word = rng.next_u32() as i32;
-                        sim.enqueue_data(src, dest, CacheBlock::from_i32(&[word; 16]));
-                        offered += data_flits;
-                    } else {
-                        sim.enqueue_control(src, dest);
-                        offered += 1;
-                    }
+        let codecs = (0..nodes).map(|_| NodeCodec::baseline()).collect();
+        let mut sim = NocSim::new(config, codecs);
+        let mut rng = Pcg32::seed_from_u64(opts.seed ^ 0xA90C);
+        // Flits offered over the run.
+        let mut offered = 0u64;
+        let start = Instant::now();
+        for _ in 0..cycles {
+            for node in 0..nodes {
+                let roll = rng.below(PPM);
+                if roll >= packet_ppm {
+                    continue;
                 }
-                sim.step();
-                sim.discard_delivered();
+                let mut d = rng.below(nodes as u32) as usize;
+                if d == node {
+                    d = (d + 1) % nodes;
+                }
+                let (src, dest) = (NodeId(node as u16), NodeId(d as u16));
+                if roll < packet_ppm / 3 {
+                    let word = rng.next_u32() as i32;
+                    sim.enqueue_data(src, dest, CacheBlock::from_i32(&[word; 16]));
+                    offered += data_flits;
+                } else {
+                    sim.enqueue_control(src, dest);
+                    offered += 1;
+                }
             }
-            rates[i] = cycles as f64 / start.elapsed().as_secs_f64().max(1e-9) / 1e6;
-            accepted = sim.stats().flits_injected;
+            sim.step();
+            sim.discard_delivered();
         }
+        let rate = cycles as f64 / start.elapsed().as_secs_f64().max(1e-9) / 1e6;
         let per_node_cycle = |flits: u64| flits as f64 / (nodes as u64 * cycles) as f64;
-        let (offered, accepted) = (per_node_cycle(offered), per_node_cycle(accepted));
-        let speedup = rates[1] / rates[0];
+        let offered = per_node_cycle(offered);
+        let accepted = per_node_cycle(sim.stats().flits_injected);
         if format == Format::Text {
             println!(
                 "  {w:>2}x{h:<2} cmesh ({nodes:>4} nodes): offered {offered:.4}, accepted {accepted:.4} flits/node/cyc; \
-                 serial {:>7.3} Mcyc/s, {shards} shards {:>7.3} Mcyc/s, speedup {speedup:.2}x",
-                rates[0],
-                rates[1],
+                 {rate:>7.3} Mcyc/s"
             );
         }
         let mesh = format!("{w}x{h}");
@@ -681,9 +641,7 @@ fn scale(opts: &Opts) -> Result<(), String> {
             (nodes as u64).into(),
             offered.into(),
             accepted.into(),
-            rates[0].into(),
-            rates[1].into(),
-            speedup.into(),
+            rate.into(),
         ]);
     }
     if format != Format::Text {
@@ -811,33 +769,23 @@ mod tests {
     }
 
     #[test]
-    fn shards_and_scale_parse() {
-        match parse_strs(&["run", "scale", "--shards", "4", "--grids", "1"]).expect("parse") {
+    fn scale_and_grids_parse() {
+        match parse_strs(&["run", "scale", "--grids", "1"]).expect("parse") {
             Command::Run { target, opts } => {
                 assert_eq!(target, "scale");
-                assert_eq!(opts.shards, 4);
                 assert_eq!(opts.grids, 1);
             }
             other => panic!("wrong command {other:?}"),
         }
-        // `scale` works as a bare alias like every other target, `--shards`
-        // threads into any target's config, and 0 clamps to serial.
+        // `scale` works as a bare alias like every other target.
         match parse_strs(&["scale"]).expect("parse") {
             Command::Run { target, opts } => {
                 assert_eq!(target, "scale");
-                assert_eq!(opts.shards, 1);
                 assert_eq!(opts.grids, 3);
             }
             other => panic!("wrong command {other:?}"),
         }
-        match parse_strs(&["run", "fig9", "--shards", "0"]).expect("parse") {
-            Command::Run { opts, .. } => {
-                assert_eq!(opts.shards, 1);
-                assert_eq!(config(&opts, 1_000).shards, 1);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse_strs(&["run", "scale", "--shards"]).is_err());
+        assert!(parse_strs(&["run", "scale", "--grids"]).is_err());
     }
 
     #[test]

@@ -162,9 +162,9 @@ pub struct SystemConfig {
     pub qos: QosSpec,
     /// Watchdog no-forward-progress horizon in cycles (0 disables).
     pub watchdog_horizon: u64,
-    /// Worker shards for the parallel cycle kernel (1 = serial). Sharded
-    /// execution is bit-identical to serial (DESIGN.md §10), so this knob is
-    /// deliberately excluded from the result-cache `config_key`.
+    /// Unused: the kernel always steps one network serially. Kept only
+    /// because the benchmark crate (`benchmark/`) still reads it; it is not
+    /// part of the result-cache `config_key`.
     pub shards: usize,
 }
 
@@ -250,15 +250,6 @@ impl SystemConfig {
     #[must_use]
     pub fn with_watchdog(mut self, horizon: u64) -> Self {
         self.watchdog_horizon = horizon;
-        self
-    }
-
-    /// Overrides the shard count of the parallel cycle kernel (1 = serial).
-    /// Results are bit-identical for any value, so this never invalidates
-    /// cached results.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 

@@ -432,15 +432,14 @@ fn cold_run(
     })
 }
 
-/// A fresh simulator running `mechanism`'s codecs, with shards, fault and
-/// loss plans, QoS and watchdog armed — before any snapshot restore, whose
+/// A fresh simulator running `mechanism`'s codecs, with fault and loss
+/// plans, QoS and watchdog armed — before any snapshot restore, whose
 /// serialized cursors then overwrite what arming reset. The codecs are built
 /// at the exact threshold; the staged run retargets them at the measurement
 /// boundary.
 fn armed_sim(mechanism: Mechanism, config: &SystemConfig) -> NocSim {
     let codecs = mechanism.codecs(config.noc.num_nodes(), ErrorThreshold::exact());
     let mut sim = NocSim::new(config.noc.clone(), codecs);
-    sim.set_shards(config.shards);
     sim.set_fault_plan(config.faults);
     sim.set_loss_plan(config.loss);
     sim.set_qos(config.qos);
@@ -726,26 +725,6 @@ mod tests {
             .expect("run completes");
         assert!(!cut.drained, "1-cycle drain budget reported as complete");
         assert!(cut.stats.unfinished > 0, "stragglers not recorded");
-    }
-
-    #[test]
-    fn sharded_runs_match_serial_runs_exactly() {
-        let cfg = quick();
-        let serial =
-            try_run_benchmark(Benchmark::Ssca2, Mechanism::FpVaxx, &cfg, 9).expect("run completes");
-        let sharded = try_run_benchmark(
-            Benchmark::Ssca2,
-            Mechanism::FpVaxx,
-            &cfg.clone().with_shards(4),
-            9,
-        )
-        .expect("run completes");
-        assert_eq!(
-            format!("{:?}", serial.stats),
-            format!("{:?}", sharded.stats)
-        );
-        assert_eq!(serial.total_cycles, sharded.total_cycles);
-        assert_eq!(serial.drained, sharded.drained);
     }
 
     #[test]

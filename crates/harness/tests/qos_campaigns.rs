@@ -1,6 +1,6 @@
 //! End-to-end tests of the per-flow QoS control plane and the lossy-link
 //! scenario family as campaigns use them: active-controller and active-loss
-//! runs reproduce bit-for-bit across worker-thread and shard counts, inert
+//! runs reproduce bit-for-bit across worker-thread counts, inert
 //! specs have zero behavioral footprint, the loss→violation curve is
 //! monotone, and the QoS study's realized quality lands within budget.
 //!
@@ -49,26 +49,6 @@ fn qos_and_lossy_campaigns_reproduce_across_thread_counts() {
             s.stats.faults
         );
     }
-}
-
-#[test]
-fn qos_and_lossy_runs_are_bit_identical_across_shard_counts() {
-    let serial = try_run_benchmark(
-        Benchmark::Blackscholes,
-        Mechanism::FpVaxx,
-        &qos_lossy_config(),
-        9,
-    )
-    .expect("run completes");
-    let sharded = try_run_benchmark(
-        Benchmark::Blackscholes,
-        Mechanism::FpVaxx,
-        &qos_lossy_config().with_shards(4),
-        9,
-    )
-    .expect("run completes");
-    assert_eq!(encode_run_result(&serial), encode_run_result(&sharded));
-    assert!(serial.stats.faults.words_lost > 0);
 }
 
 /// An inert `QosSpec::off()` + `LossPlan::none()` config must reproduce the

@@ -1,7 +1,6 @@
 //! End-to-end pins for the warm-start snapshot store as sweeps use it:
 //! a multi-threshold sweep forked from a shared post-warmup snapshot is
-//! bit-identical to the same sweep run cold — at every shard count — while
-//! simulating measurably fewer cycles, a fault-active campaign's monotonic
+//! bit-identical to the same sweep run cold while simulating measurably fewer cycles, a fault-active campaign's monotonic
 //! violation curve is unchanged when its warmups are forked, and a
 //! campaign's warmup stage replays a stored warmup its cells could not fork.
 
@@ -52,10 +51,10 @@ fn warm_policy(store: &SnapshotStore) -> SnapshotPolicy<'_> {
 }
 
 /// The acceptance pin: a three-threshold sweep at a fixed workload and seed,
-/// run warm against a snapshot store, is bit-identical to the cold sweep at
-/// shard counts 1 and 2 — and every cell after the first skips its warmup.
+/// run warm against a snapshot store, is bit-identical to the cold sweep —
+/// and every cell after the first skips its warmup.
 #[test]
-fn warm_threshold_sweep_is_bit_identical_to_cold_at_any_shard_count() {
+fn warm_threshold_sweep_is_bit_identical_to_cold() {
     let store = scratch_store("sweep");
     let benchmark = Benchmark::Ssca2;
     let mechanism = Mechanism::FpVaxx;
@@ -63,42 +62,37 @@ fn warm_threshold_sweep_is_bit_identical_to_cold_at_any_shard_count() {
     let mut skipped_total = 0u64;
     let mut forks = 0usize;
 
-    for shards in [1usize, 2] {
-        for threshold in [5u32, 10, 20] {
-            let config = SystemConfig::paper()
-                .with_sim_cycles(1_500)
-                .with_threshold(threshold)
-                .with_shards(shards);
+    for threshold in [5u32, 10, 20] {
+        let config = SystemConfig::paper()
+            .with_sim_cycles(1_500)
+            .with_threshold(threshold);
 
-            let (cold, cold_info) =
-                staged_cell(benchmark, mechanism, &config, seed, &SnapshotPolicy::cold())
-                    .expect("cold cell");
-            assert!(!cold_info.forked && !cold_info.resumed);
-            assert_eq!(cold_info.skipped_cycles, 0);
+        let (cold, cold_info) =
+            staged_cell(benchmark, mechanism, &config, seed, &SnapshotPolicy::cold())
+                .expect("cold cell");
+        assert!(!cold_info.forked && !cold_info.resumed);
+        assert_eq!(cold_info.skipped_cycles, 0);
 
-            let cell = format!("s{shards}-t{threshold}");
-            let (warm, info) =
-                staged_cell(benchmark, mechanism, &config, seed, &warm_policy(&store))
-                    .expect("warm cell");
+        let (warm, info) = staged_cell(benchmark, mechanism, &config, seed, &warm_policy(&store))
+            .expect("warm cell");
 
-            assert_eq!(
-                encode_run_result(&cold),
-                encode_run_result(&warm),
-                "warm cell {cell} differs from its cold twin"
-            );
-            if info.forked {
-                forks += 1;
-                assert_eq!(info.skipped_cycles, config.warmup_cycles);
-            }
-            skipped_total += info.skipped_cycles;
+        assert_eq!(
+            encode_run_result(&cold),
+            encode_run_result(&warm),
+            "warm cell at threshold {threshold} differs from its cold twin"
+        );
+        if info.forked {
+            forks += 1;
+            assert_eq!(info.skipped_cycles, config.warmup_cycles);
         }
+        skipped_total += info.skipped_cycles;
     }
 
-    // The warmup key excludes the threshold and the shard count, so the six
-    // cells share one snapshot: the first publishes it, the other five fork.
-    assert_eq!(forks, 5, "every cell after the first must fork");
+    // The warmup key excludes the threshold, so the three cells share one
+    // snapshot: the first publishes it, the other two fork.
+    assert_eq!(forks, 2, "every cell after the first must fork");
     assert!(
-        skipped_total >= 5 * 500,
+        skipped_total >= 2 * 500,
         "the warm sweep must simulate measurably fewer cycles (skipped {skipped_total})"
     );
     assert_eq!(store.len(), 1, "one shared warmup snapshot, no leftovers");

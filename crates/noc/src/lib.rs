@@ -44,10 +44,10 @@
 pub mod config;
 pub mod faults;
 pub mod histogram;
+mod network;
 pub mod ni;
 pub mod packet;
 pub mod router;
-mod shard;
 pub mod sim;
 pub mod snapshot;
 pub mod stats;

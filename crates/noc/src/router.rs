@@ -8,13 +8,13 @@
 //! virtual-channel allocation holds an output VC from a packet's head grant
 //! to its tail traversal (wormhole).
 //!
-//! Layout (DESIGN.md §7): a shard's routers share one `RouterTable` of
+//! Layout (DESIGN.md §7): the network's routers share one `RouterTable` of
 //! flat arrays. Input and output VC state sit in one array each, indexed
 //! `(router << port_shift | port) << vc_shift | vc`, with power-of-two
 //! strides so no index is ever divided. Each port's allocator state and
 //! link hops sit in one small record, with `u8` route, VC and round-robin
 //! indices and a bitmask of free output VCs. Every input VC buffer is a
-//! power-of-two ring inside one shard-wide flit array. Credit-duplication
+//! power-of-two ring inside one table-wide flit array. Credit-duplication
 //! faults can push a VC past its credited depth; the ring then moves to a
 //! region twice its size at the array's end (a cold path) rather than
 //! dropping or overwriting a flit. Allocation runs as two sweeps over the
@@ -63,15 +63,11 @@ const NO_FLIT: Flit = Flit {
 const MAX_SNAPSHOT_VC_LEN: usize = 1 << 20;
 
 /// One end of a link, resolved when the network is wired: where an output
-/// port's flits land, or whom an input port credits for a freed slot. A
-/// router end names its owning shard and its index within that shard, so
-/// the cycle edge indexes straight into the shard without a lookup.
+/// port's flits land, or whom an input port credits for a freed slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
-    /// Shard-local router index, or the node id when `port` is [`Hop::NI`].
+    /// Router id, or the node id when `port` is [`Hop::NI`].
     pub index: u32,
-    /// Index of the shard owning the router or NI.
-    pub shard: u16,
     /// Port at the router, or [`Hop::NI`] for a node's NI.
     pub port: u8,
 }
@@ -82,18 +78,17 @@ impl Hop {
     pub const NI: u8 = u8::MAX;
 
     /// What an unwired port holds. No route or link reaches one.
-    const UNWIRED: Hop = Hop::ni(0, u32::MAX);
+    const UNWIRED: Hop = Hop::ni(u32::MAX);
 
-    /// Port `port` of router `index` of shard `shard`.
-    pub const fn router(shard: u16, index: u32, port: u8) -> Hop {
-        Hop { index, shard, port }
+    /// Port `port` of router `index`.
+    pub const fn router(index: u32, port: u8) -> Hop {
+        Hop { index, port }
     }
 
-    /// The NI of node `node`, owned by shard `shard`.
-    pub const fn ni(shard: u16, node: u32) -> Hop {
+    /// The NI of node `node`.
+    pub const fn ni(node: u32) -> Hop {
         Hop {
             index: node,
-            shard,
             port: Hop::NI,
         }
     }
@@ -105,17 +100,13 @@ impl Hop {
     }
 }
 
-/// A flit in flight on a link, due at a scheduled cycle, in the ring of the
-/// shard it lands in. A grant makes one, naming the target shard in the
-/// bytes the flit leaves spare, so the cycle edge moves it into that ring
-/// as it is.
+/// A flit in flight on a link, due at a scheduled cycle, in the event ring.
+/// A grant makes one, so the cycle edge moves it into the ring as it is.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Arrival {
     pub flit: Flit,
-    /// Shard-local router index, or the node id when `port` is [`Hop::NI`].
+    /// Router id, or the node id when `port` is [`Hop::NI`].
     pub index: u32,
-    /// The shard the flit lands in.
-    pub shard: u16,
     /// Input port at the router, or [`Hop::NI`] for an ejection.
     pub port: u8,
     /// The VC the flit occupies.
@@ -128,7 +119,6 @@ impl Arrival {
         Arrival {
             flit,
             index: to.index,
-            shard: to.shard,
             port: to.port,
             vc,
         }
@@ -139,10 +129,8 @@ impl Arrival {
 /// output or NI upstream of that input, and the VC.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Credit {
-    /// Shard-local router index, or the node id when `port` is [`Hop::NI`].
+    /// Router id, or the node id when `port` is [`Hop::NI`].
     pub index: u32,
-    /// The shard owning the router or NI.
-    pub shard: u16,
     /// Output port at the router, or [`Hop::NI`] for a node's NI.
     pub port: u8,
     /// The VC credited.
@@ -156,7 +144,7 @@ pub(crate) struct Credit {
 pub(crate) struct Unrouted {
     /// The flit's packet slot.
     pub slot: u32,
-    /// Shard-local router index.
+    /// Router id.
     pub router: usize,
     /// Input port.
     pub port: usize,
@@ -264,11 +252,11 @@ anoc_core::stats_record! {
     }
 }
 
-/// Every router of one shard, in flat arrays. A port's index is
+/// Every router of the network, in flat arrays. A port's index is
 /// `router << port_shift | port`, an input or output VC's is
 /// `port_index << vc_shift | vc`; the strides are the port and VC counts
 /// rounded up to powers of two, and the padding entries are never touched.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct RouterTable {
     /// Routers in the table.
     routers: usize,
@@ -816,7 +804,6 @@ impl RouterTable {
                 let up = port[pi].credit_to;
                 credits.push(Credit {
                     index: up.index,
-                    shard: up.shard,
                     port: up.port,
                     vc: v as u8,
                 });
@@ -881,11 +868,11 @@ mod tests {
     /// feeds), output 1 a link, output 2 an ejection and output 0 leading
     /// nowhere.
     fn wire(t: &mut RouterTable, lr: usize) {
-        t.wire_output(lr, 1, Hop::router(0, 1, 3));
-        t.wire_output(lr, 2, Hop::ni(0, 0));
-        t.wire_input(lr, 0, Hop::ni(0, 0));
-        t.wire_input(lr, 1, Hop::router(0, 1, 3));
-        t.wire_input(lr, 2, Hop::router(0, 2, 1));
+        t.wire_output(lr, 1, Hop::router(1, 3));
+        t.wire_output(lr, 2, Hop::ni(0));
+        t.wire_input(lr, 0, Hop::ni(0));
+        t.wire_input(lr, 1, Hop::router(1, 3));
+        t.wire_input(lr, 2, Hop::router(2, 1));
     }
 
     /// A one-router table of 3 ports and 2 VCs of 4 flits, wired by
@@ -912,7 +899,6 @@ mod tests {
     fn dest(a: &Arrival) -> Hop {
         Hop {
             index: a.index,
-            shard: a.shard,
             port: a.port,
         }
     }
@@ -921,7 +907,6 @@ mod tests {
     fn credit_to(c: &Credit) -> Hop {
         Hop {
             index: c.index,
-            shard: c.shard,
             port: c.port,
         }
     }
@@ -936,8 +921,8 @@ mod tests {
         assert_eq!(grants.len(), 1);
         let (a, c) = grants[0];
         assert_eq!(a.flit.slot, 1);
-        assert_eq!(dest(&a), Hop::router(0, 1, 3));
-        assert_eq!((credit_to(&c), c.vc), (Hop::ni(0, 0), 0));
+        assert_eq!(dest(&a), Hop::router(1, 3));
+        assert_eq!((credit_to(&c), c.vc), (Hop::ni(0), 0));
         assert_eq!(r.occupancy(0), 0);
     }
 
@@ -1065,7 +1050,7 @@ mod tests {
         // it past capacity twice (two doublings), as duplicated credits
         // would.
         let mut r = RouterTable::new(1, 3, 2, 2);
-        r.wire_output(0, 2, Hop::ni(0, 0));
+        r.wire_output(0, 2, Hop::ni(0));
         let mut now = 0;
         r.accept_flit(0, 0, 0, flit(1, 0, true, 0));
         assert_eq!(eject_all(&mut r, &mut now), vec![(1, 0)]);
@@ -1223,7 +1208,7 @@ mod tests {
         // order: the link's flit left port 0, fed by the NI, and the
         // ejected one port 2, fed by router 2's port 1.
         let ups: Vec<_> = grants.iter().map(|(_, c)| credit_to(c)).collect();
-        assert_eq!(ups, [Hop::ni(0, 0), Hop::router(0, 2, 1)].repeat(4));
+        assert_eq!(ups, [Hop::ni(0), Hop::router(2, 1)].repeat(4));
         for lr in 0..18 {
             let want = if granting.contains(&lr) { 2 } else { 0 };
             assert_eq!(t.activity(lr).crossbar_traversals, want);

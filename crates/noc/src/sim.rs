@@ -20,12 +20,10 @@
 //! allocation scratch vectors are reused across cycles, and only routers
 //! with buffered flits are visited (see DESIGN.md).
 //!
-//! The routers, NIs, event ring and packet slab are spatially partitioned
-//! into `Shard`s ([`NocSim::set_shards`]); phase A (allocation) and phase
-//! B2 (injection) of each cycle run shard-parallel on a persistent
-//! [`WorkerSet`], with a serial cycle edge in between exchanging boundary
-//! flits and credits. The phase ordering and the serial edge make results
-//! bit-identical for any shard count — see `shard.rs` and DESIGN.md §10.
+//! The routers, NIs, event ring and packet slab live in one `Network`.
+//! Steps 1 and 2 are its phase A, step 4 its phase B2, and the cycle edge
+//! between them (ejections, then link traversals, then credits) is this
+//! module's; see `network.rs` and DESIGN.md §7.
 
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::Notification;
@@ -33,32 +31,29 @@ use anoc_core::control::{FlowControllerBank, QosSpec};
 use anoc_core::data::{CacheBlock, NodeId};
 use anoc_core::rng::{Pcg32, Stream};
 use anoc_core::threshold::ErrorThreshold;
-use anoc_exec::WorkerSet;
 
 use crate::config::NocConfig;
 use crate::faults::{
     BoundViolation, DeadlockDump, FaultPlan, LossPlan, RouterDiag, SimError, StuckPacket, PPM,
 };
+use crate::network::Network;
 use crate::ni::NodeCodec;
 use crate::packet::{Delivered, Flit, PacketId, PacketKind, PacketState};
 use crate::router::{Arrival, Hop, RouterActivity};
-use crate::shard::{
-    build_shards, encode_slot, local_of_slot, shard_of_slot, Phase, Shard, StepCtx, EVENT_HORIZON,
-    MAX_SHARDS, SLOT_MASK,
-};
 use crate::snapshot::{load_link_dest, LinkDest, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::stats::{ActivityReport, NetStats};
 use crate::topology::Mesh;
 
 use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-/// The capability to write current-edge state: moving flits into a ring or
-/// returning a credit ([`Shard::schedule`], [`Shard::land`],
-/// [`Shard::return_credit`] and `RouterTable::return_credit` each take
+/// The capability to write current-edge state: moving flits into the ring
+/// or returning a credit ([`Network::schedule`], [`Network::land`],
+/// [`Network::return_credit`] and `RouterTable::return_credit` each take
 /// one). Only this module can make one, and [`NocSim::step`] hands it to
-/// the serial cycle edge and to phase B2, never to phase A, which may read
-/// only last-edge state (DESIGN.md §10). A phase-A call to any of them
-/// therefore does not compile.
+/// the cycle edge and to phase B2, never to phase A, which may read only
+/// last-edge state (DESIGN.md §7): a credit returned during allocation
+/// would let a later router in the sweep use it a cycle early. A phase-A
+/// call to any of them therefore does not compile.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Edge(());
 
@@ -74,16 +69,8 @@ impl Edge {
 pub struct NocSim {
     config: NocConfig,
     mesh: Mesh,
-    /// Spatial partitions of routers, NIs, ring and packet slab. Always at
-    /// least one; with exactly one, the kernel runs fully serially.
-    shards: Vec<Shard>,
-    /// Owning shard index of every router (and, through a router's attached
-    /// nodes, of every node). The kernel's links carry their shard in their
-    /// [`Hop`]s; this serves enqueue, restore and the queries.
-    router_shard: Vec<u32>,
-    /// Persistent pinned workers for shards `1..n` (shard 0 runs on the
-    /// stepping thread); present only with more than one shard.
-    workers: Option<WorkerSet<Shard>>,
+    /// Routers, NIs, event ring and packet slab.
+    net: Network,
     codecs: Vec<NodeCodec>,
     live_packets: usize,
     next_pid: PacketId,
@@ -133,16 +120,8 @@ impl std::fmt::Debug for NocSim {
     }
 }
 
-/// Inverse of the shard partition: the owning shard index of every router.
-fn router_shard_map(shards: &[Shard], num_routers: usize) -> Vec<u32> {
-    let mut map = vec![0u32; num_routers];
-    for s in shards {
-        for owner in &mut map[s.router_lo..][..s.routers.len()] {
-            *owner = s.index as u32;
-        }
-    }
-    map
-}
+/// Most packets a snapshot may restore; a larger count is corrupt.
+const MAX_SNAPSHOT_PACKETS: usize = (1 << 24) - 1;
 
 impl NocSim {
     /// Builds a network. `codecs` must supply one encoder/decoder pair per
@@ -164,15 +143,12 @@ impl NocSim {
             mesh.num_nodes(),
             "one codec pair per node required"
         );
-        let shards = build_shards(&config, 1);
-        let router_shard = router_shard_map(&shards, mesh.num_routers());
+        let net = Network::new(&config, &mesh);
         let num_nodes = mesh.num_nodes();
         NocSim {
             config,
             mesh,
-            shards,
-            router_shard,
-            workers: None,
+            net,
             codecs,
             live_packets: 0,
             next_pid: 0,
@@ -194,34 +170,9 @@ impl NocSim {
         }
     }
 
-    /// Repartitions the network into `shards` spatial shards, each stepped
-    /// by its own worker thread (shard 0 runs on the calling thread). The
-    /// count is clamped to the router count; `1` restores fully serial
-    /// stepping. Results are bit-identical for any shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a simulation that has already stepped or holds
-    /// packets — repartitioning moves slab and ring state it does not
-    /// migrate.
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(
-            self.cycle == 0 && self.live_packets == 0,
-            "set_shards requires a fresh simulation (cycle 0, no packets in flight)"
-        );
-        let n = shards.clamp(1, self.mesh.num_routers().min(MAX_SHARDS));
-        if n == self.shards.len() {
-            return;
-        }
-        self.shards = build_shards(&self.config, n);
-        self.router_shard = router_shard_map(&self.shards, self.mesh.num_routers());
-        self.workers = (n > 1).then(|| WorkerSet::new(n - 1, "anoc-shard"));
-    }
-
-    /// Number of spatial shards the kernel is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
+    /// Does nothing: the kernel always steps one network serially. Kept
+    /// only because the benchmark crate (`benchmark/`) still calls it.
+    pub fn set_shards(&mut self, _shards: usize) {}
 
     /// Installs a fault-injection plan and seeds the fault RNG from it. An
     /// inert plan ([`FaultPlan::none`]) draws no random numbers, so the run
@@ -328,17 +279,17 @@ impl NocSim {
     /// saturated run never silently drops them from the statistics).
     pub fn record_unfinished(&mut self) {
         self.stats.unfinished = self
-            .shards
+            .net
+            .packets
             .iter()
-            .flat_map(|s| s.packets.iter().flatten())
+            .flatten()
             .filter(|p| p.measured)
             .count() as u64;
     }
 
     /// Number of packets waiting in `node`'s injection queue.
     pub fn injection_backlog(&self, node: NodeId) -> usize {
-        let shard = &self.shards[self.node_shard(node.index())];
-        shard.nis[node.index() - shard.node_lo].queue.len()
+        self.net.nis[node.index()].queue.len()
     }
 
     /// Starts (or restarts) the measurement window: statistics reset, in-
@@ -347,16 +298,9 @@ impl NocSim {
     pub fn begin_measurement(&mut self) {
         self.stats = NetStats::default();
         self.measuring = true;
-        for shard in &mut self.shards {
-            for p in shard.packets.iter_mut().flatten() {
-                p.measured = false;
-            }
+        for p in self.net.packets.iter_mut().flatten() {
+            p.measured = false;
         }
-    }
-
-    /// The shard owning `node`'s router (nodes follow their router).
-    fn node_shard(&self, node: usize) -> usize {
-        self.router_shard[self.mesh.router_of(NodeId::from(node))] as usize
     }
 
     /// Stops measuring newly created packets (drain phase).
@@ -472,62 +416,52 @@ impl NocSim {
         let id = self.next_pid;
         self.next_pid += 1;
         p.id = id;
-        let src = p.src;
-        // A packet lives in its source node's shard: only that shard's NI
-        // queue references the slot, so injection stays shard-local.
-        let si = self.node_shard(src.index());
-        let shard = &mut self.shards[si];
-        let slot = match shard.free_slots.pop() {
+        let src = p.src.index();
+        let net = &mut self.net;
+        let slot = match net.free_slots.pop() {
             Some(s) => {
-                shard.packets[local_of_slot(s)] = Some(p);
+                net.packets[s as usize] = Some(p);
                 s
             }
             None => {
-                shard.packets.push(Some(p));
-                encode_slot(si, shard.packets.len() - 1)
+                net.packets.push(Some(p));
+                (net.packets.len() - 1) as u32
             }
         };
         self.live_packets += 1;
-        let local = src.index() - shard.node_lo;
-        shard.nis[local].queue.push_back(slot);
-        shard.mark_busy(local);
+        net.nis[src].queue.push_back(slot);
+        net.mark_busy(src);
         id
     }
 
     /// Advances the simulation by one cycle.
     ///
-    /// Phase A (shard-parallel) runs allocation and then drains each
-    /// shard's ring slot; the serial cycle edge applies ejections, link
-    /// traversals and credits in shard-concatenation order (globally
-    /// router-ascending, identical to the single-shard kernel); phase B2
-    /// (shard-parallel) injects from each shard's NIs; the epilogue merges
-    /// order-independent tallies and runs the watchdog.
+    /// Phase A runs allocation and then drains this cycle's ring slot; the
+    /// cycle edge applies ejections, link traversals and credits in
+    /// router-ascending grant order; phase B2 injects from the NIs; the
+    /// epilogue runs the QoS epoch and the watchdog.
     pub fn step(&mut self) {
         let now = self.cycle;
-        let ctx = StepCtx {
-            now,
-            faults: self.faults,
-        };
         let edge = Edge(());
-        self.run_phase(&ctx, Phase::A);
-        let mut progressed = self.cycle_edge(now, edge);
-        self.run_phase(&ctx, Phase::B2(edge));
-        // Merge phase B2 outputs (all integer sums, so shard order cannot
-        // matter; iterated ascending regardless).
-        for i in 0..self.shards.len() {
-            progressed |= self.shards[i].progressed;
-            self.shards[i].progressed = false;
-            let t = std::mem::take(&mut self.shards[i].inject_tally);
-            self.stats.flits_injected += t.flits;
-            self.stats.data_flits_injected += t.data_flits;
-            self.stats.control_flits_injected += t.control_flits;
-            self.stats.baseline_data_flits += t.baseline_flits;
+        let (landed, unrouted) = self
+            .net
+            .phase_a(&self.mesh, now, &self.faults, &mut self.stats);
+        if let Some(u) = unrouted {
+            let slab = &self.net.packets;
+            let packet = slab.get(u.slot as usize).and_then(Option::as_ref);
+            self.fatal.get_or_insert(SimError::BodyBeforeHead {
+                packet: packet.map(|p| p.id),
+                router: u.router,
+                port: u.port,
+                cycle: now,
+            });
         }
+        let mut progressed = landed | self.cycle_edge(now, edge);
+        progressed |= self.net.phase_b2(&self.mesh, now, &mut self.stats, edge);
         self.cycle = now + 1;
-        // QoS control epoch: runs in the serial epilogue, after the phase-B2
-        // barrier, so every controller observes a consistent delivered-quality
-        // snapshot regardless of shard or thread count. Flows are walked in
-        // ascending index order — fully deterministic.
+        // QoS control epoch: runs in the epilogue, after injection, so every
+        // controller observes the cycle's delivered quality. Flows are walked
+        // in ascending index order — fully deterministic.
         if let Some(bank) = &mut self.qos {
             if bank.epoch_due(self.cycle) {
                 bank.run_epoch();
@@ -547,147 +481,69 @@ impl NocSim {
         }
     }
 
-    /// Runs one phase on every shard with work: serially with one shard,
-    /// otherwise shards `1..n` on the pinned workers with shard 0 on the
-    /// stepping thread. Shards are handed to workers by value and received
-    /// back at the barrier, so no simulation state is ever shared.
-    fn run_phase(&mut self, ctx: &StepCtx, phase: Phase) {
-        let Some(workers) = &self.workers else {
-            for shard in &mut self.shards {
-                if shard.has_work(ctx.now, phase) {
-                    shard.run(ctx, phase);
-                }
-            }
-            return;
-        };
-        for i in 1..self.shards.len() {
-            if !self.shards[i].has_work(ctx.now, phase) {
-                continue;
-            }
-            let shard = std::mem::take(&mut self.shards[i]);
-            let ctx = *ctx;
-            workers.submit(i - 1, i, shard, move |s| s.run(&ctx, phase));
-        }
-        if self.shards[0].has_work(ctx.now, phase) {
-            self.shards[0].run(ctx, phase);
-        }
-        // `recv` returns every submitted shard (re-throwing a worker's
-        // panic) and then `None`.
-        while let Some((tag, shard)) = workers.recv() {
-            self.shards[tag] = shard;
-        }
-    }
-
-    /// The serial cycle edge between phases A and B2: applies every shard's
-    /// deferred phase-A outputs in shard index order. Returns whether
-    /// anything progressed.
+    /// The cycle edge between phases A and B2: applies phase A's deferred
+    /// outputs. Returns whether any flit was granted.
     fn cycle_edge(&mut self, now: u64, edge: Edge) -> bool {
-        let mut progressed = false;
-        let n = self.shards.len();
-        // Phase A bookkeeping: stall tallies, progress flags, and the first
-        // body flit met without a route, which names its packet here.
-        for i in 0..n {
-            let shard = &mut self.shards[i];
-            self.stats.faults.port_stalls += shard.stall_hits;
-            shard.stall_hits = 0;
-            progressed |= shard.progressed;
-            shard.progressed = false;
-            let Some(u) = shard.unrouted.take() else {
-                continue;
-            };
-            let router = shard.router_lo + u.router;
-            // The packet lives in its source's shard, not the router's.
-            let packet = self.shards[shard_of_slot(u.slot)]
-                .packets
-                .get(local_of_slot(u.slot))
-                .and_then(Option::as_ref)
-                .map(|p| p.id);
-            self.fatal.get_or_insert(SimError::BodyBeforeHead {
-                packet,
-                router,
-                port: u.port,
-                cycle: now,
-            });
+        // Ejections, in ring order.
+        let mut ejects = std::mem::take(&mut self.net.ejects);
+        for &(node, flit) in &ejects {
+            self.eject_flit(node, flit, now);
         }
-        // Ejections. Eject arrivals land in the granting (local) router's
-        // shard and each shard's list is in ring order, so concatenation
-        // reproduces the single-shard kernel's global processing order.
-        for i in 0..n {
-            let mut ejects = std::mem::take(&mut self.shards[i].ejects);
-            for &(node, flit) in &ejects {
-                self.eject_flit(node, flit, now);
-            }
-            ejects.clear();
-            self.shards[i].ejects = ejects;
-        }
-        // Grants, two global passes exactly like the single-shard kernel:
-        // pass 1 draws link-fault flips and moves every arrival into its
-        // target shard's ring, pass 2 returns credits (drawing drop/
-        // duplicate faults) — so allocation never observes same-cycle
-        // credits, and the sequential fault-RNG draw order is the global
-        // router-ascending grant order on any shard count. Each arrival and
-        // credit names its shard.
+        ejects.clear();
+        self.net.ejects = ejects;
+        // Grants, in two passes: the first draws link-fault flips and moves
+        // every arrival into the ring, the second returns credits (drawing
+        // drop/duplicate faults) — so allocation never observes same-cycle
+        // credits, and the sequential fault-RNG draws follow the
+        // router-ascending grant order.
         //
         // Lossy links: one draw from the loss RNG per arrival whenever a
-        // plan is active, so the draw order is the same global order as the
-        // fault RNG's. The two RNGs share a stream id (`Stream`), so with
-        // equal plan seeds they draw one sequence and the flip and erase
-        // decisions read the same values until one of them fires.
+        // plan is active, in the same order as the fault RNG's. The two RNGs
+        // share a stream id (`Stream`), so with equal plan seeds they draw
+        // one sequence and the flip and erase decisions read the same values
+        // until one of them fires.
         let flips = self.faults.link_bit_flip_ppm > 0;
         let lossy = self.loss.is_active();
-        for i in 0..n {
-            let mut arrivals = std::mem::take(&mut self.shards[i].arrivals);
-            progressed |= !arrivals.is_empty();
-            if flips || lossy {
-                for a in &arrivals {
-                    if flips && self.fault_rng.below(PPM) < self.faults.link_bit_flip_ppm {
-                        self.flip_payload_bit(a.flit.slot);
-                    }
-                    if lossy {
-                        let rate = self.loss.effective_ppm(self.approx_level_of(a.flit.slot));
-                        if self.loss_rng.below(PPM) < rate {
-                            self.erase_payload_word(a.flit.slot);
-                        }
+        let mut arrivals = std::mem::take(&mut self.net.arrivals);
+        let granted = !arrivals.is_empty();
+        if flips || lossy {
+            for a in &arrivals {
+                if flips && self.fault_rng.below(PPM) < self.faults.link_bit_flip_ppm {
+                    self.flip_payload_bit(a.flit.slot);
+                }
+                if lossy {
+                    let rate = self.loss.effective_ppm(self.approx_level_of(a.flit.slot));
+                    if self.loss_rng.below(PPM) < rate {
+                        self.erase_payload_word(a.flit.slot);
                     }
                 }
             }
-            // One shard owns every target: the whole list moves at once.
-            if n == 1 {
-                self.shards[0].land(now, now + 2, &mut arrivals, edge);
-            } else {
-                for a in arrivals.drain(..) {
-                    self.shards[usize::from(a.shard)].schedule(now, now + 2, a, edge);
-                }
-            }
-            self.shards[i].arrivals = arrivals;
         }
+        self.net.land(now, now + 2, &mut arrivals, edge);
+        self.net.arrivals = arrivals;
         // With credit faults inert every freed slot is credited exactly once
         // and no draw is made, so the per-credit copy count is skipped.
         let credit_faults = self.faults.credit_drop_ppm > 0 || self.faults.credit_dup_ppm > 0;
-        for i in 0..n {
-            let mut credits = std::mem::take(&mut self.shards[i].credits);
-            for &c in &credits {
-                let to = usize::from(c.shard);
-                if !credit_faults {
-                    self.shards[to].return_credit(c, edge);
-                    continue;
-                }
-                for _ in 0..self.credit_copies() {
-                    self.shards[to].return_credit(c, edge);
-                }
+        let mut credits = std::mem::take(&mut self.net.credits);
+        for &c in &credits {
+            if !credit_faults {
+                self.net.return_credit(c, edge);
+                continue;
             }
-            credits.clear();
-            self.shards[i].credits = credits;
+            for _ in 0..self.credit_copies() {
+                self.net.return_credit(c, edge);
+            }
         }
-        progressed
+        credits.clear();
+        self.net.credits = credits;
+        granted
     }
 
     /// Records one link-fault bit flip against the packet in `slot`: a
     /// random (word, bit) of its payload, applied to the decoded block at
     /// delivery so the golden copy stays intact for the bound checker.
     fn flip_payload_bit(&mut self, slot: u32) {
-        let owner = shard_of_slot(slot);
-        let Some(p) = self.shards[owner].packets[local_of_slot(slot)].as_mut() else {
+        let Some(p) = self.net.packets[slot as usize].as_mut() else {
             return;
         };
         let Some(block) = &p.precise else {
@@ -707,8 +563,7 @@ impl NocSim {
     /// for control packets and freed slots) — what an active [`LossPlan`]
     /// scales its per-hop loss rate with.
     fn approx_level_of(&self, slot: u32) -> u32 {
-        let owner = shard_of_slot(slot);
-        self.shards[owner].packets[local_of_slot(slot)]
+        self.net.packets[slot as usize]
             .as_ref()
             .map_or(0, |p| p.approx_level)
     }
@@ -717,8 +572,7 @@ impl NocSim {
     /// random payload word, zeroed in the decoded block at delivery so the
     /// golden copy stays intact for the bound checker and quality audit.
     fn erase_payload_word(&mut self, slot: u32) {
-        let owner = shard_of_slot(slot);
-        let Some(p) = self.shards[owner].packets[local_of_slot(slot)].as_mut() else {
+        let Some(p) = self.net.packets[slot as usize].as_mut() else {
             return;
         };
         let Some(block) = &p.precise else {
@@ -755,9 +609,10 @@ impl NocSim {
     fn deadlock_dump(&self, now: u64) -> DeadlockDump {
         const MAX_ITEMS: usize = 8;
         let mut stuck: Vec<StuckPacket> = self
-            .shards
+            .net
+            .packets
             .iter()
-            .flat_map(|s| s.packets.iter().flatten())
+            .flatten()
             .map(|p| StuckPacket {
                 id: p.id,
                 src: p.src,
@@ -771,29 +626,21 @@ impl NocSim {
             .collect();
         stuck.sort_by_key(|s| (s.created, s.id));
         stuck.truncate(MAX_ITEMS);
-        // Shards own contiguous ascending router/node ranges, so shard
-        // concatenation preserves the global ascending diagnostic order.
-        let routers = self
-            .shards
-            .iter()
-            .flat_map(|s| (0..s.routers.len()).map(move |lr| (s, lr)))
-            .filter(|&(s, lr)| s.routers.is_busy(lr))
+        let table = &self.net.routers;
+        let routers = (0..table.len())
+            .filter(|&r| table.is_busy(r))
             .take(MAX_ITEMS)
-            .map(|(s, lr)| RouterDiag {
-                id: s.router_lo + lr,
-                buffered: s.routers.occupancy(lr),
-                ports: s.routers.flow_snapshot(lr),
+            .map(|r| RouterDiag {
+                id: r,
+                buffered: table.occupancy(r),
+                ports: table.flow_snapshot(r),
             })
             .collect();
         let ni_backlogs = self
-            .shards
+            .net
+            .nis
             .iter()
-            .flat_map(|s| {
-                s.nis
-                    .iter()
-                    .enumerate()
-                    .map(move |(ln, ni)| (s.node_lo + ln, ni))
-            })
+            .enumerate()
             .filter(|(_, ni)| !ni.queue.is_empty())
             .take(MAX_ITEMS)
             .map(|(node, ni)| (node, ni.queue.len()))
@@ -872,10 +719,8 @@ impl NocSim {
     /// Aggregate hardware activity (routers + codecs) for the power model.
     pub fn activity_report(&self) -> ActivityReport {
         let mut routers = RouterActivity::default();
-        for s in &self.shards {
-            for lr in 0..s.routers.len() {
-                routers.merge(&s.routers.activity(lr));
-            }
+        for r in 0..self.net.routers.len() {
+            routers.merge(&self.net.routers.activity(r));
         }
         let mut encoders = anoc_core::codec::CodecActivity::default();
         let mut decoders = anoc_core::codec::CodecActivity::default();
@@ -948,111 +793,83 @@ impl NocSim {
         w.u64(self.last_progress);
         self.fault_rng.save(&mut w);
         self.loss_rng.save(&mut w);
-        // Packet slab, in canonical order (shard-ascending, slab-index-
-        // ascending). Slots are position-dependent — free-list history and
-        // shard count shape them — so flits serialize the packet's *rank* in
-        // this sequence instead, making the blob restorable at any shard
-        // count.
-        let canon_of: Vec<Vec<Option<u32>>> = {
+        // Packet slab, in slab order. Slots have free-list holes, so flits
+        // serialize the packet's *rank* in this sequence instead of its
+        // slot: the blob names packets by nothing but the simulated state.
+        let rank_of: Vec<Option<u32>> = {
             let mut next = 0u32;
-            self.shards
+            self.net
+                .packets
                 .iter()
-                .map(|s| {
-                    s.packets
-                        .iter()
-                        .map(|p| {
-                            p.as_ref().map(|_| {
-                                let c = next;
-                                next += 1;
-                                c
-                            })
-                        })
-                        .collect()
+                .map(|p| {
+                    p.as_ref().map(|_| {
+                        let c = next;
+                        next += 1;
+                        c
+                    })
                 })
                 .collect()
         };
-        let count: usize = canon_of.iter().flatten().flatten().count();
+        let count = rank_of.iter().flatten().count();
         if count != self.live_packets {
             return Err(SnapshotError::Unclean("live packet count out of sync"));
         }
         w.usize(count);
-        for shard in &self.shards {
-            for p in shard.packets.iter().flatten() {
-                p.save(&mut w);
-            }
+        for p in self.net.packets.iter().flatten() {
+            p.save(&mut w);
         }
-        let canon = |slot: u32| -> Option<u32> {
-            canon_of
-                .get(shard_of_slot(slot))?
-                .get(local_of_slot(slot))
-                .copied()
-                .flatten()
-        };
+        let rank = |slot: u32| -> Option<u32> { rank_of.get(slot as usize).copied().flatten() };
         let remap = |f: Flit| -> Result<Flit, SnapError> {
-            let slot = canon(f.slot).ok_or(SnapError::Invalid("flit references a dead slot"))?;
+            let slot = rank(f.slot).ok_or(SnapError::Invalid("flit references a dead slot"))?;
             Ok(Flit { slot, ..f })
         };
-        // NI states, in global node order.
-        for shard in &self.shards {
-            for ni in &shard.nis {
-                w.usize(ni.queue.len());
-                for &slot in &ni.queue {
-                    match canon(slot) {
-                        Some(c) => w.u32(c),
-                        None => {
-                            return Err(SnapshotError::Structure("queued slot holds no packet"))
-                        }
+        // NI states, in node order.
+        for ni in &self.net.nis {
+            w.usize(ni.queue.len());
+            for &slot in &ni.queue {
+                match rank(slot) {
+                    Some(c) => w.u32(c),
+                    None => return Err(SnapshotError::Structure("queued slot holds no packet")),
+                }
+            }
+            for &c in &ni.vc_credits {
+                w.u32(c);
+            }
+            ni.cur_vc.save(&mut w);
+            w.u32(ni.next_seq);
+            w.usize(ni.vc_rr);
+        }
+        // Routers, in router order.
+        let routers = &self.net.routers;
+        for r in 0..routers.len() {
+            routers.save_router(r, &mut w, &remap)?;
+        }
+        // Event ring, per ring slot, in ring order: the order the cycle
+        // edge processes ejections in. Within a slot, router-target
+        // arrivals commute (at most one flit lands per input port per cycle
+        // and the port-stall draw is stateless).
+        for ring in &self.net.events {
+            w.usize(ring.len());
+            for a in ring {
+                let target = if a.port == Hop::NI {
+                    LinkDest::Eject {
+                        node: a.index as usize,
                     }
-                }
-                for &c in &ni.vc_credits {
-                    w.u32(c);
-                }
-                ni.cur_vc.save(&mut w);
-                w.u32(ni.next_seq);
-                w.usize(ni.vc_rr);
+                } else {
+                    LinkDest::Router {
+                        router: a.index as usize,
+                        port: a.port.into(),
+                    }
+                };
+                target.save(&mut w);
+                w.usize(a.vc.into());
+                remap(a.flit)?.save(&mut w);
             }
         }
-        // Routers, in global router order.
-        for shard in &self.shards {
-            for lr in 0..shard.routers.len() {
-                shard.routers.save_router(lr, &mut w, &remap)?;
-            }
-        }
-        // Event ring, per ring slot, shard-concatenated. Within a slot,
-        // router-target arrivals commute (at most one flit lands per input
-        // port per cycle and the port-stall draw is stateless), and eject
-        // arrivals appear in globally router-ascending order — the exact
-        // order the serial cycle edge processes them — because each shard's
-        // list is in local ring order and shards own ascending ranges. A
-        // restore at any shard count filters this sequence per target shard,
-        // which preserves that order.
-        for idx in 0..EVENT_HORIZON {
-            let total: usize = self.shards.iter().map(|s| s.events[idx].len()).sum();
-            w.usize(total);
-            for shard in &self.shards {
-                for a in &shard.events[idx] {
-                    let target = if a.port == Hop::NI {
-                        LinkDest::Eject {
-                            node: a.index as usize,
-                        }
-                    } else {
-                        LinkDest::Router {
-                            router: shard.router_lo + a.index as usize,
-                            port: a.port.into(),
-                        }
-                    };
-                    target.save(&mut w);
-                    w.usize(a.vc.into());
-                    remap(a.flit)?.save(&mut w);
-                }
-            }
-        }
-        // Router activity flags, in global router order: whether some input
-        // VC of the router holds a flit.
-        for shard in &self.shards {
-            for lr in 0..shard.routers.len() {
-                w.bool(shard.routers.is_busy(lr));
-            }
+        // Router activity flags, in router order: whether some input VC of
+        // the router holds a flit.
+        for r in 0..routers.len() {
+            w.bool(routers.is_busy(r));
         }
         self.stats.save(&mut w);
         for c in &self.codecs {
@@ -1077,7 +894,7 @@ impl NocSim {
     }
 
     /// Restores state saved by [`NocSim::save_snapshot`] into a simulator
-    /// built from the same configuration, at any shard count. The caller
+    /// built from the same configuration. The caller
     /// must re-arm everything the snapshot deliberately excludes — fault
     /// plan, loss plan, QoS spec, watchdog, bound checker — *before*
     /// restoring: the restored fault- and loss-RNG cursors, controller
@@ -1119,85 +936,68 @@ impl NocSim {
         let fault_rng = Pcg32::load(&mut r)?;
         let loss_rng = Pcg32::load(&mut r)?;
         let count = r.usize()?;
-        if count > SLOT_MASK as usize {
+        if count > MAX_SNAPSHOT_PACKETS {
             return Err(SnapshotError::Structure("packet count"));
         }
-        // Distribute packets into the *current* partition's slabs (a packet
-        // lives in its source node's shard), compacted — the free lists
-        // restart empty. `slot_of[rank]` translates serialized flit
-        // references back to live slots.
-        for shard in &mut self.shards {
-            shard.packets.clear();
-            shard.free_slots.clear();
-        }
+        // Packets fill the slab compacted, in rank order, so a flit's
+        // serialized rank is its slot; the free list restarts empty.
+        let net = &mut self.net;
+        net.packets.clear();
+        net.free_slots.clear();
         let num_nodes = self.mesh.num_nodes();
-        let mut slot_of: Vec<u32> = Vec::with_capacity(count);
         for _ in 0..count {
             let p = PacketState::load(&mut r)?;
             if p.src.index() >= num_nodes || p.dest.index() >= num_nodes {
                 return Err(SnapshotError::Structure("packet node id"));
             }
-            let si = self.node_shard(p.src.index());
-            let shard = &mut self.shards[si];
-            if shard.packets.len() > SLOT_MASK as usize {
-                return Err(SnapshotError::Structure("shard slab overflow"));
-            }
-            shard.packets.push(Some(p));
-            slot_of.push(encode_slot(si, shard.packets.len() - 1));
+            net.packets.push(Some(p));
         }
         let remap = |f: Flit| -> Result<Flit, SnapError> {
-            let slot = slot_of
-                .get(f.slot as usize)
-                .copied()
-                .ok_or(SnapError::Invalid("flit references an unknown packet"))?;
+            if f.slot as usize >= count {
+                return Err(SnapError::Invalid("flit references an unknown packet"));
+            }
             if f.dest.index() >= num_nodes {
                 return Err(SnapError::Invalid("flit destination"));
             }
-            Ok(Flit { slot, ..f })
+            Ok(f)
         };
         let vcs = self.config.vcs;
-        for shard in &mut self.shards {
-            for ni in &mut shard.nis {
-                let qn = r.usize()?;
-                if qn > count {
-                    return Err(SnapshotError::Structure("NI queue length"));
-                }
-                ni.queue.clear();
-                for _ in 0..qn {
-                    let slot = slot_of
-                        .get(r.u32()? as usize)
-                        .copied()
-                        .ok_or(SnapshotError::Structure("queued packet reference"))?;
-                    ni.queue.push_back(slot);
-                }
-                for c in ni.vc_credits.iter_mut() {
-                    *c = r.u32()?;
-                }
-                ni.cur_vc = Option::load(&mut r)?;
-                if ni.cur_vc.is_some_and(|vc| vc >= vcs) {
-                    return Err(SnapshotError::Structure("NI current vc"));
-                }
-                ni.next_seq = r.u32()?;
-                let vc_rr = r.usize()?;
-                if vc_rr >= vcs {
-                    return Err(SnapshotError::Structure("NI vc round-robin"));
-                }
-                ni.vc_rr = vc_rr;
+        for ni in &mut net.nis {
+            let qn = r.usize()?;
+            if qn > count {
+                return Err(SnapshotError::Structure("NI queue length"));
             }
-            shard.rebuild_busy_nis();
+            ni.queue.clear();
+            for _ in 0..qn {
+                let slot = r.u32()?;
+                if slot as usize >= count {
+                    return Err(SnapshotError::Structure("queued packet reference"));
+                }
+                ni.queue.push_back(slot);
+            }
+            for c in ni.vc_credits.iter_mut() {
+                *c = r.u32()?;
+            }
+            ni.cur_vc = Option::load(&mut r)?;
+            if ni.cur_vc.is_some_and(|vc| vc >= vcs) {
+                return Err(SnapshotError::Structure("NI current vc"));
+            }
+            ni.next_seq = r.u32()?;
+            let vc_rr = r.usize()?;
+            if vc_rr >= vcs {
+                return Err(SnapshotError::Structure("NI vc round-robin"));
+            }
+            ni.vc_rr = vc_rr;
         }
-        for shard in &mut self.shards {
-            shard.routers.clear_buffers();
-            for lr in 0..shard.routers.len() {
-                shard.routers.load_router(lr, &mut r, &remap)?;
-            }
+        net.rebuild_busy_nis();
+        net.routers.clear_buffers();
+        for router in 0..net.routers.len() {
+            net.routers.load_router(router, &mut r, &remap)?;
         }
         let num_routers = self.mesh.num_routers();
         let ports = self.mesh.ports_per_router();
-        for idx in 0..EVENT_HORIZON {
-            for shard in &mut self.shards {
-                shard.events[idx].clear();
-            }
+        for ring in &mut net.events {
+            ring.clear();
             let total = r.usize()?;
             if total > 1 << 28 {
                 return Err(SnapshotError::Structure("arrival count"));
@@ -1208,8 +1008,7 @@ impl NocSim {
                     if port >= ports {
                         return Err(SnapshotError::Structure("arrival port"));
                     }
-                    let s = &self.shards[self.router_shard[router] as usize];
-                    if !s.routers.is_fed(router - s.router_lo, port) {
+                    if !net.routers.is_fed(router, port) {
                         return Err(SnapshotError::Structure("arrival at an unwired input port"));
                     }
                 }
@@ -1218,29 +1017,18 @@ impl NocSim {
                     return Err(SnapshotError::Structure("arrival vc"));
                 }
                 let flit = remap(Flit::load(&mut r)?)?;
-                let (s, index, port) = match target {
-                    LinkDest::Router { router, port } => {
-                        let s = self.router_shard[router] as usize;
-                        (s, router - self.shards[s].router_lo, port as u8)
-                    }
-                    LinkDest::Eject { node } => (self.node_shard(node), node, Hop::NI),
+                let to = match target {
+                    LinkDest::Router { router, port } => Hop::router(router as u32, port as u8),
+                    LinkDest::Eject { node } => Hop::ni(node as u32),
                 };
-                self.shards[s].events[idx].push(Arrival {
-                    flit,
-                    index: index as u32,
-                    shard: s as u16,
-                    port,
-                    vc: vc as u8,
-                });
+                ring.push(Arrival::at(to, vc as u8, flit));
             }
         }
         // A router is active exactly when one of its input VCs holds a
         // flit; the flag is derived, so a blob that disagrees is corrupt.
-        for shard in &self.shards {
-            for lr in 0..shard.routers.len() {
-                if r.bool()? != shard.routers.is_busy(lr) {
-                    return Err(SnapshotError::Structure("router activity flag"));
-                }
+        for router in 0..net.routers.len() {
+            if r.bool()? != net.routers.is_busy(router) {
+                return Err(SnapshotError::Structure("router activity flag"));
             }
         }
         let stats = NetStats::load(&mut r)?;
@@ -1294,11 +1082,10 @@ impl NocSim {
     }
 
     fn eject_flit(&mut self, node: usize, flit: Flit, now: u64) {
-        let owner = shard_of_slot(flit.slot);
-        let slot = local_of_slot(flit.slot);
+        let slot = flit.slot as usize;
         // A slab slot is live until its tail ejects; ignore an orphan flit
         // rather than crash if that invariant ever breaks.
-        let Some(p) = self.shards[owner].packets[slot].as_mut() else {
+        let Some(p) = self.net.packets[slot].as_mut() else {
             debug_assert!(false, "ejected flit references dead slot {slot}");
             return;
         };
@@ -1324,11 +1111,11 @@ impl NocSim {
             self.fatal.get_or_insert(error);
             return;
         }
-        let Some(p) = self.shards[owner].packets[slot].take() else {
+        let Some(p) = self.net.packets[slot].take() else {
             debug_assert!(false, "slot {slot} vanished between borrow and take");
             return;
         };
-        self.shards[owner].free_slots.push(flit.slot);
+        self.net.free_slots.push(flit.slot);
         self.live_packets -= 1;
         self.complete_packet(p, node, now);
     }
@@ -1512,22 +1299,19 @@ mod tests {
         }
     }
 
-    /// The shard, ring slot and index of the first in-flight head flit
-    /// arriving at a router that has a port of the kind `unwired` finds,
-    /// and that port.
+    /// The ring slot and index of the first in-flight head flit arriving at
+    /// a router that has a port of the kind `unwired` finds, and that port.
     fn arrival_at_edge_router(
         sim: &NocSim,
         unwired: impl Fn(&RouterTable, usize) -> Option<usize>,
-    ) -> Option<(usize, usize, usize, usize)> {
-        for (s, shard) in sim.shards.iter().enumerate() {
-            for (slot, ring) in shard.events.iter().enumerate() {
-                for (k, a) in ring.iter().enumerate() {
-                    if a.port == Hop::NI || !a.flit.is_head() {
-                        continue;
-                    }
-                    if let Some(port) = unwired(&shard.routers, a.index as usize) {
-                        return Some((s, slot, k, port));
-                    }
+    ) -> Option<(usize, usize, usize)> {
+        for (slot, ring) in sim.net.events.iter().enumerate() {
+            for (k, a) in ring.iter().enumerate() {
+                if a.port == Hop::NI || !a.flit.is_head() {
+                    continue;
+                }
+                if let Some(port) = unwired(&sim.net.routers, a.index as usize) {
+                    return Some((slot, k, port));
                 }
             }
         }
@@ -1536,7 +1320,7 @@ mod tests {
 
     /// [`busy_mesh`] run on until a head flit is on its way to an edge
     /// router; that mesh and [`arrival_at_edge_router`]'s answer.
-    fn mesh_with_edge_arrival() -> (NocSim, (usize, usize, usize, usize)) {
+    fn mesh_with_edge_arrival() -> (NocSim, (usize, usize, usize)) {
         let mut sim = busy_mesh(120);
         for _ in 0..500 {
             if let Some(found) = arrival_at_edge_router(&sim, RouterTable::unwired_input) {
@@ -1550,8 +1334,8 @@ mod tests {
 
     #[test]
     fn restore_refuses_an_arrival_at_an_unwired_input_port() {
-        let (mut sim, (s, slot, k, port)) = mesh_with_edge_arrival();
-        sim.shards[s].events[slot][k].port = port as u8;
+        let (mut sim, (slot, k, port)) = mesh_with_edge_arrival();
+        sim.net.events[slot][k].port = port as u8;
         let blob = sim.save_snapshot(0).unwrap();
         let err = refusal(&blob);
         assert!(
@@ -1565,9 +1349,9 @@ mod tests {
 
     #[test]
     fn restore_refuses_flits_buffered_at_an_unwired_input_port() {
-        let (mut sim, (s, slot, k, _)) = mesh_with_edge_arrival();
-        let a = sim.shards[s].events[slot][k];
-        let (routers, lr) = (&mut sim.shards[s].routers, a.index as usize);
+        let (mut sim, (slot, k, _)) = mesh_with_edge_arrival();
+        let a = sim.net.events[slot][k];
+        let (routers, lr) = (&mut sim.net.routers, a.index as usize);
         let port = routers.unwired_input(lr).unwrap();
         routers.plant_flit(lr, port, 0, a.flit);
         let blob = sim.save_snapshot(0).unwrap();
@@ -1584,14 +1368,12 @@ mod tests {
     #[test]
     fn restore_refuses_a_route_to_an_unwired_output_port() {
         let mut sim = busy_mesh(120);
-        let planted = sim.shards.iter_mut().any(|shard| {
-            let routers = &mut shard.routers;
-            (0..routers.len()).any(|lr| {
-                let Some(port) = routers.unwired_output(lr) else {
-                    return false;
-                };
-                routers.plant_route(lr, port)
-            })
+        let routers = &mut sim.net.routers;
+        let planted = (0..routers.len()).any(|lr| {
+            let Some(port) = routers.unwired_output(lr) else {
+                return false;
+            };
+            routers.plant_route(lr, port)
         });
         assert!(planted, "no edge router holds a routed flit");
         let blob = sim.save_snapshot(0).unwrap();
@@ -1622,7 +1404,7 @@ mod tests {
         }
         tail.bool(false);
         let flags = blob.len() - tail.into_bytes().len() - 9;
-        let busy: Vec<bool> = (0..9).map(|r| sim.shards[0].routers.is_busy(r)).collect();
+        let busy: Vec<bool> = (0..9).map(|r| sim.net.routers.is_busy(r)).collect();
         assert_eq!(
             blob[flags..flags + 9]
                 .iter()
@@ -1670,23 +1452,16 @@ mod tests {
     #[test]
     fn every_shifted_restore_ends_clean_or_typed() {
         // Each save of cycles 60 to 399, its cycle moved on by one, restored
-        // and run for 100 cycles, serially and on three shards. A body flit
-        // that the shift puts ahead of its head reaches a VC front without a
-        // route; that is a typed error naming the same packet on any shard
-        // count, never a panic.
+        // and run for 100 cycles. A body flit that the shift puts ahead of
+        // its head reaches a VC front without a route; that is a typed
+        // error, never a panic.
         let mut sim = busy_mesh(SHIFTED_SAVE);
         let (mut clean, mut unrouted, mut other) = (0, 0, 0);
         for c in SHIFTED_SAVE..400 {
             let blob = shifted_blob(&sim);
-            let outcome = |shards: usize| {
-                let mut fresh = baseline_sim(NocConfig::mesh_3x3());
-                fresh.set_shards(shards);
-                fresh.restore_snapshot(&blob, 0).unwrap();
-                fresh.try_run(100).map_err(|e| e.to_string())
-            };
-            let serial = outcome(1);
-            assert_eq!(outcome(3), serial, "save at cycle {c}");
-            match serial {
+            let mut fresh = baseline_sim(NocConfig::mesh_3x3());
+            fresh.restore_snapshot(&blob, 0).unwrap();
+            match fresh.try_run(100).map_err(|e| e.to_string()) {
                 Ok(()) => clean += 1,
                 Err(e) if e.contains("without a route") => unrouted += 1,
                 Err(_) => other += 1,

@@ -13,9 +13,8 @@
 //!
 //! * the mesh, config and router wiring — pure functions of the
 //!   configuration, which the fingerprint pins;
-//! * the shard partition and worker threads — snapshots serialize packets
-//!   and ring events in a canonical shard-independent order, so a blob
-//!   saved at one shard count restores bit-identically at any other;
+//! * packet slots — flits name their packet by its rank in the blob's
+//!   packet list, because free-list history leaves holes in the slab;
 //! * the delivered-packet log — observability state the driver drains each
 //!   step; saving refuses if it is non-empty;
 //! * the bound checker, watchdog, fault *plan*, loss *plan* and QoS *spec*
@@ -92,10 +91,9 @@ impl From<SnapError> for SnapshotError {
 }
 
 anoc_core::snap_record! {
-    /// Where an event-ring arrival lands, in the blob's shard-independent
-    /// form: a global router id, or the ejecting node. The kernel itself
-    /// resolves links to shard-local [`Hop`](crate::router::Hop)s; save and
-    /// restore translate.
+    /// Where an event-ring arrival lands, in the blob's form: a router id
+    /// and input port, or the ejecting node. The kernel itself holds
+    /// [`Hop`](crate::router::Hop)s; save and restore translate.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub(crate) enum LinkDest {
         /// Input port `port` of router `router`.

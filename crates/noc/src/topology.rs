@@ -93,17 +93,6 @@ impl Mesh {
         }
     }
 
-    /// A mesh with no routers, for placeholders that are never stepped.
-    pub(crate) fn empty() -> Self {
-        Mesh {
-            width: 0,
-            height: 0,
-            concentration: 0,
-            nodes: Vec::new(),
-            xy: Vec::new(),
-        }
-    }
-
     /// Mesh width in routers.
     pub fn width(&self) -> usize {
         self.width

@@ -263,21 +263,8 @@ fn switch_allocation_is_fair_under_contention() {
 /// draining, zero-latency codecs), so the fingerprint pins the *kernel*:
 /// any slab/scratch-buffer/worklist refactor must reproduce it bit for bit.
 fn kernel_fingerprint(config: NocConfig) -> String {
-    kernel_fingerprint_sharded(config, 1, 400, 800)
-}
-
-/// The same workload, on a kernel partitioned into `shards` spatial shards.
-/// DESIGN.md §10's invariant is that the result is bit-identical for any
-/// shard count, so this must reproduce `kernel_fingerprint` exactly.
-fn kernel_fingerprint_sharded(
-    config: NocConfig,
-    shards: usize,
-    warmup: u64,
-    measure: u64,
-) -> String {
     let nodes = config.num_nodes();
     let mut sim = NocSim::new(config, (0..nodes).map(|_| NodeCodec::baseline()).collect());
-    sim.set_shards(shards);
     let mut rng = Pcg32::seed_from_u64(0xA90C);
     let offer = |sim: &mut NocSim, rng: &mut Pcg32| {
         for node in 0..nodes {
@@ -301,12 +288,12 @@ fn kernel_fingerprint_sharded(
             }
         }
     };
-    for _ in 0..warmup {
+    for _ in 0..400 {
         offer(&mut sim, &mut rng);
         sim.step();
     }
     sim.begin_measurement();
-    for _ in 0..measure {
+    for _ in 0..800 {
         offer(&mut sim, &mut rng);
         sim.step();
     }
@@ -361,47 +348,6 @@ fn kernel_refactor_is_behavior_preserving() {
          fd=11674 bdf=9576 unf=0 hist=3162 p50=27 p99=79 bw=107774 br=107774 va=29230 xb=107774 \
          lt=90593"
     );
-}
-
-/// Shard-count independence (DESIGN.md §10): the two-phase barrier must make
-/// the sharded kernel bit-identical to the serial one — every statistic and
-/// every activity counter — on the paper topology and on a scale-out 16×16
-/// concentrated mesh whose partition crosses many boundary links.
-#[test]
-fn sharded_kernel_is_bit_identical_across_shard_counts() {
-    let serial = kernel_fingerprint_sharded(NocConfig::paper_4x4_cmesh(), 1, 400, 800);
-    for shards in [2, 4] {
-        assert_eq!(
-            kernel_fingerprint_sharded(NocConfig::paper_4x4_cmesh(), shards, 400, 800),
-            serial,
-            "4x4 cmesh fingerprint diverged at {shards} shards"
-        );
-    }
-    // The serial 4x4 fingerprint is also pinned in
-    // `kernel_refactor_is_behavior_preserving`, so shard-independence here
-    // transitively pins the sharded kernel to the golden string.
-    let serial_16 = kernel_fingerprint_sharded(NocConfig::cmesh_16x16(), 1, 200, 400);
-    for shards in [2, 4] {
-        assert_eq!(
-            kernel_fingerprint_sharded(NocConfig::cmesh_16x16(), shards, 200, 400),
-            serial_16,
-            "16x16 cmesh fingerprint diverged at {shards} shards"
-        );
-    }
-}
-
-#[test]
-fn shard_count_is_clamped_and_queryable() {
-    let config = NocConfig::mesh_3x3();
-    let nodes = config.num_nodes();
-    let mut sim = NocSim::new(config, (0..nodes).map(|_| NodeCodec::baseline()).collect());
-    assert_eq!(sim.shard_count(), 1);
-    sim.set_shards(4);
-    assert_eq!(sim.shard_count(), 4);
-    sim.set_shards(100); // clamped to the 9 routers
-    assert_eq!(sim.shard_count(), 9);
-    sim.set_shards(1);
-    assert_eq!(sim.shard_count(), 1);
 }
 
 #[test]

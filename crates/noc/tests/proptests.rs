@@ -1,11 +1,9 @@
 //! Property-based tests of the network's delivery guarantees: every offered
 //! packet arrives, in full, bit-exact (baseline), at the right node, and the
-//! flit books balance — plus the DESIGN.md §10 invariant that sharded and
-//! serial execution are bit-identical, faults and failures included.
+//! flit books balance.
 
 use anoc_core::data::{CacheBlock, NodeId};
-use anoc_core::threshold::ErrorThreshold;
-use anoc_noc::{FaultPlan, NocConfig, NocSim, NodeCodec, PacketKind};
+use anoc_noc::{NocConfig, NocSim, NodeCodec, PacketKind};
 use proptest::prelude::*;
 
 fn baseline_sim(config: NocConfig) -> NocSim {
@@ -198,100 +196,5 @@ proptest! {
         prop_assert!(sim.drain(500_000), "network deadlocked or livelocked");
         prop_assert_eq!(sim.drain_delivered().len(), offered);
         prop_assert_eq!(sim.stats().flits_injected, sim.stats().flits_delivered);
-    }
-}
-
-/// Runs one randomized scenario — geometry, threshold, fault plan, watchdog,
-/// traffic — at a given shard count and renders everything observable:
-/// the `try_drain` outcome (including any `DeadlockDump`/`BoundViolation`
-/// payload), the full `NetStats`, and the delivered-packet log.
-fn sharded_scenario_transcript(
-    config: &NocConfig,
-    shards: usize,
-    plan: FaultPlan,
-    threshold_pct: u32,
-    watchdog: u64,
-    packets: &[(u16, u16, u32)],
-    drain_budget: u64,
-) -> String {
-    let nodes = config.num_nodes();
-    let mut sim = NocSim::new(
-        config.clone(),
-        (0..nodes).map(|_| NodeCodec::baseline()).collect(),
-    );
-    sim.set_shards(shards);
-    sim.set_fault_plan(plan);
-    if let Ok(t) = ErrorThreshold::from_percent(threshold_pct) {
-        sim.set_bound_check(t);
-    }
-    sim.set_watchdog(watchdog);
-    for &(s, d, words) in packets {
-        let src = NodeId((s as usize % nodes) as u16);
-        let dest = NodeId((d as usize % nodes) as u16);
-        if src == dest {
-            continue;
-        }
-        sim.enqueue_data(src, dest, CacheBlock::from_i32(&vec![9; words as usize]));
-    }
-    let outcome = sim.try_drain(drain_budget);
-    sim.record_unfinished();
-    let delivered = sim.drain_delivered();
-    format!(
-        "outcome={outcome:?} stats={:?} delivered={delivered:?}",
-        sim.stats()
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// DESIGN.md §10: sharded execution is bit-identical to serial execution
-    /// — identical `NetStats`, identical delivered packets, and identical
-    /// failure outcomes (`DeadlockDump` from credit-starvation deadlocks,
-    /// `BoundViolation` payloads) — across random geometries, thresholds and
-    /// active fault plans.
-    #[test]
-    fn sharded_execution_is_bit_identical_to_serial(
-        width in 2usize..=4,
-        height in 2usize..=4,
-        concentration in 1usize..=2,
-        vcs in 1usize..=2,
-        vc_buffer in 1usize..=2,
-        shards in 2usize..=4,
-        fseed in any::<u64>(),
-        flip_ppm in prop::sample::select(vec![0u32, 20_000, 300_000]),
-        stall_ppm in prop::sample::select(vec![0u32, 50_000, 500_000]),
-        stall_cycles in 1u32..=5,
-        cdrop_ppm in prop::sample::select(vec![0u32, 5_000, 400_000]),
-        cdup_ppm in prop::sample::select(vec![0u32, 5_000]),
-        threshold_pct in prop::sample::select(vec![0u32, 5, 25]),
-        watchdog in prop::sample::select(vec![150u64, 400]),
-        drain_budget in prop::sample::select(vec![300u64, 5_000]),
-        packets in prop::collection::vec((any::<u16>(), any::<u16>(), 1u32..=16), 1..40),
-    ) {
-        let config = NocConfig {
-            width,
-            height,
-            concentration,
-            vcs,
-            vc_buffer,
-            ..NocConfig::paper_4x4_cmesh()
-        };
-        let plan = FaultPlan {
-            seed: fseed,
-            link_bit_flip_ppm: flip_ppm,
-            port_stall_ppm: stall_ppm,
-            stall_cycles,
-            credit_drop_ppm: cdrop_ppm,
-            credit_dup_ppm: cdup_ppm,
-            dict_corrupt_ppm: 0, // baseline codecs have no dictionary
-        };
-        let serial = sharded_scenario_transcript(
-            &config, 1, plan, threshold_pct, watchdog, &packets, drain_budget,
-        );
-        let sharded = sharded_scenario_transcript(
-            &config, shards, plan, threshold_pct, watchdog, &packets, drain_budget,
-        );
-        prop_assert_eq!(serial, sharded, "shard count {} diverged", shards);
     }
 }

@@ -1,5 +1,5 @@
 //! Snapshot integration tests: save/restore must be bit-exact (byte-stable
-//! blobs, identical resumed behaviour at any shard count), stale or corrupt
+//! blobs, identical resumed behaviour), stale or corrupt
 //! blobs must fail as typed errors, and a fault-injection campaign forked
 //! from a snapshot must reproduce the uninterrupted run's violation curve
 //! exactly.
@@ -134,35 +134,26 @@ fn round_trip_is_byte_identical_and_resumes_exactly() {
 }
 
 #[test]
-fn restore_at_any_shard_count_is_bit_identical() {
-    let mut source = baseline_sim(NocConfig::mesh_3x3());
-    source.begin_measurement();
-    run_traffic(&mut source, 2, 0, 300);
-    let blob = source.save_snapshot(FP).expect("save");
-    run_traffic(&mut source, 2, 300, 300);
-    assert!(source.try_drain(100_000).expect("drain"));
-    let want = fingerprint(&source);
+fn restore_resumes_bit_identically() {
+    // A 3x3 mesh, and the 8x8 concentrated mesh of the `cmesh8-ur` shape
+    // (two nodes per router), each saved mid-flight, restored into a fresh
+    // simulator and resumed.
+    for config in [NocConfig::mesh_3x3(), NocConfig::cmesh(8, 8, 2)] {
+        let mut source = baseline_sim(config.clone());
+        source.begin_measurement();
+        run_traffic(&mut source, 2, 0, 300);
+        assert!(source.outstanding_packets() > 0, "save mid-flight");
+        let blob = source.save_snapshot(FP).expect("save");
+        run_traffic(&mut source, 2, 300, 300);
+        assert!(source.try_drain(100_000).expect("drain"));
+        let want = fingerprint(&source);
 
-    for shards in [1usize, 2, 3, 4] {
-        let mut sim = baseline_sim(NocConfig::mesh_3x3());
-        sim.set_shards(shards);
+        let mut sim = baseline_sim(config);
         sim.restore_snapshot(&blob, FP).expect("restore");
         run_traffic(&mut sim, 2, 300, 300);
         assert!(sim.try_drain(100_000).expect("drain"));
-        assert_eq!(fingerprint(&sim), want, "shard count {shards} diverged");
+        assert_eq!(fingerprint(&sim), want, "{} nodes", sim.num_nodes());
     }
-
-    // And the reverse direction: a sharded save restores serially.
-    let mut sharded = baseline_sim(NocConfig::mesh_3x3());
-    sharded.set_shards(3);
-    sharded.begin_measurement();
-    run_traffic(&mut sharded, 2, 0, 300);
-    let blob3 = sharded.save_snapshot(FP).expect("save sharded");
-    let mut serial = baseline_sim(NocConfig::mesh_3x3());
-    serial.restore_snapshot(&blob3, FP).expect("restore serial");
-    run_traffic(&mut serial, 2, 300, 300);
-    assert!(serial.try_drain(100_000).expect("drain"));
-    assert_eq!(fingerprint(&serial), want);
 }
 
 /// Satellite: a fault campaign forked from a snapshot must re-arm
@@ -219,13 +210,13 @@ fn fault_active_fork_preserves_the_violation_curve() {
 }
 
 /// Tentpole regression: a run with an *armed per-flow QoS controller* and an
-/// *active lossy-link plan* saved mid-run must restore bit-identically at a
-/// different shard count — controller percents, cooldowns, lazily installed
+/// *active lossy-link plan* saved mid-run must restore bit-identically —
+/// controller percents, cooldowns, lazily installed
 /// encoder thresholds and the loss-RNG cursor all resume exactly. The
 /// arming calls come *before* `restore_snapshot` (the fault-campaign
 /// ordering contract); the restored state overwrites what arming reset.
 #[test]
-fn qos_and_loss_active_fork_restores_exactly_across_shard_counts() {
+fn qos_and_loss_active_fork_restores_exactly() {
     use anoc_core::control::QosSpec;
     use anoc_noc::LossPlan;
 
@@ -259,24 +250,21 @@ fn qos_and_loss_active_fork_restores_exactly_across_shard_counts() {
     assert!(cold.try_drain(100_000).expect("drain cold"));
     let want = fingerprint(&cold);
 
-    for shards in [1usize, 2, 4] {
-        // The restoring sim is built with *exact-threshold* codecs — the
-        // shape of the harness's staged path — so this also proves restore
-        // reprograms the encoders from the serialized per-node installed
-        // percents rather than trusting construction state.
-        let mut warm = di_vaxx_sim(NocConfig::mesh_3x3(), ErrorThreshold::exact());
-        warm.set_shards(shards);
-        arm(&mut warm);
-        warm.restore_snapshot(&blob, FP).expect("restore");
-        assert_eq!(
-            warm.qos_percents().expect("armed bank"),
-            percents_at_save,
-            "controller state must resume exactly"
-        );
-        run_traffic(&mut warm, 5, 1_100, 600);
-        assert!(warm.try_drain(100_000).expect("drain warm"));
-        assert_eq!(fingerprint(&warm), want, "shard count {shards} diverged");
-    }
+    // The restoring sim is built with *exact-threshold* codecs — the shape
+    // of the harness's staged path — so this also proves restore reprograms
+    // the encoders from the serialized per-node installed percents rather
+    // than trusting construction state.
+    let mut warm = di_vaxx_sim(NocConfig::mesh_3x3(), ErrorThreshold::exact());
+    arm(&mut warm);
+    warm.restore_snapshot(&blob, FP).expect("restore");
+    assert_eq!(
+        warm.qos_percents().expect("armed bank"),
+        percents_at_save,
+        "controller state must resume exactly"
+    );
+    run_traffic(&mut warm, 5, 1_100, 600);
+    assert!(warm.try_drain(100_000).expect("drain warm"));
+    assert_eq!(fingerprint(&warm), want);
 
     // Armament mismatch is a typed structural error, not silent divergence:
     // the blob says a QoS bank exists, the target sim has none.
@@ -498,39 +486,25 @@ fn saved_blob_bytes_match_golden() {
 }
 
 /// FNV-1a of the blob [`kernel_trajectory_matches_golden`] saves every 250
-/// cycles, at cycles 250 to 2,000, at one shard (first row) and at two. A
-/// blob lists the packet slab shard by shard, so the rows differ. Recorded
-/// before the per-router allocation loop became shard-wide sweeps; a kernel
-/// change that moves a simulated bit at any of these points moves one of
-/// them.
-const TRAJECTORY_GOLDEN: [[u64; 8]; 2] = [
-    [
-        0x4ae1_b0d2_db0c_c8c3,
-        0xd72d_9f1b_8507_c51e,
-        0x4076_ca00_d5fe_737c,
-        0x9da0_41f7_3f93_2abd,
-        0x588c_b1d3_8592_9d89,
-        0x76a9_f6c5_fbbd_0599,
-        0xa46a_7b26_2aa8_d641,
-        0x754e_7317_2695_89cb,
-    ],
-    [
-        0xa9fc_7c4c_8403_8bdf,
-        0x0b6b_efe5_fbb3_2ae2,
-        0x7eae_4c60_c485_f887,
-        0x1466_5590_add8_fc8f,
-        0x6fb0_eebf_b843_c771,
-        0xf480_6046_62c8_9e96,
-        0x680a_6c33_6ee7_125b,
-        0xf503_6e42_de2c_36ae,
-    ],
+/// cycles, at cycles 250 to 2,000. Recorded before the per-router
+/// allocation loop became table-wide sweeps; a kernel change that moves a
+/// simulated bit at any of these points moves one of them.
+const TRAJECTORY_GOLDEN: [u64; 8] = [
+    0x4ae1_b0d2_db0c_c8c3,
+    0xd72d_9f1b_8507_c51e,
+    0x4076_ca00_d5fe_737c,
+    0x9da0_41f7_3f93_2abd,
+    0x588c_b1d3_8592_9d89,
+    0x76a9_f6c5_fbbd_0599,
+    0xa46a_7b26_2aa8_d641,
+    0x754e_7317_2695_89cb,
 ];
 
 /// The `cmesh8-ur` geometry (8x8 routers, two nodes each, so six ports)
 /// under mixed control and data traffic, with port stalls, credit drops,
 /// duplicated credits (which overfill and grow VC rings), link bit flips
 /// and lossy links all active. The blob saved every 250 cycles pins the
-/// kernel's whole trajectory, at one shard and at two.
+/// kernel's whole trajectory.
 #[test]
 fn kernel_trajectory_matches_golden() {
     let faults = FaultPlan {
@@ -542,37 +516,34 @@ fn kernel_trajectory_matches_golden() {
         credit_dup_ppm: 20_000,
         dict_corrupt_ppm: 0,
     };
-    for (shards, want) in [1usize, 2].into_iter().zip(TRAJECTORY_GOLDEN) {
-        let mut sim = baseline_sim(NocConfig::cmesh(8, 8, 2));
-        sim.set_shards(shards);
-        sim.set_fault_plan(faults);
-        sim.set_loss_plan(LossPlan::uniform(23, 5_000));
-        sim.begin_measurement();
-        let mut got = Vec::new();
-        for c in 0..2_000 {
-            offer_mixed_at(&mut sim, 13, c, 2);
-            sim.step();
-            sim.discard_delivered();
-            if (c + 1) % 250 == 0 {
-                got.push(fnv1a64(&sim.save_snapshot(FP).expect("save")));
-            }
+    let mut sim = baseline_sim(NocConfig::cmesh(8, 8, 2));
+    sim.set_fault_plan(faults);
+    sim.set_loss_plan(LossPlan::uniform(23, 5_000));
+    sim.begin_measurement();
+    let mut got = Vec::new();
+    for c in 0..2_000 {
+        offer_mixed_at(&mut sim, 13, c, 2);
+        sim.step();
+        sim.discard_delivered();
+        if (c + 1) % 250 == 0 {
+            got.push(fnv1a64(&sim.save_snapshot(FP).expect("save")));
         }
-        let f = sim.stats().faults;
-        assert!(
-            f.port_stalls > 0
-                && f.credits_dropped > 0
-                && f.credits_duplicated > 0
-                && f.bit_flips > 0
-                && f.words_lost > 0,
-            "every fault site should fire: {f:?}"
-        );
-        let hex = |h: &[u64]| h.iter().map(|h| format!("{h:016x}")).collect::<Vec<_>>();
-        assert_eq!(
-            hex(&got),
-            hex(&want),
-            "{shards} shard(s) left the pinned trajectory"
-        );
     }
+    let f = sim.stats().faults;
+    assert!(
+        f.port_stalls > 0
+            && f.credits_dropped > 0
+            && f.credits_duplicated > 0
+            && f.bit_flips > 0
+            && f.words_lost > 0,
+        "every fault site should fire: {f:?}"
+    );
+    let hex = |h: &[u64]| h.iter().map(|h| format!("{h:016x}")).collect::<Vec<_>>();
+    assert_eq!(
+        hex(&got),
+        hex(&TRAJECTORY_GOLDEN),
+        "the kernel left the pinned trajectory"
+    );
 }
 
 #[test]
@@ -592,20 +563,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// serialize → restore → serialize is byte-identical for arbitrary
-    /// mid-flight states (same shard count), and the resumed run matches.
+    /// mid-flight states, and the resumed run matches.
     #[test]
     fn round_trip_byte_identity(
         salt in 0u64..1_000_000,
         warm in 1u64..300,
-        shards in 1usize..4,
     ) {
         let mut sim = baseline_sim(NocConfig::mesh_3x3());
-        sim.set_shards(shards);
         sim.begin_measurement();
         run_traffic(&mut sim, salt, 0, warm);
         let blob = sim.save_snapshot(salt).expect("save");
         let mut restored = baseline_sim(NocConfig::mesh_3x3());
-        restored.set_shards(shards);
         restored.restore_snapshot(&blob, salt).expect("restore");
         let blob2 = restored.save_snapshot(salt).expect("re-save");
         prop_assert_eq!(&blob, &blob2);

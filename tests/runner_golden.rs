@@ -193,13 +193,12 @@ fn qos_loss_and_fault_configs_match_golden() {
     ]);
 }
 
-/// Port stalls and credit duplication and drop, on the serial kernel and its
-/// 2-shard twin. Stalled head flits are the only heads that are not yet
-/// eligible when their router allocates, and a duplicated credit lets an
-/// upstream router send into a VC that is already full, so this cell is the
-/// one that holds input VCs past `vc_buffer`. Its constant was recorded
-/// before the router moved to a flat layout and phase A to
-/// allocate-before-drain.
+/// Port stalls and credit duplication and drop. Stalled head flits are the
+/// only heads that are not yet eligible when their router allocates, and a
+/// duplicated credit lets an upstream router send into a VC that is already
+/// full, so this cell is the one that holds input VCs past `vc_buffer`. Its
+/// constant was recorded before the router moved to a flat layout and phase
+/// A to allocate-before-drain.
 #[test]
 fn stall_and_credit_fault_cells_match_golden() {
     let plan = FaultPlan {
@@ -211,22 +210,12 @@ fn stall_and_credit_fault_cells_match_golden() {
         ..FaultPlan::none()
     };
     let cfg = config().with_faults(plan);
-    let cell =
-        |cfg: &SystemConfig| bench_cell(Mechanism::FpVaxx, cfg, SnapshotPolicy::cold()).result;
-    let serial = cell(&cfg);
-    let f = &serial.stats.faults;
+    let cell = bench_cell(Mechanism::FpVaxx, &cfg, SnapshotPolicy::cold()).result;
+    let f = &cell.stats.faults;
     assert!(f.port_stalls > 0, "stalls are injected");
     assert!(f.credits_duplicated > 0, "credits are duplicated");
     assert!(f.credits_dropped > 0, "credits are dropped");
-    let sharded = cell(&cfg.clone().with_shards(2));
-    check(&[
-        ("stall+credit/FP-VAXX", "stall+credit/FP-VAXX", serial),
-        (
-            "stall+credit/FP-VAXX/2-shard",
-            "stall+credit/FP-VAXX",
-            sharded,
-        ),
-    ]);
+    check(&[("stall+credit/FP-VAXX", "stall+credit/FP-VAXX", cell)]);
 }
 
 #[test]
@@ -260,7 +249,6 @@ fn plant_checkpoint(store: &SnapshotStore, mechanism: Mechanism, cfg: &SystemCon
     let nodes = cfg.noc.num_nodes();
     let codecs = mechanism.codecs(nodes, ErrorThreshold::exact());
     let mut sim = NocSim::new(cfg.noc.clone(), codecs);
-    sim.set_shards(cfg.shards);
     sim.set_fault_plan(cfg.faults);
     sim.set_loss_plan(cfg.loss);
     sim.set_qos(cfg.qos);

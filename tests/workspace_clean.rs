@@ -1,7 +1,6 @@
 //! Source rules that neither rustc nor clippy states, checked as plain text
 //! scans of the workspace:
 //!
-//! * anoc-exec's hand-offs use no `Relaxed` atomics (X001);
 //! * sim-critical library code builds every generator from a named
 //!   `rng::Stream` (D004);
 //! * the count of `allow`/`expect` lint attributes equals the committed
@@ -83,24 +82,6 @@ fn library_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
         in_test &= line != "}";
         library.then_some((i + 1, line))
     })
-}
-
-/// The `WorkerSet` mailboxes and the pool hand shard and job state between
-/// threads, and their correctness rests on Acquire/Release pairs
-/// (DESIGN.md §10). A `Relaxed` there is a latent race, so none may appear,
-/// test modules included: a test asserting on relaxed counters can mask
-/// the race it means to catch.
-#[test]
-fn exec_uses_no_relaxed_atomics() {
-    for (path, text) in sources(&root().join("crates/exec")) {
-        for (i, line) in text.lines().enumerate() {
-            assert!(
-                !has_word(line, "Relaxed"),
-                "{path}:{}: `Relaxed` in anoc-exec; use Acquire/Release or SeqCst",
-                i + 1
-            );
-        }
-    }
 }
 
 /// Sim-critical library code builds its generators with `Pcg32::on` from a
