@@ -4,15 +4,18 @@
 //! 64 Bytes. We emulate packet response whenever a miss happens, that
 //! requires a data response from another node."
 //!
-//! On a miss, the block fetched from the shared backing store travels through
-//! the configured [`BlockTransport`] — approximating it exactly once per
-//! transfer, like a real data-response packet crossing the NoC.
+//! A cache line is one block: [`BLOCK_WORDS`] 4-byte words, the unit the
+//! NIs move. On a miss, the block fetched from the shared backing store
+//! travels through the configured [`BlockTransport`] — approximating it
+//! exactly once per transfer, like a real data-response packet crossing the
+//! NoC.
 
-use anoc_core::data::{CacheBlock, DataType};
+use anoc_core::data::{CacheBlock, DataType, BLOCK_WORDS, WORD_BYTES};
 
 use crate::transport::BlockTransport;
 
-/// Geometry of each core's private data cache.
+/// Geometry of each core's private data cache, whose lines are 64 bytes
+/// ([`BLOCK_WORDS`] words).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of cores (each with a private L1D).
@@ -21,8 +24,6 @@ pub struct CacheConfig {
     pub capacity_bytes: usize,
     /// Associativity (ways).
     pub ways: usize,
-    /// Line size in bytes.
-    pub line_bytes: usize,
 }
 
 impl CacheConfig {
@@ -32,18 +33,12 @@ impl CacheConfig {
             cores: 16,
             capacity_bytes: 64 * 1024,
             ways: 2,
-            line_bytes: 64,
         }
     }
 
     /// Number of sets per cache.
     pub fn sets(&self) -> usize {
-        self.capacity_bytes / (self.ways * self.line_bytes)
-    }
-
-    /// Words per line.
-    pub fn words_per_line(&self) -> usize {
-        self.line_bytes / 4
+        self.capacity_bytes / (self.ways * BLOCK_WORDS * WORD_BYTES)
     }
 }
 
@@ -57,7 +52,7 @@ impl Default for CacheConfig {
 struct Line {
     tag: u64,
     valid: bool,
-    words: Vec<u32>,
+    words: [u32; BLOCK_WORDS],
     lru: u64,
 }
 
@@ -175,7 +170,7 @@ impl CacheSim {
                         .map(|_| Line {
                             tag: 0,
                             valid: false,
-                            words: vec![0; config.words_per_line()],
+                            words: [0; BLOCK_WORDS],
                             lru: 0,
                         })
                         .collect()
@@ -202,8 +197,7 @@ impl CacheSim {
         transport: &mut dyn BlockTransport,
     ) -> u32 {
         self.tick += 1;
-        let wpl = self.config.words_per_line();
-        let line_addr = (addr / wpl) as u64;
+        let line_addr = (addr / BLOCK_WORDS) as u64;
         let set = (line_addr as usize) % self.config.sets();
         let base = set * self.config.ways;
         // Lookup.
@@ -212,17 +206,17 @@ impl CacheSim {
             if line.valid && line.tag == line_addr {
                 line.lru = self.tick;
                 self.stats.hits += 1;
-                return line.words[addr % wpl];
+                return line.words[addr % BLOCK_WORDS];
             }
         }
         // Miss: fetch through the network.
         self.stats.misses += 1;
         self.stats.transfers += 1;
-        let start = (line_addr as usize) * wpl;
+        let start = (line_addr as usize) * BLOCK_WORDS;
         let approximable = memory.approx_range.contains(&start)
-            && memory.approx_range.contains(&(start + wpl - 1));
+            && memory.approx_range.contains(&(start + BLOCK_WORDS - 1));
         let mut block = CacheBlock::empty(memory.dtype, approximable);
-        block.extend((0..wpl).map(|i| memory.words.get(start + i).copied().unwrap_or(0)));
+        block.extend((0..BLOCK_WORDS).map(|i| memory.words.get(start + i).copied().unwrap_or(0)));
         let received = transport.transmit(block);
         // Victim: LRU way.
         let victim = (0..self.config.ways)
@@ -233,7 +227,7 @@ impl CacheSim {
         line.valid = true;
         line.lru = self.tick;
         line.words.copy_from_slice(received.words());
-        line.words[addr % wpl]
+        line.words[addr % BLOCK_WORDS]
     }
 
     /// Writes the word at `addr` as `core` (write-allocate, write-through to
@@ -251,14 +245,13 @@ impl CacheSim {
         // Allocate (fetching through the network on a miss), then update
         // both the cached copy and the backing store.
         self.read_word(core, addr, memory, transport);
-        let wpl = self.config.words_per_line();
-        let line_addr = (addr / wpl) as u64;
+        let line_addr = (addr / BLOCK_WORDS) as u64;
         let set = (line_addr as usize) % self.config.sets();
         let base = set * self.config.ways;
         for w in 0..self.config.ways {
             let line = &mut self.caches[core][base + w];
             if line.valid && line.tag == line_addr {
-                line.words[addr % wpl] = value;
+                line.words[addr % BLOCK_WORDS] = value;
                 break;
             }
         }
@@ -300,7 +293,6 @@ mod tests {
             cores: 2,
             capacity_bytes: 1024,
             ways: 2,
-            line_bytes: 64,
         }
     }
 
@@ -308,7 +300,6 @@ mod tests {
     fn paper_geometry() {
         let c = CacheConfig::paper();
         assert_eq!(c.sets(), 512);
-        assert_eq!(c.words_per_line(), 16);
     }
 
     #[test]
@@ -343,13 +334,12 @@ mod tests {
         let mem = Memory::new(4096, DataType::Int);
         let mut t = PreciseTransport;
         let sets = cfg.sets();
-        let wpl = cfg.words_per_line();
         // Three lines mapping to set 0: line 0, sets, 2*sets.
         sim.read_word(0, 0, &mem, &mut t);
-        sim.read_word(0, sets * wpl, &mem, &mut t);
-        sim.read_word(0, 2 * sets * wpl, &mem, &mut t); // evicts line 0
+        sim.read_word(0, sets * BLOCK_WORDS, &mem, &mut t);
+        sim.read_word(0, 2 * sets * BLOCK_WORDS, &mem, &mut t); // evicts line 0
         assert_eq!(sim.stats().misses, 3);
-        sim.read_word(0, sets * wpl, &mem, &mut t); // still resident
+        sim.read_word(0, sets * BLOCK_WORDS, &mem, &mut t); // still resident
         assert_eq!(sim.stats().hits, 1);
         sim.read_word(0, 0, &mem, &mut t); // was evicted
         assert_eq!(sim.stats().misses, 4);

@@ -13,7 +13,7 @@ use anoc_compression::di::{DiConfig, DiDecoder, DiEncoder};
 use anoc_compression::fp::{FpDecoder, FpEncoder};
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::{BlockDecoder, BlockEncoder, EncodeStats};
-use anoc_core::data::{CacheBlock, NodeId};
+use anoc_core::data::{CacheBlock, NodeId, BLOCK_WORDS};
 use anoc_core::threshold::ErrorThreshold;
 
 /// One hop of the data's journey: source NI encode → destination NI decode.
@@ -21,12 +21,13 @@ pub trait BlockTransport {
     /// Transmits a block, returning what the consumer receives.
     fn transmit(&mut self, block: CacheBlock) -> CacheBlock;
 
-    /// Transmits a slice of `f32` values (chunked into 16-word blocks; the
-    /// tail chunk is zero-padded on the wire and trimmed on arrival).
+    /// Transmits a slice of `f32` values (chunked into [`BLOCK_WORDS`]-word
+    /// blocks; the tail chunk is zero-padded on the wire and trimmed on
+    /// arrival).
     fn transmit_f32(&mut self, values: &[f32]) -> Vec<f32> {
         let mut out = Vec::with_capacity(values.len());
-        for chunk in values.chunks(16) {
-            let mut words = [0f32; 16];
+        for chunk in values.chunks(BLOCK_WORDS) {
+            let mut words = [0f32; BLOCK_WORDS];
             words[..chunk.len()].copy_from_slice(chunk);
             let rx = self.transmit(CacheBlock::from_f32(&words));
             out.extend(rx.as_f32().into_iter().take(chunk.len()));
@@ -39,8 +40,8 @@ pub trait BlockTransport {
     /// [`transmit_f32`]: BlockTransport::transmit_f32
     fn transmit_i32(&mut self, values: &[i32]) -> Vec<i32> {
         let mut out = Vec::with_capacity(values.len());
-        for chunk in values.chunks(16) {
-            let mut words = [0i32; 16];
+        for chunk in values.chunks(BLOCK_WORDS) {
+            let mut words = [0i32; BLOCK_WORDS];
             words[..chunk.len()].copy_from_slice(chunk);
             let rx = self.transmit(CacheBlock::from_i32(&words));
             out.extend(rx.as_i32().into_iter().take(chunk.len()));

@@ -280,7 +280,7 @@ fn bench(c: &mut Criterion) {
                 }
                 sim.enqueue_control(NodeId(s as u16), NodeId(d as u16));
             }
-            assert!(sim.drain(100_000));
+            assert!(sim.try_drain(100_000).expect("no fatal error"));
             sim.stats().packets
         })
     });

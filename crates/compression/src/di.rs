@@ -8,8 +8,7 @@
 
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::{
-    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, LineBlock, Notification,
-    Spill, WordCode,
+    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, Notification, WordCode,
 };
 use anoc_core::data::{CacheBlock, NodeId, BLOCK_WORDS};
 use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -136,14 +135,12 @@ impl BlockEncoder for DiEncoder {
         } else {
             self.activity.cam_searches += n;
         }
-        let mut spill = Spill::new(dtype, block.is_approximable());
         let mut line = [EncodedBlock::FILL; BLOCK_WORDS];
-        let mut len = 0;
         // Local copies keep the countdown and the destination's row in
         // registers across the lookups.
         let mut decay = self.decay;
         let mut pmt = self.pmt.lookups(dest);
-        for &word in words {
+        for (slot, &word) in line.iter_mut().zip(words) {
             if decay.tick() {
                 pmt.decay();
             }
@@ -155,12 +152,7 @@ impl BlockEncoder for DiEncoder {
             } else {
                 pmt.exact(word)
             };
-            // Only a line longer than BLOCK_WORDS fills the local one.
-            if len == BLOCK_WORDS {
-                spill.take(&line, len);
-                len = 0;
-            }
-            line[len] = match hit {
+            *slot = match hit {
                 // Only a TCAM hit can resolve to a different word.
                 Some(rec) => WordCode::Dict {
                     index: rec.index,
@@ -173,13 +165,9 @@ impl BlockEncoder for DiEncoder {
                     prefix_bits: 1,
                 },
             };
-            len += 1;
         }
         self.decay = decay;
-        if spill.is_spilled() {
-            return spill.finish(&line, len);
-        }
-        EncodedBlock::from_line(line, len, dtype, block.is_approximable())
+        EncodedBlock::from_line(line, words.len(), dtype, block.is_approximable())
     }
 
     fn apply_notification(&mut self, from: NodeId, note: Notification) {

@@ -8,8 +8,7 @@
 
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::{
-    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, LineBlock, Spill,
-    WordCode,
+    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, WordCode,
 };
 use anoc_core::data::{CacheBlock, NodeId, BLOCK_WORDS};
 use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -77,7 +76,6 @@ impl BlockEncoder for FpEncoder {
         self.activity.words_encoded += n;
         self.activity.cam_searches += n;
         self.activity.avcl_ops += if avcl.is_some() { n } else { 0 };
-        let mut spill = Spill::new(dtype, block.is_approximable());
         let mut line = [EncodedBlock::FILL; BLOCK_WORDS];
         let mut len = 0;
         // Exact zero words not yet emitted: the zero run in progress.
@@ -90,11 +88,6 @@ impl BlockEncoder for FpEncoder {
             };
             let rows = fpc::first_rows8(&lanes, &masks);
             for (&word, &row) in chunk.iter().zip(&rows) {
-                // Only a line longer than BLOCK_WORDS fills the local one.
-                if len + usize::from(run > 0) == BLOCK_WORDS {
-                    spill.take(&line, len);
-                    len = 0;
-                }
                 let code = &ROW_CODES[usize::from(row)];
                 let value = code.value(word);
                 let own = if row == NO_ROW {
@@ -133,9 +126,6 @@ impl BlockEncoder for FpEncoder {
         if run > 0 {
             line[len] = WordCode::ZeroRun { len: run };
             len += 1;
-        }
-        if spill.is_spilled() {
-            return spill.finish(&line, len);
         }
         EncodedBlock::from_line(line, len, dtype, block.is_approximable())
     }
@@ -179,8 +169,10 @@ impl BlockDecoder for FpDecoder {
         "FP-decoder"
     }
 
+    /// Codes that expand past one line (a hand-built or restored block:
+    /// zero runs and Zero-class adjuncts cover many words) are cut at
+    /// [`BLOCK_WORDS`] words.
     fn decode(&mut self, encoded: &EncodedBlock, _src: NodeId) -> DecodeResult {
-        let mut spill = Spill::new(encoded.dtype(), encoded.is_approximable());
         // Every slot at or past `len` holds zero, so a zero run only moves
         // `len` on.
         let mut line = [0u32; BLOCK_WORDS];
@@ -203,36 +195,15 @@ impl BlockDecoder for FpDecoder {
                     unreachable!("frequent-pattern stream cannot contain {other:?}")
                 }
             };
-            if len < BLOCK_WORDS && span <= BLOCK_WORDS - len {
-                line[len] = word;
-                len += span;
-                continue;
-            }
-            // Only a line longer than BLOCK_WORDS fills the local one.
-            for _ in 0..span {
-                if len == BLOCK_WORDS {
-                    spill.take(&line, len);
-                    line = [0; BLOCK_WORDS];
-                    len = 0;
-                }
-                line[len] = word;
-                len += 1;
-            }
-        }
-        let notifications = Vec::new();
-        if spill.is_spilled() {
-            let block: CacheBlock = spill.finish(&line, len);
-            self.activity.words_decoded += block.len() as u64;
-            return DecodeResult {
-                block,
-                notifications,
-            };
+            let Some(slot) = line.get_mut(len) else { break };
+            *slot = word;
+            len = len.saturating_add(span).min(BLOCK_WORDS);
         }
         self.activity.words_decoded += len as u64;
         let block = CacheBlock::from_line(line, len, encoded.dtype(), encoded.is_approximable());
         DecodeResult {
             block,
-            notifications,
+            notifications: Vec::new(),
         }
     }
 
@@ -375,7 +346,7 @@ mod tests {
     #[test]
     fn zero_run_capped_at_eight() {
         let mut enc = FpEncoder::fp_comp();
-        let block = CacheBlock::from_i32(&[0; 20]);
+        let block = CacheBlock::from_i32(&[0; 16]);
         let e = enc.encode(&block, NodeId(1));
         let runs: Vec<u8> = e
             .codes()
@@ -385,9 +356,40 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(runs, vec![8, 8, 4]);
+        assert_eq!(runs, vec![8, 8]);
         let d = FpDecoder::new().decode(&e, NodeId(0)).block;
-        assert_eq!(d.words(), vec![0u32; 20]);
+        assert_eq!(d.words(), vec![0u32; 16]);
+    }
+
+    #[test]
+    fn codes_past_one_line_are_cut_at_sixteen_words() {
+        // Codes that expand to 1 + 8 + 1 + 8 + 1 + 5 = 24 words, as no
+        // encoder emits them: a hand-built or restored block. A Zero-class
+        // pattern expands to its adjunct's count of zeros.
+        let raw = |word| WordCode::Raw {
+            word,
+            prefix_bits: 3,
+        };
+        let codes = vec![
+            raw(1),
+            WordCode::ZeroRun { len: 8 },
+            raw(2),
+            WordCode::ZeroRun { len: 8 },
+            raw(3),
+            WordCode::Pattern {
+                index: FpcClass::Zero as u8,
+                adjunct: 5,
+                adjunct_bits: 3,
+                approx: false,
+            },
+        ];
+        let encoded = EncodedBlock::new(codes, DataType::Int, true);
+        let mut dec = FpDecoder::new();
+        let d = dec.decode(&encoded, NodeId(0)).block;
+        let mut expect = vec![0u32; 16];
+        (expect[0], expect[9]) = (1, 2);
+        assert_eq!(d.words(), expect);
+        assert_eq!(dec.activity().words_decoded, 16);
     }
 
     #[test]

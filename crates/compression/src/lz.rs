@@ -24,8 +24,7 @@ pub mod matchfinder;
 
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::{
-    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, LineBlock, Spill,
-    WordCode,
+    BlockDecoder, BlockEncoder, CodecActivity, DecodeResult, EncodedBlock, WordCode,
 };
 use anoc_core::data::{CacheBlock, NodeId, BLOCK_WORDS};
 use anoc_core::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -70,10 +69,6 @@ const MTF_SHORT_SLOTS: usize = 4;
 
 /// MTF list capacity.
 const MTF_CAPACITY: usize = 16;
-
-/// Don't-care masks an encode keeps: a line's worth, and those of the
-/// words a probe near its end covers past it.
-const MASKS: usize = BLOCK_WORDS + MAX_MATCH;
 
 /// The LZ-VAXX encoder. Its per-block scratch (window, match finder, MTF
 /// list, don't-care masks) lives in fixed arrays that each `encode` starts
@@ -150,13 +145,12 @@ impl BlockEncoder for LzEncoder {
         let (mut cam, mut tcam, mut avcl_ops) = (0u64, 0u64, 0u64);
         let mut table_updates = seed_len as u64;
 
-        // Word `base + k`'s AVCL don't-care mask is `dont_care[k]`, for every
-        // word before `masked`, computed eight words at a time (all zero
-        // when approximation is off).
-        let mut dont_care = [0u32; MASKS];
-        let (mut base, mut masked) = (0, 0);
+        // Word `k`'s AVCL don't-care mask is `dont_care[k]`, for every word
+        // before `masked`, computed eight words at a time (all zero when
+        // approximation is off).
+        let mut dont_care = [0u32; BLOCK_WORDS];
+        let mut masked = 0;
         let mut mtf = Mtf([0; MTF_CAPACITY]);
-        let mut spill = Spill::new(dtype, block.is_approximable());
         let mut line = [EncodedBlock::FILL; BLOCK_WORDS];
         let mut len = 0;
         let mut i = 0;
@@ -165,22 +159,16 @@ impl BlockEncoder for LzEncoder {
             let cur = seed_len + i;
             let cap = MAX_MATCH.min(n - i);
             while approx_on && masked < i + cap {
-                if masked + 8 > base + MASKS {
-                    // Only a line longer than BLOCK_WORDS gets here: drop
-                    // the masks of the words before this one.
-                    dont_care.copy_within(i - base.., 0);
-                    base = i;
-                }
                 let group = &words[masked..n.min(masked + 8)];
                 let lanes = <[u32; 8]>::try_from(group).unwrap_or_else(|_| fpc::pad8(group));
                 let pats = self.avcl.approx_pattern8(&lanes, dtype);
-                for (mask, p) in dont_care[masked - base..].iter_mut().zip(&pats) {
+                for (mask, p) in dont_care[masked..].iter_mut().zip(&pats) {
                     *mask = p.mask();
                 }
                 masked += 8;
             }
             let masks = match approx_on {
-                true => &dont_care[i - base..],
+                true => &dont_care[i..],
                 false => &[0; MAX_MATCH][..],
             };
             let probe = words[i..i + cap].iter().zip(masks);
@@ -213,11 +201,6 @@ impl BlockEncoder for LzEncoder {
                         break;
                     }
                 }
-            }
-            // Only a line longer than BLOCK_WORDS fills the local one.
-            if len == BLOCK_WORDS {
-                spill.take(&line, len);
-                len = 0;
             }
             table_updates += 1;
             if best_len > 0 {
@@ -255,9 +238,6 @@ impl BlockEncoder for LzEncoder {
         self.activity.tcam_searches += tcam;
         self.activity.avcl_ops += avcl_ops;
         self.activity.table_updates += table_updates;
-        if spill.is_spilled() {
-            return spill.finish(&line, len);
-        }
         EncodedBlock::from_line(line, len, dtype, block.is_approximable())
     }
 
@@ -337,64 +317,56 @@ impl BlockDecoder for LzDecoder {
         "LZ-decoder"
     }
 
+    /// Codes that expand past one line (a hand-built or restored block's
+    /// matches) are cut at [`BLOCK_WORDS`] words.
     fn decode(&mut self, encoded: &EncodedBlock, _src: NodeId) -> DecodeResult {
         // The window is the seed dictionary followed by the block decoded so
-        // far; `cur` is the window position of the next decoded word.
-        self.window[..SEED_DICT.len()].copy_from_slice(&SEED_DICT);
-        let mut cur = SEED_DICT.len();
-        let mut spill = Spill::new(encoded.dtype(), encoded.is_approximable());
+        // far: decoded word `k` is at window position `SEED_DICT.len() + k`.
+        const SEED: usize = SEED_DICT.len();
+        self.window[..SEED].copy_from_slice(&SEED_DICT);
         let mut line = [CacheBlock::FILL; BLOCK_WORDS];
         let mut len = 0;
-        // Appends a decoded word to the window and the line.
-        macro_rules! put {
-            ($v:expr) => {{
-                let v = $v;
-                self.window[cur % RING] = v;
-                // Only a line longer than BLOCK_WORDS fills the local one.
-                if len == BLOCK_WORDS {
-                    spill.take(&line, len);
-                    len = 0;
-                }
-                line[len] = v;
-                len += 1;
-                cur += 1;
-            }};
-        }
         for code in encoded.codes() {
             match *code {
-                WordCode::Raw { word, .. } => put!(word),
-                WordCode::Match { distance, len, .. } => {
+                WordCode::Raw { word, .. } => {
+                    let Some(slot) = line.get_mut(len) else { break };
+                    *slot = word;
+                    self.window[(SEED + len) % RING] = word;
+                    len += 1;
+                }
+                WordCode::Match {
+                    distance,
+                    len: span,
+                    ..
+                } => {
                     let distance = usize::from(distance);
                     // The encoder never emits a distance past MAX_DISTANCE
                     // or before the window; deliver zeros rather than crash
                     // if one ever slips.
-                    let valid = (1..=MAX_DISTANCE.min(cur)).contains(&distance);
+                    let valid = (1..=MAX_DISTANCE.min(SEED + len)).contains(&distance);
                     debug_assert!(valid, "invalid LZ distance {distance}");
-                    for _ in 0..len {
-                        put!(match valid {
+                    let end = (len + usize::from(span)).min(BLOCK_WORDS);
+                    for (k, slot) in line.iter_mut().enumerate().take(end).skip(len) {
+                        let cur = SEED + k;
+                        let v = match valid {
                             true => self.window[(cur - distance) % RING],
                             false => 0,
-                        });
+                        };
+                        self.window[cur % RING] = v;
+                        *slot = v;
                     }
+                    len = end;
                 }
                 ref other => {
                     unreachable!("LZ stream cannot contain {other:?}")
                 }
             }
         }
-        self.activity.words_decoded += (cur - SEED_DICT.len()) as u64;
-        let notifications = Vec::new();
-        if spill.is_spilled() {
-            let block = spill.finish(&line, len);
-            return DecodeResult {
-                block,
-                notifications,
-            };
-        }
+        self.activity.words_decoded += len as u64;
         let block = CacheBlock::from_line(line, len, encoded.dtype(), encoded.is_approximable());
         DecodeResult {
             block,
-            notifications,
+            notifications: Vec::new(),
         }
     }
 
@@ -616,27 +588,34 @@ mod tests {
     }
 
     #[test]
+    fn codes_past_one_line_are_cut_at_sixteen_words() {
+        // 2 + 8 + 8 + 1 + 5 = 24 words, as no encoder emits them: a
+        // hand-built or restored block.
+        let raw = |word| WordCode::Raw {
+            word,
+            prefix_bits: 2,
+        };
+        let copy = |distance, len| WordCode::Match {
+            distance,
+            len,
+            dist_bits: FULL_DIST_BITS,
+            approx: false,
+        };
+        let codes = vec![raw(1), raw(2), copy(2, 8), copy(10, 8), raw(3), copy(1, 5)];
+        let encoded = EncodedBlock::new(codes, DataType::Int, true);
+        assert_eq!(encoded.word_count(), 24);
+        let mut dec = LzDecoder::new();
+        let d = dec.decode(&encoded, NodeId(0)).block;
+        let expect: Vec<u32> = (0..16).map(|k| 1 + k % 2).collect();
+        assert_eq!(d.words(), expect);
+        assert_eq!(dec.activity().words_decoded, 16);
+    }
+
+    #[test]
     fn latency_model() {
         let e = enc(0);
         let dec = LzDecoder::new();
         assert_eq!(e.compression_latency(), 4);
         assert_eq!(dec.decompression_latency(), 2);
-    }
-
-    #[test]
-    fn long_blocks_stay_within_distance_cap() {
-        let mut e = enc(0);
-        // 80 words of noise then repeats: distances past 64 must not be
-        // emitted (the 6-bit field cannot carry them).
-        let mut rng = anoc_core::rng::Pcg32::seed_from_u64(5);
-        let words: Vec<i32> = (0..96).map(|_| rng.next_u32() as i32).collect();
-        let block = CacheBlock::from_i32(&words);
-        let encoded = e.encode(&block, NodeId(1));
-        for c in encoded.codes() {
-            if let WordCode::Match { distance, .. } = c {
-                assert!(*distance as usize <= MAX_DISTANCE);
-            }
-        }
-        assert_eq!(roundtrip(&mut e, &block), block);
     }
 }

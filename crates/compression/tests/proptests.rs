@@ -6,12 +6,12 @@ use anoc_compression::fp::{FpDecoder, FpEncoder};
 use anoc_compression::fpc::{best_match, FpcClass};
 use anoc_core::avcl::Avcl;
 use anoc_core::codec::{BlockDecoder, BlockEncoder};
-use anoc_core::data::{CacheBlock, DataType, NodeId};
+use anoc_core::data::{CacheBlock, DataType, NodeId, BLOCK_WORDS};
 use anoc_core::threshold::ErrorThreshold;
 use proptest::prelude::*;
 
 pub fn int_block() -> impl Strategy<Value = CacheBlock> {
-    prop::collection::vec(any::<i32>(), 1..=32).prop_map(|v| CacheBlock::from_i32(&v))
+    prop::collection::vec(any::<i32>(), 1..=BLOCK_WORDS).prop_map(|v| CacheBlock::from_i32(&v))
 }
 
 fn skewed_block() -> impl Strategy<Value = CacheBlock> {
@@ -25,7 +25,7 @@ fn skewed_block() -> impl Strategy<Value = CacheBlock> {
             Just(-31000),
             any::<i32>(),
         ],
-        1..=32,
+        1..=BLOCK_WORDS,
     )
     .prop_map(|v| CacheBlock::from_i32(&v))
 }
@@ -98,7 +98,7 @@ proptest! {
 
     /// FP-VAXX float path: value error bounded, specials untouched.
     #[test]
-    fn fp_vaxx_float_threshold(vals in prop::collection::vec(prop::num::f32::NORMAL, 1..=32)) {
+    fn fp_vaxx_float_threshold(vals in prop::collection::vec(prop::num::f32::NORMAL, 1..=BLOCK_WORDS)) {
         let avcl = Avcl::new(ErrorThreshold::from_percent(10).unwrap());
         let mut enc = FpEncoder::fp_vaxx(avcl);
         let mut dec = FpDecoder::new();
@@ -232,7 +232,7 @@ mod lz_properties {
 
         /// Float path: value error bounded on normal floats.
         #[test]
-        fn lz_float_threshold(vals in prop::collection::vec(prop::num::f32::NORMAL, 1..=32)) {
+        fn lz_float_threshold(vals in prop::collection::vec(prop::num::f32::NORMAL, 1..=BLOCK_WORDS)) {
             let mut enc = lz_at(10);
             let block = CacheBlock::from_f32(&vals);
             let d = LzDecoder::new().decode(&enc.encode(&block, NodeId(1)), NodeId(0)).block;

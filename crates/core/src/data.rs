@@ -2,19 +2,20 @@
 //!
 //! APPROX-NoC operates on cache blocks that are sequences of 4-byte words
 //! (Figure 3 of the paper shows a 24 B block of six 4 B words; the full-system
-//! evaluation uses 64 B lines of sixteen words). A block carries metadata —
-//! whether it is safe to approximate and the data type of its words — which
-//! the paper assumes travels with the access request for the block.
+//! evaluation uses 64 B lines of sixteen words). A block here is at most one
+//! such line, [`BLOCK_WORDS`] words; a shorter block is a partial line. A
+//! block carries metadata — whether it is safe to approximate and the data
+//! type of its words — which the paper assumes travels with the access
+//! request for the block.
 
 use std::fmt;
 
-use crate::line::{Line, Meta};
+use crate::line::{Entry, Line, Meta};
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Words in one 64-byte cache line, the unit the NIs move (§5.4). A
-/// [`CacheBlock`] holds this many words in place, and an
-/// [`EncodedBlock`](crate::codec::EncodedBlock) as many codes; longer blocks
-/// spill to the heap.
+/// [`CacheBlock`] holds at most this many words, in place, and an
+/// [`EncodedBlock`](crate::codec::EncodedBlock) as many codes.
 pub const BLOCK_WORDS: usize = 16;
 
 /// Size of one data word in bytes. APPROX-NoC matches and encodes 4-byte
@@ -98,13 +99,20 @@ impl fmt::Display for DataType {
 /// A cache block waiting to be transmitted: a sequence of 4-byte words plus
 /// the metadata the approximation engine checks before engaging (Figure 2).
 ///
-/// Up to [`BLOCK_WORDS`] words live in place (72 bytes in all), so a 64-byte
-/// line allocates nothing; longer blocks spill to the heap.
+/// A block is one 64-byte line: up to [`BLOCK_WORDS`] words, in place (68
+/// bytes in all), so a block allocates nothing.
 #[derive(Clone, PartialEq)]
 pub struct CacheBlock(Line<u32>);
 
 impl CacheBlock {
+    /// The value a codec's fresh local line of words holds in every slot.
+    pub const FILL: u32 = <u32 as Entry>::FILL;
+
     /// Creates a block from raw words.
+    ///
+    /// # Panics
+    ///
+    /// If `words` holds more than [`BLOCK_WORDS`] words.
     ///
     /// # Examples
     ///
@@ -115,12 +123,12 @@ impl CacheBlock {
     /// assert_eq!(block.size_bytes(), 16);
     /// ```
     pub fn new(words: Vec<u32>, dtype: DataType, approximable: bool) -> Self {
-        CacheBlock(Line::from_vec(words, Meta::new(dtype, approximable)))
+        CacheBlock(Line::collect(words, Meta::new(dtype, approximable)))
     }
 
     /// Creates a block of the first `len` (at most [`BLOCK_WORDS`]) words of
     /// `line`, moved in whole: the constructor for blocks made a line at a
-    /// time. A longer block goes through a [`Spill`](crate::codec::Spill).
+    /// time.
     #[inline]
     pub fn from_line(
         line: [u32; BLOCK_WORDS],
@@ -138,11 +146,19 @@ impl CacheBlock {
 
     /// Creates an integer block that is *not* approximable (must be delivered
     /// bit-exactly).
+    ///
+    /// # Panics
+    ///
+    /// If `words` holds more than [`BLOCK_WORDS`] words.
     pub fn precise(words: Vec<u32>) -> Self {
         CacheBlock::new(words, DataType::Int, false)
     }
 
     /// Creates a block from `f32` values, marked approximable.
+    ///
+    /// # Panics
+    ///
+    /// If `values` holds more than [`BLOCK_WORDS`] values.
     ///
     /// ```
     /// use anoc_core::data::CacheBlock;
@@ -155,12 +171,20 @@ impl CacheBlock {
     }
 
     /// Creates a block from `i32` values, marked approximable.
+    ///
+    /// # Panics
+    ///
+    /// If `values` holds more than [`BLOCK_WORDS`] values.
     pub fn from_i32(values: &[i32]) -> Self {
         let words = values.iter().map(|v| *v as u32);
         CacheBlock(Line::collect(words, Meta::new(DataType::Int, true)))
     }
 
     /// Appends a word.
+    ///
+    /// # Panics
+    ///
+    /// If the block already holds [`BLOCK_WORDS`] words.
     #[inline]
     pub fn push(&mut self, word: u32) {
         self.0.push(word);
@@ -252,6 +276,11 @@ impl Snap for CacheBlock {
     }
 }
 
+/// Appends the words in order.
+///
+/// # Panics
+///
+/// If the block would hold more than [`BLOCK_WORDS`] words.
 impl Extend<u32> for CacheBlock {
     #[inline]
     fn extend<I: IntoIterator<Item = u32>>(&mut self, words: I) {
@@ -259,7 +288,7 @@ impl Extend<u32> for CacheBlock {
     }
 }
 
-/// Prints the words, the data type and the flag, whatever the storage.
+/// Prints the words, the data type and the flag.
 impl fmt::Debug for CacheBlock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CacheBlock")

@@ -1,17 +1,17 @@
 //! Pins the observable behaviour of `CacheBlock` and `EncodedBlock` against
-//! a plain-`Vec` reference model, at every length from 0 to 40: both sides
-//! of the 16-entry inline capacity a 64-byte line needs. Constructors (the
-//! codecs' line-at-a-time construction through a `Spill` among them),
-//! accessors, `==`, `clone()` and the `Debug` text must all agree with the
-//! model, whatever storage the real types use underneath.
+//! a plain-`Vec` reference model, at every length from 0 to the 16 entries
+//! of one 64-byte line. Constructors (the codecs' line-at-a-time
+//! construction among them), accessors, `==`, `clone()` and the `Debug` text
+//! must all agree with the model, and every constructor refuses a 17th
+//! entry.
 
-use anoc_core::codec::{EncodedBlock, LineBlock, Spill, WordCode};
+use anoc_core::codec::{EncodedBlock, WordCode};
 use anoc_core::data::{CacheBlock, DataType, BLOCK_WORDS};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// Longest block the properties build: well past one 64-byte line.
-const MAX_LEN: usize = 40;
+/// Longest block the properties build: one 64-byte line.
+const MAX_LEN: usize = BLOCK_WORDS;
 
 /// The reference model: the `Vec`-backed layout, with derived `Debug` and
 /// `PartialEq`. Its type names match the real ones, so its `Debug` text is
@@ -72,29 +72,16 @@ fn code_of((tag, a, b, c, approx): (u8, u32, u8, u8, bool)) -> WordCode {
     }
 }
 
-/// `entries` as a codec builds them: into a local line, each full line
-/// handed to a [`Spill`], and the block made once at the end.
-fn lined<B: LineBlock>(
-    entries: &[B::Entry],
-    dtype: DataType,
-    approximable: bool,
-    from_line: impl FnOnce([B::Entry; BLOCK_WORDS], usize) -> B,
+/// `entries` as a codec builds them: into one local line of `fill`, and the
+/// block made once at the end.
+fn lined<E: Copy, B>(
+    entries: &[E],
+    fill: E,
+    from_line: impl FnOnce([E; BLOCK_WORDS], usize) -> B,
 ) -> B {
-    let mut spill = Spill::new(dtype, approximable);
-    let mut line = [B::FILL; BLOCK_WORDS];
-    let mut len = 0;
-    for &entry in entries {
-        if len == BLOCK_WORDS {
-            spill.take(&line, len);
-            len = 0;
-        }
-        line[len] = entry;
-        len += 1;
-    }
-    match spill.is_spilled() {
-        true => spill.finish(&line, len),
-        false => from_line(line, len),
-    }
+    let mut line = [fill; BLOCK_WORDS];
+    line[..entries.len()].copy_from_slice(entries);
+    from_line(line, entries.len())
 }
 
 /// Checks everything a block shows against its model.
@@ -192,7 +179,7 @@ proptest! {
             extended.extend(words.iter().copied());
             check_block(&extended.with_meta(dtype, approximable), &model)?;
             let from_line = |line, len| CacheBlock::from_line(line, len, dtype, approximable);
-            check_block(&lined(words, dtype, approximable, from_line), &model)?;
+            check_block(&lined(words, CacheBlock::FILL, from_line), &model)?;
 
             // `words_mut` edits in place, at any length.
             let mut edited = block.clone();
@@ -233,7 +220,7 @@ proptest! {
             let block = EncodedBlock::new(codes.to_vec(), dtype, approximable);
             check_encoded(&block, &model)?;
             let from_line = |line, len| EncodedBlock::from_line(line, len, dtype, approximable);
-            check_encoded(&lined(codes, dtype, approximable, from_line), &model)?;
+            check_encoded(&lined(codes, EncodedBlock::FILL, from_line), &model)?;
             let stats = block.stats();
             prop_assert_eq!(stats.words, codes.iter().map(|c| u64::from(c.word_span())).sum::<u64>());
             prop_assert_eq!(stats.bits_out, codes.iter().map(|c| u64::from(c.bits())).sum::<u64>());
@@ -255,14 +242,49 @@ proptest! {
     }
 }
 
-/// One 64-byte line fits inline: sixteen words in 72 bytes, sixteen codes
-/// in 136, and `Option` adds nothing.
+/// Every constructor that takes entries asserts the one-line capacity.
+#[test]
+fn every_constructor_refuses_a_seventeenth_entry() {
+    const OVER: usize = BLOCK_WORDS + 1;
+    let attempts: [(&str, fn()); 7] = [
+        ("CacheBlock::new", || {
+            let _ = CacheBlock::new(vec![7; OVER], DataType::Int, true);
+        }),
+        ("CacheBlock::precise", || {
+            let _ = CacheBlock::precise(vec![7; OVER]);
+        }),
+        ("CacheBlock::from_i32", || {
+            let _ = CacheBlock::from_i32(&[7; OVER]);
+        }),
+        ("CacheBlock::from_f32", || {
+            let _ = CacheBlock::from_f32(&[7.0; OVER]);
+        }),
+        ("CacheBlock::push", || {
+            CacheBlock::from_i32(&[7; BLOCK_WORDS]).push(7);
+        }),
+        ("CacheBlock::extend", || {
+            CacheBlock::empty(DataType::Int, true).extend([7; OVER]);
+        }),
+        ("EncodedBlock::new", || {
+            let _ = EncodedBlock::new(vec![EncodedBlock::FILL; OVER], DataType::Int, true);
+        }),
+    ];
+    for (name, attempt) in attempts {
+        assert!(
+            std::panic::catch_unwind(attempt).is_err(),
+            "{name} took a 17th entry"
+        );
+    }
+}
+
+/// One 64-byte line fits inline: sixteen words in 68 bytes, sixteen codes
+/// in 132, and `Option` adds nothing.
 #[test]
 fn blocks_fit_one_inline_line() {
     use std::mem::size_of;
-    assert!(size_of::<CacheBlock>() <= 72, "{}", size_of::<CacheBlock>());
+    assert!(size_of::<CacheBlock>() <= 68, "{}", size_of::<CacheBlock>());
     assert!(
-        size_of::<EncodedBlock>() <= 136,
+        size_of::<EncodedBlock>() <= 132,
         "{}",
         size_of::<EncodedBlock>()
     );

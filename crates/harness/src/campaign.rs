@@ -16,8 +16,8 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use anoc_exec::{
-    run_campaign, run_campaign_checked, CampaignOptions, CampaignReport, CellFailure, JobSpec,
-    ResultCache, ResultCodec, SnapshotStore, ThreadPool,
+    run_campaign_checked, CampaignOptions, CampaignReport, CellFailure, JobSpec, ResultCache,
+    ResultCodec, SnapshotStore, ThreadPool,
 };
 use anoc_noc::SimError;
 use anoc_traffic::{Benchmark, DestPattern};
@@ -237,54 +237,37 @@ impl ExecContext {
     /// Under [keep-going](Self::set_keep_going) mode, failed cells come back
     /// as [`RunResult::failed_sentinel`]s (reported on stderr and counted in
     /// [`failed_cells`](Self::failed_cells)); otherwise a failed cell
-    /// panics after the whole plan has run.
-    pub fn run(&self, label: &str, jobs: Vec<JobSpec<RunResult>>) -> Vec<RunResult> {
-        if self.keep_going() {
-            let jobs: Vec<JobSpec<Result<RunResult, String>>> =
-                jobs.into_iter().map(|job| job.map(Ok)).collect();
-            let (results, failures, _) = self.run_checked(label, jobs);
-            if !failures.is_empty() {
-                eprintln!("[{label}] {} cell(s) failed:", failures.len());
-                for f in &failures {
-                    eprintln!("[{label}]   {f}");
-                }
-            }
-            results
-                .into_iter()
-                .map(|slot| slot.unwrap_or_else(RunResult::failed_sentinel))
-                .collect()
-        } else {
-            self.run_reported(label, jobs).0
-        }
-    }
-
-    /// [`run`](Self::run) plus the campaign report (for CLI summaries and
-    /// the cache tests). Always panics on cell failure, regardless of
-    /// keep-going mode.
-    pub fn run_reported(
+    /// panics after the whole plan has run, listing every failed cell.
+    pub fn run(
         &self,
         label: &str,
-        jobs: Vec<JobSpec<RunResult>>,
-    ) -> (Vec<RunResult>, CampaignReport) {
-        let binding = self
-            .cache
-            .as_ref()
-            .map(|c| (c, &RunResultCodec as &dyn ResultCodec<RunResult>));
-        let (results, report) = run_campaign(
-            &self.pool,
-            binding,
-            jobs,
-            &CampaignOptions::labeled(label),
-            Some(|r: &RunResult| r.total_cycles),
-        );
-        self.record_report(&report);
-        (results, report)
+        jobs: Vec<JobSpec<Result<RunResult, String>>>,
+    ) -> Vec<RunResult> {
+        let (results, failures, _) = self.run_checked(label, jobs);
+        if !failures.is_empty() {
+            if !self.keep_going() {
+                let mut report = format!("{} campaign cell(s) failed:", failures.len());
+                for f in &failures {
+                    let _ = write!(report, "\n  {f}");
+                }
+                std::panic::panic_any(report);
+            }
+            eprintln!("[{label}] {} cell(s) failed:", failures.len());
+            for f in &failures {
+                eprintln!("[{label}]   {f}");
+            }
+        }
+        results
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(RunResult::failed_sentinel))
+            .collect()
     }
 
     /// Runs a fault-tolerant campaign: cells return `Result<RunResult,
     /// String>` and may panic; both failure modes are isolated per cell and
-    /// returned typed. Results come back in plan order with `None` at the
-    /// failed cells. Failures are counted in
+    /// returned typed, whatever the keep-going mode. Results come back in
+    /// plan order with `None` at the failed cells, beside the campaign
+    /// report. Failures are counted in
     /// [`failed_cells`](Self::failed_cells).
     pub fn run_checked(
         &self,
@@ -522,33 +505,13 @@ fn with_benchmark_warmup<T>(
 }
 
 /// Builds the job for one standard benchmark-traffic cell — the unit behind
-/// the matrix figures, the sensitivity sweeps and the Figure 16 anchors. All
-/// of them share the `bench` kind, so identical cells are computed (and
-/// cached) once regardless of which figure asks first.
+/// the matrix figures, the sensitivity sweeps, the fault and loss sweeps and
+/// the Figure 16 anchors. All of them share the `bench` kind, so identical
+/// cells are computed (and cached) once regardless of which figure asks
+/// first. The cell returns `Err` when the watchdog or bound checker aborts
+/// the simulation; [`ExecContext::run`] and [`ExecContext::run_checked`]
+/// decide what a failure means for the campaign.
 pub fn benchmark_job(
-    benchmark: Benchmark,
-    mechanism: Mechanism,
-    config: &SystemConfig,
-    seed: u64,
-) -> JobSpec<RunResult> {
-    let id = format!("{}/{}/s{seed}", benchmark.name(), mechanism.name());
-    let key = cell_key("bench", config, mechanism.name(), benchmark.name(), seed);
-    let cfg = config.clone();
-    let job = JobSpec::new(id, key, move || {
-        match run_benchmark_cell(benchmark, mechanism, &cfg, seed) {
-            Ok(r) => r,
-            Err(e) => panic!("simulation failed: {e}"),
-        }
-    });
-    with_benchmark_warmup(job, benchmark, mechanism, config, seed)
-}
-
-/// The fault-tolerant sibling of [`benchmark_job`]: the cell returns `Err`
-/// (instead of panicking) when the watchdog or bound checker aborts the
-/// simulation, so [`ExecContext::run_checked`] campaigns survive it. Shares
-/// the `bench` cell key — a successful checked cell and an unchecked cell
-/// with the same inputs are the same computation.
-pub fn checked_benchmark_job(
     benchmark: Benchmark,
     mechanism: Mechanism,
     config: &SystemConfig,
@@ -696,10 +659,17 @@ mod tests {
             benchmark_job(Benchmark::X264, Mechanism::Baseline, &cfg, 1),
             benchmark_job(Benchmark::X264, Mechanism::FpComp, &cfg, 1),
         ];
-        let (results, report) = ctx.run_reported("test", jobs);
+        let (results, failures, report) = ctx.run_checked("test", jobs);
+        assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(results.len(), 2);
         assert_eq!(report.executed + report.cache_hits, 2);
-        assert_eq!(results[0].mechanism, Mechanism::Baseline);
-        assert_eq!(results[1].mechanism, Mechanism::FpComp);
+        assert_eq!(
+            results[0].as_ref().map(|r| r.mechanism),
+            Some(Mechanism::Baseline)
+        );
+        assert_eq!(
+            results[1].as_ref().map(|r| r.mechanism),
+            Some(Mechanism::FpComp)
+        );
     }
 }

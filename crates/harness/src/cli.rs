@@ -14,11 +14,11 @@
 //! anoc replay --out trace.txt      # simulate from a saved trace
 //! ```
 //!
-//! The historical per-figure commands (`anoc fig9`, `anoc table1`, …) keep
-//! working as aliases for `anoc run <target>`. Campaigns run on the
-//! process-wide [`crate::campaign::ExecContext`]: parallel across cells,
-//! answering repeated cells from the on-disk result cache unless
-//! `--no-cache` is given.
+//! A target is always named through `run`: a bare `anoc fig9` is an unknown
+//! command (a usage error). Campaigns run on the process-wide
+//! [`crate::campaign::ExecContext`]: parallel across cells, answering
+//! repeated cells from the on-disk result cache unless `--no-cache` is
+//! given.
 
 use anoc_exec::{default_cache_dir, default_snapshot_dir, ResultCache, SnapshotStore};
 use anoc_traffic::{Benchmark, DestPattern};
@@ -32,7 +32,6 @@ const USAGE: &str = "usage: anoc run <TARGET> [OPTIONS]
        anoc cache <stats|clear>
        anoc capture [OPTIONS]
        anoc replay [OPTIONS]
-       anoc <TARGET> [OPTIONS]          (alias for `anoc run <TARGET>`)
 
 targets:
   table1 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17
@@ -209,9 +208,6 @@ fn parse(argv: &[String]) -> Result<Command, String> {
         }
         "capture" => ("capture", String::new()),
         "replay" => ("replay", String::new()),
-        t if TARGETS.contains(&t) || t == "all" || t == "ablations" || t == "scale" => {
-            ("run", t.to_string())
-        }
         other => return Err(format!("unknown command `{other}`")),
     };
     if kind == "run"
@@ -747,13 +743,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_figure_commands_alias_run() {
-        for t in TARGETS {
-            match parse_strs(&[t]).expect("parse") {
-                Command::Run { target, .. } => assert_eq!(target, t),
-                other => panic!("wrong command {other:?}"),
-            }
+    fn bare_targets_are_refused() {
+        for t in TARGETS.into_iter().chain(["all", "ablations", "scale"]) {
+            let err = parse_strs(&[t]).expect_err("a bare target parses");
+            assert_eq!(err, format!("unknown command `{t}`"));
+            assert!(matches!(parse_strs(&["run", t]), Ok(Command::Run { .. })));
         }
+        assert_eq!(run_argv(&["fig9".into()]), 2);
     }
 
     #[test]
@@ -777,8 +773,7 @@ mod tests {
             }
             other => panic!("wrong command {other:?}"),
         }
-        // `scale` works as a bare alias like every other target.
-        match parse_strs(&["scale"]).expect("parse") {
+        match parse_strs(&["run", "scale"]).expect("parse") {
             Command::Run { target, opts } => {
                 assert_eq!(target, "scale");
                 assert_eq!(opts.grids, 3);
@@ -859,8 +854,8 @@ mod tests {
         assert!(parse_strs(&[]).is_err());
         assert!(parse_strs(&["run"]).is_err());
         assert!(parse_strs(&["run", "fig99"]).is_err());
-        assert!(parse_strs(&["fig9", "--cycles"]).is_err());
-        assert!(parse_strs(&["fig9", "--frobnicate"]).is_err());
+        assert!(parse_strs(&["run", "fig9", "--cycles"]).is_err());
+        assert!(parse_strs(&["run", "fig9", "--frobnicate"]).is_err());
     }
 
     #[test]

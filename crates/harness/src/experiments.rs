@@ -10,7 +10,7 @@ use anoc_exec::{CellFailure, JobSpec};
 use anoc_noc::{FaultPlan, LossPlan};
 use anoc_traffic::{Benchmark, DataPool, DestPattern, SyntheticTraffic};
 
-use crate::campaign::{benchmark_job, cell_key, checked_benchmark_job, context, pattern_tag};
+use crate::campaign::{benchmark_job, cell_key, context, pattern_tag};
 use crate::config::{Mechanism, SystemConfig};
 use crate::power::{AreaModel, EnergyModel};
 use crate::runner::try_run_with_source;
@@ -247,8 +247,7 @@ pub fn fig12(
                         config.approx_ratio,
                         seed,
                     );
-                    try_run_with_source(&mut source, m, &config)
-                        .unwrap_or_else(|e| panic!("simulation failed: {e}"))
+                    try_run_with_source(&mut source, m, &config).map_err(|e| e.to_string())
                 })
             })
         })
@@ -484,7 +483,7 @@ pub fn faults_sweep(
         .iter()
         .map(|&ppm| {
             let cfg = config.clone().with_faults(FaultPlan::bit_flips(seed, ppm));
-            checked_benchmark_job(benchmark, Mechanism::FpVaxx, &cfg, seed)
+            benchmark_job(benchmark, Mechanism::FpVaxx, &cfg, seed)
         })
         .collect();
     let (results, failures, _) = context().run_checked("faults", jobs);
@@ -609,7 +608,7 @@ pub fn lossy_sweep(
                 LossPlan::scaled(seed, ppm, approx_scale_ppm)
             };
             let cfg = config.clone().with_loss(plan);
-            checked_benchmark_job(benchmark, Mechanism::FpVaxx, &cfg, seed)
+            benchmark_job(benchmark, Mechanism::FpVaxx, &cfg, seed)
         })
         .collect();
     let (results, failures, _) = context().run_checked("lossy", jobs);

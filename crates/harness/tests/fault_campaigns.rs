@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use anoc_exec::{run_campaign, CampaignOptions, CellError, JobSpec, ResultCache, ThreadPool};
-use anoc_harness::campaign::{self, benchmark_job, checked_benchmark_job};
+use anoc_harness::campaign::{self, benchmark_job};
 use anoc_harness::persist::encode_run_result;
 use anoc_harness::runner::RunResult;
 use anoc_harness::{Mechanism, SystemConfig};
@@ -66,7 +66,7 @@ fn deadlocking_config() -> SystemConfig {
 #[test]
 fn fault_campaigns_reproduce_across_thread_counts() {
     let config = faulty_config();
-    let plan = |seed: u64| -> Vec<JobSpec<RunResult>> {
+    let plan = |seed: u64| -> Vec<JobSpec<Result<RunResult, String>>> {
         [Benchmark::Ssca2, Benchmark::Blackscholes]
             .into_iter()
             .flat_map(|b| {
@@ -77,10 +77,15 @@ fn fault_campaigns_reproduce_across_thread_counts() {
             .map(|(b, m)| benchmark_job(b, m, &config, seed))
             .collect()
     };
-    let serial_pool = ThreadPool::new(1);
-    let wide_pool = ThreadPool::new(4);
-    let (serial, _) = run_campaign(&serial_pool, None, plan(9), &CampaignOptions::quiet(), None);
-    let (wide, _) = run_campaign(&wide_pool, None, plan(9), &CampaignOptions::quiet(), None);
+    let run = |threads: usize| -> Vec<RunResult> {
+        let pool = ThreadPool::new(threads);
+        let (cells, _) = run_campaign(&pool, None, plan(9), &CampaignOptions::quiet(), None);
+        cells
+            .into_iter()
+            .map(|c| c.expect("the cell runs"))
+            .collect()
+    };
+    let (serial, wide) = (run(1), run(4));
     assert_eq!(serial.len(), wide.len());
     for (s, w) in serial.iter().zip(&wide) {
         // The fault RNG is per-simulation, so injected faults — and through
@@ -99,17 +104,17 @@ fn keep_going_campaign_survives_panics_and_deadlocks() {
     let ctx = ctx();
     let healthy = SystemConfig::paper().with_sim_cycles(1_000);
     let jobs: Vec<JobSpec<Result<RunResult, String>>> = vec![
-        checked_benchmark_job(Benchmark::Ssca2, Mechanism::FpVaxx, &healthy, 21),
+        benchmark_job(Benchmark::Ssca2, Mechanism::FpVaxx, &healthy, 21),
         JobSpec::new("explode", "anoc-cell test explode", || {
             panic!("cell deliberately exploded")
         }),
-        checked_benchmark_job(
+        benchmark_job(
             Benchmark::Ssca2,
             Mechanism::FpVaxx,
             &deadlocking_config(),
             21,
         ),
-        checked_benchmark_job(Benchmark::X264, Mechanism::Baseline, &healthy, 21),
+        benchmark_job(Benchmark::X264, Mechanism::Baseline, &healthy, 21),
     ];
     let before = ctx.failed_cells();
     let (results, failures, report) = ctx.run_checked("resilience", jobs);
@@ -143,8 +148,8 @@ fn keep_going_campaign_survives_panics_and_deadlocks() {
     // Successes were cached despite the failures: re-asking only the healthy
     // cells computes nothing.
     let rerun = vec![
-        checked_benchmark_job(Benchmark::Ssca2, Mechanism::FpVaxx, &healthy, 21),
-        checked_benchmark_job(Benchmark::X264, Mechanism::Baseline, &healthy, 21),
+        benchmark_job(Benchmark::Ssca2, Mechanism::FpVaxx, &healthy, 21),
+        benchmark_job(Benchmark::X264, Mechanism::Baseline, &healthy, 21),
     ];
     let (warm, warm_failures, warm_report) = ctx.run_checked("resilience-warm", rerun);
     assert!(warm_failures.is_empty());
@@ -160,7 +165,7 @@ fn keep_going_mode_substitutes_sentinels_instead_of_panicking() {
     let ctx = ctx();
     let healthy = SystemConfig::paper().with_sim_cycles(800);
     ctx.set_keep_going(true);
-    let jobs: Vec<JobSpec<RunResult>> = vec![
+    let jobs: Vec<JobSpec<Result<RunResult, String>>> = vec![
         benchmark_job(Benchmark::Blackscholes, Mechanism::Baseline, &healthy, 33),
         JobSpec::new("explode", "anoc-cell test explode-unchecked", || {
             panic!("unchecked cell exploded")

@@ -28,16 +28,21 @@ fn qos_lossy_config() -> SystemConfig {
 #[test]
 fn qos_and_lossy_campaigns_reproduce_across_thread_counts() {
     let config = qos_lossy_config();
-    let plan = |seed: u64| -> Vec<JobSpec<RunResult>> {
+    let plan = |seed: u64| -> Vec<JobSpec<Result<RunResult, String>>> {
         [Benchmark::Ssca2, Benchmark::Blackscholes]
             .into_iter()
             .map(|b| benchmark_job(b, Mechanism::FpVaxx, &config, seed))
             .collect()
     };
-    let serial_pool = ThreadPool::new(1);
-    let wide_pool = ThreadPool::new(4);
-    let (serial, _) = run_campaign(&serial_pool, None, plan(9), &CampaignOptions::quiet(), None);
-    let (wide, _) = run_campaign(&wide_pool, None, plan(9), &CampaignOptions::quiet(), None);
+    let run = |threads: usize| -> Vec<RunResult> {
+        let pool = ThreadPool::new(threads);
+        let (cells, _) = run_campaign(&pool, None, plan(9), &CampaignOptions::quiet(), None);
+        cells
+            .into_iter()
+            .map(|c| c.expect("the cell runs"))
+            .collect()
+    };
+    let (serial, wide) = (run(1), run(4));
     assert_eq!(serial.len(), wide.len());
     for (s, w) in serial.iter().zip(&wide) {
         // Controller epochs and loss draws are per-simulation state, so

@@ -201,7 +201,8 @@ fn warmup_stage_replays_a_garbage_warmup_so_every_cell_forks() {
         })
         .collect();
     let ctx = campaign::context();
-    let (results, _) = ctx.run_reported("stage", jobs);
+    let (results, failures, _) = ctx.run_checked("stage", jobs);
+    assert!(failures.is_empty(), "{failures:?}");
     assert_eq!(results.len(), 6);
     let totals = ctx.totals();
     assert_eq!(totals.executed_jobs, 6);

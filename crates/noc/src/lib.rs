@@ -19,7 +19,7 @@
 //! let mut sim = NocSim::new(config, codecs);
 //!
 //! sim.enqueue_data(NodeId(0), NodeId(31), CacheBlock::from_i32(&[42; 16]));
-//! assert!(sim.drain(1_000));
+//! assert!(sim.try_drain(1_000).expect("no fatal error"));
 //! let delivered = sim.drain_delivered();
 //! assert_eq!(delivered[0].block.as_ref().unwrap().as_i32(), vec![42; 16]);
 //! ```

@@ -655,13 +655,6 @@ impl NocSim {
         }
     }
 
-    /// Runs `cycles` steps.
-    pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step();
-        }
-    }
-
     /// Runs `cycles` steps, stopping early with the error if the watchdog
     /// trips or the bound checker records a fatal violation.
     pub fn try_run(&mut self, cycles: u64) -> Result<(), SimError> {
@@ -675,20 +668,9 @@ impl NocSim {
     }
 
     /// Runs until every outstanding packet is delivered, or `max_cycles`
-    /// elapse. Returns `true` if the network drained.
-    pub fn drain(&mut self, max_cycles: u64) -> bool {
-        let deadline = self.cycle + max_cycles;
-        while self.cycle < deadline {
-            if self.live_packets == 0 {
-                return true;
-            }
-            self.step();
-        }
-        self.live_packets == 0
-    }
-
-    /// Fallible [`NocSim::drain`]: stops early with the error if the
-    /// watchdog trips or the bound checker records a fatal violation.
+    /// elapse, stopping early with the error if the watchdog trips or the
+    /// bound checker records a fatal violation. Returns `Ok(true)` if the
+    /// network drained.
     pub fn try_drain(&mut self, max_cycles: u64) -> Result<bool, SimError> {
         let deadline = self.cycle + max_cycles;
         while self.cycle < deadline {
@@ -1483,7 +1465,7 @@ mod tests {
     fn control_packet_crosses_the_mesh() {
         let mut sim = baseline_sim(NocConfig::mesh_3x3());
         sim.enqueue_control(NodeId(0), NodeId(8));
-        assert!(sim.drain(200));
+        assert!(sim.try_drain(200).unwrap());
         let d = sim.drain_delivered();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].dest, NodeId(8));
@@ -1502,7 +1484,7 @@ mod tests {
         let block =
             CacheBlock::from_i32(&[1, -2, 3, -4, 5, -6, 7, -8, 9, 10, 11, 12, 13, 14, 15, 16]);
         sim.enqueue_data(NodeId(0), NodeId(31), block.clone());
-        assert!(sim.drain(500));
+        assert!(sim.try_drain(500).unwrap());
         let d = sim.drain_delivered();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].block.as_ref().unwrap(), &block);
@@ -1527,7 +1509,7 @@ mod tests {
                 }
             }
         }
-        assert!(sim.drain(5_000));
+        assert!(sim.try_drain(5_000).unwrap());
         let delivered = sim.drain_delivered();
         assert_eq!(delivered.len(), expected);
         for p in &delivered {
@@ -1541,7 +1523,7 @@ mod tests {
         let mut sim = baseline_sim(NocConfig::paper_4x4_cmesh());
         let block = CacheBlock::from_i32(&[0x12345678; 16]); // 9 flits uncompressed
         sim.enqueue_data(NodeId(0), NodeId(2), block);
-        assert!(sim.drain(300));
+        assert!(sim.try_drain(300).unwrap());
         let s = sim.stats();
         // Head: ~1 + 2 routers * 3 + eject; +8 serialization.
         assert!(s.avg_net_latency() >= 14.0, "{}", s.avg_net_latency());
@@ -1554,7 +1536,7 @@ mod tests {
             let block = CacheBlock::from_i32(&[7; 16]);
             sim.enqueue_data(NodeId(0), NodeId(31), block);
         }
-        assert!(sim.drain(2_000));
+        assert!(sim.try_drain(2_000).unwrap());
         let s = sim.stats();
         assert_eq!(s.data_packets, 10);
         // 10 packets × 9 flits serialised out of one NI: queueing dominates.
@@ -1565,10 +1547,10 @@ mod tests {
     fn measurement_window_excludes_warmup() {
         let mut sim = baseline_sim(NocConfig::mesh_3x3());
         sim.enqueue_control(NodeId(0), NodeId(4));
-        sim.run(5);
+        sim.try_run(5).unwrap();
         sim.begin_measurement(); // warmup packet still in flight
         sim.enqueue_control(NodeId(1), NodeId(5));
-        assert!(sim.drain(300));
+        assert!(sim.try_drain(300).unwrap());
         let s = sim.stats();
         assert_eq!(s.packets, 1, "only the measured packet counts");
     }
@@ -1577,12 +1559,12 @@ mod tests {
     fn hop_count_affects_latency() {
         let mut near = baseline_sim(NocConfig::mesh_3x3());
         near.enqueue_control(NodeId(0), NodeId(1));
-        assert!(near.drain(200));
+        assert!(near.try_drain(200).unwrap());
         let near_lat = near.stats().avg_packet_latency();
 
         let mut far = baseline_sim(NocConfig::mesh_3x3());
         far.enqueue_control(NodeId(0), NodeId(8));
-        assert!(far.drain(200));
+        assert!(far.try_drain(200).unwrap());
         let far_lat = far.stats().avg_packet_latency();
         assert!(
             far_lat >= near_lat + 6.0,
@@ -1598,7 +1580,7 @@ mod tests {
         }
         assert_eq!(sim.injection_backlog(NodeId(0)), 3);
         assert_eq!(sim.outstanding_packets(), 3);
-        assert!(sim.drain(2_000));
+        assert!(sim.try_drain(2_000).unwrap());
         assert_eq!(sim.injection_backlog(NodeId(0)), 0);
         assert_eq!(sim.outstanding_packets(), 0);
     }
@@ -1700,7 +1682,7 @@ mod tests {
     fn activity_report_counts_events() {
         let mut sim = baseline_sim(NocConfig::mesh_3x3());
         sim.enqueue_control(NodeId(0), NodeId(8));
-        sim.drain(200);
+        sim.try_drain(200).unwrap();
         let a = sim.activity_report();
         assert!(a.routers.buffer_writes >= 5, "{a:?}");
         assert!(a.routers.crossbar_traversals >= 5);

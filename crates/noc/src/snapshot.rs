@@ -282,14 +282,16 @@ mod tests {
     }
 
     /// A snapshot carries a block as its length, its words, its data type
-    /// and its flag, whatever the block's storage: checked at every length
-    /// from 0 to 40, on both sides of one 64-byte line, against the bytes a
-    /// plain word list writes.
+    /// and its flag: checked at every length from 0 to one 64-byte line's
+    /// 16 words against the bytes a plain word list writes. A list of 17 is
+    /// refused as a typed error.
     mod block_round_trip {
         use super::*;
+        use anoc_core::data::BLOCK_WORDS;
+        use anoc_core::snap::SnapError;
         use proptest::prelude::*;
 
-        const MAX_LEN: usize = 40;
+        const MAX_LEN: usize = BLOCK_WORDS;
 
         fn dtype_of(f32: bool) -> DataType {
             if f32 {
@@ -304,13 +306,13 @@ mod tests {
 
             #[test]
             fn blocks_and_codes_round_trip_at_every_length(
-                words in prop::collection::vec(any::<u32>(), MAX_LEN),
+                all_words in prop::collection::vec(any::<u32>(), MAX_LEN + 1),
                 f32 in any::<bool>(),
                 approximable in any::<bool>(),
             ) {
                 let dtype = dtype_of(f32);
                 for n in 0..=MAX_LEN {
-                    let words = &words[..n];
+                    let words = &all_words[..n];
                     let mut expected = SnapWriter::new();
                     expected.usize(n);
                     words.iter().for_each(|&w| expected.u32(w));
@@ -345,6 +347,26 @@ mod tests {
                     prop_assert_eq!(&back, &encoded);
                     prop_assert_eq!(format!("{back:?}"), format!("{encoded:?}"));
                 }
+
+                // One entry past the line: the count is refused before any
+                // entry is read.
+                let mut words = SnapWriter::new();
+                let mut codes = SnapWriter::new();
+                words.usize(MAX_LEN + 1);
+                codes.usize(MAX_LEN + 1);
+                for &word in &all_words {
+                    words.u32(word);
+                    WordCode::Raw { word, prefix_bits: 2 }.save(&mut codes);
+                }
+                for w in [&mut words, &mut codes] {
+                    w.u8(u8::from(f32));
+                    w.bool(approximable);
+                }
+                let refused = SnapError::Invalid("block length");
+                let words = words.into_bytes();
+                prop_assert_eq!(CacheBlock::load(&mut SnapReader::new(&words)), Err(refused));
+                let codes = codes.into_bytes();
+                prop_assert_eq!(EncodedBlock::load(&mut SnapReader::new(&codes)), Err(refused));
             }
         }
     }

@@ -37,9 +37,9 @@ fn in_band_notifications_travel_as_control_packets() {
     for round in 0..8 {
         sim.enqueue_data(NodeId(0), NodeId(8), CacheBlock::from_i32(&[0xBEEF; 16]));
         let _ = round;
-        sim.run(200);
+        sim.try_run(200).unwrap();
     }
-    assert!(sim.drain(20_000));
+    assert!(sim.try_drain(20_000).unwrap());
     let delivered = sim.drain_delivered();
     let controls = delivered
         .iter()
@@ -87,7 +87,7 @@ fn latency_hiding_reduces_exposed_compression_latency() {
             .collect();
         let mut sim = NocSim::new(config, codecs);
         sim.enqueue_data(NodeId(0), NodeId(8), CacheBlock::from_i32(&[7; 16]));
-        assert!(sim.drain(10_000));
+        assert!(sim.try_drain(10_000).unwrap());
         sim.stats().avg_queue_latency()
     };
     let with_overlap = run(true, true);
@@ -129,7 +129,7 @@ fn queue_overlap_hides_compression_under_backlog() {
                 CacheBlock::from_i32(&[0x12345678; 16]),
             );
         }
-        assert!(sim.drain(20_000));
+        assert!(sim.try_drain(20_000).unwrap());
         sim.stats().queue_lat_sum
     };
     let hidden = run(true);
@@ -151,9 +151,9 @@ fn drain_phase_deliveries_still_count() {
     let mut sim = NocSim::new(config, (0..nodes).map(|_| NodeCodec::baseline()).collect());
     sim.begin_measurement();
     sim.enqueue_data(NodeId(0), NodeId(8), CacheBlock::from_i32(&[3; 16]));
-    sim.run(2); // still in flight
+    sim.try_run(2).unwrap(); // still in flight
     sim.end_measurement();
-    assert!(sim.drain(10_000));
+    assert!(sim.try_drain(10_000).unwrap());
     let s = sim.stats();
     assert_eq!(s.packets, 1);
     assert_eq!(s.flits_injected, 9);
@@ -190,7 +190,7 @@ fn short_queue_cannot_absorb_compression_latency() {
             sim.enqueue_control(NodeId(0), NodeId(8));
         }
         let pid = sim.enqueue_data(NodeId(0), NodeId(8), CacheBlock::from_i32(&[7; 16]));
-        assert!(sim.drain(10_000));
+        assert!(sim.try_drain(10_000).unwrap());
         let delivered = sim.drain_delivered();
         let done_at = delivered
             .iter()
@@ -239,7 +239,7 @@ fn switch_allocation_is_fair_under_contention() {
         }
         sim.step();
     }
-    sim.drain(100_000);
+    sim.try_drain(100_000).unwrap();
     let delivered = sim.drain_delivered();
     let mut per_src = std::collections::BTreeMap::new();
     for d in &delivered {
@@ -297,7 +297,7 @@ fn kernel_fingerprint(config: NocConfig) -> String {
         offer(&mut sim, &mut rng);
         sim.step();
     }
-    assert!(sim.drain(100_000), "workload failed to drain");
+    assert!(sim.try_drain(100_000).unwrap(), "workload failed to drain");
     sim.record_unfinished();
     let s = sim.stats();
     let a = sim.activity_report();
@@ -358,9 +358,15 @@ fn drain_reports_failure_when_deadline_too_short() {
     for _ in 0..50 {
         sim.enqueue_data(NodeId(0), NodeId(8), CacheBlock::from_i32(&[1; 16]));
     }
-    assert!(!sim.drain(10), "50 big packets cannot drain in 10 cycles");
+    assert!(
+        !sim.try_drain(10).unwrap(),
+        "50 big packets cannot drain in 10 cycles"
+    );
     assert!(sim.outstanding_packets() > 0);
-    assert!(sim.drain(100_000), "and they do drain eventually");
+    assert!(
+        sim.try_drain(100_000).unwrap(),
+        "and they do drain eventually"
+    );
 }
 
 #[test]
@@ -376,7 +382,7 @@ fn pipeline_timing_is_three_cycles_per_hop() {
         let codecs = (0..nodes).map(|_| NodeCodec::baseline()).collect();
         let mut sim = NocSim::new(config.clone(), codecs);
         let pid = sim.enqueue_control(NodeId(0), NodeId(dest));
-        assert!(sim.drain(1_000));
+        assert!(sim.try_drain(1_000).unwrap());
         let delivered = sim.drain_delivered();
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].id, pid);
@@ -431,9 +437,9 @@ fn lz_vaxx_delivers_within_bound_through_the_noc() {
         let block = CacheBlock::from_i32(&words);
         sent.push(block.clone());
         sim.enqueue_data(NodeId(0), NodeId(8), block);
-        sim.run(100); // spaced, so deliveries stay in order
+        sim.try_run(100).unwrap(); // spaced, so deliveries stay in order
     }
-    assert!(sim.drain(20_000));
+    assert!(sim.try_drain(20_000).unwrap());
     assert!(
         sim.take_fatal_error().is_none(),
         "bound checker must not fire on a fault-free LZ-VAXX run"
@@ -483,9 +489,9 @@ fn lz_vaxx_seed_dictionary_is_a_fault_site() {
             NodeId(8),
             CacheBlock::from_i32(&[i, i, 1000 + i, 1000 + i]),
         );
-        sim.run(100);
+        sim.try_run(100).unwrap();
     }
-    assert!(sim.drain(20_000));
+    assert!(sim.try_drain(20_000).unwrap());
     assert!(sim.take_fatal_error().is_none());
     let s = sim.stats();
     assert!(

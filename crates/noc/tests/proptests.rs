@@ -2,7 +2,7 @@
 //! packet arrives, in full, bit-exact (baseline), at the right node, and the
 //! flit books balance.
 
-use anoc_core::data::{CacheBlock, NodeId};
+use anoc_core::data::{CacheBlock, NodeId, BLOCK_WORDS};
 use anoc_noc::{NocConfig, NocSim, NodeCodec, PacketKind};
 use proptest::prelude::*;
 
@@ -44,7 +44,7 @@ proptest! {
                 }
             }
         }
-        prop_assert!(sim.drain(50_000), "network failed to drain");
+        prop_assert!(sim.try_drain(50_000).unwrap(), "network failed to drain");
         let mut delivered = sim.drain_delivered();
         prop_assert_eq!(delivered.len(), expected.len());
         delivered.sort_by_key(|p| p.id);
@@ -75,7 +75,7 @@ proptest! {
                 CacheBlock::from_i32(&[7; 16]),
             );
         }
-        prop_assert!(sim.drain(100_000));
+        prop_assert!(sim.try_drain(100_000).unwrap());
         let stats = sim.stats();
         prop_assert_eq!(stats.flits_injected, stats.flits_delivered);
         prop_assert_eq!(sim.outstanding_packets(), 0);
@@ -104,7 +104,7 @@ proptest! {
                 sim.enqueue_control(NodeId::from(s), NodeId::from(d));
             }
         }
-        sim.run(25);
+        sim.try_run(25).unwrap();
         sim.begin_measurement();
         for (packets, gap) in bursts {
             for (s, d, kind) in packets {
@@ -118,7 +118,7 @@ proptest! {
                     sim.enqueue_data(src, dest, CacheBlock::from_i32(&[s as i32; 8]));
                 }
             }
-            sim.run(gap);
+            sim.try_run(gap).unwrap();
             let st = sim.stats();
             prop_assert!(
                 st.flits_delivered <= st.flits_injected,
@@ -129,10 +129,10 @@ proptest! {
             prop_assert_eq!(st.latency_histogram.samples(), st.packets);
             prop_assert_eq!(st.packets, st.data_packets + st.control_packets);
         }
-        sim.run(tail_cycles);
+        sim.try_run(tail_cycles).unwrap();
         // Close the window with measured packets still in flight, then drain.
         sim.end_measurement();
-        prop_assert!(sim.drain(100_000), "network failed to drain");
+        prop_assert!(sim.try_drain(100_000).unwrap(), "network failed to drain");
         sim.record_unfinished();
         let st = sim.stats();
         prop_assert_eq!(st.flits_injected, st.flits_delivered);
@@ -149,7 +149,7 @@ proptest! {
         prop_assume!(s != d);
         let mut sim = baseline_sim(NocConfig::mesh_3x3());
         sim.enqueue_control(NodeId::from(s), NodeId::from(d));
-        prop_assert!(sim.drain(10_000));
+        prop_assert!(sim.try_drain(10_000).unwrap());
         let st = sim.stats();
         let total = st.avg_queue_latency() + st.avg_net_latency() + st.avg_decode_latency();
         prop_assert!((total - st.avg_packet_latency()).abs() < 1e-9);
@@ -171,7 +171,7 @@ proptest! {
         concentration in 1usize..=2,
         vcs in 1usize..=4,
         vc_buffer in 1usize..=4,
-        packets in prop::collection::vec((any::<u16>(), any::<u16>(), 1u32..=20), 1..50),
+        packets in prop::collection::vec((any::<u16>(), any::<u16>(), 1..=BLOCK_WORDS), 1..50),
     ) {
         let config = NocConfig {
             width,
@@ -190,10 +190,10 @@ proptest! {
             if src == dest {
                 continue;
             }
-            sim.enqueue_data(src, dest, CacheBlock::from_i32(&vec![7; words as usize]));
+            sim.enqueue_data(src, dest, CacheBlock::from_i32(&vec![7; words]));
             offered += 1;
         }
-        prop_assert!(sim.drain(500_000), "network deadlocked or livelocked");
+        prop_assert!(sim.try_drain(500_000).unwrap(), "network deadlocked or livelocked");
         prop_assert_eq!(sim.drain_delivered().len(), offered);
         prop_assert_eq!(sim.stats().flits_injected, sim.stats().flits_delivered);
     }

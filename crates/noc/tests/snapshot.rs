@@ -552,7 +552,7 @@ fn unclean_states_refuse_to_save() {
     // could not reproduce.
     let mut sim = baseline_sim(NocConfig::mesh_3x3());
     sim.enqueue_control(NodeId(0), NodeId(8));
-    assert!(sim.drain(500));
+    assert!(sim.try_drain(500).unwrap());
     let err = sim.save_snapshot(FP).expect_err("undrained deliveries");
     assert!(matches!(err, SnapshotError::Unclean(_)), "{err}");
     sim.drain_delivered();

@@ -10,7 +10,7 @@
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 
-use anoc_core::data::{CacheBlock, DataType, NodeId};
+use anoc_core::data::{CacheBlock, DataType, NodeId, BLOCK_WORDS};
 use anoc_core::rng::Pcg32;
 
 use crate::datamodel::{Benchmark, DataModel};
@@ -170,7 +170,8 @@ impl Trace {
     /// # Errors
     ///
     /// Returns `InvalidData` on any malformed line, on a node id outside the
-    /// header's `nodes=`, on a data record with no payload words, and on a
+    /// header's `nodes=`, on a data record with no payload words or with
+    /// more than [`BLOCK_WORDS`] (a block is one 64-byte line), and on a
     /// record whose cycle is lower than the one before it (replay would
     /// inject it late). Propagates I/O errors.
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<Self> {
@@ -231,6 +232,12 @@ impl Trace {
                     };
                     let mut block = CacheBlock::empty(dtype, approx);
                     for w in f {
+                        if block.len() == BLOCK_WORDS {
+                            return Err(bad(&format!(
+                                "data record at cycle {cycle} has more than {BLOCK_WORDS} \
+                                 payload words"
+                            )));
+                        }
                         block
                             .push(u32::from_str_radix(w, 16).map_err(|_| bad("bad payload word"))?);
                     }
@@ -444,22 +451,29 @@ mod file_tests {
     }
 
     #[test]
-    fn a_data_record_longer_than_a_line_loads_whole() {
-        let words: Vec<u32> = (0..40).map(|i| i * 0x0101_0101).collect();
-        let mut trace = Trace::new(4);
-        trace.records.push(TraceRecord {
-            cycle: 3,
-            src: NodeId(0),
-            dest: NodeId(1),
-            payload: Some(CacheBlock::new(words.clone(), DataType::Int, true)),
-        });
-        let path = temp_path("long-data");
-        trace.save(&path).expect("save");
+    fn a_data_record_longer_than_a_line_is_rejected() {
+        let words: Vec<String> = (0..17).map(|i| format!("{i:08x}")).collect();
+        let msg = load_error(
+            "long-data",
+            &format!(
+                "# anoc-trace v1 nodes=4\n0 0 1 C\n3 0 1 D ia {}\n",
+                words.join(" ")
+            ),
+        );
+        assert!(msg.contains("cycle 3"), "{msg}");
+        assert!(msg.contains("more than 16 payload words"), "{msg}");
+        // One line's worth loads whole.
+        let line = words[..16].join(" ");
+        let path = temp_path("line-data");
+        std::fs::write(
+            &path,
+            format!("# anoc-trace v1 nodes=4\n3 0 1 D ia {line}\n"),
+        )
+        .expect("write fixture");
         let loaded = Trace::load(&path).expect("load");
         std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.records(), trace.records());
         let block = loaded.records()[0].payload.as_ref().expect("a data record");
-        assert_eq!(block.words(), &words[..]);
+        assert_eq!(block.words(), (0..16).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use approx_noc::apps::cachesim::{CacheConfig, CacheSim, Memory};
 use approx_noc::apps::transport::ApproxTransport;
-use approx_noc::core::data::DataType;
+use approx_noc::core::data::{DataType, BLOCK_WORDS, WORD_BYTES};
 use approx_noc::core::rng::Pcg32;
 use approx_noc::core::threshold::ErrorThreshold;
 
@@ -24,7 +24,7 @@ fn main() {
         config.cores,
         config.capacity_bytes / 1024,
         config.ways,
-        config.line_bytes
+        BLOCK_WORDS * WORD_BYTES
     );
 
     // Shared array: the first half is annotated approximable (e.g. pixel or

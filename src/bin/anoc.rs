@@ -8,7 +8,6 @@
 //! anoc run ablations --no-cache
 //! anoc run fig12 --csv > fig12.csv
 //! anoc cache stats
-//! anoc fig9 --cycles 50000        # legacy alias for `anoc run fig9`
 //! ```
 //!
 //! All parsing and dispatch lives in [`approx_noc::harness::cli`].

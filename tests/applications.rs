@@ -69,7 +69,6 @@ fn ssca2_kernel_composes_with_cache_hierarchy() {
         cores: 4,
         capacity_bytes: 4 * 1024,
         ways: 2,
-        line_bytes: 64,
     });
     let mut transport = ApproxTransport::di_vaxx(ErrorThreshold::from_percent(10).expect("valid"));
     let mut worst: f64 = 0.0;

@@ -5,7 +5,7 @@
 //! the cache, reproduce every result byte for byte, and leave both entries
 //! rewritten in the current format.
 
-use anoc_exec::{run_campaign, CampaignOptions, ResultCache, ThreadPool};
+use anoc_exec::{run_campaign_checked, CampaignOptions, ResultCache, ThreadPool};
 use approx_noc::harness::campaign::{benchmark_job, RunResultCodec};
 use approx_noc::harness::persist::{
     decode_run_result, encode_run_result, payload_version, RESULT_FORMAT_VERSION,
@@ -25,16 +25,21 @@ fn run(pool: &ThreadPool, cache: &ResultCache, cfg: &SystemConfig) -> (Vec<RunRe
         .iter()
         .map(|&m| benchmark_job(Benchmark::Ssca2, m, cfg, 42))
         .collect();
-    let (results, report) = run_campaign(
+    let outcome = run_campaign_checked(
         pool,
         Some((cache, &RunResultCodec)),
         jobs,
         &CampaignOptions::quiet(),
         None,
     );
+    let report = outcome.report;
     assert_eq!(report.jobs, MECHANISMS.len());
     assert_eq!(report.cache_hits + report.executed, MECHANISMS.len());
-    (results, report.executed)
+    let results = outcome.results.into_iter();
+    (
+        results.map(|r| r.expect("no cell failed")).collect(),
+        report.executed,
+    )
 }
 
 #[test]

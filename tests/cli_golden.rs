@@ -258,9 +258,15 @@ fn replay_rejects_a_malformed_trace_without_panicking() {
         .join(format!("anoc-cli-replay-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create the work directory");
+    // A data record one word past a 64-byte line.
+    let long = format!(
+        "# anoc-trace v1 nodes=32\n0 0 1 D ia{}\n",
+        " 00000007".repeat(17)
+    );
     for (name, trace) in [
         ("node-out-of-range", "# anoc-trace v1 nodes=32\n0 0 40 C\n"),
         ("node-count-mismatch", "# anoc-trace v1 nodes=16\n0 0 1 C\n"),
+        ("record-past-a-line", long.as_str()),
     ] {
         let path = dir.join(name);
         std::fs::write(&path, trace).expect("write the trace");

@@ -44,7 +44,7 @@ proptest! {
             let id = sim.enqueue_data(src, dst, block.clone());
             sent.push((id, block));
         }
-        prop_assert!(sim.drain(100_000));
+        prop_assert!(sim.try_drain(100_000).unwrap());
         let mut delivered = sim.drain_delivered();
         delivered.sort_by_key(|d| d.id);
         prop_assert_eq!(delivered.len(), sent.len());
@@ -79,7 +79,7 @@ fn threshold_zero_disables_all_approximation() {
         sim.enqueue_data(NodeId(0), NodeId::from(1 + (i % 8) as usize), block.clone());
         sent.push(block);
     }
-    assert!(sim.drain(50_000));
+    assert!(sim.try_drain(50_000).unwrap());
     let mut delivered = sim.drain_delivered();
     delivered.sort_by_key(|d| d.id);
     for (d, precise) in delivered.iter().zip(&sent) {
