@@ -129,24 +129,37 @@ fn threshold(percent: u32) -> ErrorThreshold {
     ErrorThreshold::from_percent(percent).unwrap()
 }
 
-/// Runs `mechanism` over an X264 and a Blackscholes corpus (integer- and
-/// float-dominated) and returns the fingerprint of everything it emitted.
+/// The corpora of [`GOLDEN`] and [`ACTIVITY_GOLDEN`]: one integer- and one
+/// float-dominated profile.
+const CORPORA: [Benchmark; 2] = [Benchmark::X264, Benchmark::Blackscholes];
+
+/// The other six `DataModel` profiles, so that LZ-VAXX is pinned on all
+/// eight ([`LZ_OTHER_GOLDEN`]).
+const OTHER_CORPORA: [Benchmark; 6] = [
+    Benchmark::Bodytrack,
+    Benchmark::Canneal,
+    Benchmark::Fluidanimate,
+    Benchmark::Streamcluster,
+    Benchmark::Swaptions,
+    Benchmark::Ssca2,
+];
+
+/// Runs `mechanism` over [`CORPORA`] and returns the fingerprint of
+/// everything it emitted.
 fn fingerprint(mechanism: Mechanism) -> u64 {
-    two_node_stream(mechanism).0
+    two_node_stream(mechanism, &CORPORA).0
 }
 
-/// Runs the two-node stream of [`fingerprint`] and returns the fingerprint
-/// of its output, then one over every `CodecActivity` counter of both
-/// nodes' encoders and decoders at the end of each corpus.
-fn two_node_stream(mechanism: Mechanism) -> (u64, u64) {
+/// Runs `mechanism` over one corpus per benchmark, each on a fresh pair of
+/// codecs, and returns the fingerprint of its output, then one over every
+/// `CodecActivity` counter of both nodes' encoders and decoders at the end
+/// of each corpus.
+fn two_node_stream(mechanism: Mechanism, benchmarks: &[Benchmark]) -> (u64, u64) {
     let (src, dst) = (NodeId(0), NodeId(1));
     let quarter = BLOCKS / SCHEDULE.len();
     let mut fnv = Fnv::new();
     let mut activity = Fnv::new();
-    for (stream, benchmark) in [Benchmark::X264, Benchmark::Blackscholes]
-        .into_iter()
-        .enumerate()
-    {
+    for (stream, &benchmark) in benchmarks.iter().enumerate() {
         let mut model = DataModel::new(benchmark, SEED);
         let mut flags = Pcg32::new(SEED, stream as u64);
         let mut codecs = mechanism.codecs(2, threshold(SCHEDULE[0]));
@@ -217,10 +230,24 @@ fn codec_activity_matches_golden_fingerprints() {
     let hex = |m: Mechanism, h: u64| (m.name(), format!("{h:016x}"));
     let got: Vec<_> = ACTIVITY_GOLDEN
         .iter()
-        .map(|&(m, _)| hex(m, two_node_stream(m).1))
+        .map(|&(m, _)| hex(m, two_node_stream(m, &CORPORA).1))
         .collect();
     let want: Vec<_> = ACTIVITY_GOLDEN.iter().map(|&(m, h)| hex(m, h)).collect();
     assert_eq!(got, want);
+}
+
+/// LZ-VAXX's output and activity fingerprints over [`OTHER_CORPORA`],
+/// recorded before its hash-chain match finder was replaced by per-bucket
+/// position masks.
+const LZ_OTHER_GOLDEN: (u64, u64) = (0xcbbd_8b97_be22_1061, 0x8fd5_fe73_c825_8b5f);
+
+#[test]
+fn lz_vaxx_matches_golden_on_the_other_six_profiles() {
+    let hex = |(out, activity): (u64, u64)| (format!("{out:016x}"), format!("{activity:016x}"));
+    assert_eq!(
+        hex(two_node_stream(Mechanism::LzVaxx, &OTHER_CORPORA)),
+        hex(LZ_OTHER_GOLDEN)
+    );
 }
 
 /// Nodes of the multi-node dictionary cell. Node 5 takes no part, so every
