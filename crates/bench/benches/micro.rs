@@ -126,19 +126,15 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // LZ-VAXX: a mixed workload (runs, cross-word repeats, noise) so the
-    // match finder exercises both its hit and miss paths.
-    let lz_blocks: Vec<CacheBlock> = (0..64)
-        .map(|i| {
-            let base = i * 37 + 1;
-            let words: Vec<i32> = (0..16)
-                .map(|k| match k % 4 {
-                    0 | 1 => base,
-                    2 => 0,
-                    _ => base ^ (k << 13),
-                })
-                .collect();
-            CacheBlock::from_i32(&words)
+    // LZ-VAXX on every data model, 75% of the blocks approximable, so the
+    // probes meet float masks, the 10% threshold and the chain-depth cap.
+    let lz_blocks: Vec<CacheBlock> = Benchmark::ALL
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &b)| {
+            let mut model = DataModel::new(b, 1);
+            let mut flags = Pcg32::new(1, i as u64);
+            (0..32).map(move |_| model.next_block(flags.chance(0.75)))
         })
         .collect();
     c.bench_function("micro/lz_vaxx/encode_block", |b| {
