@@ -1,11 +1,9 @@
-//! Structural CAM/TCAM models: match throughput and per-operation energy.
+//! Structural CAM/TCAM models: per-operation energy and area.
 //!
-//! §4.3 provisions eight parallel (T)CAM matching units, each capable of two
-//! matches per cycle (per the Agrawal & Sherwood TCAM model the paper cites),
-//! so a 16-word cache block finishes matching inside the two provisioned
-//! matching cycles. Energy-per-operation constants are derived from the same
-//! model at 45 nm and consumed by the harness's dynamic power model; the area
-//! figures are the ones the paper reports (§5.5).
+//! Energy-per-operation constants are derived at 45 nm from the Agrawal &
+//! Sherwood TCAM model the paper cites (§4.3) and consumed by the harness's
+//! dynamic power model; the area figures are the ones the paper reports
+//! (§5.5).
 
 /// Geometry of a CAM or TCAM structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,40 +58,6 @@ impl CamSpec {
     }
 }
 
-/// Parallel matching throughput of the NI's matching stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatchThroughput {
-    /// Number of parallel matching units (8 in §4.3).
-    pub units: u32,
-    /// Matches per cycle sustained by each unit (2 in §4.3).
-    pub matches_per_cycle: u32,
-}
-
-impl Default for MatchThroughput {
-    fn default() -> Self {
-        MatchThroughput {
-            units: 8,
-            matches_per_cycle: 2,
-        }
-    }
-}
-
-impl MatchThroughput {
-    /// Cycles needed to match `words` words.
-    ///
-    /// ```
-    /// use anoc_compression::cam::MatchThroughput;
-    /// let t = MatchThroughput::default();
-    /// assert_eq!(t.match_cycles(16), 1); // a 64 B block matches in 1 cycle
-    /// assert_eq!(t.match_cycles(17), 2);
-    /// assert_eq!(t.match_cycles(0), 0);
-    /// ```
-    pub fn match_cycles(&self, words: u32) -> u64 {
-        let per_cycle = self.units * self.matches_per_cycle;
-        (words as u64).div_ceil(per_cycle as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,13 +84,5 @@ mod tests {
             ternary: false,
         };
         assert!((big.search_energy_pj() / small.search_energy_pj() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn block_matches_within_provisioned_cycles() {
-        // §4.3: 2 matching cycles are provisioned; a 16-word block needs 1.
-        let t = MatchThroughput::default();
-        assert!(t.match_cycles(16) <= 2);
-        assert_eq!(t.match_cycles(32), 2);
     }
 }

@@ -12,7 +12,7 @@
 //! * [`lz`] — the LZ-VAXX streaming approximate-LZ codec: cross-word
 //!   back-references within a cache block, confirmed word-by-word against
 //!   AVCL don't-care patterns;
-//! * [`cam`] — CAM/TCAM throughput, energy and area models (§4.3, §5.5).
+//! * [`cam`] — CAM/TCAM energy and area models (§4.3, §5.5).
 //!
 //! All codecs implement the [`anoc_core::codec::BlockEncoder`] /
 //! [`anoc_core::codec::BlockDecoder`] traits, so the NI can host any of them
