@@ -1,5 +1,5 @@
-//! Synthetic destination patterns (§5.2.2 uses Uniform Random and Transpose;
-//! the usual companions are included for completeness).
+//! Synthetic destination patterns: the Uniform Random and Transpose traffic
+//! of §5.2.2.
 
 use anoc_core::data::NodeId;
 use anoc_core::rng::Pcg32;
@@ -12,33 +12,13 @@ pub enum DestPattern {
     /// Node with bit-transposed id: for an id of 2b bits, destination is the
     /// low and high halves swapped (TR).
     Transpose,
-    /// Destination is the bit complement of the source id.
-    BitComplement,
-    /// Destination is the source id bit-reversed within `log2(n)` bits.
-    BitReverse,
-    /// A fraction of the traffic targets a fixed hotspot node; the rest is
-    /// uniform random.
-    Hotspot {
-        /// The hot node.
-        node: NodeId,
-        /// Fraction of packets aimed at it (0..=1 as percent).
-        percent: u8,
-    },
-    /// Destination is `src + n/2 (mod n)` — the classic tornado pattern
-    /// that stresses one dimension of the mesh.
-    Tornado,
-    /// Destination is the next node (`src + 1 mod n`) — nearest-neighbour
-    /// traffic with minimal path lengths.
-    Neighbor,
-    /// Destination is `2*src mod (n-1)` (perfect shuffle).
-    Shuffle,
 }
 
 impl DestPattern {
     /// Picks a destination for `src` in a network of `num_nodes` nodes.
     /// Always returns a node different from `src` (self-traffic is retried
-    /// for random patterns and redirected to the next node for permutation
-    /// patterns that map a node to itself).
+    /// for Uniform Random and redirected to the next node where Transpose
+    /// maps a node to itself).
     pub fn dest(&self, src: NodeId, num_nodes: usize, rng: &mut Pcg32) -> NodeId {
         debug_assert!(num_nodes >= 2, "patterns need at least two nodes");
         let n = num_nodes as u32;
@@ -59,37 +39,6 @@ impl DestPattern {
                 let hi = (s >> half) & mask;
                 ((lo << half) | hi) % n
             }
-            DestPattern::BitComplement => (!s) & (n - 1),
-            DestPattern::BitReverse => {
-                let bits = n.trailing_zeros();
-                let mut d = 0;
-                for b in 0..bits {
-                    if s & (1 << b) != 0 {
-                        d |= 1 << (bits - 1 - b);
-                    }
-                }
-                d
-            }
-            DestPattern::Tornado => (s + n / 2) % n,
-            DestPattern::Neighbor => (s + 1) % n,
-            DestPattern::Shuffle => {
-                if n <= 2 {
-                    (s + 1) % n
-                } else {
-                    (s * 2) % (n - 1)
-                }
-            }
-            DestPattern::Hotspot { node, percent } => {
-                if rng.below(100) < percent as u32 && node.0 as u32 != s {
-                    node.0 as u32
-                } else {
-                    let mut d = rng.below(n);
-                    while d == s {
-                        d = rng.below(n);
-                    }
-                    d
-                }
-            }
         };
         if d == s {
             NodeId(((d + 1) % n) as u16)
@@ -106,19 +55,7 @@ mod tests {
     #[test]
     fn never_self_traffic() {
         let mut rng = Pcg32::seed_from_u64(1);
-        let patterns = [
-            DestPattern::UniformRandom,
-            DestPattern::Transpose,
-            DestPattern::BitComplement,
-            DestPattern::BitReverse,
-            DestPattern::Hotspot {
-                node: NodeId(3),
-                percent: 50,
-            },
-            DestPattern::Tornado,
-            DestPattern::Neighbor,
-            DestPattern::Shuffle,
-        ];
+        let patterns = [DestPattern::UniformRandom, DestPattern::Transpose];
         for p in patterns {
             for s in 0..32u16 {
                 for _ in 0..20 {
@@ -160,48 +97,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn hotspot_concentrates_traffic() {
-        let mut rng = Pcg32::seed_from_u64(4);
-        let hot = NodeId(5);
-        let p = DestPattern::Hotspot {
-            node: hot,
-            percent: 60,
-        };
-        let hits = (0..1000)
-            .filter(|_| p.dest(NodeId(0), 16, &mut rng) == hot)
-            .count();
-        assert!((500..750).contains(&hits), "hotspot hits: {hits}");
-    }
-
-    #[test]
-    fn tornado_neighbor_shuffle() {
-        let mut rng = Pcg32::seed_from_u64(6);
-        assert_eq!(
-            DestPattern::Tornado.dest(NodeId(3), 16, &mut rng),
-            NodeId(11)
-        );
-        assert_eq!(
-            DestPattern::Neighbor.dest(NodeId(15), 16, &mut rng),
-            NodeId(0)
-        );
-        assert_eq!(
-            DestPattern::Shuffle.dest(NodeId(5), 16, &mut rng),
-            NodeId(10)
-        );
-        // Shuffle of 0 maps to 0 -> redirected to the next node.
-        assert_eq!(
-            DestPattern::Shuffle.dest(NodeId(0), 16, &mut rng),
-            NodeId(1)
-        );
-    }
-
-    #[test]
-    fn bit_complement_of_zero_is_max() {
-        let mut rng = Pcg32::seed_from_u64(5);
-        let d = DestPattern::BitComplement.dest(NodeId(0), 16, &mut rng);
-        assert_eq!(d, NodeId(15));
     }
 }
