@@ -1,8 +1,9 @@
 //! Golden output of `anoc run`: the FNV-1a hash of the stdout of `run all`
-//! as text and as CSV, and of the QoS and LZ studies as JSON, all at 300
-//! measured cycles, plus the literal rows a faults sweep prints for a failed
-//! point. A rewrite of any table, its CSV or its JSON must reproduce every
-//! byte. `run all --json` must carry, table by table, exactly the CSV rows.
+//! as text, as CSV and as JSON, and of the QoS and LZ studies as JSON, all
+//! at 300 measured cycles, plus the literal rows a faults sweep prints for a
+//! failed point. A rewrite of any table, its CSV or its JSON must reproduce
+//! every byte. `run all --json` must carry, table by table, exactly the CSV
+//! rows.
 //! `anoc cache stats` must report both stores that `anoc cache clear` empties.
 //! `anoc replay` must turn a malformed trace into an `error:`, not a panic.
 
@@ -17,7 +18,7 @@ use approx_noc::traffic::Benchmark;
 
 /// `(name, anoc arguments, FNV-1a of stdout)`; every run adds
 /// `--cycles 300 --out fig17`.
-const GOLDEN: [(&str, &[&str], u64); 4] = [
+const GOLDEN: [(&str, &[&str], u64); 5] = [
     ("run all", &["run", "all"], 0xb6fb_49ad_edbf_0ac4),
     (
         "run all --csv",
@@ -33,6 +34,11 @@ const GOLDEN: [(&str, &[&str], u64); 4] = [
         "run lz --json",
         &["run", "lz", "--json"],
         0xc0cf_62a0_b895_b1b7,
+    ),
+    (
+        "run all --json",
+        &["run", "all", "--json"],
+        0x5127_eed7_f401_8c37,
     ),
 ];
 
@@ -66,21 +72,24 @@ fn stdout_of(dir: &Path, args: &[&str]) -> Vec<u8> {
     out.stdout
 }
 
-/// The stdout of every [`GOLDEN`] run, then of `run all --json`, from one
-/// working directory.
+/// The stdout of every [`GOLDEN`] run, in order, from one working directory.
 fn outputs() -> &'static [Vec<u8>] {
     static OUTPUTS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     OUTPUTS.get_or_init(|| {
         let dir = work_dir();
-        let json_args: &[&str] = &["run", "all", "--json"];
-        let runs = GOLDEN.iter().map(|(_, args, _)| *args);
-        let out = runs
-            .chain([json_args])
-            .map(|args| stdout_of(&dir, args))
+        let out = GOLDEN
+            .iter()
+            .map(|(_, args, _)| stdout_of(&dir, args))
             .collect();
         let _ = std::fs::remove_dir_all(&dir);
         out
     })
+}
+
+/// The stdout of the [`GOLDEN`] run called `name`.
+fn output(name: &str) -> &'static [u8] {
+    let i = GOLDEN.iter().position(|(n, _, _)| *n == name);
+    &outputs()[i.unwrap_or_else(|| panic!("no golden run {name}"))]
 }
 
 #[test]
@@ -135,8 +144,8 @@ fn json_fields(row: &str) -> Vec<(String, String)> {
 
 #[test]
 fn json_tables_carry_the_csv_rows() {
-    let csv = sections(&outputs()[1]);
-    let json = sections(&outputs()[GOLDEN.len()]);
+    let csv = sections(output("run all --csv"));
+    let json = sections(output("run all --json"));
     assert_eq!(csv.len(), json.len());
     for ((target, csv), (json_target, json)) in csv.iter().zip(&json) {
         assert_eq!(target, json_target);
