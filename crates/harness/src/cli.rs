@@ -24,7 +24,7 @@ use anoc_exec::{default_cache_dir, default_snapshot_dir, ResultCache, SnapshotSt
 use anoc_traffic::{Benchmark, DestPattern};
 
 use crate::campaign;
-use crate::config::SystemConfig;
+use crate::config::{Mechanism, SystemConfig};
 use crate::experiments::{self, BenchmarkMatrix};
 use crate::table::{data_only, Format, Table};
 
@@ -51,8 +51,10 @@ options:
   --no-cache    always simulate; do not read or write the result cache
                 (also disables the warm-start snapshot store)
   --checkpoint-every N
-                snapshot each in-flight cell every N measured cycles, so a
-                killed campaign can restart with --resume (default 0 = off)
+                snapshot each in-flight benchmark cell every N measured
+                cycles, so a killed campaign can restart with --resume
+                (default 0 = off); a cell checkpoints only at multiples of
+                N below its measured cycles
   --resume      restart killed cells from their last checkpoint
   --csv         emit CSV instead of a text table
   --json        emit JSON instead of a text table (every target with a
@@ -72,9 +74,14 @@ const TARGETS: [&str; 14] = [
 /// The sensitivity/ablation subset behind `anoc run ablations`.
 const ABLATIONS: [&str; 2] = ["fig13", "fig14"];
 
+/// The base rates of the `faults` and `lossy` sweeps, in events per million
+/// link traversals.
+const SWEEP_RATES_PPM: [u32; 5] = [0, 100, 1_000, 10_000, 100_000];
+
 #[derive(Debug, Clone)]
 struct Opts {
-    cycles: u64,
+    /// `--cycles`; `None` runs each target's default.
+    cycles: Option<u64>,
     seed: u64,
     threads: Option<usize>,
     grids: usize,
@@ -85,7 +92,7 @@ struct Opts {
     json: bool,
     keep_going: bool,
     out: Option<String>,
-    mechs: Option<Vec<crate::config::Mechanism>>,
+    mechs: Option<Vec<Mechanism>>,
 }
 
 impl Opts {
@@ -104,7 +111,7 @@ impl Opts {
 impl Default for Opts {
     fn default() -> Self {
         Opts {
-            cycles: 0,
+            cycles: None,
             seed: 42,
             threads: None,
             grids: 3,
@@ -124,15 +131,15 @@ impl Default for Opts {
 /// canonical names (`FP-VAXX`) and their lowercase spellings (`fp-vaxx`).
 /// The list must open with `Baseline`: Figure 15 normalizes every column to
 /// the first one.
-fn parse_mechs(list: &str) -> Result<Vec<crate::config::Mechanism>, String> {
+fn parse_mechs(list: &str) -> Result<Vec<Mechanism>, String> {
     let mechs: Vec<_> = list
         .split(',')
         .filter(|s| !s.is_empty())
         .map(|s| {
-            crate::config::Mechanism::from_name(s)
-                .or_else(|| crate::config::Mechanism::from_name(&s.to_uppercase()))
+            Mechanism::from_name(s)
+                .or_else(|| Mechanism::from_name(&s.to_uppercase()))
                 .or_else(|| match s.to_lowercase().as_str() {
-                    "baseline" => Some(crate::config::Mechanism::Baseline),
+                    "baseline" => Some(Mechanism::Baseline),
                     _ => None,
                 })
                 .ok_or_else(|| format!("unknown mechanism `{s}` in --mechs"))
@@ -140,7 +147,7 @@ fn parse_mechs(list: &str) -> Result<Vec<crate::config::Mechanism>, String> {
         .collect::<Result<_, _>>()?;
     match mechs.first() {
         None => Err("--mechs needs at least one mechanism".into()),
-        Some(crate::config::Mechanism::Baseline) => Ok(mechs),
+        Some(Mechanism::Baseline) => Ok(mechs),
         Some(first) => Err(format!(
             "--mechs must start with Baseline (got {first}): baseline-normalized \
              figures divide by the first column"
@@ -221,18 +228,24 @@ fn parse(argv: &[String]) -> Result<Command, String> {
 
     let mut opts = Opts::default();
     while let Some(a) = it.next() {
-        let mut num = |flag: &str| -> Result<u64, String> {
-            it.next()
+        // The flag's number, refused below `min`.
+        let mut num = |flag: &str, min: u64| -> Result<u64, String> {
+            let n = it
+                .next()
                 .and_then(|v| v.parse().ok())
-                .ok_or(format!("{flag} needs a number"))
+                .ok_or(format!("{flag} needs a number"))?;
+            if n < min {
+                return Err(format!("{flag} must be at least {min}"));
+            }
+            Ok(n)
         };
         match a {
-            "--cycles" => opts.cycles = num("--cycles")?,
-            "--seed" => opts.seed = num("--seed")?,
-            "--threads" => opts.threads = Some(num("--threads")?.max(1) as usize),
-            "--grids" => opts.grids = num("--grids")?.max(1) as usize,
+            "--cycles" => opts.cycles = Some(num("--cycles", 1)?),
+            "--seed" => opts.seed = num("--seed", 0)?,
+            "--threads" => opts.threads = Some(num("--threads", 1)? as usize),
+            "--grids" => opts.grids = num("--grids", 1)? as usize,
             "--no-cache" => opts.no_cache = true,
-            "--checkpoint-every" => opts.checkpoint_every = num("--checkpoint-every")?,
+            "--checkpoint-every" => opts.checkpoint_every = num("--checkpoint-every", 0)?,
             "--resume" => opts.resume = true,
             "--csv" => opts.csv = true,
             "--json" => opts.json = true,
@@ -279,13 +292,8 @@ fn install_context(opts: &Opts) -> Result<(), String> {
 /// The configuration for one target: its default cycle budget unless
 /// `--cycles` overrode it, with the CLI seed threaded through.
 fn config(opts: &Opts, default_cycles: u64) -> SystemConfig {
-    let cycles = if opts.cycles == 0 {
-        default_cycles
-    } else {
-        opts.cycles
-    };
     SystemConfig::paper()
-        .with_sim_cycles(cycles)
+        .with_sim_cycles(opts.cycles.unwrap_or(default_cycles))
         .with_seed(opts.seed)
 }
 
@@ -395,7 +403,8 @@ fn print_sim_summary() {
 
 fn run_target(target: &str, opts: &Opts) -> Result<(), String> {
     let format = opts.format();
-    let tables = match target {
+    let seed = opts.seed;
+    let table = match target {
         "table1" => {
             println!("Table 1: APPROX-NoC Simulation Configuration");
             for (k, v) in config(opts, 50_000).table1_rows() {
@@ -405,7 +414,7 @@ fn run_target(target: &str, opts: &Opts) -> Result<(), String> {
         }
         "fig17" => return fig17(opts),
         "scale" => return scale(opts),
-        "fig9" | "fig10" | "fig11" | "fig15" => vec![matrix_table(target, opts)],
+        "fig9" | "fig10" | "fig11" | "fig15" => matrix_table(target, opts),
         "fig12" => return fig12(opts, format),
         "fig13" | "fig14" => {
             let cfg = config(opts, 15_000);
@@ -419,69 +428,40 @@ fn run_target(target: &str, opts: &Opts) -> Result<(), String> {
             // The text table has one column per swept setting; CSV and JSON
             // have one row per measured latency.
             if format == Format::Text {
-                vec![experiments::sensitivity_table(title, &rows)]
+                experiments::sensitivity_table(title, &rows)
             } else {
-                vec![experiments::sensitivity_points(target, &rows)]
+                experiments::sensitivity_points(target, &rows)
             }
         }
-        "fig16" => {
-            let cfg = config(opts, 15_000);
-            vec![experiments::fig16_table(&experiments::fig16(
-                &cfg, cfg.seed,
-            ))]
-        }
-        "faults" => {
-            let cfg = config(opts, 15_000);
-            let rates: [u32; 5] = [0, 100, 1_000, 10_000, 100_000];
-            let (points, failures) =
-                experiments::faults_sweep(Benchmark::Blackscholes, &rates, &cfg, cfg.seed);
-            vec![experiments::faults_table(
-                Benchmark::Blackscholes,
-                &points,
-                &failures,
-            )]
-        }
-        "lossy" => {
-            let cfg = config(opts, 15_000);
-            let rates: [u32; 5] = [0, 100, 1_000, 10_000, 100_000];
-            // Each approximation-threshold percent adds 50 ppm per hop on
-            // top of the base rate: heavily approximated traffic rides the
-            // cheaper, lossier signaling.
-            let (points, failures) =
-                experiments::lossy_sweep(Benchmark::Blackscholes, &rates, 50, &cfg, cfg.seed);
-            vec![experiments::lossy_table(
-                Benchmark::Blackscholes,
-                &points,
-                &failures,
-            )]
-        }
-        "qos" => {
-            let cfg = config(opts, 15_000);
-            vec![experiments::qos_table(&experiments::qos_study(
-                &cfg,
-                cfg.seed,
-                &[5, 10, 20],
-            ))]
-        }
-        "lz" => {
-            let cfg = config(opts, 15_000);
-            let rows = experiments::lz_study(&cfg, cfg.seed, &[5, 10, 20], &Benchmark::ALL);
-            vec![experiments::lz_table(&rows)]
-        }
+        "fig16" => experiments::fig16(&config(opts, 15_000), seed),
+        "faults" => experiments::faults_sweep(
+            Benchmark::Blackscholes,
+            &SWEEP_RATES_PPM,
+            &config(opts, 15_000),
+            seed,
+        ),
+        // Each approximation-threshold percent adds 50 ppm per hop on top of
+        // the base rate: heavily approximated traffic rides the cheaper,
+        // lossier signaling.
+        "lossy" => experiments::lossy_sweep(
+            Benchmark::Blackscholes,
+            &SWEEP_RATES_PPM,
+            50,
+            &config(opts, 15_000),
+            seed,
+        ),
+        "qos" => experiments::qos_study(&config(opts, 15_000), seed, &[5, 10, 20]),
+        "lz" => experiments::lz_study(&config(opts, 15_000), seed, &[5, 10, 20], &Benchmark::ALL),
         other => return Err(format!("unknown target `{other}`")),
     };
-    for table in tables {
-        print!("{}", table.render(format));
-    }
+    print!("{}", table.render(format));
     Ok(())
 }
 
 fn matrix_table(target: &str, opts: &Opts) -> Table {
     let cfg = config(opts, 50_000);
-    let matrix = match &opts.mechs {
-        Some(mechs) => BenchmarkMatrix::run_with(&cfg, cfg.seed, mechs),
-        None => BenchmarkMatrix::run(&cfg, cfg.seed),
-    };
+    let mechs = opts.mechs.as_deref().unwrap_or(&Mechanism::ALL);
+    let matrix = BenchmarkMatrix::run_with(&cfg, cfg.seed, mechs);
     match target {
         "fig9" => experiments::fig9(&matrix),
         "fig10" => experiments::fig10(&matrix),
@@ -566,7 +546,7 @@ fn scale(opts: &Opts) -> Result<(), String> {
     use std::time::Instant;
 
     const CONCENTRATION: usize = 2;
-    let cycles = if opts.cycles == 0 { 2_000 } else { opts.cycles };
+    let cycles = opts.cycles.unwrap_or(2_000);
     let grids: &[(usize, usize)] = &[(8, 8), (16, 16), (32, 32)];
     let grids = &grids[..opts.grids.min(grids.len())];
     let format = opts.format();
@@ -672,7 +652,6 @@ fn capture(opts: &Opts) -> Result<(), String> {
 }
 
 fn replay(opts: &Opts) -> Result<(), String> {
-    use crate::config::Mechanism;
     use crate::runner::try_run_with_source;
     use anoc_traffic::Trace;
     let cfg = config(opts, 10_000);
@@ -732,7 +711,7 @@ mod tests {
         match cmd {
             Command::Run { target, opts } => {
                 assert_eq!(target, "fig9");
-                assert_eq!(opts.cycles, 2000);
+                assert_eq!(opts.cycles, Some(2000));
                 assert_eq!(opts.seed, 7);
                 assert_eq!(opts.threads, Some(3));
                 assert!(opts.no_cache);
@@ -785,7 +764,6 @@ mod tests {
 
     #[test]
     fn qos_lossy_targets_and_mechs_flag_parse() {
-        use crate::config::Mechanism;
         for t in ["qos", "lossy"] {
             match parse_strs(&["run", t, "--json"]).expect("parse") {
                 Command::Run { target, opts } => {
@@ -856,6 +834,19 @@ mod tests {
         assert!(parse_strs(&["run", "fig99"]).is_err());
         assert!(parse_strs(&["run", "fig9", "--cycles"]).is_err());
         assert!(parse_strs(&["run", "fig9", "--frobnicate"]).is_err());
+        // Zero is no "target default" or "one" in disguise.
+        for (target, flag) in [
+            ("fig9", "--cycles"),
+            ("scale", "--threads"),
+            ("scale", "--grids"),
+        ] {
+            let err = parse_strs(&["run", target, flag, "0"]).expect_err("zero parses");
+            assert_eq!(err, format!("{flag} must be at least 1"));
+            assert_eq!(
+                run_argv(&["run".into(), target.into(), flag.into(), "0".into()]),
+                2
+            );
+        }
     }
 
     #[test]
@@ -866,7 +857,7 @@ mod tests {
     #[test]
     fn seed_and_cycles_thread_into_config() {
         let opts = Opts {
-            cycles: 1234,
+            cycles: Some(1234),
             seed: 9,
             ..Opts::default()
         };

@@ -1,10 +1,13 @@
 //! One runner per table/figure of the paper's evaluation (§5).
 //!
 //! Every function regenerates the corresponding result: the same rows or
-//! series the paper plots, consumed programmatically or printed through the
-//! figure's [`Table`] ([`fig9`] … [`lz_table`]). Absolute numbers differ from
+//! series the paper plots, as the figure's [`Table`] ([`fig9`] …
+//! [`lz_study`]) or, where the text form is no table, as typed rows
+//! ([`SensitivityRow`], [`Fig12Series`]). Absolute numbers differ from
 //! the paper (the substrate is a reimplemented simulator driven by modelled
 //! traffic); EXPERIMENTS.md records the shape comparison.
+
+use std::collections::BTreeMap;
 
 use anoc_exec::{CellFailure, JobSpec};
 use anoc_noc::{FaultPlan, LossPlan};
@@ -31,16 +34,9 @@ pub struct BenchmarkMatrix {
 }
 
 impl BenchmarkMatrix {
-    /// Runs all 8 benchmarks × 5 mechanisms as one parallel campaign;
-    /// results are merged in plan order, bit-identical to the serial loop
-    /// this replaces.
-    pub fn run(config: &SystemConfig, seed: u64) -> Self {
-        Self::run_with(config, seed, &Mechanism::ALL)
-    }
-
-    /// Like [`run`](Self::run) with an explicit mechanism list — the hook
-    /// behind `--mechs`, letting the matrix figures carry extra curves
-    /// (LZ-VAXX as a sixth bar) next to the paper's five. The first
+    /// Runs all 8 benchmarks × `mechs` as one parallel campaign, results
+    /// merged in plan order. [`Mechanism::ALL`] gives the paper's five
+    /// columns; `--mechs` can add more (LZ-VAXX as a sixth bar). The first
     /// mechanism anchors any baseline-normalized figure, so lists should
     /// start with [`Mechanism::Baseline`].
     pub fn run_with(config: &SystemConfig, seed: u64, mechs: &[Mechanism]) -> Self {
@@ -64,21 +60,6 @@ impl BenchmarkMatrix {
         self.cells
             .iter()
             .flat_map(|(b, runs)| runs.iter().map(move |r| (*b, r)))
-    }
-
-    /// The result for one (benchmark, mechanism) cell.
-    pub fn get(&self, benchmark: Benchmark, mechanism: Mechanism) -> &RunResult {
-        let (_, runs) = self
-            .cells
-            .iter()
-            .find(|(b, _)| *b == benchmark)
-            .expect("benchmark present");
-        let idx = self
-            .mechs
-            .iter()
-            .position(|m| *m == mechanism)
-            .expect("mechanism present");
-        &runs[idx]
     }
 }
 
@@ -190,13 +171,14 @@ pub struct Fig12Series {
     /// Mechanism.
     pub mechanism: Mechanism,
     /// `(offered flits/node/cycle, avg packet latency)` points; the sweep
-    /// stops once the network saturates (latency above the cap).
+    /// ends at the first point whose latency is above the cap.
     pub points: Vec<(f64, f64)>,
 }
 
 impl Fig12Series {
-    /// The saturation throughput: the highest offered rate whose latency
-    /// stayed under the cap.
+    /// The saturation rate: the offered rate of the sweep's last point,
+    /// which is the first rate whose latency exceeded the cap, or the
+    /// highest rate swept if none did.
     pub fn saturation_rate(&self) -> f64 {
         self.points.last().map(|(r, _)| *r).unwrap_or(0.0)
     }
@@ -446,29 +428,10 @@ pub fn sensitivity_points(study: &str, rows: &[SensitivityRow]) -> Table {
     t
 }
 
-/// One point of the fault-injection resilience sweep: FP-VAXX under an
-/// increasing link bit-flip rate.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultCurvePoint {
-    /// Link bit-flip rate in flips per million traversals.
-    pub flip_ppm: u32,
-    /// Average end-to-end packet latency in cycles.
-    pub avg_latency: f64,
-    /// Data value quality (1 − mean relative word error).
-    pub quality: f64,
-    /// Bit flips the fault injector actually performed.
-    pub bit_flips: u64,
-    /// Delivered words audited by the end-to-end bound checker.
-    pub bound_checked_words: u64,
-    /// Audited words whose error exceeded the configured threshold.
-    pub bound_violations: u64,
-}
-
-/// The fault-injection resilience sweep: runs `benchmark` under FP-VAXX at
-/// each link bit-flip rate, through the fault-tolerant campaign path, and
-/// reports one curve point per rate that completed plus the typed failures
-/// for cells that did not (watchdog aborts at extreme rates are expected
-/// behaviour, not sweep-ending errors).
+/// The fault-injection resilience sweep: FP-VAXX on `benchmark` at each
+/// link bit-flip rate, in flips per million traversals. A cell that failed
+/// keeps its rate with empty cells and a note: watchdog aborts at extreme
+/// rates are expected behaviour, not sweep-ending errors.
 ///
 /// At rate 0 the fault plan is inert and the cell is bit-identical to a
 /// healthy run; violations must be 0 there, and the violation count is
@@ -478,61 +441,90 @@ pub fn faults_sweep(
     rates_ppm: &[u32],
     config: &SystemConfig,
     seed: u64,
-) -> (Vec<(u32, Option<FaultCurvePoint>)>, Vec<CellFailure>) {
-    let jobs = rates_ppm
-        .iter()
-        .map(|&ppm| {
-            let cfg = config.clone().with_faults(FaultPlan::bit_flips(seed, ppm));
-            benchmark_job(benchmark, Mechanism::FpVaxx, &cfg, seed)
-        })
-        .collect();
-    let (results, failures, _) = context().run_checked("faults", jobs);
-    let points = rates_ppm
-        .iter()
-        .zip(results)
-        .map(|(&ppm, slot)| {
-            let point = slot.map(|r| FaultCurvePoint {
-                flip_ppm: ppm,
-                avg_latency: r.avg_packet_latency(),
-                quality: r.data_quality(),
-                bit_flips: r.stats.faults.bit_flips,
-                bound_checked_words: r.stats.faults.bound_checked_words,
-                bound_violations: r.stats.faults.bound_violations,
-            });
-            (ppm, point)
-        })
-        .collect();
-    (points, failures)
+) -> Table {
+    let table = Table::new(
+        "faults",
+        format!("Fault-injection sweep: {} / FP-VAXX", benchmark.name()),
+        "flip_ppm    latency   quality   bit_flips    checked  violations",
+        &sweep_columns("flip_ppm", "bit_flips"),
+    );
+    rate_sweep(
+        "faults",
+        table,
+        benchmark,
+        rates_ppm,
+        seed,
+        |ppm| config.clone().with_faults(FaultPlan::bit_flips(seed, ppm)),
+        |r| r.stats.faults.bit_flips,
+    )
 }
 
-/// The fault sweep as a table; a failed cell keeps its rate, and its
-/// failure is a note.
-pub fn faults_table(
+/// The lossy-link degradation sweep: FP-VAXX on `benchmark` at each base
+/// per-hop word-loss rate, in erasures per million traversals. Each nonzero
+/// rate is also scaled by `approx_scale_ppm` per approximation-threshold
+/// percent (LORAX-style: aggressively approximated traffic rides the
+/// cheaper, lossier signaling). Rate 0 installs an inert plan and is
+/// bit-identical to a healthy run: violations must be 0 there, and the
+/// violation count is non-decreasing in the loss rate.
+pub fn lossy_sweep(
     benchmark: Benchmark,
-    points: &[(u32, Option<FaultCurvePoint>)],
-    failures: &[CellFailure],
+    rates_ppm: &[u32],
+    approx_scale_ppm: u32,
+    config: &SystemConfig,
+    seed: u64,
 ) -> Table {
-    sweep_table(
-        Table::new(
-            "faults",
-            format!("Fault-injection sweep: {} / FP-VAXX", benchmark.name()),
-            "flip_ppm    latency   quality   bit_flips    checked  violations",
-            &sweep_columns("flip_ppm", "bit_flips"),
-        ),
-        points.iter().map(|(ppm, p)| {
-            let cells = p.map(|p| {
-                [
-                    p.avg_latency.into(),
-                    p.quality.into(),
-                    p.bit_flips.into(),
-                    p.bound_checked_words.into(),
-                    p.bound_violations.into(),
-                ]
-            });
-            (*ppm, cells)
-        }),
-        failures,
+    let table = Table::new(
+        "lossy",
+        format!("Lossy-link sweep: {} / FP-VAXX", benchmark.name()),
+        "loss_ppm    latency   quality  words_lost    checked  violations",
+        &sweep_columns("loss_ppm", "words_lost"),
+    );
+    let plan = |ppm| match ppm {
+        0 => LossPlan::none(),
+        _ => LossPlan::scaled(seed, ppm, approx_scale_ppm),
+    };
+    rate_sweep(
+        "lossy",
+        table,
+        benchmark,
+        rates_ppm,
+        seed,
+        |ppm| config.clone().with_loss(plan(ppm)),
+        |r| r.stats.faults.words_lost,
     )
+}
+
+/// A resilience sweep: one FP-VAXX cell per rate on the configuration
+/// `at_rate` returns, run as one fault-tolerant campaign labelled `study`.
+/// Each rate fills a row of `table`, with the injected-event count `events`
+/// reads.
+fn rate_sweep(
+    study: &str,
+    table: Table,
+    benchmark: Benchmark,
+    rates_ppm: &[u32],
+    seed: u64,
+    at_rate: impl Fn(u32) -> SystemConfig,
+    events: impl Fn(&RunResult) -> u64,
+) -> Table {
+    let jobs = rates_ppm
+        .iter()
+        .map(|&ppm| benchmark_job(benchmark, Mechanism::FpVaxx, &at_rate(ppm), seed))
+        .collect();
+    let (results, failures, _) = context().run_checked(study, jobs);
+    let points = rates_ppm.iter().zip(results).map(|(&ppm, slot)| {
+        let cells = slot.map(|r| {
+            [
+                r.avg_packet_latency().into(),
+                r.data_quality().into(),
+                events(&r).into(),
+                r.stats.faults.bound_checked_words.into(),
+                r.stats.faults.bound_violations.into(),
+            ]
+        });
+        (ppm, cells)
+    });
+    sweep_table(table, points, &failures)
 }
 
 /// The columns of a resilience sweep: the swept rate, latency, quality, the
@@ -566,167 +558,31 @@ fn sweep_table(
     t
 }
 
-/// One point of the lossy-link degradation sweep (`anoc run lossy`):
-/// FP-VAXX under an increasing per-hop word-loss rate, with the loss rate
-/// additionally scaled by each packet's approximation level (LORAX-style:
-/// aggressively approximated traffic rides the cheaper, lossier signaling).
-#[derive(Debug, Clone, Copy)]
-pub struct LossCurvePoint {
-    /// Base per-hop loss rate in erasures per million traversals.
-    pub loss_ppm: u32,
-    /// Average end-to-end packet latency in cycles.
-    pub avg_latency: f64,
-    /// Data value quality (1 − mean relative word error).
-    pub quality: f64,
-    /// Words the lossy links actually erased.
-    pub words_lost: u64,
-    /// Delivered words audited by the end-to-end bound checker.
-    pub bound_checked_words: u64,
-    /// Audited words whose error exceeded the configured threshold.
-    pub bound_violations: u64,
-}
-
-/// The lossy-link degradation sweep: runs `benchmark` under FP-VAXX at each
-/// base loss rate (each nonzero rate also scaled by `approx_scale_ppm` per
-/// approximation-threshold percent), through the fault-tolerant campaign
-/// path. Rate 0 installs an inert plan and is bit-identical to a healthy
-/// run: violations must be 0 there, and the violation count is
-/// non-decreasing in the loss rate.
-pub fn lossy_sweep(
-    benchmark: Benchmark,
-    rates_ppm: &[u32],
-    approx_scale_ppm: u32,
-    config: &SystemConfig,
-    seed: u64,
-) -> (Vec<(u32, Option<LossCurvePoint>)>, Vec<CellFailure>) {
-    let jobs = rates_ppm
-        .iter()
-        .map(|&ppm| {
-            let plan = if ppm == 0 {
-                LossPlan::none()
-            } else {
-                LossPlan::scaled(seed, ppm, approx_scale_ppm)
-            };
-            let cfg = config.clone().with_loss(plan);
-            benchmark_job(benchmark, Mechanism::FpVaxx, &cfg, seed)
-        })
-        .collect();
-    let (results, failures, _) = context().run_checked("lossy", jobs);
-    let points = rates_ppm
-        .iter()
-        .zip(results)
-        .map(|(&ppm, slot)| {
-            let point = slot.map(|r| LossCurvePoint {
-                loss_ppm: ppm,
-                avg_latency: r.avg_packet_latency(),
-                quality: r.data_quality(),
-                words_lost: r.stats.faults.words_lost,
-                bound_checked_words: r.stats.faults.bound_checked_words,
-                bound_violations: r.stats.faults.bound_violations,
-            });
-            (ppm, point)
-        })
-        .collect();
-    (points, failures)
-}
-
-/// The lossy-link sweep as a table; a failed cell keeps its rate, and its
-/// failure is a note.
-pub fn lossy_table(
-    benchmark: Benchmark,
-    points: &[(u32, Option<LossCurvePoint>)],
-    failures: &[CellFailure],
-) -> Table {
-    sweep_table(
-        Table::new(
-            "lossy",
-            format!("Lossy-link sweep: {} / FP-VAXX", benchmark.name()),
-            "loss_ppm    latency   quality  words_lost    checked  violations",
-            &sweep_columns("loss_ppm", "words_lost"),
-        ),
-        points.iter().map(|(ppm, p)| {
-            let cells = p.map(|p| {
-                [
-                    p.avg_latency.into(),
-                    p.quality.into(),
-                    p.words_lost.into(),
-                    p.bound_checked_words.into(),
-                    p.bound_violations.into(),
-                ]
-            });
-            (*ppm, cells)
-        }),
-        failures,
-    )
-}
-
-/// One row of the QoS campaign (`anoc run qos`): one application kernel at
-/// one output-error budget, comparing the runtime per-flow control loop
-/// against the best *worst-case-safe* static threshold.
-#[derive(Debug, Clone)]
-pub struct QosStudyRow {
-    /// Application kernel name (fig16/fig17 mini-kernels).
-    pub kernel: &'static str,
-    /// The benchmark whose traffic profile drives the network cell.
-    pub benchmark: Benchmark,
-    /// Application output-error budget in percent.
-    pub budget_percent: u32,
-    /// Threshold the app-level AIMD controller converged to.
-    pub converged_percent: u32,
-    /// Realized kernel output error at the converged threshold — the
-    /// quality-within-budget check: must be ≤ `budget_percent / 100`.
-    pub realized_error: f64,
-    /// Largest static threshold whose *worst-case* output error (every
-    /// approximable word off by the full threshold) still meets the budget —
-    /// what an offline configuration must pick to guarantee the budget.
-    pub static_percent: u32,
-    /// Realized kernel output error at that static threshold.
-    pub static_error: f64,
-    /// Network compression ratio delivered by the per-flow QoS run.
-    pub qos_compression: f64,
-    /// Network compression ratio of the static-threshold run.
-    pub static_compression: f64,
-    /// Average packet latency of the QoS run (cycles).
-    pub qos_latency: f64,
-    /// Average packet latency of the static run (cycles).
-    pub static_latency: f64,
-    /// Delivered data quality of the QoS run's measurement window.
-    pub qos_quality: f64,
-    /// End-to-end bound violations in the QoS run (must be 0: no flow may
-    /// approximate past the spec ceiling).
-    pub qos_violations: u64,
-}
-
-impl QosStudyRow {
-    /// Whether the realized output error landed within the budget.
-    pub fn within_budget(&self) -> bool {
-        self.realized_error <= f64::from(self.budget_percent) / 100.0 + 1e-9
-    }
-
-    /// Whether the QoS run delivered at least the static run's compression.
-    pub fn beats_static(&self) -> bool {
-        self.qos_compression >= self.static_compression
-    }
-}
-
-/// The QoS campaign: for every fig16/17 mini-kernel (paired with its
-/// benchmark traffic profile) and every output-error budget,
+/// The QoS campaign (`anoc run qos`): for every fig16/17 mini-kernel (paired
+/// with its benchmark traffic profile) and every output-error budget, one
+/// row comparing the runtime per-flow control loop against the best
+/// *worst-case-safe* static threshold:
 ///
 /// 1. converge an app-level AIMD controller ([`QualityController`]) on the
 ///    kernel's realized output error — epochs of kernel evaluation feeding
-///    `observe_epoch` until the threshold stabilizes;
+///    `observe_epoch` until the threshold stabilizes. The realized error
+///    must land within the budget (`within_budget`);
 /// 2. find the largest *worst-case-safe* static threshold: the offline
 ///    alternative must assume every approximable word errs by the full
 ///    threshold ([`AdversarialTransport`]), which is exactly the headroom a
 ///    runtime controller can harvest and a static pick cannot;
 /// 3. run the network under the per-flow QoS control plane
 ///    ([`QosSpec::paper`] at the budget's quality floor) and under the
-///    static threshold, and compare delivered compression.
+///    static threshold, and compare delivered compression (`beats_static`).
+///    The QoS run's bound violations must be 0: no flow may approximate
+///    past the spec ceiling.
+///
+/// The text form ends with a per-budget summary of both verdicts.
 ///
 /// [`QualityController`]: anoc_core::control::QualityController
 /// [`QosSpec::paper`]: anoc_core::control::QosSpec::paper
 /// [`AdversarialTransport`]: anoc_apps::transport::AdversarialTransport
-pub fn qos_study(config: &SystemConfig, seed: u64, budgets: &[u32]) -> Vec<QosStudyRow> {
+pub fn qos_study(config: &SystemConfig, seed: u64, budgets: &[u32]) -> Table {
     use anoc_apps::transport::{AdversarialTransport, ApproxTransport, PreciseTransport};
     use anoc_core::control::{QosSpec, QualityController};
     use anoc_core::threshold::ErrorThreshold;
@@ -734,15 +590,11 @@ pub fn qos_study(config: &SystemConfig, seed: u64, budgets: &[u32]) -> Vec<QosSt
     let kernels = anoc_apps::default_kernels();
     // Application side first (cheap, this thread): per (kernel, budget),
     // converge the app-level controller and find the worst-case-safe static
-    // threshold. The static percent feeds the network job below.
-    struct AppSide {
-        converged_percent: u32,
-        realized_error: f64,
-        static_percent: u32,
-        static_error: f64,
-    }
-    let mut app: Vec<AppSide> = Vec::new();
-    for (kernel, _) in kernels.iter().zip(Benchmark::ALL) {
+    // threshold, keeping the row's leading cells. Each row's two network
+    // cells, per-flow QoS and static, then run as one parallel campaign.
+    let mut app = Vec::new();
+    let mut jobs = Vec::new();
+    for (kernel, benchmark) in kernels.iter().zip(Benchmark::ALL) {
         let precise = kernel.run(&mut PreciseTransport);
         for &budget in budgets {
             let target = 1.0 - f64::from(budget) / 100.0;
@@ -781,29 +633,26 @@ pub fn qos_study(config: &SystemConfig, seed: u64, budgets: &[u32]) -> Vec<QosSt
                 .rev()
                 .find(|&p| worst_at(p) <= f64::from(budget) / 100.0 + 1e-9)
                 .unwrap_or(0);
-            let static_error = error_at(static_percent);
-            app.push(AppSide {
-                converged_percent: percent,
-                realized_error: realized,
-                static_percent,
-                static_error,
-            });
-        }
-    }
-    // Network side: one per-flow QoS cell plus one static cell per row, as
-    // one parallel campaign.
-    let mut jobs = Vec::new();
-    let mut idx = 0usize;
-    for (_, benchmark) in kernels.iter().zip(Benchmark::ALL) {
-        for &budget in budgets {
-            let floor_ppm = 1_000_000u32.saturating_sub(budget.saturating_mul(10_000));
-            // Two study-scale adjustments to the paper spec: the per-flow
-            // anti-windup floor (64 words/epoch) is sized for long
-            // production runs and would hold sparse flows at their initial
-            // threshold forever at campaign scale, and the start is made
-            // optimistic (begin at the ceiling, tighten on violation) so a
-            // flow whose first packet arrives mid-measurement is not
+            let within = realized <= f64::from(budget) / 100.0 + 1e-9;
+            let cells: Vec<Cell> = vec![
+                kernel.name().into(),
+                benchmark.name().into(),
+                budget.into(),
+                percent.into(),
+                realized.into(),
+                static_percent.into(),
+                error_at(static_percent).into(),
+            ];
+            app.push((budget, within, cells));
+
+            // 3. The network cells. Two study-scale adjustments to the paper
+            // spec: the per-flow anti-windup floor (64 words/epoch) is sized
+            // for long production runs and would hold sparse flows at their
+            // initial threshold forever at campaign scale, and the start is
+            // made optimistic (begin at the ceiling, tighten on violation)
+            // so a flow whose first packet arrives mid-measurement is not
             // permanently behind the static ladder it is compared against.
+            let floor_ppm = 1_000_000u32.saturating_sub(budget.saturating_mul(10_000));
             let base = QosSpec::paper(floor_ppm);
             let spec = QosSpec {
                 min_words: 1,
@@ -812,48 +661,15 @@ pub fn qos_study(config: &SystemConfig, seed: u64, budgets: &[u32]) -> Vec<QosSt
             };
             let qos_cfg = config.clone().with_qos(spec);
             jobs.push(benchmark_job(benchmark, Mechanism::FpVaxx, &qos_cfg, seed));
-            let static_cfg = config.clone().with_threshold(app[idx].static_percent);
+            let static_cfg = config.clone().with_threshold(static_percent);
             jobs.push(benchmark_job(
                 benchmark,
                 Mechanism::FpVaxx,
                 &static_cfg,
                 seed,
             ));
-            idx += 1;
         }
     }
-    let mut results = context().run("qos", jobs).into_iter();
-    let mut rows = Vec::new();
-    let mut idx = 0usize;
-    for (kernel, benchmark) in kernels.iter().zip(Benchmark::ALL) {
-        for &budget in budgets {
-            let a = &app[idx];
-            idx += 1;
-            let qos_run = results.next().expect("qos cell");
-            let static_run = results.next().expect("static cell");
-            rows.push(QosStudyRow {
-                kernel: kernel.name(),
-                benchmark,
-                budget_percent: budget,
-                converged_percent: a.converged_percent,
-                realized_error: a.realized_error,
-                static_percent: a.static_percent,
-                static_error: a.static_error,
-                qos_compression: qos_run.stats.encode.compression_ratio(),
-                static_compression: static_run.stats.encode.compression_ratio(),
-                qos_latency: qos_run.avg_packet_latency(),
-                static_latency: static_run.avg_packet_latency(),
-                qos_quality: qos_run.data_quality(),
-                qos_violations: qos_run.stats.faults.bound_violations,
-            });
-        }
-    }
-    rows
-}
-
-/// The QoS campaign as a table, with a per-budget summary of budget
-/// compliance and the QoS-vs-static compression score.
-pub fn qos_table(rows: &[QosStudyRow]) -> Table {
     let mut t = Table::new(
         "qos",
         "Per-flow QoS campaign: runtime control loop vs worst-case-safe static threshold",
@@ -877,37 +693,36 @@ pub fn qos_table(rows: &[QosStudyRow]) -> Table {
             data_only("beats_static", None),
         ],
     );
-    for r in rows {
-        t.row(vec![
-            r.kernel.into(),
-            r.benchmark.name().into(),
-            r.budget_percent.into(),
-            r.converged_percent.into(),
-            r.realized_error.into(),
-            r.static_percent.into(),
-            r.static_error.into(),
-            r.qos_compression.into(),
-            r.static_compression.into(),
-            r.qos_latency.into(),
-            r.static_latency.into(),
-            r.qos_quality.into(),
-            r.qos_violations.into(),
-            if r.within_budget() { "yes" } else { "NO" }.into(),
-            r.within_budget().into(),
-            r.beats_static().into(),
+    // Per budget: rows, rows within budget, rows where QoS compression is
+    // at least the static run's.
+    let mut summary: BTreeMap<u32, [usize; 3]> = BTreeMap::new();
+    let mut results = context().run("qos", jobs).into_iter();
+    for (budget, within, mut cells) in app {
+        let qos = results.next().expect("qos cell");
+        let fixed = results.next().expect("static cell");
+        let qos_compression = qos.stats.encode.compression_ratio();
+        let static_compression = fixed.stats.encode.compression_ratio();
+        let beats = qos_compression >= static_compression;
+        cells.extend([
+            qos_compression.into(),
+            static_compression.into(),
+            qos.avg_packet_latency().into(),
+            fixed.avg_packet_latency().into(),
+            qos.data_quality().into(),
+            qos.stats.faults.bound_violations.into(),
+            if within { "yes" } else { "NO" }.into(),
+            within.into(),
+            beats.into(),
         ]);
+        t.row(cells);
+        let [rows, in_budget, wins] = summary.entry(budget).or_default();
+        *rows += 1;
+        *in_budget += usize::from(within);
+        *wins += usize::from(beats);
     }
-    let mut budgets: Vec<u32> = rows.iter().map(|r| r.budget_percent).collect();
-    budgets.sort_unstable();
-    budgets.dedup();
-    for b in budgets {
-        let of_budget: Vec<&QosStudyRow> = rows.iter().filter(|r| r.budget_percent == b).collect();
-        let within = of_budget.iter().filter(|r| r.within_budget()).count();
-        let beats = of_budget.iter().filter(|r| r.beats_static()).count();
+    for (b, [rows, within, beats]) in summary {
         t.note(format!(
-            "summary: at {b}% budget, {within}/{} apps within budget; QoS compression >= static on {beats}/{}",
-            of_budget.len(),
-            of_budget.len(),
+            "summary: at {b}% budget, {within}/{rows} apps within budget; QoS compression >= static on {beats}/{rows}"
         ));
     }
     t
@@ -938,36 +753,21 @@ pub fn fig15(matrix: &BenchmarkMatrix) -> Table {
     t
 }
 
-/// One point of Figure 16: application output error and normalized
-/// performance at an error budget.
-#[derive(Debug, Clone)]
-pub struct Fig16Row {
-    /// Benchmark name.
-    pub benchmark: &'static str,
-    /// Data error budget in percent (0, 10, 20).
-    pub budget_percent: u32,
-    /// Output error with the real FP-VAXX value path (typically far below
-    /// the budget because matches land in close proximity).
-    pub output_error: f64,
-    /// Output error when the data channel spends the *entire* budget on
-    /// every approximable word (the pessimistic bound; the paper's measured
-    /// errors lie between `output_error` and this).
-    pub worst_case_error: f64,
-    /// Runtime performance normalized to the 0% budget.
-    pub normalized_performance: f64,
-}
-
 /// Figure 16: application output accuracy and normalized performance for
-/// data error budgets of 0/10/20%.
+/// data error budgets of 0/10/20%, one row per benchmark and budget.
 ///
 /// Output error comes from running the real kernels through an FP-VAXX
-/// value path at each budget. Performance comes from the NoC: the measured
+/// value path at each budget; it typically lies far below the budget
+/// because matches land in close proximity. The worst-case error spends
+/// the *entire* budget on every approximable word (the pessimistic bound;
+/// the paper's measured errors lie between the two), and the text form
+/// adds it as an accuracy. Performance comes from the NoC: the measured
 /// latency improvement of FP-VAXX at each budget over the 0% (exact
 /// compression) case, scaled by the benchmark's sharing degree — the §5.4
 /// observation that "higher degree of sharing leads to ... improving the
 /// efficacy of our mechanism".
-pub fn fig16(config: &SystemConfig, seed: u64) -> Vec<Fig16Row> {
-    use anoc_apps::transport::{ApproxTransport, PreciseTransport};
+pub fn fig16(config: &SystemConfig, seed: u64) -> Table {
+    use anoc_apps::transport::{AdversarialTransport, ApproxTransport, PreciseTransport};
     use anoc_core::threshold::ErrorThreshold;
     let budgets = [0u32, 10, 20];
     let kernels = anoc_apps::default_kernels();
@@ -986,44 +786,6 @@ pub fn fig16(config: &SystemConfig, seed: u64) -> Vec<Fig16Row> {
         .run("fig16", jobs)
         .into_iter()
         .map(|r| r.avg_packet_latency());
-    let mut rows = Vec::new();
-    for (kernel, benchmark) in kernels.iter().zip(Benchmark::ALL) {
-        let precise = kernel.run(&mut PreciseTransport);
-        let sharing = benchmark.profile().sharing;
-        // Latency at 0% budget (exact compression) anchors performance.
-        let lat0 = lats.next().expect("anchor cell");
-        for budget in budgets {
-            let (error, worst, lat) = if budget == 0 {
-                (0.0, 0.0, lat0)
-            } else {
-                let threshold = ErrorThreshold::from_percent(budget).expect("valid budget");
-                let mut t = ApproxTransport::fp_vaxx(threshold);
-                let approx = kernel.run(&mut t);
-                let err = kernel.output_error(&precise, &approx);
-                let mut adv = anoc_apps::transport::AdversarialTransport::new(threshold);
-                let worst_out = kernel.run(&mut adv);
-                let worst = kernel.output_error(&precise, &worst_out);
-                let lat = lats.next().expect("budget cell");
-                (err, worst, lat)
-            };
-            // Network latency improvement → runtime improvement, scaled by
-            // how communication-bound (sharing-heavy) the benchmark is.
-            let latency_gain = ((lat0 - lat) / lat0).max(0.0);
-            let normalized_performance = 1.0 + sharing * latency_gain;
-            rows.push(Fig16Row {
-                benchmark: kernel.name(),
-                budget_percent: budget,
-                output_error: error,
-                worst_case_error: worst,
-                normalized_performance,
-            });
-        }
-    }
-    rows
-}
-
-/// Figure 16 as a table; the text form adds the worst-case accuracy.
-pub fn fig16_table(rows: &[Fig16Row]) -> Table {
     let mut t = Table::new(
         "fig16",
         "Figure 16: Application Output Accuracy and Normalized Performance",
@@ -1037,15 +799,36 @@ pub fn fig16_table(rows: &[Fig16Row]) -> Table {
             col("normalized_performance", Right(10, 3), Some(6)),
         ],
     );
-    for r in rows {
-        t.row(vec![
-            r.benchmark.into(),
-            r.budget_percent.into(),
-            r.output_error.into(),
-            r.worst_case_error.into(),
-            ((1.0 - r.worst_case_error) * 100.0).into(),
-            r.normalized_performance.into(),
-        ]);
+    for (kernel, benchmark) in kernels.iter().zip(Benchmark::ALL) {
+        let precise = kernel.run(&mut PreciseTransport);
+        let sharing = benchmark.profile().sharing;
+        // Latency at 0% budget (exact compression) anchors performance.
+        let lat0 = lats.next().expect("anchor cell");
+        for budget in budgets {
+            let (error, worst, lat) = if budget == 0 {
+                (0.0, 0.0, lat0)
+            } else {
+                let threshold = ErrorThreshold::from_percent(budget).expect("valid budget");
+                let approx = kernel.run(&mut ApproxTransport::fp_vaxx(threshold));
+                let worst_out = kernel.run(&mut AdversarialTransport::new(threshold));
+                (
+                    kernel.output_error(&precise, &approx),
+                    kernel.output_error(&precise, &worst_out),
+                    lats.next().expect("budget cell"),
+                )
+            };
+            // Network latency improvement → runtime improvement, scaled by
+            // how communication-bound (sharing-heavy) the benchmark is.
+            let latency_gain = ((lat0 - lat) / lat0).max(0.0);
+            t.row(vec![
+                kernel.name().into(),
+                budget.into(),
+                error.into(),
+                worst.into(),
+                ((1.0 - worst) * 100.0).into(),
+                (1.0 + sharing * latency_gain).into(),
+            ]);
+        }
     }
     t
 }
@@ -1084,42 +867,20 @@ pub fn fig17(seed: u64) -> Fig17Result {
     }
 }
 
-/// One cell of the LZ-VAXX study (`anoc run lz`): one mechanism at one
-/// error threshold on one benchmark, with the end-to-end bound auditor armed.
-#[derive(Debug, Clone, Copy)]
-pub struct LzStudyRow {
-    /// Benchmark.
-    pub benchmark: Benchmark,
-    /// Error threshold percentage of this sweep point.
-    pub threshold_percent: u32,
-    /// Mechanism (DI-VAXX, FP-VAXX or LZ-VAXX).
-    pub mechanism: Mechanism,
-    /// Compression ratio (input bits / output bits).
-    pub compression_ratio: f64,
-    /// The encoder's pipeline latency in cycles (LZ-VAXX pays one extra
-    /// cycle for cross-word match extension).
-    pub encode_latency_cycles: u64,
-    /// Average end-to-end packet latency in cycles.
-    pub avg_packet_latency: f64,
-    /// Data value quality (1 − mean relative word error).
-    pub quality: f64,
-    /// Delivered words audited by the end-to-end bound checker.
-    pub bound_checked_words: u64,
-    /// Audited words whose error exceeded the threshold (must be 0 in a
-    /// fault-free run for every enumerated mechanism).
-    pub bound_violations: u64,
-}
-
-/// The LZ-VAXX study: sweeps `thresholds` × `benchmarks` × the three VAXX
-/// mechanisms (DI, FP, LZ) with the bound auditor armed, so LZ-VAXX's
-/// compression ratio, encode latency and output quality land next to the
-/// paper's two mechanisms at equal error budgets.
+/// The LZ-VAXX study (`anoc run lz`): sweeps `thresholds` × `benchmarks` ×
+/// the three VAXX mechanisms (DI, FP, LZ) with the end-to-end bound auditor
+/// armed, so LZ-VAXX's compression ratio, encode latency (LZ-VAXX pays one
+/// extra cycle for cross-word match extension) and output quality land next
+/// to the paper's two mechanisms at equal error budgets. A fault-free run
+/// must show 0 bound violations for every mechanism. The text form ends
+/// with a per-threshold count of the apps LZ-VAXX compresses at least as
+/// well as DI-VAXX.
 pub fn lz_study(
     config: &SystemConfig,
     seed: u64,
     thresholds: &[u32],
     benchmarks: &[Benchmark],
-) -> Vec<LzStudyRow> {
+) -> Table {
     const MECHANISMS: [Mechanism; 3] = [Mechanism::DiVaxx, Mechanism::FpVaxx, Mechanism::LzVaxx];
     let mut jobs = Vec::new();
     for &t in thresholds {
@@ -1131,32 +892,6 @@ pub fn lz_study(
         }
     }
     let mut results = context().run("lz", jobs).into_iter();
-    let mut rows = Vec::new();
-    for &t in thresholds {
-        let threshold = config.clone().with_threshold(t).threshold();
-        for &b in benchmarks {
-            for m in MECHANISMS {
-                let r = results.next().expect("one result per cell");
-                rows.push(LzStudyRow {
-                    benchmark: b,
-                    threshold_percent: t,
-                    mechanism: m,
-                    compression_ratio: r.stats.encode.compression_ratio(),
-                    encode_latency_cycles: m.codecs(1, threshold)[0].encoder.compression_latency(),
-                    avg_packet_latency: r.avg_packet_latency(),
-                    quality: r.data_quality(),
-                    bound_checked_words: r.stats.faults.bound_checked_words,
-                    bound_violations: r.stats.faults.bound_violations,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// The LZ-VAXX study as a table, with a per-threshold summary of how many
-/// apps LZ-VAXX compresses at least as well as DI-VAXX on.
-pub fn lz_table(rows: &[LzStudyRow]) -> Table {
     let mut t = Table::new(
         "lz",
         "LZ-VAXX study: streaming approximate-LZ vs DI-VAXX / FP-VAXX",
@@ -1173,38 +908,34 @@ pub fn lz_table(rows: &[LzStudyRow]) -> Table {
             col("bound_violations", Right(11, 0), None),
         ],
     );
-    for r in rows {
-        t.row(vec![
-            r.threshold_percent.into(),
-            r.benchmark.name().into(),
-            r.mechanism.name().into(),
-            r.compression_ratio.into(),
-            r.encode_latency_cycles.into(),
-            r.avg_packet_latency.into(),
-            r.quality.into(),
-            r.bound_checked_words.into(),
-            r.bound_violations.into(),
-        ]);
-    }
-    let mut thresholds: Vec<u32> = rows.iter().map(|r| r.threshold_percent).collect();
-    thresholds.dedup();
-    for th in thresholds {
-        let di: Vec<&LzStudyRow> = rows
-            .iter()
-            .filter(|r| r.threshold_percent == th && r.mechanism == Mechanism::DiVaxx)
-            .collect();
-        let wins = rows
-            .iter()
-            .filter(|r| r.threshold_percent == th && r.mechanism == Mechanism::LzVaxx)
-            .filter(|lz| {
-                di.iter().any(|d| {
-                    d.benchmark == lz.benchmark && lz.compression_ratio >= d.compression_ratio
-                })
-            })
-            .count();
+    for &th in thresholds {
+        let threshold = config.clone().with_threshold(th).threshold();
+        let mut wins = 0;
+        for &b in benchmarks {
+            let [di, _, lz] = MECHANISMS.map(|m| {
+                let r = results.next().expect("one result per cell");
+                let ratio = r.stats.encode.compression_ratio();
+                t.row(vec![
+                    th.into(),
+                    b.name().into(),
+                    m.name().into(),
+                    ratio.into(),
+                    m.codecs(1, threshold)[0]
+                        .encoder
+                        .compression_latency()
+                        .into(),
+                    r.avg_packet_latency().into(),
+                    r.data_quality().into(),
+                    r.stats.faults.bound_checked_words.into(),
+                    r.stats.faults.bound_violations.into(),
+                ]);
+                ratio
+            });
+            wins += usize::from(lz >= di);
+        }
         t.note(format!(
             "summary: at {th}% threshold LZ-VAXX >= DI-VAXX compression on {wins}/{} apps",
-            di.len()
+            benchmarks.len()
         ));
     }
     t
@@ -1214,24 +945,39 @@ pub fn lz_table(rows: &[LzStudyRow]) -> Table {
 mod tests {
     use super::*;
 
+    use anoc_exec::CellError;
+
     fn tiny() -> SystemConfig {
         SystemConfig::paper().with_sim_cycles(2_000)
+    }
+
+    /// The floats of the column keyed `key`.
+    fn floats(t: &Table, key: &str) -> Vec<f64> {
+        t.cells(key)
+            .into_iter()
+            .map(|c| match c {
+                Cell::Float(v) => *v,
+                other => panic!("{key}: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// The counts of the column keyed `key`.
+    fn ints(t: &Table, key: &str) -> Vec<u64> {
+        t.cells(key)
+            .into_iter()
+            .map(|c| match c {
+                Cell::Int(v) => *v,
+                other => panic!("{key}: {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
     fn matrix_and_figures_9_10_11_15() {
         let cfg = tiny();
-        let matrix = BenchmarkMatrix::run(&cfg, 1);
+        let matrix = BenchmarkMatrix::run_with(&cfg, 1, &Mechanism::ALL);
         assert_eq!(matrix.cells.len(), 8);
-        let floats = |t: &Table, key: &str| -> Vec<f64> {
-            t.cells(key)
-                .into_iter()
-                .map(|c| match c {
-                    Cell::Float(v) => *v,
-                    other => panic!("{key}: {other:?}"),
-                })
-                .collect()
-        };
 
         let f9 = fig9(&matrix);
         assert_eq!(f9.csv().lines().count(), 1 + 40);
@@ -1269,9 +1015,19 @@ mod tests {
 
         // The headline relationship: VAXX compresses at least as well as the
         // exact version on the data-intensive benchmark.
-        let di = matrix.get(Benchmark::Ssca2, Mechanism::DiComp);
-        let divaxx = matrix.get(Benchmark::Ssca2, Mechanism::DiVaxx);
-        assert!(divaxx.stats.encode.encoded_fraction() >= di.stats.encode.encoded_fraction());
+        let (_, ssca2) = matrix
+            .cells
+            .iter()
+            .find(|(b, _)| *b == Benchmark::Ssca2)
+            .expect("an ssca2 row");
+        let encoded = |m| {
+            let r = ssca2.iter().find(|r| r.mechanism == m);
+            r.expect("a cell per mechanism")
+                .stats
+                .encode
+                .encoded_fraction()
+        };
+        assert!(encoded(Mechanism::DiVaxx) >= encoded(Mechanism::DiComp));
     }
 
     #[test]
@@ -1318,22 +1074,28 @@ mod tests {
     #[test]
     fn lz_study_audits_bounds_and_reports_all_three_mechanisms() {
         let cfg = SystemConfig::paper().with_sim_cycles(1_500);
-        let rows = lz_study(&cfg, 6, &[10], &[Benchmark::Ssca2, Benchmark::Blackscholes]);
-        assert_eq!(rows.len(), 6, "2 benchmarks x 3 mechanisms");
-        for r in &rows {
-            assert!(r.compression_ratio >= 0.9, "{r:?}");
-            assert!(r.bound_checked_words > 0, "auditor must be armed: {r:?}");
-            assert_eq!(r.bound_violations, 0, "fault-free run violated: {r:?}");
-            assert!(r.quality > 0.9, "{r:?}");
-        }
-        let lz: Vec<_> = rows
-            .iter()
-            .filter(|r| r.mechanism == Mechanism::LzVaxx)
+        let table = lz_study(&cfg, 6, &[10], &[Benchmark::Ssca2, Benchmark::Blackscholes]);
+        let mechanisms = table.cells("mechanism");
+        assert_eq!(mechanisms.len(), 6, "2 benchmarks x 3 mechanisms");
+        let ratios = floats(&table, "compression_ratio");
+        assert!(ratios.iter().all(|v| *v >= 0.9), "{ratios:?}");
+        let checked = ints(&table, "bound_checked_words");
+        assert!(
+            checked.iter().all(|n| *n > 0),
+            "auditor must be armed: {checked:?}"
+        );
+        let violations = ints(&table, "bound_violations");
+        assert_eq!(violations, [0; 6], "fault-free run violated");
+        let quality = floats(&table, "quality");
+        assert!(quality.iter().all(|q| *q > 0.9), "{quality:?}");
+        let lz_latency: Vec<u64> = mechanisms
+            .into_iter()
+            .zip(ints(&table, "encode_latency_cycles"))
+            .filter(|(m, _)| **m == Cell::from("LZ-VAXX"))
+            .map(|(_, cycles)| cycles)
             .collect();
-        assert_eq!(lz.len(), 2);
-        assert!(lz.iter().all(|r| r.encode_latency_cycles == 4));
+        assert_eq!(lz_latency, [4, 4]);
 
-        let table = lz_table(&rows);
         let txt = table.text();
         assert!(
             txt.contains("LZ-VAXX") && txt.contains("summary: at 10%"),
@@ -1345,6 +1107,55 @@ mod tests {
         assert!(json.starts_with("{\"study\":\"lz\",\"rows\":["), "{json}");
         assert_eq!(json.matches("\"mechanism\":\"LZ-VAXX\"").count(), 2);
         assert!(json.trim_end().ends_with("]}"), "{json}");
+    }
+
+    #[test]
+    fn faults_sweep_prints_failed_points() {
+        let measured = |quality: f64, bit_flips: u64, violations: u64| -> [Cell; 5] {
+            [
+                14.766917293233083.into(),
+                quality.into(),
+                bit_flips.into(),
+                1376u64.into(),
+                violations.into(),
+            ]
+        };
+        let points = [
+            (0, Some(measured(0.9982921236946849, 0, 0))),
+            (1_000, None),
+            (100_000, Some(measured(0.9371554540589585, 165, 96))),
+        ];
+        let failures = [CellFailure {
+            index: 1,
+            id: "blackscholes/FP-VAXX/s42".into(),
+            error: CellError::Failed("network deadlock: stalled".into()),
+        }];
+        let table = sweep_table(
+            Table::new(
+                "faults",
+                "Fault-injection sweep: blackscholes / FP-VAXX",
+                "flip_ppm    latency   quality   bit_flips    checked  violations",
+                &sweep_columns("flip_ppm", "bit_flips"),
+            ),
+            points.into_iter(),
+            &failures,
+        );
+        assert_eq!(
+            table.text(),
+            "Fault-injection sweep: blackscholes / FP-VAXX\n\
+             flip_ppm    latency   quality   bit_flips    checked  violations\n       \
+             0      14.77    0.9983           0       1376           0\n    \
+             1000     failed (see below)\n  \
+             100000      14.77    0.9372         165       1376          96\n\
+             failed: cell 1 (blackscholes/FP-VAXX/s42) failed: network deadlock: stalled\n"
+        );
+        assert_eq!(
+            table.csv(),
+            "flip_ppm,avg_latency,quality,bit_flips,bound_checked_words,bound_violations\n\
+             0,14.766917293233083,0.9982921236946849,0,1376,0\n\
+             1000,,,,,\n\
+             100000,14.766917293233083,0.9371554540589585,165,1376,96\n"
+        );
     }
 
     #[test]

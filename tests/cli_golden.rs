@@ -1,9 +1,8 @@
 //! Golden output of `anoc run`: the FNV-1a hash of the stdout of `run all`
 //! as text, as CSV and as JSON, and of the QoS and LZ studies as JSON, all
-//! at 300 measured cycles, plus the literal rows a faults sweep prints for a
-//! failed point. A rewrite of any table, its CSV or its JSON must reproduce
-//! every byte. `run all --json` must carry, table by table, exactly the CSV
-//! rows.
+//! at 300 measured cycles. A rewrite of any table, its CSV or its JSON must
+//! reproduce every byte. `run all --json` must carry, table by table,
+//! exactly the CSV rows.
 //! `anoc cache stats` must report both stores that `anoc cache clear` empties.
 //! `anoc replay` must turn a malformed trace into an `error:`, not a panic.
 
@@ -12,9 +11,7 @@ use std::process::Command;
 use std::sync::OnceLock;
 
 use anoc_exec::hash::fnv1a64;
-use anoc_exec::{CellError, CellFailure, ResultCache, SnapshotStore};
-use approx_noc::harness::experiments::{faults_table, FaultCurvePoint};
-use approx_noc::traffic::Benchmark;
+use anoc_exec::{ResultCache, SnapshotStore};
 
 /// `(name, anoc arguments, FNV-1a of stdout)`; every run adds
 /// `--cycles 300 --out fig17`.
@@ -175,45 +172,6 @@ fn json_tables_carry_the_csv_rows() {
         }
         assert_eq!(csv_rows.next(), None, "{target}: CSV rows without JSON");
     }
-}
-
-#[test]
-fn faults_sweep_prints_failed_points() {
-    let point = |flip_ppm, quality, bit_flips, violations| FaultCurvePoint {
-        flip_ppm,
-        avg_latency: 14.766917293233083,
-        quality,
-        bit_flips,
-        bound_checked_words: 1376,
-        bound_violations: violations,
-    };
-    let points = [
-        (0, Some(point(0, 0.9982921236946849, 0, 0))),
-        (1_000, None),
-        (100_000, Some(point(100_000, 0.9371554540589585, 165, 96))),
-    ];
-    let failures = [CellFailure {
-        index: 1,
-        id: "blackscholes/FP-VAXX/s42".into(),
-        error: CellError::Failed("network deadlock: stalled".into()),
-    }];
-    let table = faults_table(Benchmark::Blackscholes, &points, &failures);
-    assert_eq!(
-        table.text(),
-        "Fault-injection sweep: blackscholes / FP-VAXX\n\
-         flip_ppm    latency   quality   bit_flips    checked  violations\n       \
-         0      14.77    0.9983           0       1376           0\n    \
-         1000     failed (see below)\n  \
-         100000      14.77    0.9372         165       1376          96\n\
-         failed: cell 1 (blackscholes/FP-VAXX/s42) failed: network deadlock: stalled\n"
-    );
-    assert_eq!(
-        table.csv(),
-        "flip_ppm,avg_latency,quality,bit_flips,bound_checked_words,bound_violations\n\
-         0,14.766917293233083,0.9982921236946849,0,1376,0\n\
-         1000,,,,,\n\
-         100000,14.766917293233083,0.9371554540589585,165,1376,96\n"
-    );
 }
 
 /// The stdout of `anoc cache <action>` over the stores in `dir`.
