@@ -6,7 +6,9 @@
 //! plan order**, so a parallel campaign is bit-identical to running the same
 //! plan serially. Each job carries a canonical content `key`; when a
 //! [`ResultCache`] and [`ResultCodec`] are supplied, cached cells skip
-//! simulation entirely and fresh results are written back for next time.
+//! simulation entirely and each fresh result is written back as it finishes,
+//! so a rerun of a killed campaign simulates only the cells it never
+//! completed.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -234,9 +236,10 @@ fn cache_put_with_retry(store: &ResultCache, key: &str, payload: &str, label: &s
 /// supplied, per-job progress lines and the report carry cycles-per-second
 /// throughput.
 ///
-/// Cache misses and decode failures re-run the job; fresh results are
-/// written back. Cache write errors are reported to stderr but never fail
-/// the campaign.
+/// Cache misses and decode failures re-run the job; each fresh result is
+/// written back as soon as it finishes, so a killed campaign's rerun answers
+/// every completed cell from the cache. Cache write errors are reported to
+/// stderr but never fail the campaign.
 ///
 /// # Panics
 ///
@@ -269,9 +272,9 @@ pub fn run_campaign<T: Send + 'static>(
 
 /// The fault-tolerant variant of [`run_campaign`]: cells return
 /// `Result<T, String>` and may panic; both failure modes are isolated per
-/// cell. The campaign always runs to completion, successful cells are
-/// cached, and failures come back typed in the [`CampaignOutcome`] instead
-/// of unwinding.
+/// cell. The campaign always runs to completion, each successful cell is
+/// cached as it finishes, and failures come back typed in the
+/// [`CampaignOutcome`] instead of unwinding.
 pub fn run_campaign_checked<T: Send + 'static>(
     pool: &ThreadPool,
     cache: Option<(&ResultCache, &dyn ResultCodec<T>)>,
@@ -352,15 +355,23 @@ pub fn run_campaign_checked<T: Send + 'static>(
             }) as TimedTask<T>
         })
         .collect();
+    // Each success is written back as it finishes, on this thread: a
+    // campaign killed partway keeps every cell it completed.
     let fresh = pool.run_ordered_results_observed(tasks, |i, (wall, value)| {
         let cycles = match value {
-            Ok(v) => cycles_of.map(|f| f(v)),
+            Ok(v) => {
+                if let Some((store, codec)) = cache.as_ref() {
+                    let payload = codec.encode(v);
+                    cache_put_with_retry(store, &keys[i], &payload, &options.label, &ids[i]);
+                }
+                cycles_of.map(|f| f(v))
+            }
             Err(_) => None,
         };
         progress.job_finished(&ids[i], *wall, cycles);
     });
 
-    // Phase 3: write back successes and merge in plan order.
+    // Phase 3: merge in plan order.
     let mut sim_cycles = 0u64;
     let mut failures: Vec<CellFailure> = Vec::new();
     for (i, outcome) in fresh.into_iter().enumerate() {
@@ -368,15 +379,6 @@ pub fn run_campaign_checked<T: Send + 'static>(
         match outcome {
             Ok((_, Ok(value))) => {
                 sim_cycles += cycles_of.map_or(0, |f| f(&value));
-                if let Some((store, codec)) = cache.as_ref() {
-                    cache_put_with_retry(
-                        store,
-                        &keys[i],
-                        &codec.encode(&value),
-                        &options.label,
-                        &ids[i],
-                    );
-                }
                 slots[index] = Some(value);
             }
             Ok((_, Err(msg))) => {
@@ -622,6 +624,41 @@ mod tests {
         assert_eq!(cache.get("checked v1 n=0").as_deref(), Some("0"));
         assert!(cache.get("checked v1 n=2").is_none());
         assert!(cache.get("checked v1 n=4").is_none());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn a_finished_cell_is_cached_before_the_campaign_ends() {
+        // One worker runs the cells in plan order. The second cell waits for
+        // the first cell's entry, which is there only if a result is written
+        // back while the campaign still runs.
+        let pool = ThreadPool::new(1);
+        let cache = temp_cache("as-finished");
+        let codec = U64Codec;
+        let probe = cache.clone();
+        let jobs: Vec<JobSpec<Result<u64, String>>> = vec![
+            JobSpec::new("f/0", "finished v1 n=0", || Ok(7)),
+            JobSpec::new("f/1", "finished v1 n=1", move || {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while Instant::now() < deadline {
+                    if probe.get("finished v1 n=0").is_some() {
+                        return Ok(1);
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err("the first cell was not cached while the campaign ran".to_string())
+            }),
+        ];
+        let outcome = run_campaign_checked(
+            &pool,
+            Some((&cache, &codec)),
+            jobs,
+            &CampaignOptions::quiet(),
+            None,
+        );
+        assert!(outcome.is_complete(), "{:?}", outcome.failures);
+        assert_eq!(outcome.results, vec![Some(7), Some(1)]);
+        assert_eq!(cache.get("finished v1 n=1").as_deref(), Some("1"));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
