@@ -16,10 +16,11 @@
 //! * [`store`] — one on-disk keyed store: digest-named files that keep the
 //!   full key in one text frame, written through a temp file and a rename.
 //!   Two typed views share it: the [`ResultCache`] holds
-//!   text results keyed by the job's canonical key, so warm re-runs skip
-//!   simulation entirely; the [`SnapshotStore`] holds
-//!   post-warmup simulator states and mid-campaign checkpoints, so sweep
-//!   cells sharing a warmup fork from one snapshot instead of replaying it;
+//!   text results keyed by the job's canonical key, each written as its cell
+//!   finishes, so warm re-runs skip simulation entirely and a killed
+//!   campaign restarts from the cells it completed; the [`SnapshotStore`]
+//!   holds post-warmup simulator states, so sweep cells sharing a warmup
+//!   fork from one snapshot instead of replaying it;
 //! * [`progress`] — live queued/running/done + ETA reporting on stderr.
 //!
 //! ## Example

@@ -13,14 +13,13 @@
 //!
 //! Two views share this code and differ only in payload type and file
 //! extension. [`ResultCache`] holds text campaign results as
-//! `<digest>.txt`. [`SnapshotStore`] holds binary simulator snapshots as
-//! `<digest>.snap`: post-warmup states keyed by the warmup half of a sweep
-//! cell's configuration (so cells differing only inside the measurement
-//! window fork from one shared warmup), and mid-measurement checkpoints
-//! keyed by the full cell (so a killed campaign resumes instead of
-//! restarting). The payload's own integrity (result format version,
-//! snapshot version and config fingerprint) is the caller's job; the store
-//! only frames and names it.
+//! `<digest>.txt`, each written as its cell finishes, so a killed campaign's
+//! rerun simulates only the cells it never completed. [`SnapshotStore`]
+//! holds binary post-warmup simulator states as `<digest>.snap`, keyed by
+//! the warmup half of a sweep cell's configuration, so cells differing only
+//! inside the measurement window fork from one shared warmup. The payload's
+//! own integrity (result format version, snapshot version and config
+//! fingerprint) is the caller's job; the store only frames and names it.
 //!
 //! Writes go through a uniquely named temp file and an atomic rename, so
 //! concurrent campaign workers never observe torn entries. Unreadable,
@@ -140,20 +139,6 @@ impl<P: Payload> KeyedStore<P> {
             f.write_all(payload.as_ref())?;
         }
         std::fs::rename(&tmp_path, self.path_of(key))
-    }
-
-    /// Removes the entry for `key`, if present. Returns whether an entry was
-    /// removed. Used to retire a cell's checkpoint once it completes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates deletion errors other than the file not existing.
-    pub fn remove(&self, key: &str) -> io::Result<bool> {
-        match std::fs::remove_file(self.path_of(key)) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
     }
 
     /// Number of entries currently stored.
@@ -325,8 +310,8 @@ mod tests {
             assert!(store.get("real key").is_none(), "{junk:?} read as a hit");
         }
         // So is a snapshot file in the older binary frame: magic, key
-        // length, key, blob. The runner then replays its warmup or restarts
-        // the cell, and the put that follows rewrites it in this frame.
+        // length, key, blob. The runner then replays its warmup, and the put
+        // that follows rewrites it in this frame.
         let mut old = b"ANOCSSTR".to_vec();
         old.extend_from_slice(&(b"real key".len() as u64).to_le_bytes());
         old.extend_from_slice(b"real key");
@@ -383,19 +368,6 @@ mod tests {
         store.put("k", b"old").expect("put");
         store.put("k", b"new longer blob").expect("put");
         assert_eq!(store.get("k").as_deref(), Some(&b"new longer blob"[..]));
-        assert_eq!(store.len(), 1);
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn remove_retires_one_entry() {
-        let store: SnapshotStore = temp_store("remove");
-        store.put("checkpoint x", b"state").expect("put");
-        store.put("checkpoint y", b"state").expect("put");
-        assert!(store.remove("checkpoint x").expect("remove"));
-        assert!(!store.remove("checkpoint x").expect("second remove"));
-        assert!(store.get("checkpoint x").is_none());
-        assert!(store.get("checkpoint y").is_some());
         assert_eq!(store.len(), 1);
         let _ = std::fs::remove_dir_all(store.dir());
     }

@@ -24,9 +24,7 @@ use anoc_traffic::{Benchmark, DestPattern};
 
 use crate::config::{Mechanism, SystemConfig};
 use crate::persist::{decode_run_result, encode_run_result};
-use crate::runner::{
-    publish_benchmark_warmup, run, RunResult, RunSpec, SnapshotPolicy, StagedInfo, Traffic,
-};
+use crate::runner::{publish_benchmark_warmup, run, RunResult, RunSpec, StagedInfo, Traffic};
 
 /// The [`ResultCodec`] storing [`RunResult`]s in the campaign cache.
 pub struct RunResultCodec;
@@ -52,10 +50,7 @@ pub struct ExecContext {
     cached_jobs: AtomicU64,
     keep_going: AtomicBool,
     failed_cells: AtomicU64,
-    checkpoint_every: AtomicU64,
-    resume: AtomicBool,
     forked_jobs: AtomicU64,
-    resumed_jobs: AtomicU64,
     skipped_cycles: AtomicU64,
 }
 
@@ -75,10 +70,7 @@ impl ExecContext {
             cached_jobs: AtomicU64::new(0),
             keep_going: AtomicBool::new(false),
             failed_cells: AtomicU64::new(0),
-            checkpoint_every: AtomicU64::new(0),
-            resume: AtomicBool::new(false),
             forked_jobs: AtomicU64::new(0),
-            resumed_jobs: AtomicU64::new(0),
             skipped_cycles: AtomicU64::new(0),
         }
     }
@@ -98,16 +90,14 @@ pub struct ExecTotals {
     pub cached_jobs: u64,
     /// Executed jobs whose warmup was forked from a snapshot.
     pub forked_jobs: u64,
-    /// Executed jobs resumed from a mid-measurement checkpoint.
-    pub resumed_jobs: u64,
     /// Cycles in `sim_cycles` that were restored rather than simulated
-    /// (forked warmups, resumed measurement prefixes).
+    /// (forked warmups).
     pub skipped_cycles: u64,
 }
 
 impl ExecTotals {
     /// Cycles that were actually stepped: `sim_cycles` counts each result's
-    /// full simulated time, so restored (forked/resumed) cycles come off.
+    /// full simulated time, so restored (forked) cycles come off.
     pub fn simulated_cycles(&self) -> u64 {
         self.sim_cycles.saturating_sub(self.skipped_cycles)
     }
@@ -174,33 +164,10 @@ impl ExecContext {
         self.snapshots.as_ref()
     }
 
-    /// Checkpoint executed cells every N measured cycles (0 disables).
-    pub fn set_checkpoint_every(&self, cycles: u64) {
-        self.checkpoint_every.store(cycles, Ordering::Relaxed);
-    }
-
-    /// The configured checkpoint interval (0 when disabled).
-    pub fn checkpoint_every(&self) -> u64 {
-        self.checkpoint_every.load(Ordering::Relaxed)
-    }
-
-    /// Lets cells restart from their last stored checkpoint.
-    pub fn set_resume(&self, enabled: bool) {
-        self.resume.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether checkpoint resumption is on.
-    pub fn resume(&self) -> bool {
-        self.resume.load(Ordering::Relaxed)
-    }
-
     /// Folds one cell's [`StagedInfo`] into the context totals.
     pub fn note_staged(&self, info: &StagedInfo) {
         if info.forked {
             self.forked_jobs.fetch_add(1, Ordering::Relaxed);
-        }
-        if info.resumed {
-            self.resumed_jobs.fetch_add(1, Ordering::Relaxed);
         }
         self.skipped_cycles
             .fetch_add(info.skipped_cycles, Ordering::Relaxed);
@@ -317,7 +284,6 @@ impl ExecContext {
             executed_jobs: self.executed_jobs.load(Ordering::Relaxed),
             cached_jobs: self.cached_jobs.load(Ordering::Relaxed),
             forked_jobs: self.forked_jobs.load(Ordering::Relaxed),
-            resumed_jobs: self.resumed_jobs.load(Ordering::Relaxed),
             skipped_cycles: self.skipped_cycles.load(Ordering::Relaxed),
         }
     }
@@ -439,19 +405,11 @@ fn run_benchmark_cell(
     seed: u64,
 ) -> Result<RunResult, SimError> {
     let ctx = installed_context();
-    let policy = match ctx {
-        Some(c) => SnapshotPolicy {
-            store: c.snapshots(),
-            checkpoint_every: c.checkpoint_every(),
-            resume: c.resume(),
-        },
-        None => SnapshotPolicy::cold(),
-    };
     let outcome = run(RunSpec {
         traffic: Traffic::Benchmark {
             benchmark,
             seed,
-            snapshots: policy,
+            snapshots: ctx.and_then(ExecContext::snapshots),
         },
         mechanism,
         config,

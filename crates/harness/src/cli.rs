@@ -50,12 +50,6 @@ options:
   --grids N     scale target only: sweep the N smallest meshes (default 3)
   --no-cache    always simulate; do not read or write the result cache
                 (also disables the warm-start snapshot store)
-  --checkpoint-every N
-                snapshot each in-flight benchmark cell every N measured
-                cycles, so a killed campaign can restart with --resume
-                (default 0 = off); a cell checkpoints only at multiples of
-                N below its measured cycles
-  --resume      restart killed cells from their last checkpoint
   --csv         emit CSV instead of a text table
   --json        emit JSON instead of a text table (every target with a
                 CSV form; table1 and fig17 print text)
@@ -86,8 +80,6 @@ struct Opts {
     threads: Option<usize>,
     grids: usize,
     no_cache: bool,
-    checkpoint_every: u64,
-    resume: bool,
     csv: bool,
     json: bool,
     keep_going: bool,
@@ -116,8 +108,6 @@ impl Default for Opts {
             threads: None,
             grids: 3,
             no_cache: false,
-            checkpoint_every: 0,
-            resume: false,
             csv: false,
             json: false,
             keep_going: false,
@@ -245,8 +235,6 @@ fn parse(argv: &[String]) -> Result<Command, String> {
             "--threads" => opts.threads = Some(num("--threads", 1)? as usize),
             "--grids" => opts.grids = num("--grids", 1)? as usize,
             "--no-cache" => opts.no_cache = true,
-            "--checkpoint-every" => opts.checkpoint_every = num("--checkpoint-every", 0)?,
-            "--resume" => opts.resume = true,
             "--csv" => opts.csv = true,
             "--json" => opts.json = true,
             "--keep-going" => opts.keep_going = true,
@@ -284,8 +272,6 @@ fn install_context(opts: &Opts) -> Result<(), String> {
     campaign::configure(opts.threads, cache, snapshots);
     let ctx = campaign::context();
     ctx.set_keep_going(opts.keep_going);
-    ctx.set_checkpoint_every(opts.checkpoint_every);
-    ctx.set_resume(opts.resume);
     Ok(())
 }
 
@@ -385,11 +371,10 @@ fn print_sim_summary() {
             t.cycles_per_second() / 1e6,
         );
     }
-    if t.forked_jobs > 0 || t.resumed_jobs > 0 {
+    if t.forked_jobs > 0 {
         eprintln!(
-            "forked {} cell(s) from warmup snapshots, resumed {} from checkpoints: {:.2} Mcycles restored instead of simulated",
+            "forked {} cell(s) from warmup snapshots: {:.2} Mcycles restored instead of simulated",
             t.forked_jobs,
-            t.resumed_jobs,
             t.skipped_cycles as f64 / 1e6,
         );
     }
@@ -796,24 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_and_resume_flags_parse() {
-        match parse_strs(&["run", "fig13", "--checkpoint-every", "5000", "--resume"])
-            .expect("parse")
-        {
-            Command::Run { target, opts } => {
-                assert_eq!(target, "fig13");
-                assert_eq!(opts.checkpoint_every, 5000);
-                assert!(opts.resume);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        let d = Opts::default();
-        assert_eq!(d.checkpoint_every, 0);
-        assert!(!d.resume);
-        assert!(parse_strs(&["run", "fig13", "--checkpoint-every"]).is_err());
-    }
-
-    #[test]
     fn cache_subcommands_parse() {
         assert!(matches!(
             parse_strs(&["cache", "stats"]),
@@ -834,6 +801,16 @@ mod tests {
         assert!(parse_strs(&["run", "fig99"]).is_err());
         assert!(parse_strs(&["run", "fig9", "--cycles"]).is_err());
         assert!(parse_strs(&["run", "fig9", "--frobnicate"]).is_err());
+        // Retired flags are refused, not ignored: a killed campaign
+        // restarts from the result cache, with no flag.
+        for argv in [
+            &["run", "fig13", "--resume"][..],
+            &["run", "fig13", "--checkpoint-every", "5000"],
+        ] {
+            assert!(parse_strs(argv).is_err(), "{argv:?} parses");
+            let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+            assert_eq!(run_argv(&argv), 2);
+        }
         // Zero is no "target default" or "one" in disguise.
         for (target, flag) in [
             ("fig9", "--cycles"),

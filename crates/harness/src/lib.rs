@@ -24,7 +24,7 @@
 //! ## Example
 //!
 //! ```
-//! use anoc_harness::runner::{run, RunSpec, SnapshotPolicy, Traffic};
+//! use anoc_harness::runner::{run, RunSpec, Traffic};
 //! use anoc_harness::{Mechanism, SystemConfig};
 //! use anoc_traffic::Benchmark;
 //!
@@ -33,14 +33,14 @@
 //!     traffic: Traffic::Benchmark {
 //!         benchmark: Benchmark::X264,
 //!         seed: 7,
-//!         snapshots: SnapshotPolicy::cold(),
+//!         snapshots: None,
 //!     },
 //!     mechanism: Mechanism::FpVaxx,
 //!     config: &config,
 //! })
 //! .expect("no watchdog or bound-checker abort");
 //! assert!(outcome.result.data_quality() > 0.9);
-//! assert!(!outcome.staged.forked, "a cold policy never forks");
+//! assert!(!outcome.staged.forked, "a run without a store never forks");
 //! ```
 
 #![warn(missing_docs)]

@@ -6,10 +6,9 @@
 //! measurement boundary are the encoders retargeted to the configured
 //! threshold, the bound checker armed and measurement begun. The
 //! warmup trajectory is therefore identical for every threshold variant of a
-//! sweep, which is what lets the [`SnapshotPolicy`] fork those variants from
-//! one shared post-warmup snapshot instead of replaying the warmup per cell.
-
-use std::ops::RangeInclusive;
+//! sweep, which is what lets a benchmark cell with a snapshot store
+//! ([`Traffic::Benchmark`]) fork those variants from one shared post-warmup
+//! snapshot instead of replaying the warmup per cell.
 
 use anoc_core::snap::{SnapReader, SnapWriter};
 use anoc_core::threshold::ErrorThreshold;
@@ -18,7 +17,7 @@ use anoc_exec::SnapshotStore;
 use anoc_noc::{ActivityReport, NetStats, NocSim, SimError};
 use anoc_traffic::{Benchmark, BenchmarkTraffic, Injection, TrafficSource};
 
-use crate::campaign::{cell_key, warmup_key};
+use crate::campaign::warmup_key;
 use crate::config::{Mechanism, SystemConfig};
 
 /// The result of one simulation run.
@@ -84,35 +83,6 @@ impl RunResult {
     }
 }
 
-/// How one run interacts with the on-disk [`SnapshotStore`].
-///
-/// [`cold`](SnapshotPolicy::cold) is a plain replayed-warmup run. With a
-/// store, the run forks from the shared post-warmup snapshot (publishing it
-/// first when absent), `checkpoint_every` periodically checkpoints the
-/// measurement window, and `resume` restarts a killed cell from its last
-/// checkpoint. The store keys are the cell's own, derived from its
-/// benchmark, mechanism, configuration and seed: the warmup snapshot sits
-/// under [`warmup_key`] and the checkpoints under the [`checkpoint_key`] of
-/// its [`cell_key`], both of the `bench` kind. Every snapshot miss, stale
-/// blob or restore failure silently degrades to the cold path — the store
-/// can make a campaign slower, never wrong.
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotPolicy<'a> {
-    /// The snapshot store, or `None` for a purely cold run.
-    pub store: Option<&'a SnapshotStore>,
-    /// Checkpoint every N measured cycles (0 disables checkpointing).
-    pub checkpoint_every: u64,
-    /// Restart from the cell's last checkpoint if one exists.
-    pub resume: bool,
-}
-
-impl SnapshotPolicy<'_> {
-    /// A policy that never touches a snapshot store.
-    pub fn cold() -> Self {
-        SnapshotPolicy::default()
-    }
-}
-
 /// Execution metadata of one staged run — how the result was obtained, never
 /// part of the (cacheable) result itself, so warm and cold cells stay
 /// bit-identical.
@@ -120,10 +90,8 @@ impl SnapshotPolicy<'_> {
 pub struct StagedInfo {
     /// The warmup was restored from a snapshot instead of simulated.
     pub forked: bool,
-    /// The measurement window resumed from a mid-run checkpoint.
-    pub resumed: bool,
-    /// Simulated cycles avoided by forking/resuming (still counted in the
-    /// result's `total_cycles`, which reflects simulated *time*, not work).
+    /// Simulated cycles avoided by forking (still counted in the result's
+    /// `total_cycles`, which reflects simulated *time*, not work).
     pub skipped_cycles: u64,
 }
 
@@ -131,14 +99,19 @@ pub struct StagedInfo {
 pub enum Traffic<'a> {
     /// `benchmark`-shaped traffic from `seed`. The runner builds the source
     /// itself, so it can rebuild it after a failed snapshot restore — which
-    /// is why only this traffic carries a [`SnapshotPolicy`].
+    /// is why only this traffic may use the snapshot store.
     Benchmark {
         /// The benchmark whose traffic and data values are modelled.
         benchmark: Benchmark,
         /// The traffic/data RNG seed.
         seed: u64,
-        /// How the run uses the snapshot store.
-        snapshots: SnapshotPolicy<'a>,
+        /// The store the cell forks its post-warmup snapshot from, and
+        /// publishes it to when it runs cold; `None` runs cold and touches
+        /// no store. The snapshot sits under the cell's [`warmup_key`], of
+        /// the `bench` kind. A miss, a stale blob or a failed restore
+        /// degrades to the cold path: the store can make a campaign slower,
+        /// never wrong.
+        snapshots: Option<&'a SnapshotStore>,
     },
     /// A caller-owned source, ticked from cycle 0. Runs cold.
     Source(&'a mut dyn TrafficSource),
@@ -160,16 +133,15 @@ pub struct RunSpec<'a> {
 pub struct RunOutcome {
     /// The run's result, bit-identical however it was obtained.
     pub result: RunResult,
-    /// Whether the run forked or resumed, and the cycles that saved.
+    /// Whether the run forked, and the cycles that saved.
     pub staged: StagedInfo,
 }
 
 /// Runs `spec` for the configured warmup + measurement window, then drains.
 ///
-/// Benchmark traffic walks its policy's snapshot ladder: resume the cell
-/// from its last checkpoint if asked, else fork from the shared post-warmup
-/// snapshot, else run cold and publish that snapshot for the next cell. A
-/// caller-owned source runs cold. Warm and cold results are bit-identical.
+/// Benchmark traffic with a store forks from the shared post-warmup
+/// snapshot, else runs cold and publishes that snapshot for the next cell.
+/// A caller-owned source runs cold. Warm and cold results are bit-identical.
 ///
 /// # Errors
 ///
@@ -186,7 +158,7 @@ pub fn run(spec: RunSpec<'_>) -> Result<RunOutcome, SimError> {
             benchmark,
             seed,
             snapshots,
-        } => StagedCell::new(benchmark, mechanism, config, seed, &snapshots).run(),
+        } => StagedCell::new(benchmark, mechanism, config, seed, snapshots).run(),
         Traffic::Source(source) => cold_run(source, mechanism, config, None),
     }
 }
@@ -220,7 +192,7 @@ pub fn try_run_benchmark(
         traffic: Traffic::Benchmark {
             benchmark,
             seed,
-            snapshots: SnapshotPolicy::cold(),
+            snapshots: None,
         },
         mechanism,
         config,
@@ -241,51 +213,35 @@ pub fn publish_benchmark_warmup(
     seed: u64,
     store: &SnapshotStore,
 ) -> Result<bool, SimError> {
-    let policy = SnapshotPolicy {
-        store: Some(store),
-        ..SnapshotPolicy::cold()
-    };
-    let cell = StagedCell::new(benchmark, mechanism, config, seed, &policy);
-    let warmup = config.warmup_cycles;
-    if cell.restore(STAGE_WARMUP, warmup..=warmup).is_some() {
+    let cell = StagedCell::new(benchmark, mechanism, config, seed, Some(store));
+    if cell.restore().is_some() {
         return Ok(false);
     }
     let mut sim = armed_sim(mechanism, config);
     let mut source = benchmark_source(benchmark, config, seed);
-    let keys = cell.keys.as_ref();
-    warm_up(&mut sim, &mut source, config, keys, &mut Vec::new())?;
+    warm_up(
+        &mut sim,
+        &mut source,
+        config,
+        cell.warmup.as_ref(),
+        &mut Vec::new(),
+    )?;
     Ok(true)
 }
 
-/// The store key of a cell's mid-measurement checkpoint. It carries the
-/// result-format version: a checkpoint holds codec state verbatim (DI-VAXX
-/// key masks included), so one written under an older format must not resume
-/// into this build's model and be cached as a current result.
-pub fn checkpoint_key(cell_key: &str) -> String {
-    format!(
-        "checkpoint v{} {cell_key}",
-        crate::persist::RESULT_FORMAT_VERSION
-    )
-}
-
-/// Stage tag of a post-warmup snapshot in a store blob.
+/// Stage tag of a post-warmup snapshot in a store blob, the only stage a
+/// blob holds. The frame keeps the tag, so warmups stored by earlier builds
+/// still restore and a blob framed for any other stage is refused.
 const STAGE_WARMUP: u32 = 1;
-/// Stage tag of a mid-measurement checkpoint in a store blob.
-const STAGE_CHECKPOINT: u32 = 2;
 
 fn benchmark_source(benchmark: Benchmark, config: &SystemConfig, seed: u64) -> BenchmarkTraffic {
     BenchmarkTraffic::new(benchmark, config.noc.num_nodes(), config.approx_ratio, seed)
 }
 
-/// A staged cell's snapshot store and its keys there.
-struct StoreKeys<'a> {
+/// A staged cell's snapshot store and its post-warmup snapshot's key there.
+struct WarmupSlot<'a> {
     store: &'a SnapshotStore,
-    /// The shared post-warmup snapshot's key.
-    warmup: String,
-    /// The key of the cell's mid-measurement checkpoint.
-    checkpoint: String,
-    /// Checkpoint every N measured cycles (0 disables checkpointing).
-    checkpoint_every: u64,
+    key: String,
 }
 
 /// A benchmark cell: the one kind of run the runner can rebuild from
@@ -295,9 +251,8 @@ struct StagedCell<'a> {
     seed: u64,
     mechanism: Mechanism,
     config: &'a SystemConfig,
-    resume: bool,
     /// `None` for a cold run.
-    keys: Option<StoreKeys<'a>>,
+    warmup: Option<WarmupSlot<'a>>,
 }
 
 impl<'a> StagedCell<'a> {
@@ -306,113 +261,82 @@ impl<'a> StagedCell<'a> {
         mechanism: Mechanism,
         config: &'a SystemConfig,
         seed: u64,
-        policy: &SnapshotPolicy<'a>,
+        store: Option<&'a SnapshotStore>,
     ) -> Self {
-        let (m, b) = (mechanism.name(), benchmark.name());
-        let keys = policy.store.map(|store| StoreKeys {
+        let warmup = store.map(|store| WarmupSlot {
             store,
-            warmup: warmup_key("bench", config, m, b, seed),
-            checkpoint: checkpoint_key(&cell_key("bench", config, m, b, seed)),
-            checkpoint_every: policy.checkpoint_every,
+            key: warmup_key("bench", config, mechanism.name(), benchmark.name(), seed),
         });
         StagedCell {
             benchmark,
             seed,
             mechanism,
             config,
-            resume: policy.resume,
-            keys,
+            warmup,
         }
     }
 
-    /// Resume from the cell's last checkpoint if asked, else fork from the
-    /// shared post-warmup snapshot, else run cold (publishing the warmup for
-    /// the sweep's next cells).
+    /// Forks from the shared post-warmup snapshot, else runs cold
+    /// (publishing the warmup for the sweep's next cells).
     fn run(&self) -> Result<RunOutcome, SimError> {
-        let warmup = self.config.warmup_cycles;
-        let total = warmup + self.config.sim_cycles;
-        let resume = self.resume.then_some((STAGE_CHECKPOINT, warmup..=total));
-        for (tag, cycles) in resume.into_iter().chain([(STAGE_WARMUP, warmup..=warmup)]) {
-            let Some((mut sim, mut source)) = self.restore(tag, cycles) else {
-                continue;
-            };
-            let staged = StagedInfo {
-                forked: tag == STAGE_WARMUP,
-                resumed: tag == STAGE_CHECKPOINT,
-                skipped_cycles: sim.cycle(),
-            };
-            arm_measurement(&mut sim, self.config);
-            // Only a fork begins measuring: a checkpoint continues the
-            // measurement it saved.
-            if staged.forked {
-                sim.begin_measurement();
-            }
-            let result = measure(
-                &mut sim,
+        let Some((mut sim, mut source)) = self.restore() else {
+            let mut source = benchmark_source(self.benchmark, self.config, self.seed);
+            return cold_run(
                 &mut source,
                 self.mechanism,
                 self.config,
-                self.keys.as_ref(),
-                &mut Vec::new(),
-            )?;
-            return Ok(RunOutcome { result, staged });
-        }
-        let mut source = benchmark_source(self.benchmark, self.config, self.seed);
-        cold_run(&mut source, self.mechanism, self.config, self.keys.as_ref())
+                self.warmup.as_ref(),
+            );
+        };
+        let staged = StagedInfo {
+            forked: true,
+            skipped_cycles: sim.cycle(),
+        };
+        let result = measure(
+            &mut sim,
+            &mut source,
+            self.mechanism,
+            self.config,
+            &mut Vec::new(),
+        )?;
+        Ok(RunOutcome { result, staged })
     }
 
-    /// Restores the cell's stage-`tag` blob — its checkpoint or the shared
-    /// post-warmup snapshot — into a freshly armed simulator and source.
-    /// `None` when the store holds no such blob, or when the blob does not
-    /// restore or stands at a cycle outside `cycles`; that blob is reported,
-    /// and a checkpoint is deleted so the next resume does not trip over it
-    /// again.
-    fn restore(&self, tag: u32, cycles: RangeInclusive<u64>) -> Option<(NocSim, BenchmarkTraffic)> {
-        let keys = self.keys.as_ref()?;
-        let key = if tag == STAGE_CHECKPOINT {
-            &keys.checkpoint
-        } else {
-            &keys.warmup
-        };
-        let blob = keys.store.get(key)?;
+    /// Restores the shared post-warmup snapshot into a freshly armed
+    /// simulator and source. `None` when the cell has no store, the store
+    /// holds no such blob, or the blob does not restore or stands at another
+    /// cycle than the warmup's end; that blob is reported.
+    fn restore(&self) -> Option<(NocSim, BenchmarkTraffic)> {
+        let WarmupSlot { store, key } = self.warmup.as_ref()?;
+        let blob = store.get(key)?;
         let mut sim = armed_sim(self.mechanism, self.config);
         let mut source = benchmark_source(self.benchmark, self.config, self.seed);
-        let restored =
-            thaw(&blob, tag, fnv1a64(key.as_bytes()), &mut sim, &mut source).and_then(|()| {
-                if cycles.contains(&sim.cycle()) {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "it stands at cycle {}, outside {}..={}",
-                        sim.cycle(),
-                        cycles.start(),
-                        cycles.end()
-                    ))
-                }
-            });
-        let Err(msg) = restored else {
-            return Some((sim, source));
-        };
-        // Counted as a cold cell, never a panic: the half-restored pair is
-        // dropped and the caller falls through to the next rung.
-        if tag == STAGE_CHECKPOINT {
-            eprintln!("'{key}' unusable ({msg}); restarting the cell");
-            let _ = keys.store.remove(key);
-        } else {
-            eprintln!("warmup snapshot '{key}' unusable ({msg}); replaying warmup");
+        let warmup = self.config.warmup_cycles;
+        let restored = thaw(&blob, fnv1a64(key.as_bytes()), &mut sim, &mut source).and_then(|()| {
+            match sim.cycle() {
+                cycle if cycle == warmup => Ok(()),
+                cycle => Err(format!("it stands at cycle {cycle}, not {warmup}")),
+            }
+        });
+        match restored {
+            Ok(()) => Some((sim, source)),
+            // Counted as a cold cell, never a panic: the half-restored pair
+            // is dropped and the caller replays the warmup.
+            Err(msg) => {
+                eprintln!("warmup snapshot '{key}' unusable ({msg}); replaying warmup");
+                None
+            }
         }
-        None
     }
 }
 
 /// The cold path: build and arm a simulator, warm up (publishing the
-/// post-warmup snapshot when a staged cell has a store), arm the measurement
-/// boundary, measure.
+/// post-warmup snapshot when a staged cell has a store), measure.
 fn cold_run(
     source: &mut dyn TrafficSource,
     mechanism: Mechanism,
     config: &SystemConfig,
-    keys: Option<&StoreKeys<'_>>,
+    warmup: Option<&WarmupSlot<'_>>,
 ) -> Result<RunOutcome, SimError> {
     let (nodes, noc) = (source.num_nodes(), config.noc.num_nodes());
     if nodes != noc {
@@ -420,12 +344,8 @@ fn cold_run(
     }
     let mut sim = armed_sim(mechanism, config);
     let mut buf = Vec::new();
-    warm_up(&mut sim, source, config, keys, &mut buf)?;
-    arm_measurement(&mut sim, config);
-    // Unconditional: a zero-cycle warmup (even with a zero-cycle measurement
-    // window) still arms measurement, so the statistics are well-defined.
-    sim.begin_measurement();
-    let result = measure(&mut sim, source, mechanism, config, keys, &mut buf)?;
+    warm_up(&mut sim, source, config, warmup, &mut buf)?;
+    let result = measure(&mut sim, source, mechanism, config, &mut buf)?;
     Ok(RunOutcome {
         result,
         staged: StagedInfo::default(),
@@ -494,12 +414,12 @@ fn warm_up(
     sim: &mut NocSim,
     source: &mut dyn TrafficSource,
     config: &SystemConfig,
-    keys: Option<&StoreKeys<'_>>,
+    warmup: Option<&WarmupSlot<'_>>,
     buf: &mut Vec<Injection>,
 ) -> Result<(), SimError> {
     drive(sim, source, config.warmup_cycles, buf)?;
-    if let Some(keys) = keys {
-        publish(keys.store, &keys.warmup, STAGE_WARMUP, sim, source);
+    if let Some(WarmupSlot { store, key }) = warmup {
+        publish(store, key, sim, source);
     }
     Ok(())
 }
@@ -508,9 +428,8 @@ fn warm_up(
 /// threshold — unless QoS is active: the per-flow controllers own the
 /// encoder thresholds (lazily reinstalled per enqueue), and a global
 /// retarget would stomp what they learned. The bound checker arms at
-/// [`SystemConfig::bound_threshold`] on every run. Restored runs come
-/// through here too, since the snapshot format deliberately excludes all of
-/// this.
+/// [`SystemConfig::bound_threshold`] on every run. Forked runs come through
+/// here too, since the snapshot format deliberately excludes all of this.
 fn arm_measurement(sim: &mut NocSim, config: &SystemConfig) {
     if !config.qos.is_active() {
         sim.set_error_threshold(config.threshold());
@@ -518,37 +437,25 @@ fn arm_measurement(sim: &mut NocSim, config: &SystemConfig) {
     sim.set_bound_check(config.bound_threshold());
 }
 
-/// Runs the measurement window from wherever `sim` stands to its end,
-/// checkpointing when the run has a store and an interval, then drains,
-/// retires the cell's checkpoint and assembles the [`RunResult`].
+/// Arms the measurement boundary at the warmup's end, runs the measurement
+/// window, then drains and assembles the [`RunResult`].
 fn measure(
     sim: &mut NocSim,
     source: &mut dyn TrafficSource,
     mechanism: Mechanism,
     config: &SystemConfig,
-    keys: Option<&StoreKeys<'_>>,
     buf: &mut Vec<Injection>,
 ) -> Result<RunResult, SimError> {
-    let total = config.warmup_cycles + config.sim_cycles;
-    let checkpoint = keys.filter(|k| k.checkpoint_every > 0);
-    while sim.cycle() < total {
-        step_cycle(sim, source, buf)?;
-        if let Some(k) = checkpoint {
-            let measured = sim.cycle() - config.warmup_cycles;
-            if sim.cycle() < total && measured.is_multiple_of(k.checkpoint_every) {
-                publish(k.store, &k.checkpoint, STAGE_CHECKPOINT, sim, source);
-            }
-        }
-    }
+    arm_measurement(sim, config);
+    // Unconditional: a zero-cycle warmup (even with a zero-cycle measurement
+    // window) still arms measurement, so the statistics are well-defined.
+    sim.begin_measurement();
+    drive(sim, source, config.warmup_cycles + config.sim_cycles, buf)?;
     // Stop offering traffic; let in-flight measured packets finish.
     sim.end_measurement();
     let drained = sim.try_drain(config.drain_cycles)?;
     sim.discard_delivered();
     sim.record_unfinished();
-    if let Some(k) = keys {
-        // The cell completed: its checkpoint is spent.
-        let _ = k.store.remove(&k.checkpoint);
-    }
     Ok(RunResult {
         mechanism,
         stats: sim.stats().clone(),
@@ -564,12 +471,11 @@ fn measure(
 fn freeze(
     sim: &NocSim,
     source: &dyn TrafficSource,
-    tag: u32,
     fingerprint: u64,
 ) -> Result<Vec<u8>, anoc_noc::SnapshotError> {
     let sim_blob = sim.save_snapshot(fingerprint)?;
     let mut w = SnapWriter::new();
-    w.u32(tag);
+    w.u32(STAGE_WARMUP);
     w.u64(sim_blob.len() as u64);
     w.bytes(&sim_blob);
     source.save_state(&mut w);
@@ -579,11 +485,11 @@ fn freeze(
 /// Best-effort snapshot publication: a failed save or store write costs a
 /// replayed warmup next time, never the run. Sources that cannot snapshot
 /// publish nothing.
-fn publish(store: &SnapshotStore, key: &str, tag: u32, sim: &NocSim, source: &dyn TrafficSource) {
+fn publish(store: &SnapshotStore, key: &str, sim: &NocSim, source: &dyn TrafficSource) {
     if !source.snapshot_supported() {
         return;
     }
-    match freeze(sim, source, tag, fnv1a64(key.as_bytes())) {
+    match freeze(sim, source, fnv1a64(key.as_bytes())) {
         Ok(blob) => {
             if let Err(e) = store.put(key, &blob) {
                 eprintln!("snapshot write for '{key}' failed: {e}");
@@ -598,15 +504,14 @@ fn publish(store: &SnapshotStore, key: &str, tag: u32, sim: &NocSim, source: &dy
 /// discard both and rebuild for the cold path.
 fn thaw(
     blob: &[u8],
-    expect_tag: u32,
     fingerprint: u64,
     sim: &mut NocSim,
     source: &mut dyn TrafficSource,
 ) -> Result<(), String> {
     let mut r = SnapReader::new(blob);
     let tag = r.u32().map_err(|e| format!("stage tag: {e}"))?;
-    if tag != expect_tag {
-        return Err(format!("unexpected stage tag {tag} (want {expect_tag})"));
+    if tag != STAGE_WARMUP {
+        return Err(format!("unexpected stage tag {tag} (want {STAGE_WARMUP})"));
     }
     let len = r.u64().map_err(|e| format!("sim-blob length: {e}"))?;
     let len = usize::try_from(len).map_err(|_| "sim-blob length overflows".to_string())?;
@@ -736,19 +641,19 @@ mod tests {
         }
     }
 
-    /// One benchmark cell under `policy`, through [`run`].
+    /// One benchmark cell over `store`, through [`run`].
     fn staged_cell(
         benchmark: Benchmark,
         mechanism: Mechanism,
         config: &SystemConfig,
         seed: u64,
-        policy: &SnapshotPolicy<'_>,
+        store: Option<&SnapshotStore>,
     ) -> Result<(RunResult, StagedInfo), SimError> {
         let outcome = run(RunSpec {
             traffic: Traffic::Benchmark {
                 benchmark,
                 seed,
-                snapshots: policy.clone(),
+                snapshots: store,
             },
             mechanism,
             config,
@@ -762,27 +667,14 @@ mod tests {
         SnapshotStore::open(dir).expect("open temp store")
     }
 
-    /// A cell's store keys: its warmup snapshot's and its checkpoint's.
-    fn store_keys(
+    /// A cell's warmup snapshot key.
+    fn cell_warmup_key(
         benchmark: Benchmark,
         mechanism: Mechanism,
         config: &SystemConfig,
         seed: u64,
-    ) -> (String, String) {
-        let (m, b) = (mechanism.name(), benchmark.name());
-        let warmup = warmup_key("bench", config, m, b, seed);
-        (
-            warmup,
-            checkpoint_key(&cell_key("bench", config, m, b, seed)),
-        )
-    }
-
-    /// A policy that forks from (or publishes to) `store`.
-    fn stored(store: &SnapshotStore) -> SnapshotPolicy<'_> {
-        SnapshotPolicy {
-            store: Some(store),
-            ..SnapshotPolicy::cold()
-        }
+    ) -> String {
+        warmup_key("bench", config, mechanism.name(), benchmark.name(), seed)
     }
 
     /// Regression for the zero-warmup corner: `begin_measurement` arming
@@ -817,7 +709,7 @@ mod tests {
         let store = temp_store("fork");
         let cfg = SystemConfig::paper().with_sim_cycles(2_500);
         let (bench, mech, seed) = (Benchmark::Ssca2, Mechanism::FpVaxx, 13);
-        let (wk, ck) = store_keys(bench, mech, &cfg, seed);
+        let wk = cell_warmup_key(bench, mech, &cfg, seed);
         assert!(
             publish_benchmark_warmup(bench, mech, &cfg, seed, &store).expect("warmup runs"),
             "first publish simulates the warmup"
@@ -826,12 +718,8 @@ mod tests {
             !publish_benchmark_warmup(bench, mech, &cfg, seed, &store).expect("no-op"),
             "second publish restores the stored snapshot"
         );
-        let policy = SnapshotPolicy {
-            checkpoint_every: 700,
-            ..stored(&store)
-        };
-        let (warm, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("forked run");
-        assert!(info.forked && !info.resumed);
+        let (warm, info) = staged_cell(bench, mech, &cfg, seed, Some(&store)).expect("forked run");
+        assert!(info.forked);
         assert_eq!(info.skipped_cycles, cfg.warmup_cycles);
         let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold run");
         assert_eq!(
@@ -839,14 +727,11 @@ mod tests {
             crate::persist::encode_run_result(&cold),
             "forking the warmup changed the measured result"
         );
-        assert!(
-            store.get(&ck).is_none(),
-            "completed cell retires its checkpoint"
-        );
         // A corrupt warmup blob degrades to a cold cell with the same result.
         store.put(&wk, b"garbage").expect("corrupt");
-        let (fallback, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("fallback run");
-        assert!(!info.forked && info.skipped_cycles == 0);
+        let (fallback, info) =
+            staged_cell(bench, mech, &cfg, seed, Some(&store)).expect("fallback run");
+        assert_eq!(info, StagedInfo::default());
         assert_eq!(
             crate::persist::encode_run_result(&fallback),
             crate::persist::encode_run_result(&cold)
@@ -872,9 +757,8 @@ mod tests {
             publish_benchmark_warmup(bench, mech, &cfg, seed, &store).expect("warmup runs"),
             "first publish simulates the warmup"
         );
-        let (warm, info) =
-            staged_cell(bench, mech, &cfg, seed, &stored(&store)).expect("forked run");
-        assert!(info.forked && !info.resumed);
+        let (warm, info) = staged_cell(bench, mech, &cfg, seed, Some(&store)).expect("forked run");
+        assert!(info.forked);
         let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold run");
         assert!(
             cold.data_quality() < 1.0,
@@ -890,193 +774,102 @@ mod tests {
     }
 
     #[test]
-    fn resume_from_checkpoint_is_bit_identical_and_retires_it() {
-        let store = temp_store("resume");
-        let cfg = SystemConfig::paper().with_sim_cycles(3_000);
-        let (bench, mech, seed) = (Benchmark::Ssca2, Mechanism::FpVaxx, 11);
-        let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold reference");
-        // Reproduce a killed cell: warmup + 600 measured cycles, checkpoint,
-        // then "die".
-        let mut source = BenchmarkTraffic::new(bench, cfg.noc.num_nodes(), cfg.approx_ratio, seed);
-        let mut sim = armed_sim(mech, &cfg);
-        let mut buf = Vec::new();
-        drive(&mut sim, &mut source, cfg.warmup_cycles, &mut buf).expect("warmup");
-        arm_measurement(&mut sim, &cfg);
-        sim.begin_measurement();
-        drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
-        let (_, ck) = store_keys(bench, mech, &cfg, seed);
-        publish(&store, &ck, STAGE_CHECKPOINT, &sim, &source);
-        assert!(store.get(&ck).is_some(), "checkpoint saved");
-        drop(sim);
-        let policy = SnapshotPolicy {
-            resume: true,
-            ..stored(&store)
-        };
-        let (resumed, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("resumed run");
-        assert!(info.resumed && !info.forked);
-        assert_eq!(info.skipped_cycles, cfg.warmup_cycles + 600);
-        assert_eq!(
-            crate::persist::encode_run_result(&resumed),
-            crate::persist::encode_run_result(&cold),
-            "resuming mid-measurement changed the result"
-        );
-        assert!(
-            store.get(&ck).is_none(),
-            "completed cell retires its checkpoint"
-        );
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
     fn warmup_stage_replays_an_unusable_snapshot() {
         let store = temp_store("stage");
         let cfg = SystemConfig::paper().with_sim_cycles(1_000);
         let (bench, mech, seed) = (Benchmark::Ssca2, Mechanism::DiVaxx, 5);
-        let (wk, _) = store_keys(bench, mech, &cfg, seed);
+        let wk = cell_warmup_key(bench, mech, &cfg, seed);
         // Blobs no cell can fork: a well-formed snapshot at the warmup's end
-        // framed as a checkpoint, and garbage.
+        // framed with stage tag 2, and garbage.
         let mut source = benchmark_source(bench, &cfg, seed);
         let mut sim = armed_sim(mech, &cfg);
         drive(&mut sim, &mut source, cfg.warmup_cycles, &mut Vec::new()).expect("warmup");
-        let framed = freeze(&sim, &source, STAGE_CHECKPOINT, fnv1a64(wk.as_bytes()));
-        for blob in [framed.expect("save"), b"garbage".to_vec()] {
+        let mut framed = freeze(&sim, &source, fnv1a64(wk.as_bytes())).expect("save");
+        assert_eq!(framed[..4], STAGE_WARMUP.to_le_bytes());
+        framed[..4].copy_from_slice(&2u32.to_le_bytes());
+        for blob in [framed, b"garbage".to_vec()] {
             store.put(&wk, &blob).expect("plant");
             assert!(
                 publish_benchmark_warmup(bench, mech, &cfg, seed, &store).expect("warmup runs"),
                 "the stage took an unusable snapshot as published"
             );
             assert!(!publish_benchmark_warmup(bench, mech, &cfg, seed, &store).expect("no-op"));
-            let (_, info) = staged_cell(bench, mech, &cfg, seed, &stored(&store)).expect("fork");
+            let (_, info) = staged_cell(bench, mech, &cfg, seed, Some(&store)).expect("fork");
             assert!(info.forked, "the cell did not fork the republished warmup");
         }
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    /// The cell the bad-checkpoint tests resume.
+    /// The cell the bad-warmup tests run.
     const BAD_CELL: (Benchmark, Mechanism, u64) = (Benchmark::Ssca2, Mechanism::FpVaxx, 11);
 
     fn bad_cell_config() -> SystemConfig {
         SystemConfig::paper().with_sim_cycles(2_000)
     }
 
-    /// Resumes [`BAD_CELL`] over the checkpoint `plant` stores, with no
-    /// warmup snapshot to fall back on. The failed restore must delete the
-    /// checkpoint on the spot — checked straight after it, since the cold
-    /// fallback retires the cell's checkpoint again when it completes — and
-    /// the cell must run cold, byte for byte, reporting no fork or resume.
-    fn resume_bad_checkpoint(name: &str, plant: impl Fn(&SnapshotStore, &str)) {
+    /// Runs [`BAD_CELL`] over the warmup blob `plant` stores under its key.
+    /// The cell must run cold, byte for byte, reporting no fork, and replace
+    /// the blob with its own warmup, which the next run of the cell forks.
+    fn fork_bad_warmup(name: &str, plant: impl Fn(&SnapshotStore, &str)) {
         let store = temp_store(name);
         let cfg = bad_cell_config();
         let (bench, mech, seed) = BAD_CELL;
-        let (_, key) = store_keys(bench, mech, &cfg, seed);
-        let policy = SnapshotPolicy {
-            resume: true,
-            ..stored(&store)
-        };
-        let cell = StagedCell::new(bench, mech, &cfg, seed, &policy);
+        let key = cell_warmup_key(bench, mech, &cfg, seed);
         plant(&store, &key);
-        assert!(store.get(&key).is_some(), "checkpoint planted");
-        let window = cfg.warmup_cycles..=cfg.warmup_cycles + cfg.sim_cycles;
-        assert!(cell.restore(STAGE_CHECKPOINT, window).is_none());
-        assert!(
-            store.get(&key).is_none(),
-            "failed restore deletes the checkpoint"
-        );
-
-        plant(&store, &key);
+        let planted = store.get(&key).expect("warmup planted");
         let (fallback, info) =
-            staged_cell(bench, mech, &cfg, seed, &policy).expect("cold fallback");
+            staged_cell(bench, mech, &cfg, seed, Some(&store)).expect("cold fallback");
         assert_eq!(info, StagedInfo::default());
         let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold reference");
+        let cold = crate::persist::encode_run_result(&cold);
         assert_eq!(
             crate::persist::encode_run_result(&fallback),
-            crate::persist::encode_run_result(&cold),
-            "a bad checkpoint changed the result"
+            cold,
+            "a bad warmup changed the result"
         );
+        assert_ne!(
+            store.get(&key),
+            Some(planted),
+            "the cold run left the bad warmup in the store"
+        );
+        let (forked, info) = staged_cell(bench, mech, &cfg, seed, Some(&store)).expect("fork");
         assert!(
-            store.get(&key).is_none(),
-            "bad checkpoint left in the store"
+            info.forked,
+            "the next run did not fork the republished warmup"
         );
+        assert_eq!(crate::persist::encode_run_result(&forked), cold);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
     #[test]
-    fn checkpoint_of_an_older_result_format_is_ignored() {
-        let store = temp_store("v7-checkpoint");
-        let cfg = bad_cell_config();
-        let (bench, mech, seed) = (Benchmark::Ssca2, Mechanism::DiVaxx, 11);
-        // A well-formed checkpoint 600 cycles into the window, stored under
-        // the unversioned key a v7 build wrote.
-        let mut source = benchmark_source(bench, &cfg, seed);
-        let mut sim = armed_sim(mech, &cfg);
-        let mut buf = Vec::new();
-        drive(&mut sim, &mut source, cfg.warmup_cycles, &mut buf).expect("warmup");
-        arm_measurement(&mut sim, &cfg);
-        sim.begin_measurement();
-        drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
-        let ck = cell_key("bench", &cfg, mech.name(), bench.name(), seed);
-        publish(
-            &store,
-            &format!("checkpoint {ck}"),
-            STAGE_CHECKPOINT,
-            &sim,
-            &source,
-        );
-        let policy = SnapshotPolicy {
-            resume: true,
-            ..stored(&store)
-        };
-        let (result, info) = staged_cell(bench, mech, &cfg, seed, &policy).expect("cold run");
-        assert_eq!(info, StagedInfo::default(), "a v7 checkpoint resumed");
-        let cold = try_run_benchmark(bench, mech, &cfg, seed).expect("cold reference");
-        assert_eq!(
-            crate::persist::encode_run_result(&result),
-            crate::persist::encode_run_result(&cold)
-        );
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
-    fn garbage_checkpoint_is_deleted_and_the_cell_runs_cold() {
-        resume_bad_checkpoint("garbage-checkpoint", |store, key| {
-            store.put(key, b"garbage").expect("plant garbage");
-        });
-    }
-
-    #[test]
-    fn checkpoint_naming_a_node_outside_the_mesh_is_deleted_and_the_cell_runs_cold() {
+    fn warmup_naming_a_node_outside_the_mesh_runs_the_cell_cold() {
         let cfg = bad_cell_config();
         let (bench, mech, seed) = BAD_CELL;
-        resume_bad_checkpoint("node-checkpoint", |store, key| {
-            // Well-formed and inside the window, but the first packet's
+        fork_bad_warmup("node-warmup", |store, key| {
+            // Well-formed and at the warmup's end, but the first packet's
             // source is node 1000: the frame's 12 bytes, then 56 header
             // bytes, 57 bytes of scalars, the packet count and its id.
             let mut source = benchmark_source(bench, &cfg, seed);
             let mut sim = armed_sim(mech, &cfg);
-            let mut buf = Vec::new();
-            drive(&mut sim, &mut source, cfg.warmup_cycles, &mut buf).expect("warmup");
-            arm_measurement(&mut sim, &cfg);
-            sim.begin_measurement();
-            drive(&mut sim, &mut source, cfg.warmup_cycles + 600, &mut buf).expect("measure");
-            let fingerprint = fnv1a64(key.as_bytes());
-            let mut blob = freeze(&sim, &source, STAGE_CHECKPOINT, fingerprint).expect("save");
+            drive(&mut sim, &mut source, cfg.warmup_cycles, &mut Vec::new()).expect("warmup");
+            let mut blob = freeze(&sim, &source, fnv1a64(key.as_bytes())).expect("save");
             assert!(blob[125..133] != [0; 8], "want a packet in the blob");
             blob[141..145].copy_from_slice(&1000u32.to_le_bytes());
-            store.put(key, &blob).expect("plant checkpoint");
+            store.put(key, &blob).expect("plant warmup");
         });
     }
 
     #[test]
-    fn checkpoint_outside_the_window_is_deleted_and_the_cell_runs_cold() {
+    fn warmup_saved_before_the_warmup_ends_runs_the_cell_cold() {
         let cfg = bad_cell_config();
         let (bench, mech, seed) = BAD_CELL;
-        resume_bad_checkpoint("early-checkpoint", |store, key| {
-            // Well-formed, but taken 100 cycles before measurement began.
+        fork_bad_warmup("early-warmup", |store, key| {
+            // Well-formed, but taken 100 cycles before the warmup ends.
             let mut source = benchmark_source(bench, &cfg, seed);
             let mut sim = armed_sim(mech, &cfg);
             let early = cfg.warmup_cycles - 100;
             drive(&mut sim, &mut source, early, &mut Vec::new()).expect("warmup");
-            publish(store, key, STAGE_CHECKPOINT, &sim, &source);
+            publish(store, key, &sim, &source);
         });
     }
 }

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use anoc_exec::SnapshotStore;
 use anoc_harness::campaign::{self, benchmark_job, warmup_key};
 use anoc_harness::persist::encode_run_result;
-use anoc_harness::runner::{run, RunSpec, SnapshotPolicy, StagedInfo, Traffic};
+use anoc_harness::runner::{run, RunSpec, StagedInfo, Traffic};
 use anoc_harness::{Mechanism, RunResult, SystemConfig};
 use anoc_noc::{FaultPlan, SimError};
 use anoc_traffic::Benchmark;
@@ -23,31 +23,24 @@ fn scratch_store(name: &str) -> SnapshotStore {
     store
 }
 
-/// One benchmark cell under `policy`, through the runner's single entry point.
+/// One benchmark cell over `store`, through the runner's single entry point.
 fn staged_cell(
     benchmark: Benchmark,
     mechanism: Mechanism,
     config: &SystemConfig,
     seed: u64,
-    policy: &SnapshotPolicy<'_>,
+    store: Option<&SnapshotStore>,
 ) -> Result<(RunResult, StagedInfo), SimError> {
     let outcome = run(RunSpec {
         traffic: Traffic::Benchmark {
             benchmark,
             seed,
-            snapshots: policy.clone(),
+            snapshots: store,
         },
         mechanism,
         config,
     })?;
     Ok((outcome.result, outcome.staged))
-}
-
-fn warm_policy(store: &SnapshotStore) -> SnapshotPolicy<'_> {
-    SnapshotPolicy {
-        store: Some(store),
-        ..SnapshotPolicy::cold()
-    }
 }
 
 /// The acceptance pin: a three-threshold sweep at a fixed workload and seed,
@@ -68,13 +61,11 @@ fn warm_threshold_sweep_is_bit_identical_to_cold() {
             .with_threshold(threshold);
 
         let (cold, cold_info) =
-            staged_cell(benchmark, mechanism, &config, seed, &SnapshotPolicy::cold())
-                .expect("cold cell");
-        assert!(!cold_info.forked && !cold_info.resumed);
-        assert_eq!(cold_info.skipped_cycles, 0);
+            staged_cell(benchmark, mechanism, &config, seed, None).expect("cold cell");
+        assert_eq!(cold_info, StagedInfo::default());
 
-        let (warm, info) = staged_cell(benchmark, mechanism, &config, seed, &warm_policy(&store))
-            .expect("warm cell");
+        let (warm, info) =
+            staged_cell(benchmark, mechanism, &config, seed, Some(&store)).expect("warm cell");
 
         assert_eq!(
             encode_run_result(&cold),
@@ -127,9 +118,8 @@ fn fault_active_sweep_survives_warmup_forking() {
             .iter()
             .map(|&ppm| {
                 let config = config_for(ppm);
-                let (r, info) =
-                    staged_cell(benchmark, mechanism, &config, seed, &warm_policy(&store))
-                        .expect("fault cell");
+                let (r, info) = staged_cell(benchmark, mechanism, &config, seed, Some(&store))
+                    .expect("fault cell");
                 assert_eq!(
                     info.forked, expect_forked,
                     "ppm {ppm}: forked={} but expected {expect_forked}",

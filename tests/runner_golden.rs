@@ -4,24 +4,21 @@
 //! the bound checker armed. Each result is serialized with
 //! `persist::encode_run_result` and the payload after its version line is
 //! hashed with FNV-1a, so a result-format bump alone moves no constant. The
-//! hash must equal the recorded constant; forked and resumed FP-VAXX,
-//! DI-VAXX and DI-COMP cells must hash to their cold twin's constant. A
+//! hash must equal the recorded constant; forked FP-VAXX, DI-VAXX and
+//! DI-COMP cells must hash to their cold twin's constant. A
 //! rewrite of the runner or of a codec's snapshot state therefore has to
 //! reproduce every mode bit for bit.
 
 use anoc_exec::hash::fnv1a64;
 use anoc_exec::SnapshotStore;
 use approx_noc::core::control::QosSpec;
-use approx_noc::core::snap::SnapWriter;
-use approx_noc::core::threshold::ErrorThreshold;
-use approx_noc::harness::campaign::{cell_key, warmup_key};
+use approx_noc::harness::campaign::warmup_key;
 use approx_noc::harness::persist::encode_run_result;
 use approx_noc::harness::runner::{
-    checkpoint_key, publish_benchmark_warmup, run, RunOutcome, RunResult, RunSpec, SnapshotPolicy,
-    Traffic,
+    publish_benchmark_warmup, run, RunOutcome, RunResult, RunSpec, Traffic,
 };
 use approx_noc::harness::{Mechanism, SystemConfig};
-use approx_noc::noc::{FaultPlan, LossPlan, NocSim};
+use approx_noc::noc::{FaultPlan, LossPlan};
 use approx_noc::traffic::{
     Benchmark, BenchmarkTraffic, DataPool, DestPattern, SyntheticTraffic, Trace, TrafficSource,
 };
@@ -90,11 +87,11 @@ fn check(cells: &[(&str, &str, RunResult)]) {
     assert_eq!(got, want);
 }
 
-/// A benchmark cell running `mechanism` under `snapshots`.
+/// A benchmark cell running `mechanism`, forking from `snapshots` if given.
 fn bench_cell(
     mechanism: Mechanism,
     config: &SystemConfig,
-    snapshots: SnapshotPolicy<'_>,
+    snapshots: Option<&SnapshotStore>,
 ) -> RunOutcome {
     run(RunSpec {
         traffic: Traffic::Benchmark {
@@ -141,7 +138,7 @@ fn cold_benchmark_cells_match_golden() {
     ]
     .into_iter()
     .map(|(name, m)| {
-        let outcome = bench_cell(m, &cfg, SnapshotPolicy::cold());
+        let outcome = bench_cell(m, &cfg, None);
         assert_eq!(outcome.staged, Default::default(), "a cold cell is cold");
         (name, name, outcome.result)
     })
@@ -179,12 +176,12 @@ fn qos_loss_and_fault_configs_match_golden() {
     let qos = config()
         .with_qos(QosSpec::paper(970_000))
         .with_loss(LossPlan::scaled(3, 5_000, 100));
-    let qos = bench_cell(Mechanism::FpVaxx, &qos, SnapshotPolicy::cold()).result;
+    let qos = bench_cell(Mechanism::FpVaxx, &qos, None).result;
     assert!(qos.data_quality() < 1.0, "the QoS window approximates");
     assert!(qos.stats.faults.words_lost > 0, "the loss plan is live");
     // Faults make bound violations counted rather than fatal.
     let faults = config().with_faults(FaultPlan::bit_flips(SEED, 2_000));
-    let faults = bench_cell(Mechanism::FpVaxx, &faults, SnapshotPolicy::cold()).result;
+    let faults = bench_cell(Mechanism::FpVaxx, &faults, None).result;
     assert!(faults.stats.faults.bound_checked_words > 0, "checker armed");
     assert!(faults.stats.faults.bound_violations > 0, "flips violate");
     check(&[
@@ -210,7 +207,7 @@ fn stall_and_credit_fault_cells_match_golden() {
         ..FaultPlan::none()
     };
     let cfg = config().with_faults(plan);
-    let cell = bench_cell(Mechanism::FpVaxx, &cfg, SnapshotPolicy::cold()).result;
+    let cell = bench_cell(Mechanism::FpVaxx, &cfg, None).result;
     let f = &cell.stats.faults;
     assert!(f.port_stalls > 0, "stalls are injected");
     assert!(f.credits_duplicated > 0, "credits are duplicated");
@@ -233,62 +230,9 @@ fn published_warmup_blob_matches_golden() {
     );
 }
 
-/// Reproduces a cell killed 600 cycles into its measurement window: the
-/// staged prefix driven from public calls, framed as the runner frames a
-/// checkpoint (`[u32 stage 2][u64 sim-blob length][sim blob][traffic
-/// state]`) and stored under the cell's checkpoint key, which the runner
-/// derives from the cell's own `bench` key.
-fn plant_checkpoint(store: &SnapshotStore, mechanism: Mechanism, cfg: &SystemConfig) -> String {
-    let key = checkpoint_key(&cell_key(
-        "bench",
-        cfg,
-        mechanism.name(),
-        BENCH.name(),
-        SEED,
-    ));
-    let nodes = cfg.noc.num_nodes();
-    let codecs = mechanism.codecs(nodes, ErrorThreshold::exact());
-    let mut sim = NocSim::new(cfg.noc.clone(), codecs);
-    sim.set_fault_plan(cfg.faults);
-    sim.set_loss_plan(cfg.loss);
-    sim.set_qos(cfg.qos);
-    sim.set_watchdog(cfg.watchdog_horizon);
-    let mut source = BenchmarkTraffic::new(BENCH, nodes, cfg.approx_ratio, SEED);
-    let mut buf = Vec::new();
-    let mut step_to = |sim: &mut NocSim, until: u64| {
-        while sim.cycle() < until {
-            buf.clear();
-            source.tick(sim.cycle(), &mut buf);
-            for inj in buf.drain(..) {
-                match inj.payload {
-                    Some(block) => sim.enqueue_data(inj.src, inj.dest, block),
-                    None => sim.enqueue_control(inj.src, inj.dest),
-                };
-            }
-            sim.step();
-            sim.discard_delivered();
-        }
-    };
-    step_to(&mut sim, cfg.warmup_cycles);
-    sim.set_error_threshold(cfg.threshold());
-    sim.set_bound_check(cfg.bound_threshold());
-    sim.begin_measurement();
-    step_to(&mut sim, cfg.warmup_cycles + 600);
-    let sim_blob = sim
-        .save_snapshot(fnv1a64(key.as_bytes()))
-        .expect("snapshot");
-    let mut w = SnapWriter::new();
-    w.u32(2);
-    w.u64(sim_blob.len() as u64);
-    w.bytes(&sim_blob);
-    source.save_state(&mut w);
-    store.put(&key, &w.into_bytes()).expect("store checkpoint");
-    key
-}
-
 #[test]
-fn forked_and_resumed_cells_match_their_cold_twin() {
-    let store = temp_store("fork-resume");
+fn forked_cells_match_their_cold_twin() {
+    let store = temp_store("fork");
     let cfg = config();
     for (mech, twin) in [
         (Mechanism::FpVaxx, "bench/FP-VAXX"),
@@ -296,39 +240,11 @@ fn forked_and_resumed_cells_match_their_cold_twin() {
         (Mechanism::DiComp, "bench/DI-COMP"),
     ] {
         assert!(publish_benchmark_warmup(BENCH, mech, &cfg, SEED, &store).expect("warmup runs"));
-        let forked = bench_cell(
-            mech,
-            &cfg,
-            SnapshotPolicy {
-                store: Some(&store),
-                ..SnapshotPolicy::cold()
-            },
-        );
-        assert!(forked.staged.forked && !forked.staged.resumed);
+        let forked = bench_cell(mech, &cfg, Some(&store));
+        assert!(forked.staged.forked);
         assert_eq!(forked.staged.skipped_cycles, cfg.warmup_cycles);
-
-        let checkpoint = plant_checkpoint(&store, mech, &cfg);
-        let resumed = bench_cell(
-            mech,
-            &cfg,
-            SnapshotPolicy {
-                store: Some(&store),
-                resume: true,
-                ..SnapshotPolicy::cold()
-            },
-        );
-        assert!(resumed.staged.resumed && !resumed.staged.forked);
-        assert_eq!(resumed.staged.skipped_cycles, cfg.warmup_cycles + 600);
-        assert!(
-            store.get(&checkpoint).is_none(),
-            "the completed cell retires its checkpoint"
-        );
         let forked_name = twin.replace("bench/", "forked/");
-        let resumed_name = twin.replace("bench/", "resumed/");
-        check(&[
-            (forked_name.as_str(), twin, forked.result),
-            (resumed_name.as_str(), twin, resumed.result),
-        ]);
+        check(&[(forked_name.as_str(), twin, forked.result)]);
     }
     let _ = std::fs::remove_dir_all(store.dir());
 }
