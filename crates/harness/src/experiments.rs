@@ -184,10 +184,20 @@ impl Fig12Series {
     }
 }
 
+/// Figure 12's share of data packets: the paper's 25:75 data-to-control mix.
+const FIG12_DATA_RATIO: f64 = 0.25;
+/// Blocks in a Figure 12 cell's value pool.
+const FIG12_POOL_BLOCKS: usize = 512;
+/// The average packet latency, in cycles, above which a Figure 12 curve is
+/// saturated: its sweep ends at the first point past it.
+const FIG12_LATENCY_CAP: f64 = 120.0;
+
 /// Figure 12: throughput under synthetic traffic with benchmark data.
 ///
-/// `data_ratio` is 0.25 in the paper (25:75 data-to-control mix);
-/// `latency_cap` ends each mechanism's sweep once saturated.
+/// Each mechanism's curve sweeps `rates` in order until its latency passes
+/// a cap of 120 cycles. The rates run in waves, one campaign per rate with
+/// a cell for each curve still at or under the cap, so no cell past a
+/// curve's knee is simulated.
 pub fn fig12(
     benchmark: Benchmark,
     pattern: DestPattern,
@@ -195,69 +205,61 @@ pub fn fig12(
     config: &SystemConfig,
     seed: u64,
 ) -> Vec<Fig12Series> {
-    let latency_cap = 120.0;
-    let pool = DataPool::from_benchmark(benchmark, 512, seed);
-    // Plan every (mechanism, rate) cell up front; the serial loop stopped a
-    // mechanism's sweep at its first over-cap latency, so reproduce that by
-    // truncating each series after the fact. Cells past the knee are wasted
-    // work but run in parallel, so the wall clock still wins.
-    let jobs = Mechanism::ALL
+    let pool = DataPool::from_benchmark(benchmark, FIG12_POOL_BLOCKS, seed);
+    let job = |m: Mechanism, rate: f64| {
+        let id = format!(
+            "{}/{}/{}@{rate:.3}",
+            benchmark.name(),
+            pattern_tag(pattern),
+            m.name()
+        );
+        let work = format!(
+            "fig12 bench={} pat={} rate={:016x} dr={:016x} pool={FIG12_POOL_BLOCKS}",
+            benchmark.name(),
+            pattern_tag(pattern),
+            rate.to_bits(),
+            FIG12_DATA_RATIO.to_bits(),
+        );
+        let key = cell_key("synth", config, m.name(), &work, seed);
+        let (config, pool) = (config.clone(), pool.clone());
+        JobSpec::new(id, key, move || {
+            let mut source = SyntheticTraffic::new(
+                pattern,
+                config.noc.num_nodes(),
+                pool,
+                rate,
+                FIG12_DATA_RATIO,
+                config.approx_ratio,
+                seed,
+            );
+            try_run_with_source(&mut source, m, &config).map_err(|e| e.to_string())
+        })
+    };
+    let mut series: Vec<Fig12Series> = Mechanism::ALL
         .iter()
-        .flat_map(|m| {
-            rates.iter().map(|&rate| {
-                let id = format!(
-                    "{}/{}/{}@{rate:.3}",
-                    benchmark.name(),
-                    pattern_tag(pattern),
-                    m.name()
-                );
-                let work = format!(
-                    "fig12 bench={} pat={} rate={:016x} dr=3fd0000000000000 pool=512",
-                    benchmark.name(),
-                    pattern_tag(pattern),
-                    rate.to_bits(),
-                );
-                let key = cell_key("synth", config, m.name(), &work, seed);
-                let (m, config, pool) = (*m, config.clone(), pool.clone());
-                JobSpec::new(id, key, move || {
-                    let mut source = SyntheticTraffic::new(
-                        pattern,
-                        config.noc.num_nodes(),
-                        pool,
-                        rate,
-                        0.25,
-                        config.approx_ratio,
-                        seed,
-                    );
-                    try_run_with_source(&mut source, m, &config).map_err(|e| e.to_string())
-                })
-            })
+        .map(|&mechanism| Fig12Series {
+            mechanism,
+            points: Vec::new(),
         })
         .collect();
-    let mut results = context().run("fig12", jobs).into_iter();
-    Mechanism::ALL
-        .iter()
-        .map(|m| {
-            let mut points = Vec::new();
-            for &rate in rates {
-                let lat = results
-                    .next()
-                    .expect("one result per cell")
-                    .avg_packet_latency();
-                if points
+    for &rate in rates {
+        let open: Vec<&mut Fig12Series> = series
+            .iter_mut()
+            .filter(|s| {
+                s.points
                     .last()
-                    .map(|(_, l)| *l <= latency_cap)
-                    .unwrap_or(true)
-                {
-                    points.push((rate, lat));
-                }
-            }
-            Fig12Series {
-                mechanism: *m,
-                points,
-            }
-        })
-        .collect()
+                    .is_none_or(|&(_, lat)| lat <= FIG12_LATENCY_CAP)
+            })
+            .collect();
+        if open.is_empty() {
+            break;
+        }
+        let jobs = open.iter().map(|s| job(s.mechanism, rate)).collect();
+        for (s, r) in open.into_iter().zip(context().run("fig12", jobs)) {
+            s.points.push((rate, r.avg_packet_latency()));
+        }
+    }
+    series
 }
 
 /// Figure 12 panels, each a label and its curves, with one row per swept
